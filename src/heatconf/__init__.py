@@ -14,12 +14,10 @@ from .errors import (ConfigError, ConvergenceError, DomainError, HeatconfError,
                      PreconditionError, SpectrumError)
 from .geometry import ManifoldModel, MetricAtPoint, SampleGrid, a1_tensor, metric_at, \
     orthonormal_frame, sample_grid
-from .jets import (JetMatrixP, JetMatrixPc, RhsVector, apply_E, apply_Ec, assemble_P,
-                   assemble_Pc, block_inverse, gram, kernel_generator, xi_inverse,
-                   xi_matrix)
+from .jets import (RhsVector, apply_E, apply_Ec, assemble_P, assemble_Pc, block_inverse,
+                   kernel_generator, xi_inverse, xi_matrix)
 from .perturb import (ConformalResult, ConformalSolver, FieldRq, IterationState,
-                      ResolventConfig, SpectralGrid, assemble_C, compute_Lij,
-                      compute_r_terms, fixed_point_solve, resolvent_apply,
+                      ResolventConfig, SpectralGrid, assemble_C, fixed_point_solve,
                       verify_conformal)
 from .spectrum import (EigenPair, JetEvaluation, SpectrumProvider, analytic_spectrum,
                        enumerate_eigenpairs, load_external_spectrum, rescaled_provider,

@@ -125,7 +125,7 @@ def check_rank_laws(points: int = 20, seed: int = 20240901) -> CheckResult:
     for x in pts:
         P = jets.assemble_P(emb, x)
         Pc = jets.assemble_Pc(emb, x)
-        G, Gc = jets.gram(P), jets.gram(Pc)
+        G, Gc = P @ P.T, Pc @ Pc.T
         sv = np.linalg.svd(G, compute_uv=False)
         svc = np.linalg.svd(Gc, compute_uv=False)
         hess_group, grad_group = sv[:n * (n + 1) // 2], sv[n * (n + 1) // 2:]
@@ -161,10 +161,10 @@ def check_right_inverse(seed: int = 20240902) -> CheckResult:
         rhs = jets.RhsVector.from_flat(rng.standard_normal(5), 2)
         v = jets.apply_E(emb, x, rhs)
         worst_resid = max(worst_resid,
-                          float(np.linalg.norm(P.matrix @ v - rhs.flat)
+                          float(np.linalg.norm(P @ v - rhs.flat)
                                 / np.linalg.norm(rhs.flat)))
     w = jets.kernel_generator(emb, x)
-    pc_w = float(np.linalg.norm(Pc.matrix @ w) / np.linalg.norm(
+    pc_w = float(np.linalg.norm(Pc @ w) / np.linalg.norm(
         jets.RhsVector.from_tensor(np.zeros(2), np.eye(2)).flat))
     h = np.array([[0.7, -0.2], [-0.2, -0.7]])
     images = []
@@ -172,7 +172,7 @@ def check_right_inverse(seed: int = 20240902) -> CheckResult:
     for k in (-1.0, 0.0, 0.5, 2.0):
         sol = jets.apply_Ec(emb, x, h, k)
         sols[k] = sol
-        images.append(Pc.matrix @ sol)
+        images.append(Pc @ sol)
     family_spread = float(max(np.max(np.abs(img - images[0])) for img in images))
     lin_err = float(max(np.max(np.abs(sols[k] - sols[0.0] - k * w))
                         for k in (-1.0, 0.5, 2.0)))
@@ -238,21 +238,17 @@ def check_conformal_family(epsilon: float = 1e-3, residual_tol: float = 1e-8) ->
         vs[k] = v
         results[k] = perturb.assemble_C(emb, v, solver, k=k, manufactured_f=f)
     reports = {k: perturb.verify_conformal(emb, vs[k], f, solver) for k in ks}
-    diff = float(np.max(np.linalg.norm(vs[ks[1]].values - vs[ks[0]].values, axis=1)))
-    seed_g = solver.seed(np.zeros_like(f), ks[1])     # E(0, k g)
-    seed_g_sup = float(np.max(np.linalg.norm(seed_g, axis=1)))
-    w = solver.E.kernel_generator()
-    w_sup = float(np.max(np.linalg.norm(w, axis=1)))
+    diff, upper, lower = perturb.family_bounds(solver, vs[ks[0]], vs[ks[1]],
+                                               ks[1] - ks[0])
     details = {
         "residuals": {str(k): reports[k].residual_sup for k in ks},
         "family_distance": diff,
-        "upper_bound": 2.0 * seed_g_sup,
-        "lower_bound": 0.25 * ks[1] * w_sup,
+        "upper_bound": upper,
+        "lower_bound": lower,
         "injectivity": {str(k): results[k].injectivity for k in ks},
     }
     ok = (all(r.residual_sup <= residual_tol for r in reports.values())
-          and diff <= 2.0 * seed_g_sup
-          and diff >= 0.25 * ks[1] * w_sup
+          and lower <= diff <= upper
           and all(res.injectivity > 0 for res in results.values()))
     return CheckResult("conformal_family", ok, details, budget=300.0)
 

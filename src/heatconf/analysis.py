@@ -141,11 +141,9 @@ def scaling_diagnostics(maps, resolution: int = 16, s: int = 2, alpha: float = 0
             grid.points, model, alpha)
         m = model.dim * (model.dim + 3) // 2
         pts = grid.points[rng.choice(len(grid.points), size=probes, replace=False)]
-        ratios = []
-        for x in pts:
-            rhs = rng.standard_normal(m)
-            sol = jets.apply_E(emb, x, jets.RhsVector.from_flat(rhs, model.dim))
-            ratios.append(np.linalg.norm(sol) / np.linalg.norm(rhs))
+        rhs = rng.standard_normal((probes, m))
+        sol = jets.PointwiseRightInverse(emb, pts).apply(rhs)
+        ratios = np.linalg.norm(sol, axis=1) / np.linalg.norm(rhs, axis=1)
         rows.append({"t": emb.t, "psi_c0": c0, "psi_c1": c1,
                      "psi_c1_holder": c1_holder, "E_opnorm": float(np.max(ratios))})
     ts = [r["t"] for r in rows]

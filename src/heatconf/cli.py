@@ -13,7 +13,8 @@ Exit codes: 0 success, 1 verification failures, 2 config error,
 
 Configuration is a single JSON document; the only environment override is
 HEATCONF_OUT for the output directory.  Identical config and seed give a
-byte-identical report up to the timestamp field.
+byte-identical report up to the timestamp field and, for verify, the
+per-criterion elapsed_s timings.
 """
 from __future__ import annotations
 
@@ -252,8 +253,8 @@ def cmd_gram(cfg: RunConfig, out_dir: Path) -> dict:
     n = cfg.model.dim
     entries = []
     for x in pts:
-        G = jets.gram(jets.assemble_P(emb, x))
-        Gc = jets.gram(jets.assemble_Pc(emb, x))
+        P, Pc = jets.assemble_P(emb, x), jets.assemble_Pc(emb, x)
+        G, Gc = P @ P.T, Pc @ Pc.T
         entries.append({
             "point": x.tolist(),
             "gram_P": G.tolist(),
@@ -324,13 +325,8 @@ def cmd_perturb(cfg: RunConfig, out_dir: Path) -> dict:
     family = None
     ks = [float(k) for k in sv["k_values"]]
     if len(ks) >= 2:
-        dk = ks[1] - ks[0]
-        diff = float(np.max(np.linalg.norm(
-            solutions[ks[1]].values - solutions[ks[0]].values, axis=1)))
-        seed_g = solver.seed(np.zeros_like(f), dk)
-        upper = 2.0 * float(np.max(np.linalg.norm(seed_g, axis=1)))
-        w = solver.E.kernel_generator()
-        lower = 0.25 * abs(dk) * float(np.max(np.linalg.norm(w, axis=1)))
+        diff, upper, lower = perturb.family_bounds(
+            solver, solutions[ks[0]], solutions[ks[1]], ks[1] - ks[0])
         family = {"distance": diff, "upper_bound": upper, "lower_bound": lower,
                   "pass": lower <= diff <= upper}
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -151,12 +151,6 @@ def conformal_defect(G: np.ndarray, g: np.ndarray) -> np.ndarray:
     return G - (tr / n)[..., None, None] * g
 
 
-def trace_factor(G: np.ndarray, g: np.ndarray) -> np.ndarray:
-    g_inv = np.linalg.inv(g)
-    n = g.shape[-1]
-    return np.einsum("...ij,...ij->...", g_inv, G) / n
-
-
 def h1_solve(A1: np.ndarray, g: np.ndarray, eta1) -> np.ndarray:
     """First-order metric correction h1 = -A1 + (tr_g A1 / n) g + eta1 g.
 
@@ -256,28 +250,6 @@ def corrected_model(model: ManifoldModel, h1_frame: np.ndarray, t: float,
     if lambda_max is not None and scaled.lambda_max < lambda_max:
         scaled = spectrum.analytic_spectrum(scaled.model, lambda_max=lambda_max)
     return scaled.model, scaled
-
-
-def a11_linearization(model: ManifoldModel, h1_frame: np.ndarray, x,
-                      eps: float = 1e-5) -> np.ndarray:
-    """Directional derivative of the first expansion tensor along h1.
-
-    Finite-difference hook for the second-order trace equation: returns
-    d/ds at s=0 of A1(g + s h1) in the original orthonormal frame.  Only the
-    blockwise-constant h1 of the analytic testbeds is supported; assembling
-    the full second-order correction additionally needs the closed second
-    expansion tensor, which the caller must supply.
-    """
-    x = np.asarray(x, dtype=float)
-    F = geometry.orthonormal_frame(model, x)
-    eta1 = float(np.trace(h1_frame)) / model.dim
-
-    def a1_orig_frame(s):
-        # chart components of A1(g + s h1), pulled back to the original frame
-        scaled, _ = corrected_model(model, h1_frame, s, eta1, count=model.dim + 2)
-        return F.T @ geometry.a1_tensor(scaled, x) @ F
-
-    return (a1_orig_frame(eps) - a1_orig_frame(-eps)) / (2.0 * eps)
 
 
 @dataclass

@@ -12,7 +12,8 @@ normal coordinates at x to the orders used).  Row ordering contract:
 P_c(u) replaces each repeated row by its trace-free part and loses exactly
 one rank; the lost direction is recovered by the kernel generator w solving
 P w = (0, identity).  E = P^T (P P^T)^{-1} is the minimum-norm right inverse;
-it is never materialized as a q x m matrix.
+it is never materialized as a q x m matrix.  PointwiseRightInverse is its only
+implementation: the per-point functions below run it on a batch of one point.
 """
 from __future__ import annotations
 
@@ -22,8 +23,6 @@ import numpy as np
 
 from . import geometry
 from .errors import PreconditionError
-
-_BLOCK_INVERSE_T = 0.05    # below this t the Gram is inverted via the block lemma
 
 
 def row_index_pairs(n: int) -> list[tuple[int, int]]:
@@ -74,18 +73,6 @@ def unpack_symmetric(packed: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-@dataclass
-class JetMatrixP:
-    matrix: np.ndarray      # [m, q]
-    n: int
-
-
-@dataclass
-class JetMatrixPc:
-    matrix: np.ndarray
-    n: int
-
-
 def _jet_rows(emb, points: np.ndarray) -> np.ndarray:
     """Batched P matrices [N, m, q] in the orthonormal frame."""
     points = np.asarray(points, dtype=float)
@@ -106,10 +93,10 @@ def _jet_rows(emb, points: np.ndarray) -> np.ndarray:
     return P
 
 
-def assemble_P(emb, x) -> JetMatrixP:
-    """First/second covariant derivative operator of the embedding at x."""
+def assemble_P(emb, x) -> np.ndarray:
+    """First/second covariant derivative operator [m, q] of the embedding at x."""
     x = geometry.wrap_point(emb.model, x)
-    return JetMatrixP(_jet_rows(emb, x[None, :])[0], emb.model.dim)
+    return _jet_rows(emb, x[None, :])[0]
 
 
 def _trace_project(P: np.ndarray, n: int) -> np.ndarray:
@@ -120,16 +107,9 @@ def _trace_project(P: np.ndarray, n: int) -> np.ndarray:
     return Pc
 
 
-def assemble_Pc(emb, x) -> JetMatrixPc:
-    """Trace-free variant of P; the n repeated rows sum to zero."""
-    P = assemble_P(emb, x)
-    return JetMatrixPc(_trace_project(P.matrix, P.n), P.n)
-
-
-def gram(P) -> np.ndarray:
-    """P P^T for a JetMatrixP/JetMatrixPc or a raw [m, q] matrix."""
-    mat = P.matrix if hasattr(P, "matrix") else np.asarray(P)
-    return mat @ mat.T
+def assemble_Pc(emb, x) -> np.ndarray:
+    """Trace-free variant [m, q] of P; the n repeated rows sum to zero."""
+    return _trace_project(assemble_P(emb, x), emb.model.dim)
 
 
 def block_inverse(A1: np.ndarray, A2: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -172,29 +152,19 @@ def block_inverse(A1: np.ndarray, A2: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inv
 
 
-def gram_solve(G: np.ndarray, n: int, rhs: np.ndarray, t: float) -> np.ndarray:
-    """Solve G y = rhs; small-t Grams go through the block-inverse route."""
-    if t < _BLOCK_INVERSE_T:
-        inv = block_inverse(G[:n, :n], G[n:, n:], G[n:, :n])
-        return inv @ rhs
-    try:
-        return np.linalg.solve(G, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise PreconditionError("singular jet Gram matrix") from exc
+def _at_point(emb, x) -> PointwiseRightInverse:
+    """The batched right inverse on the single point x."""
+    return PointwiseRightInverse(emb, geometry.wrap_point(emb.model, x)[None, :])
 
 
 def apply_E(emb, x, rhs: RhsVector) -> np.ndarray:
     """Minimum-norm solution of P(u)(x) v = rhs, orthogonal to Ker P."""
-    P = assemble_P(emb, x)
-    y = gram_solve(gram(P), P.n, rhs.flat, emb.t)
-    return P.matrix.T @ y
+    return _at_point(emb, x).apply(rhs.flat[None, :])[0]
 
 
 def kernel_generator(emb, x) -> np.ndarray:
     """Generator w of Ker P_c / Ker P: the unique solution of P w = (0, g)."""
-    n = emb.model.dim
-    rhs = RhsVector.from_tensor(np.zeros(n), np.eye(n))
-    return apply_E(emb, x, rhs)
+    return _at_point(emb, x).kernel_generator()[0]
 
 
 def apply_Ec(emb, x, h: np.ndarray, k: float = 0.0) -> np.ndarray:
@@ -208,14 +178,18 @@ def apply_Ec(emb, x, h: np.ndarray, k: float = 0.0) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(h))))
     if abs(np.trace(h)) > 1e-8 * scale:
         raise PreconditionError(f"h must be g-traceless, trace={np.trace(h):.3e}")
-    v0 = apply_E(emb, x, RhsVector.from_tensor(np.zeros(n), h))
+    E = _at_point(emb, x)
+    v0 = E.apply_tensor(np.zeros((1, n)), h[None])[0]
     if k == 0.0:
         return v0
-    return v0 + k * kernel_generator(emb, x)
+    return v0 + k * E.kernel_generator()[0]
 
 
 class PointwiseRightInverse:
-    """Batched E over a grid: factors every P(u)(x) once, then applies fast."""
+    """Batched E over a point set: builds every P(u)(x) and its Gram once.
+
+    Each apply solves all Gram systems with one batched np.linalg.solve.
+    """
 
     def __init__(self, emb, points: np.ndarray):
         self.emb = emb
@@ -226,7 +200,10 @@ class PointwiseRightInverse:
 
     def apply(self, rhs: np.ndarray) -> np.ndarray:
         """rhs [N, m] -> min-norm solutions [N, q]."""
-        y = np.linalg.solve(self.gram, rhs[..., None])[..., 0]
+        try:
+            y = np.linalg.solve(self.gram, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise PreconditionError("singular jet Gram matrix") from exc
         return np.einsum("nmq,nm->nq", self.P, y)
 
     def apply_tensor(self, f_vecs: np.ndarray, h_mats: np.ndarray) -> np.ndarray:

@@ -94,9 +94,6 @@ class SpectralGrid:
                                       + (self.model.dim,))
         return self.from_spec(spec[..., None] * sym)
 
-    def hessian(self, values: np.ndarray) -> np.ndarray:
-        return self.grad(self.grad(values))
-
     def laplacian(self, values: np.ndarray) -> np.ndarray:
         spec = self.to_spec(values)
         sym = -self.lam.reshape(self.shape + (1,) * (values.ndim - 1))
@@ -174,46 +171,34 @@ class FieldRq:
         return FieldRq(self.grid, self.values.copy())
 
 
-def resolvent_apply(grid: SpectralGrid, values: np.ndarray, e: float) -> np.ndarray:
-    """(Delta - e)^{-1} componentwise on the flat backend (any tensor rank)."""
-    return grid.resolvent(np.asarray(values, dtype=float), e)
+def _quadratic_products(grid: SpectralGrid, v: np.ndarray, e: float,
+                        chunk: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    """The dealiased products of Q(v, v) on the grid: (b [N, n], L [N, n, n]).
 
-
-def compute_Lij(grid: SpectralGrid, v: np.ndarray, e: float,
-                chunk: int = 64) -> np.ndarray:
-    """Quadratic curvature-free kernel of the (Delta - e)(grad v . grad v) identity.
-
-    Returns [N, n, n]; products are formed on the dealiasing grid and the
-    contraction over components is accumulated chunkwise.
+    b = Delta v . grad v and L is the quadratic curvature-free kernel of the
+    (Delta - e)(grad v . grad v) identity.  Products are formed on the
+    dealiasing grid and the contraction over components is accumulated
+    chunkwise.
     """
     n = grid.model.dim
     Nf = grid.fine**n
-    out = np.zeros((Nf, n, n))
+    b_fine = np.zeros((Nf, n))
+    L_fine = np.zeros((Nf, n, n))
     for a0 in range(0, v.shape[1], chunk):
         Gv, Hv, Dv = grid.jet_fields(v[:, a0:a0 + chunk])
         G, H, D = grid.pad(Gv), grid.pad(Hv), grid.pad(Dv)
-        out += np.einsum("fmli,fmlj->fij", H, H)
-        out -= np.einsum("fm,fmij->fij", D, H)
-        out -= 0.5 * e * np.einsum("fmi,fmj->fij", G, G)
-    return grid.unpad(out)
+        b_fine += np.einsum("fm,fmi->fi", D, G)
+        L_fine += np.einsum("fmli,fmlj->fij", H, H)
+        L_fine -= np.einsum("fm,fmij->fij", D, H)
+        L_fine -= 0.5 * e * np.einsum("fmi,fmj->fij", G, G)
+    return grid.unpad(b_fine), grid.unpad(L_fine)
 
 
-def compute_r_terms(model: ManifoldModel, x, w_frame, grad_w_frame) -> np.ndarray:
-    """Curvature transport coefficients r^n_ij w_n at a point, frame components.
-
-    Evaluated in normal coordinates at x (bare-connection pieces vanish there);
-    the testbed metrics are locally symmetric, so the curvature-divergence term
-    is identically zero and the expression reduces to 2 R_{ikjn} (grad w)_{kn}.
-    Returns the zero matrix exactly on flat models.
-    """
-    m = geometry.metric_at(model, x)
-    n = model.dim
-    if np.max(np.abs(m.riemann)) == 0.0:
-        return np.zeros((n, n))
-    F = geometry.orthonormal_frame(model, x)
-    R_f = np.einsum("ia,jb,kc,ld,ijkl->abcd", F, F, F, F, m.riemann)
-    gw = np.asarray(grad_w_frame, dtype=float)
-    return 2.0 * np.einsum("ikjm,km->ij", R_f, gw)
+def _trace_free(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(W - (tr W / n) I, tr W / n) for a stack W [N, n, n]."""
+    n = W.shape[-1]
+    tr = np.einsum("nii->n", W) / n
+    return W - tr[:, None, None] * np.eye(n), tr
 
 
 class ConformalSolver:
@@ -244,20 +229,10 @@ class ConformalSolver:
     def quadratic(self, v: np.ndarray, chunk: int = 64) -> np.ndarray:
         """Q(v, v) over the grid: E applied to the resolvent-processed products."""
         grid = self.grid
-        n = self.model.dim
         e = self.e
-        Nf = grid.fine**n
-        b_fine = np.zeros((Nf, n))
-        L_fine = np.zeros((Nf, n, n))
-        for a0 in range(0, v.shape[1], chunk):
-            Gv, Hv, Dv = grid.jet_fields(v[:, a0:a0 + chunk])
-            G, H, D = grid.pad(Gv), grid.pad(Hv), grid.pad(Dv)
-            b_fine += np.einsum("fm,fmi->fi", D, G)
-            L_fine += np.einsum("fmli,fmlj->fij", H, H)
-            L_fine -= np.einsum("fm,fmij->fij", D, H)
-            L_fine -= 0.5 * e * np.einsum("fmi,fmj->fij", G, G)
-        X = -grid.resolvent(grid.unpad(b_fine), e)
-        B = grid.resolvent(grid.unpad(L_fine), e)
+        b, L = _quadratic_products(grid, v, e, chunk)
+        X = -grid.resolvent(b, e)
+        B = grid.resolvent(L, e)
         rhs = np.concatenate([X, jets.pack_symmetric(B)], axis=-1)
         return self.E.apply(rhs)
 
@@ -266,10 +241,7 @@ class ConformalSolver:
         Gv = self.grid.grad(v)                   # [N, q, n]
         cross = np.einsum("ani,nak->nik", self.grad_u, Gv)
         quad = np.einsum("nai,nak->nik", Gv, Gv)
-        W = cross + cross.transpose(0, 2, 1) + quad - f
-        n = self.model.dim
-        tr = np.einsum("nii->n", W) / n
-        return W - tr[:, None, None] * np.eye(n)
+        return _trace_free(cross + cross.transpose(0, 2, 1) + quad - f)[0]
 
     def _check_traceless(self, f: np.ndarray):
         scale = max(1.0, float(np.max(np.abs(f))))
@@ -317,6 +289,8 @@ def fixed_point_solve(emb, f: np.ndarray, k: float = 0.0, e: float = 1.0,
     for l in range(1, max_iter + 1):
         v_next = seed + solver.quadratic(v)
         step = float(np.max(np.linalg.norm(v_next - v, axis=1)))
+        if not np.isfinite(step):
+            raise ConvergenceError(f"non-finite iterate at step {l}")
         contraction = step / prev_step if prev_step not in (None, 0.0) else float("nan")
         v = v_next
         v_norm = float(np.max(np.linalg.norm(v, axis=1)))
@@ -335,6 +309,22 @@ def fixed_point_solve(emb, f: np.ndarray, k: float = 0.0, e: float = 1.0,
             slow = 0
         prev_step = step
     raise ConvergenceError(f"no convergence within {max_iter} iterations")
+
+
+def family_bounds(solver: ConformalSolver, v_a: FieldRq, v_b: FieldRq,
+                  dk: float) -> tuple[float, float, float]:
+    """Distance of the conformal-family members k and k + dk, with its bounds.
+
+    Returns (sup |v_b - v_a|, upper 2 sup |E(0, dk g)|, lower |dk|/4 sup |w|)
+    with w the kernel generator; the distance must lie between the bounds.
+    """
+    distance = float(np.max(np.linalg.norm(v_b.values - v_a.values, axis=1)))
+    n = solver.model.dim
+    seed_g = solver.seed(np.zeros((solver.grid.N, n, n)), dk)
+    upper = 2.0 * float(np.max(np.linalg.norm(seed_g, axis=1)))
+    w = solver.E.kernel_generator()
+    lower = 0.25 * abs(dk) * float(np.max(np.linalg.norm(w, axis=1)))
+    return distance, upper, lower
 
 
 @dataclass
@@ -362,10 +352,7 @@ def verify_conformal(emb, v, f: np.ndarray, solver: ConformalSolver | None = Non
     G_uv = np.einsum("nai,nak->nik", grad_total, grad_total)
     G_u = np.einsum("ani,nak->nik", solver.grad_u,
                     np.transpose(solver.grad_u, (1, 0, 2)))
-    n = emb.model.dim
-    W = G_uv - G_u - f
-    tr = np.einsum("nii->n", W) / n
-    pull_res = float(np.max(np.abs(W - tr[:, None, None] * np.eye(n))))
+    pull_res = float(np.max(np.abs(_trace_free(G_uv - G_u - f)[0])))
     return ConformalReport(sup, holder, pull_res)
 
 
@@ -398,9 +385,7 @@ def assemble_C(emb, v, solver: ConformalSolver | None = None, k: float = 0.0,
     G = np.einsum("nai,naj->nij", grad_C, grad_C)
     if manufactured_f is not None:
         G = G - manufactured_f
-    n = emb.model.dim
-    tr = np.einsum("nii->n", G) / n
-    defect = G - tr[:, None, None] * np.eye(n)
+    defect, tr = _trace_free(G)
     defect_sup = float(np.max(np.abs(defect)))
     defect_holder = analysis.holder_seminorm_field(
         defect.reshape(len(defect), -1), grid.points, emb.model, alpha)

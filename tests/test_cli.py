@@ -68,15 +68,21 @@ def test_defect_scan_outputs(tmp_path):
 
 
 def test_report_determinism(tmp_path):
-    cfg = write_config(tmp_path, {"model": TORUS_MODEL, "t_grid": [0.1],
-                                  "resolution": 8, "seed": 9})
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run(["--config", cfg, "--out", str(out1), "defect-scan"]) == 0
-    assert run(["--config", cfg, "--out", str(out2), "defect-scan"]) == 0
-    r1, r2 = load_report(out1), load_report(out2)
-    r1.pop("timestamp")
-    r2.pop("timestamp")
-    assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+    """Reports repeat exactly apart from the timestamp and verify's elapsed_s."""
+    scan = write_config(tmp_path, {"model": TORUS_MODEL, "t_grid": [0.1],
+                                   "resolution": 8, "seed": 9}, "scan.json")
+    verify = write_config(tmp_path, {
+        "verify": {"criteria": ["circle_scale", "linear_algebra"]}}, "verify.json")
+    for command, cfg in (("defect-scan", scan), ("verify", verify)):
+        out1, out2 = tmp_path / command / "a", tmp_path / command / "b"
+        assert run(["--config", cfg, "--out", str(out1), command]) == 0
+        assert run(["--config", cfg, "--out", str(out2), command]) == 0
+        r1, r2 = load_report(out1), load_report(out2)
+        for rep in (r1, r2):
+            rep.pop("timestamp")
+            for entry in rep["results"].get("verify", {}).get("criteria", []):
+                entry.pop("elapsed_s")
+        assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
 
 def test_report_schema(tmp_path):

@@ -152,19 +152,6 @@ def test_corrected_model_torus_uniform(torus2):
     assert_allclose(prov2.lambdas[1], 1.0 / (1 + 0.1 * eta1), rtol=1e-12)
 
 
-def test_a11_linearization_hook(product, torus2):
-    """FD derivative of the first expansion tensor along h1.
-
-    Hand value on the product with the canonical h1: the sphere block of A1
-    stays zero for every constant rescale, the circle entry is (1/3) fc/fs,
-    so the derivative is (1/3)(-2/9 - 1/9) = -1/9."""
-    h1 = np.diag([1 / 9.0, 1 / 9.0, -2 / 9.0])
-    A11 = embedding.a11_linearization(product, h1, [1.0, 0.4, 2.0])
-    assert_allclose(A11, np.diag([0.0, 0.0, -1.0 / 9.0]), atol=1e-9)
-    assert_allclose(embedding.a11_linearization(torus2, 0.3 * np.eye(2), [0.1, 0.2]),
-                    0.0, atol=1e-12)
-
-
 def test_large_t_flagged(circle):
     prov = analytic_spectrum(circle, count=30)
     with pytest.warns(UserWarning, match="asymptotic"):

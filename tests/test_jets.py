@@ -5,8 +5,8 @@ from numpy.testing import assert_allclose
 
 from heatconf import (TruncationPolicy, analytic_spectrum, apply_E,
                       apply_Ec, assemble_P, assemble_Pc, block_inverse, build_embedding,
-                      gram, kernel_generator, xi_inverse, xi_matrix)
-from heatconf import analysis, jets
+                      kernel_generator, xi_inverse, xi_matrix)
+from heatconf import analysis, geometry, jets
 from heatconf.errors import PreconditionError
 
 TWO_PI = 2.0 * np.pi
@@ -24,20 +24,20 @@ def test_row_ordering_contract():
 
 def test_row_counts(torus_embedding, circle):
     P = assemble_P(torus_embedding, X0)
-    assert P.matrix.shape == (5, torus_embedding.q)    # n (n+3) / 2 = 5
+    assert P.shape == (5, torus_embedding.q)    # n (n+3) / 2 = 5
     cprov = analytic_spectrum(circle, count=60)
     cemb = build_embedding(cprov, 0.1, TruncationPolicy(rho=1.0))
     Pc = assemble_P(cemb, np.array([0.4]))
-    assert Pc.matrix.shape == (2, cemb.q)              # n = 1: 1 + 1 rows
+    assert Pc.shape == (2, cemb.q)              # n = 1: 1 + 1 rows
 
 
 def test_torus_covariant_equals_coordinate(torus_embedding):
     # flat torus: vanishing connection makes covariant = coordinate derivatives
     vals, grads, hess = torus_embedding.component_jets(X0)
     P = assemble_P(torus_embedding, X0)
-    assert_allclose(P.matrix[0], grads[:, 0], atol=1e-15)
-    assert_allclose(P.matrix[2], hess[:, 0, 1], atol=1e-15)   # row (0,1)
-    assert_allclose(P.matrix[3], hess[:, 0, 0], atol=1e-15)   # row (0,0)
+    assert_allclose(P[0], grads[:, 0], atol=1e-15)
+    assert_allclose(P[2], hess[:, 0, 1], atol=1e-15)   # row (0,1)
+    assert_allclose(P[3], hess[:, 0, 0], atol=1e-15)   # row (0,0)
 
 
 def test_sphere_covariant_correction(sphere):
@@ -46,23 +46,22 @@ def test_sphere_covariant_correction(sphere):
     emb = build_embedding(prov, 0.15, TruncationPolicy(q_override=24))
     x = np.array([1.0, 2.0])
     P = assemble_P(emb, x)
-    from heatconf import geometry
     m = geometry.metric_at(sphere, x)
     F = geometry.orthonormal_frame(sphere, x)
     vals, grads, hess = emb.component_jets(x)
     hess_cov = hess - np.einsum("kij,qk->qij", m.christoffel, grads)
     expected = np.einsum("ia,qij,jb->qab", F, hess_cov, F)
-    assert_allclose(P.matrix[2], expected[:, 0, 1], atol=1e-13)
+    assert_allclose(P[2], expected[:, 0, 1], atol=1e-13)
 
 
 def test_P_full_rank(torus_embedding):
-    sv = np.linalg.svd(assemble_P(torus_embedding, X0).matrix, compute_uv=False)
+    sv = np.linalg.svd(assemble_P(torus_embedding, X0), compute_uv=False)
     assert sv[4] > 1e-3 * np.sqrt(2 * 0.05)    # smallest of the O(sqrt(1/2t)) scale split
 
 
 def test_Pc_loses_exactly_one_rank(torus_embedding):
-    P = assemble_P(torus_embedding, X0).matrix
-    Pc = assemble_Pc(torus_embedding, X0).matrix
+    P = assemble_P(torus_embedding, X0)
+    Pc = assemble_Pc(torus_embedding, X0)
     sv = np.linalg.svd(P, compute_uv=False)
     svc = np.linalg.svd(Pc, compute_uv=False)
     thresh = 1e-8
@@ -74,8 +73,8 @@ def test_Pc_loses_exactly_one_rank(torus_embedding):
 
 
 def test_Pc_is_projection_of_P(torus_embedding):
-    P = assemble_P(torus_embedding, X0).matrix
-    Pc = assemble_Pc(torus_embedding, X0).matrix
+    P = assemble_P(torus_embedding, X0)
+    Pc = assemble_Pc(torus_embedding, X0)
     n = 2
     D = np.zeros((5, 5))
     D[3:, 3:] = np.ones((2, 2))       # selector of the repeated-derivative rows
@@ -86,13 +85,15 @@ def test_gram_blocks_small_t(torus2):
     t = 0.02
     prov = analytic_spectrum(torus2, count=2700)
     emb = build_embedding(prov, t, TruncationPolicy(rho=1.0))
-    G = gram(assemble_P(emb, X0))
+    P = assemble_P(emb, X0)
+    G = P @ P.T
     assert_allclose(G[:2, :2], np.eye(2), atol=5 * t)
     lower = 2 * t * G[2:, 2:]
     target = np.eye(3)
     target[1:, 1:] = 3.0 * xi_matrix(2, 1.0 / 3.0)
     assert_allclose(lower, target, atol=5 * t)
-    Gc = gram(assemble_Pc(emb, X0))
+    Pc = assemble_Pc(emb, X0)
+    Gc = Pc @ Pc.T
     target_c = np.eye(3)
     target_c[1:, 1:] = 1.0 * xi_matrix(2, -1.0)     # (2n-2)/n Xi(-1/(n-1)), n = 2
     assert_allclose(2 * t * Gc[2:, 2:], target_c, atol=5 * t)
@@ -102,7 +103,8 @@ def test_gram_inverse_asymptotics(torus2):
     t = 0.02
     prov = analytic_spectrum(torus2, count=2700)
     emb = build_embedding(prov, t, TruncationPolicy(rho=1.0))
-    G_inv = np.linalg.inv(gram(assemble_P(emb, X0)))
+    P = assemble_P(emb, X0)
+    G_inv = np.linalg.inv(P @ P.T)
     assert_allclose(G_inv[:2, :2], np.eye(2), atol=5 * t)
     target = np.eye(3)
     target[1:, 1:] = np.linalg.inv(3.0 * xi_matrix(2, 1.0 / 3.0))
@@ -143,12 +145,12 @@ def test_apply_E_right_inverse(torus_embedding):
     for _ in range(100):
         rhs = jets.RhsVector.from_flat(rng.standard_normal(5), 2)
         v = apply_E(torus_embedding, X0, rhs)
-        assert np.linalg.norm(P.matrix @ v - rhs.flat) <= 1e-9 * np.linalg.norm(rhs.flat)
+        assert np.linalg.norm(P @ v - rhs.flat) <= 1e-9 * np.linalg.norm(rhs.flat)
 
 
 def test_apply_E_orthogonal_to_kernel(torus_embedding):
     # null-space basis from the singular value decomposition as the oracle
-    P = assemble_P(torus_embedding, X0).matrix
+    P = assemble_P(torus_embedding, X0)
     _, _, VT = np.linalg.svd(P, full_matrices=True)
     kernel = VT[5:]
     rng = np.random.default_rng(13)
@@ -159,8 +161,8 @@ def test_apply_E_orthogonal_to_kernel(torus_embedding):
 
 
 def test_kernel_generator(torus_embedding):
-    Pc = assemble_Pc(torus_embedding, X0).matrix
-    P = assemble_P(torus_embedding, X0).matrix
+    Pc = assemble_Pc(torus_embedding, X0)
+    P = assemble_P(torus_embedding, X0)
     w = kernel_generator(torus_embedding, X0)
     assert np.linalg.norm(Pc @ w) <= 1e-9 * np.sqrt(2.0)
     assert w @ w > 0
@@ -173,7 +175,7 @@ def test_kernel_generator(torus_embedding):
 
 def test_apply_Ec_family(torus_embedding):
     h = np.array([[0.4, 0.6], [0.6, -0.4]])
-    Pc = assemble_Pc(torus_embedding, X0).matrix
+    Pc = assemble_Pc(torus_embedding, X0)
     w = kernel_generator(torus_embedding, X0)
     base = apply_Ec(torus_embedding, X0, h, 0.0)
     rhs0 = jets.RhsVector.from_tensor(np.zeros(2), h)
@@ -197,8 +199,8 @@ def test_kernel_dimension_gap(torus_embedding):
     rng = np.random.default_rng(5)
     for _ in range(4):
         x = rng.uniform(0, TWO_PI, 2)
-        P = assemble_P(torus_embedding, x).matrix
-        Pc = assemble_Pc(torus_embedding, x).matrix
+        P = assemble_P(torus_embedding, x)
+        Pc = assemble_Pc(torus_embedding, x)
         q = P.shape[1]
         sv = np.linalg.svd(P, compute_uv=False)
         svc = np.linalg.svd(Pc, compute_uv=False)
@@ -248,15 +250,36 @@ def test_E_operator_norm_scaling(torus2):
     assert fit.slope >= -(0 + 0.5) / 2 - 0.2
 
 
-def test_pointwise_right_inverse_batch(torus_embedding):
-    from heatconf import geometry
-    pts = geometry.sample_grid(torus_embedding.model, 8).points
-    E = jets.PointwiseRightInverse(torus_embedding, pts)
+def test_pointwise_right_inverse_batch(torus2, torus_embedding):
+    """The batched E solves P v = rhs, and the per-point API is its batch of one.
+
+    t = 0.02 is the regime a separate block-inverse route once served.
+    """
+    small_t = build_embedding(analytic_spectrum(torus2, count=2700), 0.02,
+                              TruncationPolicy(rho=1.0))
+    pts = geometry.sample_grid(torus2, 8).points
     rng = np.random.default_rng(3)
-    rhs = rng.standard_normal((len(pts), 5))
-    sol = E.apply(rhs)
-    resid = np.einsum("nmq,nq->nm", E.P, sol) - rhs
-    assert np.max(np.abs(resid)) <= 1e-9
-    w = E.kernel_generator()
-    single = kernel_generator(torus_embedding, pts[5])
-    assert_allclose(w[5], single, atol=1e-12)
+    h = np.array([[0.4, 0.6], [0.6, -0.4]])
+    for emb in (torus_embedding, small_t):
+        E = jets.PointwiseRightInverse(emb, pts)
+        rhs = rng.standard_normal((len(pts), 5))
+        sol = E.apply(rhs)
+        resid = np.einsum("nmq,nq->nm", E.P, sol) - rhs
+        assert np.max(np.abs(resid)) <= 1e-9
+        w = E.kernel_generator()
+        Eh = E.apply_tensor(np.zeros((len(pts), 2)), np.broadcast_to(h, (len(pts), 2, 2)))
+        for i in (0, 5, 27, 63):
+            pairs = [(apply_E(emb, pts[i], jets.RhsVector.from_flat(rhs[i], 2)), sol[i]),
+                     (kernel_generator(emb, pts[i]), w[i]),
+                     (apply_Ec(emb, pts[i], h), Eh[i]),
+                     (apply_Ec(emb, pts[i], h, 0.7), Eh[i] + 0.7 * w[i])]
+            for single, row in pairs:
+                assert np.linalg.norm(single - row) <= 1e-13 * np.linalg.norm(row)
+
+
+
+def test_singular_gram_is_precondition_failure(torus_embedding):
+    E = jets.PointwiseRightInverse(torus_embedding, np.array([X0]))
+    E.gram = np.zeros_like(E.gram)      # stands in for a rank-deficient jet matrix
+    with pytest.raises(PreconditionError, match="singular jet Gram matrix"):
+        E.apply(np.ones((1, 5)))

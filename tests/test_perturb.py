@@ -4,8 +4,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from heatconf import (TruncationPolicy, analytic_spectrum, build_embedding,
-                      compute_Lij, compute_r_terms, fixed_point_solve,
-                      resolvent_apply, verify_conformal)
+                      fixed_point_solve, verify_conformal)
 from heatconf import jets, perturb
 from heatconf.errors import ConvergenceError, PreconditionError
 
@@ -82,22 +81,24 @@ def test_dealiased_product_projection(sgrid):
 
 def test_resolvent(sgrid):
     const = np.full((sgrid.N, 1), 3.0)
-    assert_allclose(resolvent_apply(sgrid, const, 2.0), -1.5, atol=1e-13)
+    assert_allclose(sgrid.resolvent(const, 2.0), -1.5, atol=1e-13)
     mode = np.cos(sgrid.points @ np.array([1, 0]))[:, None]
-    assert_allclose(resolvent_apply(sgrid, mode, 1.0), -mode / 2.0, atol=1e-13)
+    assert_allclose(sgrid.resolvent(mode, 1.0), -mode / 2.0, atol=1e-13)
     v = band_limited_field(sgrid, 4)
-    out = resolvent_apply(sgrid, v, 1.7)
+    out = sgrid.resolvent(v, 1.7)
     back = sgrid.laplacian(out) - 1.7 * out
     assert_allclose(back, v, atol=1e-12)
     with pytest.raises(Exception):
-        resolvent_apply(sgrid, v, -1.0)
+        sgrid.resolvent(v, -1.0)
 
 
 def test_Lij_trivial_inputs(sgrid):
     zero = np.zeros((sgrid.N, 2))
-    assert_allclose(compute_Lij(sgrid, zero, 1.0), 0.0, atol=1e-15)
+    for out in perturb._quadratic_products(sgrid, zero, 1.0):
+        assert_allclose(out, 0.0, atol=1e-15)
     const = np.full((sgrid.N, 2), 1.3)
-    assert_allclose(compute_Lij(sgrid, const, 1.0), 0.0, atol=1e-13)
+    for out in perturb._quadratic_products(sgrid, const, 1.0):
+        assert_allclose(out, 0.0, atol=1e-13)
 
 
 def test_Lij_single_mode_closed_form(sgrid):
@@ -107,7 +108,7 @@ def test_Lij_single_mode_closed_form(sgrid):
     m = np.array([2, 1])
     amp = 0.7
     v = amp * np.cos(sgrid.points @ m)[:, None]
-    L = compute_Lij(sgrid, v, e)
+    _, L = perturb._quadratic_products(sgrid, v, e)
     s2 = np.sin(sgrid.points @ m) ** 2
     expected = -(e / 2) * amp**2 * s2[:, None, None] * np.outer(m, m)
     assert_allclose(L, expected, atol=1e-10)
@@ -124,7 +125,7 @@ def test_Lij_spectral_identity(sgrid):
     Gv = sgrid.grad(v)                                   # [N, c, n]
     S = np.einsum("nci,ncj->nij", Gv, Gv)
     lhs = sgrid.laplacian(S) - e * S
-    L = compute_Lij(sgrid, v, e)
+    _, L = perturb._quadratic_products(sgrid, v, e)
     Dv = sgrid.laplacian(v)
     T = np.einsum("nc,nci->ni", Dv, Gv)                  # Delta v . grad v
     gradT = sgrid.grad(T)                                # [N, i, j] = d_j T_i
@@ -133,22 +134,6 @@ def test_Lij_spectral_identity(sgrid):
     lhs_p = sgrid.from_spec(sgrid.to_spec(lhs))
     rhs_p = sgrid.from_spec(sgrid.to_spec(rhs))
     assert np.max(np.abs(lhs_p - rhs_p)) <= 1e-7 * np.max(np.abs(lhs_p))
-
-
-def test_r_terms(torus2, sphere):
-    rng = np.random.default_rng(9)
-    w = rng.standard_normal(2)
-    gw = rng.standard_normal((2, 2))
-    assert_allclose(compute_r_terms(torus2, [0.1, 0.2], w, gw), 0.0, atol=1e-15)
-    x = np.array([1.1, 0.6])
-    assert_allclose(compute_r_terms(sphere, x, np.zeros(2), np.zeros((2, 2))),
-                    0.0, atol=1e-15)
-    r = compute_r_terms(sphere, x, w, gw)
-    assert np.all(np.isfinite(r))
-    # frame rotation conjugates the output tensor (inputs rotate accordingly)
-    Q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
-    r_rot = compute_r_terms(sphere, x, Q.T @ w, Q.T @ gw @ Q)
-    assert_allclose(r_rot, Q.T @ r @ Q, atol=1e-8)
 
 
 def test_quadratic_defining_equation(solver):
@@ -162,8 +147,10 @@ def test_quadratic_defining_equation(solver):
     grid = solver.grid
     Dv, Gv = grid.laplacian(v), grid.grad(v)
     prod = grid.unpad(np.einsum("fm,fmi->fi", grid.pad(Dv), grid.pad(Gv)))
-    X = -grid.resolvent(prod, solver.e)
-    B = grid.resolvent(compute_Lij(grid, v, solver.e), solver.e)
+    b, L = perturb._quadratic_products(grid, v, solver.e)
+    assert_allclose(b, prod, atol=1e-12 * np.max(np.abs(prod)))
+    X = -grid.resolvent(b, solver.e)
+    B = grid.resolvent(L, solver.e)
     rhs = np.concatenate([X, jets.pack_symmetric(B)], axis=-1)
     img = np.einsum("nmq,nq->nm", solver.E.P, Q)
     assert np.max(np.abs(img - rhs)) <= 1e-9 * max(1.0, np.max(np.abs(rhs)))
@@ -246,6 +233,13 @@ def test_divergence_guard(solver, torus_embedding, manufactured):
     with pytest.raises(ConvergenceError):
         fixed_point_solve(torus_embedding, manufactured, solver=solver,
                           tol=1e-30, max_iter=5)
+
+
+def test_non_finite_iterate_stops(solver, torus_embedding, manufactured):
+    start = np.full((solver.grid.N, torus_embedding.q), np.nan)
+    with pytest.raises(ConvergenceError, match="non-finite iterate at step 1$"):
+        fixed_point_solve(torus_embedding, manufactured, solver=solver,
+                          max_iter=40, v_start=start)
 
 
 def test_assemble_C(solver, torus_embedding, manufactured, solved):
