@@ -19,8 +19,9 @@ update packages all third derivatives of v under the resolvent (Delta - e)^{-1}:
 The sign of X and the -e/2 term in L are fixed by the requirement that
 (Delta - e)(grad_i v . grad_j v) = 2 L_ij + transport terms holds identically
 (test-pinned); with them the iteration's fixed point satisfies the conformal
-embedding equation to rounding.  Products of grid fields are dealiased by 3/2
-zero padding, and Nyquist bins are projected away throughout.
+embedding equation to rounding.  Spectra are real-FFT half-spectra without
+Nyquist bins; products are dealiased by the 3/2 rule, scattering the band onto
+the refined grid, and Q(v, v) contracts each chunk in one Gram product.
 """
 from __future__ import annotations
 
@@ -48,105 +49,94 @@ class SpectralGrid:
     """Uniform FFT grid on a flat torus with exact derivative and resolvent ops.
 
     Fields are arrays whose first axis is the flattened grid; any trailing
-    component axes broadcast through the spectral operations.
+    component axes broadcast through the spectral operations.  Spectra are
+    `rfftn` half-spectra over the grid axes (`kvecs`, `lam`, `band` alike);
+    3/2-rule dealiasing scatters the open band into the refined half-spectrum
+    through two precomputed index maps, for odd and even resolutions alike.
     """
 
     def __init__(self, model: ManifoldModel, resolution: int):
         if model.kind != geometry.FLAT_TORUS:
             raise PreconditionError("spectral backend requires a flat torus")
         self.model = model
-        self.resolution = int(resolution)
-        self.shape = (self.resolution,) * model.dim
-        self.N = int(np.prod(self.shape))
-        self.points = geometry.sample_grid(model, resolution).points
-        ks = [2.0 * np.pi * np.fft.fftfreq(resolution, d=L / resolution)
-              for L in model.periods]
-        mesh = np.meshgrid(*ks, indexing="ij")
-        self.kvecs = np.stack(mesh, axis=-1)               # [*shape, n]
-        self.lam = np.sum(self.kvecs**2, axis=-1)          # [*shape]
-        nyq = [np.abs(np.fft.fftfreq(resolution)) >= 0.5 - 1e-12 for _ in ks]
-        mask = np.zeros(self.shape, dtype=bool)
-        for ax, bad in enumerate(nyq):
-            sl = [slice(None)] * model.dim
-            sl[ax] = bad
-            mask[tuple(sl)] = True
-        self.band = ~mask                                  # open-band projector
-        self.fine = int(np.ceil(1.5 * resolution))
+        self.resolution = N = int(resolution)
+        n = model.dim
+        self.shape = (N,) * n
+        self.N = N**n
+        self.points = geometry.sample_grid(model, N).points
+        self.fine = int(np.ceil(1.5 * N))
         self.fine += self.fine % 2
+        # signed integer frequencies: full axes, then the halved last axis
+        full = np.rint(np.fft.fftfreq(N) * N).astype(int)
+        freqs = [full] * (n - 1) + [np.arange(N // 2 + 1)]
+        ks = [2.0 * np.pi / L * f for L, f in zip(model.periods, freqs)]
+        self.kvecs = np.stack(np.meshgrid(*ks, indexing="ij"), axis=-1)  # [*spec, n]
+        self.lam = np.sum(self.kvecs**2, axis=-1)                        # [*spec]
+        # open band (Nyquist bins dropped): coarse bins and their fine images
+        inband = [f[np.abs(f) < N / 2] for f in freqs]
+        self._coarse_bins = np.ix_(*[f % N for f in inband])
+        self._fine_bins = np.ix_(*[f % self.fine for f in inband])
+        self.band = np.zeros(self.lam.shape, dtype=bool)                 # band projector
+        self.band[self._coarse_bins] = True
+
+    def _bcast(self, arr: np.ndarray, trailing: int) -> np.ndarray:
+        """Reshape a per-bin array [*spec, ...] to broadcast over `trailing` axes."""
+        spec = self.kvecs.shape[:-1]
+        return arr.reshape(spec + (1,) * trailing + arr.shape[len(spec):])
 
     # -- transforms ---------------------------------------------------------
 
     def to_spec(self, values: np.ndarray) -> np.ndarray:
         arr = values.reshape(self.shape + values.shape[1:])
-        spec = np.fft.fftn(arr, axes=range(self.model.dim))
-        return spec * self.band.reshape(self.shape + (1,) * (values.ndim - 1))
+        spec = np.fft.rfftn(arr, axes=range(self.model.dim))
+        return spec * self._bcast(self.band, values.ndim - 1)
 
     def from_spec(self, spec: np.ndarray) -> np.ndarray:
-        arr = np.fft.ifftn(spec, axes=range(self.model.dim)).real
-        return arr.reshape((self.N,) + spec.shape[self.model.dim:])
+        n = self.model.dim
+        arr = np.fft.irfftn(spec, s=self.shape, axes=range(n))
+        return arr.reshape((self.N,) + spec.shape[n:])
 
     # -- exact spectral calculus --------------------------------------------
 
     def grad(self, values: np.ndarray) -> np.ndarray:
         """[N, ...] -> [N, ..., n]."""
         spec = self.to_spec(values)
-        sym = 1j * self.kvecs.reshape(self.shape + (1,) * (values.ndim - 1)
-                                      + (self.model.dim,))
-        return self.from_spec(spec[..., None] * sym)
+        return self.from_spec(spec[..., None] * self._bcast(1j * self.kvecs, values.ndim - 1))
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
         spec = self.to_spec(values)
-        sym = -self.lam.reshape(self.shape + (1,) * (values.ndim - 1))
-        return self.from_spec(spec * sym)
-
-    def jet_fields(self, values: np.ndarray):
-        """(gradient, hessian, laplacian) from a single forward transform."""
-        n = self.model.dim
-        spec = self.to_spec(values)
-        pad1 = (1,) * (values.ndim - 1)
-        ik = 1j * self.kvecs.reshape(self.shape + pad1 + (n,))
-        grad = self.from_spec(spec[..., None] * ik)
-        kk = np.einsum("...i,...j->...ij", self.kvecs, self.kvecs)
-        hess = self.from_spec(spec[..., None, None]
-                              * (-kk.reshape(self.shape + pad1 + (n, n))))
-        lap = self.from_spec(spec * (-self.lam.reshape(self.shape + pad1)))
-        return grad, hess, lap
+        return self.from_spec(spec * self._bcast(-self.lam, values.ndim - 1))
 
     def resolvent(self, values: np.ndarray, e: float) -> np.ndarray:
         """(Delta - e)^{-1}: spectral coefficient c_lam -> c_lam / (-lam - e)."""
         if e <= 0:
             raise ConfigError("spectral shift e must be strictly positive")
         spec = self.to_spec(values)
-        sym = (1.0 / (-self.lam - e)).reshape(self.shape + (1,) * (values.ndim - 1))
-        return self.from_spec(spec * sym)
+        return self.from_spec(spec * self._bcast(1.0 / (-self.lam - e), values.ndim - 1))
 
     # -- dealiased products ---------------------------------------------------
 
+    def _upsample(self, spec: np.ndarray) -> np.ndarray:
+        """Physical samples on the refined grid of a band-limited coarse spectrum."""
+        n = self.model.dim
+        fine_shape = (self.fine,) * n
+        fine_spec = np.zeros(fine_shape[:-1] + (self.fine // 2 + 1,) + spec.shape[n:],
+                             dtype=complex)
+        fine_spec[self._fine_bins] = spec[self._coarse_bins] * (self.fine / self.resolution) ** n
+        arr = np.fft.irfftn(fine_spec, s=fine_shape, axes=range(n))
+        return arr.reshape((self.fine**n,) + spec.shape[n:])
+
     def pad(self, values: np.ndarray) -> np.ndarray:
         """Physical samples on the 3/2-refined grid (trigonometric upsampling)."""
-        n = self.model.dim
-        spec = self.to_spec(values)
-        spec = np.fft.fftshift(spec, axes=range(n))
-        padw = [( (self.fine - self.resolution) // 2,) * 2] * n
-        padw += [(0, 0)] * (values.ndim - 1)
-        spec = np.pad(spec, padw)
-        spec = np.fft.ifftshift(spec, axes=range(n))
-        scale = (self.fine / self.resolution) ** n
-        arr = np.fft.ifftn(spec * scale, axes=range(n)).real
-        return arr.reshape((self.fine**n,) + values.shape[1:])
+        return self._upsample(self.to_spec(values))
 
     def unpad(self, fine_values: np.ndarray) -> np.ndarray:
         """Project physical samples on the refined grid back to the open band."""
         n = self.model.dim
         arr = fine_values.reshape((self.fine,) * n + fine_values.shape[1:])
-        spec = np.fft.fftn(arr, axes=range(n))
-        spec = np.fft.fftshift(spec, axes=range(n))
-        lo = (self.fine - self.resolution) // 2
-        sl = tuple(slice(lo, lo + self.resolution) for _ in range(n))
-        spec = spec[sl + (Ellipsis,)]
-        spec = np.fft.ifftshift(spec, axes=range(n))
-        scale = (self.resolution / self.fine) ** n
-        spec = spec * scale * self.band.reshape(self.shape + (1,) * (fine_values.ndim - 1))
+        fine_spec = np.fft.rfftn(arr, axes=range(n))
+        spec = np.zeros(self.kvecs.shape[:-1] + fine_values.shape[1:], dtype=complex)
+        spec[self._coarse_bins] = fine_spec[self._fine_bins] * (self.resolution / self.fine) ** n
         return self.from_spec(spec)
 
 
@@ -176,22 +166,28 @@ def _quadratic_products(grid: SpectralGrid, v: np.ndarray, e: float,
     """The dealiased products of Q(v, v) on the grid: (b [N, n], L [N, n, n]).
 
     b = Delta v . grad v and L is the quadratic curvature-free kernel of the
-    (Delta - e)(grad v . grad v) identity.  Products are formed on the
-    dealiasing grid and the contraction over components is accumulated
-    chunkwise.
+    (Delta - e)(grad v . grad v) identity.  Each chunk of components takes one
+    forward transform; its gradient and Hessian channels F = [G_i, H_ab (a<=b)]
+    come from one inverse transform on the 3/2 grid, where the Gram product
+    K = sum_m F_m F_m^T is accumulated.  b and L are fixed linear combinations
+    of the entries of K (Delta v = tr H).
     """
     n = grid.model.dim
-    Nf = grid.fine**n
-    b_fine = np.zeros((Nf, n))
-    L_fine = np.zeros((Nf, n, n))
+    k = grid.kvecs
+    iu = np.triu_indices(n)
+    sym = np.concatenate([1j * k, -k[..., iu[0]] * k[..., iu[1]]], axis=-1)[..., None, :]
+    c = sym.shape[-1]
+    K = np.zeros((grid.fine**n, c, c))
     for a0 in range(0, v.shape[1], chunk):
-        Gv, Hv, Dv = grid.jet_fields(v[:, a0:a0 + chunk])
-        G, H, D = grid.pad(Gv), grid.pad(Hv), grid.pad(Dv)
-        b_fine += np.einsum("fm,fmi->fi", D, G)
-        L_fine += np.einsum("fmli,fmlj->fij", H, H)
-        L_fine -= np.einsum("fm,fmij->fij", D, H)
-        L_fine -= 0.5 * e * np.einsum("fmi,fmj->fij", G, G)
-    return grid.unpad(b_fine), grid.unpad(L_fine)
+        F = grid._upsample(grid.to_spec(v[:, a0:a0 + chunk])[..., None] * sym)  # [Nf, m, c]
+        K += F.transpose(0, 2, 1) @ F
+    H = np.empty((n, n), dtype=int)             # channel of H_ab
+    H[iu] = H.T[iu] = np.arange(n, c)
+    D = np.diagonal(H)                          # channels summing to Delta v
+    b = K[:, D, :n].sum(axis=1)
+    L = (K[:, H[:, :, None], H[:, None, :]].sum(axis=1)
+         - K[:, D[:, None, None], H].sum(axis=1) - 0.5 * e * K[:, :n, :n])
+    return grid.unpad(b), grid.unpad(L)
 
 
 def _trace_free(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,7 +210,8 @@ class ConformalSolver:
             resolution = 48 if self.model.dim == 2 else 32
         self.grid = SpectralGrid(self.model, resolution)
         self.E = jets.PointwiseRightInverse(emb, self.grid.points)
-        _, self.grad_u, _ = emb.jets_on(self.grid.points)   # [q, N, n]
+        _, grad_u, _ = emb.jets_on(self.grid.points)
+        self.grad_u = np.ascontiguousarray(grad_u.transpose(1, 0, 2))   # [N, q, n]
 
     # -- building blocks ------------------------------------------------------
 
@@ -228,6 +225,8 @@ class ConformalSolver:
 
     def quadratic(self, v: np.ndarray, chunk: int = 64) -> np.ndarray:
         """Q(v, v) over the grid: E applied to the resolvent-processed products."""
+        if not v.any():
+            return np.zeros_like(v)
         grid = self.grid
         e = self.e
         b, L = _quadratic_products(grid, v, e, chunk)
@@ -239,8 +238,8 @@ class ConformalSolver:
     def conformal_residual(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
         """Trace-free part of grad u . grad v + grad v . grad u + grad v . grad v - f."""
         Gv = self.grid.grad(v)                   # [N, q, n]
-        cross = np.einsum("ani,nak->nik", self.grad_u, Gv)
-        quad = np.einsum("nai,nak->nik", Gv, Gv)
+        cross = self.grad_u.transpose(0, 2, 1) @ Gv
+        quad = Gv.transpose(0, 2, 1) @ Gv
         return _trace_free(cross + cross.transpose(0, 2, 1) + quad - f)[0]
 
     def _check_traceless(self, f: np.ndarray):
@@ -348,10 +347,9 @@ def verify_conformal(emb, v, f: np.ndarray, solver: ConformalSolver | None = Non
     sup = float(np.max(np.abs(res)))
     holder = analysis.holder_seminorm_field(
         res.reshape(len(res), -1), solver.grid.points, emb.model, alpha)
-    grad_total = np.transpose(solver.grad_u, (1, 0, 2)) + solver.grid.grad(values)
-    G_uv = np.einsum("nai,nak->nik", grad_total, grad_total)
-    G_u = np.einsum("ani,nak->nik", solver.grad_u,
-                    np.transpose(solver.grad_u, (1, 0, 2)))
+    grad_total = solver.grad_u + solver.grid.grad(values)      # [N, q, n]
+    G_uv = grad_total.transpose(0, 2, 1) @ grad_total
+    G_u = solver.grad_u.transpose(0, 2, 1) @ solver.grad_u
     pull_res = float(np.max(np.abs(_trace_free(G_uv - G_u - f)[0])))
     return ConformalReport(sup, holder, pull_res)
 
@@ -381,8 +379,8 @@ def assemble_C(emb, v, solver: ConformalSolver | None = None, k: float = 0.0,
     grid = solver.grid
     u_vals = emb.values_on(grid.points)
     C_vals = u_vals + values
-    grad_C = np.transpose(solver.grad_u, (1, 0, 2)) + grid.grad(values)  # [N, q, n]
-    G = np.einsum("nai,naj->nij", grad_C, grad_C)
+    grad_C = solver.grad_u + grid.grad(values)                 # [N, q, n]
+    G = grad_C.transpose(0, 2, 1) @ grad_C
     if manufactured_f is not None:
         G = G - manufactured_f
     defect, tr = _trace_free(G)

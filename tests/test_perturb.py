@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from heatconf import (TruncationPolicy, analytic_spectrum, build_embedding,
-                      fixed_point_solve, verify_conformal)
+from heatconf import (ManifoldModel, TruncationPolicy, analytic_spectrum,
+                      build_embedding, fixed_point_solve, verify_conformal)
 from heatconf import jets, perturb
 from heatconf.errors import ConvergenceError, PreconditionError
 
@@ -16,18 +16,30 @@ def sgrid(torus2):
     return perturb.SpectralGrid(torus2, 32)
 
 
+@pytest.fixture(scope="module", params=[(2, 32), (2, 33), (3, 12)],
+                ids=["torus2-N32", "torus2-N33", "torus3-N12"])
+def any_grid(request):
+    """Even and odd resolutions on the 2-torus, and a 3-torus."""
+    dim, resolution = request.param
+    return perturb.SpectralGrid(ManifoldModel.flat_torus([TWO_PI] * dim), resolution)
+
+
 @pytest.fixture(scope="module")
 def solver(torus_embedding):
     return perturb.ConformalSolver(torus_embedding, resolution=48, e=1.0)
 
 
-@pytest.fixture(scope="module")
-def manufactured(solver):
-    x1 = solver.grid.points[:, 0]
-    f = np.zeros((solver.grid.N, 2, 2))
+def manufactured_f(grid):
+    x1 = grid.points[:, 0]
+    f = np.zeros((grid.N, 2, 2))
     f[:, 0, 0] = 1e-3 * np.cos(x1)
     f[:, 1, 1] = -1e-3 * np.cos(x1)
     return f
+
+
+@pytest.fixture(scope="module")
+def manufactured(solver):
+    return manufactured_f(solver.grid)
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +54,7 @@ def band_limited_field(grid, seed, comps=3, kmax=5):
     x = grid.points
     for c in range(comps):
         for _ in range(4):
-            k = rng.integers(-kmax, kmax + 1, size=2)
+            k = rng.integers(-kmax, kmax + 1, size=grid.model.dim)
             v[:, c] += rng.standard_normal() * np.cos(x @ k + rng.uniform(0, TWO_PI))
     return v
 
@@ -56,27 +68,50 @@ def test_backend_requires_flat(sphere):
         perturb.SpectralGrid(sphere, 16)
 
 
-def test_round_trip_and_derivative_exactness(sgrid):
-    v = band_limited_field(sgrid, 1)
-    assert_allclose(sgrid.from_spec(sgrid.to_spec(v)), v, atol=1e-12)
-    # Laplacian of a single mode is -lambda times the mode
-    x = sgrid.points
-    mode = np.cos(x @ np.array([3, -2]))[:, None]
-    assert_allclose(sgrid.laplacian(mode), -13.0 * mode, atol=1e-13 * 13)
+def test_round_trip_and_derivative_exactness(any_grid):
+    grid = any_grid
+    v = band_limited_field(grid, 1)
+    assert_allclose(grid.from_spec(grid.to_spec(v)), v, atol=1e-12)
+    # a single mode: the gradient and Laplacian are exact
+    m = np.array([3, -2, 1])[:grid.model.dim]
+    lam = float(m @ m)
+    phase = grid.points @ m
+    mode = np.cos(phase)[:, None]
+    assert_allclose(grid.laplacian(mode), -lam * mode, atol=1e-13 * lam)
+    assert_allclose(grid.grad(mode)[:, 0], -np.sin(phase)[:, None] * m, atol=1e-13 * lam)
     # differentiation commutes with the transform
-    g1 = sgrid.grad(v)
-    g2 = sgrid.from_spec(sgrid.to_spec(sgrid.grad(v)))
+    g1 = grid.grad(v)
+    g2 = grid.from_spec(grid.to_spec(grid.grad(v)))
     assert_allclose(g1, g2, atol=1e-12)
 
 
-def test_dealiased_product_projection(sgrid):
+def test_dealiased_product_projection(any_grid):
     # pad/unpad reproduces the exact band-limited projection of a product
-    a = band_limited_field(sgrid, 2, comps=1, kmax=7)[:, 0]
-    b = band_limited_field(sgrid, 3, comps=1, kmax=7)[:, 0]
-    prod = sgrid.unpad(sgrid.pad(a[:, None]) * sgrid.pad(b[:, None]))[:, 0]
-    direct = sgrid.from_spec(sgrid.to_spec((a * b)[:, None]))[:, 0]
-    # frequencies |k| <= 14 < Nyquist survive both paths identically
+    grid = any_grid
+    kmax = (grid.resolution // 2 - 1) // 2
+    a = band_limited_field(grid, 2, comps=1, kmax=kmax)[:, 0]
+    b = band_limited_field(grid, 3, comps=1, kmax=kmax)[:, 0]
+    prod = grid.unpad(grid.pad(a[:, None]) * grid.pad(b[:, None]))[:, 0]
+    direct = grid.from_spec(grid.to_spec((a * b)[:, None]))[:, 0]
+    # frequencies |k| <= 2 kmax < Nyquist survive both paths identically
     assert_allclose(prod, direct, atol=1e-11)
+
+
+def test_quadratic_products_alias_free_oracle(any_grid):
+    """Modes with |k_a| < N/4: the plain coarse-grid products are alias-free,
+    so they equal the dealiased accumulator without going through pad."""
+    grid = any_grid
+    e = 1.3
+    v = band_limited_field(grid, 11, comps=3, kmax=(grid.resolution - 1) // 4)
+    b, L = perturb._quadratic_products(grid, v, e, chunk=2)
+    G = grid.grad(v)                                     # [N, m, n]
+    H = grid.grad(G)                                     # [N, m, n, n]
+    D = grid.laplacian(v)                                # [N, m]
+    b_ref = np.einsum("nm,nmi->ni", D, G)
+    L_ref = (np.einsum("nmli,nmlj->nij", H, H) - np.einsum("nm,nmij->nij", D, H)
+             - 0.5 * e * np.einsum("nmi,nmj->nij", G, G))
+    assert_allclose(b, b_ref, rtol=0, atol=1e-12 * np.max(np.abs(b_ref)))
+    assert_allclose(L, L_ref, rtol=0, atol=1e-12 * np.max(np.abs(L_ref)))
 
 
 def test_resolvent(sgrid):
@@ -156,6 +191,12 @@ def test_quadratic_defining_equation(solver):
     assert np.max(np.abs(img - rhs)) <= 1e-9 * max(1.0, np.max(np.abs(rhs)))
 
 
+def test_quadratic_of_zero_is_exact_zero(solver):
+    zero = np.zeros((solver.grid.N, solver.emb.q))
+    out = solver.quadratic(zero)
+    assert out.shape == zero.shape and not out.any()
+
+
 def test_quadratic_bilinear_bound(torus2):
     """Difference bound with a stable constant across random pairs."""
     prov = analytic_spectrum(torus2, count=80)
@@ -190,6 +231,14 @@ def test_fixed_point_converges(solved):
     for st in history[1:]:
         assert st.contraction <= 0.5
     assert all(st.bound_ok for st in history)
+    assert history[-1].residual <= 1e-10
+
+
+def test_odd_resolution_converges(torus_embedding):
+    odd = perturb.ConformalSolver(torus_embedding, resolution=33, e=1.0)
+    history, _ = fixed_point_solve(torus_embedding, manufactured_f(odd.grid), k=0.0,
+                                   tol=1e-11, solver=odd)
+    assert len(history) <= 20
     assert history[-1].residual <= 1e-10
 
 
