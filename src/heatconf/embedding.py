@@ -94,21 +94,31 @@ class EmbeddingMap:
         out = np.empty((points.shape[0], self.q))
         for j0 in range(0, self.q, chunk):
             j1 = min(self.q, j0 + chunk)
-            vals, _, _ = self.provider.jet_block(j0 + 1, j1 + 1, points)
+            vals, _, _ = self.provider.jet_block(j0 + 1, j1 + 1, points, deriv=0)
             out[:, j0:j1] = (self.weights[j0:j1, None] * vals).T
         return out
 
     def pullback_on(self, points: np.ndarray, chunk: int = 1024) -> np.ndarray:
         """Pullback metric G(x) = sum_j grad Psi_j (x) outer grad Psi_j(x), [N, n, n]."""
-        points = np.asarray(points, dtype=float)
-        N, n = points.shape
-        G = np.zeros((N, n, n))
-        for j0 in range(0, self.q, chunk):
-            j1 = min(self.q, j0 + chunk)
-            _, grads, _ = self.provider.jet_block(j0 + 1, j1 + 1, points)
-            grads = self.weights[j0:j1, None, None] * grads
-            G += np.einsum("mni,mnj->nij", grads, grads)
-        return G
+        return _gradient_gram(self.provider, 1, self.weights, points, chunk)
+
+
+def _gradient_gram(provider: SpectrumProvider, j0: int, weights: np.ndarray,
+                   points: np.ndarray, chunk: int = 1024) -> np.ndarray:
+    """sum_i (w_i grad phi_{j0+i}) outer (w_i grad phi_{j0+i}) at points [N, n].
+
+    One mode per weight; gradients are fetched in chunks of modes and each
+    chunk is contracted in one batched matmul over the points.
+    """
+    points = np.asarray(points, dtype=float)
+    N, n = points.shape
+    G = np.zeros((N, n, n))
+    for a in range(0, len(weights), chunk):
+        b = min(len(weights), a + chunk)
+        _, grads, _ = provider.jet_block(j0 + a, j0 + b, points, deriv=1)
+        gt = (weights[a:b, None, None] * grads).transpose(1, 2, 0)   # [N, n, m]
+        G += gt @ gt.transpose(0, 2, 1)
+    return G
 
 
 def build_embedding(provider: SpectrumProvider, t: float,
@@ -293,6 +303,11 @@ def defect_scan(model: ManifoldModel, t_grid, policy: TruncationPolicy,
     must keep lambda_max * t large: the anisotropy of the last included
     shells enters the defect at size ~ exp(-lambda_max t), which buries any
     higher-order signal when the window is too narrow.
+
+    On the analytic testbeds defect_holder is rounding noise (at most 5.0e-15
+    measured): they are homogeneous and truncation closes shells, so each
+    shell's sum of grad phi outer grad phi is constant in the orthonormal
+    frame and the defect is the same at every grid point.
     """
     t_grid = list(t_grid)
     if any(not 0 < t < 1 for t in t_grid):
@@ -378,13 +393,9 @@ def tail_bound_check(provider: SpectrumProvider, t: float, policy: TruncationPol
     if grid is None:
         grid = geometry.sample_grid(model, resolution)
     _, g_inv, _ = geometry.metric_on_grid(model, grid.points)
-    cn2 = emb.c_norm**2
-    tail = np.zeros(len(grid))
-    for j0 in range(q + 1, provider.count, 2048):
-        j1 = min(provider.count, j0 + 2048)
-        _, grads, _ = provider.jet_block(j0, j1, grid.points)
-        w = cn2 * np.exp(-provider.lambdas[j0:j1] * t)
-        # |grad phi|^2 in the metric: g^{ij} d_i phi d_j phi
-        tail += np.einsum("m,mni,nij,mnj->n", w, grads, g_inv, grads)
+    weights = emb.c_norm * np.exp(-provider.lambdas[q + 1:] * t / 2.0)
+    # |grad phi|^2 in the metric: g^{ij} d_i phi d_j phi, summed over the tail
+    tail = np.einsum("nij,nij->n", g_inv,
+                     _gradient_gram(provider, q + 1, weights, grid.points))
     tail_sup = float(np.max(tail))
     return tail_sup, bound, tail_sup <= bound

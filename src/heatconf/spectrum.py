@@ -14,6 +14,7 @@ Conventions fixed here (recorded in run reports):
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -78,18 +79,32 @@ class SpectrumProvider:
         vals, grads, hess = self.jet_block(j, j + 1, x[None, :])
         return JetEvaluation(float(vals[0, 0]), grads[0, 0].copy(), hess[0, 0].copy())
 
-    def jet_block(self, j0: int, j1: int, points: np.ndarray):
-        """Jets of modes j0..j1-1 at chart points [N, n].
+    def jet_block(self, j0: int, j1: int, points: np.ndarray, deriv: int = 2):
+        """Jets of modes j0..j1-1 at chart points [N, n], up to order `deriv`.
 
         Returns (values [m, N], gradients [m, N, n], hessians [m, N, n, n]).
+        `deriv` is 0 (values), 1 (values and gradients) or 2 (all three);
+        arrays above that order are not computed and come back as zero-size
+        float arrays, never None.  The arrays that are returned do not depend
+        on `deriv`: they equal those of the deriv=2 call bit for bit.
         """
         raise NotImplementedError
 
     def gram_matrix(self, grid: geometry.SampleGrid, j0: int = 0, j1: int | None = None):
         """Quadrature Gram matrix of modes j0..j1-1 (orthonormality check)."""
         j1 = self.count if j1 is None else j1
-        vals, _, _ = self.jet_block(j0, j1, grid.points)
+        vals, _, _ = self.jet_block(j0, j1, grid.points, deriv=0)
         return (vals * grid.weights) @ vals.T
+
+
+def _check_deriv(deriv: int) -> None:
+    if deriv not in (0, 1, 2):
+        raise SpectrumError(f"derivative order must be 0, 1 or 2, got {deriv!r}")
+
+
+def _unrequested() -> np.ndarray:
+    """Stand-in for a jet array above the requested derivative order."""
+    return np.empty(0)
 
 
 def enumerate_eigenpairs(provider: SpectrumProvider, count: int) -> list[EigenPair]:
@@ -121,6 +136,12 @@ class AnalyticSpectrum(SpectrumProvider):
 
     def _enumerate(self, lambda_max: float) -> list[tuple[float, tuple]]:
         raise NotImplementedError
+
+    def _descriptor_table(self) -> np.ndarray:
+        """Integer descriptors as a table [count, descriptor length]."""
+        width = len(self.eigenpairs[0].descriptor)
+        flat = itertools.chain.from_iterable(ep.descriptor for ep in self.eigenpairs)
+        return np.fromiter(flat, dtype=int, count=width * self.count).reshape(-1, width)
 
 
 class TorusSpectrum(AnalyticSpectrum):
@@ -154,27 +175,29 @@ class TorusSpectrum(AnalyticSpectrum):
                 continue
             nz = kvec[kvec != 0]
             if nz.size == 0:
-                modes.append((0.0, tuple(kvec) + (COS,)))
+                modes.append((0.0, tuple(kvec.tolist()) + (COS,)))
                 continue
             if nz[0] < 0:   # canonical representative of the +-k pair
                 continue
-            modes.append((float(lv), tuple(kvec) + (COS,)))
-            modes.append((float(lv), tuple(kvec) + (SIN,)))
+            modes.append((float(lv), tuple(kvec.tolist()) + (COS,)))
+            modes.append((float(lv), tuple(kvec.tolist()) + (SIN,)))
         return modes
 
-    def jet_block(self, j0, j1, points):
+    def jet_block(self, j0, j1, points, deriv=2):
+        _check_deriv(deriv)
         points = np.asarray(points, dtype=float)
         K = self._freqs[j0:j1]                        # [m, n]
-        amp = self._amp[j0:j1]
-        par = self._parity[j0:j1]
+        amp = self._amp[j0:j1, None]
+        even = (self._parity[j0:j1] == COS)[:, None]
         phase = K @ points.T                          # [m, N]
         c, s = np.cos(phase), np.sin(phase)
-        even = par == COS
-        vals = amp[:, None] * np.where(even[:, None], c, s)
-        dphase = amp[:, None] * np.where(even[:, None], -s, c)
-        vals_neg = amp[:, None] * np.where(even[:, None], -c, -s)
-        grads = dphase[:, :, None] * K[:, None, :]
-        hess = vals_neg[:, :, None, None] * (K[:, :, None] * K[:, None, :])[:, None]
+        vals = amp * np.where(even, c, s)
+        grads = hess = _unrequested()
+        if deriv >= 1:
+            grads = (amp * np.where(even, -s, c))[:, :, None] * K[:, None, :]
+        if deriv >= 2:
+            vals_neg = amp * np.where(even, -c, -s)
+            hess = vals_neg[:, :, None, None] * (K[:, :, None] * K[:, None, :])[:, None]
         return vals, grads, hess
 
 
@@ -201,18 +224,21 @@ class CircleSpectrum(AnalyticSpectrum):
             modes.append((lam, (k, SIN)))
         return modes
 
-    def jet_block(self, j0, j1, points):
+    def jet_block(self, j0, j1, points, deriv=2):
+        _check_deriv(deriv)
         points = np.asarray(points, dtype=float)
         ks = self._ks[j0:j1]
         amp = self._amp[j0:j1]
-        par = self._parity[j0:j1]
+        even = (self._parity[j0:j1] == COS)[:, None]
         phase = ks[:, None] * points[:, 0][None, :]
         c, s = np.cos(phase), np.sin(phase)
-        even = (par == COS)[:, None]
         vals = amp[:, None] * np.where(even, c, s)
-        grads = (amp * ks)[:, None] * np.where(even, -s, c)
-        hess = -(ks * ks)[:, None] * vals
-        return vals, grads[:, :, None], hess[:, :, None, None]
+        grads = hess = _unrequested()
+        if deriv >= 1:
+            grads = ((amp * ks)[:, None] * np.where(even, -s, c))[:, :, None]
+        if deriv >= 2:
+            hess = (-(ks * ks)[:, None] * vals)[:, :, None, None]
+        return vals, grads, hess
 
 
 class _LegendreTable:
@@ -258,23 +284,24 @@ class _SphereBasis:
             self._tables[key] = _LegendreTable(self.kmax, theta)
         return self._tables[key]
 
-    def jets(self, modes, points):
-        """Jets for a list of sphere modes (k, m, parity) at points [N, >=2].
+    def jets(self, kk, mm, even, points, deriv=2):
+        """Jets of the sphere modes (kk, mm, even) at points [N, >=2].
 
-        Returns (vals [M, N], grads [M, N, 2], hess [M, N, 2, 2]) in (theta, phi).
-        Vectorized over modes; Legendre tables are shared per distinct theta.
+        kk, mm are integer arrays of degree and order, `even` is True for the
+        cos(m phi) modes.  Returns (vals [M, N], grads [M, N, 2],
+        hess [M, N, 2, 2]) in (theta, phi), with the arrays above `deriv`
+        zero-size.  Vectorized over modes; Legendre tables are shared per
+        distinct theta.
         """
         points = np.asarray(points, dtype=float)
         N = points.shape[0]
-        M = len(modes)
-        kk = np.array([k for k, _, _ in modes], dtype=int)
-        mm = np.array([m for _, m, _ in modes], dtype=int)
-        even = np.array([p == COS for _, _, p in modes])[:, None]
+        M = kk.size
+        even = even[:, None]
         A = (self.norms[kk, mm] / self.radius)[:, None]
         mf = mm.astype(float)[:, None]
         vals = np.empty((M, N))
-        grads = np.empty((M, N, 2))
-        hess = np.empty((M, N, 2, 2))
+        grads = np.empty((M, N, 2)) if deriv >= 1 else _unrequested()
+        hess = np.empty((M, N, 2, 2)) if deriv >= 2 else _unrequested()
         thetas = points[:, 0]
         order = np.argsort(thetas, kind="stable")
         for pts in _group_by_value(thetas, order):
@@ -282,16 +309,18 @@ class _SphereBasis:
             ang = mf * points[pts, 1][None, :]
             c, s = np.cos(ang), np.sin(ang)
             T = np.where(even, c, s)
-            dT = mf * np.where(even, -s, c)
             P = tab.P[kk, mm][:, None]
-            Pt = tab.P_t[kk, mm][:, None]
-            Ptt = tab.P_tt[kk, mm][:, None]
             vals[:, pts] = A * P * T
-            grads[:, pts, 0] = A * Pt * T
-            grads[:, pts, 1] = A * P * dT
-            hess[:, pts, 0, 0] = A * Ptt * T
-            hess[:, pts, 0, 1] = hess[:, pts, 1, 0] = A * Pt * dT
-            hess[:, pts, 1, 1] = -(mf * mf) * A * P * T
+            if deriv >= 1:
+                dT = mf * np.where(even, -s, c)
+                Pt = tab.P_t[kk, mm][:, None]
+                grads[:, pts, 0] = A * Pt * T
+                grads[:, pts, 1] = A * P * dT
+            if deriv >= 2:
+                Ptt = tab.P_tt[kk, mm][:, None]
+                hess[:, pts, 0, 0] = A * Ptt * T
+                hess[:, pts, 0, 1] = hess[:, pts, 1, 0] = A * Pt * dT
+                hess[:, pts, 1, 1] = -(mf * mf) * A * P * T
         return vals, grads, hess
 
 
@@ -313,8 +342,10 @@ class SphereSpectrum(AnalyticSpectrum):
         if model.kind != geometry.SPHERE2:
             raise ConfigError("SphereSpectrum needs a sphere2 model")
         super().__init__(model, lambda_max)
-        kmax = max(ep.descriptor[0] for ep in self.eigenpairs)
-        self._basis = _SphereBasis(model.radius, kmax)
+        desc = self._descriptor_table()
+        self._k, self._m = desc[:, 0], desc[:, 1]
+        self._even = desc[:, 2] == COS
+        self._basis = _SphereBasis(model.radius, int(self._k.max()))
 
     def _enumerate(self, lambda_max):
         R2 = self.model.radius**2
@@ -329,20 +360,34 @@ class SphereSpectrum(AnalyticSpectrum):
             k += 1
         return modes
 
-    def jet_block(self, j0, j1, points):
-        modes = [ep.descriptor for ep in self.eigenpairs[j0:j1]]
-        return self._basis.jets(modes, points)
+    def jet_block(self, j0, j1, points, deriv=2):
+        _check_deriv(deriv)
+        return self._basis.jets(self._k[j0:j1], self._m[j0:j1], self._even[j0:j1],
+                                points, deriv)
 
 
 class ProductSpectrum(AnalyticSpectrum):
-    """Separable modes Y_km(theta, phi) * c_j(s) on S^2(R) x S^1(L)."""
+    """Separable modes Y_km(theta, phi) * c_j(s) on S^2(R) x S^1(L).
+
+    Many modes share a sphere factor (k, m, ps) or a circle factor (j, pc), so
+    `jet_block` evaluates each distinct factor of the block once and gathers
+    the factor jets onto the modes.
+    """
 
     def __init__(self, model, lambda_max):
         if model.kind != geometry.PRODUCT_SPHERE_CIRCLE:
             raise ConfigError("ProductSpectrum needs a product_sphere_circle model")
         super().__init__(model, lambda_max)
-        kmax = max(ep.descriptor[0] for ep in self.eigenpairs)
-        self._basis = _SphereBasis(model.radius, kmax)
+        desc = self._descriptor_table()
+        sphere, self._sphere_of = _distinct_rows(desc[:, :3])
+        circle, self._circle_of = _distinct_rows(desc[:, 3:])
+        self._sk, self._sm = sphere[:, 0], sphere[:, 1]
+        self._seven = sphere[:, 2] == COS
+        L = model.length
+        self._cj = circle[:, 0].astype(float)
+        self._ceven = circle[:, 1] == COS
+        self._camp = np.where(self._cj > 0, np.sqrt(2.0 / L), np.sqrt(1.0 / L))
+        self._basis = _SphereBasis(model.radius, int(self._sk.max()))
 
     def _enumerate(self, lambda_max):
         R2 = self.model.radius**2
@@ -363,32 +408,46 @@ class ProductSpectrum(AnalyticSpectrum):
             k += 1
         return modes
 
-    def jet_block(self, j0, j1, points):
+    def jet_block(self, j0, j1, points, deriv=2):
+        _check_deriv(deriv)
         points = np.asarray(points, dtype=float)
         N = points.shape[0]
-        descs = [ep.descriptor for ep in self.eigenpairs[j0:j1]]
-        sphere_modes = [(k, m, ps) for (k, m, ps, _, _) in descs]
-        sv, sg, sh = self._basis.jets(sphere_modes, points[:, :2])
-        L = self.model.length
-        jj = np.array([j for (_, _, _, j, _) in descs], dtype=float)[:, None]
-        even = np.array([pc == COS for (_, _, _, _, pc) in descs])[:, None]
-        amp = np.where(jj > 0, np.sqrt(2.0 / L), np.sqrt(1.0 / L))
+        # distinct factors of the block, and each mode's index among them
+        fs, si = np.unique(self._sphere_of[j0:j1], return_inverse=True)
+        fc, ci = np.unique(self._circle_of[j0:j1], return_inverse=True)
+        sv, sg, sh = self._basis.jets(self._sk[fs], self._sm[fs], self._seven[fs],
+                                      points[:, :2], deriv)
+        jj = self._cj[fc][:, None]
+        even = self._ceven[fc][:, None]
+        amp = self._camp[fc][:, None]
         ang = jj * points[:, 2][None, :]
         cw, sw = np.cos(ang), np.sin(ang)
         c = amp * np.where(even, cw, sw)
-        dc = amp * jj * np.where(even, -sw, cw)
-        d2c = -(jj * jj) * c
-        M = len(descs)
+        sv, c = sv[si], c[ci]
         vals = sv * c
-        grads = np.zeros((M, N, 3))
-        hess = np.zeros((M, N, 3, 3))
-        grads[:, :, :2] = sg * c[:, :, None]
-        grads[:, :, 2] = sv * dc
-        hess[:, :, :2, :2] = sh * c[:, :, None, None]
-        hess[:, :, :2, 2] = sg * dc[:, :, None]
-        hess[:, :, 2, :2] = hess[:, :, :2, 2]
-        hess[:, :, 2, 2] = sv * d2c
+        grads = hess = _unrequested()
+        M = vals.shape[0]
+        if deriv >= 1:
+            sg = sg[si]
+            dc = (amp * jj * np.where(even, -sw, cw))[ci]
+            grads = np.empty((M, N, 3))
+            grads[:, :, :2] = sg * c[:, :, None]
+            grads[:, :, 2] = sv * dc
+        if deriv >= 2:
+            d2c = (-(jj * jj))[ci] * c
+            hess = np.empty((M, N, 3, 3))
+            hess[:, :, :2, :2] = sh[si] * c[:, :, None, None]
+            hess[:, :, :2, 2] = sg * dc[:, :, None]
+            hess[:, :, 2, :2] = hess[:, :, :2, 2]
+            hess[:, :, 2, 2] = sv * d2c
         return vals, grads, hess
+
+
+def _distinct_rows(cols: np.ndarray):
+    """Distinct rows of a nonnegative integer table, and each row's index among them."""
+    key = np.ravel_multi_index(cols.T, cols.max(axis=0) + 1)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return cols[first], inverse
 
 
 _ANALYTIC = {
@@ -490,11 +549,12 @@ class ExternalSpectrum(SpectrumProvider):
             idx[i] = j
         return idx
 
-    def jet_block(self, j0, j1, points):
+    def jet_block(self, j0, j1, points, deriv=2):
+        _check_deriv(deriv)
         idx = self._locate(points)
-        return (self._vals[j0:j1][:, idx],
-                self._grads[j0:j1][:, idx],
-                self._hess[j0:j1][:, idx])
+        tables = (self._vals, self._grads, self._hess)
+        return tuple(tab[j0:j1][:, idx] if order <= deriv else _unrequested()
+                     for order, tab in enumerate(tables))
 
 
 def save_spectrum(provider: SpectrumProvider, path, grid: geometry.SampleGrid,

@@ -202,8 +202,33 @@ def test_product_pullback_against_level_sum_oracle(product):
     F = geometry.orthonormal_frame(product, x)
     frame_diag, defect_sup = product_defect_oracle(t, lam_cut, corrected=False)
     assert_allclose(np.diag(F.T @ G @ F), frame_diag, rtol=1e-10)
-    rep = embedding.pullback_report(emb, geometry.sample_grid(product, 6))
+    # every frame entry at every grid point, the zero off-diagonals included
+    grid = geometry.sample_grid(product, 6)
+    _, _, frames = geometry.metric_on_grid(product, grid.points)
+    G_frame = frames.transpose(0, 2, 1) @ emb.pullback_on(grid.points) @ frames
+    want = np.broadcast_to(np.diag(frame_diag), G_frame.shape)
+    assert_allclose(G_frame, want, rtol=1e-12, atol=1e-12 * np.max(frame_diag))
+    rep = embedding.pullback_report(emb, grid)
     assert_allclose(rep.sup, defect_sup, rtol=1e-8)
+
+
+def test_sphere_pullback_against_addition_theorem():
+    """On S^2(R) each degree-k shell contributes (2k+1) lam_k / (8 pi R^2) g,
+    from sum_m |grad Y_km|^2 = lam_k (2k+1) / (4 pi R^2) and isotropy."""
+    R, t, kmax = 0.8, 0.02, 33
+    model = ManifoldModel.sphere2(R)
+    prov = analytic_spectrum(model, lambda_max=kmax * (kmax + 1) / R**2)
+    emb = build_embedding(prov, t, TruncationPolicy(q_override=prov.count - 1))
+    assert emb.q > 1024                                   # more than one chunk
+    k = np.arange(1, kmax + 1)
+    lam = k * (k + 1) / R**2
+    scale = np.sum(emb.c_norm**2 * np.exp(-lam * t) * (2 * k + 1) * lam
+                   / (8 * np.pi * R**2))
+    grid = geometry.sample_grid(model, 6)
+    _, _, frames = geometry.metric_on_grid(model, grid.points)
+    G_frame = frames.transpose(0, 2, 1) @ emb.pullback_on(grid.points) @ frames
+    want = np.broadcast_to(scale * np.eye(2), G_frame.shape)
+    assert_allclose(G_frame, want, rtol=1e-12, atol=1e-12 * scale)
 
 
 def test_first_order_expansion(product):

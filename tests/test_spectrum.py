@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from heatconf import (analytic_spectrum, enumerate_eigenpairs,
+from heatconf import (ManifoldModel, analytic_spectrum, enumerate_eigenpairs,
                       load_external_spectrum, rescaled_provider, save_spectrum)
 from heatconf import geometry, spectrum
 from heatconf.errors import SpectrumError
@@ -213,3 +213,73 @@ def test_completeness_tail(torus2, circle):
     tail, bound, ok = tail_bound_check(tprov, 0.02, TruncationPolicy(rho=1.0),
                                        resolution=16)
     assert ok and tail <= bound
+
+
+@pytest.fixture(scope="module")
+def deriv_providers(torus2, circle, sphere, product, tmp_path_factory):
+    """Providers of every backing, keyed by name, with a grid to query them on."""
+    torus = analytic_spectrum(torus2, count=200)
+    prod = analytic_spectrum(product, count=200)
+    tgrid = geometry.sample_grid(torus2, 8)
+    path = tmp_path_factory.mktemp("deriv") / "torus.jsonl"
+    save_spectrum(torus, path, tgrid, count=21)
+    return {
+        "torus": (torus, tgrid),
+        "circle": (analytic_spectrum(circle, count=64), geometry.sample_grid(circle, 16)),
+        "sphere": (analytic_spectrum(sphere, count=100), geometry.sample_grid(sphere, 6)),
+        "product": (prod, geometry.sample_grid(product, 6)),
+        "rescaled_product": (rescaled_provider(prod, (1.1, 0.8)),
+                             geometry.sample_grid(product, 6)),
+        "external": (load_external_spectrum(path), tgrid),
+    }
+
+
+@pytest.mark.parametrize("name", ["torus", "circle", "sphere", "product",
+                                  "rescaled_product", "external"])
+def test_jet_block_derivative_order(deriv_providers, name):
+    """Lower orders return the leading arrays of the full jets exactly and
+    leave the others zero-size."""
+    prov, grid = deriv_providers[name]
+    j0, j1 = 3, min(prov.count, 40)
+    assert prov.lambdas[j0] < prov.lambdas[j1 - 1]       # the block crosses a shell
+    full = prov.jet_block(j0, j1, grid.points)
+    for deriv in (0, 1):
+        out = prov.jet_block(j0, j1, grid.points, deriv=deriv)
+        assert len(out) == 3
+        for order, (got, want) in enumerate(zip(out, full)):
+            if order <= deriv:
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+            else:
+                assert got.size == 0 and got.dtype == np.float64
+    with pytest.raises(SpectrumError, match="derivative order"):
+        prov.jet_block(j0, j1, grid.points, deriv=3)
+
+
+def test_product_jets_are_factor_products():
+    """S^2(R) x S^1(L) jets over a 1024-mode block against products of
+    independently built sphere and circle jets, matched by descriptor."""
+    R, L = 0.8, 3.0
+    prov = analytic_spectrum(ManifoldModel.product_sphere_circle(R, L), count=1600)
+    sph = spectrum.SphereSpectrum(ManifoldModel.sphere2(R), prov.lambda_max)
+    circ = spectrum.CircleSpectrum(ManifoldModel.circle(L), prov.lambda_max)
+    rng = np.random.default_rng(5)
+    pts = np.column_stack([rng.uniform(0.2, np.pi - 0.2, 40),
+                           rng.uniform(0.0, TWO_PI, 40), rng.uniform(0.0, TWO_PI, 40)])
+    j0, j1 = 500, 1524
+    vals, grads, hess = prov.jet_block(j0, j1, pts)
+    sv, sg, sh = sph.jet_block(0, sph.count, pts[:, :2])
+    cv, cg, ch = circ.jet_block(0, circ.count, pts[:, 2:])
+    s_index = {ep.descriptor: ep.index for ep in sph.eigenpairs}
+    c_index = {ep.descriptor: ep.index for ep in circ.eigenpairs}
+    si = np.array([s_index[ep.descriptor[:3]] for ep in prov.eigenpairs[j0:j1]])
+    ci = np.array([c_index[ep.descriptor[3:]] for ep in prov.eigenpairs[j0:j1]])
+    Y, dY, HY = sv[si], sg[si], sh[si]
+    c, dc, d2c = cv[ci], cg[ci, :, 0], ch[ci, :, 0, 0]
+    want_grads = np.concatenate([dY * c[..., None], (Y * dc)[..., None]], axis=-1)
+    want_hess = np.empty_like(hess)
+    want_hess[..., :2, :2] = HY * c[..., None, None]
+    want_hess[..., :2, 2] = want_hess[..., 2, :2] = dY * dc[..., None]
+    want_hess[..., 2, 2] = Y * d2c
+    for got, want in [(vals, Y * c), (grads, want_grads), (hess, want_hess)]:
+        assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))
