@@ -107,17 +107,23 @@ def _gradient_gram(provider: SpectrumProvider, j0: int, weights: np.ndarray,
                    points: np.ndarray, chunk: int = 1024) -> np.ndarray:
     """sum_i (w_i grad phi_{j0+i}) outer (w_i grad phi_{j0+i}) at points [N, n].
 
-    One mode per weight; gradients are fetched in chunks of modes and each
-    chunk is contracted in one batched matmul over the points.
+    One mode per weight; gradients are fetched in chunks of modes, and each
+    entry (a, b), a <= b, of a chunk's sum is one contraction along the mode
+    axis, w^2 @ (d_a phi * d_b phi).
     """
     points = np.asarray(points, dtype=float)
     N, n = points.shape
     G = np.zeros((N, n, n))
-    for a in range(0, len(weights), chunk):
-        b = min(len(weights), a + chunk)
-        _, grads, _ = provider.jet_block(j0 + a, j0 + b, points, deriv=1)
-        gt = (weights[a:b, None, None] * grads).transpose(1, 2, 0)   # [N, n, m]
-        G += gt @ gt.transpose(0, 2, 1)
+    for lo in range(0, len(weights), chunk):
+        hi = min(len(weights), lo + chunk)
+        _, grads, _ = provider.jet_block(j0 + lo, j0 + hi, points, deriv=1)
+        w2 = weights[lo:hi] ** 2
+        for a in range(n):
+            for b in range(a, n):
+                G[:, a, b] += w2 @ (grads[:, :, a] * grads[:, :, b])
+    for a in range(n):
+        for b in range(a):
+            G[:, a, b] = G[:, b, a]
     return G
 
 
@@ -251,15 +257,13 @@ def corrected_model(model: ManifoldModel, h1_frame: np.ndarray, t: float,
         if fac <= 0:
             raise PreconditionError(f"degenerate scale 1 + t*h1 = {fac} on block {blk}")
         factors.append(fac)
-    base = spectrum.analytic_spectrum(model, count=count, lambda_max=lambda_max)
     if t == 0 or all(f == 1.0 for f in factors):
-        return model, base
-    scaled = spectrum.rescaled_provider(base, factors)
-    if count is not None and scaled.count < count:
-        scaled = spectrum.analytic_spectrum(scaled.model, count=count)
-    if lambda_max is not None and scaled.lambda_max < lambda_max:
-        scaled = spectrum.analytic_spectrum(scaled.model, lambda_max=lambda_max)
-    return scaled.model, scaled
+        return model, spectrum.analytic_spectrum(model, count=count, lambda_max=lambda_max)
+    scaled, shrink = spectrum.rescaled_model(model, factors)
+    if lambda_max is not None:
+        # the window of the base provider, rescaled, never below lambda_max
+        lambda_max = max(float(lambda_max) / shrink, lambda_max)
+    return scaled, spectrum.analytic_spectrum(scaled, count=count, lambda_max=lambda_max)
 
 
 @dataclass

@@ -5,6 +5,12 @@ and circles, real spherical harmonics, and their products).  Externally
 computed spectra are ingested from a JSON-lines file and served from the
 tabulated grid.
 
+Each analytic backend enumerates its modes as an eigenvalue array and an
+integer descriptor table, sorted once with `np.lexsort`.  Torus and circle
+modes share one lattice implementation: a block's jets come from one
+exp(i kappa_a x_a) table per axis, multiplied into cos and sin once per
+lattice vector and gathered onto that vector's cos and sin modes.
+
 Conventions fixed here (recorded in run reports):
 
 * eigenvalues are indexed with multiplicity, lambda_0 = 0 first;
@@ -14,7 +20,7 @@ Conventions fixed here (recorded in run reports):
 """
 from __future__ import annotations
 
-import itertools
+import functools
 import json
 from dataclasses import dataclass
 
@@ -66,7 +72,7 @@ class SpectrumProvider:
 
     @property
     def count(self) -> int:
-        return len(self.eigenpairs)
+        return len(self._lambdas)
 
     @property
     def lambdas(self) -> np.ndarray:
@@ -122,45 +128,110 @@ def enumerate_eigenpairs(provider: SpectrumProvider, count: int) -> list[EigenPa
 # ---------------------------------------------------------------------------
 
 class AnalyticSpectrum(SpectrumProvider):
-    """Base for closed-form spectra; subclasses fill the mode table."""
+    """Base for closed-form spectra; subclasses enumerate the modes.
+
+    `_enumerate` returns the eigenvalues [M] and integer descriptors
+    [M, width] in any order; they are sorted here by (lambda, descriptor).
+    """
 
     backing = "analytic"
 
     def __init__(self, model: ManifoldModel, lambda_max: float):
         self.model = model
         self.lambda_max = float(lambda_max)
-        modes = self._enumerate(self.lambda_max)
-        modes.sort(key=lambda md: (md[0], md[1]))
-        self.eigenpairs = [EigenPair(i, lam, desc) for i, (lam, desc) in enumerate(modes)]
-        self._lambdas = np.array([lam for lam, _ in modes])
+        lams, desc = self._enumerate(self.lambda_max)
+        order = np.lexsort((*desc.T[::-1], lams))
+        self._lambdas = lams[order]
+        self._descriptors = desc[order]
 
-    def _enumerate(self, lambda_max: float) -> list[tuple[float, tuple]]:
+    @functools.cached_property
+    def eigenpairs(self) -> list[EigenPair]:
+        """One record per mode, built on first use; jets read the arrays."""
+        return [EigenPair(i, lam, tuple(d)) for i, (lam, d) in
+                enumerate(zip(self._lambdas.tolist(), self._descriptors.tolist()))]
+
+    def _enumerate(self, lambda_max: float) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def _descriptor_table(self) -> np.ndarray:
-        """Integer descriptors as a table [count, descriptor length]."""
-        width = len(self.eigenpairs[0].descriptor)
-        flat = itertools.chain.from_iterable(ep.descriptor for ep in self.eigenpairs)
-        return np.fromiter(flat, dtype=int, count=width * self.count).reshape(-1, width)
+
+def _mode_arrays(modes: list[tuple[float, tuple]]) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda, descriptor) pairs as an eigenvalue array and a descriptor table."""
+    return (np.array([lam for lam, _ in modes]),
+            np.array([desc for _, desc in modes], dtype=int))
 
 
-class TorusSpectrum(AnalyticSpectrum):
+class LatticeSpectrum(AnalyticSpectrum):
+    """Real lattice modes amp * cos/sin(kappa . x) with kappa_a = unit_a * k_a.
+
+    Descriptors are (k_1, ..., k_n, parity).  Modes are sorted by
+    (lambda, descriptor), so the cos and sin modes of one lattice vector are
+    adjacent (the zero vector has cos only) and a block of modes covers one
+    contiguous range of lattice vectors.  `jet_block` builds one table
+    exp(i kappa_a x_a) per axis over the distinct k_a of the block, multiplies
+    the gathered rows into c + i s = exp(i kappa . x) once per lattice vector,
+    and gathers the value (c or s) and the derivative factor (-s or c) onto
+    the modes.
+    """
+
+    def _init_lattice(self, unit, volume: float):
+        desc = self._descriptors
+        n = desc.shape[1] - 1
+        self._unit = np.asarray(unit, dtype=float)
+        self._parity = desc[:, n]
+        first = self._parity == COS
+        self._vector_of = np.cumsum(first) - 1           # mode -> lattice vector
+        self._lattice = desc[first, :n]                  # [vectors, n]
+        self._kappa = desc[:, :n] * self._unit           # [M, n]
+        self._amp = np.where(np.any(desc[:, :n] != 0, axis=1),
+                             np.sqrt(2.0 / volume), np.sqrt(1.0 / volume))
+
+    def jet_block(self, j0, j1, points, deriv=2):
+        _check_deriv(deriv)
+        points = np.asarray(points, dtype=float)
+        N, n = points.shape
+        vec = self._vector_of[j0:j1]
+        v0 = vec[0] if vec.size else 0
+        rows = vec - v0
+        lattice = self._lattice[v0:v0 + rows.max(initial=-1) + 1]
+        phase = None
+        for a in range(n):
+            ks, row = np.unique(lattice[:, a], return_inverse=True)
+            arg = np.outer(ks * self._unit[a], points[:, a])
+            table = np.empty(arg.shape, dtype=complex)
+            table.real, table.imag = np.cos(arg), np.sin(arg)
+            if phase is None:
+                phase = table[row]
+            else:
+                phase *= table[row]
+        cs = phase.view(float).reshape(-1, N, 2)           # (c, s) per vector
+        parity = self._parity[j0:j1]
+        amp = self._amp[j0:j1]
+        vals = amp[:, None] * cs[rows, :, parity]
+        grads = hess = _unrequested()
+        K = self._kappa[j0:j1]
+        if deriv >= 1:
+            dfac = cs[rows, :, 1 - parity]                  # -s for cos modes, c for sin
+            dfac *= np.where(parity == COS, -amp, amp)[:, None]
+            del phase, cs                   # freed before the larger jet arrays
+            grads = np.empty(vals.shape + (n,))
+            for i in range(n):
+                np.multiply(dfac, K[:, i, None], out=grads[:, :, i])
+        if deriv >= 2:
+            hess = np.empty(vals.shape + (n, n))
+            for i in range(n):
+                for j in range(n):
+                    np.multiply(vals, -(K[:, i] * K[:, j])[:, None], out=hess[:, :, i, j])
+        return vals, grads, hess
+
+
+class TorusSpectrum(LatticeSpectrum):
     """Real lattice modes cos/sin(kappa . x) on a flat torus, kappa_i = 2 pi k_i / L_i."""
 
     def __init__(self, model, lambda_max):
         if model.kind != geometry.FLAT_TORUS:
             raise ConfigError("TorusSpectrum needs a flat_torus model")
         super().__init__(model, lambda_max)
-        self._freqs = np.array([self._freq(ep.descriptor) for ep in self.eigenpairs])
-        self._parity = np.array([ep.descriptor[-1] for ep in self.eigenpairs])
-        self._amp = np.where(
-            np.any(self._freqs != 0.0, axis=1),
-            np.sqrt(2.0 / model.volume),
-            np.sqrt(1.0 / model.volume))
-
-    def _freq(self, desc):
-        ks = desc[:-1]
-        return np.array([2.0 * np.pi * k / L for k, L in zip(ks, self.model.periods)])
+        self._init_lattice(2.0 * np.pi / np.asarray(model.periods), model.volume)
 
     def _enumerate(self, lambda_max):
         L = np.asarray(self.model.periods)
@@ -169,76 +240,44 @@ class TorusSpectrum(AnalyticSpectrum):
         lattice = geometry._mesh(axes).astype(int)
         kappa = lattice * (2.0 * np.pi / L)
         lam = np.sum(kappa * kappa, axis=1)
-        modes = []
-        for kvec, lv in zip(lattice, lam):
-            if lv > lambda_max:
-                continue
-            nz = kvec[kvec != 0]
-            if nz.size == 0:
-                modes.append((0.0, tuple(kvec.tolist()) + (COS,)))
-                continue
-            if nz[0] < 0:   # canonical representative of the +-k pair
-                continue
-            modes.append((float(lv), tuple(kvec.tolist()) + (COS,)))
-            modes.append((float(lv), tuple(kvec.tolist()) + (SIN,)))
-        return modes
-
-    def jet_block(self, j0, j1, points, deriv=2):
-        _check_deriv(deriv)
-        points = np.asarray(points, dtype=float)
-        K = self._freqs[j0:j1]                        # [m, n]
-        amp = self._amp[j0:j1, None]
-        even = (self._parity[j0:j1] == COS)[:, None]
-        phase = K @ points.T                          # [m, N]
-        c, s = np.cos(phase), np.sin(phase)
-        vals = amp * np.where(even, c, s)
-        grads = hess = _unrequested()
-        if deriv >= 1:
-            grads = (amp * np.where(even, -s, c))[:, :, None] * K[:, None, :]
-        if deriv >= 2:
-            vals_neg = amp * np.where(even, -c, -s)
-            hess = vals_neg[:, :, None, None] * (K[:, :, None] * K[:, None, :])[:, None]
-        return vals, grads, hess
+        # one cos/sin pair per +-k pair, on the vector whose first nonzero
+        # entry is positive; the zero vector carries the constant mode only
+        nonzero = lattice != 0
+        lead = lattice[np.arange(len(lattice)), np.argmax(nonzero, axis=1)]
+        inside = lam <= lambda_max
+        cos = np.flatnonzero(inside & (lead >= 0))
+        sin = np.flatnonzero(inside & (lead > 0))
+        idx = np.concatenate([cos, sin])
+        parity = np.repeat([COS, SIN], [cos.size, sin.size])
+        return lam[idx], np.column_stack([lattice[idx], parity])
 
 
-class CircleSpectrum(AnalyticSpectrum):
-    """cos/sin(k theta) on a circle charted by theta in [0, 2 pi), g = (L/2pi)^2."""
+class CircleSpectrum(LatticeSpectrum):
+    """cos/sin(k theta) on a circle charted by theta in [0, 2 pi), g = (L/2pi)^2.
+
+    The 1-torus lattice modes on the theta chart: kappa unit 1, amplitude
+    sqrt(2/L) (sqrt(1/L) for the constant mode).
+    """
 
     def __init__(self, model, lambda_max):
         if model.kind != geometry.CIRCLE:
             raise ConfigError("CircleSpectrum needs a circle model")
         super().__init__(model, lambda_max)
-        self._ks = np.array([ep.descriptor[0] for ep in self.eigenpairs], dtype=float)
-        self._parity = np.array([ep.descriptor[1] for ep in self.eigenpairs])
-        self._amp = np.where(self._ks > 0,
-                             np.sqrt(2.0 / model.length),
-                             np.sqrt(1.0 / model.length))
+        self._init_lattice([1.0], model.length)
 
     def _enumerate(self, lambda_max):
-        L = self.model.length
-        kmax = int(np.floor(np.sqrt(lambda_max) * L / (2.0 * np.pi)))
-        modes = [(0.0, (0, COS))]
-        for k in range(1, kmax + 1):
-            lam = (2.0 * np.pi * k / L) ** 2
-            modes.append((lam, (k, COS)))
-            modes.append((lam, (k, SIN)))
-        return modes
+        return _circle_modes(self.model.length, lambda_max)
 
-    def jet_block(self, j0, j1, points, deriv=2):
-        _check_deriv(deriv)
-        points = np.asarray(points, dtype=float)
-        ks = self._ks[j0:j1]
-        amp = self._amp[j0:j1]
-        even = (self._parity[j0:j1] == COS)[:, None]
-        phase = ks[:, None] * points[:, 0][None, :]
-        c, s = np.cos(phase), np.sin(phase)
-        vals = amp[:, None] * np.where(even, c, s)
-        grads = hess = _unrequested()
-        if deriv >= 1:
-            grads = ((amp * ks)[:, None] * np.where(even, -s, c))[:, :, None]
-        if deriv >= 2:
-            hess = (-(ks * ks)[:, None] * vals)[:, :, None, None]
-        return vals, grads, hess
+
+def _circle_modes(length: float, lambda_max: float):
+    """cos/sin(k s) modes of a circle of length L for k <= sqrt(lambda_max) L / 2 pi."""
+    kmax = int(np.floor(np.sqrt(max(lambda_max, 0.0)) * length / (2.0 * np.pi)))
+    modes = [(0.0, (0, COS))]
+    for k in range(1, kmax + 1):
+        lam = (2.0 * np.pi * k / length) ** 2
+        modes.append((lam, (k, COS)))
+        modes.append((lam, (k, SIN)))
+    return _mode_arrays(modes)
 
 
 class _LegendreTable:
@@ -335,6 +374,21 @@ def _group_by_value(values, order):
     return groups
 
 
+def _sphere_modes(radius: float, lambda_max: float):
+    """Real spherical harmonics (k, m, parity) of S^2(R) with k(k+1)/R^2 <= lambda_max."""
+    R2 = radius**2
+    modes = []
+    k = 0
+    while k * (k + 1) / R2 <= lambda_max:
+        lam = k * (k + 1) / R2
+        for m in range(0, k + 1):
+            modes.append((lam, (k, m, COS)))
+            if m > 0:
+                modes.append((lam, (k, m, SIN)))
+        k += 1
+    return _mode_arrays(modes)
+
+
 class SphereSpectrum(AnalyticSpectrum):
     """Real spherical harmonics on the round 2-sphere, lambda = k(k+1)/R^2."""
 
@@ -342,23 +396,13 @@ class SphereSpectrum(AnalyticSpectrum):
         if model.kind != geometry.SPHERE2:
             raise ConfigError("SphereSpectrum needs a sphere2 model")
         super().__init__(model, lambda_max)
-        desc = self._descriptor_table()
+        desc = self._descriptors
         self._k, self._m = desc[:, 0], desc[:, 1]
         self._even = desc[:, 2] == COS
         self._basis = _SphereBasis(model.radius, int(self._k.max()))
 
     def _enumerate(self, lambda_max):
-        R2 = self.model.radius**2
-        modes = []
-        k = 0
-        while k * (k + 1) / R2 <= lambda_max:
-            lam = k * (k + 1) / R2
-            for m in range(0, k + 1):
-                modes.append((lam, (k, m, COS)))
-                if m > 0:
-                    modes.append((lam, (k, m, SIN)))
-            k += 1
-        return modes
+        return _sphere_modes(self.model.radius, lambda_max)
 
     def jet_block(self, j0, j1, points, deriv=2):
         _check_deriv(deriv)
@@ -378,7 +422,7 @@ class ProductSpectrum(AnalyticSpectrum):
         if model.kind != geometry.PRODUCT_SPHERE_CIRCLE:
             raise ConfigError("ProductSpectrum needs a product_sphere_circle model")
         super().__init__(model, lambda_max)
-        desc = self._descriptor_table()
+        desc = self._descriptors
         sphere, self._sphere_of = _distinct_rows(desc[:, :3])
         circle, self._circle_of = _distinct_rows(desc[:, 3:])
         self._sk, self._sm = sphere[:, 0], sphere[:, 1]
@@ -390,23 +434,12 @@ class ProductSpectrum(AnalyticSpectrum):
         self._basis = _SphereBasis(model.radius, int(self._sk.max()))
 
     def _enumerate(self, lambda_max):
-        R2 = self.model.radius**2
-        L = self.model.length
-        jmax = int(np.floor(np.sqrt(max(lambda_max, 0.0)) * L / (2.0 * np.pi)))
-        modes = []
-        k = 0
-        while k * (k + 1) / R2 <= lambda_max:
-            lam_s = k * (k + 1) / R2
-            for j in range(0, jmax + 1):
-                lam = lam_s + (2.0 * np.pi * j / L) ** 2
-                if lam > lambda_max:
-                    break
-                for m in range(0, k + 1):
-                    for ps in (COS, SIN) if m > 0 else (COS,):
-                        for pc in (COS, SIN) if j > 0 else (COS,):
-                            modes.append((lam, (k, m, ps, j, pc)))
-            k += 1
-        return modes
+        # every (sphere mode, circle mode) pair whose eigenvalues sum to <= lambda_max
+        lam_s, sphere = _sphere_modes(self.model.radius, lambda_max)
+        lam_c, circle = _circle_modes(self.model.length, lambda_max)
+        lam = lam_s[:, None] + lam_c[None, :]
+        si, ci = np.nonzero(lam <= lambda_max)
+        return lam[si, ci], np.column_stack([sphere[si], circle[ci]])
 
     def jet_block(self, j0, j1, points, deriv=2):
         _check_deriv(deriv)
@@ -485,6 +518,30 @@ def analytic_spectrum(model: ManifoldModel, count: int | None = None,
     raise SpectrumError(f"could not enumerate {count} modes")   # pragma: no cover
 
 
+def rescaled_model(model: ManifoldModel, factor_per_block):
+    """Model with each product block's metric multiplied by its constant factor.
+
+    Returns (scaled model, shrink), shrink being the smallest factor: each
+    eigenvalue of the scaled model is at most the matching one of `model`
+    divided by shrink, so the window lambda_max / shrink keeps every mode.
+    """
+    factors = np.atleast_1d(np.asarray(factor_per_block, dtype=float))
+    if np.any(factors <= 0):
+        raise ConfigError("metric block factors must be strictly positive")
+    if model.kind == geometry.FLAT_TORUS:
+        (c,) = factors
+        return ManifoldModel.flat_torus([L * np.sqrt(c) for L in model.periods]), c
+    if model.kind == geometry.CIRCLE:
+        (c,) = factors
+        return ManifoldModel.circle(model.length * np.sqrt(c)), c
+    if model.kind == geometry.SPHERE2:
+        (c,) = factors
+        return ManifoldModel.sphere2(model.radius * np.sqrt(c)), c
+    cs, cc = factors
+    return (ManifoldModel.product_sphere_circle(
+        model.radius * np.sqrt(cs), model.length * np.sqrt(cc)), min(cs, cc))
+
+
 def rescaled_provider(provider: SpectrumProvider, factor_per_block) -> SpectrumProvider:
     """Provider of the metric rescaled by constant factors per product block.
 
@@ -492,30 +549,10 @@ def rescaled_provider(provider: SpectrumProvider, factor_per_block) -> SpectrumP
     by 1/factor and renormalizes eigenfunctions through the volume change;
     both are realized exactly by the analytic provider of the rescaled model.
     """
-    factors = np.atleast_1d(np.asarray(factor_per_block, dtype=float))
-    if np.any(factors <= 0):
-        raise ConfigError("metric block factors must be strictly positive")
     if not isinstance(provider, AnalyticSpectrum):
         raise SpectrumError("rescaling is only supported for analytic spectra")
-    model = provider.model
-    if model.kind == geometry.FLAT_TORUS:
-        (c,) = factors
-        scaled = ManifoldModel.flat_torus([L * np.sqrt(c) for L in model.periods])
-        lam_max = provider.lambda_max / c
-    elif model.kind == geometry.CIRCLE:
-        (c,) = factors
-        scaled = ManifoldModel.circle(model.length * np.sqrt(c))
-        lam_max = provider.lambda_max / c
-    elif model.kind == geometry.SPHERE2:
-        (c,) = factors
-        scaled = ManifoldModel.sphere2(model.radius * np.sqrt(c))
-        lam_max = provider.lambda_max / c
-    else:
-        cs, cc = factors
-        scaled = ManifoldModel.product_sphere_circle(
-            model.radius * np.sqrt(cs), model.length * np.sqrt(cc))
-        lam_max = provider.lambda_max / min(cs, cc)
-    return _ANALYTIC[scaled.kind](scaled, lam_max)
+    scaled, shrink = rescaled_model(provider.model, factor_per_block)
+    return _ANALYTIC[scaled.kind](scaled, provider.lambda_max / shrink)
 
 
 # ---------------------------------------------------------------------------

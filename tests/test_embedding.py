@@ -5,8 +5,8 @@ from numpy.testing import assert_allclose
 
 from heatconf import (CorrectionSpec, ManifoldModel, TruncationPolicy, analytic_spectrum,
                       build_embedding, conformal_defect, corrected_model, defect_scan,
-                      h1_solve, pullback_metric, tail_bound_check)
-from heatconf import embedding, geometry
+                      h1_solve, pullback_metric, rescaled_provider, tail_bound_check)
+from heatconf import embedding, geometry, spectrum
 from heatconf.errors import ConfigError, PreconditionError, SpectrumError
 
 TWO_PI = 2.0 * np.pi
@@ -347,3 +347,51 @@ def test_tail_bound_modes(circle, torus2):
     with pytest.raises(SpectrumError):
         tail_bound_check(analytic_spectrum(torus2, count=300), 0.05,
                          TruncationPolicy(rho=1.0))
+
+
+@pytest.mark.parametrize("model", [
+    ManifoldModel.circle(TWO_PI),
+    ManifoldModel.flat_torus([TWO_PI, 3.1]),
+    ManifoldModel.product_sphere_circle(0.8, 3.0),
+], ids=["n1", "n2", "n3"])
+@pytest.mark.parametrize("chunk", [24, 25])
+def test_gradient_gram_matches_einsum(model, chunk):
+    """The chunked mode-axis contraction is symmetric and equals one einsum,
+    with chunks that do (24) and do not (25) divide the 96 modes."""
+    prov = analytic_spectrum(model, count=100)
+    rng = np.random.default_rng(3)
+    pts = geometry.sample_grid(model, 5).points + rng.uniform(0.0, 0.1, model.dim)
+    w = rng.uniform(0.5, 2.0, 96)
+    G = embedding._gradient_gram(prov, 2, w, pts, chunk=chunk)
+    _, grads, _ = prov.jet_block(2, 98, pts, deriv=1)
+    want = np.einsum("m,mpi,mpj->pij", w * w, grads, grads)
+    assert np.array_equal(G, G.transpose(0, 2, 1))
+    assert np.max(np.abs(G - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_corrected_scan_builds_one_provider_per_t(product, monkeypatch):
+    """A corrected windowed scan enumerates only the rescaled provider at each
+    t, over the same eigenvalue window as the former rescale-a-base recipe."""
+    built = []
+    init = spectrum.AnalyticSpectrum.__init__
+
+    def counting_init(self, model, lambda_max):
+        built.append((model, float(lambda_max)))
+        init(self, model, lambda_max)
+
+    monkeypatch.setattr(spectrum.AnalyticSpectrum, "__init__", counting_init)
+    ts = [0.1, 0.08, 0.06, 0.05, 0.04]
+    window = lambda t: 7.0 / t
+    defect_scan(product, ts, TruncationPolicy(rho=1.0),
+                correction=CorrectionSpec(l=2, eta=(0.0,)), resolution=4,
+                lambda_cutoff=window)
+    assert len(built) == 5
+    monkeypatch.undo()
+    h1 = embedding.h1_frame_constant(product, 0.0)
+    for t, (model, lam_max) in zip(ts, built):
+        # the former recipe: enumerate the base window, rescale it, and widen
+        # it back to the window when rescaling shrank it
+        factors = (1.0 + t * h1[0, 0], 1.0 + t * h1[2, 2])
+        old = rescaled_provider(analytic_spectrum(product, lambda_max=window(t)), factors)
+        assert model == old.model
+        assert lam_max == (old.lambda_max if old.lambda_max >= window(t) else window(t))

@@ -283,3 +283,115 @@ def test_product_jets_are_factor_products():
     want_hess[..., 2, 2] = Y * d2c
     for got, want in [(vals, Y * c), (grads, want_grads), (hess, want_hess)]:
         assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))
+
+
+def _reference_torus_modes(periods, lambda_max):
+    """Lattice modes by a per-vector loop and a tuple sort, as (lambdas, descriptors)."""
+    L = np.asarray(periods)
+    kmax = np.floor(np.sqrt(lambda_max) * L / TWO_PI).astype(int)
+    lattice = geometry._mesh([np.arange(-km, km + 1) for km in kmax]).astype(int)
+    kappa = lattice * (TWO_PI / L)
+    lam = np.sum(kappa * kappa, axis=1)
+    modes = []
+    for kvec, lv in zip(lattice, lam):
+        nz = kvec[kvec != 0]
+        if lv > lambda_max or (nz.size and nz[0] < 0):
+            continue
+        modes.append((float(lv), tuple(kvec.tolist()) + (spectrum.COS,)))
+        if nz.size:
+            modes.append((float(lv), tuple(kvec.tolist()) + (spectrum.SIN,)))
+    modes.sort()
+    return [lam for lam, _ in modes], [desc for _, desc in modes]
+
+
+@pytest.mark.parametrize("periods, lambda_max", [
+    ([TWO_PI, TWO_PI], 150.0),
+    ([TWO_PI, 3.1], 150.0),
+    ([TWO_PI, 3.1, 4.0], 60.0),
+])
+def test_torus_enumeration_matches_reference(periods, lambda_max):
+    prov = spectrum.TorusSpectrum(ManifoldModel.flat_torus(periods), lambda_max)
+    lams, descs = _reference_torus_modes(periods, lambda_max)
+    assert prov.lambdas.tolist() == lams
+    assert [ep.lam for ep in prov.eigenpairs] == lams
+    assert [ep.descriptor for ep in prov.eigenpairs] == descs
+    assert all(type(k) is int for ep in prov.eigenpairs for k in ep.descriptor)
+
+
+def _direct_torus_jets(prov, j0, j1, points):
+    """amp * cos/sin(kappa . x) and its closed-form derivatives, mode by mode."""
+    L = np.asarray(prov.model.periods)
+    vals, grads, hess = [], [], []
+    for ep in prov.eigenpairs[j0:j1]:
+        k = np.array(ep.descriptor[:-1])
+        kappa = TWO_PI * k / L
+        amp = np.sqrt((2.0 if k.any() else 1.0) / prov.model.volume)
+        phase = points @ kappa
+        if ep.descriptor[-1] == spectrum.COS:
+            f, df = amp * np.cos(phase), -amp * np.sin(phase)
+        else:
+            f, df = amp * np.sin(phase), amp * np.cos(phase)
+        vals.append(f)
+        grads.append(df[:, None] * kappa)
+        hess.append(-f[:, None, None] * np.outer(kappa, kappa))
+    return np.array(vals), np.array(grads), np.array(hess)
+
+
+def _assert_close_scaled(got, want, rtol):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+def test_torus_jets_match_direct_trig():
+    """Lattice jets against amp * cos/sin(kappa . x) at off-lattice points."""
+    rng = np.random.default_rng(11)
+    cases = []
+    prov2 = spectrum.TorusSpectrum(ManifoldModel.flat_torus([TWO_PI, 3.1]), 150.0)
+    pts2 = rng.uniform(0.0, 1.0, (37, 2)) * [TWO_PI, 3.1]
+    sin_mode = next(ep.index for ep in prov2.eigenpairs[50:]
+                    if ep.descriptor[-1] == spectrum.SIN)
+    cos_mode = next(ep.index for ep in prov2.eigenpairs[200:]
+                    if ep.descriptor[-1] == spectrum.COS)
+    # j0 on a sin mode, j1 splitting the next pair; the zero mode; the whole table
+    cases += [(prov2, sin_mode, cos_mode + 1, pts2), (prov2, 0, 1, pts2),
+              (prov2, 0, prov2.count, pts2)]
+    prov3 = spectrum.TorusSpectrum(ManifoldModel.flat_torus([TWO_PI, 3.1, 4.0]), 60.0)
+    pts3 = geometry._mesh([np.sort(rng.uniform(0.0, L, 5)) for L in (TWO_PI, 3.1, 4.0)])
+    assert pts3.shape == (125, 3)
+    cases += [(prov3, 1, prov3.count, pts3), (prov3, 0, 7, pts3)]
+    for prov, j0, j1, pts in cases:
+        for got, want in zip(prov.jet_block(j0, j1, pts), _direct_torus_jets(prov, j0, j1, pts)):
+            _assert_close_scaled(got, want, 1e-12)
+    x = pts2[3]
+    for j in (0, sin_mode, cos_mode):
+        jet = prov2.eval_jet(j, x)
+        want = [a[0, 0] for a in _direct_torus_jets(prov2, j, j + 1, x[None, :])]
+        for got, ref in zip((jet.value, jet.gradient, jet.hessian), want):
+            _assert_close_scaled(np.asarray(got), ref, 1e-12)
+
+
+def _reference_product_modes(R, L, lambda_max):
+    """S^2(R) x S^1(L) modes by nested loops over (k, j, m, parities) and a tuple sort."""
+    jmax = int(np.floor(np.sqrt(lambda_max) * L / TWO_PI))
+    modes = []
+    k = 0
+    while k * (k + 1) / R**2 <= lambda_max:
+        for j in range(jmax + 1):
+            lam = k * (k + 1) / R**2 + (TWO_PI * j / L) ** 2
+            if lam > lambda_max:
+                break
+            for m in range(k + 1):
+                for ps in (spectrum.COS, spectrum.SIN) if m > 0 else (spectrum.COS,):
+                    for pc in (spectrum.COS, spectrum.SIN) if j > 0 else (spectrum.COS,):
+                        modes.append((lam, (k, m, ps, j, pc)))
+        k += 1
+    modes.sort()
+    return [lam for lam, _ in modes], [desc for _, desc in modes]
+
+
+@pytest.mark.parametrize("R, L, lambda_max", [(1.0, TWO_PI, 160.0), (0.8, 3.0, 90.0)])
+def test_product_enumeration_matches_reference(R, L, lambda_max):
+    prov = spectrum.ProductSpectrum(ManifoldModel.product_sphere_circle(R, L), lambda_max)
+    lams, descs = _reference_product_modes(R, L, lambda_max)
+    assert prov.lambdas.tolist() == lams
+    assert [(ep.lam, ep.descriptor) for ep in prov.eigenpairs] == list(zip(lams, descs))
