@@ -86,6 +86,24 @@ class RunConfig:
     seed: int
 
 
+def _as_int(value, name: str) -> int:
+    from .errors import ConfigError
+
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not float(value).is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _as_float_list(value, name: str) -> list[float]:
+    from .errors import ConfigError
+
+    if not isinstance(value, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    return [float(v) for v in value]
+
+
 def load_config(path, seed_override=None) -> RunConfig:
     from . import embedding
     from .errors import ConfigError
@@ -109,7 +127,7 @@ def load_config(path, seed_override=None) -> RunConfig:
             l=int(corr_cfg.get("l", 2)),
             eta=tuple(float(v) for v in corr_cfg.get("eta", [0.0])))
     ana = raw.get("analysis", {})
-    s = int(ana.get("s", 2))
+    s = _as_int(ana.get("s", 2), "analysis.s")
     alpha = float(ana.get("alpha", 0.45))
     if not 0 < alpha < 1:
         raise ConfigError("analysis.alpha must lie in (0, 1)")
@@ -124,14 +142,14 @@ def load_config(path, seed_override=None) -> RunConfig:
     }
     solver.update(raw.get("solver", {}))
     spec_cfg = raw.get("spectrum", {})
-    seed = int(raw.get("seed", 0)) if seed_override is None else int(seed_override)
-    t_grid = [float(t) for t in raw.get("t_grid", [])]
+    seed = _as_int(raw.get("seed", 0) if seed_override is None else seed_override, "seed")
+    t_grid = _as_float_list(raw.get("t_grid", []), "t_grid")
     return RunConfig(
         raw=raw, model=model,
         rho=float(raw.get("rho", 1.0)),
         q_override=raw.get("q_override"),
         t_grid=t_grid,
-        resolution=int(raw.get("resolution", 16)),
+        resolution=_as_int(raw.get("resolution", 16), "resolution"),
         analysis_s=s, analysis_alpha=alpha,
         correction=correction,
         spectrum_count=spec_cfg.get("count"),

@@ -81,11 +81,13 @@ class EmbeddingMap:
         points = np.asarray(points, dtype=float)
         key = points.tobytes()
         if key not in self._jet_cache:
+            # jet_block returns fresh arrays: scale them in place, hold one copy
             vals, grads, hess = self.provider.jet_block(1, self.q + 1, points)
             w = self.weights
-            self._jet_cache[key] = (w[:, None] * vals,
-                                    w[:, None, None] * grads,
-                                    w[:, None, None, None] * hess)
+            vals *= w[:, None]
+            grads *= w[:, None, None]
+            hess *= w[:, None, None, None]
+            self._jet_cache[key] = (vals, grads, hess)
         return self._jet_cache[key]
 
     def values_on(self, points: np.ndarray, chunk: int = 1024) -> np.ndarray:

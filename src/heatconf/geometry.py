@@ -116,14 +116,18 @@ class ManifoldModel:
             params = cfg.get("params", {})
         except (TypeError, KeyError) as exc:
             raise ConfigError(f"malformed model config: {cfg!r}") from exc
-        if kind == FLAT_TORUS:
-            return cls.flat_torus(params["periods"])
-        if kind == CIRCLE:
-            return cls.circle(params["length"])
-        if kind == SPHERE2:
-            return cls.sphere2(params["radius"])
-        if kind == PRODUCT_SPHERE_CIRCLE:
-            return cls.product_sphere_circle(params["radius"], params["length"])
+        try:
+            if kind == FLAT_TORUS:
+                return cls.flat_torus(params["periods"])
+            if kind == CIRCLE:
+                return cls.circle(params["length"])
+            if kind == SPHERE2:
+                return cls.sphere2(params["radius"])
+            if kind == PRODUCT_SPHERE_CIRCLE:
+                return cls.product_sphere_circle(params["radius"], params["length"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"{kind} params missing or malformed ({exc!r}): {params!r}") from exc
         raise ConfigError(f"unknown manifold kind {kind!r}")
 
 

@@ -74,22 +74,31 @@ def unpack_symmetric(packed: np.ndarray, n: int) -> np.ndarray:
 
 
 def _jet_rows(emb, points: np.ndarray) -> np.ndarray:
-    """Batched P matrices [N, m, q] in the orthonormal frame."""
+    """Batched P matrices [N, m, q] in the orthonormal frame.
+
+    The frame is diagonal in the chart (basis convention), so each row is its
+    chart derivative scaled per point: d_a / sqrt(g_aa) for a gradient row and
+    (d_a d_b - Gamma^k_ab d_k) / sqrt(g_aa g_bb) for a Hessian row.  The
+    Christoffel term is subtracted only for the (k, a, b) where Gamma is
+    nonzero somewhere on the point set; on flat models there are none.
+    """
     points = np.asarray(points, dtype=float)
     model = emb.model
     n = model.dim
     _, grads, hess = emb.jets_on(points)                  # [q, N, n], [q, N, n, n]
     gamma = geometry.christoffel_on_grid(model, points)   # [N, k, i, j]
     _, _, frame = geometry.metric_on_grid(model, points)
-    hess_cov = hess - np.einsum("nkij,qnk->qnij", gamma, grads)
-    grads_f = np.einsum("qni,nia->qna", grads, frame)
-    hess_f = np.einsum("nia,qnij,njb->qnab", frame, hess_cov, frame)
+    fr = np.einsum("nii->ni", frame)                      # [N, n]
     N, q = points.shape[0], grads.shape[0]
     m = n * (n + 3) // 2
     P = np.empty((N, m, q))
-    P[:, :n] = np.transpose(grads_f, (1, 2, 0))
+    for a in range(n):
+        P[:, a] = (grads[:, :, a] * fr[:, a]).T
     for idx, (a, b) in enumerate(row_index_pairs(n)):
-        P[:, n + idx] = hess_f[:, :, a, b].T
+        row = hess[:, :, a, b]
+        for k in np.flatnonzero(np.any(gamma[:, :, a, b] != 0, axis=0)):
+            row = row - gamma[:, k, a, b] * grads[:, :, k]
+        P[:, n + idx] = (row * (fr[:, a] * fr[:, b])).T
     return P
 
 

@@ -20,12 +20,18 @@ The sign of X and the -e/2 term in L are fixed by the requirement that
 (Delta - e)(grad_i v . grad_j v) = 2 L_ij + transport terms holds identically
 (test-pinned); with them the iteration's fixed point satisfies the conformal
 embedding equation to rounding.  Spectra are real-FFT half-spectra without
-Nyquist bins; products are dealiased by the 3/2 rule, scattering the band onto
-the refined grid, and Q(v, v) contracts each chunk in one Gram product.
+Nyquist bins.  Products are dealiased by the 3/2 rule: Q(v, v) scatters the
+band of a chunk of components, component-major, into a refined half-spectrum
+pruned to the band's last-axis columns, transforms it axis by axis (ifft over
+the leading axes, then an irfft that zero-pads the dropped columns), and
+contracts the chunk in one Gram product.  Each iterate's coarse gradient is
+transformed once: the FieldRq of the iterate keeps it for the residual,
+`verify_conformal` and `assemble_C`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,8 +57,9 @@ class SpectralGrid:
     Fields are arrays whose first axis is the flattened grid; any trailing
     component axes broadcast through the spectral operations.  Spectra are
     `rfftn` half-spectra over the grid axes (`kvecs`, `lam`, `band` alike);
-    3/2-rule dealiasing scatters the open band into the refined half-spectrum
-    through two precomputed index maps, for odd and even resolutions alike.
+    3/2-rule dealiasing moves the open band between the coarse and the refined
+    half-spectrum through precomputed slice pairs (`_blocks`), for odd and
+    even resolutions and any dimension alike.
     """
 
     def __init__(self, model: ManifoldModel, resolution: int):
@@ -72,12 +79,20 @@ class SpectralGrid:
         ks = [2.0 * np.pi / L * f for L, f in zip(model.periods, freqs)]
         self.kvecs = np.stack(np.meshgrid(*ks, indexing="ij"), axis=-1)  # [*spec, n]
         self.lam = np.sum(self.kvecs**2, axis=-1)                        # [*spec]
-        # open band (Nyquist bins dropped): coarse bins and their fine images
-        inband = [f[np.abs(f) < N / 2] for f in freqs]
-        self._coarse_bins = np.ix_(*[f % N for f in inband])
-        self._fine_bins = np.ix_(*[f % self.fine for f in inband])
+        # open band (Nyquist bins dropped): |f| <= h on every axis.  On each
+        # leading axis it is two runs of bins, f >= 0 and f < 0, on the coarse
+        # and the refined grid alike; on the halved last axis it is the first
+        # h + 1 columns.  _blocks pairs the coarse and refined slices of each
+        # of the 2^(n-1) boxes the band splits into.
+        h = (N - 1) // 2
+        runs = [((slice(0, h + 1), slice(0, h + 1)),
+                 (slice(N - h, N), slice(self.fine - h, self.fine)))] * (n - 1)
+        last = ((slice(0, h + 1), slice(0, h + 1)),)
+        self._blocks = [tuple(zip(*box)) for box in itertools.product(*runs, last)]
+        self._cols = h + 1
         self.band = np.zeros(self.lam.shape, dtype=bool)                 # band projector
-        self.band[self._coarse_bins] = True
+        for coarse, _ in self._blocks:
+            self.band[coarse] = True
 
     def _bcast(self, arr: np.ndarray, trailing: int) -> np.ndarray:
         """Reshape a per-bin array [*spec, ...] to broadcast over `trailing` axes."""
@@ -116,19 +131,20 @@ class SpectralGrid:
 
     # -- dealiased products ---------------------------------------------------
 
-    def _upsample(self, spec: np.ndarray) -> np.ndarray:
-        """Physical samples on the refined grid of a band-limited coarse spectrum."""
+    def _refined_buffer(self, lead: tuple) -> np.ndarray:
+        """Zeroed refined half-spectrum [*lead, fine, ..., fine, cols], pruned to
+        the band's last-axis columns."""
         n = self.model.dim
-        fine_shape = (self.fine,) * n
-        fine_spec = np.zeros(fine_shape[:-1] + (self.fine // 2 + 1,) + spec.shape[n:],
-                             dtype=complex)
-        fine_spec[self._fine_bins] = spec[self._coarse_bins] * (self.fine / self.resolution) ** n
-        arr = np.fft.irfftn(fine_spec, s=fine_shape, axes=range(n))
-        return arr.reshape((self.fine**n,) + spec.shape[n:])
+        return np.zeros(lead + (self.fine,) * (n - 1) + (self._cols,), dtype=complex)
 
-    def pad(self, values: np.ndarray) -> np.ndarray:
-        """Physical samples on the 3/2-refined grid (trigonometric upsampling)."""
-        return self._upsample(self.to_spec(values))
+    def _refine(self, buf: np.ndarray) -> np.ndarray:
+        """Samples [*lead, fine**n] on the refined grid of a pruned refined
+        half-spectrum (grid axes last): ifft over the leading grid axes, then
+        irfft(n=fine) over the last, which zero-pads the dropped columns."""
+        n = self.model.dim
+        arr = np.fft.ifftn(buf, axes=range(-n, -1)) if n > 1 else buf
+        arr = np.fft.irfft(arr, n=self.fine, axis=-1)
+        return arr.reshape(buf.shape[:-n] + (self.fine**n,))
 
     def unpad(self, fine_values: np.ndarray) -> np.ndarray:
         """Project physical samples on the refined grid back to the open band."""
@@ -136,16 +152,33 @@ class SpectralGrid:
         arr = fine_values.reshape((self.fine,) * n + fine_values.shape[1:])
         fine_spec = np.fft.rfftn(arr, axes=range(n))
         spec = np.zeros(self.kvecs.shape[:-1] + fine_values.shape[1:], dtype=complex)
-        spec[self._coarse_bins] = fine_spec[self._fine_bins] * (self.resolution / self.fine) ** n
+        for coarse, fine in self._blocks:
+            spec[coarse] = fine_spec[fine]
+        spec *= (self.resolution / self.fine) ** n
         return self.from_spec(spec)
 
 
 @dataclass
 class FieldRq:
-    """R^q-valued field on a spectral grid, sampled as [N, q]."""
+    """R^q-valued field on a spectral grid, sampled as [N, q].
+
+    The coarse gradient is transformed on first use and kept, and so is the
+    last conformal residual with the defect f it was taken against: the
+    solver's residual, `verify_conformal` and `assemble_C` share them.  The
+    values must not change once the gradient has been read.
+    """
 
     grid: SpectralGrid
     values: np.ndarray
+    _grad: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _residual: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def grad(self) -> np.ndarray:
+        """Coarse gradient [N, q, n], transformed once."""
+        if self._grad is None:
+            self._grad = self.grid.grad(self.values)
+        return self._grad
 
     @property
     def q(self) -> int:
@@ -166,21 +199,30 @@ def _quadratic_products(grid: SpectralGrid, v: np.ndarray, e: float,
     """The dealiased products of Q(v, v) on the grid: (b [N, n], L [N, n, n]).
 
     b = Delta v . grad v and L is the quadratic curvature-free kernel of the
-    (Delta - e)(grad v . grad v) identity.  Each chunk of components takes one
-    forward transform; its gradient and Hessian channels F = [G_i, H_ab (a<=b)]
-    come from one inverse transform on the 3/2 grid, where the Gram product
-    K = sum_m F_m F_m^T is accumulated.  b and L are fixed linear combinations
-    of the entries of K (Delta v = tr H).
+    (Delta - e)(grad v . grad v) identity.  All components take one forward
+    transform, in component-major layout [q, *grid].  Each chunk of components
+    scatters the band of its gradient and Hessian channels F = [G_i, H_ab
+    (a<=b)] into one reused pruned refined half-spectrum [m, c, *grid] and
+    transforms it to the 3/2 grid, where the Gram product K = sum_m F_m F_m^T
+    is accumulated.  b and L are fixed linear combinations of the entries of K
+    (Delta v = tr H).
     """
     n = grid.model.dim
-    k = grid.kvecs
+    k = np.moveaxis(grid.kvecs, -1, 0)                          # [n, *spec]
     iu = np.triu_indices(n)
-    sym = np.concatenate([1j * k, -k[..., iu[0]] * k[..., iu[1]]], axis=-1)[..., None, :]
-    c = sym.shape[-1]
+    sym = np.concatenate([1j * k, -k[iu[0]] * k[iu[1]]]) * (grid.fine / grid.resolution) ** n
+    c = len(sym)
+    spec = np.fft.rfftn(v.T.reshape((-1,) + grid.shape), axes=range(1, n + 1))
+    buf = grid._refined_buffer((min(chunk, len(spec)), c))
     K = np.zeros((grid.fine**n, c, c))
-    for a0 in range(0, v.shape[1], chunk):
-        F = grid._upsample(grid.to_spec(v[:, a0:a0 + chunk])[..., None] * sym)  # [Nf, m, c]
-        K += F.transpose(0, 2, 1) @ F
+    for a0 in range(0, len(spec), chunk):
+        part = spec[a0:a0 + chunk, None]
+        out = buf[:len(part)]
+        for coarse, fine in grid._blocks:
+            np.multiply(part[(Ellipsis,) + coarse], sym[(Ellipsis,) + coarse],
+                        out=out[(Ellipsis,) + fine])
+        F = grid._refine(out)                                   # [m, c, Nf]
+        K += np.einsum("mcp,mdp->pcd", F, F)
     H = np.empty((n, n), dtype=int)             # channel of H_ab
     H[iu] = H.T[iu] = np.arange(n, c)
     D = np.diagonal(H)                          # channels summing to Delta v
@@ -188,6 +230,10 @@ def _quadratic_products(grid: SpectralGrid, v: np.ndarray, e: float,
     L = (K[:, H[:, :, None], H[:, None, :]].sum(axis=1)
          - K[:, D[:, None, None], H].sum(axis=1) - 0.5 * e * K[:, :n, :n])
     return grid.unpad(b), grid.unpad(L)
+
+
+def _as_field(grid: SpectralGrid, v) -> FieldRq:
+    return v if isinstance(v, FieldRq) else FieldRq(grid, np.asarray(v, dtype=float))
 
 
 def _trace_free(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,12 +281,20 @@ class ConformalSolver:
         rhs = np.concatenate([X, jets.pack_symmetric(B)], axis=-1)
         return self.E.apply(rhs)
 
-    def conformal_residual(self, v: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """Trace-free part of grad u . grad v + grad v . grad u + grad v . grad v - f."""
-        Gv = self.grid.grad(v)                   # [N, q, n]
+    def conformal_residual(self, v, f: np.ndarray) -> np.ndarray:
+        """Trace-free part of grad u . grad v + grad v . grad u + grad v . grad v - f.
+
+        A FieldRq keeps its gradient and its residual against the last f.
+        """
+        v = _as_field(self.grid, v)
+        if v._residual is not None and np.array_equal(v._residual[0], f):
+            return v._residual[1]
+        Gv = v.grad                              # [N, q, n]
         cross = self.grad_u.transpose(0, 2, 1) @ Gv
         quad = Gv.transpose(0, 2, 1) @ Gv
-        return _trace_free(cross + cross.transpose(0, 2, 1) + quad - f)[0]
+        res = _trace_free(cross + cross.transpose(0, 2, 1) + quad - f)[0]
+        v._residual = (np.array(f, dtype=float), res)
+        return res
 
     def _check_traceless(self, f: np.ndarray):
         scale = max(1.0, float(np.max(np.abs(f))))
@@ -251,7 +305,6 @@ class ConformalSolver:
 @dataclass
 class IterationState:
     l: int
-    v: FieldRq
     residual: float
     step_norm: float
     contraction: float
@@ -266,7 +319,8 @@ def fixed_point_solve(emb, f: np.ndarray, k: float = 0.0, e: float = 1.0,
                       v_start: np.ndarray | None = None):
     """Iterate v <- E(0, -f/2 + k g) + Q(v, v) from v_0 = 0 until steps settle.
 
-    Returns (history, v) where history is a list of IterationState.  Entry is
+    Returns (history, v): the per-step scalars (IterationState) and the final
+    iterate, a FieldRq that keeps its gradient and residual.  Entry is
     guarded by the smallness surrogate t^{-(s+alpha)/2} ||seed||_sup, and the
     induction bound ||v_l|| < 2 ||seed||_sup (the seed is E applied to half
     the defect, so this is the classical bound by the un-halved input) is
@@ -293,12 +347,12 @@ def fixed_point_solve(emb, f: np.ndarray, k: float = 0.0, e: float = 1.0,
         contraction = step / prev_step if prev_step not in (None, 0.0) else float("nan")
         v = v_next
         v_norm = float(np.max(np.linalg.norm(v, axis=1)))
-        residual = float(np.max(np.abs(solver.conformal_residual(v, f))))
-        history.append(IterationState(
-            l, FieldRq(solver.grid, v), residual, step, contraction,
-            bound_ok=v_norm < bound or bound == 0.0))
+        field_v = FieldRq(solver.grid, v)
+        residual = float(np.max(np.abs(solver.conformal_residual(field_v, f))))
+        history.append(IterationState(l, residual, step, contraction,
+                                      bound_ok=v_norm < bound or bound == 0.0))
         if step <= tol:
-            return history, FieldRq(solver.grid, v)
+            return history, field_v
         if np.isfinite(contraction) and contraction > 0.95:
             slow += 1
             if slow >= 3:
@@ -342,12 +396,12 @@ def verify_conformal(emb, v, f: np.ndarray, solver: ConformalSolver | None = Non
     independent check that the solved v does what the equation promises.
     """
     solver = solver or ConformalSolver(emb)
-    values = v.values if isinstance(v, FieldRq) else np.asarray(v, dtype=float)
-    res = solver.conformal_residual(values, f)
+    v = _as_field(solver.grid, v)
+    res = solver.conformal_residual(v, f)
     sup = float(np.max(np.abs(res)))
     holder = analysis.holder_seminorm_field(
         res.reshape(len(res), -1), solver.grid.points, emb.model, alpha)
-    grad_total = solver.grad_u + solver.grid.grad(values)      # [N, q, n]
+    grad_total = solver.grad_u + v.grad                        # [N, q, n]
     G_uv = grad_total.transpose(0, 2, 1) @ grad_total
     G_u = solver.grad_u.transpose(0, 2, 1) @ solver.grad_u
     pull_res = float(np.max(np.abs(_trace_free(G_uv - G_u - f)[0])))
@@ -375,11 +429,10 @@ def assemble_C(emb, v, solver: ConformalSolver | None = None, k: float = 0.0,
     the solver's accuracy rather than the injected defect.
     """
     solver = solver or ConformalSolver(emb)
-    values = v.values if isinstance(v, FieldRq) else np.asarray(v, dtype=float)
+    v = _as_field(solver.grid, v)
     grid = solver.grid
-    u_vals = emb.values_on(grid.points)
-    C_vals = u_vals + values
-    grad_C = solver.grad_u + grid.grad(values)                 # [N, q, n]
+    C_vals = emb.values_on(grid.points) + v.values
+    grad_C = solver.grad_u + v.grad                            # [N, q, n]
     G = grad_C.transpose(0, 2, 1) @ grad_C
     if manufactured_f is not None:
         G = G - manufactured_f
@@ -387,9 +440,22 @@ def assemble_C(emb, v, solver: ConformalSolver | None = None, k: float = 0.0,
     defect_sup = float(np.max(np.abs(defect)))
     defect_holder = analysis.holder_seminorm_field(
         defect.reshape(len(defect), -1), grid.points, emb.model, alpha)
-    sq = np.sum(C_vals**2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (C_vals @ C_vals.T)
-    np.fill_diagonal(d2, np.inf)
-    injectivity = float(np.sqrt(max(np.min(d2), 0.0)))
+    injectivity = _min_pair_distance(C_vals)
     return ConformalResult(FieldRq(grid, C_vals), k, defect_sup, defect_holder,
                            tr, injectivity, injectivity > 0.0)
+
+
+def _min_pair_distance(X: np.ndarray, block: int = 256) -> float:
+    """Smallest distance between distinct rows of X [N, q].
+
+    Each block of rows is compared with itself and the rows after it, through
+    |a|^2 + |b|^2 - 2 a.b, so no N x N matrix is held.
+    """
+    sq = np.sum(X**2, axis=1)
+    best = np.inf
+    for i0 in range(0, len(X), block):
+        rows = X[i0:i0 + block]
+        d2 = sq[i0:i0 + block, None] + sq[None, i0:] - 2.0 * (rows @ X[i0:].T)
+        np.fill_diagonal(d2, np.inf)
+        best = min(best, float(np.min(d2)))
+    return float(np.sqrt(max(best, 0.0)))

@@ -92,7 +92,8 @@ class SpectrumProvider:
         `deriv` is 0 (values), 1 (values and gradients) or 2 (all three);
         arrays above that order are not computed and come back as zero-size
         float arrays, never None.  The arrays that are returned do not depend
-        on `deriv`: they equal those of the deriv=2 call bit for bit.
+        on `deriv`: they equal those of the deriv=2 call bit for bit.  They
+        are fresh, so the caller may scale them in place.
         """
         raise NotImplementedError
 

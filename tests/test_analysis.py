@@ -129,3 +129,35 @@ def test_scaling_diagnostics(circle):
     # constant sequences fit to slope zero
     flat = fit_order([0.1, 0.05, 0.02], [2.0, 2.0, 2.0])
     assert_allclose(flat.slope, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("periods, r", [((TWO_PI, 3.1), 12), ((TWO_PI, 5.0, 4.2), 6)],
+                         ids=["torus2-12", "torus3-6"])
+def test_lattice_holder_matches_all_pairs(periods, r):
+    """On its sample lattice the torus quotient covers every pair in the radius;
+    pairs lying on the radius count up to rounding (slack 1e-12)."""
+    model = geometry.ManifoldModel.flat_torus(periods)
+    grid = geometry.sample_grid(model, r)
+    assert analysis._lattice_resolution(grid.points, model) == r
+    vals = np.random.default_rng(9).standard_normal((len(grid), 3))
+    alpha = 0.45
+    got = analysis.holder_seminorm_field(vals, grid.points, model, alpha)
+    p = grid.points
+    d = geometry.geodesic_distance(model, p[:, None, :], p[None, :, :])
+    diff = np.max(np.abs(vals[:, None, :] - vals[None, :, :]), axis=-1)
+    radius = model.injectivity_surrogate / 2.0
+    close = (d > 0) & (d <= radius * (1 + 1e-12))
+    assert_allclose(got, np.max(diff[close] / d[close] ** alpha), rtol=1e-12)
+
+
+def test_lattice_path_needs_the_sample_lattice(circle):
+    model = geometry.ManifoldModel.flat_torus((TWO_PI, 3.1))
+    pts = geometry.sample_grid(model, 12).points
+    assert analysis._lattice_resolution(pts, model) == 12
+    rng = np.random.default_rng(2)
+    assert analysis._lattice_resolution(pts[rng.permutation(len(pts))], model) is None
+    assert analysis._lattice_resolution(pts[:-1], model) is None
+    other = geometry.ManifoldModel.flat_torus((TWO_PI, 3.2))
+    assert analysis._lattice_resolution(pts, other) is None
+    line = geometry.sample_grid(circle, 64).points
+    assert analysis._lattice_resolution(line, circle) is None

@@ -172,3 +172,21 @@ def test_out_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("HEATCONF_OUT", str(env_out))
     assert run(["--config", cfg, "spectrum"]) == 0
     assert (env_out / "report.json").exists()
+
+
+def test_malformed_config_values_exit_2(tmp_path, capsys):
+    """Missing model params and mistyped fields end in one stderr line, exit 2."""
+    bad = {
+        "no_periods": {"model": {"kind": "flat_torus", "params": {}},
+                       "t_grid": [0.05], "resolution": 8},
+        "t_grid_string": {"model": TORUS_MODEL, "t_grid": "0.1", "resolution": 8},
+        "resolution_string": {"model": TORUS_MODEL, "t_grid": [0.05],
+                              "resolution": "abc"},
+    }
+    for name, payload in bad.items():
+        cfg = write_config(tmp_path, payload, name=f"{name}.json")
+        capsys.readouterr()
+        code = run(["--config", cfg, "--out", str(tmp_path / name), "defect-scan"])
+        err = capsys.readouterr().err
+        assert code == 2, name
+        assert err.startswith("config error:") and err.count("\n") == 1, (name, err)

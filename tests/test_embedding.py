@@ -395,3 +395,16 @@ def test_corrected_scan_builds_one_provider_per_t(product, monkeypatch):
         old = rescaled_provider(analytic_spectrum(product, lambda_max=window(t)), factors)
         assert model == old.model
         assert lam_max == (old.lambda_max if old.lambda_max >= window(t) else window(t))
+
+
+def test_jets_on_scales_fresh_jets(torus2):
+    """The cache holds the weighted jet_block arrays, bit for bit."""
+    prov = analytic_spectrum(torus2, count=80)
+    emb = build_embedding(prov, 0.1, TruncationPolicy(q_override=40))
+    pts = geometry.sample_grid(torus2, 6).points
+    got = emb.jets_on(pts)
+    raw = prov.jet_block(1, emb.q + 1, pts)
+    w = emb.weights
+    for arr, ref in zip(got, raw):
+        assert np.array_equal(arr, w.reshape((-1,) + (1,) * (ref.ndim - 1)) * ref)
+    assert emb.jets_on(pts) is got

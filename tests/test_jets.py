@@ -283,3 +283,43 @@ def test_singular_gram_is_precondition_failure(torus_embedding):
     E.gram = np.zeros_like(E.gram)      # stands in for a rank-deficient jet matrix
     with pytest.raises(PreconditionError, match="singular jet Gram matrix"):
         E.apply(np.ones((1, 5)))
+
+
+def jet_rows_oracle(emb, points):
+    """P [N, m, q] from the generic tensor formulas: Christoffel correction and
+    frame rotation as full einsums, no use of the diagonal frame."""
+    model, n = emb.model, emb.model.dim
+    _, grads, hess = emb.jets_on(points)
+    gamma = geometry.christoffel_on_grid(model, points)
+    _, _, frame = geometry.metric_on_grid(model, points)
+    hess_cov = hess - np.einsum("nkij,qnk->qnij", gamma, grads)
+    grads_f = np.einsum("qni,nia->qna", grads, frame)
+    hess_f = np.einsum("nia,qnij,njb->qnab", frame, hess_cov, frame)
+    rows = [grads_f[:, :, a] for a in range(n)]
+    rows += [hess_f[:, :, a, b] for a, b in jets.row_index_pairs(n)]
+    return np.stack(rows, axis=0).transpose(2, 0, 1)
+
+
+@pytest.mark.parametrize("kind", ["torus", "circle", "sphere", "product"])
+def test_jet_rows_match_generic_formula(kind):
+    rng = np.random.default_rng(17)
+    N = 40
+    theta = rng.uniform(0.2, np.pi - 0.2, N)
+    if kind == "torus":
+        model = geometry.ManifoldModel.flat_torus([TWO_PI, 3.1])
+        pts = rng.uniform(0, 1, (N, 2)) * np.array(model.periods)
+    elif kind == "circle":
+        model = geometry.ManifoldModel.circle(3.7)
+        pts = rng.uniform(0, TWO_PI, (N, 1))
+    elif kind == "sphere":
+        model = geometry.ManifoldModel.sphere2(1.3)
+        pts = np.column_stack([theta, rng.uniform(0, TWO_PI, N)])
+    else:
+        model = geometry.ManifoldModel.product_sphere_circle(1.3, 5.0)
+        pts = np.column_stack([theta, rng.uniform(0, TWO_PI, (N, 2))])
+    prov = analytic_spectrum(model, count=90)
+    emb = build_embedding(prov, 0.1, TruncationPolicy(q_override=60))
+    want = jet_rows_oracle(emb, pts)
+    got = jets._jet_rows(emb, pts)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -48,6 +48,20 @@ def solved(solver, torus_embedding, manufactured):
                              solver=solver)
 
 
+def pad(grid, values):
+    """Oracle upsampler: trigonometric interpolation of grid samples [N, ...]
+    onto the 3/2-refined grid, through full complex FFTs with the Nyquist bins
+    dropped."""
+    n, N, M = grid.model.dim, grid.resolution, grid.fine
+    arr = values.reshape(grid.shape + values.shape[1:])
+    f = np.rint(np.fft.fftfreq(N) * N).astype(int)
+    f = f[np.abs(f) < N / 2]
+    fine = np.zeros((M,) * n + values.shape[1:], dtype=complex)
+    fine[np.ix_(*[f % M] * n)] = np.fft.fftn(arr, axes=range(n))[np.ix_(*[f % N] * n)]
+    out = np.fft.ifftn(fine, axes=range(n)).real * (M / N) ** n
+    return out.reshape((M**n,) + values.shape[1:])
+
+
 def band_limited_field(grid, seed, comps=3, kmax=5):
     rng = np.random.default_rng(seed)
     v = np.zeros((grid.N, comps))
@@ -91,7 +105,7 @@ def test_dealiased_product_projection(any_grid):
     kmax = (grid.resolution // 2 - 1) // 2
     a = band_limited_field(grid, 2, comps=1, kmax=kmax)[:, 0]
     b = band_limited_field(grid, 3, comps=1, kmax=kmax)[:, 0]
-    prod = grid.unpad(grid.pad(a[:, None]) * grid.pad(b[:, None]))[:, 0]
+    prod = grid.unpad(pad(grid, a[:, None]) * pad(grid, b[:, None]))[:, 0]
     direct = grid.from_spec(grid.to_spec((a * b)[:, None]))[:, 0]
     # frequencies |k| <= 2 kmax < Nyquist survive both paths identically
     assert_allclose(prod, direct, atol=1e-11)
@@ -181,7 +195,7 @@ def test_quadratic_defining_equation(solver):
     Q = solver.quadratic(v)
     grid = solver.grid
     Dv, Gv = grid.laplacian(v), grid.grad(v)
-    prod = grid.unpad(np.einsum("fm,fmi->fi", grid.pad(Dv), grid.pad(Gv)))
+    prod = grid.unpad(np.einsum("fm,fmi->fi", pad(grid, Dv), pad(grid, Gv)))
     b, L = perturb._quadratic_products(grid, v, solver.e)
     assert_allclose(b, prod, atol=1e-12 * np.max(np.abs(prod)))
     X = -grid.resolvent(b, solver.e)
@@ -311,3 +325,73 @@ def test_field_norms(sgrid):
     assert_allclose(v2.sup_norm(), 2.0)
     with pytest.raises(Exception):
         perturb.ResolventConfig(e=0.0)
+
+
+@pytest.mark.parametrize("dim, resolution", [(1, 10), (1, 9), (2, 8), (2, 7), (3, 6), (3, 5)])
+def test_pruned_refinement_matches_oracle_upsampler(dim, resolution):
+    """Band scatter into the pruned half-spectrum, then ifft/irfft, equals
+    trigonometric upsampling, for every dimension and odd or even N."""
+    model = ManifoldModel.flat_torus([TWO_PI, 3.1, 4.2][:dim])
+    grid = perturb.SpectralGrid(model, resolution)
+    v = np.random.default_rng(3).standard_normal((grid.N, 3))
+    spec = np.fft.rfftn(v.T.reshape((-1,) + grid.shape), axes=range(1, dim + 1))
+    buf = grid._refined_buffer((3,))
+    assert buf.shape[-1] == (resolution - 1) // 2 + 1
+    for coarse, fine in grid._blocks:
+        buf[(Ellipsis,) + fine] = spec[(Ellipsis,) + coarse] * (grid.fine / resolution) ** dim
+    assert_allclose(grid._refine(buf).T, pad(grid, grid.from_spec(grid.to_spec(v))),
+                    atol=1e-12)
+
+
+@pytest.mark.parametrize("resolution", [16, 17])
+def test_quadratic_products_on_a_circle_torus(resolution):
+    """The 1-torus takes the same product path (no leading grid axes)."""
+    grid = perturb.SpectralGrid(ManifoldModel.flat_torus([TWO_PI]), resolution)
+    e = 0.8
+    v = band_limited_field(grid, 5, comps=4, kmax=(resolution - 1) // 4)
+    b, L = perturb._quadratic_products(grid, v, e, chunk=3)
+    G = grid.grad(v)
+    D = grid.laplacian(v)
+    H = grid.grad(G)
+    b_ref = np.einsum("nm,nmi->ni", D, G)
+    L_ref = (np.einsum("nmli,nmlj->nij", H, H) - np.einsum("nm,nmij->nij", D, H)
+             - 0.5 * e * np.einsum("nmi,nmj->nij", G, G))
+    assert_allclose(b, b_ref, rtol=0, atol=1e-12 * np.max(np.abs(b_ref)))
+    assert_allclose(L, L_ref, rtol=0, atol=1e-12 * np.max(np.abs(L_ref)))
+
+
+def test_one_gradient_per_iterate(solver, torus_embedding, manufactured, monkeypatch):
+    """The solve, verify_conformal and assemble_C share each iterate's gradient."""
+    calls = []
+    grad = perturb.SpectralGrid.grad
+
+    def counted(self, values):
+        calls.append(values.shape)
+        return grad(self, values)
+
+    monkeypatch.setattr(perturb.SpectralGrid, "grad", counted)
+    history, v = fixed_point_solve(torus_embedding, manufactured, k=0.0, tol=1e-11,
+                                   solver=solver)
+    rep = verify_conformal(torus_embedding, v, manufactured, solver)
+    perturb.assemble_C(torus_embedding, v, solver, manufactured_f=manufactured)
+    assert len(calls) == len(history)
+    assert rep.residual_sup == history[-1].residual
+    # a plain array takes its own transform and gives the same report
+    rep_arr = verify_conformal(torus_embedding, v.values.copy(), manufactured, solver)
+    assert len(calls) == len(history) + 1
+    assert rep_arr == rep
+    # a different defect is not answered from the stored residual
+    other = verify_conformal(torus_embedding, v, 2.0 * manufactured, solver)
+    assert other.residual_sup > 1e-4
+
+
+def test_min_pair_distance_in_blocks():
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((300, 7))
+    X[123] = X[45] + 1e-3
+    diff = X[:, None, :] - X[None, :, :]
+    d = np.sqrt(np.sum(diff**2, axis=-1))
+    np.fill_diagonal(d, np.inf)
+    for block in (1, 7, 64, 256, 1000):
+        assert_allclose(perturb._min_pair_distance(X, block), d.min(), rtol=1e-6)
+
