@@ -119,26 +119,20 @@ def check_rank_laws(points: int = 20, seed: int = 20240901) -> CheckResult:
     target_P[n_off:, n_off:] = jets.xi_matrix(n, 1.0 / 3.0) * 3.0
     target_Pc = np.eye(n_off + n)
     target_Pc[n_off:, n_off:] = jets.xi_matrix(n, -1.0 / (n - 1)) * (2.0 * n - 2.0) / n
-    ok = True
-    worst = {"sv_grad_ratio": 1.0, "sv_hess_ratio": 1.0, "pc_smallest": 0.0,
-             "pc_second": np.inf, "block_P": 0.0, "block_Pc": 0.0}
-    for x in pts:
-        P = jets.assemble_P(emb, x)
-        Pc = jets.assemble_Pc(emb, x)
-        G, Gc = P @ P.T, Pc @ Pc.T
-        sv = np.linalg.svd(G, compute_uv=False)
-        svc = np.linalg.svd(Gc, compute_uv=False)
-        hess_group, grad_group = sv[:n * (n + 1) // 2], sv[n * (n + 1) // 2:]
-        worst["sv_grad_ratio"] = min(worst["sv_grad_ratio"],
-                                     grad_group.min() / grad_group.max())
-        worst["sv_hess_ratio"] = min(worst["sv_hess_ratio"],
-                                     hess_group.min() / hess_group.max())
-        worst["pc_smallest"] = max(worst["pc_smallest"], svc[-1] / svc[0])
-        worst["pc_second"] = min(worst["pc_second"], svc[-2] / svc[0])
-        worst["block_P"] = max(worst["block_P"],
-                               float(np.max(np.abs(2 * t * G[n:, n:] - target_P))))
-        worst["block_Pc"] = max(worst["block_Pc"],
-                                float(np.max(np.abs(2 * t * Gc[n:, n:] - target_Pc))))
+    E = jets.PointwiseRightInverse(emb, pts)
+    Pc = jets.trace_free_rows(E.P, n)
+    G, Gc = E.gram, Pc @ Pc.transpose(0, 2, 1)
+    sv = np.linalg.svd(G, compute_uv=False)
+    svc = np.linalg.svd(Gc, compute_uv=False)
+    hess_group, grad_group = sv[:, :n * (n + 1) // 2], sv[:, n * (n + 1) // 2:]
+    worst = {
+        "sv_grad_ratio": float(np.min(grad_group.min(1) / grad_group.max(1))),
+        "sv_hess_ratio": float(np.min(hess_group.min(1) / hess_group.max(1))),
+        "pc_smallest": float(np.max(svc[:, -1] / svc[:, 0])),
+        "pc_second": float(np.min(svc[:, -2] / svc[:, 0])),
+        "block_P": float(np.max(np.abs(2 * t * G[:, n:, n:] - target_P))),
+        "block_Pc": float(np.max(np.abs(2 * t * Gc[:, n:, n:] - target_Pc))),
+    }
     ok = (worst["sv_grad_ratio"] >= 1e-3 and worst["sv_hess_ratio"] >= 1e-3
           and worst["pc_smallest"] <= 1e-8 and worst["pc_second"] >= 1e-3
           and worst["block_P"] <= 5 * t and worst["block_Pc"] <= 5 * t)
@@ -154,23 +148,23 @@ def check_right_inverse(seed: int = 20240902) -> CheckResult:
     emb = build_embedding(provider, t, TruncationPolicy(rho=1.0))
     rng = np.random.default_rng(seed)
     x = rng.uniform(0, 2 * np.pi, size=2)
-    P = jets.assemble_P(emb, x)
-    Pc = jets.assemble_Pc(emb, x)
+    E = jets.PointwiseRightInverse(emb, x[None, :])
+    P = E.P[0]
+    Pc = jets.trace_free_rows(P, 2)
     worst_resid = 0.0
     for _ in range(100):
-        rhs = jets.RhsVector.from_flat(rng.standard_normal(5), 2)
-        v = jets.apply_E(emb, x, rhs)
+        rhs = rng.standard_normal(5)
+        v = E.apply(rhs[None, :])[0]
         worst_resid = max(worst_resid,
-                          float(np.linalg.norm(P @ v - rhs.flat)
-                                / np.linalg.norm(rhs.flat)))
-    w = jets.kernel_generator(emb, x)
-    pc_w = float(np.linalg.norm(Pc @ w) / np.linalg.norm(
-        jets.RhsVector.from_tensor(np.zeros(2), np.eye(2)).flat))
+                          float(np.linalg.norm(P @ v - rhs) / np.linalg.norm(rhs)))
+    w = E.kernel_generator()[0]
+    pc_w = float(np.linalg.norm(Pc @ w) / np.sqrt(2.0))    # |(0, g)| with g = I
     h = np.array([[0.7, -0.2], [-0.2, -0.7]])
+    v0 = E.apply_tensor(np.zeros((1, 2)), h[None])[0]
     images = []
     sols = {}
     for k in (-1.0, 0.0, 0.5, 2.0):
-        sol = jets.apply_Ec(emb, x, h, k)
+        sol = v0 if k == 0.0 else v0 + k * w
         sols[k] = sol
         images.append(Pc @ sol)
     family_spread = float(max(np.max(np.abs(img - images[0])) for img in images))

@@ -182,7 +182,7 @@ def scaling_diagnostics(maps, resolution: int = 16, s: int = 2, alpha: float = 0
     grid = geometry.sample_grid(model, resolution)
     rows = []
     for emb in maps:
-        vals, grads, _ = emb.jets_on(grid.points)
+        vals, grads, _ = emb.jets(grid.points, deriv=1)
         c0 = float(np.max(np.linalg.norm(vals, axis=0)))
         gnorm = np.linalg.norm(grads, axis=(0, 2))
         c1 = float(np.max(gnorm))

@@ -104,6 +104,24 @@ def _as_float_list(value, name: str) -> list[float]:
     return [float(v) for v in value]
 
 
+def _as_float(value, name: str) -> float:
+    from .errors import ConfigError
+
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _optional(parse, value, name: str):
+    return None if value is None else parse(value, name)
+
+
+_SOLVER_FIELDS = {"e": _as_float, "tol": _as_float, "max_iter": _as_int,
+                  "k_values": _as_float_list, "epsilon": _as_float, "t": _as_float,
+                  "resolution": _as_int, "theta_threshold": _as_float,
+                  "f_mode": _as_float_list}
+
+
 def load_config(path, seed_override=None) -> RunConfig:
     from . import embedding
     from .errors import ConfigError
@@ -124,11 +142,11 @@ def load_config(path, seed_override=None) -> RunConfig:
     correction = None
     if corr_cfg:
         correction = embedding.CorrectionSpec(
-            l=int(corr_cfg.get("l", 2)),
-            eta=tuple(float(v) for v in corr_cfg.get("eta", [0.0])))
+            l=_as_int(corr_cfg.get("l", 2), "correction.l"),
+            eta=tuple(_as_float_list(corr_cfg.get("eta", [0.0]), "correction.eta")))
     ana = raw.get("analysis", {})
     s = _as_int(ana.get("s", 2), "analysis.s")
-    alpha = float(ana.get("alpha", 0.45))
+    alpha = _as_float(ana.get("alpha", 0.45), "analysis.alpha")
     if not 0 < alpha < 1:
         raise ConfigError("analysis.alpha must lie in (0, 1)")
     if correction is not None and not s + alpha < correction.l + 0.5:
@@ -141,19 +159,22 @@ def load_config(path, seed_override=None) -> RunConfig:
         "f_mode": [1, 0],
     }
     solver.update(raw.get("solver", {}))
+    for key, parse in _SOLVER_FIELDS.items():
+        solver[key] = parse(solver[key], f"solver.{key}")
     spec_cfg = raw.get("spectrum", {})
     seed = _as_int(raw.get("seed", 0) if seed_override is None else seed_override, "seed")
     t_grid = _as_float_list(raw.get("t_grid", []), "t_grid")
     return RunConfig(
         raw=raw, model=model,
-        rho=float(raw.get("rho", 1.0)),
-        q_override=raw.get("q_override"),
+        rho=_as_float(raw.get("rho", 1.0), "rho"),
+        q_override=_optional(_as_int, raw.get("q_override"), "q_override"),
         t_grid=t_grid,
         resolution=_as_int(raw.get("resolution", 16), "resolution"),
         analysis_s=s, analysis_alpha=alpha,
         correction=correction,
-        spectrum_count=spec_cfg.get("count"),
-        spectrum_lambda_max=spec_cfg.get("lambda_max"),
+        spectrum_count=_optional(_as_int, spec_cfg.get("count"), "spectrum.count"),
+        spectrum_lambda_max=_optional(_as_float, spec_cfg.get("lambda_max"),
+                                      "spectrum.lambda_max"),
         solver=solver,
         verify=raw.get("verify", {}),
         seed=seed,
@@ -259,7 +280,7 @@ def cmd_gram(cfg: RunConfig, out_dir: Path) -> dict:
 
     if cfg.model is None:
         raise ConfigError("gram diagnostics need a model")
-    t = float(cfg.solver["t"]) if not cfg.t_grid else cfg.t_grid[0]
+    t = cfg.solver["t"] if not cfg.t_grid else cfg.t_grid[0]
     policy = embedding.TruncationPolicy(rho=cfg.rho, q_override=cfg.q_override)
     provider = spectrum.analytic_spectrum(cfg.model,
                                           count=policy.q(t, cfg.model.dim) + 8)
@@ -269,18 +290,21 @@ def cmd_gram(cfg: RunConfig, out_dir: Path) -> dict:
     pts = grid.points[rng.choice(len(grid.points), size=min(4, len(grid.points)),
                                  replace=False)]
     n = cfg.model.dim
+    E = jets.PointwiseRightInverse(emb, pts)
+    Pc = jets.trace_free_rows(E.P, n)
+    grams, grams_c = E.gram, Pc @ Pc.transpose(0, 2, 1)
+    svs = np.linalg.svd(grams, compute_uv=False)
+    svs_c = np.linalg.svd(grams_c, compute_uv=False)
     entries = []
-    for x in pts:
-        P, Pc = jets.assemble_P(emb, x), jets.assemble_Pc(emb, x)
-        G, Gc = P @ P.T, Pc @ Pc.T
+    for x, G, Gc, sv, sv_c in zip(pts, grams, grams_c, svs, svs_c):
         entries.append({
             "point": x.tolist(),
             "gram_P": G.tolist(),
             "gram_Pc": Gc.tolist(),
             "gram_P_lower_right_2t": (2 * t * G[n:, n:]).tolist(),
             "gram_Pc_lower_right_2t": (2 * t * Gc[n:, n:]).tolist(),
-            "singular_values_P": np.linalg.svd(G, compute_uv=False).tolist(),
-            "singular_values_Pc": np.linalg.svd(Gc, compute_uv=False).tolist(),
+            "singular_values_P": sv.tolist(),
+            "singular_values_Pc": sv_c.tolist(),
         })
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "gram_diagnostics.json", "w") as fh:
@@ -299,34 +323,32 @@ def cmd_perturb(cfg: RunConfig, out_dir: Path) -> dict:
     if cfg.model is None:
         raise ConfigError("perturb needs a model")
     sv = cfg.solver
-    t = float(sv["t"])
+    t = sv["t"]
     policy = embedding.TruncationPolicy(rho=cfg.rho, q_override=cfg.q_override)
     q_needed = policy.q(t, cfg.model.dim)
     provider = spectrum.analytic_spectrum(cfg.model, count=q_needed + 8)
     emb = embedding.build_embedding(provider, t, policy)
-    solver = perturb.ConformalSolver(emb, resolution=int(sv["resolution"]),
-                                     e=float(sv["e"]))
+    solver = perturb.ConformalSolver(emb, resolution=sv["resolution"], e=sv["e"])
     n = cfg.model.dim
     mode = np.zeros(n)
     mode[:len(sv["f_mode"])] = sv["f_mode"]
     phase = solver.grid.points @ mode
     pattern = np.zeros((n, n))
     pattern[0, 0], pattern[1, 1] = 1.0, -1.0
-    f = float(sv["epsilon"]) * np.cos(phase)[:, None, None] * pattern
+    f = sv["epsilon"] * np.cos(phase)[:, None, None] * pattern
     runs = []
     solutions = {}
     for k in sv["k_values"]:
         history, v = perturb.fixed_point_solve(
-            emb, f, k=float(k), e=float(sv["e"]), tol=float(sv["tol"]),
-            max_iter=int(sv["max_iter"]), solver=solver,
-            theta_threshold=float(sv["theta_threshold"]),
+            emb, f, k=k, e=sv["e"], tol=sv["tol"], max_iter=sv["max_iter"],
+            solver=solver, theta_threshold=sv["theta_threshold"],
             s=cfg.analysis_s, alpha=cfg.analysis_alpha)
         rep = perturb.verify_conformal(emb, v, f, solver, alpha=cfg.analysis_alpha)
-        result = perturb.assemble_C(emb, v, solver, k=float(k), manufactured_f=f,
+        result = perturb.assemble_C(emb, v, solver, k=k, manufactured_f=f,
                                     alpha=cfg.analysis_alpha)
-        solutions[float(k)] = v
+        solutions[k] = v
         runs.append({
-            "k": float(k),
+            "k": k,
             "iterations": len(history),
             "steps": [{"l": st.l, "residual": st.residual, "step_norm": st.step_norm,
                        "contraction": None if not np.isfinite(st.contraction)
@@ -341,7 +363,7 @@ def cmd_perturb(cfg: RunConfig, out_dir: Path) -> dict:
                                  "injectivity_ok": result.injectivity_ok},
         })
     family = None
-    ks = [float(k) for k in sv["k_values"]]
+    ks = sv["k_values"]
     if len(ks) >= 2:
         diff, upper, lower = perturb.family_bounds(
             solver, solutions[ks[0]], solutions[ks[1]], ks[1] - ks[0])

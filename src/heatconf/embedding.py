@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,7 @@ class TruncationPolicy:
 
 
 class EmbeddingMap:
-    """Truncated normalized heat-kernel embedding M -> R^q with cached jets."""
+    """Truncated normalized heat-kernel embedding M -> R^q."""
 
     def __init__(self, provider: SpectrumProvider, t: float, q: int):
         self.provider = provider
@@ -60,35 +60,22 @@ class EmbeddingMap:
         self.c_norm = math.sqrt(2.0) * (4.0 * math.pi) ** (n / 4.0) * t ** ((n + 2) / 4.0)
         # component j (1-based provider index) carries weight c(t) e^{-lambda_j t/2}
         self.weights = self.c_norm * np.exp(-provider.lambdas[1:q + 1] * t / 2.0)
-        self._jet_cache: dict[bytes, tuple] = {}
 
     @property
     def lambdas(self) -> np.ndarray:
         return self.provider.lambdas[1:self.q + 1]
 
-    def component_jets(self, x):
-        """Scaled jets of all q components at one chart point."""
-        x = geometry.wrap_point(self.model, x)
-        vals, grads, hess = self.provider.jet_block(1, self.q + 1, x[None, :])
-        w = self.weights
-        return (w * vals[:, 0], w[:, None] * grads[:, 0], w[:, None, None] * hess[:, 0])
+    def jets(self, points: np.ndarray, deriv: int = 2):
+        """Scaled jets of all q components on chart points [N, n], up to `deriv`.
 
-    def jets_on(self, points: np.ndarray):
-        """Scaled jets on a grid [N, n]; cached per point set.
-
-        Returns (values [q, N], gradients [q, N, n], hessians [q, N, n, n]).
+        Returns (values [q, N], gradients [q, N, n], hessians [q, N, n, n]);
+        arrays above `deriv` are zero-size, as from `jet_block`.
         """
-        points = np.asarray(points, dtype=float)
-        key = points.tobytes()
-        if key not in self._jet_cache:
-            # jet_block returns fresh arrays: scale them in place, hold one copy
-            vals, grads, hess = self.provider.jet_block(1, self.q + 1, points)
-            w = self.weights
-            vals *= w[:, None]
-            grads *= w[:, None, None]
-            hess *= w[:, None, None, None]
-            self._jet_cache[key] = (vals, grads, hess)
-        return self._jet_cache[key]
+        jets = self.provider.jet_block(1, self.q + 1, points, deriv)
+        for arr in jets:      # fresh arrays: scale in place, hold one copy
+            if arr.size:
+                arr *= self.weights.reshape((-1,) + (1,) * (arr.ndim - 1))
+        return jets
 
     def values_on(self, points: np.ndarray, chunk: int = 1024) -> np.ndarray:
         """Embedding point cloud [N, q] without materializing derivative jets."""
@@ -150,12 +137,6 @@ def build_embedding(provider: SpectrumProvider, t: float,
     return EmbeddingMap(provider, t, q)
 
 
-def pullback_metric(emb: EmbeddingMap, x) -> np.ndarray:
-    """Pullback metric of the embedding at one chart point."""
-    x = geometry.wrap_point(emb.model, x)
-    return emb.pullback_on(x[None, :])[0]
-
-
 def conformal_defect(G: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Trace-free part G - (tr_g G / n) g; zero exactly when G is conformal to g."""
     G = np.asarray(G, dtype=float)
@@ -186,7 +167,7 @@ def h1_solve(A1: np.ndarray, g: np.ndarray, eta1) -> np.ndarray:
 
 @dataclass
 class CorrectionSpec:
-    """Prescribed trace functions eta_i and the solved h_i (frame components).
+    """Correction order l and the prescribed trace functions eta_i.
 
     The target defect order is l; the corrected metric is g + sum h_i t^i for
     i = 1..l-1.  Only i = 1 is solvable natively (the closed-form first
@@ -195,7 +176,6 @@ class CorrectionSpec:
 
     l: int = 2
     eta: tuple[float, ...] = (0.0,)
-    h_frame: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.l < 1:
@@ -326,7 +306,6 @@ def defect_scan(model: ManifoldModel, t_grid, policy: TruncationPolicy,
     if correction is not None and correction.l >= 2:
         eta1 = correction.eta[0]
         h1 = h1_frame_constant(model, eta1)
-        correction.h_frame = [h1]
     base_provider = None
     for t in t_grid:
         window = lambda_cutoff(t) if callable(lambda_cutoff) else lambda_cutoff

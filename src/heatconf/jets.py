@@ -12,12 +12,11 @@ normal coordinates at x to the orders used).  Row ordering contract:
 P_c(u) replaces each repeated row by its trace-free part and loses exactly
 one rank; the lost direction is recovered by the kernel generator w solving
 P w = (0, identity).  E = P^T (P P^T)^{-1} is the minimum-norm right inverse;
-it is never materialized as a q x m matrix.  PointwiseRightInverse is its only
-implementation: the per-point functions below run it on a batch of one point.
+it is never materialized as a q x m matrix.  PointwiseRightInverse builds P
+and its Gram over a point set and is the only implementation of E; a single
+point is a batch of one.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,45 +31,11 @@ def row_index_pairs(n: int) -> list[tuple[int, int]]:
     return pairs
 
 
-@dataclass
-class RhsVector:
-    """Right-hand side (f, h) packed to match the P row ordering."""
-
-    f_part: np.ndarray
-    h_part: np.ndarray
-
-    @classmethod
-    def from_tensor(cls, f_vec, h_mat) -> "RhsVector":
-        h_mat = np.asarray(h_mat, dtype=float)
-        n = h_mat.shape[0]
-        pairs = row_index_pairs(n)
-        return cls(np.asarray(f_vec, dtype=float),
-                   np.array([h_mat[a, b] for a, b in pairs]))
-
-    @classmethod
-    def from_flat(cls, flat, n: int) -> "RhsVector":
-        flat = np.asarray(flat, dtype=float)
-        return cls(flat[:n], flat[n:])
-
-    @property
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.f_part, self.h_part])
-
-
 def pack_symmetric(h: np.ndarray) -> np.ndarray:
     """Symmetric [..., n, n] -> packed [..., n(n+1)/2] per the row contract."""
     n = h.shape[-1]
     pairs = row_index_pairs(n)
     return np.stack([h[..., a, b] for a, b in pairs], axis=-1)
-
-
-def unpack_symmetric(packed: np.ndarray, n: int) -> np.ndarray:
-    pairs = row_index_pairs(n)
-    out = np.zeros(packed.shape[:-1] + (n, n))
-    for idx, (a, b) in enumerate(pairs):
-        out[..., a, b] = packed[..., idx]
-        out[..., b, a] = packed[..., idx]
-    return out
 
 
 def _jet_rows(emb, points: np.ndarray) -> np.ndarray:
@@ -85,7 +50,7 @@ def _jet_rows(emb, points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     model = emb.model
     n = model.dim
-    _, grads, hess = emb.jets_on(points)                  # [q, N, n], [q, N, n, n]
+    _, grads, hess = emb.jets(points)                     # [q, N, n], [q, N, n, n]
     gamma = geometry.christoffel_on_grid(model, points)   # [N, k, i, j]
     _, _, frame = geometry.metric_on_grid(model, points)
     fr = np.einsum("nii->ni", frame)                      # [N, n]
@@ -102,23 +67,15 @@ def _jet_rows(emb, points: np.ndarray) -> np.ndarray:
     return P
 
 
-def assemble_P(emb, x) -> np.ndarray:
-    """First/second covariant derivative operator [m, q] of the embedding at x."""
-    x = geometry.wrap_point(emb.model, x)
-    return _jet_rows(emb, x[None, :])[0]
+def trace_free_rows(P: np.ndarray, n: int) -> np.ndarray:
+    """P_c from a P stack [..., m, q]: each repeated-derivative row minus their mean.
 
-
-def _trace_project(P: np.ndarray, n: int) -> np.ndarray:
-    """Replace the repeated-derivative rows by their trace-free parts."""
+    The n repeated rows of the result sum to zero.
+    """
     Pc = P.copy()
     diag = Pc[..., -n:, :]
     diag -= np.mean(diag, axis=-2, keepdims=True)
     return Pc
-
-
-def assemble_Pc(emb, x) -> np.ndarray:
-    """Trace-free variant [m, q] of P; the n repeated rows sum to zero."""
-    return _trace_project(assemble_P(emb, x), emb.model.dim)
 
 
 def block_inverse(A1: np.ndarray, A2: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -159,39 +116,6 @@ def block_inverse(A1: np.ndarray, A2: np.ndarray, b: np.ndarray) -> np.ndarray:
     if np.max(np.abs(M @ inv - np.eye(m1 + m2))) > 1e-6 * max(1.0, np.max(np.abs(M))):
         raise PreconditionError("coupling too large for the block-inverse route")
     return inv
-
-
-def _at_point(emb, x) -> PointwiseRightInverse:
-    """The batched right inverse on the single point x."""
-    return PointwiseRightInverse(emb, geometry.wrap_point(emb.model, x)[None, :])
-
-
-def apply_E(emb, x, rhs: RhsVector) -> np.ndarray:
-    """Minimum-norm solution of P(u)(x) v = rhs, orthogonal to Ker P."""
-    return _at_point(emb, x).apply(rhs.flat[None, :])[0]
-
-
-def kernel_generator(emb, x) -> np.ndarray:
-    """Generator w of Ker P_c / Ker P: the unique solution of P w = (0, g)."""
-    return _at_point(emb, x).kernel_generator()[0]
-
-
-def apply_Ec(emb, x, h: np.ndarray, k: float = 0.0) -> np.ndarray:
-    """Member k of the right-inverse family for P_c: E(0, h) + k E(0, g).
-
-    h is a g-traceless symmetric matrix in frame components; every k gives
-    the same P_c image, and the k-derivative is exactly the kernel generator.
-    """
-    h = np.asarray(h, dtype=float)
-    n = emb.model.dim
-    scale = max(1.0, float(np.max(np.abs(h))))
-    if abs(np.trace(h)) > 1e-8 * scale:
-        raise PreconditionError(f"h must be g-traceless, trace={np.trace(h):.3e}")
-    E = _at_point(emb, x)
-    v0 = E.apply_tensor(np.zeros((1, n)), h[None])[0]
-    if k == 0.0:
-        return v0
-    return v0 + k * E.kernel_generator()[0]
 
 
 class PointwiseRightInverse:

@@ -184,12 +184,6 @@ class FieldRq:
     def q(self) -> int:
         return self.values.shape[1]
 
-    def sup_norm(self) -> float:
-        """sup over the grid of the pointwise Euclidean norm."""
-        if self.values.size == 0:
-            return 0.0
-        return float(np.max(np.linalg.norm(self.values, axis=1)))
-
     def copy(self) -> "FieldRq":
         return FieldRq(self.grid, self.values.copy())
 
@@ -256,8 +250,9 @@ class ConformalSolver:
             resolution = 48 if self.model.dim == 2 else 32
         self.grid = SpectralGrid(self.model, resolution)
         self.E = jets.PointwiseRightInverse(emb, self.grid.points)
-        _, grad_u, _ = emb.jets_on(self.grid.points)
-        self.grad_u = np.ascontiguousarray(grad_u.transpose(1, 0, 2))   # [N, q, n]
+        # the gradient rows of P: the frame of a flat torus is the identity
+        n = self.model.dim
+        self.grad_u = np.ascontiguousarray(self.E.P[:, :n].transpose(0, 2, 1))   # [N, q, n]
 
     # -- building blocks ------------------------------------------------------
 

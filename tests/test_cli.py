@@ -182,11 +182,52 @@ def test_malformed_config_values_exit_2(tmp_path, capsys):
         "t_grid_string": {"model": TORUS_MODEL, "t_grid": "0.1", "resolution": 8},
         "resolution_string": {"model": TORUS_MODEL, "t_grid": [0.05],
                               "resolution": "abc"},
+        "rho_string": {"model": TORUS_MODEL, "t_grid": [0.05], "rho": "x"},
+        "solver_resolution_string": {"model": TORUS_MODEL,
+                                     "solver": {"resolution": "abc"}},
+        "solver_k_values_string": {"model": TORUS_MODEL, "solver": {"k_values": "0"}},
+        "solver_tol_string": {"model": TORUS_MODEL, "solver": {"tol": "1e-10"}},
+        "solver_max_iter_fraction": {"model": TORUS_MODEL, "solver": {"max_iter": 2.5}},
+        "alpha_string": {"model": TORUS_MODEL, "t_grid": [0.05], "analysis": {"alpha": "x"}},
+        "correction_l_string": {"model": TORUS_MODEL, "t_grid": [0.05],
+                                "correction": {"l": "x"}},
+        "correction_eta_number": {"model": TORUS_MODEL, "t_grid": [0.05],
+                                  "correction": {"eta": 0.0}},
+        "q_override_string": {"model": TORUS_MODEL, "t_grid": [0.05], "q_override": "x"},
+        "spectrum_count_string": {"model": TORUS_MODEL, "t_grid": [0.05],
+                                  "spectrum": {"count": "x"}},
     }
     for name, payload in bad.items():
         cfg = write_config(tmp_path, payload, name=f"{name}.json")
         capsys.readouterr()
-        code = run(["--config", cfg, "--out", str(tmp_path / name), "defect-scan"])
+        command = "perturb" if "solver" in payload else "defect-scan"
+        code = run(["--config", cfg, "--out", str(tmp_path / name), command])
         err = capsys.readouterr().err
         assert code == 2, name
         assert err.startswith("config error:") and err.count("\n") == 1, (name, err)
+
+
+def test_gram_command(tmp_path):
+    """Each probe's gram_P is P P^T of a batch of one at its point, and the
+    repeated-derivative rows of gram_Pc sum to zero, as those of P_c do."""
+    model = {"kind": "product_sphere_circle", "params": {"radius": 1.0, "length": TWO_PI}}
+    cfg = write_config(tmp_path, {"model": model, "t_grid": [0.2], "resolution": 6,
+                                  "seed": 3})
+    out = tmp_path / "out"
+    assert run(["--config", cfg, "--out", str(out), "gram"]) == 0
+    assert load_report(out)["results"]["gram"]["points"] == 4
+    dump = json.loads((out / "gram_diagnostics.json").read_text())
+    manifold = heatconf.ManifoldModel.from_config(model)
+    policy = heatconf.TruncationPolicy(rho=1.0)
+    provider = heatconf.analytic_spectrum(manifold, count=policy.q(0.2, 3) + 8)
+    emb = heatconf.build_embedding(provider, 0.2, policy)
+    assert dump["q"] == emb.q
+    n = 3
+    for entry in dump["points"]:
+        P = heatconf.PointwiseRightInverse(emb, np.array([entry["point"]])).P[0]
+        want = P @ P.T
+        got = np.array(entry["gram_P"])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        Gc = np.array(entry["gram_Pc"])
+        assert Gc.shape == (9, 9)
+        assert np.max(np.abs(Gc[-n:].sum(axis=0))) <= 1e-13 * np.max(np.abs(Gc))

@@ -1,15 +1,22 @@
 """Embedding construction, pullback metrics, defect, correction, tails."""
+import copy
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from heatconf import (CorrectionSpec, ManifoldModel, TruncationPolicy, analytic_spectrum,
                       build_embedding, conformal_defect, corrected_model, defect_scan,
-                      h1_solve, pullback_metric, rescaled_provider, tail_bound_check)
+                      h1_solve, rescaled_provider, tail_bound_check)
 from heatconf import embedding, geometry, spectrum
 from heatconf.errors import ConfigError, PreconditionError, SpectrumError
 
 TWO_PI = 2.0 * np.pi
+
+
+def pullback_at(emb, x) -> np.ndarray:
+    """Pullback metric at one chart point, a batch of one."""
+    return emb.pullback_on(np.asarray(x, dtype=float)[None, :])[0]
 
 
 def test_normalization_constant():
@@ -90,10 +97,12 @@ def test_pullback_empty_sum(torus2):
     assert_allclose(emb.pullback_on(np.array([[0.1, 0.2]])), 0.0)
 
 
-def test_pullback_single_point_matches_grid(torus_embedding):
-    x = np.array([0.3, 1.1])
-    assert_allclose(pullback_metric(torus_embedding, x),
-                    torus_embedding.pullback_on(x[None, :])[0], rtol=1e-14)
+def test_pullback_single_point_matches_grid(torus2, torus_embedding):
+    pts = geometry.sample_grid(torus2, 6).points
+    G = torus_embedding.pullback_on(pts)
+    for i in (0, 7, 35):
+        assert_allclose(pullback_at(torus_embedding, pts[i]), G[i], rtol=1e-14,
+                        atol=1e-14 * np.max(np.abs(G)))
 
 
 def test_conformal_defect_basics():
@@ -198,7 +207,7 @@ def test_product_pullback_against_level_sum_oracle(product):
     prov = analytic_spectrum(product, lambda_max=lam_cut)
     emb = build_embedding(prov, t, TruncationPolicy(q_override=prov.count - 1))
     x = np.array([1.0, 2.0, 0.5])
-    G = pullback_metric(emb, x)
+    G = pullback_at(emb, x)
     F = geometry.orthonormal_frame(product, x)
     frame_diag, defect_sup = product_defect_oracle(t, lam_cut, corrected=False)
     assert_allclose(np.diag(F.T @ G @ F), frame_diag, rtol=1e-10)
@@ -238,7 +247,7 @@ def test_first_order_expansion(product):
     emb = build_embedding(prov, t, TruncationPolicy(q_override=prov.count - 1))
     for x in (np.array([1.0, 0.4, 2.0]), np.array([2.0, 3.0, 0.1])):
         F = geometry.orthonormal_frame(product, x)
-        G = F.T @ pullback_metric(emb, x) @ F
+        G = F.T @ pullback_at(emb, x) @ F
         A1 = F.T @ geometry.a1_tensor(product, x) @ F
         assert np.max(np.abs((G - np.eye(3)) / t - A1)) <= 0.1 * np.max(np.abs(A1))
 
@@ -259,10 +268,10 @@ def test_pullback_scaling_law(torus2):
     prov = analytic_spectrum(torus2, count=120)
     emb = build_embedding(prov, 0.1, TruncationPolicy(q_override=40))
     x = np.array([0.5, 0.7])
-    G1 = pullback_metric(emb, x)
+    G1 = pullback_at(emb, x)
     emb2 = build_embedding(prov, 0.1, TruncationPolicy(q_override=40))
     emb2.weights = 2.0 * emb2.weights       # doubled normalization constant
-    G2 = pullback_metric(emb2, x)
+    G2 = pullback_at(emb2, x)
     assert_allclose(G2, 4.0 * G1, rtol=1e-13)
     g = np.eye(2)
     d1, tr1 = conformal_defect(G1, g), np.trace(G1) / 2
@@ -304,6 +313,14 @@ def test_corrected_scan_uses_original_reference(product):
     base = defect_scan(product, [0.1, 0.07], TruncationPolicy(rho=1.0),
                        resolution=6, lambda_cutoff=lambda t: 12.0 / t)
     assert rows[0]["defect_sup"] < 0.05 * base[0]["defect_sup"]
+
+
+def test_corrected_scan_leaves_spec_unchanged(product):
+    spec = CorrectionSpec(l=2, eta=(0.0,))
+    before = copy.deepcopy(spec)
+    defect_scan(product, [0.1], TruncationPolicy(rho=1.0), correction=spec,
+                resolution=4, lambda_cutoff=lambda t: 8.0 / t)
+    assert spec == before
 
 
 def test_correction_spec_validation():
@@ -397,14 +414,18 @@ def test_corrected_scan_builds_one_provider_per_t(product, monkeypatch):
         assert lam_max == (old.lambda_max if old.lambda_max >= window(t) else window(t))
 
 
-def test_jets_on_scales_fresh_jets(torus2):
-    """The cache holds the weighted jet_block arrays, bit for bit."""
+def test_jets_scale_fresh_jets(torus2):
+    """EmbeddingMap.jets weights the jet_block arrays bit for bit, at every order,
+    and leaves the arrays above the order zero-size."""
     prov = analytic_spectrum(torus2, count=80)
     emb = build_embedding(prov, 0.1, TruncationPolicy(q_override=40))
     pts = geometry.sample_grid(torus2, 6).points
-    got = emb.jets_on(pts)
     raw = prov.jet_block(1, emb.q + 1, pts)
     w = emb.weights
-    for arr, ref in zip(got, raw):
-        assert np.array_equal(arr, w.reshape((-1,) + (1,) * (ref.ndim - 1)) * ref)
-    assert emb.jets_on(pts) is got
+    for deriv in (0, 1, 2):
+        got = emb.jets(pts, deriv=deriv)
+        for order, (arr, ref) in enumerate(zip(got, raw)):
+            if order > deriv:
+                assert arr.size == 0
+            else:
+                assert np.array_equal(arr, w.reshape((-1,) + (1,) * (ref.ndim - 1)) * ref)

@@ -3,14 +3,40 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from heatconf import (TruncationPolicy, analytic_spectrum, apply_E,
-                      apply_Ec, assemble_P, assemble_Pc, block_inverse, build_embedding,
-                      kernel_generator, xi_inverse, xi_matrix)
+from heatconf import (PointwiseRightInverse, TruncationPolicy, analytic_spectrum,
+                      block_inverse, build_embedding, trace_free_rows, xi_inverse, xi_matrix)
 from heatconf import analysis, geometry, jets
 from heatconf.errors import PreconditionError
 
 TWO_PI = 2.0 * np.pi
 X0 = np.array([0.7, 1.9])
+G_RHS = np.array([0.0, 0.0, 0.0, 1.0, 1.0])     # (0, identity) packed, n = 2
+
+
+def right_inverse_at(emb, x) -> PointwiseRightInverse:
+    """E on the single chart point x, a batch of one."""
+    return PointwiseRightInverse(emb, np.atleast_1d(np.asarray(x, dtype=float))[None, :])
+
+
+def P_at(emb, x) -> np.ndarray:
+    return right_inverse_at(emb, x).P[0]
+
+
+def Pc_at(emb, x) -> np.ndarray:
+    return trace_free_rows(P_at(emb, x), emb.model.dim)
+
+
+def solve_at(emb, x, rhs) -> np.ndarray:
+    return right_inverse_at(emb, x).apply(np.asarray(rhs, dtype=float)[None, :])[0]
+
+
+def unpack_symmetric(packed: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of jets.pack_symmetric, written from the row contract."""
+    out = np.zeros(packed.shape[:-1] + (n, n))
+    for idx, (a, b) in enumerate(jets.row_index_pairs(n)):
+        out[..., a, b] = packed[..., idx]
+        out[..., b, a] = packed[..., idx]
+    return out
 
 
 def test_row_ordering_contract():
@@ -19,22 +45,25 @@ def test_row_ordering_contract():
     h = np.array([[1.0, 4.0], [4.0, 2.0]])
     packed = jets.pack_symmetric(h)
     assert_allclose(packed, [4.0, 1.0, 2.0])
-    assert_allclose(jets.unpack_symmetric(packed, 2), h)
+    assert_allclose(unpack_symmetric(packed, 2), h)
+    stack = np.random.default_rng(4).standard_normal((5, 3, 3))
+    stack = stack + stack.transpose(0, 2, 1)
+    assert np.array_equal(unpack_symmetric(jets.pack_symmetric(stack), 3), stack)
 
 
 def test_row_counts(torus_embedding, circle):
-    P = assemble_P(torus_embedding, X0)
+    P = P_at(torus_embedding, X0)
     assert P.shape == (5, torus_embedding.q)    # n (n+3) / 2 = 5
     cprov = analytic_spectrum(circle, count=60)
     cemb = build_embedding(cprov, 0.1, TruncationPolicy(rho=1.0))
-    Pc = assemble_P(cemb, np.array([0.4]))
+    Pc = P_at(cemb, np.array([0.4]))
     assert Pc.shape == (2, cemb.q)              # n = 1: 1 + 1 rows
 
 
 def test_torus_covariant_equals_coordinate(torus_embedding):
     # flat torus: vanishing connection makes covariant = coordinate derivatives
-    vals, grads, hess = torus_embedding.component_jets(X0)
-    P = assemble_P(torus_embedding, X0)
+    vals, grads, hess = (a[:, 0] for a in torus_embedding.jets(X0[None, :]))
+    P = P_at(torus_embedding, X0)
     assert_allclose(P[0], grads[:, 0], atol=1e-15)
     assert_allclose(P[2], hess[:, 0, 1], atol=1e-15)   # row (0,1)
     assert_allclose(P[3], hess[:, 0, 0], atol=1e-15)   # row (0,0)
@@ -45,23 +74,23 @@ def test_sphere_covariant_correction(sphere):
     prov = analytic_spectrum(sphere, count=50)
     emb = build_embedding(prov, 0.15, TruncationPolicy(q_override=24))
     x = np.array([1.0, 2.0])
-    P = assemble_P(emb, x)
+    P = P_at(emb, x)
     m = geometry.metric_at(sphere, x)
     F = geometry.orthonormal_frame(sphere, x)
-    vals, grads, hess = emb.component_jets(x)
+    vals, grads, hess = (a[:, 0] for a in emb.jets(x[None, :]))
     hess_cov = hess - np.einsum("kij,qk->qij", m.christoffel, grads)
     expected = np.einsum("ia,qij,jb->qab", F, hess_cov, F)
     assert_allclose(P[2], expected[:, 0, 1], atol=1e-13)
 
 
 def test_P_full_rank(torus_embedding):
-    sv = np.linalg.svd(assemble_P(torus_embedding, X0), compute_uv=False)
+    sv = np.linalg.svd(P_at(torus_embedding, X0), compute_uv=False)
     assert sv[4] > 1e-3 * np.sqrt(2 * 0.05)    # smallest of the O(sqrt(1/2t)) scale split
 
 
 def test_Pc_loses_exactly_one_rank(torus_embedding):
-    P = assemble_P(torus_embedding, X0)
-    Pc = assemble_Pc(torus_embedding, X0)
+    P = P_at(torus_embedding, X0)
+    Pc = Pc_at(torus_embedding, X0)
     sv = np.linalg.svd(P, compute_uv=False)
     svc = np.linalg.svd(Pc, compute_uv=False)
     thresh = 1e-8
@@ -73,8 +102,8 @@ def test_Pc_loses_exactly_one_rank(torus_embedding):
 
 
 def test_Pc_is_projection_of_P(torus_embedding):
-    P = assemble_P(torus_embedding, X0)
-    Pc = assemble_Pc(torus_embedding, X0)
+    P = P_at(torus_embedding, X0)
+    Pc = Pc_at(torus_embedding, X0)
     n = 2
     D = np.zeros((5, 5))
     D[3:, 3:] = np.ones((2, 2))       # selector of the repeated-derivative rows
@@ -85,14 +114,14 @@ def test_gram_blocks_small_t(torus2):
     t = 0.02
     prov = analytic_spectrum(torus2, count=2700)
     emb = build_embedding(prov, t, TruncationPolicy(rho=1.0))
-    P = assemble_P(emb, X0)
+    P = P_at(emb, X0)
     G = P @ P.T
     assert_allclose(G[:2, :2], np.eye(2), atol=5 * t)
     lower = 2 * t * G[2:, 2:]
     target = np.eye(3)
     target[1:, 1:] = 3.0 * xi_matrix(2, 1.0 / 3.0)
     assert_allclose(lower, target, atol=5 * t)
-    Pc = assemble_Pc(emb, X0)
+    Pc = Pc_at(emb, X0)
     Gc = Pc @ Pc.T
     target_c = np.eye(3)
     target_c[1:, 1:] = 1.0 * xi_matrix(2, -1.0)     # (2n-2)/n Xi(-1/(n-1)), n = 2
@@ -103,7 +132,7 @@ def test_gram_inverse_asymptotics(torus2):
     t = 0.02
     prov = analytic_spectrum(torus2, count=2700)
     emb = build_embedding(prov, t, TruncationPolicy(rho=1.0))
-    P = assemble_P(emb, X0)
+    P = P_at(emb, X0)
     G_inv = np.linalg.inv(P @ P.T)
     assert_allclose(G_inv[:2, :2], np.eye(2), atol=5 * t)
     target = np.eye(3)
@@ -139,59 +168,54 @@ def test_block_inverse_rejects_singular():
 
 def test_apply_E_right_inverse(torus_embedding):
     rng = np.random.default_rng(12)
-    P = assemble_P(torus_embedding, X0)
-    assert_allclose(apply_E(torus_embedding, X0,
-                            jets.RhsVector.from_flat(np.zeros(5), 2)), 0.0)
+    E = right_inverse_at(torus_embedding, X0)
+    P = E.P[0]
+    assert_allclose(E.apply(np.zeros((1, 5))), 0.0)
     for _ in range(100):
-        rhs = jets.RhsVector.from_flat(rng.standard_normal(5), 2)
-        v = apply_E(torus_embedding, X0, rhs)
-        assert np.linalg.norm(P @ v - rhs.flat) <= 1e-9 * np.linalg.norm(rhs.flat)
+        rhs = rng.standard_normal(5)
+        v = E.apply(rhs[None, :])[0]
+        assert np.linalg.norm(P @ v - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
 
 def test_apply_E_orthogonal_to_kernel(torus_embedding):
     # null-space basis from the singular value decomposition as the oracle
-    P = assemble_P(torus_embedding, X0)
+    P = P_at(torus_embedding, X0)
     _, _, VT = np.linalg.svd(P, full_matrices=True)
     kernel = VT[5:]
     rng = np.random.default_rng(13)
-    rhs = jets.RhsVector.from_flat(rng.standard_normal(5), 2)
-    v = apply_E(torus_embedding, X0, rhs)
+    v = solve_at(torus_embedding, X0, rng.standard_normal(5))
     overlap = kernel @ v
     assert np.max(np.abs(overlap)) <= 1e-9 * np.linalg.norm(v)
 
 
 def test_kernel_generator(torus_embedding):
-    Pc = assemble_Pc(torus_embedding, X0)
-    P = assemble_P(torus_embedding, X0)
-    w = kernel_generator(torus_embedding, X0)
+    Pc = Pc_at(torus_embedding, X0)
+    P = P_at(torus_embedding, X0)
+    w = right_inverse_at(torus_embedding, X0).kernel_generator()[0]
     assert np.linalg.norm(Pc @ w) <= 1e-9 * np.sqrt(2.0)
     assert w @ w > 0
-    rhs = P @ w
-    assert_allclose(rhs, jets.RhsVector.from_tensor(np.zeros(2), np.eye(2)).flat,
-                    atol=1e-9)
+    assert_allclose(P @ w, G_RHS, atol=1e-9)
     _, _, VT = np.linalg.svd(P, full_matrices=True)
     assert np.max(np.abs(VT[5:] @ w)) <= 1e-9 * np.linalg.norm(w)
 
 
 def test_apply_Ec_family(torus_embedding):
+    """E(0, h) + k E(0, g) has one P_c image for every k, and w is E(0, g)."""
     h = np.array([[0.4, 0.6], [0.6, -0.4]])
-    Pc = assemble_Pc(torus_embedding, X0)
-    w = kernel_generator(torus_embedding, X0)
-    base = apply_Ec(torus_embedding, X0, h, 0.0)
-    rhs0 = jets.RhsVector.from_tensor(np.zeros(2), h)
-    assert_allclose(base, apply_E(torus_embedding, X0, rhs0), atol=1e-15)
+    E = right_inverse_at(torus_embedding, X0)
+    Pc = trace_free_rows(E.P[0], 2)
+    w = E.kernel_generator()[0]
+    base = E.apply_tensor(np.zeros((1, 2)), h[None])[0]
+    rhs0 = np.concatenate([np.zeros(2), jets.pack_symmetric(h)])
+    assert_allclose(base, E.apply(rhs0[None, :])[0], atol=1e-15)
+    assert np.array_equal(w, E.apply(G_RHS[None, :])[0])
     images = []
     for k in (-1.0, 0.5, 2.0):
-        v = apply_Ec(torus_embedding, X0, h, k)
+        v = E.apply_tensor(np.zeros((1, 2)), (h + k * np.eye(2))[None])[0]
         assert_allclose(v - base, k * w, atol=1e-12)
         images.append(Pc @ v)
     for img in images[1:]:
         assert_allclose(img, images[0], atol=1e-10)
-
-
-def test_apply_Ec_rejects_traceful(torus_embedding):
-    with pytest.raises(PreconditionError, match="traceless"):
-        apply_Ec(torus_embedding, X0, np.eye(2), 0.0)
 
 
 def test_kernel_dimension_gap(torus_embedding):
@@ -199,8 +223,8 @@ def test_kernel_dimension_gap(torus_embedding):
     rng = np.random.default_rng(5)
     for _ in range(4):
         x = rng.uniform(0, TWO_PI, 2)
-        P = assemble_P(torus_embedding, x)
-        Pc = assemble_Pc(torus_embedding, x)
+        P = P_at(torus_embedding, x)
+        Pc = Pc_at(torus_embedding, x)
         q = P.shape[1]
         sv = np.linalg.svd(P, compute_uv=False)
         svc = np.linalg.svd(Pc, compute_uv=False)
@@ -241,17 +265,17 @@ def test_E_operator_norm_scaling(torus2):
         emb = build_embedding(prov, t, TruncationPolicy(rho=1.0))
         vals = []
         for _ in range(6):
-            rhs = jets.RhsVector.from_flat(rng.standard_normal(5), 2)
+            rhs = rng.standard_normal(5)
             x = rng.uniform(0, TWO_PI, 2)
-            vals.append(np.linalg.norm(apply_E(emb, x, rhs))
-                        / np.linalg.norm(rhs.flat))
+            vals.append(np.linalg.norm(solve_at(emb, x, rhs)) / np.linalg.norm(rhs))
         norms.append(max(vals))
     fit = analysis.fit_order(ts, norms)
     assert fit.slope >= -(0 + 0.5) / 2 - 0.2
 
 
 def test_pointwise_right_inverse_batch(torus2, torus_embedding):
-    """The batched E solves P v = rhs, and the per-point API is its batch of one.
+    """The batched E solves P v = rhs, and row i of an N-point batch equals a
+    batch of one at point i: P, its Gram, E, w and E(0, h).
 
     t = 0.02 is the regime a separate block-inverse route once served.
     """
@@ -261,7 +285,7 @@ def test_pointwise_right_inverse_batch(torus2, torus_embedding):
     rng = np.random.default_rng(3)
     h = np.array([[0.4, 0.6], [0.6, -0.4]])
     for emb in (torus_embedding, small_t):
-        E = jets.PointwiseRightInverse(emb, pts)
+        E = PointwiseRightInverse(emb, pts)
         rhs = rng.standard_normal((len(pts), 5))
         sol = E.apply(rhs)
         resid = np.einsum("nmq,nq->nm", E.P, sol) - rhs
@@ -269,13 +293,13 @@ def test_pointwise_right_inverse_batch(torus2, torus_embedding):
         w = E.kernel_generator()
         Eh = E.apply_tensor(np.zeros((len(pts), 2)), np.broadcast_to(h, (len(pts), 2, 2)))
         for i in (0, 5, 27, 63):
-            pairs = [(apply_E(emb, pts[i], jets.RhsVector.from_flat(rhs[i], 2)), sol[i]),
-                     (kernel_generator(emb, pts[i]), w[i]),
-                     (apply_Ec(emb, pts[i], h), Eh[i]),
-                     (apply_Ec(emb, pts[i], h, 0.7), Eh[i] + 0.7 * w[i])]
+            one = right_inverse_at(emb, pts[i])
+            pairs = [(one.P[0], E.P[i]), (one.gram[0], E.gram[i]),
+                     (one.apply(rhs[i][None, :])[0], sol[i]),
+                     (one.kernel_generator()[0], w[i]),
+                     (one.apply_tensor(np.zeros((1, 2)), h[None])[0], Eh[i])]
             for single, row in pairs:
                 assert np.linalg.norm(single - row) <= 1e-13 * np.linalg.norm(row)
-
 
 
 def test_singular_gram_is_precondition_failure(torus_embedding):
@@ -289,7 +313,7 @@ def jet_rows_oracle(emb, points):
     """P [N, m, q] from the generic tensor formulas: Christoffel correction and
     frame rotation as full einsums, no use of the diagonal frame."""
     model, n = emb.model, emb.model.dim
-    _, grads, hess = emb.jets_on(points)
+    _, grads, hess = emb.jets(points)
     gamma = geometry.christoffel_on_grid(model, points)
     _, _, frame = geometry.metric_on_grid(model, points)
     hess_cov = hess - np.einsum("nkij,qnk->qnij", gamma, grads)

@@ -236,7 +236,7 @@ def test_fixed_point_trivial(solver, torus_embedding):
     f = np.zeros((solver.grid.N, 2, 2))
     history, v = fixed_point_solve(torus_embedding, f, k=0.0, solver=solver)
     assert len(history) == 1
-    assert v.sup_norm() == 0.0
+    assert np.max(np.linalg.norm(v.values, axis=1)) == 0.0
 
 
 def test_fixed_point_converges(solved):
@@ -320,9 +320,9 @@ def test_assemble_C(solver, torus_embedding, manufactured, solved):
 
 def test_field_norms(sgrid):
     v = perturb.FieldRq(sgrid, np.zeros((sgrid.N, 4)))
-    assert v.sup_norm() == 0.0
+    assert np.max(np.linalg.norm(v.values, axis=1)) == 0.0
     v2 = perturb.FieldRq(sgrid, np.ones((sgrid.N, 4)))
-    assert_allclose(v2.sup_norm(), 2.0)
+    assert_allclose(np.max(np.linalg.norm(v2.values, axis=1)), 2.0)
     with pytest.raises(Exception):
         perturb.ResolventConfig(e=0.0)
 
@@ -383,6 +383,26 @@ def test_one_gradient_per_iterate(solver, torus_embedding, manufactured, monkeyp
     # a different defect is not answered from the stored residual
     other = verify_conformal(torus_embedding, v, 2.0 * manufactured, solver)
     assert other.residual_sup > 1e-4
+
+
+def test_solver_fetches_grid_jets_once(torus_embedding, monkeypatch):
+    """Building the solver makes one deriv=2 jet_block call on its grid, and
+    grad_u is the weighted jet_block gradient bit for bit."""
+    provider = torus_embedding.provider
+    calls = []
+    jet_block = type(provider).jet_block
+
+    def counted(self, j0, j1, points, deriv=2):
+        calls.append(deriv)
+        return jet_block(self, j0, j1, points, deriv)
+
+    monkeypatch.setattr(type(provider), "jet_block", counted)
+    built = perturb.ConformalSolver(torus_embedding, resolution=16)
+    assert calls == [2]
+    monkeypatch.undo()
+    _, grads, _ = provider.jet_block(1, torus_embedding.q + 1, built.grid.points)
+    want = (torus_embedding.weights[:, None, None] * grads).transpose(1, 0, 2)
+    assert np.array_equal(built.grad_u, want)
 
 
 def test_min_pair_distance_in_blocks():
