@@ -17,9 +17,8 @@ from .geometry import ManifoldModel, MetricAtPoint, SampleGrid, a1_tensor, metri
 from .jets import (PointwiseRightInverse, block_inverse, trace_free_rows, xi_inverse,
                    xi_matrix)
 from .perturb import (ConformalResult, ConformalSolver, FieldRq, IterationState,
-                      ResolventConfig, SpectralGrid, assemble_C, fixed_point_solve,
-                      verify_conformal)
-from .spectrum import (EigenPair, JetEvaluation, SpectrumProvider, analytic_spectrum,
+                      SpectralGrid, assemble_C, fixed_point_solve, verify_conformal)
+from .spectrum import (EigenPair, SpectrumProvider, analytic_spectrum,
                        enumerate_eigenpairs, load_external_spectrum, rescaled_provider,
                        save_spectrum)
 

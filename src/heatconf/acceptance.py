@@ -8,6 +8,7 @@ such checks still run and report honestly.
 """
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -30,6 +31,7 @@ class CheckResult:
 
 
 def _timed(fn):
+    @functools.wraps(fn)
     def wrapper(*args, **kwargs) -> CheckResult:
         t0 = time.perf_counter()
         result = fn(*args, **kwargs)

@@ -81,6 +81,7 @@ class RunConfig:
     correction: "object | None"
     spectrum_count: int | None
     spectrum_lambda_max: float | None
+    spectrum_lambda_t_margin: float | None
     solver: dict
     verify: dict
     seed: int
@@ -116,6 +117,39 @@ def _optional(parse, value, name: str):
     return None if value is None else parse(value, name)
 
 
+def _as_section(value, name: str) -> dict:
+    from .errors import ConfigError
+
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
+def _as_verify(value, name: str) -> dict:
+    """The verify section: known criterion names, overrides that bind to them."""
+    import inspect
+
+    from .acceptance import ALL_CHECKS
+    from .errors import ConfigError
+
+    section = _as_section(value, name)
+    criteria = section.get("criteria")
+    if criteria is not None and not (isinstance(criteria, list) and all(
+            isinstance(c, str) and c in ALL_CHECKS for c in criteria)):
+        raise ConfigError(f"{name}.criteria must be a list of criteria from "
+                          f"{', '.join(ALL_CHECKS)}, got {criteria!r}")
+    for crit, kwargs in _as_section(section.get("overrides", {}),
+                                    f"{name}.overrides").items():
+        if crit not in ALL_CHECKS:
+            raise ConfigError(f"{name}.overrides names unknown criterion {crit!r}")
+        try:
+            inspect.signature(ALL_CHECKS[crit]).bind(
+                **_as_section(kwargs, f"{name}.overrides.{crit}"))
+        except TypeError as exc:
+            raise ConfigError(f"{name}.overrides.{crit}: {exc}") from None
+    return section
+
+
 _SOLVER_FIELDS = {"e": _as_float, "tol": _as_float, "max_iter": _as_int,
                   "k_values": _as_float_list, "epsilon": _as_float, "t": _as_float,
                   "resolution": _as_int, "theta_threshold": _as_float,
@@ -138,13 +172,13 @@ def load_config(path, seed_override=None) -> RunConfig:
         raise ConfigError("config must be a JSON object")
 
     model = ManifoldModel.from_config(raw["model"]) if "model" in raw else None
-    corr_cfg = raw.get("correction")
+    corr_cfg = _optional(_as_section, raw.get("correction"), "correction")
     correction = None
     if corr_cfg:
         correction = embedding.CorrectionSpec(
             l=_as_int(corr_cfg.get("l", 2), "correction.l"),
             eta=tuple(_as_float_list(corr_cfg.get("eta", [0.0]), "correction.eta")))
-    ana = raw.get("analysis", {})
+    ana = _as_section(raw.get("analysis", {}), "analysis")
     s = _as_int(ana.get("s", 2), "analysis.s")
     alpha = _as_float(ana.get("alpha", 0.45), "analysis.alpha")
     if not 0 < alpha < 1:
@@ -158,10 +192,10 @@ def load_config(path, seed_override=None) -> RunConfig:
         "epsilon": 1e-3, "t": 0.05, "resolution": 48, "theta_threshold": 0.25,
         "f_mode": [1, 0],
     }
-    solver.update(raw.get("solver", {}))
+    solver.update(_as_section(raw.get("solver", {}), "solver"))
     for key, parse in _SOLVER_FIELDS.items():
         solver[key] = parse(solver[key], f"solver.{key}")
-    spec_cfg = raw.get("spectrum", {})
+    spec_cfg = _as_section(raw.get("spectrum", {}), "spectrum")
     seed = _as_int(raw.get("seed", 0) if seed_override is None else seed_override, "seed")
     t_grid = _as_float_list(raw.get("t_grid", []), "t_grid")
     return RunConfig(
@@ -175,8 +209,10 @@ def load_config(path, seed_override=None) -> RunConfig:
         spectrum_count=_optional(_as_int, spec_cfg.get("count"), "spectrum.count"),
         spectrum_lambda_max=_optional(_as_float, spec_cfg.get("lambda_max"),
                                       "spectrum.lambda_max"),
+        spectrum_lambda_t_margin=_optional(_as_float, spec_cfg.get("lambda_t_margin"),
+                                           "spectrum.lambda_t_margin"),
         solver=solver,
-        verify=raw.get("verify", {}),
+        verify=_as_verify(raw.get("verify", {}), "verify"),
         seed=seed,
     )
 
@@ -243,9 +279,9 @@ def cmd_defect_scan(cfg: RunConfig, out_dir: Path) -> dict:
         raise ConfigError("defect-scan needs a model and a t_grid")
     policy = embedding.TruncationPolicy(rho=cfg.rho, q_override=cfg.q_override)
     window = cfg.spectrum_lambda_max
-    margin = cfg.raw.get("spectrum", {}).get("lambda_t_margin")
+    margin = cfg.spectrum_lambda_t_margin
     if margin is not None:
-        window = lambda t: float(margin) / t
+        window = lambda t: margin / t
     rows = embedding.defect_scan(cfg.model, cfg.t_grid, policy,
                                  correction=cfg.correction,
                                  resolution=cfg.resolution,
@@ -323,13 +359,19 @@ def cmd_perturb(cfg: RunConfig, out_dir: Path) -> dict:
     if cfg.model is None:
         raise ConfigError("perturb needs a model")
     sv = cfg.solver
+    n = cfg.model.dim
+    if n < 2:
+        raise ConfigError("perturb needs a model of dimension at least 2: its "
+                          "manufactured defect diag(1, -1) needs two axes")
+    if len(sv["f_mode"]) > n:
+        raise ConfigError(f"solver.f_mode has {len(sv['f_mode'])} entries, more than "
+                          f"the model dimension {n}")
     t = sv["t"]
     policy = embedding.TruncationPolicy(rho=cfg.rho, q_override=cfg.q_override)
-    q_needed = policy.q(t, cfg.model.dim)
+    q_needed = policy.q(t, n)
     provider = spectrum.analytic_spectrum(cfg.model, count=q_needed + 8)
     emb = embedding.build_embedding(provider, t, policy)
     solver = perturb.ConformalSolver(emb, resolution=sv["resolution"], e=sv["e"])
-    n = cfg.model.dim
     mode = np.zeros(n)
     mode[:len(sv["f_mode"])] = sv["f_mode"]
     phase = solver.grid.points @ mode
@@ -446,7 +488,7 @@ def main(argv=None) -> int:
                             t_grid=[], resolution=16, analysis_s=2,
                             analysis_alpha=0.45, correction=None,
                             spectrum_count=None, spectrum_lambda_max=None,
-                            solver={}, verify={},
+                            spectrum_lambda_t_margin=None, solver={}, verify={},
                             seed=args.seed if args.seed is not None else 0)
         else:
             raise ConfigError("--config is required for this command")

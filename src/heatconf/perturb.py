@@ -42,15 +42,6 @@ from .geometry import ManifoldModel
 DEFAULT_THETA_THRESHOLD = 0.25
 
 
-@dataclass(frozen=True)
-class ResolventConfig:
-    e: float = 1.0
-
-    def __post_init__(self):
-        if self.e <= 0:
-            raise ConfigError("spectral shift e must be strictly positive")
-
-
 class SpectralGrid:
     """Uniform FFT grid on a flat torus with exact derivative and resolvent ops.
 
@@ -117,10 +108,6 @@ class SpectralGrid:
         """[N, ...] -> [N, ..., n]."""
         spec = self.to_spec(values)
         return self.from_spec(spec[..., None] * self._bcast(1j * self.kvecs, values.ndim - 1))
-
-    def laplacian(self, values: np.ndarray) -> np.ndarray:
-        spec = self.to_spec(values)
-        return self.from_spec(spec * self._bcast(-self.lam, values.ndim - 1))
 
     def resolvent(self, values: np.ndarray, e: float) -> np.ndarray:
         """(Delta - e)^{-1}: spectral coefficient c_lam -> c_lam / (-lam - e)."""
@@ -245,7 +232,9 @@ class ConformalSolver:
         self.model = emb.model
         if self.model.kind != geometry.FLAT_TORUS:
             raise PreconditionError("the fixed-point solver runs on flat tori only")
-        self.e = ResolventConfig(e).e
+        if e <= 0:
+            raise ConfigError("spectral shift e must be strictly positive")
+        self.e = e
         if resolution is None:
             resolution = 48 if self.model.dim == 2 else 32
         self.grid = SpectralGrid(self.model, resolution)

@@ -11,12 +11,22 @@ modes share one lattice implementation: a block's jets come from one
 exp(i kappa_a x_a) table per axis, multiplied into cos and sin once per
 lattice vector and gathered onto that vector's cos and sin modes.
 
+Sphere modes (on S^2 and the S^2 factor of S^2 x S^1) come from one fully
+normalized associated Legendre table per block, built over the block's
+distinct theta: sectoral seeds Q_m^m, then the three-term recurrence in the
+degree at fixed order (Holmes & Featherstone, J. Geodesy 76 (2002) 279-299).
+Its theta-derivatives come from the ladder identity
+dQ_k^m/dtheta = (sqrt((k-m)(k+m+1)) Q_k^{m+1} - sqrt((k+m)(k-m+1)) Q_k^{m-1}) / 2,
+applied twice, so no step divides by sin(theta) and the jets stay finite at
+any degree.
+
 Conventions fixed here (recorded in run reports):
 
 * eigenvalues are indexed with multiplicity, lambda_0 = 0 first;
 * within an eigenvalue tie, modes are ordered by descriptor tuple
   (lattice vector lexicographic / harmonic (k, m) order), cosine before sine;
-* associated Legendre functions follow scipy's sign convention.
+* associated Legendre functions carry the Condon-Shortley sign (-1)^m,
+  which is scipy's sign convention.
 """
 from __future__ import annotations
 
@@ -25,21 +35,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
-
-try:
-    from scipy.special import assoc_legendre_p_all
-
-    def _legendre_all(kmax: int, x: float):
-        """P_k^m(x) and dP/dx as [k, m] tables for 0 <= m <= k <= kmax."""
-        out = assoc_legendre_p_all(kmax, kmax, x, diff_n=1)
-        return out[0][:, :kmax + 1], out[1][:, :kmax + 1]
-except ImportError:                                    # scipy < 1.15
-    from scipy.special import lpmn
-
-    def _legendre_all(kmax: int, x: float):
-        P, dP = lpmn(kmax, kmax, x)
-        return P.T.copy(), dP.T.copy()
 
 from . import geometry
 from .errors import ConfigError, SpectrumError
@@ -53,15 +48,6 @@ class EigenPair:
     index: int
     lam: float
     descriptor: tuple
-
-
-@dataclass
-class JetEvaluation:
-    """Value and chart-coordinate derivatives of one eigenfunction at a point."""
-
-    value: float
-    gradient: np.ndarray
-    hessian: np.ndarray
 
 
 class SpectrumProvider:
@@ -78,13 +64,6 @@ class SpectrumProvider:
     def lambdas(self) -> np.ndarray:
         return self._lambdas
 
-    def eval_jet(self, j: int, x) -> JetEvaluation:
-        if not 0 <= j < self.count:
-            raise SpectrumError(f"mode index {j} out of range (count {self.count})")
-        x = geometry.wrap_point(self.model, x)
-        vals, grads, hess = self.jet_block(j, j + 1, x[None, :])
-        return JetEvaluation(float(vals[0, 0]), grads[0, 0].copy(), hess[0, 0].copy())
-
     def jet_block(self, j0: int, j1: int, points: np.ndarray, deriv: int = 2):
         """Jets of modes j0..j1-1 at chart points [N, n], up to order `deriv`.
 
@@ -96,12 +75,6 @@ class SpectrumProvider:
         are fresh, so the caller may scale them in place.
         """
         raise NotImplementedError
-
-    def gram_matrix(self, grid: geometry.SampleGrid, j0: int = 0, j1: int | None = None):
-        """Quadrature Gram matrix of modes j0..j1-1 (orthonormality check)."""
-        j1 = self.count if j1 is None else j1
-        vals, _, _ = self.jet_block(j0, j1, grid.points, deriv=0)
-        return (vals * grid.weights) @ vals.T
 
 
 def _check_deriv(deriv: int) -> None:
@@ -281,98 +254,90 @@ def _circle_modes(length: float, lambda_max: float):
     return _mode_arrays(modes)
 
 
-class _LegendreTable:
-    """P_k^m(cos theta) with first and second theta-derivatives at fixed theta."""
+def _legendre_jets(kmax: int, theta: np.ndarray):
+    """Orthonormal Q_k^m(theta) and its first two theta-derivatives, [k, m, T] each.
 
-    def __init__(self, kmax: int, theta: float):
-        x = np.cos(theta)
-        st = np.sin(theta)
-        self.P, dPdx = _legendre_all(kmax, x)         # [k, m]
-        ks = np.arange(kmax + 1)[:, None]
-        ms = np.arange(kmax + 1)[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # Legendre ODE: (1-x^2) P'' = 2x P' - [k(k+1) - m^2/(1-x^2)] P
-            d2Pdx2 = (2.0 * x * dPdx
-                      - (ks * (ks + 1) - ms * ms / (1.0 - x * x)) * self.P) / (1.0 - x * x)
-        d2Pdx2 = np.where(ms <= ks, d2Pdx2, 0.0)
-        self.P_t = -st * dPdx
-        self.P_tt = st * st * d2Pdx2 - x * dPdx
+    Q_k^m = sqrt((2k+1)/(4 pi) (k-m)!/(k+m)!) P_k^m(cos theta) for
+    0 <= m <= k <= kmax, and zero for m > k up to m = kmax + 1, so that the
+    ladder reads Q_k^{m+1} at every m.  Values come from the sectoral seeds
+    and the three-term recurrence in k at fixed m; each derivative from the
+    ladder identity, so nothing divides by sin(theta).
+    """
+    K = kmax + 1
+    # run the recurrence at the angle theta' <= pi/2 to the nearer pole, with
+    # cos theta' = 1 - h and h = 2 sin^2(theta'/2) kept to full relative
+    # precision: rounding cos theta' near 1 would mix two slightly different
+    # angles into the seeds and the recurrence, an error that grows with k
+    theta = np.asarray(theta, dtype=float)
+    south = theta > np.pi / 2
+    half = 0.5 * np.where(south, np.pi - theta, theta)
+    y, h = np.sin(2.0 * half), 2.0 * np.sin(half) ** 2
+    Q = np.zeros((K, K + 1) + theta.shape)
+    Q[0, 0] = 1.0 / np.sqrt(4.0 * np.pi)
+    for k in range(1, K):
+        diag = Q[k - 1, k - 1]
+        Q[k, k] = -np.sqrt((2 * k + 1) / (2 * k)) * y * diag
+        Q[k, k - 1] = np.sqrt(2 * k + 1) * (diag - h * diag)
+        m = np.arange(k - 1)[:, None]
+        a = np.sqrt((4 * k * k - 1) / (k * k - m * m))
+        b = np.sqrt(((k - 1) ** 2 - m * m) / (4 * (k - 1) ** 2 - 1))
+        prev = Q[k - 1, :k - 1]
+        Q[k, :k - 1] = a * ((prev - h * prev) - b * Q[k - 2, :k - 1])
+    ks, ms = np.ogrid[:K, :K + 1]
+    Q[:, :, south] *= np.where((ks + ms) % 2, -1.0, 1.0)[:, :, None]   # Q_k^m(pi - theta)
+    up = np.sqrt(np.maximum((ks - ms) * (ks + ms + 1), 0))[:, :, None]
 
+    def ladder(F):
+        # dF^m = (up_m F^{m+1} - up_{m-1} F^{m-1}) / 2, with F^{-1} = -F^1
+        D = np.zeros_like(F)
+        D[:, :-1] = up[:, :-1] * F[:, 1:]
+        D[:, 1:] -= up[:, :-1] * F[:, :-1]
+        D[:, 0] += up[:, 0] * F[:, 1]
+        D *= 0.5
+        return D
 
-def _sphere_norms(kmax: int) -> np.ndarray:
-    """Orthonormalization constants for real spherical harmonics, [k, m]."""
-    ks = np.arange(kmax + 1)[:, None]
-    ms = np.arange(kmax + 1)[None, :]
-    logratio = gammaln(ks - ms + 1) - gammaln(ks + ms + 1)
-    norm = np.sqrt((2 * ks + 1) / (4.0 * np.pi) * np.exp(logratio))
-    norm = np.where(ms <= ks, norm, 0.0)
-    return norm * np.where(ms > 0, np.sqrt(2.0), 1.0)
-
-
-class _SphereBasis:
-    """Jet evaluation of real spherical harmonics on S^2(R), vectorized per point set."""
-
-    def __init__(self, radius: float, kmax: int):
-        self.radius = radius
-        self.kmax = kmax
-        self.norms = _sphere_norms(kmax)
-        self._tables: dict[float, _LegendreTable] = {}
-
-    def table(self, theta: float) -> _LegendreTable:
-        key = round(float(theta), 14)
-        if key not in self._tables:
-            self._tables[key] = _LegendreTable(self.kmax, theta)
-        return self._tables[key]
-
-    def jets(self, kk, mm, even, points, deriv=2):
-        """Jets of the sphere modes (kk, mm, even) at points [N, >=2].
-
-        kk, mm are integer arrays of degree and order, `even` is True for the
-        cos(m phi) modes.  Returns (vals [M, N], grads [M, N, 2],
-        hess [M, N, 2, 2]) in (theta, phi), with the arrays above `deriv`
-        zero-size.  Vectorized over modes; Legendre tables are shared per
-        distinct theta.
-        """
-        points = np.asarray(points, dtype=float)
-        N = points.shape[0]
-        M = kk.size
-        even = even[:, None]
-        A = (self.norms[kk, mm] / self.radius)[:, None]
-        mf = mm.astype(float)[:, None]
-        vals = np.empty((M, N))
-        grads = np.empty((M, N, 2)) if deriv >= 1 else _unrequested()
-        hess = np.empty((M, N, 2, 2)) if deriv >= 2 else _unrequested()
-        thetas = points[:, 0]
-        order = np.argsort(thetas, kind="stable")
-        for pts in _group_by_value(thetas, order):
-            tab = self.table(thetas[pts[0]])
-            ang = mf * points[pts, 1][None, :]
-            c, s = np.cos(ang), np.sin(ang)
-            T = np.where(even, c, s)
-            P = tab.P[kk, mm][:, None]
-            vals[:, pts] = A * P * T
-            if deriv >= 1:
-                dT = mf * np.where(even, -s, c)
-                Pt = tab.P_t[kk, mm][:, None]
-                grads[:, pts, 0] = A * Pt * T
-                grads[:, pts, 1] = A * P * dT
-            if deriv >= 2:
-                Ptt = tab.P_tt[kk, mm][:, None]
-                hess[:, pts, 0, 0] = A * Ptt * T
-                hess[:, pts, 0, 1] = hess[:, pts, 1, 0] = A * Pt * dT
-                hess[:, pts, 1, 1] = -(mf * mf) * A * P * T
-        return vals, grads, hess
+    Q_t = ladder(Q)
+    return Q, Q_t, ladder(Q_t)
 
 
-def _group_by_value(values, order):
-    groups = []
-    start = 0
-    ordered = values[order]
-    for i in range(1, len(order) + 1):
-        if i == len(order) or ordered[i] != ordered[start]:
-            groups.append(order[start:i])
-            start = i
-    return groups
+def _sphere_jets(radius: float, kk, mm, even, points, deriv):
+    """Jets of the real spherical harmonics (kk, mm, even) of S^2(R) at points [N, >=2].
+
+    kk, mm are integer arrays of degree and order, `even` is True for the
+    cos(m phi) modes.  Returns (vals [M, N], grads [M, N, 2],
+    hess [M, N, 2, 2]) in (theta, phi), with the arrays above `deriv`
+    zero-size.  Legendre and trigonometric tables are built over the
+    distinct theta and phi of the points and gathered onto the modes.
+    """
+    points = np.asarray(points, dtype=float)
+    theta, it = np.unique(points[:, 0], return_inverse=True)
+    phi, ip = np.unique(points[:, 1], return_inverse=True)
+    kmax = int(kk.max(initial=0))
+    Q, Q_t, Q_tt = _legendre_jets(kmax, theta)
+    ang = np.arange(kmax + 1.0)[:, None] * phi
+    trig = np.stack([np.cos(ang), np.sin(ang)])           # [cos/sin, m, phi]
+    parity = np.where(even, COS, SIN)[:, None]
+    legendre = (kk[:, None], mm[:, None], it)
+    A = (np.where(mm > 0, np.sqrt(2.0), 1.0) / radius)[:, None]
+    mf = mm.astype(float)[:, None]
+    T = trig[parity, mm[:, None], ip]
+    P = A * Q[legendre]
+    vals = P * T
+    grads = hess = _unrequested()
+    if deriv >= 1:
+        dT = trig[1 - parity, mm[:, None], ip]          # -sin for cos modes, cos for sin
+        dT *= np.where(even[:, None], -mf, mf)
+        Pt = A * Q_t[legendre]
+        grads = np.empty(vals.shape + (2,))
+        np.multiply(Pt, T, out=grads[:, :, 0])
+        np.multiply(P, dT, out=grads[:, :, 1])
+    if deriv >= 2:
+        hess = np.empty(vals.shape + (2, 2))
+        np.multiply(A * Q_tt[legendre], T, out=hess[:, :, 0, 0])
+        np.multiply(Pt, dT, out=hess[:, :, 0, 1])
+        hess[:, :, 1, 0] = hess[:, :, 0, 1]
+        np.multiply(vals, -(mf * mf), out=hess[:, :, 1, 1])
+    return vals, grads, hess
 
 
 def _sphere_modes(radius: float, lambda_max: float):
@@ -400,15 +365,14 @@ class SphereSpectrum(AnalyticSpectrum):
         desc = self._descriptors
         self._k, self._m = desc[:, 0], desc[:, 1]
         self._even = desc[:, 2] == COS
-        self._basis = _SphereBasis(model.radius, int(self._k.max()))
 
     def _enumerate(self, lambda_max):
         return _sphere_modes(self.model.radius, lambda_max)
 
     def jet_block(self, j0, j1, points, deriv=2):
         _check_deriv(deriv)
-        return self._basis.jets(self._k[j0:j1], self._m[j0:j1], self._even[j0:j1],
-                                points, deriv)
+        return _sphere_jets(self.model.radius, self._k[j0:j1], self._m[j0:j1],
+                            self._even[j0:j1], points, deriv)
 
 
 class ProductSpectrum(AnalyticSpectrum):
@@ -432,7 +396,6 @@ class ProductSpectrum(AnalyticSpectrum):
         self._cj = circle[:, 0].astype(float)
         self._ceven = circle[:, 1] == COS
         self._camp = np.where(self._cj > 0, np.sqrt(2.0 / L), np.sqrt(1.0 / L))
-        self._basis = _SphereBasis(model.radius, int(self._sk.max()))
 
     def _enumerate(self, lambda_max):
         # every (sphere mode, circle mode) pair whose eigenvalues sum to <= lambda_max
@@ -449,8 +412,8 @@ class ProductSpectrum(AnalyticSpectrum):
         # distinct factors of the block, and each mode's index among them
         fs, si = np.unique(self._sphere_of[j0:j1], return_inverse=True)
         fc, ci = np.unique(self._circle_of[j0:j1], return_inverse=True)
-        sv, sg, sh = self._basis.jets(self._sk[fs], self._sm[fs], self._seven[fs],
-                                      points[:, :2], deriv)
+        sv, sg, sh = _sphere_jets(self.model.radius, self._sk[fs], self._sm[fs],
+                                  self._seven[fs], points, deriv)
         jj = self._cj[fc][:, None]
         even = self._ceven[fc][:, None]
         amp = self._camp[fc][:, None]

@@ -38,8 +38,8 @@ def test_spectrum_dump_and_roundtrip(tmp_path):
     assert prov.count == 7
     base = heatconf.analytic_spectrum(heatconf.ManifoldModel.circle(TWO_PI), count=7)
     x = prov.grid.points[3]
-    a, b = base.eval_jet(2, x), prov.eval_jet(2, x)
-    assert abs(a.value - b.value) <= 1e-12
+    a, b = (p.jet_block(2, 3, x[None, :], deriv=0)[0][0, 0] for p in (base, prov))
+    assert abs(a - b) <= 1e-12
 
 
 def test_invalid_kind_exits_2(tmp_path):
@@ -196,11 +196,30 @@ def test_malformed_config_values_exit_2(tmp_path, capsys):
         "q_override_string": {"model": TORUS_MODEL, "t_grid": [0.05], "q_override": "x"},
         "spectrum_count_string": {"model": TORUS_MODEL, "t_grid": [0.05],
                                   "spectrum": {"count": "x"}},
+        "f_mode_too_long": {"model": TORUS_MODEL, "solver": {"f_mode": [1, 0, 0]}},
+        "perturb_on_1_torus": {"model": {"kind": "flat_torus", "params": {"periods": [TWO_PI]}},
+                               "solver": {"f_mode": [1]}},
+        "lambda_t_margin_string": {"model": TORUS_MODEL, "t_grid": [0.05],
+                                   "spectrum": {"lambda_t_margin": "x"}},
+        "solver_not_object": {"model": TORUS_MODEL, "solver": [1]},
+        "correction_not_object": {"model": TORUS_MODEL, "t_grid": [0.05],
+                                  "correction": [2]},
+        "analysis_not_object": {"model": TORUS_MODEL, "t_grid": [0.05], "analysis": 3},
+        "spectrum_not_object": {"model": TORUS_MODEL, "t_grid": [0.05], "spectrum": "x"},
+        "verify_not_object": {"verify": [1]},
+        "verify_unknown_criterion": {"verify": {"criteria": ["nope"]}},
+        "verify_criteria_string": {"verify": {"criteria": "homothety"}},
+        "verify_unknown_override_criterion": {"verify": {"overrides": {"nope": {}}}},
+        "verify_unknown_override_argument": {
+            "verify": {"criteria": ["circle_scale"],
+                       "overrides": {"circle_scale": {"nope": 1}}}},
+        "verify_override_not_object": {"verify": {"overrides": {"circle_scale": [1]}}},
     }
     for name, payload in bad.items():
         cfg = write_config(tmp_path, payload, name=f"{name}.json")
         capsys.readouterr()
-        command = "perturb" if "solver" in payload else "defect-scan"
+        command = ("perturb" if "solver" in payload
+                   else "verify" if "verify" in payload else "defect-scan")
         code = run(["--config", cfg, "--out", str(tmp_path / name), command])
         err = capsys.readouterr().err
         assert code == 2, name

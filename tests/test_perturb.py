@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 from heatconf import (ManifoldModel, TruncationPolicy, analytic_spectrum,
                       build_embedding, fixed_point_solve, verify_conformal)
 from heatconf import jets, perturb
-from heatconf.errors import ConvergenceError, PreconditionError
+from heatconf.errors import ConfigError, ConvergenceError, PreconditionError
 
 TWO_PI = 2.0 * np.pi
 
@@ -62,6 +62,12 @@ def pad(grid, values):
     return out.reshape((M**n,) + values.shape[1:])
 
 
+def laplacian(grid, values):
+    """Exact spectral Laplacian of grid samples [N, ...]: c_lam -> -lam c_lam."""
+    lam = grid.lam.reshape(grid.lam.shape + (1,) * (values.ndim - 1))
+    return grid.from_spec(grid.to_spec(values) * -lam)
+
+
 def band_limited_field(grid, seed, comps=3, kmax=5):
     rng = np.random.default_rng(seed)
     v = np.zeros((grid.N, comps))
@@ -91,7 +97,7 @@ def test_round_trip_and_derivative_exactness(any_grid):
     lam = float(m @ m)
     phase = grid.points @ m
     mode = np.cos(phase)[:, None]
-    assert_allclose(grid.laplacian(mode), -lam * mode, atol=1e-13 * lam)
+    assert_allclose(laplacian(grid, mode), -lam * mode, atol=1e-13 * lam)
     assert_allclose(grid.grad(mode)[:, 0], -np.sin(phase)[:, None] * m, atol=1e-13 * lam)
     # differentiation commutes with the transform
     g1 = grid.grad(v)
@@ -120,7 +126,7 @@ def test_quadratic_products_alias_free_oracle(any_grid):
     b, L = perturb._quadratic_products(grid, v, e, chunk=2)
     G = grid.grad(v)                                     # [N, m, n]
     H = grid.grad(G)                                     # [N, m, n, n]
-    D = grid.laplacian(v)                                # [N, m]
+    D = laplacian(grid, v)                               # [N, m]
     b_ref = np.einsum("nm,nmi->ni", D, G)
     L_ref = (np.einsum("nmli,nmlj->nij", H, H) - np.einsum("nm,nmij->nij", D, H)
              - 0.5 * e * np.einsum("nmi,nmj->nij", G, G))
@@ -135,7 +141,7 @@ def test_resolvent(sgrid):
     assert_allclose(sgrid.resolvent(mode, 1.0), -mode / 2.0, atol=1e-13)
     v = band_limited_field(sgrid, 4)
     out = sgrid.resolvent(v, 1.7)
-    back = sgrid.laplacian(out) - 1.7 * out
+    back = laplacian(sgrid, out) - 1.7 * out
     assert_allclose(back, v, atol=1e-12)
     with pytest.raises(Exception):
         sgrid.resolvent(v, -1.0)
@@ -173,9 +179,9 @@ def test_Lij_spectral_identity(sgrid):
     v = band_limited_field(sgrid, 7, comps=2, kmax=4)
     Gv = sgrid.grad(v)                                   # [N, c, n]
     S = np.einsum("nci,ncj->nij", Gv, Gv)
-    lhs = sgrid.laplacian(S) - e * S
+    lhs = laplacian(sgrid, S) - e * S
     _, L = perturb._quadratic_products(sgrid, v, e)
-    Dv = sgrid.laplacian(v)
+    Dv = laplacian(sgrid, v)
     T = np.einsum("nc,nci->ni", Dv, Gv)                  # Delta v . grad v
     gradT = sgrid.grad(T)                                # [N, i, j] = d_j T_i
     rhs = 2.0 * L + gradT + np.transpose(gradT, (0, 2, 1))
@@ -194,7 +200,7 @@ def test_quadratic_defining_equation(solver):
     v = solver.grid.from_spec(solver.grid.to_spec(v))    # band-limit the draw
     Q = solver.quadratic(v)
     grid = solver.grid
-    Dv, Gv = grid.laplacian(v), grid.grad(v)
+    Dv, Gv = laplacian(grid, v), grid.grad(v)
     prod = grid.unpad(np.einsum("fm,fmi->fi", pad(grid, Dv), pad(grid, Gv)))
     b, L = perturb._quadratic_products(grid, v, solver.e)
     assert_allclose(b, prod, atol=1e-12 * np.max(np.abs(prod)))
@@ -323,8 +329,12 @@ def test_field_norms(sgrid):
     assert np.max(np.linalg.norm(v.values, axis=1)) == 0.0
     v2 = perturb.FieldRq(sgrid, np.ones((sgrid.N, 4)))
     assert_allclose(np.max(np.linalg.norm(v2.values, axis=1)), 2.0)
-    with pytest.raises(Exception):
-        perturb.ResolventConfig(e=0.0)
+
+
+def test_solver_rejects_nonpositive_shift(torus_embedding):
+    for e in (0.0, -1.0):
+        with pytest.raises(ConfigError, match="spectral shift"):
+            perturb.ConformalSolver(torus_embedding, resolution=8, e=e)
 
 
 @pytest.mark.parametrize("dim, resolution", [(1, 10), (1, 9), (2, 8), (2, 7), (3, 6), (3, 5)])
@@ -351,7 +361,7 @@ def test_quadratic_products_on_a_circle_torus(resolution):
     v = band_limited_field(grid, 5, comps=4, kmax=(resolution - 1) // 4)
     b, L = perturb._quadratic_products(grid, v, e, chunk=3)
     G = grid.grad(v)
-    D = grid.laplacian(v)
+    D = laplacian(grid, v)
     H = grid.grad(G)
     b_ref = np.einsum("nm,nmi->ni", D, G)
     L_ref = (np.einsum("nmli,nmlj->nij", H, H) - np.einsum("nm,nmij->nij", D, H)

@@ -1,4 +1,6 @@
 """Eigenpair enumeration, jets, external files, and rescaling."""
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,6 +11,21 @@ from heatconf import geometry, spectrum
 from heatconf.errors import SpectrumError
 
 TWO_PI = 2.0 * np.pi
+
+JetEvaluation = namedtuple("JetEvaluation", "value gradient hessian")
+
+
+def eval_jet(provider, j, x):
+    """Value, gradient and Hessian of mode j at one chart point, from jet_block."""
+    x = geometry.wrap_point(provider.model, x)
+    vals, grads, hess = provider.jet_block(j, j + 1, x[None, :])
+    return JetEvaluation(vals[0, 0], grads[0, 0], hess[0, 0])
+
+
+def gram_matrix(provider, grid, j0, j1):
+    """Quadrature Gram matrix of modes j0..j1-1 (orthonormality check)."""
+    vals, _, _ = provider.jet_block(j0, j1, grid.points, deriv=0)
+    return (vals * grid.weights) @ vals.T
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +72,7 @@ def test_count_exhaustion(circle_spec):
 
 
 def test_circle_jet_values(circle_spec):
-    jet = circle_spec.eval_jet(1, [0.0])     # cos(x)/sqrt(pi)
+    jet = eval_jet(circle_spec, 1, [0.0])     # cos(x)/sqrt(pi)
     assert_allclose(jet.value, 1.0 / np.sqrt(np.pi), atol=1e-14)
     assert_allclose(jet.gradient, [0.0], atol=1e-14)
     assert_allclose(jet.hessian, [[-1.0 / np.sqrt(np.pi)]], atol=1e-14)
@@ -63,21 +80,21 @@ def test_circle_jet_values(circle_spec):
 
 def test_quadrature_orthonormality(torus_spec, sphere_spec, product):
     grid = geometry.sample_grid(torus_spec.model, 24)
-    G = torus_spec.gram_matrix(grid, 0, 30)
+    G = gram_matrix(torus_spec, grid, 0, 30)
     assert_allclose(G, np.eye(30), atol=1e-6)
     sgrid = geometry.sample_grid(sphere_spec.model, 16)
-    G = sphere_spec.gram_matrix(sgrid, 0, 36)
+    G = gram_matrix(sphere_spec, sgrid, 0, 36)
     assert_allclose(G, np.eye(36), atol=1e-6)
     pspec = analytic_spectrum(product, count=40)
     pgrid = geometry.sample_grid(product, 12)
-    G = pspec.gram_matrix(pgrid, 0, 40)
+    G = gram_matrix(pspec, pgrid, 0, 40)
     assert_allclose(G, np.eye(40), atol=1e-6)
 
 
 def eigen_residual(provider, j, x):
     model = provider.model
     m = geometry.metric_at(model, x)
-    jet = provider.eval_jet(j, x)
+    jet = eval_jet(provider, j, x)
     lap = (np.einsum("ij,ij->", m.g_inv, jet.hessian)
            - np.einsum("ij,kij,k->", m.g_inv, m.christoffel, jet.gradient))
     return abs(lap + provider.lambdas[j] * jet.value)
@@ -96,7 +113,7 @@ def test_eigen_relation(torus_spec, sphere_spec, product):
 
 
 def test_hessian_symmetry(sphere_spec):
-    jet = sphere_spec.eval_jet(7, [0.9, 2.5])
+    jet = eval_jet(sphere_spec, 7, [0.9, 2.5])
     assert_allclose(jet.hessian, jet.hessian.T, atol=1e-13)
 
 
@@ -119,8 +136,8 @@ def test_external_roundtrip(tmp_path, circle_spec, circle):
     assert prov.backing == "external"
     for j in (0, 3, 8):
         for x in grid.points[:5]:
-            a = circle_spec.eval_jet(j, x)
-            b = prov.eval_jet(j, x)
+            a = eval_jet(circle_spec, j, x)
+            b = eval_jet(prov, j, x)
             assert_allclose(b.value, a.value, atol=1e-12)
             assert_allclose(b.gradient, a.gradient, atol=1e-12)
             assert_allclose(b.hessian, a.hessian, atol=1e-12)
@@ -132,7 +149,7 @@ def test_external_rejects_off_grid(tmp_path, circle_spec, circle):
     save_spectrum(circle_spec, path, grid, count=5)
     prov = load_external_spectrum(path)
     with pytest.raises(SpectrumError):
-        prov.eval_jet(1, [0.1234567])
+        eval_jet(prov, 1, [0.1234567])
 
 
 def test_external_rejects_decreasing_lambda(tmp_path, circle_spec, circle):
@@ -169,8 +186,8 @@ def test_rescaled_circle(circle):
     scaled = rescaled_provider(base, [c2])
     assert_allclose(scaled.lambdas[1], 1.0 / c2, rtol=1e-12)
     # eigenfunctions renormalized by 1/sqrt(c): value scales as c^{-1/4}
-    a = base.eval_jet(1, [0.0]).value
-    b = scaled.eval_jet(1, [0.0]).value
+    a = eval_jet(base, 1, [0.0]).value
+    b = eval_jet(scaled, 1, [0.0]).value
     assert_allclose(b, a / c2**0.25, rtol=1e-12)
 
 
@@ -192,7 +209,7 @@ def test_rescaled_product_orthonormal(product):
     assert np.any(np.isclose(scaled.lambdas, circle_lam, rtol=1e-12))
     # orthonormality holds in the rescaled volume measure
     grid = geometry.sample_grid(scaled.model, 12)
-    G = scaled.gram_matrix(grid, 0, 30)
+    G = gram_matrix(scaled, grid, 0, 30)
     assert_allclose(G, np.eye(30), atol=1e-6)
 
 
@@ -364,7 +381,7 @@ def test_torus_jets_match_direct_trig():
             _assert_close_scaled(got, want, 1e-12)
     x = pts2[3]
     for j in (0, sin_mode, cos_mode):
-        jet = prov2.eval_jet(j, x)
+        jet = eval_jet(prov2, j, x)
         want = [a[0, 0] for a in _direct_torus_jets(prov2, j, j + 1, x[None, :])]
         for got, ref in zip((jet.value, jet.gradient, jet.hessian), want):
             _assert_close_scaled(np.asarray(got), ref, 1e-12)
@@ -395,3 +412,102 @@ def test_product_enumeration_matches_reference(R, L, lambda_max):
     lams, descs = _reference_product_modes(R, L, lambda_max)
     assert prov.lambdas.tolist() == lams
     assert [(ep.lam, ep.descriptor) for ep in prov.eigenpairs] == list(zip(lams, descs))
+
+
+def _scipy_sphere_jets(radius, desc, points):
+    """Real spherical-harmonic jets from scipy's fully normalized P_k^m(x) and
+    its x-derivatives at x = cos(theta), mode by mode: the test oracle."""
+    from scipy.special import assoc_legendre_p_all
+
+    kk, mm, even = desc[:, 0], desc[:, 1], (desc[:, 2] == spectrum.COS)[:, None]
+    theta, phi = points[:, 0], points[:, 1]
+    kmax = int(kk.max())
+    P, dP, d2P = (t[kk, mm] / np.sqrt(TWO_PI) for t in
+                  assoc_legendre_p_all(kmax, kmax, np.cos(theta), norm=True, diff_n=2))
+    s, c = np.sin(theta), np.cos(theta)
+    P_t, P_tt = -s * dP, s * s * d2P - c * dP
+    A = np.where(mm > 0, np.sqrt(2.0), 1.0)[:, None] / radius
+    m = mm[:, None]
+    T = np.where(even, np.cos(m * phi), np.sin(m * phi))
+    dT = m * np.where(even, -np.sin(m * phi), np.cos(m * phi))
+    hess = np.empty(T.shape + (2, 2))
+    hess[..., 0, 0], hess[..., 1, 1] = A * P_tt * T, -m * m * A * P * T
+    hess[..., 0, 1] = hess[..., 1, 0] = A * P_t * dT
+    return A * P * T, np.stack([A * P_t * T, A * P * dT], axis=-1), hess
+
+
+def _shell(prov, k):
+    """Mode range [j0, j1) of sphere degree k."""
+    j0, j1 = k * k, (k + 1) ** 2
+    assert np.all(prov.lambdas[j0:j1] == k * (k + 1) / prov.model.radius**2)
+    return j0, j1
+
+
+def test_sphere_jets_match_scipy_normalized_legendre():
+    """Values, gradients and Hessians of whole shells up to degree 200 against
+    scipy's normalized Legendre functions, the error of order p scaled by
+    sqrt((2k+1)/4pi) (k+1)^p / R."""
+    R = 1.3
+    prov = spectrum.SphereSpectrum(ManifoldModel.sphere2(R), 200 * 201 / R**2)
+    pts = np.vstack([geometry.sample_grid(prov.model, 8).points,
+                     [[0.2, 0.4], [np.pi - 0.2, 5.0]]])
+    for k in (0, 1, 2, 3, 10, 45, 87, 88, 95, 130, 160, 200):
+        j0, j1 = _shell(prov, k)
+        desc = np.array([ep.descriptor for ep in prov.eigenpairs[j0:j1]])
+        for p, (got, want) in enumerate(zip(prov.jet_block(j0, j1, pts),
+                                            _scipy_sphere_jets(R, desc, pts))):
+            scale = np.sqrt((2 * k + 1) / (4 * np.pi)) * (k + 1) ** p / R
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale, (k, p)
+
+
+def _addition_theorem_errors(prov, k, points):
+    """Relative errors of sum_m Y_km^2 = (2k+1)/(4 pi R^2) and of
+    sum_m |grad Y_km|^2 = lambda_k (2k+1)/(4 pi R^2), per point."""
+    j0, j1 = _shell(prov, k)
+    vals, grads, _ = prov.jet_block(j0, j1, points, deriv=1)
+    _, _, frame = geometry.metric_on_grid(prov.model, points)
+    density = (2 * k + 1) / (4 * np.pi * prov.model.radius**2)
+    frame_grads = np.einsum("mpi,pia->mpa", grads, frame)
+    return (np.abs(np.sum(vals**2, axis=0) / density - 1.0),
+            np.abs(np.sum(frame_grads**2, axis=(0, 2)) / (prov.lambdas[j0] * density) - 1.0))
+
+
+def test_sphere_addition_theorem_at_high_degree():
+    """Degrees 87-120 on the 8-grid, where gammaln-scaled tables lose accuracy."""
+    prov = spectrum.SphereSpectrum(ManifoldModel.sphere2(1.3), 120 * 121 / 1.3**2)
+    pts = geometry.sample_grid(prov.model, 8).points
+    for k in range(87, 121):
+        for err in _addition_theorem_errors(prov, k, pts):
+            assert np.max(err) <= 1e-12, k
+
+
+def test_sphere_jets_finite_at_degree_1000():
+    prov = spectrum.SphereSpectrum(ManifoldModel.sphere2(1.0), 1000 * 1001)
+    theta = np.array([0.05, 1.0, 2.0, np.pi - 0.05])
+    pts = np.column_stack([theta, [0.3, 2.0, 4.1, 5.9]])
+    for err in _addition_theorem_errors(prov, 1000, pts):
+        assert np.all(np.isfinite(err)) and np.max(err) <= 1e-12
+
+
+def test_sphere_jets_do_not_import_scipy_special():
+    """The CLI and an S^2 x S^1 jet block load no scipy.special."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import heatconf
+
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "import heatconf.cli\n"
+            "from heatconf import ManifoldModel, analytic_spectrum\n"
+            "prov = analytic_spectrum(ManifoldModel.product_sphere_circle(1.0, 6.3), count=60)\n"
+            "prov.jet_block(0, prov.count, np.array([[0.5, 1.0, 2.0], [2.0, 3.0, 1.0]]))\n"
+            "assert 'scipy.special' not in sys.modules\n")
+    src = str(Path(heatconf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
