@@ -88,32 +88,13 @@ class EmbeddingMap:
         return out
 
     def pullback_on(self, points: np.ndarray, chunk: int = 1024) -> np.ndarray:
-        """Pullback metric G(x) = sum_j grad Psi_j (x) outer grad Psi_j(x), [N, n, n]."""
-        return _gradient_gram(self.provider, 1, self.weights, points, chunk)
+        """Pullback metric G(x) = sum_j grad Psi_j(x) outer grad Psi_j(x), [N, n, n].
 
-
-def _gradient_gram(provider: SpectrumProvider, j0: int, weights: np.ndarray,
-                   points: np.ndarray, chunk: int = 1024) -> np.ndarray:
-    """sum_i (w_i grad phi_{j0+i}) outer (w_i grad phi_{j0+i}) at points [N, n].
-
-    One mode per weight; gradients are fetched in chunks of modes, and each
-    entry (a, b), a <= b, of a chunk's sum is one contraction along the mode
-    axis, w^2 @ (d_a phi * d_b phi).
-    """
-    points = np.asarray(points, dtype=float)
-    N, n = points.shape
-    G = np.zeros((N, n, n))
-    for lo in range(0, len(weights), chunk):
-        hi = min(len(weights), lo + chunk)
-        _, grads, _ = provider.jet_block(j0 + lo, j0 + hi, points, deriv=1)
-        w2 = weights[lo:hi] ** 2
-        for a in range(n):
-            for b in range(a, n):
-                G[:, a, b] += w2 @ (grads[:, :, a] * grads[:, :, b])
-    for a in range(n):
-        for b in range(a):
-            G[:, a, b] = G[:, b, a]
-    return G
+        The provider's `gradient_gram` sums the q weighted components; the
+        S^2 x S^1 provider contracts its sphere and circle factors there
+        without building per-mode jets.
+        """
+        return self.provider.gradient_gram(1, self.weights, points, chunk)
 
 
 def build_embedding(provider: SpectrumProvider, t: float,
@@ -293,7 +274,10 @@ def defect_scan(model: ManifoldModel, t_grid, policy: TruncationPolicy,
     On the analytic testbeds defect_holder is rounding noise (at most 5.0e-15
     measured): they are homogeneous and truncation closes shells, so each
     shell's sum of grad phi outer grad phi is constant in the orthonormal
-    frame and the defect is the same at every grid point.
+    frame and the defect is the same at every grid point.  On S^2 x S^1 the
+    pullback comes from the provider's separable Gram sum, without mode jets,
+    and the rows match the closed-form (degree, wavenumber) level sums
+    (tests/test_embedding.py).
     """
     t_grid = list(t_grid)
     if any(not 0 < t < 1 for t in t_grid):
@@ -381,6 +365,6 @@ def tail_bound_check(provider: SpectrumProvider, t: float, policy: TruncationPol
     weights = emb.c_norm * np.exp(-provider.lambdas[q + 1:] * t / 2.0)
     # |grad phi|^2 in the metric: g^{ij} d_i phi d_j phi, summed over the tail
     tail = np.einsum("nij,nij->n", g_inv,
-                     _gradient_gram(provider, q + 1, weights, grid.points))
+                     provider.gradient_gram(q + 1, weights, grid.points))
     tail_sup = float(np.max(tail))
     return tail_sup, bound, tail_sup <= bound

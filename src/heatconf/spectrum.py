@@ -76,6 +76,30 @@ class SpectrumProvider:
         """
         raise NotImplementedError
 
+    def gradient_gram(self, j0: int, weights: np.ndarray, points: np.ndarray,
+                      chunk: int = 1024) -> np.ndarray:
+        """sum_i (w_i grad phi_{j0+i}) outer (w_i grad phi_{j0+i}) at points [N, n].
+
+        One mode per weight.  Returns [N, n, n], exactly symmetric.  This
+        generic body fetches gradients in chunks of `chunk` modes, and each
+        entry (a, b), a <= b, of a chunk's sum is one contraction along the
+        mode axis, w^2 @ (d_a phi * d_b phi).
+        """
+        points = np.asarray(points, dtype=float)
+        N, n = points.shape
+        G = np.zeros((N, n, n))
+        for lo in range(0, len(weights), chunk):
+            hi = min(len(weights), lo + chunk)
+            _, grads, _ = self.jet_block(j0 + lo, j0 + hi, points, deriv=1)
+            w2 = weights[lo:hi] ** 2
+            for a in range(n):
+                for b in range(a, n):
+                    G[:, a, b] += w2 @ (grads[:, :, a] * grads[:, :, b])
+        for a in range(n):
+            for b in range(a):
+                G[:, a, b] = G[:, b, a]
+        return G
+
 
 def _check_deriv(deriv: int) -> None:
     if deriv not in (0, 1, 2):
@@ -128,10 +152,9 @@ class AnalyticSpectrum(SpectrumProvider):
         raise NotImplementedError
 
 
-def _mode_arrays(modes: list[tuple[float, tuple]]) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda, descriptor) pairs as an eigenvalue array and a descriptor table."""
-    return (np.array([lam for lam, _ in modes]),
-            np.array([desc for _, desc in modes], dtype=int))
+def _cos_sin(i: np.ndarray):
+    """(k, parity) at positions i of the run (0, cos), (1, cos), (1, sin), (2, cos), ..."""
+    return (i + 1) // 2, np.where((i > 0) & (i % 2 == 0), SIN, COS)
 
 
 class LatticeSpectrum(AnalyticSpectrum):
@@ -246,22 +269,22 @@ class CircleSpectrum(LatticeSpectrum):
 def _circle_modes(length: float, lambda_max: float):
     """cos/sin(k s) modes of a circle of length L for k <= sqrt(lambda_max) L / 2 pi."""
     kmax = int(np.floor(np.sqrt(max(lambda_max, 0.0)) * length / (2.0 * np.pi)))
-    modes = [(0.0, (0, COS))]
-    for k in range(1, kmax + 1):
-        lam = (2.0 * np.pi * k / length) ** 2
-        modes.append((lam, (k, COS)))
-        modes.append((lam, (k, SIN)))
-    return _mode_arrays(modes)
+    k, parity = _cos_sin(np.arange(2 * kmax + 1))
+    # float_power is libm pow, as Python's float ** 2: it keeps lambda bit for
+    # bit where the x * x of ndarray ** 2 rounds differently
+    lam = np.float_power(2.0 * np.pi * k / length, 2)
+    return lam, np.column_stack([k, parity])
 
 
-def _legendre_jets(kmax: int, theta: np.ndarray):
-    """Orthonormal Q_k^m(theta) and its first two theta-derivatives, [k, m, T] each.
+def _legendre_jets(kmax: int, theta: np.ndarray, deriv: int = 2):
+    """Orthonormal Q_k^m(theta) and its theta-derivatives up to `deriv`, [k, m, T] each.
 
     Q_k^m = sqrt((2k+1)/(4 pi) (k-m)!/(k+m)!) P_k^m(cos theta) for
     0 <= m <= k <= kmax, and zero for m > k up to m = kmax + 1, so that the
     ladder reads Q_k^{m+1} at every m.  Values come from the sectoral seeds
     and the three-term recurrence in k at fixed m; each derivative from the
-    ladder identity, so nothing divides by sin(theta).
+    ladder identity, so nothing divides by sin(theta).  The tables above
+    `deriv` are not built and come back zero-size.
     """
     K = kmax + 1
     # run the recurrence at the angle theta' <= pi/2 to the nearer pole, with
@@ -285,6 +308,9 @@ def _legendre_jets(kmax: int, theta: np.ndarray):
         Q[k, :k - 1] = a * ((prev - h * prev) - b * Q[k - 2, :k - 1])
     ks, ms = np.ogrid[:K, :K + 1]
     Q[:, :, south] *= np.where((ks + ms) % 2, -1.0, 1.0)[:, :, None]   # Q_k^m(pi - theta)
+    Q_t = Q_tt = _unrequested()
+    if deriv == 0:
+        return Q, Q_t, Q_tt
     up = np.sqrt(np.maximum((ks - ms) * (ks + ms + 1), 0))[:, :, None]
 
     def ladder(F):
@@ -297,7 +323,9 @@ def _legendre_jets(kmax: int, theta: np.ndarray):
         return D
 
     Q_t = ladder(Q)
-    return Q, Q_t, ladder(Q_t)
+    if deriv == 2:
+        Q_tt = ladder(Q_t)
+    return Q, Q_t, Q_tt
 
 
 def _sphere_jets(radius: float, kk, mm, even, points, deriv):
@@ -313,7 +341,7 @@ def _sphere_jets(radius: float, kk, mm, even, points, deriv):
     theta, it = np.unique(points[:, 0], return_inverse=True)
     phi, ip = np.unique(points[:, 1], return_inverse=True)
     kmax = int(kk.max(initial=0))
-    Q, Q_t, Q_tt = _legendre_jets(kmax, theta)
+    Q, Q_t, Q_tt = _legendre_jets(kmax, theta, deriv)
     ang = np.arange(kmax + 1.0)[:, None] * phi
     trig = np.stack([np.cos(ang), np.sin(ang)])           # [cos/sin, m, phi]
     parity = np.where(even, COS, SIN)[:, None]
@@ -341,18 +369,18 @@ def _sphere_jets(radius: float, kk, mm, even, points, deriv):
 
 
 def _sphere_modes(radius: float, lambda_max: float):
-    """Real spherical harmonics (k, m, parity) of S^2(R) with k(k+1)/R^2 <= lambda_max."""
+    """Real spherical harmonics (k, m, parity) of S^2(R) with k(k+1)/R^2 <= lambda_max.
+
+    Shell k lists (k, 0, cos), (k, 1, cos), (k, 1, sin), ..., (k, k, sin).
+    """
     R2 = radius**2
-    modes = []
-    k = 0
-    while k * (k + 1) / R2 <= lambda_max:
-        lam = k * (k + 1) / R2
-        for m in range(0, k + 1):
-            modes.append((lam, (k, m, COS)))
-            if m > 0:
-                modes.append((lam, (k, m, SIN)))
-        k += 1
-    return _mode_arrays(modes)
+    k = np.arange(int(np.sqrt(max(lambda_max, 0.0) * R2)) + 2)   # past the last degree
+    lam = k * (k + 1) / R2
+    inside = lam <= lambda_max
+    k, lam, size = k[inside], lam[inside], 2 * k[inside] + 1
+    start = np.cumsum(size) - size
+    m, parity = _cos_sin(np.arange(size.sum()) - np.repeat(start, size))
+    return np.repeat(lam, size), np.column_stack([np.repeat(k, size), m, parity])
 
 
 class SphereSpectrum(AnalyticSpectrum):
@@ -378,9 +406,10 @@ class SphereSpectrum(AnalyticSpectrum):
 class ProductSpectrum(AnalyticSpectrum):
     """Separable modes Y_km(theta, phi) * c_j(s) on S^2(R) x S^1(L).
 
-    Many modes share a sphere factor (k, m, ps) or a circle factor (j, pc), so
-    `jet_block` evaluates each distinct factor of the block once and gathers
-    the factor jets onto the modes.
+    Many modes share a sphere factor (k, m, ps) or a circle factor (j, pc),
+    and many points share a (theta, phi) row or an s.  `jet_block` and
+    `gradient_gram` evaluate each distinct sphere factor once per distinct
+    (theta, phi) row and each distinct circle factor once per distinct s.
     """
 
     def __init__(self, model, lambda_max):
@@ -405,44 +434,102 @@ class ProductSpectrum(AnalyticSpectrum):
         si, ci = np.nonzero(lam <= lambda_max)
         return lam[si, ci], np.column_stack([sphere[si], circle[ci]])
 
+    def _factors(self, j0, j1):
+        """Distinct sphere and circle factors of modes j0..j1-1, and each mode's
+        index among them: (fs, si, fc, ci)."""
+        fs, si = np.unique(self._sphere_of[j0:j1], return_inverse=True)
+        fc, ci = np.unique(self._circle_of[j0:j1], return_inverse=True)
+        return fs, si, fc, ci
+
+    def _sphere_factor_jets(self, fs, rows, deriv):
+        """Jets of the sphere factors fs at (theta, phi) rows [X, 2]."""
+        return _sphere_jets(self.model.radius, self._sk[fs], self._sm[fs],
+                            self._seven[fs], rows, deriv)
+
+    def _circle_factor_jets(self, fc, s):
+        """c and c' of the circle factors fc at the angles s, [C, S] each."""
+        jj = self._cj[fc][:, None]
+        even = self._ceven[fc][:, None]
+        amp = self._camp[fc][:, None]
+        ang = jj * s[None, :]
+        cw, sw = np.cos(ang), np.sin(ang)
+        return amp * np.where(even, cw, sw), amp * jj * np.where(even, -sw, cw)
+
     def jet_block(self, j0, j1, points, deriv=2):
         _check_deriv(deriv)
         points = np.asarray(points, dtype=float)
         N = points.shape[0]
-        # distinct factors of the block, and each mode's index among them
-        fs, si = np.unique(self._sphere_of[j0:j1], return_inverse=True)
-        fc, ci = np.unique(self._circle_of[j0:j1], return_inverse=True)
-        sv, sg, sh = _sphere_jets(self.model.radius, self._sk[fs], self._sm[fs],
-                                  self._seven[fs], points, deriv)
-        jj = self._cj[fc][:, None]
-        even = self._ceven[fc][:, None]
-        amp = self._camp[fc][:, None]
-        ang = jj * points[:, 2][None, :]
-        cw, sw = np.cos(ang), np.sin(ang)
-        c = amp * np.where(even, cw, sw)
-        sv, c = sv[si], c[ci]
+        fs, si, fc, ci = self._factors(j0, j1)
+        rows, x, s, y = _product_points(points)
+        sv, sg, sh = self._sphere_factor_jets(fs, rows, deriv)
+        c, dc = self._circle_factor_jets(fc, s)
+        # gather the factor tables onto (mode, point)
+        on_x, on_y = np.ix_(si, x), np.ix_(ci, y)
+        sv, c = sv[on_x], c[on_y]
         vals = sv * c
         grads = hess = _unrequested()
         M = vals.shape[0]
         if deriv >= 1:
-            sg = sg[si]
-            dc = (amp * jj * np.where(even, -sw, cw))[ci]
+            sg, dc = sg[on_x], dc[on_y]
             grads = np.empty((M, N, 3))
             grads[:, :, :2] = sg * c[:, :, None]
             grads[:, :, 2] = sv * dc
         if deriv >= 2:
-            d2c = (-(jj * jj))[ci] * c
+            jj = self._cj[fc][ci][:, None]
+            d2c = -(jj * jj) * c
             hess = np.empty((M, N, 3, 3))
-            hess[:, :, :2, :2] = sh[si] * c[:, :, None, None]
+            hess[:, :, :2, :2] = sh[on_x] * c[:, :, None, None]
             hess[:, :, :2, 2] = sg * dc[:, :, None]
             hess[:, :, 2, :2] = hess[:, :, :2, 2]
             hess[:, :, 2, 2] = sv * d2c
         return vals, grads, hess
 
+    def gradient_gram(self, j0, weights, points, chunk=1024):
+        """The Gram sum of `SpectrumProvider.gradient_gram`, contracted per factor.
+
+        grad (Y c) = (c grad Y, Y c'), so each entry a <= b pairs a sphere
+        product P_ab (d_aY d_bY, d_aY Y or Y^2) with a circle product B_ab
+        (c^2, c c' or c'^2).  With W[s, c] the squared weight of the one mode
+        whose factors are s and c, G_ab at a point on (theta, phi) row x and
+        circle angle y is sum_c (P_ab^T W)[x, c] B_ab[c, y].  Sphere factors
+        are evaluated on the distinct rows in chunks of `chunk`, and the sum
+        over c is taken per point, so no [rows, angles] table is formed.
+        """
+        points = np.asarray(points, dtype=float)
+        w = np.asarray(weights, dtype=float)
+        fs, si, fc, ci = self._factors(j0, j0 + len(w))
+        W = np.zeros((fs.size, fc.size))
+        W[si, ci] = w * w
+        rows, x, s, y = _product_points(points)
+        c, dc = self._circle_factor_jets(fc, s)
+        cc, cd, dd = c * c, c * dc, dc * dc
+        # (a, b, circle product); sphere factor 2 below is Y itself
+        entries = [(0, 0, cc), (0, 1, cc), (1, 1, cc), (0, 2, cd), (1, 2, cd), (2, 2, dd)]
+        A = np.zeros((len(entries), len(rows), fc.size))
+        for lo in range(0, fs.size, chunk):
+            sv, sg, _ = self._sphere_factor_jets(fs[lo:lo + chunk], rows, 1)
+            F = (sg[:, :, 0], sg[:, :, 1], sv)
+            for e, (a, b, _) in enumerate(entries):
+                A[e] += (F[a] * F[b]).T @ W[lo:lo + chunk]
+        G = np.empty((len(points), 3, 3))
+        for e, (a, b, B) in enumerate(entries):
+            G[:, a, b] = G[:, b, a] = np.einsum("pc,pc->p", A[e][x], B.T[y])
+        return G
+
+
+def _product_points(points: np.ndarray):
+    """Distinct (theta, phi) rows and distinct s of S^2 x S^1 chart points [N, 3],
+    and each point's index into them: (rows [X, 2], x [N], s [S], y [N])."""
+    theta, it = np.unique(points[:, 0], return_inverse=True)
+    phi, ip = np.unique(points[:, 1], return_inverse=True)
+    pairs, x = _distinct_rows(np.column_stack([it, ip]))
+    s, y = np.unique(points[:, 2], return_inverse=True)
+    return np.column_stack([theta[pairs[:, 0]], phi[pairs[:, 1]]]), x, s, y
+
 
 def _distinct_rows(cols: np.ndarray):
     """Distinct rows of a nonnegative integer table, and each row's index among them."""
-    key = np.ravel_multi_index(cols.T, cols.max(axis=0) + 1)
+    key = np.ravel_multi_index(cols.T, cols.max(axis=0, initial=0) + 1)
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     return cols[first], inverse
 

@@ -366,24 +366,74 @@ def test_tail_bound_modes(circle, torus2):
                          TruncationPolicy(rho=1.0))
 
 
-@pytest.mark.parametrize("model", [
-    ManifoldModel.circle(TWO_PI),
-    ManifoldModel.flat_torus([TWO_PI, 3.1]),
-    ManifoldModel.product_sphere_circle(0.8, 3.0),
-], ids=["n1", "n2", "n3"])
-@pytest.mark.parametrize("chunk", [24, 25])
-def test_gradient_gram_matches_einsum(model, chunk):
-    """The chunked mode-axis contraction is symmetric and equals one einsum,
-    with chunks that do (24) and do not (25) divide the 96 modes."""
-    prov = analytic_spectrum(model, count=100)
+def _gram_case(name):
+    """(provider, j0, points) of one gradient Gram case; 96 modes from j0."""
     rng = np.random.default_rng(3)
+    if name == "n1":
+        model = ManifoldModel.circle(TWO_PI)
+    elif name == "n2":
+        model = ManifoldModel.flat_torus([TWO_PI, 3.1])
+    else:
+        model = ManifoldModel.product_sphere_circle(0.8, 3.0)
+    prov = analytic_spectrum(model, count=100)
     pts = geometry.sample_grid(model, 5).points + rng.uniform(0.0, 0.1, model.dim)
-    w = rng.uniform(0.5, 2.0, 96)
-    G = embedding._gradient_gram(prov, 2, w, pts, chunk=chunk)
-    _, grads, _ = prov.jet_block(2, 98, pts, deriv=1)
+    j0 = 2
+    if name == "n3_scattered":
+        # points that share no theta, phi or s
+        pts = np.column_stack([rng.uniform(0.05, np.pi - 0.05, 50),
+                               rng.uniform(0.0, TWO_PI, 50), rng.uniform(0.0, 3.0, 50)])
+    elif name == "n3_mid_shell":
+        prov = analytic_spectrum(model, count=400)
+        j0 = int(np.searchsorted(prov.lambdas, prov.lambdas[250])) + 5
+        assert prov.lambdas[j0 - 1] == prov.lambdas[j0]
+    elif name == "n3_rescaled":
+        prov = rescaled_provider(prov, (1.1, 0.8))
+    return prov, j0, pts
+
+
+@pytest.mark.parametrize("name", ["n1", "n2", "n3", "n3_scattered", "n3_mid_shell",
+                                  "n3_rescaled"])
+@pytest.mark.parametrize("chunk", [24, 25])
+def test_gradient_gram_matches_einsum(name, chunk):
+    """The provider's Gram sum is symmetric and equals one einsum, with chunks
+    that do (24) and do not (25) divide the 96 modes.  On S^2 x S^1 the
+    separable override also equals the generic chunked body."""
+    prov, j0, pts = _gram_case(name)
+    w = np.random.default_rng(4).uniform(0.5, 2.0, 96)
+    G = prov.gradient_gram(j0, w, pts, chunk=chunk)
+    _, grads, _ = prov.jet_block(j0, j0 + 96, pts, deriv=1)
     want = np.einsum("m,mpi,mpj->pij", w * w, grads, grads)
     assert np.array_equal(G, G.transpose(0, 2, 1))
     assert np.max(np.abs(G - want)) <= 1e-13 * np.max(np.abs(want))
+    if isinstance(prov, spectrum.ProductSpectrum):
+        base = spectrum.SpectrumProvider.gradient_gram(prov, j0, w, pts, chunk=chunk)
+        assert np.max(np.abs(G - base)) <= 1e-13 * np.max(np.abs(base))
+
+
+@pytest.mark.parametrize("corrected", [False, True], ids=["l1", "l2"])
+def test_product_scan_matches_level_sum_oracle(product, monkeypatch, corrected):
+    """S^2 x S^1 defect_scan rows at margin 16 and the defect_law t against the
+    closed-form level sums; the scan builds no per-mode jets."""
+    calls = []
+    jet_block = spectrum.ProductSpectrum.jet_block
+
+    def counting_jet_block(self, *args, **kwargs):
+        calls.append(args[:2])
+        return jet_block(self, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum.ProductSpectrum, "jet_block", counting_jet_block)
+    ts, margin = [0.1, 0.07, 0.05, 0.035, 0.025], 16.0
+    correction = CorrectionSpec(l=2, eta=(0.0,)) if corrected else None
+    rows = defect_scan(product, ts, TruncationPolicy(rho=1.0), correction=correction,
+                       resolution=6, lambda_cutoff=lambda t: margin / t)
+    assert calls == []
+    # the corrected defect is a 1e-5 difference of O(1) block constants
+    rtol = 1e-8 if corrected else 1e-12
+    for t, row in zip(ts, rows):
+        frame_diag, defect_sup = product_defect_oracle(t, margin / t, corrected)
+        trace = (2 * frame_diag[0] + frame_diag[2]) / 3.0
+        assert_allclose(row["defect_sup"], defect_sup, rtol=rtol)
+        assert_allclose([row["trace_min"], row["trace_max"]], trace, rtol=1e-12)
 
 
 def test_corrected_scan_builds_one_provider_per_t(product, monkeypatch):

@@ -302,6 +302,31 @@ def test_product_jets_are_factor_products():
         assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))
 
 
+def test_product_jets_gather_repeated_points():
+    """Repeated and reordered points get bit-identical jet columns: each
+    distinct (theta, phi) row and s is evaluated once and gathered."""
+    prov = analytic_spectrum(ManifoldModel.product_sphere_circle(0.8, 3.0), count=300)
+    pts = geometry.sample_grid(prov.model, 6).points
+    rng = np.random.default_rng(9)
+    order = rng.permutation(np.concatenate([np.arange(len(pts)), rng.integers(0, len(pts), 50)]))
+    for full, gathered in zip(prov.jet_block(5, 290, pts), prov.jet_block(5, 290, pts[order])):
+        assert np.array_equal(gathered, full[:, order])
+
+
+def test_legendre_jets_build_only_requested_tables():
+    """Lower orders return the deriv=2 tables bit for bit and leave the
+    others unbuilt (zero-size)."""
+    theta = np.array([0.05, 1.0, np.pi / 2, 2.0, np.pi - 0.05])
+    full = spectrum._legendre_jets(40, theta, 2)
+    for deriv in (0, 1):
+        for order, (got, want) in enumerate(zip(spectrum._legendre_jets(40, theta, deriv),
+                                                full)):
+            if order <= deriv:
+                assert np.array_equal(got, want)
+            else:
+                assert got.size == 0
+
+
 def _reference_torus_modes(periods, lambda_max):
     """Lattice modes by a per-vector loop and a tuple sort, as (lambdas, descriptors)."""
     L = np.asarray(periods)
@@ -404,6 +429,54 @@ def _reference_product_modes(R, L, lambda_max):
         k += 1
     modes.sort()
     return [lam for lam, _ in modes], [desc for _, desc in modes]
+
+
+def _reference_sphere_modes(R, lambda_max):
+    """S^2(R) modes (k, m, parity) by a loop over degree and order."""
+    R2 = R**2
+    modes = []
+    k = 0
+    while k * (k + 1) / R2 <= lambda_max:
+        lam = k * (k + 1) / R2
+        for m in range(0, k + 1):
+            modes.append((lam, (k, m, spectrum.COS)))
+            if m > 0:
+                modes.append((lam, (k, m, spectrum.SIN)))
+        k += 1
+    return modes
+
+
+def _reference_circle_modes(L, lambda_max):
+    """S^1(L) modes (k, parity) by a loop over the wavenumber."""
+    kmax = int(np.floor(np.sqrt(max(lambda_max, 0.0)) * L / TWO_PI))
+    modes = [(0.0, (0, spectrum.COS))]
+    for k in range(1, kmax + 1):
+        lam = (2.0 * np.pi * k / L) ** 2
+        modes.append((lam, (k, spectrum.COS)))
+        modes.append((lam, (k, spectrum.SIN)))
+    return modes
+
+
+@pytest.mark.parametrize("enumerate_modes, reference, size, lambda_max", [
+    (spectrum._sphere_modes, _reference_sphere_modes, 1.0, 160.0),
+    (spectrum._sphere_modes, _reference_sphere_modes, 0.8, 90.0),
+    (spectrum._sphere_modes, _reference_sphere_modes, 1.3, 200 * 201 / 1.3**2),
+    (spectrum._sphere_modes, _reference_sphere_modes, 1.0, 0.0),
+    # lambda = (2 pi k / L)^2 where x * x and libm pow(x, 2) round apart:
+    # k = 595 at L = 3 and k = 305 at L = 6.3
+    (spectrum._circle_modes, _reference_circle_modes, 3.0, 1.6e6),
+    (spectrum._circle_modes, _reference_circle_modes, 6.3, 1e5),
+    (spectrum._circle_modes, _reference_circle_modes, TWO_PI, 0.5),
+], ids=["s1", "s0.8", "s1.3-deg200", "s-constant", "c3", "c6.3", "c-constant"])
+def test_factor_enumeration_matches_reference(enumerate_modes, reference, size,
+                                              lambda_max):
+    """Array enumeration of the sphere and circle factors reproduces the mode
+    loop, eigenvalues bit for bit and in the same order."""
+    lams, desc = enumerate_modes(size, lambda_max)
+    modes = reference(size, lambda_max)
+    assert np.array_equal(lams, [lam for lam, _ in modes])
+    assert desc.dtype.kind == "i"
+    assert np.array_equal(desc, [d for _, d in modes])
 
 
 @pytest.mark.parametrize("R, L, lambda_max", [(1.0, TWO_PI, 160.0), (0.8, 3.0, 90.0)])
