@@ -45,7 +45,13 @@ TORUS_2PI = ManifoldModel.flat_torus([2.0 * np.pi, 2.0 * np.pi])
 
 @_timed
 def check_homothety(tol: float = 1e-10) -> CheckResult:
-    """Flat-torus symmetry forces an exact homothety at every truncation shell."""
+    """Flat-torus symmetry forces an exact homothety at every truncation shell.
+
+    The pullback comes from the closed lattice form of the torus provider's
+    `gradient_gram`, which builds no jets; the large-q grid jets this check
+    once ran are pinned against it by the `n2_pair_weights` case of
+    `test_gradient_gram_matches_einsum` (count 10100, weights e^{-lambda t/2}).
+    """
     grid = geometry.sample_grid(TORUS_2PI, 32)
     policy = TruncationPolicy(rho=1.0)
     details = {"rows": []}

@@ -90,9 +90,10 @@ class EmbeddingMap:
     def pullback_on(self, points: np.ndarray, chunk: int = 1024) -> np.ndarray:
         """Pullback metric G(x) = sum_j grad Psi_j(x) outer grad Psi_j(x), [N, n, n].
 
-        The provider's `gradient_gram` sums the q weighted components; the
-        S^2 x S^1 provider contracts its sphere and circle factors there
-        without building per-mode jets.
+        The provider's `gradient_gram` sums the q weighted components.  The
+        torus and circle providers sum each lattice vector in closed form and
+        the S^2 x S^1 provider contracts its sphere and circle factors; neither
+        builds per-mode jets.
         """
         return self.provider.gradient_gram(1, self.weights, points, chunk)
 

@@ -9,7 +9,8 @@ Each analytic backend enumerates its modes as an eigenvalue array and an
 integer descriptor table, sorted once with `np.lexsort`.  Torus and circle
 modes share one lattice implementation: a block's jets come from one
 exp(i kappa_a x_a) table per axis, multiplied into cos and sin once per
-lattice vector and gathered onto that vector's cos and sin modes.
+lattice vector and gathered onto that vector's cos and sin modes.  Their
+gradient Gram sum needs no jets: it is closed in form per lattice vector.
 
 Sphere modes (on S^2 and the S^2 factor of S^2 x S^1) come from one fully
 normalized associated Legendre table per block, built over the block's
@@ -80,11 +81,15 @@ class SpectrumProvider:
                       chunk: int = 1024) -> np.ndarray:
         """sum_i (w_i grad phi_{j0+i}) outer (w_i grad phi_{j0+i}) at points [N, n].
 
-        One mode per weight.  Returns [N, n, n], exactly symmetric.  This
-        generic body fetches gradients in chunks of `chunk` modes, and each
-        entry (a, b), a <= b, of a chunk's sum is one contraction along the
-        mode axis, w^2 @ (d_a phi * d_b phi).
+        One mode per weight; modes past the provider's count are rejected.
+        Returns [N, n, n], exactly symmetric.  This generic body serves the
+        sphere and external providers and is the reference that the
+        closed-form overrides (lattice and S^2 x S^1) are tested against: it
+        fetches gradients in chunks of `chunk` modes, and each entry (a, b),
+        a <= b, of a chunk's sum is one contraction along the mode axis,
+        w^2 @ (d_a phi * d_b phi).
         """
+        _check_range(self, j0, j0 + len(weights))
         points = np.asarray(points, dtype=float)
         N, n = points.shape
         G = np.zeros((N, n, n))
@@ -104,6 +109,12 @@ class SpectrumProvider:
 def _check_deriv(deriv: int) -> None:
     if deriv not in (0, 1, 2):
         raise SpectrumError(f"derivative order must be 0, 1 or 2, got {deriv!r}")
+
+
+def _check_range(provider: SpectrumProvider, j0: int, j1: int) -> None:
+    if not 0 <= j0 <= j1 <= provider.count:
+        raise SpectrumError(
+            f"mode block [{j0}, {j1}) outside the provider's {provider.count} modes")
 
 
 def _unrequested() -> np.ndarray:
@@ -167,7 +178,8 @@ class LatticeSpectrum(AnalyticSpectrum):
     exp(i kappa_a x_a) per axis over the distinct k_a of the block, multiplies
     the gathered rows into c + i s = exp(i kappa . x) once per lattice vector,
     and gathers the value (c or s) and the derivative factor (-s or c) onto
-    the modes.
+    the modes.  `gradient_gram` needs no jets: the Gram sum of a cos/sin pair
+    is a closed form in kappa, constant in x when the pair's weights agree.
     """
 
     def _init_lattice(self, unit, volume: float):
@@ -182,13 +194,18 @@ class LatticeSpectrum(AnalyticSpectrum):
         self._amp = np.where(np.any(desc[:, :n] != 0, axis=1),
                              np.sqrt(2.0 / volume), np.sqrt(1.0 / volume))
 
-    def jet_block(self, j0, j1, points, deriv=2):
-        _check_deriv(deriv)
-        points = np.asarray(points, dtype=float)
-        N, n = points.shape
+    def _vectors(self, j0, j1):
+        """First lattice vector of modes j0..j1-1, and each mode's row counted from it."""
         vec = self._vector_of[j0:j1]
         v0 = vec[0] if vec.size else 0
-        rows = vec - v0
+        return v0, vec - v0
+
+    def jet_block(self, j0, j1, points, deriv=2):
+        _check_deriv(deriv)
+        _check_range(self, j0, j1)
+        points = np.asarray(points, dtype=float)
+        N, n = points.shape
+        v0, rows = self._vectors(j0, j1)
         lattice = self._lattice[v0:v0 + rows.max(initial=-1) + 1]
         phase = None
         for a in range(n):
@@ -219,6 +236,46 @@ class LatticeSpectrum(AnalyticSpectrum):
                 for j in range(n):
                     np.multiply(vals, -(K[:, i] * K[:, j])[:, None], out=hess[:, :, i, j])
         return vals, grads, hess
+
+    def gradient_gram(self, j0, weights, points, chunk=1024):
+        """The Gram sum of `SpectrumProvider.gradient_gram`, per lattice vector.
+
+        The cos and sin modes of kappa have gradients -a kappa sin(kappa . x)
+        and a kappa cos(kappa . x).  With s_c and s_s the squared weighted
+        amplitudes (w a)^2 of the two modes in the block (0 for a partner
+        outside it), sin^2 = (1 - cos 2u) / 2 and cos^2 = (1 + cos 2u) / 2 give
+        G = sum_kappa kappa kappa^T (s_c + s_s) / 2
+          + sum_kappa kappa kappa^T (s_s - s_c) / 2 cos(2 kappa . x).
+        The second sum runs over the vectors with s_c != s_s only; weights
+        that depend on lambda alone, as the embedding's do, leave it empty.
+        It is built in chunks of `chunk` vectors.  Each entry a <= b is one
+        contraction over the vectors, mirrored below the diagonal.
+        """
+        w = np.asarray(weights, dtype=float)
+        j1 = j0 + len(w)
+        _check_range(self, j0, j1)
+        points = np.asarray(points, dtype=float)
+        N, n = points.shape
+        v0, rows = self._vectors(j0, j1)
+        s = np.zeros((2, rows.max(initial=-1) + 1))          # [cos, sin] per vector
+        s[self._parity[j0:j1], rows] = (w * self._amp[j0:j1]) ** 2
+        kappa = self._lattice[v0:v0 + s.shape[1]] * self._unit
+        mean, ripple = (s[COS] + s[SIN]) / 2, (s[SIN] - s[COS]) / 2
+        G = np.empty((N, n, n))
+        for a in range(n):
+            for b in range(a, n):
+                G[:, a, b] = mean @ (kappa[:, a] * kappa[:, b])
+        live = np.flatnonzero(ripple)
+        for lo in range(0, live.size, chunk):
+            K, r = kappa[live[lo:lo + chunk]], ripple[live[lo:lo + chunk]]
+            wave = np.cos(points @ (2.0 * K).T)               # [N, chunk]
+            for a in range(n):
+                for b in range(a, n):
+                    G[:, a, b] += wave @ (r * K[:, a] * K[:, b])
+        for a in range(n):
+            for b in range(a):
+                G[:, a, b] = G[:, b, a]
+        return G
 
 
 class TorusSpectrum(LatticeSpectrum):
@@ -399,6 +456,7 @@ class SphereSpectrum(AnalyticSpectrum):
 
     def jet_block(self, j0, j1, points, deriv=2):
         _check_deriv(deriv)
+        _check_range(self, j0, j1)
         return _sphere_jets(self.model.radius, self._k[j0:j1], self._m[j0:j1],
                             self._even[j0:j1], points, deriv)
 
@@ -457,6 +515,7 @@ class ProductSpectrum(AnalyticSpectrum):
 
     def jet_block(self, j0, j1, points, deriv=2):
         _check_deriv(deriv)
+        _check_range(self, j0, j1)
         points = np.asarray(points, dtype=float)
         N = points.shape[0]
         fs, si, fc, ci = self._factors(j0, j1)
@@ -497,6 +556,7 @@ class ProductSpectrum(AnalyticSpectrum):
         """
         points = np.asarray(points, dtype=float)
         w = np.asarray(weights, dtype=float)
+        _check_range(self, j0, j0 + len(w))
         fs, si, fc, ci = self._factors(j0, j0 + len(w))
         W = np.zeros((fs.size, fc.size))
         W[si, ci] = w * w
@@ -639,6 +699,7 @@ class ExternalSpectrum(SpectrumProvider):
 
     def jet_block(self, j0, j1, points, deriv=2):
         _check_deriv(deriv)
+        _check_range(self, j0, j1)
         idx = self._locate(points)
         tables = (self._vals, self._grads, self._hess)
         return tuple(tab[j0:j1][:, idx] if order <= deriv else _unrequested()

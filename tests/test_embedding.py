@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from heatconf import (CorrectionSpec, ManifoldModel, TruncationPolicy, analytic_spectrum,
                       build_embedding, conformal_defect, corrected_model, defect_scan,
                       h1_solve, rescaled_provider, tail_bound_check)
-from heatconf import embedding, geometry, spectrum
+from heatconf import acceptance, embedding, geometry, spectrum
 from heatconf.errors import ConfigError, PreconditionError, SpectrumError
 
 TWO_PI = 2.0 * np.pi
@@ -367,17 +367,22 @@ def test_tail_bound_modes(circle, torus2):
 
 
 def _gram_case(name):
-    """(provider, j0, points) of one gradient Gram case; 96 modes from j0."""
+    """(provider, j0, weights, points) of one gradient Gram case; by default
+    96 random weights from j0 = 2."""
     rng = np.random.default_rng(3)
     if name == "n1":
         model = ManifoldModel.circle(TWO_PI)
-    elif name == "n2":
+    elif name == "n2_pair_weights":
+        model = ManifoldModel.flat_torus([TWO_PI, TWO_PI])
+    elif name.startswith("n2"):
         model = ManifoldModel.flat_torus([TWO_PI, 3.1])
+    elif name == "n3_torus":
+        model = ManifoldModel.flat_torus([TWO_PI, 3.0, 5.0])
     else:
         model = ManifoldModel.product_sphere_circle(0.8, 3.0)
     prov = analytic_spectrum(model, count=100)
     pts = geometry.sample_grid(model, 5).points + rng.uniform(0.0, 0.1, model.dim)
-    j0 = 2
+    j0, w = 2, np.random.default_rng(4).uniform(0.5, 2.0, 96)
     if name == "n3_scattered":
         # points that share no theta, phi or s
         pts = np.column_stack([rng.uniform(0.05, np.pi - 0.05, 50),
@@ -388,26 +393,93 @@ def _gram_case(name):
         assert prov.lambdas[j0 - 1] == prov.lambdas[j0]
     elif name == "n3_rescaled":
         prov = rescaled_provider(prov, (1.1, 0.8))
-    return prov, j0, pts
+    elif name == "n2_pair_weights":
+        # the embedding's weights e^{-lambda t/2} at large q, as in the
+        # homothety criterion, on a few points
+        prov = analytic_spectrum(model, count=10100)
+        j0, w = 1, np.exp(-prov.lambdas[1:] * 0.01 / 2.0)
+        pts = rng.uniform(0.0, TWO_PI, (4, 2))
+    elif name == "n2_split_pairs":
+        # starts on a sin mode whose cos is outside, ends on a cos mode whose
+        # sin is outside
+        parity = np.array([ep.descriptor[-1] for ep in prov.eigenpairs])
+        j0 = int(np.flatnonzero(parity == spectrum.SIN)[1])
+        j1 = int(np.flatnonzero(parity == spectrum.COS)[-3]) + 1
+        assert parity[j0 - 1] == spectrum.COS and parity[j1] == spectrum.SIN
+        w = w[:j1 - j0]
+    elif name == "n3_torus":
+        pts = rng.uniform(0.0, 5.0, (40, 3))
+    elif name == "n2_empty":
+        w = w[:0]
+    return prov, j0, w, pts
 
 
-@pytest.mark.parametrize("name", ["n1", "n2", "n3", "n3_scattered", "n3_mid_shell",
-                                  "n3_rescaled"])
+@pytest.mark.parametrize("name", ["n1", "n2", "n2_pair_weights", "n2_split_pairs",
+                                  "n2_empty", "n3_torus", "n3", "n3_scattered",
+                                  "n3_mid_shell", "n3_rescaled"])
 @pytest.mark.parametrize("chunk", [24, 25])
 def test_gradient_gram_matches_einsum(name, chunk):
     """The provider's Gram sum is symmetric and equals one einsum, with chunks
-    that do (24) and do not (25) divide the 96 modes.  On S^2 x S^1 the
-    separable override also equals the generic chunked body."""
-    prov, j0, pts = _gram_case(name)
-    w = np.random.default_rng(4).uniform(0.5, 2.0, 96)
+    that do (24) and do not (25) divide the 96 modes (48 lattice vectors in
+    the closed lattice form).  The closed-form
+    lattice and separable S^2 x S^1 overrides also equal the generic chunked
+    body."""
+    prov, j0, w, pts = _gram_case(name)
     G = prov.gradient_gram(j0, w, pts, chunk=chunk)
-    _, grads, _ = prov.jet_block(j0, j0 + 96, pts, deriv=1)
+    _, grads, _ = prov.jet_block(j0, j0 + len(w), pts, deriv=1)
     want = np.einsum("m,mpi,mpj->pij", w * w, grads, grads)
     assert np.array_equal(G, G.transpose(0, 2, 1))
     assert np.max(np.abs(G - want)) <= 1e-13 * np.max(np.abs(want))
-    if isinstance(prov, spectrum.ProductSpectrum):
-        base = spectrum.SpectrumProvider.gradient_gram(prov, j0, w, pts, chunk=chunk)
-        assert np.max(np.abs(G - base)) <= 1e-13 * np.max(np.abs(base))
+    base = spectrum.SpectrumProvider.gradient_gram(prov, j0, w, pts, chunk=chunk)
+    assert np.max(np.abs(G - base)) <= 1e-13 * np.max(np.abs(base))
+    if name == "n2_pair_weights":
+        # partners share lambda, so only the constant term of the closed form is left
+        assert np.array_equal(G, np.broadcast_to(G[0], G.shape))
+
+
+@pytest.mark.parametrize("name", ["circle", "torus2"])
+def test_lattice_pullback_and_tail_build_no_jets(name, request, monkeypatch):
+    """Torus and circle pullbacks and truncation tails come from the closed
+    lattice form of `gradient_gram`: no mode jets are built."""
+    calls = []
+    jet_block = spectrum.LatticeSpectrum.jet_block
+
+    def counting_jet_block(self, *args, **kwargs):
+        calls.append(args[:2])
+        return jet_block(self, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum.LatticeSpectrum, "jet_block", counting_jet_block)
+    model = request.getfixturevalue(name)
+    prov = analytic_spectrum(model, count=600)
+    policy = TruncationPolicy(rho=1.0)
+    emb = build_embedding(prov, 0.1, policy)
+    G = emb.pullback_on(geometry.sample_grid(model, 8).points)
+    tail, _, _ = tail_bound_check(prov, 0.1, policy, resolution=8)
+    assert calls == []
+    assert G.shape[1:] == (model.dim, model.dim) and tail > 0.0
+
+
+def test_torus_tail_rows_match_lattice_sum():
+    """The flat-torus rows of the tail_bound criterion are the exact lattice
+    tails c(t)^2 / V sum_{lambda_q < lambda <= lambda_max} lambda e^{-lambda t},
+    summed here over every k in Z^2 (both signs), and round to the documented
+    0.34 and 0.025."""
+    rows = [r for r in acceptance.check_tail_bound().details["rows"]
+            if r["model"] == "flat_torus"]
+    prov = analytic_spectrum(acceptance.TORUS_2PI, count=10100)
+    K = int(np.sqrt(prov.lambda_max)) + 1
+    k = np.mgrid[-K:K + 1, -K:K + 1].reshape(2, -1)
+    lam = np.sum(k * k, axis=0).astype(float)          # periods 2 pi: kappa = k
+    volume = (2.0 * np.pi) ** 2
+    for row in rows:
+        t = row["t"]
+        lam_q = prov.lambdas[build_embedding(prov, t, TruncationPolicy(rho=1.0)).q]
+        c2 = 2.0 * (4.0 * np.pi) * t ** 2                 # c(t)^2 at n = 2
+        tail = lam[(lam > lam_q) & (lam <= prov.lambda_max)]
+        assert_allclose(row["tail"], c2 / volume * np.sum(tail * np.exp(-tail * t)),
+                        rtol=1e-12)
+    assert [r["t"] for r in rows] == [0.1, 0.05, 0.02]
+    assert (round(rows[0]["tail"], 2), round(rows[1]["tail"], 3)) == (0.34, 0.025)
 
 
 @pytest.mark.parametrize("corrected", [False, True], ids=["l1", "l2"])

@@ -180,6 +180,31 @@ def test_external_rejects_orthonormality_violation(tmp_path, circle_spec, circle
         load_external_spectrum(path)
 
 
+@pytest.mark.parametrize("name", ["torus2", "circle", "sphere", "product", "external"])
+def test_mode_blocks_outside_the_provider_rejected(name, request, tmp_path, circle_spec):
+    """jet_block and gradient_gram reject blocks that are not inside
+    0 <= j0 <= j1 <= count; an empty block at the end is legal."""
+    if name == "external":
+        grid = geometry.sample_grid(request.getfixturevalue("circle"), 16)
+        save_spectrum(circle_spec, tmp_path / "c.jsonl", grid, count=9)
+        prov = load_external_spectrum(tmp_path / "c.jsonl")
+        pts = grid.points[:3]
+    else:
+        model = request.getfixturevalue(name)
+        prov = analytic_spectrum(model, count=40)
+        pts = geometry.sample_grid(model, 4).points[:3]
+    M, n = prov.count, pts.shape[1]
+    for j0, j1 in ((M - 2, M + 5), (-1, 3), (5, 3), (M + 1, M + 1)):
+        with pytest.raises(SpectrumError, match="outside"):
+            prov.jet_block(j0, j1, pts)
+    for j0, size in ((M - 2, 7), (-1, 3), (M + 1, 0)):
+        with pytest.raises(SpectrumError, match="outside"):
+            prov.gradient_gram(j0, np.ones(size), pts)
+    vals, grads, hess = prov.jet_block(M, M, pts)
+    assert (vals.shape, grads.shape, hess.shape) == ((0, 3), (0, 3, n), (0, 3, n, n))
+    assert np.array_equal(prov.gradient_gram(M, np.ones(0), pts), np.zeros((3, n, n)))
+
+
 def test_rescaled_circle(circle):
     base = analytic_spectrum(circle, count=20)
     c2 = 1.21
