@@ -437,18 +437,24 @@ def test_gradient_gram_matches_einsum(name, chunk):
         assert np.array_equal(G, np.broadcast_to(G[0], G.shape))
 
 
-@pytest.mark.parametrize("name", ["circle", "torus2"])
-def test_lattice_pullback_and_tail_build_no_jets(name, request, monkeypatch):
-    """Torus and circle pullbacks and truncation tails come from the closed
-    lattice form of `gradient_gram`: no mode jets are built."""
+def _count_jet_blocks(monkeypatch, cls):
+    """List that records the (j0, j1) of every `cls.jet_block` call."""
     calls = []
-    jet_block = spectrum.LatticeSpectrum.jet_block
+    jet_block = cls.jet_block
 
     def counting_jet_block(self, *args, **kwargs):
         calls.append(args[:2])
         return jet_block(self, *args, **kwargs)
 
-    monkeypatch.setattr(spectrum.LatticeSpectrum, "jet_block", counting_jet_block)
+    monkeypatch.setattr(cls, "jet_block", counting_jet_block)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["circle", "torus2"])
+def test_lattice_pullback_and_tail_build_no_jets(name, request, monkeypatch):
+    """Torus and circle pullbacks and truncation tails come from the closed
+    lattice form of `gradient_gram`: no mode jets are built."""
+    calls = _count_jet_blocks(monkeypatch, spectrum.LatticeSpectrum)
     model = request.getfixturevalue(name)
     prov = analytic_spectrum(model, count=600)
     policy = TruncationPolicy(rho=1.0)
@@ -486,14 +492,7 @@ def test_torus_tail_rows_match_lattice_sum():
 def test_product_scan_matches_level_sum_oracle(product, monkeypatch, corrected):
     """S^2 x S^1 defect_scan rows at margin 16 and the defect_law t against the
     closed-form level sums; the scan builds no per-mode jets."""
-    calls = []
-    jet_block = spectrum.ProductSpectrum.jet_block
-
-    def counting_jet_block(self, *args, **kwargs):
-        calls.append(args[:2])
-        return jet_block(self, *args, **kwargs)
-
-    monkeypatch.setattr(spectrum.ProductSpectrum, "jet_block", counting_jet_block)
+    calls = _count_jet_blocks(monkeypatch, spectrum.ProductSpectrum)
     ts, margin = [0.1, 0.07, 0.05, 0.035, 0.025], 16.0
     correction = CorrectionSpec(l=2, eta=(0.0,)) if corrected else None
     rows = defect_scan(product, ts, TruncationPolicy(rho=1.0), correction=correction,
