@@ -11,15 +11,19 @@ verify        run the acceptance criteria and report pass/fail
 Exit codes: 0 success, 1 verification failures, 2 config error,
 3 mathematical precondition failure, 4 convergence failure.
 
-Configuration is a single JSON document; the only environment override is
-HEATCONF_OUT for the output directory.  Identical config and seed give a
-byte-identical report up to the timestamp field and, for verify, the
-per-criterion elapsed_s timings.
+Configuration is a single JSON document.  CONFIG_KEYS is its whole contract:
+each section's keys with their parser and default.  An absent or null key
+takes its default; a key not in the table, a section that is not an object
+or a value its parser rejects exits 2 with one line naming the key.  The only
+environment override is HEATCONF_OUT for the output directory.  Identical
+config and seed give a byte-identical report up to the timestamp field and,
+for verify, the per-criterion elapsed_s timings.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
@@ -27,6 +31,8 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING
+
+from .errors import ConfigError, reject_unknown_keys
 
 if TYPE_CHECKING:      # heavy imports stay inside main() so --threads can act first
     from .embedding import CorrectionSpec
@@ -41,23 +47,6 @@ def _set_thread_env(threads: int | None):
         os.environ[var] = str(threads)
 
 
-REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["command", "config", "versions", "basis_conventions", "seed",
-                 "timestamp", "results"],
-    "properties": {
-        "command": {"type": "string"},
-        "config": {"type": "object"},
-        "versions": {"type": "object"},
-        "basis_conventions": {"type": "object"},
-        "seed": {"type": "integer"},
-        "threads": {"type": ["integer", "null"]},
-        "timestamp": {"type": "string"},
-        "results": {"type": "object"},
-    },
-    "additionalProperties": False,
-}
-
 BASIS_CONVENTIONS = {
     "eigenbasis": "cosine before sine within each eigenvalue; lattice vectors "
                   "lexicographic; spherical harmonics in (degree, order) order "
@@ -68,99 +57,155 @@ BASIS_CONVENTIONS = {
 }
 
 
-@dataclass
-class RunConfig:
-    raw: dict
-    model: "object"
-    rho: float
-    q_override: int | None
-    t_grid: list
-    resolution: int
-    analysis_s: int
-    analysis_alpha: float
-    correction: "object | None"
-    spectrum_count: int | None
-    spectrum_lambda_max: float | None
-    spectrum_lambda_t_margin: float | None
-    solver: dict
-    verify: dict
-    seed: int
+def _as_float(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _as_int(value, name: str) -> int:
-    from .errors import ConfigError
-
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
             or not float(value).is_integer():
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
-def _as_float_list(value, name: str) -> list[float]:
-    from .errors import ConfigError
+def _between(parse, lo, hi, what: str):
+    """`parse`, then reject values outside the open interval (lo, hi)."""
+    def parse_between(value, name: str):
+        parsed = parse(value, name)
+        if not lo < parsed < hi:
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
+        return parsed
+    return parse_between
 
+
+_positive = _between(_as_float, 0, math.inf, "a positive finite number")
+_alpha = _between(_as_float, 0, 1, "a number in (0, 1)")
+_count = _between(_as_int, 0, math.inf, "an integer >= 1")
+
+
+def _as_float_list(value, name: str) -> list[float]:
     if not isinstance(value, list) or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
         raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
     return [float(v) for v in value]
 
 
-def _as_float(value, name: str) -> float:
-    from .errors import ConfigError
-
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
-def _optional(parse, value, name: str):
-    return None if value is None else parse(value, name)
-
-
 def _as_section(value, name: str) -> dict:
-    from .errors import ConfigError
-
     if not isinstance(value, dict):
         raise ConfigError(f"{name} must be a JSON object, got {value!r}")
     return value
 
 
-def _as_verify(value, name: str) -> dict:
-    """The verify section: known criterion names, overrides that bind to them."""
+def _model(value, name: str):
+    from .geometry import ManifoldModel
+
+    return ManifoldModel.from_config(value)
+
+
+def _criteria(value, name: str) -> list[str]:
+    from .acceptance import ALL_CHECKS
+
+    if not (isinstance(value, list) and all(
+            isinstance(c, str) and c in ALL_CHECKS for c in value)):
+        raise ConfigError(f"{name} must be a list of criteria from "
+                          f"{', '.join(ALL_CHECKS)}, got {value!r}")
+    return list(value)
+
+
+def _overrides(value, name: str) -> dict:
+    """Per-criterion keyword overrides; each must bind to its check's signature."""
     import inspect
 
     from .acceptance import ALL_CHECKS
-    from .errors import ConfigError
 
-    section = _as_section(value, name)
-    criteria = section.get("criteria")
-    if criteria is not None and not (isinstance(criteria, list) and all(
-            isinstance(c, str) and c in ALL_CHECKS for c in criteria)):
-        raise ConfigError(f"{name}.criteria must be a list of criteria from "
-                          f"{', '.join(ALL_CHECKS)}, got {criteria!r}")
-    for crit, kwargs in _as_section(section.get("overrides", {}),
-                                    f"{name}.overrides").items():
+    for crit, kwargs in _as_section(value, name).items():
         if crit not in ALL_CHECKS:
-            raise ConfigError(f"{name}.overrides names unknown criterion {crit!r}")
+            raise ConfigError(f"{name} names unknown criterion {crit!r}")
         try:
             inspect.signature(ALL_CHECKS[crit]).bind(
-                **_as_section(kwargs, f"{name}.overrides.{crit}"))
+                **_as_section(kwargs, f"{name}.{crit}"))
         except TypeError as exc:
-            raise ConfigError(f"{name}.overrides.{crit}: {exc}") from None
-    return section
+            raise ConfigError(f"{name}.{crit}: {exc}") from None
+    return dict(value)
 
 
-_SOLVER_FIELDS = {"e": _as_float, "tol": _as_float, "max_iter": _as_int,
-                  "k_values": _as_float_list, "epsilon": _as_float, "t": _as_float,
-                  "resolution": _as_int, "theta_threshold": _as_float,
-                  "f_mode": _as_float_list}
+# The config contract: key -> (parser, default), a nested dict being a section.
+# An absent or null key takes its default; a default of None means "unset".
+CONFIG_KEYS = {
+    "model": (_model, None),
+    "rho": (_positive, 1.0),
+    "q_override": (_as_int, None),
+    "t_grid": (_as_float_list, []),
+    "resolution": (_as_int, 16),
+    "seed": (_as_int, 0),
+    "analysis": {"s": (_as_int, 2), "alpha": (_alpha, 0.45)},
+    "correction": {"l": (_as_int, 2), "eta": (_as_float_list, [0.0])},
+    "spectrum": {"count": (_count, 32), "lambda_max": (_positive, None),
+                 "lambda_t_margin": (_positive, None)},
+    "solver": {"e": (_as_float, 1.0), "tol": (_as_float, 1e-10),
+               "max_iter": (_as_int, 40), "k_values": (_as_float_list, [0.0]),
+               "epsilon": (_as_float, 1e-3), "t": (_positive, 0.05),
+               "resolution": (_as_int, 48), "theta_threshold": (_as_float, 0.25),
+               "f_mode": (_as_float_list, [1, 0])},
+    "verify": {"criteria": (_criteria, None), "overrides": (_overrides, {})},
+}
+
+
+def _parse_section(table: dict, raw, prefix: str) -> dict:
+    section = _as_section(raw, prefix.rstrip(".") or "config")
+    reject_unknown_keys(section, tuple(table), prefix)
+    parsed = {}
+    for key, spec in table.items():
+        value = section.get(key)
+        if isinstance(spec, dict):
+            parsed[key] = _parse_section(spec, {} if value is None else value,
+                                         f"{prefix}{key}.")
+            continue
+        parse, default = spec
+        value = default if value is None else value
+        parsed[key] = None if value is None else parse(value, prefix + key)
+    return parsed
+
+
+@dataclass
+class RunConfig:
+    """A parsed config: the CONFIG_KEYS entries, sections as dicts of parsed keys."""
+
+    raw: dict
+    model: "ManifoldModel | None"
+    rho: float
+    q_override: int | None
+    t_grid: list
+    resolution: int
+    seed: int
+    analysis: dict
+    correction: "CorrectionSpec | None"     # None when the section is absent or empty
+    spectrum: dict
+    solver: dict
+    verify: dict
+
+
+def parse_config(raw, seed_override=None) -> RunConfig:
+    """Check every key of a config document against CONFIG_KEYS and fill in defaults."""
+    from .embedding import CorrectionSpec
+
+    fields = _parse_section(CONFIG_KEYS, raw, "")
+    if seed_override is not None:
+        fields["seed"] = _as_int(seed_override, "seed")
+    corr, ana = fields["correction"], fields["analysis"]
+    fields["correction"] = None
+    if raw.get("correction"):
+        fields["correction"] = CorrectionSpec(l=corr["l"], eta=tuple(corr["eta"]))
+        if not ana["s"] + ana["alpha"] < corr["l"] + 0.5:
+            raise ConfigError(
+                f"smoothness budget violated: s + alpha = {ana['s'] + ana['alpha']} "
+                f"must be < l + 1/2 = {corr['l'] + 0.5}")
+    return RunConfig(raw=raw, **fields)
 
 
 def load_config(path, seed_override=None) -> RunConfig:
-    from . import embedding
-    from .errors import ConfigError
-    from .geometry import ManifoldModel
-
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -168,58 +213,11 @@ def load_config(path, seed_override=None) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-
-    model = ManifoldModel.from_config(raw["model"]) if "model" in raw else None
-    corr_cfg = _optional(_as_section, raw.get("correction"), "correction")
-    correction = None
-    if corr_cfg:
-        correction = embedding.CorrectionSpec(
-            l=_as_int(corr_cfg.get("l", 2), "correction.l"),
-            eta=tuple(_as_float_list(corr_cfg.get("eta", [0.0]), "correction.eta")))
-    ana = _as_section(raw.get("analysis", {}), "analysis")
-    s = _as_int(ana.get("s", 2), "analysis.s")
-    alpha = _as_float(ana.get("alpha", 0.45), "analysis.alpha")
-    if not 0 < alpha < 1:
-        raise ConfigError("analysis.alpha must lie in (0, 1)")
-    if correction is not None and not s + alpha < correction.l + 0.5:
-        raise ConfigError(
-            f"smoothness budget violated: s + alpha = {s + alpha} must be "
-            f"< l + 1/2 = {correction.l + 0.5}")
-    solver = {
-        "e": 1.0, "tol": 1e-10, "max_iter": 40, "k_values": [0.0],
-        "epsilon": 1e-3, "t": 0.05, "resolution": 48, "theta_threshold": 0.25,
-        "f_mode": [1, 0],
-    }
-    solver.update(_as_section(raw.get("solver", {}), "solver"))
-    for key, parse in _SOLVER_FIELDS.items():
-        solver[key] = parse(solver[key], f"solver.{key}")
-    spec_cfg = _as_section(raw.get("spectrum", {}), "spectrum")
-    seed = _as_int(raw.get("seed", 0) if seed_override is None else seed_override, "seed")
-    t_grid = _as_float_list(raw.get("t_grid", []), "t_grid")
-    return RunConfig(
-        raw=raw, model=model,
-        rho=_as_float(raw.get("rho", 1.0), "rho"),
-        q_override=_optional(_as_int, raw.get("q_override"), "q_override"),
-        t_grid=t_grid,
-        resolution=_as_int(raw.get("resolution", 16), "resolution"),
-        analysis_s=s, analysis_alpha=alpha,
-        correction=correction,
-        spectrum_count=_optional(_as_int, spec_cfg.get("count"), "spectrum.count"),
-        spectrum_lambda_max=_optional(_as_float, spec_cfg.get("lambda_max"),
-                                      "spectrum.lambda_max"),
-        spectrum_lambda_t_margin=_optional(_as_float, spec_cfg.get("lambda_t_margin"),
-                                           "spectrum.lambda_t_margin"),
-        solver=solver,
-        verify=_as_verify(raw.get("verify", {}), "verify"),
-        seed=seed,
-    )
+    return parse_config(raw, seed_override)
 
 
 def _report(out_dir: Path, command: str, cfg: RunConfig, results: dict,
             threads) -> Path:
-    import jsonschema
     import numpy
     import scipy
 
@@ -240,7 +238,6 @@ def _report(out_dir: Path, command: str, cfg: RunConfig, results: dict,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "results": results,
     }
-    jsonschema.validate(report, REPORT_SCHEMA)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "report.json"
     with open(path, "w") as fh:
@@ -251,13 +248,12 @@ def _report(out_dir: Path, command: str, cfg: RunConfig, results: dict,
 
 def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> dict:
     from . import geometry, spectrum
-    from .errors import ConfigError
 
     if cfg.model is None:
         raise ConfigError("spectrum command needs a model")
-    count = cfg.spectrum_count or 32
+    count = cfg.spectrum["count"]
     provider = spectrum.analytic_spectrum(cfg.model, count=count,
-                                          lambda_max=cfg.spectrum_lambda_max)
+                                          lambda_max=cfg.spectrum["lambda_max"])
     pairs = spectrum.enumerate_eigenpairs(provider, count)
     grid = geometry.sample_grid(cfg.model, cfg.resolution)
     eig_dir = out_dir / "eigenpairs"
@@ -273,20 +269,19 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> dict:
 
 def cmd_defect_scan(cfg: RunConfig, out_dir: Path) -> dict:
     from . import analysis, embedding
-    from .errors import ConfigError
 
     if cfg.model is None or not cfg.t_grid:
         raise ConfigError("defect-scan needs a model and a t_grid")
     policy = embedding.TruncationPolicy(rho=cfg.rho, q_override=cfg.q_override)
-    window = cfg.spectrum_lambda_max
-    margin = cfg.spectrum_lambda_t_margin
+    window = cfg.spectrum["lambda_max"]
+    margin = cfg.spectrum["lambda_t_margin"]
     if margin is not None:
         window = lambda t: margin / t
     rows = embedding.defect_scan(cfg.model, cfg.t_grid, policy,
                                  correction=cfg.correction,
                                  resolution=cfg.resolution,
                                  lambda_cutoff=window,
-                                 alpha=cfg.analysis_alpha)
+                                 alpha=cfg.analysis["alpha"])
     tables = out_dir / "tables"
     tables.mkdir(parents=True, exist_ok=True)
     embedding.write_scan_csv(rows, tables / "defect_scan.csv")
@@ -312,7 +307,6 @@ def cmd_gram(cfg: RunConfig, out_dir: Path) -> dict:
     import numpy as np
 
     from . import embedding, geometry, jets, spectrum
-    from .errors import ConfigError
 
     if cfg.model is None:
         raise ConfigError("gram diagnostics need a model")
@@ -354,7 +348,6 @@ def cmd_perturb(cfg: RunConfig, out_dir: Path) -> dict:
     import numpy as np
 
     from . import embedding, perturb, spectrum
-    from .errors import ConfigError
 
     if cfg.model is None:
         raise ConfigError("perturb needs a model")
@@ -384,10 +377,10 @@ def cmd_perturb(cfg: RunConfig, out_dir: Path) -> dict:
         history, v = perturb.fixed_point_solve(
             emb, f, k=k, e=sv["e"], tol=sv["tol"], max_iter=sv["max_iter"],
             solver=solver, theta_threshold=sv["theta_threshold"],
-            s=cfg.analysis_s, alpha=cfg.analysis_alpha)
-        rep = perturb.verify_conformal(emb, v, f, solver, alpha=cfg.analysis_alpha)
+            s=cfg.analysis["s"], alpha=cfg.analysis["alpha"])
+        rep = perturb.verify_conformal(emb, v, f, solver, alpha=cfg.analysis["alpha"])
         result = perturb.assemble_C(emb, v, solver, k=k, manufactured_f=f,
-                                    alpha=cfg.analysis_alpha)
+                                    alpha=cfg.analysis["alpha"])
         solutions[k] = v
         runs.append({
             "k": k,
@@ -420,9 +413,7 @@ def cmd_perturb(cfg: RunConfig, out_dir: Path) -> dict:
 def cmd_verify(cfg: RunConfig, out_dir: Path) -> tuple[dict, bool]:
     from . import acceptance
 
-    criteria = cfg.verify.get("criteria")
-    overrides = cfg.verify.get("overrides", {})
-    results = acceptance.run_all(criteria, overrides)
+    results = acceptance.run_all(cfg.verify["criteria"], cfg.verify["overrides"])
     payload = {"criteria": [], "all_passed": True}
     for res in results:
         entry = {
@@ -477,19 +468,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _set_thread_env(args.threads)
 
-    from .errors import (ConfigError, ConvergenceError, DomainError,
-                         PreconditionError, SpectrumError)
+    from .errors import ConvergenceError, DomainError, PreconditionError, SpectrumError
 
     try:
         if args.config:
             cfg = load_config(args.config, seed_override=args.seed)
         elif args.command == "verify":
-            cfg = RunConfig(raw={}, model=None, rho=1.0, q_override=None,
-                            t_grid=[], resolution=16, analysis_s=2,
-                            analysis_alpha=0.45, correction=None,
-                            spectrum_count=None, spectrum_lambda_max=None,
-                            spectrum_lambda_t_margin=None, solver={}, verify={},
-                            seed=args.seed if args.seed is not None else 0)
+            cfg = parse_config({}, seed_override=args.seed)
         else:
             raise ConfigError("--config is required for this command")
         out_dir = Path(os.environ.get("HEATCONF_OUT") or args.out

@@ -39,6 +39,8 @@ class TruncationPolicy:
             raise ConfigError("q_override must be a positive integer")
 
     def q(self, t: float, n: int) -> int:
+        if not t > 0:
+            raise ConfigError(f"t must be positive, got {t!r}")
         floor = n + n * (n + 1) // 2
         if self.q_override is not None:
             if self.q_override < floor:
@@ -101,8 +103,6 @@ class EmbeddingMap:
 def build_embedding(provider: SpectrumProvider, t: float,
                     policy: TruncationPolicy) -> EmbeddingMap:
     """Embedding at time t with the policy's component count, shell-closed."""
-    if t <= 0:
-        raise ConfigError("t must be positive")
     if t >= 1.0:
         warnings.warn(f"t = {t} >= 1: outside the asymptotic regime", stacklevel=2)
     n = provider.model.dim

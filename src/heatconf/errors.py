@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the unknown-key check."""
 
 
 class HeatconfError(Exception):
@@ -23,3 +23,11 @@ class PreconditionError(HeatconfError):
 
 class ConvergenceError(HeatconfError):
     """An iteration diverged or exhausted its step budget."""
+
+
+def reject_unknown_keys(section: dict, allowed, prefix: str) -> None:
+    """Raise ConfigError naming the first key of `section` not in `allowed`."""
+    for key in section:
+        if key not in allowed:
+            raise ConfigError(
+                f"unknown key {prefix}{key} (allowed: {', '.join(allowed)})")

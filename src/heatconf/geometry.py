@@ -12,11 +12,11 @@ hard-coded per kind and cross-checked by finite differences in the tests.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, reject_unknown_keys
 
 FLAT_TORUS = "flat_torus"
 CIRCLE = "circle"
@@ -95,10 +95,6 @@ class ManifoldModel:
             return np.pi * self.radius
         return min(np.pi * self.radius, self.length / 2.0)
 
-    @property
-    def is_flat(self) -> bool:
-        return self.kind in (FLAT_TORUS, CIRCLE)
-
     def to_config(self) -> dict:
         params: dict = {}
         if self.kind == FLAT_TORUS:
@@ -111,32 +107,36 @@ class ManifoldModel:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "ManifoldModel":
+        """Model from {"kind", "params"}; params takes the keys `to_config` writes."""
         try:
             kind = cfg["kind"]
             params = cfg.get("params", {})
         except (TypeError, KeyError) as exc:
             raise ConfigError(f"malformed model config: {cfg!r}") from exc
+        reject_unknown_keys(cfg, ("kind", "params"), "model.")
         try:
             if kind == FLAT_TORUS:
-                return cls.flat_torus(params["periods"])
-            if kind == CIRCLE:
-                return cls.circle(params["length"])
-            if kind == SPHERE2:
-                return cls.sphere2(params["radius"])
-            if kind == PRODUCT_SPHERE_CIRCLE:
-                return cls.product_sphere_circle(params["radius"], params["length"])
+                model = cls.flat_torus(params["periods"])
+            elif kind == CIRCLE:
+                model = cls.circle(params["length"])
+            elif kind == SPHERE2:
+                model = cls.sphere2(params["radius"])
+            elif kind == PRODUCT_SPHERE_CIRCLE:
+                model = cls.product_sphere_circle(params["radius"], params["length"])
+            else:
+                raise ConfigError(f"unknown manifold kind {kind!r}")
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(
                 f"{kind} params missing or malformed ({exc!r}): {params!r}") from exc
-        raise ConfigError(f"unknown manifold kind {kind!r}")
+        reject_unknown_keys(params, tuple(model.to_config()["params"]), "model.params.")
+        return model
 
 
 @dataclass
 class MetricAtPoint:
     """Pointwise metric data in chart coordinates.
 
-    christoffel is indexed [k, i, j] = Gamma^k_ij; riemann is the all-lower
-    tensor R_{ijkl} (sign convention making the round sphere positively curved).
+    christoffel is indexed [k, i, j] = Gamma^k_ij.
     """
 
     g: np.ndarray
@@ -144,7 +144,6 @@ class MetricAtPoint:
     christoffel: np.ndarray
     ricci: np.ndarray
     scalar: float
-    riemann: np.ndarray = field(repr=False, default=None)
 
 
 @dataclass
@@ -184,12 +183,11 @@ def metric_at(model: ManifoldModel, x) -> MetricAtPoint:
     n = model.dim
     if model.kind == FLAT_TORUS:
         return MetricAtPoint(np.eye(n), np.eye(n), np.zeros((n, n, n)),
-                             np.zeros((n, n)), 0.0, np.zeros((n, n, n, n)))
+                             np.zeros((n, n)), 0.0)
     if model.kind == CIRCLE:
         a = (model.length / (2.0 * np.pi)) ** 2
         return MetricAtPoint(np.array([[a]]), np.array([[1.0 / a]]),
-                             np.zeros((1, 1, 1)), np.zeros((1, 1)), 0.0,
-                             np.zeros((1, 1, 1, 1)))
+                             np.zeros((1, 1, 1)), np.zeros((1, 1)), 0.0)
     if model.kind == SPHERE2:
         return _sphere_metric(model.radius, x[0], pad=0)
     sphere = _sphere_metric(model.radius, x[0], pad=1)
@@ -216,14 +214,7 @@ def _sphere_metric(radius: float, theta: float, pad: int) -> MetricAtPoint:
     ric = np.zeros((n, n))
     ric[0, 0] = 1.0
     ric[1, 1] = st * st
-    scalar = 2.0 / R2
-    # constant curvature K = 1/R^2: R_{ijkl} = K (g_ik g_jl - g_il g_jk)
-    riem = np.zeros((n, n, n, n))
-    K = 1.0 / R2
-    gs = g[:2, :2]
-    riem[:2, :2, :2, :2] = K * (np.einsum("ik,jl->ijkl", gs, gs)
-                                - np.einsum("il,jk->ijkl", gs, gs))
-    return MetricAtPoint(g, g_inv, gamma, ric, scalar, riem)
+    return MetricAtPoint(g, g_inv, gamma, ric, 2.0 / R2)
 
 
 def a1_tensor(model: ManifoldModel, x) -> np.ndarray:

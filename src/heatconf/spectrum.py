@@ -611,6 +611,8 @@ def analytic_spectrum(model: ManifoldModel, count: int | None = None,
     """
     if count is None and lambda_max is None:
         raise ConfigError("need count or lambda_max")
+    if count is not None and count < 1:
+        raise SpectrumError(f"count must be at least 1, got {count!r}")
     cls = _ANALYTIC[model.kind]
     if lambda_max is not None:
         prov = cls(model, lambda_max)

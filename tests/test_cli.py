@@ -11,6 +11,24 @@ TWO_PI = 2.0 * np.pi
 TORUS_MODEL = {"kind": "flat_torus", "params": {"periods": [TWO_PI, TWO_PI]}}
 CIRCLE_MODEL = {"kind": "circle", "params": {"length": TWO_PI}}
 
+# The report contract: every command's report.json has exactly these keys.
+REPORT_SCHEMA = {
+    "type": "object",
+    "required": ["command", "config", "versions", "basis_conventions", "seed",
+                 "timestamp", "results"],
+    "properties": {
+        "command": {"type": "string"},
+        "config": {"type": "object"},
+        "versions": {"type": "object"},
+        "basis_conventions": {"type": "object"},
+        "seed": {"type": "integer"},
+        "threads": {"type": ["integer", "null"]},
+        "timestamp": {"type": "string"},
+        "results": {"type": "object"},
+    },
+    "additionalProperties": False,
+}
+
 
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
@@ -91,7 +109,7 @@ def test_report_schema(tmp_path):
                                   "resolution": 8, "seed": 9})
     out = tmp_path / "out"
     assert run(["--config", cfg, "--out", str(out), "defect-scan"]) == 0
-    jsonschema.validate(load_report(out), cli.REPORT_SCHEMA)
+    jsonschema.validate(load_report(out), REPORT_SCHEMA)
 
 
 def test_perturb_command(tmp_path):
@@ -175,51 +193,80 @@ def test_out_env_override(tmp_path, monkeypatch):
 
 
 def test_malformed_config_values_exit_2(tmp_path, capsys):
-    """Missing model params and mistyped fields end in one stderr line, exit 2."""
+    """Missing model params, mistyped or out-of-range values and unknown keys
+    end in one stderr line, exit 2."""
+    torus_1 = {"kind": "flat_torus", "params": {"periods": [TWO_PI]}}
+    scan = {"model": TORUS_MODEL, "t_grid": [0.05]}
     bad = {
-        "no_periods": {"model": {"kind": "flat_torus", "params": {}},
-                       "t_grid": [0.05], "resolution": 8},
-        "t_grid_string": {"model": TORUS_MODEL, "t_grid": "0.1", "resolution": 8},
-        "resolution_string": {"model": TORUS_MODEL, "t_grid": [0.05],
-                              "resolution": "abc"},
-        "rho_string": {"model": TORUS_MODEL, "t_grid": [0.05], "rho": "x"},
-        "solver_resolution_string": {"model": TORUS_MODEL,
-                                     "solver": {"resolution": "abc"}},
-        "solver_k_values_string": {"model": TORUS_MODEL, "solver": {"k_values": "0"}},
-        "solver_tol_string": {"model": TORUS_MODEL, "solver": {"tol": "1e-10"}},
-        "solver_max_iter_fraction": {"model": TORUS_MODEL, "solver": {"max_iter": 2.5}},
-        "alpha_string": {"model": TORUS_MODEL, "t_grid": [0.05], "analysis": {"alpha": "x"}},
-        "correction_l_string": {"model": TORUS_MODEL, "t_grid": [0.05],
-                                "correction": {"l": "x"}},
-        "correction_eta_number": {"model": TORUS_MODEL, "t_grid": [0.05],
-                                  "correction": {"eta": 0.0}},
-        "q_override_string": {"model": TORUS_MODEL, "t_grid": [0.05], "q_override": "x"},
-        "spectrum_count_string": {"model": TORUS_MODEL, "t_grid": [0.05],
-                                  "spectrum": {"count": "x"}},
-        "f_mode_too_long": {"model": TORUS_MODEL, "solver": {"f_mode": [1, 0, 0]}},
-        "perturb_on_1_torus": {"model": {"kind": "flat_torus", "params": {"periods": [TWO_PI]}},
-                               "solver": {"f_mode": [1]}},
-        "lambda_t_margin_string": {"model": TORUS_MODEL, "t_grid": [0.05],
-                                   "spectrum": {"lambda_t_margin": "x"}},
-        "solver_not_object": {"model": TORUS_MODEL, "solver": [1]},
-        "correction_not_object": {"model": TORUS_MODEL, "t_grid": [0.05],
-                                  "correction": [2]},
-        "analysis_not_object": {"model": TORUS_MODEL, "t_grid": [0.05], "analysis": 3},
-        "spectrum_not_object": {"model": TORUS_MODEL, "t_grid": [0.05], "spectrum": "x"},
-        "verify_not_object": {"verify": [1]},
-        "verify_unknown_criterion": {"verify": {"criteria": ["nope"]}},
-        "verify_criteria_string": {"verify": {"criteria": "homothety"}},
-        "verify_unknown_override_criterion": {"verify": {"overrides": {"nope": {}}}},
-        "verify_unknown_override_argument": {
-            "verify": {"criteria": ["circle_scale"],
-                       "overrides": {"circle_scale": {"nope": 1}}}},
-        "verify_override_not_object": {"verify": {"overrides": {"circle_scale": [1]}}},
+        "no_periods": ("defect-scan", {"model": {"kind": "flat_torus", "params": {}},
+                                       "t_grid": [0.05], "resolution": 8}),
+        "t_grid_string": ("defect-scan", {"model": TORUS_MODEL, "t_grid": "0.1",
+                                          "resolution": 8}),
+        "resolution_string": ("defect-scan", {**scan, "resolution": "abc"}),
+        "rho_string": ("defect-scan", {**scan, "rho": "x"}),
+        "solver_resolution_string": ("perturb", {"model": TORUS_MODEL,
+                                                 "solver": {"resolution": "abc"}}),
+        "solver_k_values_string": ("perturb", {"model": TORUS_MODEL,
+                                               "solver": {"k_values": "0"}}),
+        "solver_tol_string": ("perturb", {"model": TORUS_MODEL, "solver": {"tol": "1e-10"}}),
+        "solver_max_iter_fraction": ("perturb", {"model": TORUS_MODEL,
+                                                 "solver": {"max_iter": 2.5}}),
+        "alpha_string": ("defect-scan", {**scan, "analysis": {"alpha": "x"}}),
+        "correction_l_string": ("defect-scan", {**scan, "correction": {"l": "x"}}),
+        "correction_eta_number": ("defect-scan", {**scan, "correction": {"eta": 0.0}}),
+        "q_override_string": ("defect-scan", {**scan, "q_override": "x"}),
+        "spectrum_count_string": ("defect-scan", {**scan, "spectrum": {"count": "x"}}),
+        "f_mode_too_long": ("perturb", {"model": TORUS_MODEL,
+                                        "solver": {"f_mode": [1, 0, 0]}}),
+        "perturb_on_1_torus": ("perturb", {"model": torus_1, "solver": {"f_mode": [1]}}),
+        "lambda_t_margin_string": ("defect-scan", {**scan,
+                                                   "spectrum": {"lambda_t_margin": "x"}}),
+        "solver_not_object": ("perturb", {"model": TORUS_MODEL, "solver": [1]}),
+        "correction_not_object": ("defect-scan", {**scan, "correction": [2]}),
+        "analysis_not_object": ("defect-scan", {**scan, "analysis": 3}),
+        "spectrum_not_object": ("defect-scan", {**scan, "spectrum": "x"}),
+        "verify_not_object": ("verify", {"verify": [1]}),
+        "verify_unknown_criterion": ("verify", {"verify": {"criteria": ["nope"]}}),
+        "verify_criteria_string": ("verify", {"verify": {"criteria": "homothety"}}),
+        "verify_unknown_override_criterion": ("verify",
+                                              {"verify": {"overrides": {"nope": {}}}}),
+        "verify_unknown_override_argument": (
+            "verify", {"verify": {"criteria": ["circle_scale"],
+                                  "overrides": {"circle_scale": {"nope": 1}}}}),
+        "verify_override_not_object": ("verify",
+                                       {"verify": {"overrides": {"circle_scale": [1]}}}),
+        # one misspelled key per section
+        "unknown_top_key": ("defect-scan", {**scan, "resoluton": 8}),
+        "unknown_model_key": ("spectrum", {"model": {**CIRCLE_MODEL, "parms": {}}}),
+        "unknown_model_param": ("spectrum", {"model": {
+            "kind": "circle", "params": {"length": TWO_PI, "radius": 1.0}}}),
+        "unknown_analysis_key": ("defect-scan", {**scan, "analysis": {"alpah": 0.3}}),
+        "unknown_correction_key": ("defect-scan", {**scan, "correction": {"order": 2}}),
+        "unknown_spectrum_key": ("spectrum", {"model": CIRCLE_MODEL,
+                                              "spectrum": {"cuont": 3}}),
+        "unknown_solver_key": ("gram", {"model": TORUS_MODEL,
+                                        "solver": {"resolutoin": 16}}),
+        "unknown_verify_key": ("verify", {"verify": {"criterias": ["homothety"]}}),
+        # t <= 0, and spectrum counts and windows out of range
+        "gram_t_zero": ("gram", {"model": TORUS_MODEL, "t_grid": [0.0]}),
+        "gram_t_negative_rho_half": ("gram", {"model": TORUS_MODEL, "rho": 0.5,
+                                              "t_grid": [-0.1]}),
+        "solver_t_zero": ("perturb", {"model": TORUS_MODEL, "solver": {"t": 0.0}}),
+        "solver_t_negative_rho_half": ("perturb", {"model": TORUS_MODEL, "rho": 0.5,
+                                                   "solver": {"t": -0.1}}),
+        "spectrum_count_negative": ("spectrum", {"model": {
+            "kind": "product_sphere_circle", "params": {"radius": 1.0, "length": TWO_PI}},
+            "spectrum": {"count": -5}}),
+        "spectrum_count_zero": ("spectrum", {"model": CIRCLE_MODEL,
+                                             "spectrum": {"count": 0}}),
+        "lambda_max_negative": ("defect-scan", {**scan, "spectrum": {"lambda_max": -1}}),
+        "lambda_t_margin_negative": ("defect-scan", {**scan,
+                                                     "spectrum": {"lambda_t_margin": -1}}),
+        "rho_nan": ("defect-scan", {**scan, "rho": float("nan")}),
     }
-    for name, payload in bad.items():
+    for name, (command, payload) in bad.items():
         cfg = write_config(tmp_path, payload, name=f"{name}.json")
         capsys.readouterr()
-        command = ("perturb" if "solver" in payload
-                   else "verify" if "verify" in payload else "defect-scan")
         code = run(["--config", cfg, "--out", str(tmp_path / name), command])
         err = capsys.readouterr().err
         assert code == 2, name

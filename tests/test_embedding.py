@@ -37,6 +37,10 @@ def test_policy_arithmetic():
         TruncationPolicy(q_override=3).q(0.1, 2)   # below the freeness floor
     with pytest.raises(ConfigError):
         TruncationPolicy(rho=-1.0)
+    with pytest.raises(ConfigError, match="t must be positive"):
+        TruncationPolicy().q(0.0, 2)
+    with pytest.raises(ConfigError, match="t must be positive"):
+        TruncationPolicy(rho=0.5).q(-0.1, 2)
 
 
 def test_build_embedding_needs_spectrum(circle):

@@ -64,11 +64,13 @@ def test_sphere_multiplicities(sphere_spec):
         assert np.sum(np.isclose(lams, k * (k + 1))) == 2 * k + 1
 
 
-def test_count_exhaustion(circle_spec):
+def test_count_exhaustion(circle_spec, product):
     with pytest.raises(SpectrumError):
         enumerate_eigenpairs(circle_spec, circle_spec.count + 1)
     with pytest.raises(SpectrumError):
         enumerate_eigenpairs(circle_spec, 0)
+    with pytest.raises(SpectrumError, match="count must be at least 1"):
+        analytic_spectrum(product, count=-5)
 
 
 def test_circle_jet_values(circle_spec):
@@ -587,8 +589,10 @@ def test_sphere_jets_finite_at_degree_1000():
         assert np.all(np.isfinite(err)) and np.max(err) <= 1e-12
 
 
-def test_sphere_jets_do_not_import_scipy_special():
-    """The CLI and an S^2 x S^1 jet block load no scipy.special."""
+def test_sphere_jets_do_not_import_scipy_special(tmp_path):
+    """The CLI and an S^2 x S^1 jet block load no scipy.special, and a CLI run
+    loads no jsonschema."""
+    import json
     import os
     import subprocess
     import sys
@@ -596,16 +600,22 @@ def test_sphere_jets_do_not_import_scipy_special():
 
     import heatconf
 
+    cfg = tmp_path / "circle.json"
+    cfg.write_text(json.dumps({"model": {"kind": "circle", "params": {"length": 6.3}},
+                               "spectrum": {"count": 3}}))
     code = ("import sys\n"
             "import numpy as np\n"
             "import heatconf.cli\n"
             "from heatconf import ManifoldModel, analytic_spectrum\n"
             "prov = analytic_spectrum(ManifoldModel.product_sphere_circle(1.0, 6.3), count=60)\n"
             "prov.jet_block(0, prov.count, np.array([[0.5, 1.0, 2.0], [2.0, 3.0, 1.0]]))\n"
-            "assert 'scipy.special' not in sys.modules\n")
+            "assert heatconf.cli.main(['--config', sys.argv[1], '--out', sys.argv[2],\n"
+            "                          'spectrum']) == 0\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            "assert 'jsonschema' not in sys.modules\n")
     src = str(Path(heatconf.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
