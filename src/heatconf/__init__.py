@@ -8,12 +8,12 @@ exactly conformal immersions by a contraction fixed point.
 
 from .analysis import NormEstimate, OrderFit, fit_order, holder_norm, scaling_diagnostics
 from .embedding import (CorrectionSpec, EmbeddingMap, PullbackReport, TruncationPolicy,
-                        build_embedding, conformal_defect, corrected_model, defect_scan,
-                        h1_solve, tail_bound_check)
+                        build_embedding, corrected_model, defect_scan, h1_solve,
+                        tail_bound_check)
 from .errors import (ConfigError, ConvergenceError, DomainError, HeatconfError,
                      PreconditionError, SpectrumError)
-from .geometry import ManifoldModel, MetricAtPoint, SampleGrid, a1_tensor, metric_at, \
-    orthonormal_frame, sample_grid
+from .geometry import (ManifoldModel, MetricData, SampleGrid, conformal_defect,
+                       metric_on_grid, sample_grid)
 from .jets import (PointwiseRightInverse, block_inverse, trace_free_rows, xi_inverse,
                    xi_matrix)
 from .perturb import (ConformalResult, ConformalSolver, FieldRq, IterationState,

@@ -190,11 +190,7 @@ def _manufactured_problem(epsilon: float = 1e-3, resolution: int = 48):
     provider = spectrum.analytic_spectrum(TORUS_2PI, count=600)
     emb = build_embedding(provider, 0.05, TruncationPolicy(rho=1.0))
     solver = perturb.ConformalSolver(emb, resolution=resolution, e=1.0)
-    x1 = solver.grid.points[:, 0]
-    f = np.zeros((solver.grid.N, 2, 2))
-    f[:, 0, 0] = epsilon * np.cos(x1)
-    f[:, 1, 1] = -epsilon * np.cos(x1)
-    return emb, solver, f
+    return emb, solver, perturb.manufactured_defect(solver.grid.points, epsilon, [1, 0])
 
 
 @_timed

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analysis, geometry, spectrum
 from .errors import ConfigError, PreconditionError, SpectrumError
-from .geometry import ManifoldModel, SampleGrid
+from .geometry import ManifoldModel, SampleGrid, conformal_defect
 from .spectrum import SpectrumProvider
 
 _SHELL_RTOL = 1e-9
@@ -119,32 +119,14 @@ def build_embedding(provider: SpectrumProvider, t: float,
     return EmbeddingMap(provider, t, q)
 
 
-def conformal_defect(G: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Trace-free part G - (tr_g G / n) g; zero exactly when G is conformal to g."""
-    G = np.asarray(G, dtype=float)
-    g = np.asarray(g, dtype=float)
-    try:
-        g_inv = np.linalg.inv(g)
-    except np.linalg.LinAlgError as exc:
-        raise PreconditionError("reference metric is singular") from exc
-    n = g.shape[-1]
-    tr = np.einsum("...ij,...ij->...", g_inv, G)
-    return G - (tr / n)[..., None, None] * g
-
-
 def h1_solve(A1: np.ndarray, g: np.ndarray, eta1) -> np.ndarray:
-    """First-order metric correction h1 = -A1 + (tr_g A1 / n) g + eta1 g.
+    """First-order metric correction h1 = -tf(A1) + eta1 g, tf the trace-free part.
 
-    By construction tr-free(h1) = -tr-free(A1) and (1/n) tr_g h1 = eta1;
-    works pointwise or batched over a leading grid axis.
+    So tf(h1) = -tf(A1) and (1/n) tr_g h1 = eta1; works pointwise or batched
+    over a leading grid axis.
     """
-    A1 = np.asarray(A1, dtype=float)
-    g = np.asarray(g, dtype=float)
-    eta1 = np.asarray(eta1, dtype=float)
-    n = g.shape[-1]
-    g_inv = np.linalg.inv(g)
-    tr = np.einsum("...ij,...ij->...", g_inv, A1)
-    return -A1 + ((tr / n + eta1)[..., None, None] * g)
+    defect, _ = conformal_defect(A1, g)
+    return np.asarray(eta1, dtype=float)[..., None, None] * g - defect
 
 
 @dataclass
@@ -178,18 +160,11 @@ _BLOCKS = {
 }
 
 
-def h1_frame_constant(model: ManifoldModel, eta1: float, probes: int = 5) -> np.ndarray:
-    """h1 in orthonormal-frame components, verified constant across probe points."""
-    rng = np.random.default_rng(7)
-    grid = geometry.sample_grid(model, 8)
-    idx = rng.choice(len(grid), size=min(probes, len(grid)), replace=False)
-    mats = []
-    for x in grid.points[idx]:
-        F = geometry.orthonormal_frame(model, x)
-        m = geometry.metric_at(model, x)
-        h1 = h1_solve(geometry.a1_tensor(model, x), m.g, eta1)
-        mats.append(F.T @ h1 @ F)
-    mats = np.array(mats)
+def h1_frame_constant(model: ManifoldModel, eta1: float) -> np.ndarray:
+    """h1 in orthonormal-frame components, verified constant over sample_grid(model, 8)."""
+    m = geometry.metric_on_grid(model, geometry.sample_grid(model, 8).points)
+    h1 = h1_solve(m.a1, m.g, eta1)
+    mats = np.einsum("nia,nij,njb->nab", m.frame, h1, m.frame)
     if np.max(np.abs(mats - mats[0])) > 1e-10:
         raise PreconditionError(
             "h1 is not constant in the product frame; switch to an external spectrum")
@@ -248,11 +223,9 @@ def pullback_report(emb: EmbeddingMap, grid: SampleGrid,
     reference = reference or emb.model
     pts = grid.points
     G = emb.pullback_on(pts)
-    g, g_inv, frame = geometry.metric_on_grid(reference, pts)
-    n = reference.dim
-    tr = np.einsum("nij,nij->n", g_inv, G) / n
-    defect = G - tr[:, None, None] * g
-    defect_frame = np.einsum("nia,nij,njb->nab", frame, defect, frame)
+    m = geometry.metric_on_grid(reference, pts)
+    defect, tr = conformal_defect(G, m.g, m.g_inv)
+    defect_frame = np.einsum("nia,nij,njb->nab", m.frame, defect, m.frame)
     sup = float(np.max(np.abs(defect_frame)))
     holder = analysis.holder_seminorm_field(
         defect_frame.reshape(len(pts), -1), pts, reference, alpha)
@@ -362,7 +335,7 @@ def tail_bound_check(provider: SpectrumProvider, t: float, policy: TruncationPol
             f"tail check needs >= 4x modes beyond q={q}, have {provider.count}")
     if grid is None:
         grid = geometry.sample_grid(model, resolution)
-    _, g_inv, _ = geometry.metric_on_grid(model, grid.points)
+    g_inv = geometry.metric_on_grid(model, grid.points).g_inv
     weights = emb.c_norm * np.exp(-provider.lambdas[q + 1:] * t / 2.0)
     # |grad phi|^2 in the metric: g^{ij} d_i phi d_j phi, summed over the tail
     tail = np.einsum("nij,nij->n", g_inv,

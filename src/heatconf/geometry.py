@@ -7,8 +7,13 @@ Supported kinds:
 * ``sphere2``               -- round 2-sphere of radius R, chart (theta, phi)
 * ``product_sphere_circle`` -- S^2(R) x S^1(L), chart (theta, phi, s)
 
-All evaluators are pure functions of the immutable model; curvature is
-hard-coded per kind and cross-checked by finite differences in the tests.
+One batched evaluator, `metric_on_grid`, gives the metric, its inverse, the
+orthonormal frame, the connection, Ricci and scalar curvature and the first
+heat-expansion tensor A1 over chart points [N, n]; a single point is a batch
+of one.  Curvature is hard-coded per kind and cross-checked by finite
+differences of that same evaluator in the tests.  `conformal_defect` is the
+one trace-free part G - (tr_g G / n) g, shared by the pullback report, the h1
+correction and the flat-torus solver.
 """
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, reject_unknown_keys
+from .errors import ConfigError, DomainError, PreconditionError, reject_unknown_keys
 
 FLAT_TORUS = "flat_torus"
 CIRCLE = "circle"
@@ -133,20 +138,6 @@ class ManifoldModel:
 
 
 @dataclass
-class MetricAtPoint:
-    """Pointwise metric data in chart coordinates.
-
-    christoffel is indexed [k, i, j] = Gamma^k_ij.
-    """
-
-    g: np.ndarray
-    g_inv: np.ndarray
-    christoffel: np.ndarray
-    ricci: np.ndarray
-    scalar: float
-
-
-@dataclass
 class SampleGrid:
     """Quadrature grid: chart points [N, n] and positive weights summing to vol(M)."""
 
@@ -157,116 +148,82 @@ class SampleGrid:
         return self.points.shape[0]
 
 
-def wrap_point(model: ManifoldModel, x) -> np.ndarray:
-    """Map a chart point into the fundamental domain; reject pole hits."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (model.dim,):
-        raise DomainError(f"point of dim {x.shape} on model of dim {model.dim}")
-    if model.kind == FLAT_TORUS:
-        return np.mod(x, np.asarray(model.periods))
-    if model.kind == CIRCLE:
-        return np.mod(x, 2.0 * np.pi)
-    if model.kind == SPHERE2:
-        theta, phi = x
-        if not (_POLE_MARGIN < theta < np.pi - _POLE_MARGIN):
-            raise DomainError(f"theta={theta} outside the polar chart (0, pi)")
-        return np.array([theta, np.mod(phi, 2.0 * np.pi)])
-    theta, phi, s = x
-    if not (_POLE_MARGIN < theta < np.pi - _POLE_MARGIN):
-        raise DomainError(f"theta={theta} outside the polar chart (0, pi)")
-    return np.array([theta, np.mod(phi, 2.0 * np.pi), np.mod(s, 2.0 * np.pi)])
+@dataclass(frozen=True)
+class MetricData:
+    """Closed-form metric data over chart points [N, n], one entry per point.
 
-
-def metric_at(model: ManifoldModel, x) -> MetricAtPoint:
-    """Closed-form metric, connection, and curvature at a chart point."""
-    x = wrap_point(model, x)
-    n = model.dim
-    if model.kind == FLAT_TORUS:
-        return MetricAtPoint(np.eye(n), np.eye(n), np.zeros((n, n, n)),
-                             np.zeros((n, n)), 0.0)
-    if model.kind == CIRCLE:
-        a = (model.length / (2.0 * np.pi)) ** 2
-        return MetricAtPoint(np.array([[a]]), np.array([[1.0 / a]]),
-                             np.zeros((1, 1, 1)), np.zeros((1, 1)), 0.0)
-    if model.kind == SPHERE2:
-        return _sphere_metric(model.radius, x[0], pad=0)
-    sphere = _sphere_metric(model.radius, x[0], pad=1)
-    a = (model.length / (2.0 * np.pi)) ** 2
-    sphere.g[2, 2] = a
-    sphere.g_inv[2, 2] = 1.0 / a
-    return sphere
-
-
-def _sphere_metric(radius: float, theta: float, pad: int) -> MetricAtPoint:
-    """Round-sphere data, optionally padded with `pad` extra flat directions."""
-    n = 2 + pad
-    R2 = radius * radius
-    st, ct = np.sin(theta), np.cos(theta)
-    g = np.zeros((n, n))
-    g[0, 0] = R2
-    g[1, 1] = R2 * st * st
-    g_inv = np.zeros((n, n))
-    g_inv[0, 0] = 1.0 / R2
-    g_inv[1, 1] = 1.0 / (R2 * st * st)
-    gamma = np.zeros((n, n, n))
-    gamma[0, 1, 1] = -st * ct          # Gamma^theta_{phi phi}
-    gamma[1, 0, 1] = gamma[1, 1, 0] = ct / st
-    ric = np.zeros((n, n))
-    ric[0, 0] = 1.0
-    ric[1, 1] = st * st
-    return MetricAtPoint(g, g_inv, gamma, ric, 2.0 / R2)
-
-
-def a1_tensor(model: ManifoldModel, x) -> np.ndarray:
-    """First curvature correction (1/3)(S/2 * g - Ric) in chart components."""
-    m = metric_at(model, x)
-    return (0.5 * m.scalar * m.g - m.ricci) / 3.0
-
-
-def orthonormal_frame(model: ManifoldModel, x) -> np.ndarray:
-    """Frame matrix F whose columns e_a satisfy g(e_a, e_b) = delta_ab.
-
-    All supported metrics are diagonal in their charts, so F is diagonal.
+    Every supported metric is diagonal in its chart, so `frame` is diagonal:
+    its columns e_a satisfy g(e_a, e_b) = delta_ab.  `christoffel` is indexed
+    [N, k, i, j] = Gamma^k_ij; `a1` is the first heat-expansion tensor
+    (1/3)(S g / 2 - Ric).
     """
-    m = metric_at(model, x)
-    return np.diag(1.0 / np.sqrt(np.diag(m.g)))
+
+    g: np.ndarray             # [N, n, n]
+    g_inv: np.ndarray         # [N, n, n]
+    frame: np.ndarray         # [N, n, n]
+    christoffel: np.ndarray   # [N, n, n, n]
+    ricci: np.ndarray         # [N, n, n]
+    scalar: np.ndarray        # [N]
+    a1: np.ndarray            # [N, n, n]
 
 
-def metric_on_grid(model: ManifoldModel, points: np.ndarray):
-    """Vectorized (g, g_inv, frame) over chart points [N, n]."""
+def metric_on_grid(model: ManifoldModel, points) -> MetricData:
+    """Metric, frame, connection and curvature of the testbed over chart points [N, n].
+
+    Points within _POLE_MARGIN of a pole, and point arrays that are not
+    [N, model.dim], raise DomainError.  Flat and circle charts are periodic,
+    so their points need no wrapping.
+    """
     points = np.asarray(points, dtype=float)
-    N, n = points.shape
-    g = np.zeros((N, n, n))
-    if model.kind == FLAT_TORUS:
-        g[:] = np.eye(n)
-    elif model.kind == CIRCLE:
-        g[:, 0, 0] = (model.length / (2.0 * np.pi)) ** 2
-    else:
-        R2 = model.radius**2
-        st2 = np.sin(points[:, 0]) ** 2
-        g[:, 0, 0] = R2
-        g[:, 1, 1] = R2 * st2
-        if model.kind == PRODUCT_SPHERE_CIRCLE:
-            g[:, 2, 2] = (model.length / (2.0 * np.pi)) ** 2
-    diag = np.einsum("nii->ni", g)
-    g_inv = np.zeros_like(g)
-    np.einsum("nii->ni", g_inv)[:] = 1.0 / diag
-    frame = np.zeros_like(g)
-    np.einsum("nii->ni", frame)[:] = 1.0 / np.sqrt(diag)
-    return g, g_inv, frame
-
-
-def christoffel_on_grid(model: ManifoldModel, points: np.ndarray) -> np.ndarray:
-    """Vectorized Gamma^k_ij over chart points [N, n] -> [N, n, n, n]."""
-    points = np.asarray(points, dtype=float)
-    N, n = points.shape
+    n = model.dim
+    if points.ndim != 2 or points.shape[1] != n:
+        raise DomainError(f"points of shape {points.shape} on a model of dim {n}; "
+                          f"expected [N, {n}]")
+    N = points.shape[0]
+    diag = np.ones((N, n))                    # g_aa
+    ric = np.zeros((N, n, n))
     gamma = np.zeros((N, n, n, n))
-    if model.kind in (FLAT_TORUS, CIRCLE):
-        return gamma
-    st, ct = np.sin(points[:, 0]), np.cos(points[:, 0])
-    gamma[:, 0, 1, 1] = -st * ct
-    gamma[:, 1, 0, 1] = gamma[:, 1, 1, 0] = ct / st
-    return gamma
+    scalar = np.zeros(N)
+    if model.kind in (CIRCLE, PRODUCT_SPHERE_CIRCLE):
+        diag[:, -1] = (model.length / (2.0 * np.pi)) ** 2
+    if model.kind in (SPHERE2, PRODUCT_SPHERE_CIRCLE):
+        theta = points[:, 0]
+        off = ~((theta > _POLE_MARGIN) & (theta < np.pi - _POLE_MARGIN))
+        if off.any():
+            raise DomainError(f"theta={theta[off][0]} outside the polar chart (0, pi)")
+        R2 = model.radius**2
+        st, ct = np.sin(theta), np.cos(theta)
+        diag[:, 0] = R2
+        diag[:, 1] = R2 * (st * st)
+        gamma[:, 0, 1, 1] = -st * ct          # Gamma^theta_{phi phi}
+        gamma[:, 1, 0, 1] = gamma[:, 1, 1, 0] = ct / st
+        ric[:, 0, 0] = 1.0
+        ric[:, 1, 1] = st * st
+        scalar[:] = 2.0 / R2
+    g, g_inv, frame = (np.zeros((N, n, n)) for _ in range(3))
+    np.einsum("nii->ni", g)[:] = diag
+    np.einsum("nii->ni", g_inv)[:] = 1.0 / diag
+    np.einsum("nii->ni", frame)[:] = 1.0 / np.sqrt(diag)
+    a1 = (0.5 * scalar[:, None, None] * g - ric) / 3.0
+    return MetricData(g, g_inv, frame, gamma, ric, scalar, a1)
+
+
+def conformal_defect(G, g, g_inv=None):
+    """Trace-free part G - (tr_g G / n) g of symmetric stacks [..., n, n], and tr_g G / n.
+
+    The defect is zero exactly where G is conformal to g.  g_inv defaults to
+    the inverse of g, and a singular g raises PreconditionError; callers that
+    hold the closed-form inverse pass it, which spares a batched inversion.
+    """
+    G = np.asarray(G, dtype=float)
+    g = np.asarray(g, dtype=float)
+    if g_inv is None:
+        try:
+            g_inv = np.linalg.inv(g)
+        except np.linalg.LinAlgError as exc:
+            raise PreconditionError("reference metric is singular") from exc
+    tr = np.einsum("...ij,...ij->...", g_inv, G) / g.shape[-1]
+    return G - tr[..., None, None] * g, tr
 
 
 def sample_grid(model: ManifoldModel, resolution: int) -> SampleGrid:

@@ -51,9 +51,9 @@ def _jet_rows(emb, points: np.ndarray) -> np.ndarray:
     model = emb.model
     n = model.dim
     _, grads, hess = emb.jets(points)                     # [q, N, n], [q, N, n, n]
-    gamma = geometry.christoffel_on_grid(model, points)   # [N, k, i, j]
-    _, _, frame = geometry.metric_on_grid(model, points)
-    fr = np.einsum("nii->ni", frame)                      # [N, n]
+    metric = geometry.metric_on_grid(model, points)
+    gamma = metric.christoffel                            # [N, k, i, j]
+    fr = np.einsum("nii->ni", metric.frame)               # [N, n]
     N, q = points.shape[0], grads.shape[0]
     m = n * (n + 3) // 2
     P = np.empty((N, m, q))

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import analysis, geometry, jets
 from .errors import ConfigError, ConvergenceError, PreconditionError
-from .geometry import ManifoldModel
+from .geometry import ManifoldModel, conformal_defect
 
 DEFAULT_THETA_THRESHOLD = 0.25
 
@@ -217,11 +217,17 @@ def _as_field(grid: SpectralGrid, v) -> FieldRq:
     return v if isinstance(v, FieldRq) else FieldRq(grid, np.asarray(v, dtype=float))
 
 
-def _trace_free(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(W - (tr W / n) I, tr W / n) for a stack W [N, n, n]."""
-    n = W.shape[-1]
-    tr = np.einsum("nii->n", W) / n
-    return W - tr[:, None, None] * np.eye(n), tr
+def manufactured_defect(points: np.ndarray, epsilon: float, f_mode) -> np.ndarray:
+    """Traceless test defect f = epsilon cos(x . f_mode) diag(1, -1, 0, ...) on points [N, n].
+
+    f_mode is padded with zeros to n entries; n must be at least 2.
+    """
+    n = points.shape[1]
+    mode = np.zeros(n)
+    mode[:len(f_mode)] = f_mode
+    pattern = np.zeros((n, n))
+    pattern[0, 0], pattern[1, 1] = 1.0, -1.0
+    return epsilon * np.cos(points @ mode)[:, None, None] * pattern
 
 
 class ConformalSolver:
@@ -276,7 +282,8 @@ class ConformalSolver:
         Gv = v.grad                              # [N, q, n]
         cross = self.grad_u.transpose(0, 2, 1) @ Gv
         quad = Gv.transpose(0, 2, 1) @ Gv
-        res = _trace_free(cross + cross.transpose(0, 2, 1) + quad - f)[0]
+        res = conformal_defect(cross + cross.transpose(0, 2, 1) + quad - f,
+                               np.eye(self.model.dim))[0]
         v._residual = (np.array(f, dtype=float), res)
         return res
 
@@ -388,7 +395,8 @@ def verify_conformal(emb, v, f: np.ndarray, solver: ConformalSolver | None = Non
     grad_total = solver.grad_u + v.grad                        # [N, q, n]
     G_uv = grad_total.transpose(0, 2, 1) @ grad_total
     G_u = solver.grad_u.transpose(0, 2, 1) @ solver.grad_u
-    pull_res = float(np.max(np.abs(_trace_free(G_uv - G_u - f)[0])))
+    pull_res = float(np.max(np.abs(conformal_defect(G_uv - G_u - f,
+                                                    np.eye(emb.model.dim))[0])))
     return ConformalReport(sup, holder, pull_res)
 
 
@@ -420,7 +428,7 @@ def assemble_C(emb, v, solver: ConformalSolver | None = None, k: float = 0.0,
     G = grad_C.transpose(0, 2, 1) @ grad_C
     if manufactured_f is not None:
         G = G - manufactured_f
-    defect, tr = _trace_free(G)
+    defect, tr = conformal_defect(G, np.eye(emb.model.dim))
     defect_sup = float(np.max(np.abs(defect)))
     defect_holder = analysis.holder_seminorm_field(
         defect.reshape(len(defect), -1), grid.points, emb.model, alpha)

@@ -2,6 +2,7 @@
 import json
 
 import numpy as np
+import pytest
 
 import heatconf
 from heatconf import cli
@@ -22,7 +23,6 @@ REPORT_SCHEMA = {
         "versions": {"type": "object"},
         "basis_conventions": {"type": "object"},
         "seed": {"type": "integer"},
-        "threads": {"type": ["integer", "null"]},
         "timestamp": {"type": "string"},
         "results": {"type": "object"},
     },
@@ -208,6 +208,8 @@ def test_malformed_config_values_exit_2(tmp_path, capsys):
                                                  "solver": {"resolution": "abc"}}),
         "solver_k_values_string": ("perturb", {"model": TORUS_MODEL,
                                                "solver": {"k_values": "0"}}),
+        "solver_k_values_empty": ("perturb", {"model": TORUS_MODEL,
+                                              "solver": {"k_values": []}}),
         "solver_tol_string": ("perturb", {"model": TORUS_MODEL, "solver": {"tol": "1e-10"}}),
         "solver_max_iter_fraction": ("perturb", {"model": TORUS_MODEL,
                                                  "solver": {"max_iter": 2.5}}),
@@ -271,6 +273,14 @@ def test_malformed_config_values_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 2, name
         assert err.startswith("config error:") and err.count("\n") == 1, (name, err)
+
+
+def test_no_threads_flag():
+    """BLAS threads are pinned through the environment before launch; the CLI
+    takes no thread option (the report schema above has no threads key)."""
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["--threads", "2", "verify"])
+    assert exc.value.code == 2
 
 
 def test_gram_command(tmp_path):

@@ -1,5 +1,6 @@
 """Embedding construction, pullback metrics, defect, correction, tails."""
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -111,11 +112,34 @@ def test_pullback_single_point_matches_grid(torus2, torus_embedding):
 
 def test_conformal_defect_basics():
     g = np.eye(2)
-    assert_allclose(conformal_defect(g, g), 0.0, atol=1e-15)
-    assert_allclose(conformal_defect(7.0 * g, g), 0.0, atol=1e-15)
+    assert_allclose(conformal_defect(g, g)[0], 0.0, atol=1e-15)
+    d, tr = conformal_defect(7.0 * g, g)
+    assert_allclose(d, 0.0, atol=1e-15)
+    assert tr == 7.0
     eps = 1e-3
-    d = conformal_defect(np.diag([1 + eps, 1.0]), g)
+    d, tr = conformal_defect(np.diag([1 + eps, 1.0]), g)
     assert_allclose(d, np.diag([eps / 2, -eps / 2]), atol=1e-15)
+    assert_allclose(tr, 1 + eps / 2, rtol=1e-15)
+    # a batch of curved reference metrics, with and without the inverse given
+    g = np.array([np.diag([2.0, 0.5]), np.diag([1.0, 4.0])])
+    for g_inv in (None, np.array([np.diag([0.5, 2.0]), np.diag([1.0, 0.25])])):
+        d, tr = conformal_defect(3.0 * g, g, g_inv)
+        assert_allclose(d, 0.0, atol=1e-15)
+        assert_allclose(tr, [3.0, 3.0], rtol=1e-15)
+
+
+def test_conformal_defect_identity_metric_is_diagonal_trace():
+    """With g = I the shared trace-free part, which the flat-torus solver
+    calls, is W - (tr W / n) I bit for bit, for n = 2 and 3."""
+    rng = np.random.default_rng(12)
+    for n in (2, 3):
+        W = rng.standard_normal((500, n, n))
+        W = W + W.transpose(0, 2, 1)
+        eye = np.eye(n)
+        d, tr = conformal_defect(W, eye)
+        want_tr = np.einsum("nii->n", W) / n
+        assert np.array_equal(tr, want_tr)
+        assert np.array_equal(d, W - want_tr[:, None, None] * eye)
 
 
 def test_conformal_defect_idempotent():
@@ -123,8 +147,10 @@ def test_conformal_defect_idempotent():
     g = np.eye(3)
     G = rng.standard_normal((3, 3))
     G = G + G.T
-    d1 = conformal_defect(G, g)
-    assert_allclose(conformal_defect(d1, g), d1, atol=1e-12)
+    d1, _ = conformal_defect(G, g)
+    d2, tr2 = conformal_defect(d1, g)
+    assert_allclose(d2, d1, atol=1e-12)
+    assert_allclose(tr2, 0.0, atol=1e-12)
 
 
 def test_conformal_defect_singular_metric():
@@ -133,18 +159,17 @@ def test_conformal_defect_singular_metric():
 
 
 def test_h1_solve(product):
-    x = np.array([1.2, 0.3, 0.8])
-    m = geometry.metric_at(product, x)
-    assert_allclose(h1_solve(np.zeros((3, 3)), m.g, 0.0), 0.0, atol=1e-15)
+    m = geometry.metric_on_grid(product, np.array([[1.2, 0.3, 0.8], [0.5, 2.0, 4.0]]))
+    assert_allclose(h1_solve(np.zeros((2, 3, 3)), m.g, 0.0), 0.0, atol=1e-15)
     rng = np.random.default_rng(4)
-    A1 = rng.standard_normal((3, 3))
-    A1 = A1 + A1.T
+    A1 = rng.standard_normal((2, 3, 3))
+    A1 = A1 + A1.transpose(0, 2, 1)
     eta1 = 0.37
     h1 = h1_solve(A1, m.g, eta1)
-    tr = np.einsum("ij,ij->", m.g_inv, h1) / 3.0
+    tr = np.einsum("nij,nij->n", m.g_inv, h1) / 3.0
     assert_allclose(tr, eta1, atol=1e-12)
     # trace-free parts cancel: tf(h1) = -tf(A1)
-    assert_allclose(conformal_defect(h1, m.g), -conformal_defect(A1, m.g), atol=1e-12)
+    assert_allclose(conformal_defect(h1, m.g)[0], -conformal_defect(A1, m.g)[0], atol=1e-12)
 
 
 def test_corrected_model_product(product):
@@ -212,12 +237,12 @@ def test_product_pullback_against_level_sum_oracle(product):
     emb = build_embedding(prov, t, TruncationPolicy(q_override=prov.count - 1))
     x = np.array([1.0, 2.0, 0.5])
     G = pullback_at(emb, x)
-    F = geometry.orthonormal_frame(product, x)
+    F = geometry.metric_on_grid(product, x[None, :]).frame[0]
     frame_diag, defect_sup = product_defect_oracle(t, lam_cut, corrected=False)
     assert_allclose(np.diag(F.T @ G @ F), frame_diag, rtol=1e-10)
     # every frame entry at every grid point, the zero off-diagonals included
     grid = geometry.sample_grid(product, 6)
-    _, _, frames = geometry.metric_on_grid(product, grid.points)
+    frames = geometry.metric_on_grid(product, grid.points).frame
     G_frame = frames.transpose(0, 2, 1) @ emb.pullback_on(grid.points) @ frames
     want = np.broadcast_to(np.diag(frame_diag), G_frame.shape)
     assert_allclose(G_frame, want, rtol=1e-12, atol=1e-12 * np.max(frame_diag))
@@ -238,7 +263,7 @@ def test_sphere_pullback_against_addition_theorem():
     scale = np.sum(emb.c_norm**2 * np.exp(-lam * t) * (2 * k + 1) * lam
                    / (8 * np.pi * R**2))
     grid = geometry.sample_grid(model, 6)
-    _, _, frames = geometry.metric_on_grid(model, grid.points)
+    frames = geometry.metric_on_grid(model, grid.points).frame
     G_frame = frames.transpose(0, 2, 1) @ emb.pullback_on(grid.points) @ frames
     want = np.broadcast_to(scale * np.eye(2), G_frame.shape)
     assert_allclose(G_frame, want, rtol=1e-12, atol=1e-12 * scale)
@@ -249,11 +274,11 @@ def test_first_order_expansion(product):
     t = 0.01
     prov = analytic_spectrum(product, lambda_max=16.0 / t)
     emb = build_embedding(prov, t, TruncationPolicy(q_override=prov.count - 1))
-    for x in (np.array([1.0, 0.4, 2.0]), np.array([2.0, 3.0, 0.1])):
-        F = geometry.orthonormal_frame(product, x)
-        G = F.T @ pullback_at(emb, x) @ F
-        A1 = F.T @ geometry.a1_tensor(product, x) @ F
-        assert np.max(np.abs((G - np.eye(3)) / t - A1)) <= 0.1 * np.max(np.abs(A1))
+    X = np.array([[1.0, 0.4, 2.0], [2.0, 3.0, 0.1]])
+    m = geometry.metric_on_grid(product, X)
+    G = np.einsum("nia,nij,njb->nab", m.frame, emb.pullback_on(X), m.frame)
+    A1 = np.einsum("nia,nij,njb->nab", m.frame, m.a1, m.frame)
+    assert np.max(np.abs((G - np.eye(3)) / t - A1)) <= 0.1 * np.max(np.abs(A1))
 
 
 def test_homothety_models(circle, sphere, torus2):
@@ -278,8 +303,8 @@ def test_pullback_scaling_law(torus2):
     G2 = pullback_at(emb2, x)
     assert_allclose(G2, 4.0 * G1, rtol=1e-13)
     g = np.eye(2)
-    d1, tr1 = conformal_defect(G1, g), np.trace(G1) / 2
-    d2, tr2 = conformal_defect(G2, g), np.trace(G2) / 2
+    d1, tr1 = conformal_defect(G1, g)
+    d2, tr2 = conformal_defect(G2, g)
     assert_allclose(d2 / tr2, d1 / tr1, atol=1e-13)
 
 
@@ -336,12 +361,23 @@ def test_correction_spec_validation():
         CorrectionSpec(l=2, eta=())
 
 
-def test_h1_requires_constant_frame_components(torus2):
-    # eta = 0 on a flat torus gives h1 = 0, constant; a curved non-homogeneous
-    # configuration is rejected through the probe comparison (not constructible
-    # with the analytic testbeds, so only the happy path is exercised here)
+def test_h1_requires_constant_frame_components(torus2, product, monkeypatch):
+    # A1 = 0 on a flat torus, so h1 = eta1 g, constant in the frame
     h1 = embedding.h1_frame_constant(torus2, 0.5)
     assert_allclose(h1, 0.5 * np.eye(2), atol=1e-12)
+    # the analytic testbeds are homogeneous; a non-constant A1, here changed at
+    # the last point of the 8-grid only, is rejected
+    evaluate = geometry.metric_on_grid
+
+    def uneven(model, points):
+        m = evaluate(model, points)
+        a1 = m.a1.copy()
+        a1[-1, 2, 2] += 1e-6
+        return dataclasses.replace(m, a1=a1)
+
+    monkeypatch.setattr(geometry, "metric_on_grid", uneven)
+    with pytest.raises(PreconditionError, match="not constant"):
+        embedding.h1_frame_constant(product, 0.0)
 
 
 def test_tail_bound_modes(circle, torus2):

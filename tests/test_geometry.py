@@ -3,62 +3,53 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from heatconf import ManifoldModel, a1_tensor, metric_at, orthonormal_frame, sample_grid
+from heatconf import ManifoldModel, metric_on_grid, sample_grid
 from heatconf.errors import ConfigError, DomainError
 from heatconf import geometry
 
 TWO_PI = 2.0 * np.pi
 
 
-def metric_matrix(model, x):
-    return metric_at(model, x).g
-
-
-def fd_christoffel(model, x, h=1e-5):
-    """Gamma^k_ij = (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij) by central differences."""
-    n = model.dim
-    dg = np.zeros((n, n, n))        # dg[l, i, j] = d_l g_ij
+def fd_christoffel(model, X, h=1e-5):
+    """Gamma^k_ij = (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij) by central
+    differences of the batched metric, over chart points X [N, n]."""
+    N, n = X.shape
+    dg = np.zeros((N, n, n, n))     # dg[:, l, i, j] = d_l g_ij
     for l in range(n):
         e = np.zeros(n)
         e[l] = h
-        dg[l] = (metric_matrix(model, x + e) - metric_matrix(model, x - e)) / (2 * h)
-    g_inv = metric_at(model, x).g_inv
-    gamma = np.zeros((n, n, n))
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                gamma[k, i, j] = 0.5 * np.sum(
-                    g_inv[k] * (dg[i, j] + dg[j, i] - dg[:, i, j]))
-    return gamma
+        dg[:, l] = (metric_on_grid(model, X + e).g - metric_on_grid(model, X - e).g) / (2 * h)
+    # T[:, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
+    T = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
+    return 0.5 * np.einsum("nkl,nijl->nkij", metric_on_grid(model, X).g_inv, T)
 
 
-def fd_curvature(model, x, h=1e-5):
-    """Ricci and scalar from central differences of the closed-form connection."""
-    n = model.dim
+def fd_curvature(model, X, h=1e-5):
+    """Ricci [N, n, n] and scalar [N] from central differences of the batched
+    closed-form connection, over chart points X [N, n]."""
+    N, n = X.shape
 
-    def gamma(y):
-        return metric_at(model, y).christoffel
+    def gamma(Y):
+        return metric_on_grid(model, Y).christoffel
 
-    dgamma = np.zeros((n, n, n, n))   # dgamma[m, k, i, j] = d_m Gamma^k_ij
+    dgamma = np.zeros((N, n, n, n, n))   # dgamma[:, m, k, i, j] = d_m Gamma^k_ij
     for m in range(n):
         e = np.zeros(n)
         e[m] = h
-        dgamma[m] = (gamma(x + e) - gamma(x - e)) / (2 * h)
-    G = gamma(x)
-    # R^r_{s mu nu} = d_mu G^r_{nu s} - d_nu G^r_{mu s} + G G - G G
-    riem = np.zeros((n, n, n, n))
-    for r in range(n):
-        for s in range(n):
-            for mu in range(n):
-                for nu in range(n):
-                    riem[r, s, mu, nu] = (
-                        dgamma[mu, r, nu, s] - dgamma[nu, r, mu, s]
-                        + np.sum(G[r, mu, :] * G[:, nu, s])
-                        - np.sum(G[r, nu, :] * G[:, mu, s]))
-    ric = np.einsum("rsrn->sn", riem)
-    m = metric_at(model, x)
-    scal = np.einsum("ij,ij->", m.g_inv, ric)
+        dgamma[:, m] = (gamma(X + e) - gamma(X - e)) / (2 * h)
+    G = gamma(X)
+    # R^r_{s mu nu} = d_mu G^r_{nu s} - d_nu G^r_{mu s} + G^r_{mu l} G^l_{nu s} - (mu <-> nu)
+    half = (np.einsum("nmrvs->nrsmv", dgamma)
+            + np.einsum("nrml,nlvs->nrsmv", G, G))
+    riem = half - half.transpose(0, 1, 2, 4, 3)
+    ric = np.einsum("nrsrv->nsv", riem)
+    scal = np.einsum("nij,nij->n", metric_on_grid(model, X).g_inv, ric)
     return ric, scal
+
+
+def frame_components(m, T):
+    """F^T T F per point: a tensor stack [N, n, n] in the orthonormal frame."""
+    return np.einsum("nia,nij,njb->nab", m.frame, T, m.frame)
 
 
 @pytest.fixture(scope="module")
@@ -93,95 +84,115 @@ def test_model_validation():
 
 
 def test_flat_torus_metric(torus2):
-    m = metric_at(torus2, [1.0, 2.0])
-    assert_allclose(m.g, np.eye(2))
+    m = metric_on_grid(torus2, random_points(torus2, 4))
+    assert_allclose(m.g, np.broadcast_to(np.eye(2), (4, 2, 2)))
     assert np.all(m.christoffel == 0)
     assert np.all(m.ricci == 0)
-    assert m.scalar == 0.0
+    assert np.all(m.scalar == 0.0)
 
 
 def test_metric_inverse_identity(models):
     for model in models:
-        for x in random_points(model, 3):
-            m = metric_at(model, x)
-            assert_allclose(m.g @ m.g_inv, np.eye(model.dim), atol=1e-12)
-            assert_allclose(m.christoffel, np.transpose(m.christoffel, (0, 2, 1)),
-                            atol=1e-14)
-            assert_allclose(m.ricci, m.ricci.T, atol=1e-14)
+        m = metric_on_grid(model, random_points(model, 3))
+        n = model.dim
+        assert m.g.shape == m.g_inv.shape == m.frame.shape == m.ricci.shape == (3, n, n)
+        assert m.christoffel.shape == (3, n, n, n) and m.scalar.shape == (3,)
+        assert_allclose(m.g @ m.g_inv, np.broadcast_to(np.eye(n), (3, n, n)), atol=1e-12)
+        assert_allclose(m.christoffel, np.transpose(m.christoffel, (0, 1, 3, 2)),
+                        atol=1e-14)
+        assert_allclose(m.ricci, np.transpose(m.ricci, (0, 2, 1)), atol=1e-14)
 
 
 def test_sphere_curvature_against_fd_oracle(sphere):
-    for x in random_points(sphere, 4):
-        m = metric_at(sphere, x)
-        ric, scal = fd_curvature(sphere, x)
-        assert_allclose(m.ricci, ric, atol=1e-6)
-        assert_allclose(m.scalar, scal, atol=1e-6)
-        # unit round sphere: S = 2 and Ric = g
-        assert_allclose(m.scalar, 2.0, atol=1e-12)
-        assert_allclose(m.ricci, m.g, atol=1e-12)
-        # Ric - (S/2) g = 0 exactly in dimension 2
-        assert_allclose(m.ricci - 0.5 * m.scalar * m.g, 0.0, atol=1e-12)
+    X = random_points(sphere, 4)
+    m = metric_on_grid(sphere, X)
+    ric, scal = fd_curvature(sphere, X)
+    assert_allclose(m.ricci, ric, atol=1e-6)
+    assert_allclose(m.scalar, scal, atol=1e-6)
+    # unit round sphere: S = 2 and Ric = g
+    assert_allclose(m.scalar, 2.0, atol=1e-12)
+    assert_allclose(m.ricci, m.g, atol=1e-12)
+    # Ric - (S/2) g = 0 exactly in dimension 2
+    assert_allclose(m.ricci - 0.5 * m.scalar[:, None, None] * m.g, 0.0, atol=1e-12)
 
 
 def test_product_curvature_against_fd_oracle(product):
-    for x in random_points(product, 3):
-        m = metric_at(product, x)
-        ric, scal = fd_curvature(product, x)
+    X = random_points(product, 3)
+    m = metric_on_grid(product, X)
+    ric, scal = fd_curvature(product, X)
+    assert_allclose(m.ricci, ric, atol=1e-6)
+    assert_allclose(m.scalar, scal, atol=1e-6)
+    assert_allclose(frame_components(m, m.ricci),
+                    np.broadcast_to(np.diag([1.0, 1.0, 0.0]), (3, 3, 3)), atol=1e-12)
+    assert_allclose(m.scalar, 2.0, atol=1e-12)
+
+
+def test_flat_curvature_against_fd_oracle(torus2, circle):
+    for model in (torus2, circle, ManifoldModel.flat_torus([TWO_PI, 3.0, 1.5])):
+        X = random_points(model, 3)
+        m = metric_on_grid(model, X)
+        ric, scal = fd_curvature(model, X)
         assert_allclose(m.ricci, ric, atol=1e-6)
         assert_allclose(m.scalar, scal, atol=1e-6)
-        F = orthonormal_frame(product, x)
-        assert_allclose(F.T @ m.ricci @ F, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
-        assert_allclose(m.scalar, 2.0, atol=1e-12)
 
 
 def test_christoffel_against_fd(models):
     for model in models:
-        for x in random_points(model, 3, seed=5):
-            gamma = metric_at(model, x).christoffel
-            assert_allclose(gamma, fd_christoffel(model, x), atol=1e-6)
+        X = random_points(model, 3, seed=5)
+        assert_allclose(metric_on_grid(model, X).christoffel,
+                        fd_christoffel(model, X), atol=1e-6)
+
+
+def test_a1_against_fd_curvature(models):
+    # a1 = (1/3)(S g / 2 - Ric) with Ric and S from the finite-difference oracle
+    for model in models:
+        X = random_points(model, 3, seed=8)
+        m = metric_on_grid(model, X)
+        ric, scal = fd_curvature(model, X)
+        assert_allclose(m.a1, (0.5 * scal[:, None, None] * m.g - ric) / 3.0, atol=1e-6)
 
 
 def test_a1_flat_torus_zero(torus2):
-    assert_allclose(a1_tensor(torus2, [0.3, 5.0]), 0.0, atol=1e-15)
+    assert_allclose(metric_on_grid(torus2, random_points(torus2, 4)).a1, 0.0, atol=1e-15)
 
 
 def test_a1_vanishes_in_dimension_two(sphere, circle):
     # Ric = (S/2) g identically in dimension 2 forces a vanishing first correction
-    for x in random_points(sphere, 4, seed=3):
-        assert_allclose(a1_tensor(sphere, x), 0.0, atol=1e-12)
+    for model in (sphere, circle):
+        assert_allclose(metric_on_grid(model, random_points(model, 4, seed=3)).a1,
+                        0.0, atol=1e-12)
 
 
 def test_a1_product_value(product):
-    x = np.array([0.9, 1.4, 3.0])
-    F = orthonormal_frame(product, x)
-    assert_allclose(F.T @ a1_tensor(product, x) @ F,
-                    np.diag([0.0, 0.0, 1.0 / 3.0]), atol=1e-12)
+    m = metric_on_grid(product, random_points(product, 4, seed=2))
+    assert_allclose(frame_components(m, m.a1),
+                    np.broadcast_to(np.diag([0.0, 0.0, 1.0 / 3.0]), (4, 3, 3)), atol=1e-12)
 
 
 def test_a1_frame_covariance(product):
     # rotating the orthonormal frame conjugates the component matrix
-    x = np.array([0.8, 2.0, 1.0])
-    F = orthonormal_frame(product, x)
+    m = metric_on_grid(product, random_points(product, 3, seed=6))
     rng = np.random.default_rng(0)
     Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    A1 = a1_tensor(product, x)
-    comp = F.T @ A1 @ F
-    comp_rot = (F @ Q).T @ A1 @ (F @ Q)
+    comp = frame_components(m, m.a1)
+    FQ = m.frame @ Q
+    comp_rot = np.einsum("nia,nij,njb->nab", FQ, m.a1, FQ)
     assert_allclose(comp_rot, Q.T @ comp @ Q, atol=1e-12)
 
 
 def test_orthonormal_frames(models):
     for model in models:
-        for x in random_points(model, 2, seed=9):
-            F = orthonormal_frame(model, x)
-            g = metric_at(model, x).g
-            assert_allclose(F.T @ g @ F, np.eye(model.dim), atol=1e-12)
+        m = metric_on_grid(model, random_points(model, 2, seed=9))
+        n = model.dim
+        assert np.all(m.frame == np.einsum("nii->ni", m.frame)[:, :, None] * np.eye(n))
+        assert_allclose(frame_components(m, m.g),
+                        np.broadcast_to(np.eye(n), (2, n, n)), atol=1e-12)
 
 
 def test_circle_frame_normalization():
     model = ManifoldModel.circle(3.0)
-    F = orthonormal_frame(model, [0.2])
-    assert_allclose(F[0, 0], TWO_PI / 3.0)
+    m = metric_on_grid(model, np.array([[0.2], [5.0]]))
+    assert_allclose(m.frame[:, 0, 0], TWO_PI / 3.0)
 
 
 def test_sample_grid_weights(torus2, circle, sphere, product):
@@ -200,16 +211,23 @@ def test_sample_grid_resolution_floor(torus2):
         sample_grid(torus2, 3)
 
 
-def test_chart_domain(sphere, torus2):
+def test_chart_domain(sphere, product, torus2):
+    # a pole anywhere in the batch is rejected, as is a point inside the margin
+    for theta in (0.0, np.pi, 0.5e-9, np.pi - 0.5e-9, np.nan):
+        with pytest.raises(DomainError):
+            metric_on_grid(sphere, np.array([[1.0, 0.5], [theta, 1.0]]))
+        with pytest.raises(DomainError):
+            metric_on_grid(product, np.array([[theta, 1.0, 2.0]]))
+    # point width must be the model dimension, on a batch axis
     with pytest.raises(DomainError):
-        metric_at(sphere, [0.0, 1.0])        # pole excluded
+        metric_on_grid(sphere, np.array([[1.0, 0.5, 0.2]]))
     with pytest.raises(DomainError):
-        metric_at(sphere, [np.pi, 1.0])
-    # torus points wrap
-    m1 = metric_at(torus2, [TWO_PI + 0.3, -0.2])
-    assert_allclose(m1.g, np.eye(2))
-    assert_allclose(geometry.wrap_point(torus2, [TWO_PI + 0.3, -0.2]),
-                    [0.3, TWO_PI - 0.2], atol=1e-12)
+        metric_on_grid(torus2, np.array([0.3, 1.0]))
+    with pytest.raises(DomainError):
+        metric_on_grid(product, np.zeros((2, 2)))
+    # flat charts are periodic: points outside the fundamental domain need no wrap
+    m = metric_on_grid(torus2, np.array([[TWO_PI + 0.3, -0.2]]))
+    assert_allclose(m.g[0], np.eye(2))
 
 
 def test_geodesic_distance(torus2, sphere):

@@ -75,10 +75,10 @@ def test_sphere_covariant_correction(sphere):
     emb = build_embedding(prov, 0.15, TruncationPolicy(q_override=24))
     x = np.array([1.0, 2.0])
     P = P_at(emb, x)
-    m = geometry.metric_at(sphere, x)
-    F = geometry.orthonormal_frame(sphere, x)
+    m = geometry.metric_on_grid(sphere, x[None, :])
+    F = m.frame[0]
     vals, grads, hess = (a[:, 0] for a in emb.jets(x[None, :]))
-    hess_cov = hess - np.einsum("kij,qk->qij", m.christoffel, grads)
+    hess_cov = hess - np.einsum("kij,qk->qij", m.christoffel[0], grads)
     expected = np.einsum("ia,qij,jb->qab", F, hess_cov, F)
     assert_allclose(P[2], expected[:, 0, 1], atol=1e-13)
 
@@ -314,8 +314,8 @@ def jet_rows_oracle(emb, points):
     frame rotation as full einsums, no use of the diagonal frame."""
     model, n = emb.model, emb.model.dim
     _, grads, hess = emb.jets(points)
-    gamma = geometry.christoffel_on_grid(model, points)
-    _, _, frame = geometry.metric_on_grid(model, points)
+    m = geometry.metric_on_grid(model, points)
+    gamma, frame = m.christoffel, m.frame
     hess_cov = hess - np.einsum("nkij,qnk->qnij", gamma, grads)
     grads_f = np.einsum("qni,nia->qna", grads, frame)
     hess_f = np.einsum("nia,qnij,njb->qnab", frame, hess_cov, frame)

@@ -29,17 +29,9 @@ def solver(torus_embedding):
     return perturb.ConformalSolver(torus_embedding, resolution=48, e=1.0)
 
 
-def manufactured_f(grid):
-    x1 = grid.points[:, 0]
-    f = np.zeros((grid.N, 2, 2))
-    f[:, 0, 0] = 1e-3 * np.cos(x1)
-    f[:, 1, 1] = -1e-3 * np.cos(x1)
-    return f
-
-
 @pytest.fixture(scope="module")
 def manufactured(solver):
-    return manufactured_f(solver.grid)
+    return perturb.manufactured_defect(solver.grid.points, 1e-3, [1, 0])
 
 
 @pytest.fixture(scope="module")
@@ -256,8 +248,8 @@ def test_fixed_point_converges(solved):
 
 def test_odd_resolution_converges(torus_embedding):
     odd = perturb.ConformalSolver(torus_embedding, resolution=33, e=1.0)
-    history, _ = fixed_point_solve(torus_embedding, manufactured_f(odd.grid), k=0.0,
-                                   tol=1e-11, solver=odd)
+    f = perturb.manufactured_defect(odd.grid.points, 1e-3, [1, 0])
+    history, _ = fixed_point_solve(torus_embedding, f, k=0.0, tol=1e-11, solver=odd)
     assert len(history) <= 20
     assert history[-1].residual <= 1e-10
 
@@ -425,3 +417,19 @@ def test_min_pair_distance_in_blocks():
     for block in (1, 7, 64, 256, 1000):
         assert_allclose(perturb._min_pair_distance(X, block), d.min(), rtol=1e-6)
 
+
+def test_manufactured_defect(sgrid):
+    """epsilon cos(x . f_mode) diag(1, -1, 0...): along x it is the hand-built
+    field bit for bit; f_mode is zero-padded to the model dimension."""
+    x = sgrid.points
+    f = perturb.manufactured_defect(x, 1e-3, [1, 0])
+    want = np.zeros((sgrid.N, 2, 2))
+    want[:, 0, 0] = 1e-3 * np.cos(x[:, 0])
+    want[:, 1, 1] = -1e-3 * np.cos(x[:, 0])
+    assert np.array_equal(f, want)
+    assert_allclose(perturb.manufactured_defect(x, 0.5, [0, 2])[:, 0, 0],
+                    0.5 * np.cos(2 * x[:, 1]), rtol=1e-15)
+    pts3 = np.array([[0.3, 1.0, 2.0], [4.0, 0.2, 5.0]])
+    f3 = perturb.manufactured_defect(pts3, 2.0, [1])
+    assert_allclose(f3, 2.0 * np.cos(pts3[:, 0])[:, None, None] * np.diag([1.0, -1.0, 0.0]),
+                    rtol=1e-15)

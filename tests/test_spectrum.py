@@ -17,7 +17,7 @@ JetEvaluation = namedtuple("JetEvaluation", "value gradient hessian")
 
 def eval_jet(provider, j, x):
     """Value, gradient and Hessian of mode j at one chart point, from jet_block."""
-    x = geometry.wrap_point(provider.model, x)
+    x = np.asarray(x, dtype=float)
     vals, grads, hess = provider.jet_block(j, j + 1, x[None, :])
     return JetEvaluation(vals[0, 0], grads[0, 0], hess[0, 0])
 
@@ -94,11 +94,10 @@ def test_quadrature_orthonormality(torus_spec, sphere_spec, product):
 
 
 def eigen_residual(provider, j, x):
-    model = provider.model
-    m = geometry.metric_at(model, x)
+    m = geometry.metric_on_grid(provider.model, np.asarray(x, dtype=float)[None, :])
     jet = eval_jet(provider, j, x)
-    lap = (np.einsum("ij,ij->", m.g_inv, jet.hessian)
-           - np.einsum("ij,kij,k->", m.g_inv, m.christoffel, jet.gradient))
+    lap = (np.einsum("ij,ij->", m.g_inv[0], jet.hessian)
+           - np.einsum("ij,kij,k->", m.g_inv[0], m.christoffel[0], jet.gradient))
     return abs(lap + provider.lambdas[j] * jet.value)
 
 
@@ -565,7 +564,7 @@ def _addition_theorem_errors(prov, k, points):
     sum_m |grad Y_km|^2 = lambda_k (2k+1)/(4 pi R^2), per point."""
     j0, j1 = _shell(prov, k)
     vals, grads, _ = prov.jet_block(j0, j1, points, deriv=1)
-    _, _, frame = geometry.metric_on_grid(prov.model, points)
+    frame = geometry.metric_on_grid(prov.model, points).frame
     density = (2 * k + 1) / (4 * np.pi * prov.model.radius**2)
     frame_grads = np.einsum("mpi,pia->mpa", grads, frame)
     return (np.abs(np.sum(vals**2, axis=0) / density - 1.0),
