@@ -6,7 +6,7 @@ defect of the pullback metric, and perturbs almost-conformal embeddings to
 exactly conformal immersions by a contraction fixed point.
 """
 
-from .analysis import NormEstimate, OrderFit, fit_order, holder_norm, scaling_diagnostics
+from .analysis import OrderFit, fit_order
 from .embedding import (CorrectionSpec, EmbeddingMap, PullbackReport, TruncationPolicy,
                         build_embedding, corrected_model, defect_scan, h1_solve,
                         tail_bound_check)

@@ -190,21 +190,20 @@ def _manufactured_problem(epsilon: float = 1e-3, resolution: int = 48):
     provider = spectrum.analytic_spectrum(TORUS_2PI, count=600)
     emb = build_embedding(provider, 0.05, TruncationPolicy(rho=1.0))
     solver = perturb.ConformalSolver(emb, resolution=resolution, e=1.0)
-    return emb, solver, perturb.manufactured_defect(solver.grid.points, epsilon, [1, 0])
+    return solver, perturb.manufactured_defect(solver.grid.points, epsilon, [1, 0])
 
 
 @_timed
 def check_fixed_point(epsilon: float = 1e-3, residual_tol: float = 1e-8,
                       seed: int = 20240903) -> CheckResult:
     """Contraction, iterate bound, equation residual, and uniqueness of the solve."""
-    emb, solver, f = _manufactured_problem(epsilon)
-    history, v = perturb.fixed_point_solve(emb, f, k=0.0, tol=1e-10, solver=solver)
-    rep = perturb.verify_conformal(emb, v, f, solver)
+    solver, f = _manufactured_problem(epsilon)
+    history, v = perturb.fixed_point_solve(solver, f, k=0.0, tol=1e-10)
+    rep = perturb.verify_conformal(solver, v, f)
     contractions = [st.contraction for st in history[1:]]
     rng = np.random.default_rng(seed)
     start = v.values + 1e-5 * rng.standard_normal(v.values.shape)
-    _, v2 = perturb.fixed_point_solve(emb, f, k=0.0, tol=1e-10, solver=solver,
-                                      v_start=start)
+    _, v2 = perturb.fixed_point_solve(solver, f, k=0.0, tol=1e-10, v_start=start)
     reconv = float(np.max(np.abs(v2.values - v.values)))
     details = {
         "iterations": len(history),
@@ -228,14 +227,13 @@ def check_fixed_point(epsilon: float = 1e-3, residual_tol: float = 1e-8,
 @_timed
 def check_conformal_family(epsilon: float = 1e-3, residual_tol: float = 1e-8) -> CheckResult:
     """Two members of the conformal family: residuals, separation, injectivity."""
-    emb, solver, f = _manufactured_problem(epsilon)
+    solver, f = _manufactured_problem(epsilon)
     ks = (0.0, 1e-3)
-    vs, results = {}, {}
+    vs, injectivity = {}, {}
     for k in ks:
-        _, v = perturb.fixed_point_solve(emb, f, k=k, tol=1e-10, solver=solver)
-        vs[k] = v
-        results[k] = perturb.assemble_C(emb, v, solver, k=k, manufactured_f=f)
-    reports = {k: perturb.verify_conformal(emb, vs[k], f, solver) for k in ks}
+        _, vs[k] = perturb.fixed_point_solve(solver, f, k=k, tol=1e-10)
+        injectivity[k] = perturb.assemble_C(solver, vs[k], k=k, manufactured_f=f).injectivity
+    reports = {k: perturb.verify_conformal(solver, vs[k], f) for k in ks}
     diff, upper, lower = perturb.family_bounds(solver, vs[ks[0]], vs[ks[1]],
                                                ks[1] - ks[0])
     details = {
@@ -243,11 +241,11 @@ def check_conformal_family(epsilon: float = 1e-3, residual_tol: float = 1e-8) ->
         "family_distance": diff,
         "upper_bound": upper,
         "lower_bound": lower,
-        "injectivity": {str(k): results[k].injectivity for k in ks},
+        "injectivity": {str(k): injectivity[k] for k in ks},
     }
     ok = (all(r.residual_sup <= residual_tol for r in reports.values())
           and lower <= diff <= upper
-          and all(res.injectivity > 0 for res in results.values()))
+          and all(d > 0 for d in injectivity.values()))
     return CheckResult("conformal_family", ok, details, budget=300.0)
 
 

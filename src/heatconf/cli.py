@@ -332,46 +332,22 @@ def cmd_perturb(cfg: RunConfig, out_dir: Path) -> dict:
     if cfg.model is None:
         raise ConfigError("perturb needs a model")
     sv = cfg.solver
-    n = cfg.model.dim
-    if n < 2:
-        raise ConfigError("perturb needs a model of dimension at least 2: its "
-                          "manufactured defect diag(1, -1) needs two axes")
-    if len(sv["f_mode"]) > n:
-        raise ConfigError(f"solver.f_mode has {len(sv['f_mode'])} entries, more than "
-                          f"the model dimension {n}")
+    alpha = cfg.analysis["alpha"]
+    # on the solver grid's points, sampled before any build so that a bad f_mode exits first
+    f = perturb.manufactured_defect(geometry.sample_grid(cfg.model, sv["resolution"]).points,
+                                    sv["epsilon"], sv["f_mode"])
     t = sv["t"]
     policy = embedding.TruncationPolicy(rho=cfg.rho, q_override=cfg.q_override)
-    q_needed = policy.q(t, n)
-    provider = spectrum.analytic_spectrum(cfg.model, count=q_needed + 8)
+    provider = spectrum.analytic_spectrum(cfg.model, count=policy.q(t, cfg.model.dim) + 8)
     emb = embedding.build_embedding(provider, t, policy)
     solver = perturb.ConformalSolver(emb, resolution=sv["resolution"], e=sv["e"])
-    f = perturb.manufactured_defect(solver.grid.points, sv["epsilon"], sv["f_mode"])
     runs = []
     solutions = {}
     for k in sv["k_values"]:
-        history, v = perturb.fixed_point_solve(
-            emb, f, k=k, e=sv["e"], tol=sv["tol"], max_iter=sv["max_iter"],
-            solver=solver, theta_threshold=sv["theta_threshold"],
-            s=cfg.analysis["s"], alpha=cfg.analysis["alpha"])
-        rep = perturb.verify_conformal(emb, v, f, solver, alpha=cfg.analysis["alpha"])
-        result = perturb.assemble_C(emb, v, solver, k=k, manufactured_f=f,
-                                    alpha=cfg.analysis["alpha"])
-        solutions[k] = v
-        runs.append({
-            "k": k,
-            "iterations": len(history),
-            "steps": [{"l": st.l, "residual": st.residual, "step_norm": st.step_norm,
-                       "contraction": None if not np.isfinite(st.contraction)
-                       else st.contraction, "bound_ok": st.bound_ok}
-                      for st in history],
-            "verify": {"residual_sup": rep.residual_sup,
-                       "residual_holder": rep.residual_holder,
-                       "pullback_residual_sup": rep.pullback_residual_sup},
-            "conformal_result": {"defect_sup": result.defect_sup,
-                                 "defect_holder": result.defect_holder,
-                                 "injectivity": result.injectivity,
-                                 "injectivity_ok": result.injectivity_ok},
-        })
+        history, solutions[k] = perturb.fixed_point_solve(
+            solver, f, k=k, tol=sv["tol"], max_iter=sv["max_iter"],
+            theta_threshold=sv["theta_threshold"], s=cfg.analysis["s"], alpha=alpha)
+        runs.append(_perturb_run(solver, f, k, history, solutions[k], alpha))
     family = None
     ks = sv["k_values"]
     if len(ks) >= 2:
@@ -383,6 +359,32 @@ def cmd_perturb(cfg: RunConfig, out_dir: Path) -> dict:
     with open(out_dir / "solver_log.json", "w") as fh:
         json.dump({"runs": runs, "family": family}, fh, indent=2, sort_keys=True)
     return {"runs": runs, "family": family, "log": "solver_log.json"}
+
+
+def _perturb_run(solver: perturb.ConformalSolver, f: np.ndarray, k: float, history: list,
+                 v: perturb.FieldRq, alpha: float) -> dict:
+    """The record of one k-solve: its steps, the verify numbers and the
+    assembled C's, with alpha-Hoelder quotients of the residual and defect
+    fields.  C is freed on return, before the next solve."""
+    rep = perturb.verify_conformal(solver, v, f)
+    result = perturb.assemble_C(solver, v, k=k, manufactured_f=f)
+    holder = lambda field: analysis.holder_seminorm_field(
+        field, solver.grid.points, solver.model, alpha)
+    return {
+        "k": k,
+        "iterations": len(history),
+        "steps": [{"l": st.l, "residual": st.residual, "step_norm": st.step_norm,
+                   "contraction": None if not np.isfinite(st.contraction)
+                   else st.contraction, "bound_ok": st.bound_ok}
+                  for st in history],
+        "verify": {"residual_sup": rep.residual_sup,
+                   "residual_holder": holder(rep.residual),
+                   "pullback_residual_sup": rep.pullback_residual_sup},
+        "conformal_result": {"defect_sup": result.defect_sup,
+                             "defect_holder": holder(result.defect),
+                             "injectivity": result.injectivity,
+                             "injectivity_ok": result.injectivity_ok},
+    }
 
 
 def cmd_verify(cfg: RunConfig, out_dir: Path) -> tuple[dict, bool]:

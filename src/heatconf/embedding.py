@@ -134,8 +134,9 @@ class CorrectionSpec:
     """Correction order l and the prescribed trace functions eta_i.
 
     The target defect order is l; the corrected metric is g + sum h_i t^i for
-    i = 1..l-1.  Only i = 1 is solvable natively (the closed-form first
-    expansion tensor); higher orders need user-supplied expansion callbacks.
+    i = 1..l-1.  Only l <= 2 is supported: the first-order tensor h1 has a
+    closed form, and `corrected_model` realizes it when it is constant on each
+    block of the product frame.
     """
 
     l: int = 2
@@ -148,8 +149,8 @@ class CorrectionSpec:
             raise ConfigError("need one eta_i for each order i = 1..l-1")
         if self.l > 2:
             raise ConfigError(
-                "orders beyond the first correction need expansion callbacks "
-                "for the higher coefficient tensors")
+                f"correction order l = {self.l} is not supported: only l <= 2 "
+                "(the closed-form first-order correction h1)")
 
 
 _BLOCKS = {
@@ -167,7 +168,8 @@ def h1_frame_constant(model: ManifoldModel, eta1: float) -> np.ndarray:
     mats = np.einsum("nia,nij,njb->nab", m.frame, h1, m.frame)
     if np.max(np.abs(mats - mats[0])) > 1e-10:
         raise PreconditionError(
-            "h1 is not constant in the product frame; switch to an external spectrum")
+            "h1 is not constant in the product frame; the correction needs h1 "
+            "constant on each block")
     return mats[0]
 
 
@@ -213,12 +215,10 @@ class PullbackReport:
     trace_factor: np.ndarray      # [N]
     defect_frame: np.ndarray      # [N, n, n] orthonormal-frame components
     sup: float
-    holder: float
 
 
 def pullback_report(emb: EmbeddingMap, grid: SampleGrid,
-                    reference: ManifoldModel | None = None,
-                    alpha: float = 0.5) -> PullbackReport:
+                    reference: ManifoldModel | None = None) -> PullbackReport:
     """Measure the embedding's conformal defect against a reference metric."""
     reference = reference or emb.model
     pts = grid.points
@@ -226,10 +226,7 @@ def pullback_report(emb: EmbeddingMap, grid: SampleGrid,
     m = geometry.metric_on_grid(reference, pts)
     defect, tr = conformal_defect(G, m.g, m.g_inv)
     defect_frame = np.einsum("nia,nij,njb->nab", m.frame, defect, m.frame)
-    sup = float(np.max(np.abs(defect_frame)))
-    holder = analysis.holder_seminorm_field(
-        defect_frame.reshape(len(pts), -1), pts, reference, alpha)
-    return PullbackReport(G, tr, defect_frame, sup, holder)
+    return PullbackReport(G, tr, defect_frame, float(np.max(np.abs(defect_frame))))
 
 
 def defect_scan(model: ManifoldModel, t_grid, policy: TruncationPolicy,
@@ -287,12 +284,13 @@ def defect_scan(model: ManifoldModel, t_grid, policy: TruncationPolicy,
                                          side="right"))
             eff_policy = TruncationPolicy(rho=policy.rho, q_override=n_keep - 1)
         emb = build_embedding(provider, t, eff_policy)
-        rep = pullback_report(emb, grid, reference=model, alpha=alpha)
+        rep = pullback_report(emb, grid, reference=model)
         rows.append({
             "t": t,
             "q": emb.q,
             "defect_sup": rep.sup,
-            "defect_holder": rep.holder,
+            "defect_holder": analysis.holder_seminorm_field(rep.defect_frame, grid.points,
+                                                            model, alpha),
             "trace_min": float(np.min(rep.trace_factor)),
             "trace_max": float(np.max(rep.trace_factor)),
         })

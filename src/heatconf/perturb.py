@@ -25,17 +25,17 @@ band of a chunk of components, component-major, into a refined half-spectrum
 pruned to the band's last-axis columns, transforms it axis by axis (ifft over
 the leading axes, then an irfft that zero-pads the dropped columns), and
 contracts the chunk in one Gram product.  Each iterate's coarse gradient is
-transformed once: the FieldRq of the iterate keeps it for the residual,
-`verify_conformal` and `assemble_C`.
+transformed once, where the solve loop pairs it with the values in a FieldRq;
+the residual, `verify_conformal` and `assemble_C` read it from there.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, geometry, jets
+from . import geometry, jets
 from .errors import ConfigError, ConvergenceError, PreconditionError
 from .geometry import ManifoldModel, conformal_defect
 
@@ -145,34 +145,13 @@ class SpectralGrid:
         return self.from_spec(spec)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FieldRq:
-    """R^q-valued field on a spectral grid, sampled as [N, q].
+    """R^q-valued field on a spectral grid: samples [N, q] and their coarse
+    gradient [N, q, n], paired where the gradient is taken."""
 
-    The coarse gradient is transformed on first use and kept, and so is the
-    last conformal residual with the defect f it was taken against: the
-    solver's residual, `verify_conformal` and `assemble_C` share them.  The
-    values must not change once the gradient has been read.
-    """
-
-    grid: SpectralGrid
     values: np.ndarray
-    _grad: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _residual: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def grad(self) -> np.ndarray:
-        """Coarse gradient [N, q, n], transformed once."""
-        if self._grad is None:
-            self._grad = self.grid.grad(self.values)
-        return self._grad
-
-    @property
-    def q(self) -> int:
-        return self.values.shape[1]
-
-    def copy(self) -> "FieldRq":
-        return FieldRq(self.grid, self.values.copy())
+    grad: np.ndarray
 
 
 def _quadratic_products(grid: SpectralGrid, v: np.ndarray, e: float,
@@ -213,16 +192,19 @@ def _quadratic_products(grid: SpectralGrid, v: np.ndarray, e: float,
     return grid.unpad(b), grid.unpad(L)
 
 
-def _as_field(grid: SpectralGrid, v) -> FieldRq:
-    return v if isinstance(v, FieldRq) else FieldRq(grid, np.asarray(v, dtype=float))
-
-
 def manufactured_defect(points: np.ndarray, epsilon: float, f_mode) -> np.ndarray:
     """Traceless test defect f = epsilon cos(x . f_mode) diag(1, -1, 0, ...) on points [N, n].
 
-    f_mode is padded with zeros to n entries; n must be at least 2.
+    f_mode is padded with zeros to n entries.  Raises ConfigError when n < 2
+    or f_mode has more than n entries.
     """
     n = points.shape[1]
+    if n < 2:
+        raise ConfigError("the manufactured defect diag(1, -1) needs a model of "
+                          "dimension at least 2")
+    if len(f_mode) > n:
+        raise ConfigError(f"f_mode has {len(f_mode)} entries, more than the model "
+                          f"dimension {n}")
     mode = np.zeros(n)
     mode[:len(f_mode)] = f_mode
     pattern = np.zeros((n, n))
@@ -231,7 +213,8 @@ def manufactured_defect(points: np.ndarray, epsilon: float, f_mode) -> np.ndarra
 
 
 class ConformalSolver:
-    """Workspace tying an embedding, a spectral grid, and the right inverse."""
+    """The one handle of a flat-torus solve: the embedding (and its t), the
+    spectral shift e, the spectral grid and the right inverse E on it."""
 
     def __init__(self, emb, resolution: int | None = None, e: float = 1.0):
         self.emb = emb
@@ -271,21 +254,12 @@ class ConformalSolver:
         rhs = np.concatenate([X, jets.pack_symmetric(B)], axis=-1)
         return self.E.apply(rhs)
 
-    def conformal_residual(self, v, f: np.ndarray) -> np.ndarray:
-        """Trace-free part of grad u . grad v + grad v . grad u + grad v . grad v - f.
-
-        A FieldRq keeps its gradient and its residual against the last f.
-        """
-        v = _as_field(self.grid, v)
-        if v._residual is not None and np.array_equal(v._residual[0], f):
-            return v._residual[1]
-        Gv = v.grad                              # [N, q, n]
-        cross = self.grad_u.transpose(0, 2, 1) @ Gv
-        quad = Gv.transpose(0, 2, 1) @ Gv
-        res = conformal_defect(cross + cross.transpose(0, 2, 1) + quad - f,
-                               np.eye(self.model.dim))[0]
-        v._residual = (np.array(f, dtype=float), res)
-        return res
+    def conformal_residual(self, v: FieldRq, f: np.ndarray) -> np.ndarray:
+        """Trace-free part of grad u . grad v + grad v . grad u + grad v . grad v - f."""
+        cross = self.grad_u.transpose(0, 2, 1) @ v.grad
+        quad = v.grad.transpose(0, 2, 1) @ v.grad
+        return conformal_defect(cross + cross.transpose(0, 2, 1) + quad - f,
+                                np.eye(self.model.dim))[0]
 
     def _check_traceless(self, f: np.ndarray):
         scale = max(1.0, float(np.max(np.abs(f))))
@@ -302,25 +276,25 @@ class IterationState:
     bound_ok: bool
 
 
-def fixed_point_solve(emb, f: np.ndarray, k: float = 0.0, e: float = 1.0,
+def fixed_point_solve(solver: ConformalSolver, f: np.ndarray, k: float = 0.0,
                       tol: float = 1e-10, max_iter: int = 40,
-                      solver: ConformalSolver | None = None,
                       theta_threshold: float = DEFAULT_THETA_THRESHOLD,
                       s: int = 2, alpha: float = 0.5,
                       v_start: np.ndarray | None = None):
-    """Iterate v <- E(0, -f/2 + k g) + Q(v, v) from v_0 = 0 until steps settle.
+    """Iterate v <- E(0, -f/2 + k g) + Q(v, v) on the solver's grid until steps settle.
 
-    Returns (history, v): the per-step scalars (IterationState) and the final
-    iterate, a FieldRq that keeps its gradient and residual.  Entry is
-    guarded by the smallness surrogate t^{-(s+alpha)/2} ||seed||_sup, and the
-    induction bound ||v_l|| < 2 ||seed||_sup (the seed is E applied to half
-    the defect, so this is the classical bound by the un-halved input) is
-    monitored at every step.
+    f is the traceless defect [N, n, n] on the solver's grid; the embedding, t
+    and the shift e are the solver's.  The start is v_0 = 0, or the values
+    v_start [N, q].  Returns (history, v): the per-step scalars
+    (IterationState) and the final iterate as a FieldRq.  Entry is guarded by
+    the smallness surrogate t^{-(s+alpha)/2} ||seed||_sup, and the induction
+    bound ||v_l|| < 2 ||seed||_sup (the seed is E applied to half the defect,
+    so this is the classical bound by the un-halved input) is monitored at
+    every step.
     """
-    solver = solver or ConformalSolver(emb, e=e)
     seed = solver.seed(f, k)
     seed_norm = float(np.max(np.linalg.norm(seed, axis=1))) if seed.size else 0.0
-    theta = emb.t ** (-(s + alpha) / 2.0) * seed_norm
+    theta = solver.emb.t ** (-(s + alpha) / 2.0) * seed_norm
     if theta >= theta_threshold:
         raise PreconditionError(
             f"smallness condition violated: t^(-(s+a)/2) ||seed|| = {theta:.3g} "
@@ -338,7 +312,7 @@ def fixed_point_solve(emb, f: np.ndarray, k: float = 0.0, e: float = 1.0,
         contraction = step / prev_step if prev_step not in (None, 0.0) else float("nan")
         v = v_next
         v_norm = float(np.max(np.linalg.norm(v, axis=1)))
-        field_v = FieldRq(solver.grid, v)
+        field_v = FieldRq(v, solver.grid.grad(v))
         residual = float(np.max(np.abs(solver.conformal_residual(field_v, f))))
         history.append(IterationState(l, residual, step, contraction,
                                       bound_ok=v_norm < bound or bound == 0.0))
@@ -352,6 +326,7 @@ def fixed_point_solve(emb, f: np.ndarray, k: float = 0.0, e: float = 1.0,
         else:
             slow = 0
         prev_step = step
+        del field_v              # peak memory: free this gradient before the next is taken
     raise ConvergenceError(f"no convergence within {max_iter} iterations")
 
 
@@ -374,30 +349,25 @@ def family_bounds(solver: ConformalSolver, v_a: FieldRq, v_b: FieldRq,
 @dataclass
 class ConformalReport:
     residual_sup: float
-    residual_holder: float
     pullback_residual_sup: float
+    residual: np.ndarray          # [N, n, n] trace-free residual field
 
 
-def verify_conformal(emb, v, f: np.ndarray, solver: ConformalSolver | None = None,
-                     alpha: float = 0.5) -> ConformalReport:
+def verify_conformal(solver: ConformalSolver, v: FieldRq, f: np.ndarray) -> ConformalReport:
     """Residual of the conformal embedding equation, plus a pullback recomputation.
 
     The second number rebuilds the full pullback of u + v from scratch and
     reports the trace-free part of pullback(u+v) - pullback(u) - f; it is the
-    independent check that the solved v does what the equation promises.
+    independent check that the solved v does what the equation promises.  The
+    report keeps the residual field for norms beyond the sup.
     """
-    solver = solver or ConformalSolver(emb)
-    v = _as_field(solver.grid, v)
     res = solver.conformal_residual(v, f)
-    sup = float(np.max(np.abs(res)))
-    holder = analysis.holder_seminorm_field(
-        res.reshape(len(res), -1), solver.grid.points, emb.model, alpha)
     grad_total = solver.grad_u + v.grad                        # [N, q, n]
     G_uv = grad_total.transpose(0, 2, 1) @ grad_total
     G_u = solver.grad_u.transpose(0, 2, 1) @ solver.grad_u
     pull_res = float(np.max(np.abs(conformal_defect(G_uv - G_u - f,
-                                                    np.eye(emb.model.dim))[0])))
-    return ConformalReport(sup, holder, pull_res)
+                                                    np.eye(solver.model.dim))[0])))
+    return ConformalReport(float(np.max(np.abs(res))), pull_res, res)
 
 
 @dataclass
@@ -405,36 +375,30 @@ class ConformalResult:
     C: FieldRq
     k: float
     defect_sup: float
-    defect_holder: float
+    defect: np.ndarray            # [N, n, n] trace-free defect field
     trace_factor: np.ndarray
     injectivity: float
     injectivity_ok: bool
 
 
-def assemble_C(emb, v, solver: ConformalSolver | None = None, k: float = 0.0,
-               manufactured_f: np.ndarray | None = None,
-               alpha: float = 0.5) -> ConformalResult:
-    """Conformal immersion C = Psi^q + v with defect report and injectivity scan.
+def assemble_C(solver: ConformalSolver, v: FieldRq, k: float = 0.0,
+               manufactured_f: np.ndarray | None = None) -> ConformalResult:
+    """Conformal immersion C = Psi^q + v with defect field and injectivity scan.
 
-    When the defect was manufactured (f prescribed rather than measured from
-    u), the report compensates the pullback by f so that the number reflects
-    the solver's accuracy rather than the injected defect.
+    Psi^q is the solver's embedding on the solver's grid.  When the defect was
+    manufactured (f prescribed rather than measured from u), the report
+    compensates the pullback by f so that the number reflects the solver's
+    accuracy rather than the injected defect.
     """
-    solver = solver or ConformalSolver(emb)
-    v = _as_field(solver.grid, v)
-    grid = solver.grid
-    C_vals = emb.values_on(grid.points) + v.values
+    C_vals = solver.emb.values_on(solver.grid.points) + v.values
     grad_C = solver.grad_u + v.grad                            # [N, q, n]
     G = grad_C.transpose(0, 2, 1) @ grad_C
     if manufactured_f is not None:
         G = G - manufactured_f
-    defect, tr = conformal_defect(G, np.eye(emb.model.dim))
-    defect_sup = float(np.max(np.abs(defect)))
-    defect_holder = analysis.holder_seminorm_field(
-        defect.reshape(len(defect), -1), grid.points, emb.model, alpha)
+    defect, tr = conformal_defect(G, np.eye(solver.model.dim))
     injectivity = _min_pair_distance(C_vals)
-    return ConformalResult(FieldRq(grid, C_vals), k, defect_sup, defect_holder,
-                           tr, injectivity, injectivity > 0.0)
+    return ConformalResult(FieldRq(C_vals, grad_C), k, float(np.max(np.abs(defect))),
+                           defect, tr, injectivity, injectivity > 0.0)
 
 
 def _min_pair_distance(X: np.ndarray, block: int = 256) -> float:

@@ -3,41 +3,36 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from heatconf import (TruncationPolicy, analytic_spectrum, build_embedding,
-                      fit_order, holder_norm, scaling_diagnostics)
-from heatconf import analysis, geometry
+from heatconf import analysis, fit_order, geometry
 from heatconf.errors import ConfigError
 
 TWO_PI = 2.0 * np.pi
 
 
-def test_holder_constant_field(circle):
+def test_holder_constant_field(circle, torus2):
+    """A constant field has quotient 0, on the pair list and the lattice path,
+    whatever its trailing component shape."""
     grid = geometry.sample_grid(circle, 64)
-    vals = np.full(len(grid), -2.5)
-    est = holder_norm(vals, 0, 0.5, grid.points, circle)
-    assert_allclose(est.sup, 2.5)
-    assert est.derivative_sups == []
-    assert est.holder == 0.0
+    assert analysis.holder_seminorm_field(np.full(len(grid), -2.5), grid.points,
+                                          circle, 0.5) == 0.0
+    lattice = geometry.sample_grid(torus2, 12)
+    assert analysis.holder_seminorm_field(np.full((len(lattice), 2, 2), 0.7),
+                                          lattice.points, torus2, 0.5) == 0.0
 
 
 def test_holder_single_mode(circle):
-    grid = geometry.sample_grid(circle, 256)
-    x = grid.points[:, 0]
-    vals = np.cos(x)
-    k = TWO_PI * np.fft.fftfreq(256, d=TWO_PI / 256)
-
-    def differentiate(arr):
-        spec = np.fft.fft(arr, axis=0)
-        shape = (256,) + (1,) * (arr.ndim - 1)
-        out = np.fft.ifft(spec * (1j * k).reshape(shape), axis=0).real
-        return out[..., None] * np.ones(1)
-
-    est = holder_norm(vals, 1, 0.5, grid.points, circle, differentiate)
-    assert_allclose(est.sup, 1.0, atol=1e-12)
-    assert_allclose(est.derivative_sups[0], 1.0, atol=1e-10)
-    assert est.s == 1 and est.alpha == 0.5
-    with pytest.raises(ConfigError):
-        holder_norm(vals, 1, 0.5, grid.points, circle)   # derivative unavailable
+    """cos x on the N-point circle: |cos x - cos y| = 2 |sin((x+y)/2) sin(d/2)|,
+    and over grid pairs at offset m h the first factor peaks at 1 for even m and
+    at cos(h/2) for odd m."""
+    N, alpha = 256, 0.5
+    grid = geometry.sample_grid(circle, N)
+    got = analysis.holder_seminorm_field(np.cos(grid.points[:, 0]), grid.points,
+                                         circle, alpha)
+    h = TWO_PI / N
+    m = np.arange(1, int(circle.injectivity_surrogate / 2.0 / h * (1 + 1e-12)) + 1)
+    peak = np.where(m % 2 == 0, 1.0, np.cos(h / 2.0))
+    want = np.max(2.0 * np.sin(m * h / 2.0) * peak / (m * h) ** alpha)
+    assert_allclose(got, want, rtol=1e-12)
 
 
 def test_holder_seminorm_dense_pair_oracle(circle):
@@ -88,6 +83,9 @@ def test_fit_order_powers():
     t2 = np.linspace(0.01, 0.1, 8)
     fit = fit_order(t2, t2 + 0.05 * t2**2)
     assert 1.0 < fit.slope < 1.05
+    # constant sequences fit to slope zero
+    flat = fit_order([0.1, 0.05, 0.02], [2.0, 2.0, 2.0])
+    assert_allclose(flat.slope, 0.0, atol=1e-12)
 
 
 def test_fit_order_validation():
@@ -116,19 +114,6 @@ def test_fit_order_scale_equivariance():
     f2 = fit_order(t, 5.0 * y)
     assert_allclose(f2.slope, f1.slope, atol=1e-12)
     assert_allclose(f2.intercept - f1.intercept, np.log(5.0), atol=1e-12)
-
-
-def test_scaling_diagnostics(circle):
-    prov = analytic_spectrum(circle, count=1200)
-    policy = TruncationPolicy(rho=1.0)
-    maps = [build_embedding(prov, t, policy) for t in (0.1, 0.05, 0.02, 0.01)]
-    table = scaling_diagnostics(maps, resolution=64, seed=5)
-    assert len(table["rows"]) == 4
-    for fit in table["fits"].values():
-        assert fit["pass"], table["fits"]
-    # constant sequences fit to slope zero
-    flat = fit_order([0.1, 0.05, 0.02], [2.0, 2.0, 2.0])
-    assert_allclose(flat.slope, 0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("periods, r", [((TWO_PI, 3.1), 12), ((TWO_PI, 5.0, 4.2), 6)],

@@ -86,12 +86,19 @@ def test_defect_scan_outputs(tmp_path):
 
 
 def test_report_determinism(tmp_path):
-    """Reports repeat exactly apart from the timestamp and verify's elapsed_s."""
-    scan = write_config(tmp_path, {"model": TORUS_MODEL, "t_grid": [0.1],
-                                   "resolution": 8, "seed": 9}, "scan.json")
-    verify = write_config(tmp_path, {
-        "verify": {"criteria": ["circle_scale", "linear_algebra"]}}, "verify.json")
-    for command, cfg in (("defect-scan", scan), ("verify", verify)):
+    """Every command's report repeats exactly apart from the timestamp and
+    verify's elapsed_s, and perturb's solver log repeats exactly."""
+    configs = {
+        "spectrum": {"model": CIRCLE_MODEL, "spectrum": {"count": 7}, "resolution": 16},
+        "defect-scan": {"model": TORUS_MODEL, "t_grid": [0.1], "resolution": 8},
+        "gram": {"model": {"kind": "sphere2", "params": {"radius": 1.0}},
+                 "t_grid": [0.1], "resolution": 8},
+        "perturb": {"model": TORUS_MODEL,
+                    "solver": {"k_values": [0.0, 0.001], "resolution": 16}},
+        "verify": {"verify": {"criteria": ["circle_scale", "linear_algebra"]}},
+    }
+    for command, payload in configs.items():
+        cfg = write_config(tmp_path, {**payload, "seed": 9}, f"{command}.json")
         out1, out2 = tmp_path / command / "a", tmp_path / command / "b"
         assert run(["--config", cfg, "--out", str(out1), command]) == 0
         assert run(["--config", cfg, "--out", str(out2), command]) == 0
@@ -100,7 +107,10 @@ def test_report_determinism(tmp_path):
             rep.pop("timestamp")
             for entry in rep["results"].get("verify", {}).get("criteria", []):
                 entry.pop("elapsed_s")
-        assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+        assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True), command
+    log1, log2 = ((tmp_path / "perturb" / side / "solver_log.json").read_text()
+                  for side in "ab")
+    assert log1 == log2
 
 
 def test_report_schema(tmp_path):
@@ -130,6 +140,24 @@ def test_perturb_command(tmp_path):
     assert res["family"]["pass"]
     log = json.loads((out / "solver_log.json").read_text())
     assert log["runs"][0]["steps"][0]["step_norm"] > 0
+
+
+def test_perturb_defect_errors_exit_before_any_build(tmp_path, capsys, monkeypatch):
+    """A manufactured defect that cannot be built exits 2 with one line before
+    the spectrum, the embedding or the solver is built."""
+    def no_build(*args, **kwargs):
+        raise AssertionError("spectrum built before the defect was checked")
+
+    monkeypatch.setattr(heatconf.spectrum, "analytic_spectrum", no_build)
+    torus_1 = {"kind": "flat_torus", "params": {"periods": [TWO_PI]}}
+    for name, payload in (("f_mode_too_long", {"model": TORUS_MODEL,
+                                               "solver": {"f_mode": [1, 0, 0]}}),
+                          ("one_torus", {"model": torus_1, "solver": {"f_mode": [1]}})):
+        cfg = write_config(tmp_path, payload, name=f"{name}.json")
+        capsys.readouterr()
+        assert run(["--config", cfg, "--out", str(tmp_path / name), "perturb"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, (name, err)
 
 
 def test_perturb_theta_violation_exits_3(tmp_path):

@@ -35,9 +35,13 @@ def manufactured(solver):
 
 
 @pytest.fixture(scope="module")
-def solved(solver, torus_embedding, manufactured):
-    return fixed_point_solve(torus_embedding, manufactured, k=0.0, tol=1e-11,
-                             solver=solver)
+def solved(solver, manufactured):
+    return fixed_point_solve(solver, manufactured, k=0.0, tol=1e-11)
+
+
+def as_field(grid, values):
+    """A FieldRq of plain samples, with their gradient taken on the grid."""
+    return perturb.FieldRq(values, grid.grad(values))
 
 
 def pad(grid, values):
@@ -230,9 +234,9 @@ def test_quadratic_bilinear_bound(torus2):
     assert ratios.max() < 10.0
 
 
-def test_fixed_point_trivial(solver, torus_embedding):
+def test_fixed_point_trivial(solver):
     f = np.zeros((solver.grid.N, 2, 2))
-    history, v = fixed_point_solve(torus_embedding, f, k=0.0, solver=solver)
+    history, v = fixed_point_solve(solver, f, k=0.0)
     assert len(history) == 1
     assert np.max(np.linalg.norm(v.values, axis=1)) == 0.0
 
@@ -249,7 +253,7 @@ def test_fixed_point_converges(solved):
 def test_odd_resolution_converges(torus_embedding):
     odd = perturb.ConformalSolver(torus_embedding, resolution=33, e=1.0)
     f = perturb.manufactured_defect(odd.grid.points, 1e-3, [1, 0])
-    history, _ = fixed_point_solve(torus_embedding, f, k=0.0, tol=1e-11, solver=odd)
+    history, _ = fixed_point_solve(odd, f, k=0.0, tol=1e-11)
     assert len(history) <= 20
     assert history[-1].residual <= 1e-10
 
@@ -262,65 +266,68 @@ def test_fixed_point_residual_identity(solver, manufactured, solved):
     assert np.max(np.linalg.norm(gap, axis=1)) <= 1e-11
 
 
-def test_verify_conformal(solver, torus_embedding, manufactured, solved):
+def test_verify_conformal(solver, manufactured, solved):
     _, v = solved
-    rep = verify_conformal(torus_embedding, v, manufactured, solver)
+    rep = verify_conformal(solver, v, manufactured)
     assert rep.residual_sup <= 1e-8
     assert rep.pullback_residual_sup <= 1e-8
-    zero = np.zeros_like(v.values)
-    rep0 = verify_conformal(torus_embedding, zero, np.zeros_like(manufactured), solver)
+    assert rep.residual.shape == (solver.grid.N, 2, 2)
+    assert rep.residual_sup == np.max(np.abs(rep.residual))
+    zero = as_field(solver.grid, np.zeros_like(v.values))
+    rep0 = verify_conformal(solver, zero, np.zeros_like(manufactured))
     assert rep0.residual_sup <= 1e-14
     corrupted = v.values.copy()
     corrupted[0, 5] += 1e-3
-    repc = verify_conformal(torus_embedding, corrupted, manufactured, solver)
+    repc = verify_conformal(solver, as_field(solver.grid, corrupted), manufactured)
     assert repc.residual_sup > 1e-5
 
 
-def test_theta_condition_rejection(solver, torus_embedding):
+def test_theta_condition_rejection(solver):
     f = np.zeros((solver.grid.N, 2, 2))
     f[:, 0, 0] = 3.0 * np.cos(solver.grid.points[:, 0])
     f[:, 1, 1] = -f[:, 0, 0]
     with pytest.raises(PreconditionError, match="smallness"):
-        fixed_point_solve(torus_embedding, f, solver=solver)
+        fixed_point_solve(solver, f)
 
 
-def test_traceless_rejection(solver, torus_embedding):
+def test_traceless_rejection(solver):
     f = np.ones((solver.grid.N, 2, 2)) * 1e-3
     with pytest.raises(PreconditionError, match="traceless"):
-        fixed_point_solve(torus_embedding, f, solver=solver)
+        fixed_point_solve(solver, f)
 
 
-def test_divergence_guard(solver, torus_embedding, manufactured):
+def test_divergence_guard(solver, manufactured):
     with pytest.raises(ConvergenceError):
-        fixed_point_solve(torus_embedding, manufactured, solver=solver,
-                          tol=1e-30, max_iter=5)
+        fixed_point_solve(solver, manufactured, tol=1e-30, max_iter=5)
 
 
 def test_non_finite_iterate_stops(solver, torus_embedding, manufactured):
     start = np.full((solver.grid.N, torus_embedding.q), np.nan)
     with pytest.raises(ConvergenceError, match="non-finite iterate at step 1$"):
-        fixed_point_solve(torus_embedding, manufactured, solver=solver,
-                          max_iter=40, v_start=start)
+        fixed_point_solve(solver, manufactured, max_iter=40, v_start=start)
 
 
 def test_assemble_C(solver, torus_embedding, manufactured, solved):
     _, v = solved
-    res = perturb.assemble_C(torus_embedding, v, solver, k=0.0,
-                             manufactured_f=manufactured)
+    res = perturb.assemble_C(solver, v, k=0.0, manufactured_f=manufactured)
     assert res.defect_sup <= 1e-10
+    assert res.defect_sup == np.max(np.abs(res.defect))
     assert res.injectivity > 0 and res.injectivity_ok
     assert res.C.values.shape == (solver.grid.N, torus_embedding.q)
+    assert np.array_equal(res.C.grad, solver.grad_u + v.grad)
     # v = 0: C is the embedding itself, still injective on the grid
-    zero = perturb.FieldRq(solver.grid, np.zeros_like(v.values))
-    res0 = perturb.assemble_C(torus_embedding, zero, solver)
+    zero = as_field(solver.grid, np.zeros_like(v.values))
+    res0 = perturb.assemble_C(solver, zero)
     assert res0.injectivity > 0
 
 
 def test_field_norms(sgrid):
-    v = perturb.FieldRq(sgrid, np.zeros((sgrid.N, 4)))
+    v = as_field(sgrid, np.zeros((sgrid.N, 4)))
     assert np.max(np.linalg.norm(v.values, axis=1)) == 0.0
-    v2 = perturb.FieldRq(sgrid, np.ones((sgrid.N, 4)))
+    assert not v.grad.any()
+    v2 = as_field(sgrid, np.ones((sgrid.N, 4)))
     assert_allclose(np.max(np.linalg.norm(v2.values, axis=1)), 2.0)
+    assert_allclose(v2.grad, 0.0, atol=1e-15)
 
 
 def test_solver_rejects_nonpositive_shift(torus_embedding):
@@ -362,8 +369,9 @@ def test_quadratic_products_on_a_circle_torus(resolution):
     assert_allclose(L, L_ref, rtol=0, atol=1e-12 * np.max(np.abs(L_ref)))
 
 
-def test_one_gradient_per_iterate(solver, torus_embedding, manufactured, monkeypatch):
-    """The solve, verify_conformal and assemble_C share each iterate's gradient."""
+def test_one_gradient_per_iterate(solver, manufactured, monkeypatch):
+    """The solve transforms each iterate's gradient once; verify_conformal and
+    assemble_C read the final iterate's and transform nothing."""
     calls = []
     grad = perturb.SpectralGrid.grad
 
@@ -372,19 +380,16 @@ def test_one_gradient_per_iterate(solver, torus_embedding, manufactured, monkeyp
         return grad(self, values)
 
     monkeypatch.setattr(perturb.SpectralGrid, "grad", counted)
-    history, v = fixed_point_solve(torus_embedding, manufactured, k=0.0, tol=1e-11,
-                                   solver=solver)
-    rep = verify_conformal(torus_embedding, v, manufactured, solver)
-    perturb.assemble_C(torus_embedding, v, solver, manufactured_f=manufactured)
+    history, v = fixed_point_solve(solver, manufactured, k=0.0, tol=1e-11)
+    assert len(calls) == len(history)
+    rep = verify_conformal(solver, v, manufactured)
+    result = perturb.assemble_C(solver, v, manufactured_f=manufactured)
     assert len(calls) == len(history)
     assert rep.residual_sup == history[-1].residual
-    # a plain array takes its own transform and gives the same report
-    rep_arr = verify_conformal(torus_embedding, v.values.copy(), manufactured, solver)
-    assert len(calls) == len(history) + 1
-    assert rep_arr == rep
-    # a different defect is not answered from the stored residual
-    other = verify_conformal(torus_embedding, v, 2.0 * manufactured, solver)
-    assert other.residual_sup > 1e-4
+    # the iterate's gradient is the grid gradient of its values, bit for bit
+    monkeypatch.undo()
+    assert np.array_equal(v.grad, solver.grid.grad(v.values))
+    assert np.array_equal(result.C.grad, solver.grad_u + v.grad)
 
 
 def test_solver_fetches_grid_jets_once(torus_embedding, monkeypatch):
@@ -420,7 +425,8 @@ def test_min_pair_distance_in_blocks():
 
 def test_manufactured_defect(sgrid):
     """epsilon cos(x . f_mode) diag(1, -1, 0...): along x it is the hand-built
-    field bit for bit; f_mode is zero-padded to the model dimension."""
+    field bit for bit; f_mode is zero-padded to the model dimension.  Points
+    of one column and an f_mode longer than the point width are config errors."""
     x = sgrid.points
     f = perturb.manufactured_defect(x, 1e-3, [1, 0])
     want = np.zeros((sgrid.N, 2, 2))
@@ -433,3 +439,7 @@ def test_manufactured_defect(sgrid):
     f3 = perturb.manufactured_defect(pts3, 2.0, [1])
     assert_allclose(f3, 2.0 * np.cos(pts3[:, 0])[:, None, None] * np.diag([1.0, -1.0, 0.0]),
                     rtol=1e-15)
+    with pytest.raises(ConfigError, match="dimension at least 2"):
+        perturb.manufactured_defect(np.zeros((3, 1)), 1.0, [1])
+    with pytest.raises(ConfigError, match="3 entries, more than the model dimension 2"):
+        perturb.manufactured_defect(x, 1e-3, [1, 0, 0])
