@@ -198,13 +198,16 @@ def check_fixed_point(epsilon: float = 1e-3, residual_tol: float = 1e-8,
                       seed: int = 20240903) -> CheckResult:
     """Contraction, iterate bound, equation residual, and uniqueness of the solve."""
     solver, f = _manufactured_problem(epsilon)
-    history, v = perturb.fixed_point_solve(solver, f, k=0.0, tol=1e-10)
-    rep = perturb.verify_conformal(solver, v, f)
+    history, y = perturb.fixed_point_solve(solver, f, k=0.0, tol=1e-10)
+    v = solver.lift(y)
+    rep = perturb.verify_conformal(solver, y, v, f)
     contractions = [st.contraction for st in history[1:]]
+    # restart from a random kick of sup_x |P^T dy| = 1e-3
     rng = np.random.default_rng(seed)
-    start = v.values + 1e-5 * rng.standard_normal(v.values.shape)
-    _, v2 = perturb.fixed_point_solve(solver, f, k=0.0, tol=1e-10, v_start=start)
-    reconv = float(np.max(np.abs(v2.values - v.values)))
+    kick = rng.standard_normal(y.shape)
+    kick *= 1e-3 / solver.sup_norm(kick)
+    _, y2 = perturb.fixed_point_solve(solver, f, k=0.0, tol=1e-10, y_start=y + kick)
+    reconv = float(np.max(np.abs(np.einsum("nmq,nm->nq", solver.E.P, y2 - y))))
     details = {
         "iterations": len(history),
         "max_contraction": max(contractions) if contractions else 0.0,
@@ -229,12 +232,13 @@ def check_conformal_family(epsilon: float = 1e-3, residual_tol: float = 1e-8) ->
     """Two members of the conformal family: residuals, separation, injectivity."""
     solver, f = _manufactured_problem(epsilon)
     ks = (0.0, 1e-3)
-    vs, injectivity = {}, {}
+    ys, injectivity, reports = {}, {}, {}
     for k in ks:
-        _, vs[k] = perturb.fixed_point_solve(solver, f, k=k, tol=1e-10)
-        injectivity[k] = perturb.assemble_C(solver, vs[k], k=k, manufactured_f=f).injectivity
-    reports = {k: perturb.verify_conformal(solver, vs[k], f) for k in ks}
-    diff, upper, lower = perturb.family_bounds(solver, vs[ks[0]], vs[ks[1]],
+        _, ys[k] = perturb.fixed_point_solve(solver, f, k=k, tol=1e-10)
+        v = solver.lift(ys[k])
+        injectivity[k] = perturb.assemble_C(solver, v, k=k, manufactured_f=f).injectivity
+        reports[k] = perturb.verify_conformal(solver, ys[k], v, f)
+    diff, upper, lower = perturb.family_bounds(solver, ys[ks[0]], ys[ks[1]],
                                                ks[1] - ks[0])
     details = {
         "residuals": {str(k): reports[k].residual_sup for k in ks},

@@ -90,10 +90,11 @@ def _as_float_list(value, name: str) -> list[float]:
     return [float(v) for v in value]
 
 
-def _nonempty_float_list(value, name: str) -> list[float]:
+def _distinct_float_list(value, name: str) -> list[float]:
     parsed = _as_float_list(value, name)
-    if not parsed:
-        raise ConfigError(f"{name} must be a non-empty list of numbers, got {value!r}")
+    if not parsed or len(set(parsed)) < len(parsed):
+        raise ConfigError(f"{name} must be a non-empty list of distinct numbers, "
+                          f"got {value!r}")
     return parsed
 
 
@@ -141,8 +142,8 @@ CONFIG_KEYS = {
     "correction": {"l": (_as_int, 2), "eta": (_as_float_list, [0.0])},
     "spectrum": {"count": (_count, 32), "lambda_max": (_positive, None),
                  "lambda_t_margin": (_positive, None)},
-    "solver": {"e": (_as_float, 1.0), "tol": (_as_float, 1e-10),
-               "max_iter": (_as_int, 40), "k_values": (_nonempty_float_list, [0.0]),
+    "solver": {"e": (_as_float, 1.0), "tol": (_positive, 1e-10),
+               "max_iter": (_count, 40), "k_values": (_distinct_float_list, [0.0]),
                "epsilon": (_as_float, 1e-3), "t": (_positive, 0.05),
                "resolution": (_as_int, 48), "theta_threshold": (_as_float, 0.25),
                "f_mode": (_as_float_list, [1, 0])},
@@ -342,17 +343,17 @@ def cmd_perturb(cfg: RunConfig, out_dir: Path) -> dict:
     emb = embedding.build_embedding(provider, t, policy)
     solver = perturb.ConformalSolver(emb, resolution=sv["resolution"], e=sv["e"])
     runs = []
-    solutions = {}
+    coeffs = {}                     # y per k: the family bounds need nothing more
     for k in sv["k_values"]:
-        history, solutions[k] = perturb.fixed_point_solve(
+        history, coeffs[k] = perturb.fixed_point_solve(
             solver, f, k=k, tol=sv["tol"], max_iter=sv["max_iter"],
             theta_threshold=sv["theta_threshold"], s=cfg.analysis["s"], alpha=alpha)
-        runs.append(_perturb_run(solver, f, k, history, solutions[k], alpha))
+        runs.append(_perturb_run(solver, f, k, history, coeffs[k], alpha))
     family = None
     ks = sv["k_values"]
     if len(ks) >= 2:
         diff, upper, lower = perturb.family_bounds(
-            solver, solutions[ks[0]], solutions[ks[1]], ks[1] - ks[0])
+            solver, coeffs[ks[0]], coeffs[ks[1]], ks[1] - ks[0])
         family = {"distance": diff, "upper_bound": upper, "lower_bound": lower,
                   "pass": lower <= diff <= upper}
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -362,11 +363,12 @@ def cmd_perturb(cfg: RunConfig, out_dir: Path) -> dict:
 
 
 def _perturb_run(solver: perturb.ConformalSolver, f: np.ndarray, k: float, history: list,
-                 v: perturb.FieldRq, alpha: float) -> dict:
+                 y: np.ndarray, alpha: float) -> dict:
     """The record of one k-solve: its steps, the verify numbers and the
     assembled C's, with alpha-Hoelder quotients of the residual and defect
-    fields.  C is freed on return, before the next solve."""
-    rep = perturb.verify_conformal(solver, v, f)
+    fields.  v = P^T y and C are freed on return, before the next solve."""
+    v = solver.lift(y)
+    rep = perturb.verify_conformal(solver, y, v, f)
     result = perturb.assemble_C(solver, v, k=k, manufactured_f=f)
     holder = lambda field: analysis.holder_seminorm_field(
         field, solver.grid.points, solver.model, alpha)

@@ -13,8 +13,10 @@ P_c(u) replaces each repeated row by its trace-free part and loses exactly
 one rank; the lost direction is recovered by the kernel generator w solving
 P w = (0, identity).  E = P^T (P P^T)^{-1} is the minimum-norm right inverse;
 it is never materialized as a q x m matrix.  PointwiseRightInverse builds P
-and its Gram over a point set and is the only implementation of E; a single
-point is a batch of one.
+and its Gram over a point set and applies E pointwise; a single point is a
+batch of one.  On flat tori the fixed-point solver applies E through the
+constant Gram instead (see `perturb`): there P P^T is one matrix, which the
+solver checks against this batched Gram.
 """
 from __future__ import annotations
 

@@ -19,18 +19,41 @@ update packages all third derivatives of v under the resolvent (Delta - e)^{-1}:
 The sign of X and the -e/2 term in L are fixed by the requirement that
 (Delta - e)(grad_i v . grad_j v) = 2 L_ij + transport terms holds identically
 (test-pinned); with them the iteration's fixed point satisfies the conformal
-embedding equation to rounding.  Spectra are real-FFT half-spectra without
-Nyquist bins.  Products are dealiased by the 3/2 rule: Q(v, v) scatters the
-band of a chunk of components, component-major, into a refined half-spectrum
-pruned to the band's last-axis columns, transforms it axis by axis (ifft over
-the leading axes, then an irfft that zero-pads the dropped columns), and
-contracts the chunk in one Gram product.  Each iterate's coarse gradient is
-transformed once, where the solve loop pairs it with the values in a FieldRq;
-the residual, `verify_conformal` and `assemble_C` read it from there.
+embedding equation to rounding.
+
+E = P^T (P P^T)^{-1}, so every iterate is v = P^T y with coefficients y in
+R^m, m = n + n(n+1)/2.  On a flat torus with closed shells the Gram M = P P^T
+is one constant matrix (the solver checks it against the batched Gram at
+every grid point), and the solver iterates on y [N, m]:
+
+    y_{l+1} = M^{-1} (0, -f/2 + k g) + M^{-1} (X, B)(P^T y_l).
+
+Pointwise |P^T z|^2 = z^T M z, which gives the step norm, the iterate bound,
+the smallness surrogate and the family bounds.  By the product rule
+D^d (P^T y) = sum_{c <= d} binom(d, c) (D^{d-c} P)^T D^c y, and a cos/sin pair
+sums w^2 D^a phi D^b phi to Re(i^{|a|-|b|}) w^2 kappa^{a+b} at every x.  So
+K = sum_j F_j F_j^T (F_j = [grad v_j, Hess v_j]) is a quadratic form in the
+channels (y, grad y, Hess y), and the residual's cross term
+sum_j grad u_j (x) grad v_j is linear in (y, grad y).  Their coefficients are
+the lattice moments sum_kappa s_kappa kappa^e of even order up to 8
+(`LatticeSpectrum.jet_moments`); no array of q components is read or written
+per iterate.
+
+Spectra are real-FFT half-spectra without Nyquist bins.  Q(v, v) is
+dealiased by the 3/2 rule: it scatters the band of the channels of y,
+component-major, into a refined half-spectrum pruned to the band's last-axis
+columns, transforms it axis by axis (ifft over the leading axes, then an
+irfft that zero-pads the dropped columns), evaluates the quadratic form of b
+and L on the 3/2 grid and projects them back to the band.  This equals the
+dealiased products of v itself to rounding while v = P^T y lies in the open
+band.  v and its grid gradient are formed once per solve
+(`ConformalSolver.lift`), for `assemble_C` and for the independent pullback
+check in `verify_conformal`.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,42 +177,111 @@ class FieldRq:
     grad: np.ndarray
 
 
-def _quadratic_products(grid: SpectralGrid, v: np.ndarray, e: float,
-                        chunk: int = 64) -> tuple[np.ndarray, np.ndarray]:
-    """The dealiased products of Q(v, v) on the grid: (b [N, n], L [N, n, n]).
+def _row_exponents(n: int) -> np.ndarray:
+    """Derivative exponents of the rows of P, in the jets row order: e_a, then
+    e_a + e_b per `jets.row_index_pairs`."""
+    eye = np.eye(n, dtype=int)
+    return np.array([*eye] + [eye[a] + eye[b] for a, b in jets.row_index_pairs(n)])
 
-    b = Delta v . grad v and L is the quadratic curvature-free kernel of the
-    (Delta - e)(grad v . grad v) identity.  All components take one forward
-    transform, in component-major layout [q, *grid].  Each chunk of components
-    scatters the band of its gradient and Hessian channels F = [G_i, H_ab
-    (a<=b)] into one reused pruned refined half-spectrum [m, c, *grid] and
-    transforms it to the 3/2 grid, where the Gram product K = sum_m F_m F_m^T
-    is accumulated.  b and L are fixed linear combinations of the entries of K
-    (Delta v = tr H).
+
+def _channel_exponents(n: int) -> np.ndarray:
+    """Exponents of the channels of a coefficient field y: 0, e_a, then e_a + e_b
+    (a <= b, upper-triangle order)."""
+    eye = np.eye(n, dtype=int)
+    a, b = np.triu_indices(n)
+    return np.concatenate([np.zeros((1, n), dtype=int), eye, eye[a] + eye[b]])
+
+
+def _leibniz(alpha: np.ndarray, gammas: np.ndarray, delta: np.ndarray):
+    """D^delta (P^T y) by the product rule, as coefficients over the channels:
+    sum_(r, g) coef[r, g] D^beta[r, g] P . D^gamma_g y_r with beta = alpha_r +
+    delta - gamma_g, coef = binom(delta, gamma_g) (0 unless gamma_g <= delta).
+    Returns (coef [m * c], beta [m * c, n]), flattened channel-minor."""
+    inside = np.all(gammas <= delta, axis=1)
+    binom = np.array([math.prod(map(math.comb, delta, g)) if ok else 0
+                      for g, ok in zip(gammas, inside)])
+    beta = alpha[:, None, :] + np.where(inside[:, None], delta - gammas, 0)
+    return np.tile(binom, len(alpha)), beta.reshape(-1, len(delta))
+
+
+def _pair_form(mom: np.ndarray, lhs, rhs) -> np.ndarray:
+    """The matrix of sum_j (sum_i a_i w_j D^beta_i phi_j X_i)(sum_k b_k w_j
+    D^beta'_k phi_j Z_k) as a bilinear form in X and Z, for lhs = (a, beta)
+    and rhs = (b, beta'): a_i b_k Re(i^(|beta_i| - |beta'_k|)) mom[beta_i + beta'_k]
+    (see `LatticeSpectrum.jet_moments`)."""
+    (a, beta), (b, beta2) = lhs, rhs
+    d = beta.sum(axis=1)[:, None] - beta2.sum(axis=1)[None, :]
+    sign = np.where(d % 2 == 0, 1 - 2 * ((d // 2) % 2), 0)
+    idx = beta[:, None, :] + beta2[None, :, :]
+    return a[:, None] * b[None, :] * sign * mom[tuple(np.moveaxis(idx, -1, 0))]
+
+
+def _moment_forms(mom: np.ndarray, n: int, e: float):
+    """The constant tables of the y iteration from the lattice moments.
+
+    Returns (M [m, m], Q form [m, R, R], cross form [n * n, R1], quad form
+    [n * n, R1, R1]) with R = m c channels (y, grad y, Hess y) and R1 = m (1 + n)
+    channels (y, grad y).  With K[d1, d2] = sum_j D^d1 v_j D^d2 v_j, the Q form
+    gives (-b, L) packed per the jets row order, b_i = sum_d K[2e_d, e_i] and
+    L_ij = sum_a K[e_a + e_i, e_a + e_j] - sum_d K[2e_d, e_i + e_j]
+    - (e/2) K[e_i, e_j], so that (X, B) is their resolvent.  The cross form
+    gives sum_j d_a u_j d_b v_j and the quad form K[e_a, e_b].
     """
-    n = grid.model.dim
-    k = np.moveaxis(grid.kvecs, -1, 0)                          # [n, *spec]
-    iu = np.triu_indices(n)
-    sym = np.concatenate([1j * k, -k[iu[0]] * k[iu[1]]]) * (grid.fine / grid.resolution) ** n
-    c = len(sym)
-    spec = np.fft.rfftn(v.T.reshape((-1,) + grid.shape), axes=range(1, n + 1))
-    buf = grid._refined_buffer((min(chunk, len(spec)), c))
-    K = np.zeros((grid.fine**n, c, c))
-    for a0 in range(0, len(spec), chunk):
-        part = spec[a0:a0 + chunk, None]
-        out = buf[:len(part)]
-        for coarse, fine in grid._blocks:
-            np.multiply(part[(Ellipsis,) + coarse], sym[(Ellipsis,) + coarse],
-                        out=out[(Ellipsis,) + fine])
-        F = grid._refine(out)                                   # [m, c, Nf]
-        K += np.einsum("mcp,mdp->pcd", F, F)
-    H = np.empty((n, n), dtype=int)             # channel of H_ab
-    H[iu] = H.T[iu] = np.arange(n, c)
-    D = np.diagonal(H)                          # channels summing to Delta v
-    b = K[:, D, :n].sum(axis=1)
-    L = (K[:, H[:, :, None], H[:, None, :]].sum(axis=1)
-         - K[:, D[:, None, None], H].sum(axis=1) - 0.5 * e * K[:, :n, :n])
-    return grid.unpad(b), grid.unpad(L)
+    alpha, gammas = _row_exponents(n), _channel_exponents(n)
+    m, c = len(alpha), len(gammas)
+    eye = np.eye(n, dtype=int)
+    M = _pair_form(mom, (np.ones(m), alpha), (np.ones(m), alpha))
+    K = lambda d1, d2: _pair_form(mom, _leibniz(alpha, gammas, d1),
+                                  _leibniz(alpha, gammas, d2))
+    b = [-sum(K(2 * eye[d], eye[i]) for d in range(n)) for i in range(n)]
+    L = [sum(K(eye[a] + eye[i], eye[a] + eye[j]) for a in range(n))
+         - sum(K(2 * eye[d], eye[i] + eye[j]) for d in range(n))
+         - 0.5 * e * K(eye[i], eye[j]) for i, j in jets.row_index_pairs(n)]
+    first = np.arange(m * c).reshape(m, c)[:, :1 + n].ravel()   # channels y, grad y
+    cross = [_pair_form(mom, (np.ones(1), eye[a][None]), _leibniz(alpha, gammas, eye[b]))[0]
+             for a in range(n) for b in range(n)]
+    quad = [K(eye[a], eye[b])[np.ix_(first, first)] for a in range(n) for b in range(n)]
+    return M, np.stack(b + L), np.stack(cross)[:, first], np.stack(quad)
+
+
+def _quadratic_form(W: np.ndarray, Y: np.ndarray, chunk: int = 4096) -> np.ndarray:
+    """Forms W [o, R, R] at the sample columns of Y [R, P]: [o, P], out[o, p] =
+    Y[:, p]^T W[o] Y[:, p], one matrix product per chunk of samples."""
+    o, R, _ = W.shape
+    Wt = W.transpose(0, 2, 1).reshape(o * R, R)
+    out = np.empty((o, Y.shape[1]))
+    for p0 in range(0, Y.shape[1], chunk):
+        Yc = Y[:, p0:p0 + chunk]
+        out[:, p0:p0 + chunk] = ((Wt @ Yc).reshape(o, R, -1) * Yc).sum(axis=1)
+    return out
+
+
+def _available_bytes() -> int | None:
+    """MemAvailable from /proc/meminfo in bytes, or None where it cannot be read."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _preflight(N: int, q: int, n: int) -> None:
+    """Refuse a solver whose set-up would not fit in the available memory.
+
+    The estimate adds the deriv-2 jets, P, the Gram and grad u of the set-up
+    and the v = P^T y with its gradient formed once per solve, as if all were
+    held at once.
+    """
+    m = n * (n + 3) // 2
+    need = 8 * N * (q * ((1 + n + n * n) + m + n + (1 + n)) + m * m)
+    avail = _available_bytes()
+    if avail is not None and need > avail:
+        raise PreconditionError(
+            f"the solver needs about {need / 1e9:.2f} GB for its jets, P, Gram and "
+            f"gradients at q = {q}, N = {N}, more than the {avail / 1e9:.2f} GB available")
 
 
 def manufactured_defect(points: np.ndarray, epsilon: float, f_mode) -> np.ndarray:
@@ -214,7 +306,8 @@ def manufactured_defect(points: np.ndarray, epsilon: float, f_mode) -> np.ndarra
 
 class ConformalSolver:
     """The one handle of a flat-torus solve: the embedding (and its t), the
-    spectral shift e, the spectral grid and the right inverse E on it."""
+    spectral shift e, the spectral grid, the right inverse E on it, and the
+    constant Gram M with the moment forms of the y iteration."""
 
     def __init__(self, emb, resolution: int | None = None, e: float = 1.0):
         self.emb = emb
@@ -227,39 +320,82 @@ class ConformalSolver:
         if resolution is None:
             resolution = 48 if self.model.dim == 2 else 32
         self.grid = SpectralGrid(self.model, resolution)
-        self.E = jets.PointwiseRightInverse(emb, self.grid.points)
-        # the gradient rows of P: the frame of a flat torus is the identity
         n = self.model.dim
+        if not hasattr(emb.provider, "jet_moments"):
+            raise PreconditionError("the fixed-point solver needs the lattice moments "
+                                    "of an analytic torus spectrum")
+        mom = emb.provider.jet_moments(1, emb.weights, 8)
+        self.M, self._q_form, self._cross_form, self._quad_form = _moment_forms(mom, n, e)
+        _preflight(self.grid.N, emb.q, n)
+        self.E = jets.PointwiseRightInverse(emb, self.grid.points)
+        gap = float(np.max(np.abs(self.E.gram - self.M)))
+        if gap > 1e-12 * float(np.max(np.abs(self.M))):
+            raise PreconditionError(
+                f"the jet Gram is not constant on the grid: it differs from the moment "
+                f"Gram by {gap:.3g}")
+        # the gradient rows of P: the frame of a flat torus is the identity
         self.grad_u = np.ascontiguousarray(self.E.P[:, :n].transpose(0, 2, 1))   # [N, q, n]
+        # channel symbols (i k)^gamma on the band, [c, *spec]
+        ik = 1j * np.moveaxis(self.grid.kvecs, -1, 0)
+        gammas = _channel_exponents(n).reshape((-1, n) + (1,) * n)
+        self._sym = np.prod(ik ** gammas, axis=1) * self.grid.band
 
     # -- building blocks ------------------------------------------------------
 
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        """E in coefficients: y = M^{-1} rhs at every grid point, [N, m]."""
+        return np.linalg.solve(self.M, rhs.T).T
+
+    def _channels(self, y: np.ndarray) -> np.ndarray:
+        """Band spectra of the channels (y, grad y, Hess y), [m, c, *spec]."""
+        spec = np.fft.rfftn(y.T.reshape((-1,) + self.grid.shape),
+                            axes=range(1, self.model.dim + 1))
+        return spec[:, None] * self._sym
+
+    def sup_norm(self, z: np.ndarray) -> float:
+        """sup_x |P^T z| = sup_x sqrt(z^T M z) of coefficients z [N, m]."""
+        sq = np.einsum("nm,nm->n", z @ self.M, z)
+        return float(np.sqrt(np.maximum(np.max(sq), 0.0)))
+
     def seed(self, f: np.ndarray, k: float) -> np.ndarray:
-        """E(0, -f/2 + k g) over the grid; f is [N, n, n] traceless symmetric."""
+        """Coefficients of E(0, -f/2 + k g) [N, m]; f is [N, n, n] traceless symmetric."""
         n = self.model.dim
-        N = self.grid.N
         self._check_traceless(f)
         h = -0.5 * f + k * np.eye(n)
-        return self.E.apply_tensor(np.zeros((N, n)), h)
+        return self._solve(np.concatenate([np.zeros((self.grid.N, n)),
+                                           jets.pack_symmetric(h)], axis=-1))
 
-    def quadratic(self, v: np.ndarray, chunk: int = 64) -> np.ndarray:
-        """Q(v, v) over the grid: E applied to the resolvent-processed products."""
-        if not v.any():
-            return np.zeros_like(v)
+    def quadratic(self, y: np.ndarray) -> np.ndarray:
+        """Coefficients of Q(v, v) for v = P^T y [N, m]: the moment form of the
+        products on the 3/2 grid, projected to the band, through the resolvent
+        and the constant Gram solve."""
+        if not y.any():
+            return np.zeros_like(y)
         grid = self.grid
-        e = self.e
-        b, L = _quadratic_products(grid, v, e, chunk)
-        X = -grid.resolvent(b, e)
-        B = grid.resolvent(L, e)
-        rhs = np.concatenate([X, jets.pack_symmetric(B)], axis=-1)
-        return self.E.apply(rhs)
+        chan = self._channels(y)
+        buf = grid._refined_buffer(chan.shape[:2])
+        scale = (grid.fine / grid.resolution) ** self.model.dim
+        for coarse, fine in grid._blocks:
+            np.multiply(chan[(Ellipsis,) + coarse], scale, out=buf[(Ellipsis,) + fine])
+        Y = grid._refine(buf).reshape(-1, grid.fine ** self.model.dim)   # [R, Nf]
+        prods = _quadratic_form(self._q_form, Y)                         # (-b, L)
+        return self._solve(grid.resolvent(grid.unpad(prods.T), self.e))
 
-    def conformal_residual(self, v: FieldRq, f: np.ndarray) -> np.ndarray:
-        """Trace-free part of grad u . grad v + grad v . grad u + grad v . grad v - f."""
-        cross = self.grad_u.transpose(0, 2, 1) @ v.grad
-        quad = v.grad.transpose(0, 2, 1) @ v.grad
-        return conformal_defect(cross + cross.transpose(0, 2, 1) + quad - f,
-                                np.eye(self.model.dim))[0]
+    def conformal_residual(self, y: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """Trace-free part of grad u . grad v + grad v . grad u + grad v . grad v - f
+        for v = P^T y, from the moment forms in the channels (y, grad y)."""
+        n = self.model.dim
+        chan = self._channels(y)[:, :1 + n]
+        Y = np.fft.irfftn(chan, s=self.grid.shape, axes=range(2, n + 2)).reshape(
+            -1, self.grid.N)                                              # [R1, N]
+        cross = (self._cross_form @ Y).T.reshape(-1, n, n)
+        quad = _quadratic_form(self._quad_form, Y).T.reshape(-1, n, n)
+        return conformal_defect(cross + cross.transpose(0, 2, 1) + quad - f, np.eye(n))[0]
+
+    def lift(self, y: np.ndarray) -> FieldRq:
+        """v = P^T y [N, q] and its grid gradient [N, q, n]."""
+        v = np.einsum("nmq,nm->nq", self.E.P, y)
+        return FieldRq(v, self.grid.grad(v))
 
     def _check_traceless(self, f: np.ndarray):
         scale = max(1.0, float(np.max(np.abs(f))))
@@ -280,44 +416,43 @@ def fixed_point_solve(solver: ConformalSolver, f: np.ndarray, k: float = 0.0,
                       tol: float = 1e-10, max_iter: int = 40,
                       theta_threshold: float = DEFAULT_THETA_THRESHOLD,
                       s: int = 2, alpha: float = 0.5,
-                      v_start: np.ndarray | None = None):
-    """Iterate v <- E(0, -f/2 + k g) + Q(v, v) on the solver's grid until steps settle.
+                      y_start: np.ndarray | None = None):
+    """Iterate y <- M^{-1}(0, -f/2 + k g) + Q(y) on the solver's grid until steps settle.
 
-    f is the traceless defect [N, n, n] on the solver's grid; the embedding, t
-    and the shift e are the solver's.  The start is v_0 = 0, or the values
-    v_start [N, q].  Returns (history, v): the per-step scalars
-    (IterationState) and the final iterate as a FieldRq.  Entry is guarded by
-    the smallness surrogate t^{-(s+alpha)/2} ||seed||_sup, and the induction
-    bound ||v_l|| < 2 ||seed||_sup (the seed is E applied to half the defect,
-    so this is the classical bound by the un-halved input) is monitored at
-    every step.
+    This is v <- E(0, -f/2 + k g) + Q(v, v) for v = P^T y.  f is the traceless
+    defect [N, n, n] on the solver's grid; the embedding, t and the shift e
+    are the solver's.  The start is y_0 = 0, or the coefficients y_start
+    [N, m].  Returns (history, y): the per-step scalars (IterationState) and
+    the final coefficients [N, m]; `ConformalSolver.lift` forms v.  Norms are
+    sup_x |P^T .|.  Entry is guarded by the smallness surrogate
+    t^{-(s+alpha)/2} ||seed||_sup, and the induction bound ||v_l|| < 2
+    ||seed||_sup (the seed is E applied to half the defect, so this is the
+    classical bound by the un-halved input) is monitored at every step.
     """
     seed = solver.seed(f, k)
-    seed_norm = float(np.max(np.linalg.norm(seed, axis=1))) if seed.size else 0.0
+    seed_norm = solver.sup_norm(seed)
     theta = solver.emb.t ** (-(s + alpha) / 2.0) * seed_norm
     if theta >= theta_threshold:
         raise PreconditionError(
             f"smallness condition violated: t^(-(s+a)/2) ||seed|| = {theta:.3g} "
             f">= {theta_threshold}")
     bound = 2.0 * seed_norm
-    v = np.zeros_like(seed) if v_start is None else np.asarray(v_start, dtype=float)
+    y = np.zeros_like(seed) if y_start is None else np.asarray(y_start, dtype=float)
     history: list[IterationState] = []
     prev_step = None
     slow = 0
     for l in range(1, max_iter + 1):
-        v_next = seed + solver.quadratic(v)
-        step = float(np.max(np.linalg.norm(v_next - v, axis=1)))
+        y_next = seed + solver.quadratic(y)
+        step = solver.sup_norm(y_next - y)
         if not np.isfinite(step):
             raise ConvergenceError(f"non-finite iterate at step {l}")
         contraction = step / prev_step if prev_step not in (None, 0.0) else float("nan")
-        v = v_next
-        v_norm = float(np.max(np.linalg.norm(v, axis=1)))
-        field_v = FieldRq(v, solver.grid.grad(v))
-        residual = float(np.max(np.abs(solver.conformal_residual(field_v, f))))
+        y = y_next
+        residual = float(np.max(np.abs(solver.conformal_residual(y, f))))
         history.append(IterationState(l, residual, step, contraction,
-                                      bound_ok=v_norm < bound or bound == 0.0))
+                                      bound_ok=solver.sup_norm(y) < bound or bound == 0.0))
         if step <= tol:
-            return history, field_v
+            return history, y
         if np.isfinite(contraction) and contraction > 0.95:
             slow += 1
             if slow >= 3:
@@ -326,24 +461,23 @@ def fixed_point_solve(solver: ConformalSolver, f: np.ndarray, k: float = 0.0,
         else:
             slow = 0
         prev_step = step
-        del field_v              # peak memory: free this gradient before the next is taken
     raise ConvergenceError(f"no convergence within {max_iter} iterations")
 
 
-def family_bounds(solver: ConformalSolver, v_a: FieldRq, v_b: FieldRq,
+def family_bounds(solver: ConformalSolver, y_a: np.ndarray, y_b: np.ndarray,
                   dk: float) -> tuple[float, float, float]:
     """Distance of the conformal-family members k and k + dk, with its bounds.
 
-    Returns (sup |v_b - v_a|, upper 2 sup |E(0, dk g)|, lower |dk|/4 sup |w|)
-    with w the kernel generator; the distance must lie between the bounds.
+    Returns (sup |P^T (y_b - y_a)|, upper 2 sup |E(0, dk g)|, lower |dk|/4
+    sup |w|) with w = E(0, g) the kernel generator; the distance must lie
+    between the bounds.  w has the constant coefficients c = M^{-1}(0, g), so
+    |w| = sqrt(c^T M c) and |E(0, dk g)| = |dk| |w| at every point.
     """
-    distance = float(np.max(np.linalg.norm(v_b.values - v_a.values, axis=1)))
     n = solver.model.dim
-    seed_g = solver.seed(np.zeros((solver.grid.N, n, n)), dk)
-    upper = 2.0 * float(np.max(np.linalg.norm(seed_g, axis=1)))
-    w = solver.E.kernel_generator()
-    lower = 0.25 * abs(dk) * float(np.max(np.linalg.norm(w, axis=1)))
-    return distance, upper, lower
+    c = np.linalg.solve(solver.M, np.concatenate([np.zeros(n),
+                                                  jets.pack_symmetric(np.eye(n))]))
+    w = float(np.sqrt(c @ solver.M @ c))
+    return solver.sup_norm(y_b - y_a), 2.0 * abs(dk) * w, 0.25 * abs(dk) * w
 
 
 @dataclass
@@ -353,15 +487,18 @@ class ConformalReport:
     residual: np.ndarray          # [N, n, n] trace-free residual field
 
 
-def verify_conformal(solver: ConformalSolver, v: FieldRq, f: np.ndarray) -> ConformalReport:
+def verify_conformal(solver: ConformalSolver, y: np.ndarray, v: FieldRq,
+                     f: np.ndarray) -> ConformalReport:
     """Residual of the conformal embedding equation, plus a pullback recomputation.
 
-    The second number rebuilds the full pullback of u + v from scratch and
-    reports the trace-free part of pullback(u+v) - pullback(u) - f; it is the
-    independent check that the solved v does what the equation promises.  The
-    report keeps the residual field for norms beyond the sup.
+    The residual is the solver's, from the coefficients y.  The second number
+    rebuilds the full pullback of u + v from scratch, with v = P^T y and its
+    grid gradient (`ConformalSolver.lift`), and reports the trace-free part
+    of pullback(u+v) - pullback(u) - f; it is the independent check that the
+    solved v does what the equation promises.  The report keeps the residual
+    field for norms beyond the sup.
     """
-    res = solver.conformal_residual(v, f)
+    res = solver.conformal_residual(y, f)
     grad_total = solver.grad_u + v.grad                        # [N, q, n]
     G_uv = grad_total.transpose(0, 2, 1) @ grad_total
     G_u = solver.grad_u.transpose(0, 2, 1) @ solver.grad_u

@@ -11,6 +11,8 @@ modes share one lattice implementation: a block's jets come from one
 exp(i kappa_a x_a) table per axis, multiplied into cos and sin once per
 lattice vector and gathered onto that vector's cos and sin modes.  Their
 gradient Gram sum needs no jets: it is closed in form per lattice vector.
+Neither do their jet pair sums sum_j w_j^2 D^a phi_j D^b phi_j over whole
+cos/sin pairs, which are weighted lattice moments (`jet_moments`).
 
 Sphere modes (on S^2 and the S^2 factor of S^2 x S^1) come from one fully
 normalized associated Legendre table per block, built over the block's
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .errors import ConfigError, SpectrumError
+from .errors import ConfigError, PreconditionError, SpectrumError
 from .geometry import ManifoldModel
 
 COS, SIN = 0, 1
@@ -180,6 +182,7 @@ class LatticeSpectrum(AnalyticSpectrum):
     and gathers the value (c or s) and the derivative factor (-s or c) onto
     the modes.  `gradient_gram` needs no jets: the Gram sum of a cos/sin pair
     is a closed form in kappa, constant in x when the pair's weights agree.
+    `jet_moments` gives every such pair sum of derivatives.
     """
 
     def _init_lattice(self, unit, volume: float):
@@ -276,6 +279,45 @@ class LatticeSpectrum(AnalyticSpectrum):
             for b in range(a):
                 G[:, a, b] = G[:, b, a]
         return G
+
+    def jet_moments(self, j0, weights, order):
+        """Weighted lattice moments behind every pair sum of the block's jets.
+
+        Returns mom [order + 1, ...] (n axes), mom[e] = sum_kappa s_kappa kappa^e
+        for the exponents e with |e| even and at most `order`, and 0 for the
+        others; s_kappa = (w a)^2 is the squared weighted amplitude that the
+        cos and sin modes of kappa share.  D^alpha of cos/sin(kappa . x) is
+        the real/imaginary part of i^|alpha| kappa^alpha exp(i kappa . x), so
+        at every x
+            sum_j w_j^2 D^alpha phi_j D^beta phi_j
+              = Re(i^(|alpha| - |beta|)) mom[alpha + beta],
+        which is +-mom when |alpha| + |beta| is even and 0 when it is odd.
+        A block that splits a cos/sin pair, or gives a pair two weights,
+        makes the sum depend on x and raises PreconditionError.
+        """
+        w = np.asarray(weights, dtype=float)
+        j1 = j0 + len(w)
+        _check_range(self, j0, j1)
+        parity = self._parity[j0:j1]
+        sin = np.flatnonzero(parity == SIN)
+        if parity.size and (parity[0] == SIN or (parity[-1] == COS
+                                                 and self._kappa[j1 - 1].any())):
+            raise PreconditionError(
+                f"mode block [{j0}, {j1}) splits a cos/sin pair; its jet sums vary in x")
+        if np.any(w[sin] != w[sin - 1]):
+            raise PreconditionError("a cos/sin pair carries two weights; its jet sums "
+                                    "vary in x")
+        cos = np.flatnonzero(parity == COS)
+        s = (w[cos] * self._amp[j0 + cos]) ** 2
+        n = self._kappa.shape[1]
+        powers = self._kappa[j0 + cos, :, None] ** np.arange(order + 1)   # [V, n, order+1]
+        table = s[:, None]
+        for a in range(n - 1):
+            table = (table[:, :, None] * powers[:, a, None, :]).reshape(len(s), -1)
+        mom = (table.T @ powers[:, n - 1]).reshape((order + 1,) * n)
+        degree = np.indices(mom.shape).sum(axis=0)
+        mom[(degree % 2 == 1) | (degree > order)] = 0.0
+        return mom
 
 
 class TorusSpectrum(LatticeSpectrum):

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 import heatconf
 from heatconf import cli
@@ -140,6 +141,25 @@ def test_perturb_command(tmp_path):
     assert res["family"]["pass"]
     log = json.loads((out / "solver_log.json").read_text())
     assert log["runs"][0]["steps"][0]["step_norm"] > 0
+
+
+def test_perturb_on_a_3_torus(tmp_path):
+    """heatconf perturb on the 3-torus of periods 2 pi at t = 0.2, resolution 12:
+    iteration counts, injectivity and the family distance as recorded before
+    the solver moved to the coefficient field y."""
+    cfg = write_config(tmp_path, {
+        "model": {"kind": "flat_torus", "params": {"periods": [TWO_PI] * 3}},
+        "solver": {"t": 0.2, "resolution": 12, "k_values": [0.0, 0.001], "f_mode": [1, 0]},
+    })
+    out = tmp_path / "out"
+    assert run(["--config", cfg, "--out", str(out), "perturb"]) == 0
+    res = load_report(out)["results"]["perturb"]
+    assert [r["iterations"] for r in res["runs"]] == [4, 5]
+    assert_allclose([r["conformal_result"]["injectivity"] for r in res["runs"]],
+                    [0.22160662925226882, 0.22044668311465934], rtol=1e-6)
+    assert all(r["verify"]["residual_sup"] <= 1e-8 for r in res["runs"])
+    assert_allclose(res["family"]["distance"], 0.002036517769990168, rtol=1e-6)
+    assert res["family"]["pass"] is True
 
 
 def test_perturb_defect_errors_exit_before_any_build(tmp_path, capsys, monkeypatch):
@@ -293,6 +313,12 @@ def test_malformed_config_values_exit_2(tmp_path, capsys):
         "lambda_t_margin_negative": ("defect-scan", {**scan,
                                                      "spectrum": {"lambda_t_margin": -1}}),
         "rho_nan": ("defect-scan", {**scan, "rho": float("nan")}),
+        # a repeated k (a vacuous family check), no iteration budget, a tol
+        # that no step can meet
+        "solver_k_values_repeated": ("perturb", {"model": TORUS_MODEL,
+                                                 "solver": {"k_values": [0.0, 0.0]}}),
+        "solver_max_iter_zero": ("perturb", {"model": TORUS_MODEL, "solver": {"max_iter": 0}}),
+        "solver_tol_negative": ("perturb", {"model": TORUS_MODEL, "solver": {"tol": -1}}),
     }
     for name, (command, payload) in bad.items():
         cfg = write_config(tmp_path, payload, name=f"{name}.json")

@@ -1,12 +1,18 @@
-"""Spectral backend, quadratic assembly, and the conformal fixed point."""
+"""Spectral backend, quadratic assembly, and the conformal fixed point.
+
+The v-space Q(v, v) products and residual below (`quadratic_products_v`,
+`quadratic_v`, `residual_v`) are test oracles: the solver iterates on the
+coefficients y of v = P^T y, and its moment forms are checked against them.
+"""
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from heatconf import (ManifoldModel, TruncationPolicy, analytic_spectrum,
                       build_embedding, fixed_point_solve, verify_conformal)
-from heatconf import jets, perturb
+from heatconf import jets, perturb, spectrum
 from heatconf.errors import ConfigError, ConvergenceError, PreconditionError
+from heatconf.geometry import conformal_defect
 
 TWO_PI = 2.0 * np.pi
 
@@ -42,6 +48,77 @@ def solved(solver, manufactured):
 def as_field(grid, values):
     """A FieldRq of plain samples, with their gradient taken on the grid."""
     return perturb.FieldRq(values, grid.grad(values))
+
+
+def quadratic_products_v(grid, v, e, chunk=64):
+    """Oracle: the dealiased products of Q(v, v) of v [N, q] on the grid,
+    (b [N, n], L [N, n, n]).
+
+    b = Delta v . grad v and L is the quadratic curvature-free kernel of the
+    (Delta - e)(grad v . grad v) identity.  All components take one forward
+    transform, in component-major layout [q, *grid].  Each chunk of components
+    scatters the band of its gradient and Hessian channels F = [G_i, H_ab
+    (a<=b)] into one reused pruned refined half-spectrum [m, c, *grid] and
+    transforms it to the 3/2 grid, where the Gram product K = sum_m F_m F_m^T
+    is accumulated.  b and L are fixed linear combinations of the entries of K
+    (Delta v = tr H).
+    """
+    n = grid.model.dim
+    k = np.moveaxis(grid.kvecs, -1, 0)                          # [n, *spec]
+    iu = np.triu_indices(n)
+    sym = np.concatenate([1j * k, -k[iu[0]] * k[iu[1]]]) * (grid.fine / grid.resolution) ** n
+    c = len(sym)
+    spec = np.fft.rfftn(v.T.reshape((-1,) + grid.shape), axes=range(1, n + 1))
+    buf = grid._refined_buffer((min(chunk, len(spec)), c))
+    K = np.zeros((grid.fine**n, c, c))
+    for a0 in range(0, len(spec), chunk):
+        part = spec[a0:a0 + chunk, None]
+        out = buf[:len(part)]
+        for coarse, fine in grid._blocks:
+            np.multiply(part[(Ellipsis,) + coarse], sym[(Ellipsis,) + coarse],
+                        out=out[(Ellipsis,) + fine])
+        F = grid._refine(out)                                   # [m, c, Nf]
+        K += np.einsum("mcp,mdp->pcd", F, F)
+    H = np.empty((n, n), dtype=int)             # channel of H_ab
+    H[iu] = H.T[iu] = np.arange(n, c)
+    D = np.diagonal(H)                          # channels summing to Delta v
+    b = K[:, D, :n].sum(axis=1)
+    L = (K[:, H[:, :, None], H[:, None, :]].sum(axis=1)
+         - K[:, D[:, None, None], H].sum(axis=1) - 0.5 * e * K[:, :n, :n])
+    return grid.unpad(b), grid.unpad(L)
+
+
+def quadratic_v(solver, v):
+    """Oracle: Q(v, v) [N, q], E applied pointwise to the resolvent-processed products."""
+    grid = solver.grid
+    b, L = quadratic_products_v(grid, v, solver.e)
+    X = -grid.resolvent(b, solver.e)
+    B = grid.resolvent(L, solver.e)
+    return solver.E.apply(np.concatenate([X, jets.pack_symmetric(B)], axis=-1))
+
+
+def residual_v(solver, v, f):
+    """Oracle: trace-free part of grad u . grad v + grad v . grad u + grad v . grad v - f
+    from the grid gradient of v (a FieldRq)."""
+    cross = solver.grad_u.transpose(0, 2, 1) @ v.grad
+    quad = v.grad.transpose(0, 2, 1) @ v.grad
+    return conformal_defect(cross + cross.transpose(0, 2, 1) + quad - f,
+                            np.eye(solver.model.dim))[0]
+
+
+def band_limited_y(grid, seed, kmax, scale=1.0):
+    """Random coefficients y [N, m]: a few lattice cosines per channel with
+    |k_a| <= kmax, periodic on any flat torus."""
+    rng = np.random.default_rng(seed)
+    n = grid.model.dim
+    y = np.zeros((grid.N, n * (n + 3) // 2))
+    unit = 2.0 * np.pi / np.asarray(grid.model.periods)
+    for c in range(y.shape[1]):
+        for _ in range(4):
+            k = rng.integers(-kmax, kmax + 1, size=n)
+            y[:, c] += scale * rng.standard_normal() * np.cos(
+                grid.points @ (unit * k) + rng.uniform(0, TWO_PI))
+    return y
 
 
 def pad(grid, values):
@@ -119,7 +196,7 @@ def test_quadratic_products_alias_free_oracle(any_grid):
     grid = any_grid
     e = 1.3
     v = band_limited_field(grid, 11, comps=3, kmax=(grid.resolution - 1) // 4)
-    b, L = perturb._quadratic_products(grid, v, e, chunk=2)
+    b, L = quadratic_products_v(grid, v, e, chunk=2)
     G = grid.grad(v)                                     # [N, m, n]
     H = grid.grad(G)                                     # [N, m, n, n]
     D = laplacian(grid, v)                               # [N, m]
@@ -145,10 +222,10 @@ def test_resolvent(sgrid):
 
 def test_Lij_trivial_inputs(sgrid):
     zero = np.zeros((sgrid.N, 2))
-    for out in perturb._quadratic_products(sgrid, zero, 1.0):
+    for out in quadratic_products_v(sgrid, zero, 1.0):
         assert_allclose(out, 0.0, atol=1e-15)
     const = np.full((sgrid.N, 2), 1.3)
-    for out in perturb._quadratic_products(sgrid, const, 1.0):
+    for out in quadratic_products_v(sgrid, const, 1.0):
         assert_allclose(out, 0.0, atol=1e-13)
 
 
@@ -159,7 +236,7 @@ def test_Lij_single_mode_closed_form(sgrid):
     m = np.array([2, 1])
     amp = 0.7
     v = amp * np.cos(sgrid.points @ m)[:, None]
-    _, L = perturb._quadratic_products(sgrid, v, e)
+    _, L = quadratic_products_v(sgrid, v, e)
     s2 = np.sin(sgrid.points @ m) ** 2
     expected = -(e / 2) * amp**2 * s2[:, None, None] * np.outer(m, m)
     assert_allclose(L, expected, atol=1e-10)
@@ -176,7 +253,7 @@ def test_Lij_spectral_identity(sgrid):
     Gv = sgrid.grad(v)                                   # [N, c, n]
     S = np.einsum("nci,ncj->nij", Gv, Gv)
     lhs = laplacian(sgrid, S) - e * S
-    _, L = perturb._quadratic_products(sgrid, v, e)
+    _, L = quadratic_products_v(sgrid, v, e)
     Dv = laplacian(sgrid, v)
     T = np.einsum("nc,nci->ni", Dv, Gv)                  # Delta v . grad v
     gradT = sgrid.grad(T)                                # [N, i, j] = d_j T_i
@@ -189,16 +266,14 @@ def test_Lij_spectral_identity(sgrid):
 
 def test_quadratic_defining_equation(solver):
     """P(u) Q(v,v) reproduces the resolvent-processed right-hand side."""
-    assert_allclose(solver.quadratic(np.zeros((solver.grid.N, solver.emb.q))),
-                    0.0, atol=1e-15)
-    rng = np.random.default_rng(21)
-    v = 1e-2 * rng.standard_normal((solver.grid.N, solver.emb.q))
-    v = solver.grid.from_spec(solver.grid.to_spec(v))    # band-limit the draw
-    Q = solver.quadratic(v)
+    assert_allclose(solver.quadratic(np.zeros((solver.grid.N, 5))), 0.0, atol=1e-15)
+    y = band_limited_y(solver.grid, 21, kmax=4, scale=1e-2)
+    v = solver.lift(y).values
+    Q = np.einsum("nmq,nm->nq", solver.E.P, solver.quadratic(y))
     grid = solver.grid
     Dv, Gv = laplacian(grid, v), grid.grad(v)
     prod = grid.unpad(np.einsum("fm,fmi->fi", pad(grid, Dv), pad(grid, Gv)))
-    b, L = perturb._quadratic_products(grid, v, solver.e)
+    b, L = quadratic_products_v(grid, v, solver.e)
     assert_allclose(b, prod, atol=1e-12 * np.max(np.abs(prod)))
     X = -grid.resolvent(b, solver.e)
     B = grid.resolvent(L, solver.e)
@@ -208,7 +283,7 @@ def test_quadratic_defining_equation(solver):
 
 
 def test_quadratic_of_zero_is_exact_zero(solver):
-    zero = np.zeros((solver.grid.N, solver.emb.q))
+    zero = np.zeros((solver.grid.N, 5))
     out = solver.quadratic(zero)
     assert out.shape == zero.shape and not out.any()
 
@@ -222,11 +297,11 @@ def test_quadratic_bilinear_bound(torus2):
     t = emb.t
     ratios = []
     for _ in range(20):
-        v = 1e-3 * rng.standard_normal((small.grid.N, emb.q))
-        u = 1e-3 * rng.standard_normal((small.grid.N, emb.q))
-        dv = np.max(np.linalg.norm(v - u, axis=1))
-        sv = np.max(np.linalg.norm(v, axis=1)) + np.max(np.linalg.norm(u, axis=1))
-        dq = np.max(np.linalg.norm(small.quadratic(v) - small.quadratic(u), axis=1))
+        v = 1e-3 * rng.standard_normal((small.grid.N, 5))
+        u = 1e-3 * rng.standard_normal((small.grid.N, 5))
+        dv = small.sup_norm(v - u)
+        sv = small.sup_norm(v) + small.sup_norm(u)
+        dq = small.sup_norm(small.quadratic(v) - small.quadratic(u))
         ratios.append(dq / (t ** (-1.25) * dv * sv))
     ratios = np.array(ratios)
     assert np.all(ratios > 0)
@@ -236,9 +311,9 @@ def test_quadratic_bilinear_bound(torus2):
 
 def test_fixed_point_trivial(solver):
     f = np.zeros((solver.grid.N, 2, 2))
-    history, v = fixed_point_solve(solver, f, k=0.0)
+    history, y = fixed_point_solve(solver, f, k=0.0)
     assert len(history) == 1
-    assert np.max(np.linalg.norm(v.values, axis=1)) == 0.0
+    assert solver.sup_norm(y) == 0.0
 
 
 def test_fixed_point_converges(solved):
@@ -260,25 +335,25 @@ def test_odd_resolution_converges(torus_embedding):
 
 def test_fixed_point_residual_identity(solver, manufactured, solved):
     # at convergence v solves its own defining equation to the tolerance
-    _, v = solved
+    _, y = solved
     seed = solver.seed(manufactured, 0.0)
-    gap = v.values - seed - solver.quadratic(v.values)
-    assert np.max(np.linalg.norm(gap, axis=1)) <= 1e-11
+    gap = y - seed - solver.quadratic(y)
+    assert solver.sup_norm(gap) <= 1e-11
 
 
 def test_verify_conformal(solver, manufactured, solved):
-    _, v = solved
-    rep = verify_conformal(solver, v, manufactured)
+    _, y = solved
+    rep = verify_conformal(solver, y, solver.lift(y), manufactured)
     assert rep.residual_sup <= 1e-8
     assert rep.pullback_residual_sup <= 1e-8
     assert rep.residual.shape == (solver.grid.N, 2, 2)
     assert rep.residual_sup == np.max(np.abs(rep.residual))
-    zero = as_field(solver.grid, np.zeros_like(v.values))
-    rep0 = verify_conformal(solver, zero, np.zeros_like(manufactured))
+    zero = np.zeros_like(y)
+    rep0 = verify_conformal(solver, zero, solver.lift(zero), np.zeros_like(manufactured))
     assert rep0.residual_sup <= 1e-14
-    corrupted = v.values.copy()
-    corrupted[0, 5] += 1e-3
-    repc = verify_conformal(solver, as_field(solver.grid, corrupted), manufactured)
+    corrupted = y.copy()
+    corrupted[0, 2] += 1e-3
+    repc = verify_conformal(solver, corrupted, solver.lift(corrupted), manufactured)
     assert repc.residual_sup > 1e-5
 
 
@@ -301,14 +376,15 @@ def test_divergence_guard(solver, manufactured):
         fixed_point_solve(solver, manufactured, tol=1e-30, max_iter=5)
 
 
-def test_non_finite_iterate_stops(solver, torus_embedding, manufactured):
-    start = np.full((solver.grid.N, torus_embedding.q), np.nan)
+def test_non_finite_iterate_stops(solver, manufactured):
+    start = np.full((solver.grid.N, 5), np.nan)
     with pytest.raises(ConvergenceError, match="non-finite iterate at step 1$"):
-        fixed_point_solve(solver, manufactured, max_iter=40, v_start=start)
+        fixed_point_solve(solver, manufactured, max_iter=40, y_start=start)
 
 
 def test_assemble_C(solver, torus_embedding, manufactured, solved):
-    _, v = solved
+    _, y = solved
+    v = solver.lift(y)
     res = perturb.assemble_C(solver, v, k=0.0, manufactured_f=manufactured)
     assert res.defect_sup <= 1e-10
     assert res.defect_sup == np.max(np.abs(res.defect))
@@ -316,8 +392,7 @@ def test_assemble_C(solver, torus_embedding, manufactured, solved):
     assert res.C.values.shape == (solver.grid.N, torus_embedding.q)
     assert np.array_equal(res.C.grad, solver.grad_u + v.grad)
     # v = 0: C is the embedding itself, still injective on the grid
-    zero = as_field(solver.grid, np.zeros_like(v.values))
-    res0 = perturb.assemble_C(solver, zero)
+    res0 = perturb.assemble_C(solver, solver.lift(np.zeros_like(y)))
     assert res0.injectivity > 0
 
 
@@ -358,7 +433,7 @@ def test_quadratic_products_on_a_circle_torus(resolution):
     grid = perturb.SpectralGrid(ManifoldModel.flat_torus([TWO_PI]), resolution)
     e = 0.8
     v = band_limited_field(grid, 5, comps=4, kmax=(resolution - 1) // 4)
-    b, L = perturb._quadratic_products(grid, v, e, chunk=3)
+    b, L = quadratic_products_v(grid, v, e, chunk=3)
     G = grid.grad(v)
     D = laplacian(grid, v)
     H = grid.grad(G)
@@ -370,8 +445,9 @@ def test_quadratic_products_on_a_circle_torus(resolution):
 
 
 def test_one_gradient_per_iterate(solver, manufactured, monkeypatch):
-    """The solve transforms each iterate's gradient once; verify_conformal and
-    assemble_C read the final iterate's and transform nothing."""
+    """One grid gradient per solve: the iterates are coefficients y whose
+    channels Q and the residual take from their own transforms, and v = P^T y
+    with its gradient is formed once, for verify_conformal and assemble_C."""
     calls = []
     grad = perturb.SpectralGrid.grad
 
@@ -380,11 +456,12 @@ def test_one_gradient_per_iterate(solver, manufactured, monkeypatch):
         return grad(self, values)
 
     monkeypatch.setattr(perturb.SpectralGrid, "grad", counted)
-    history, v = fixed_point_solve(solver, manufactured, k=0.0, tol=1e-11)
-    assert len(calls) == len(history)
-    rep = verify_conformal(solver, v, manufactured)
+    history, y = fixed_point_solve(solver, manufactured, k=0.0, tol=1e-11)
+    assert len(history) > 1 and calls == []
+    v = solver.lift(y)
+    rep = verify_conformal(solver, y, v, manufactured)
     result = perturb.assemble_C(solver, v, manufactured_f=manufactured)
-    assert len(calls) == len(history)
+    assert calls == [(solver.grid.N, solver.emb.q)]
     assert rep.residual_sup == history[-1].residual
     # the iterate's gradient is the grid gradient of its values, bit for bit
     monkeypatch.undo()
@@ -443,3 +520,97 @@ def test_manufactured_defect(sgrid):
         perturb.manufactured_defect(np.zeros((3, 1)), 1.0, [1])
     with pytest.raises(ConfigError, match="3 entries, more than the model dimension 2"):
         perturb.manufactured_defect(x, 1e-3, [1, 0, 0])
+
+
+@pytest.fixture(scope="module", params=[([TWO_PI, TWO_PI], 0.05, 48, 4),
+                                        ([TWO_PI, 3.1], 0.05, 48, 4),
+                                        ([TWO_PI] * 3, 0.2, 12, 2)],
+                ids=["torus2-N48", "torus2-3.1-N48", "torus3-N12"])
+def oracle_case(request):
+    """A solver and random coefficients y whose v = P^T y lies in the open band."""
+    periods, t, resolution, kmax = request.param
+    model = ManifoldModel.flat_torus(periods)
+    emb = build_embedding(analytic_spectrum(model, count=700 if len(periods) == 2 else 200),
+                          t, TruncationPolicy(rho=1.0))
+    built = perturb.ConformalSolver(emb, resolution=resolution, e=1.0)
+    y = band_limited_y(built.grid, 17, kmax=kmax, scale=1e-3)
+    return built, y
+
+
+def test_y_space_matches_v_oracles(oracle_case):
+    """Q and the residual from the moment forms in y equal the v-space oracles
+    on v = P^T y to 1e-12 relative."""
+    built, y = oracle_case
+    grid = built.grid
+    v = built.lift(y)
+    spec = np.fft.rfftn(v.values.reshape(grid.shape + (-1,)), axes=range(grid.model.dim))
+    assert np.max(np.abs(spec[~grid.band])) <= 1e-13 * np.max(np.abs(spec))
+    want = quadratic_v(built, v.values)
+    got = np.einsum("nmq,nm->nq", built.E.P, built.quadratic(y))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    f = perturb.manufactured_defect(grid.points, 1e-3, [1, 0])
+    want = residual_v(built, v, f)
+    assert np.max(np.abs(built.conformal_residual(y, f) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_family_bounds_match_v_formulas(oracle_case):
+    """Distance sup |v_b - v_a|, upper 2 sup |E(0, dk g)| and lower |dk|/4 sup |w|
+    from the constant coefficients equal the v-space numbers."""
+    built, y_a = oracle_case
+    y_b = y_a + band_limited_y(built.grid, 18, kmax=1, scale=1e-4)
+    N, n, dk = built.grid.N, built.model.dim, 2e-3
+    E = built.E
+    want = (np.max(np.linalg.norm(built.lift(y_b).values - built.lift(y_a).values, axis=1)),
+            2.0 * np.max(np.linalg.norm(E.apply_tensor(np.zeros((N, n)),
+                                                       np.broadcast_to(dk * np.eye(n), (N, n, n))),
+                                        axis=1)),
+            0.25 * dk * np.max(np.linalg.norm(E.kernel_generator(), axis=1)))
+    assert_allclose(perturb.family_bounds(built, y_a, y_b, dk), want, rtol=1e-12)
+
+
+def test_solver_needs_a_constant_gram(torus_embedding, monkeypatch):
+    """A jet Gram that varies over the grid, or a provider without lattice
+    moments, is a precondition failure."""
+    rows = jets._jet_rows
+
+    def bumped(emb, points):
+        P = rows(emb, points)
+        P[7] *= 1.0 + 1e-9
+        return P
+
+    monkeypatch.setattr(jets, "_jet_rows", bumped)
+    with pytest.raises(PreconditionError, match="not constant"):
+        perturb.ConformalSolver(torus_embedding, resolution=16)
+    monkeypatch.undo()
+    monkeypatch.delattr(spectrum.LatticeSpectrum, "jet_moments")
+    with pytest.raises(PreconditionError, match="lattice moments"):
+        perturb.ConformalSolver(torus_embedding, resolution=16)
+
+
+def test_preflight_refuses_before_any_jets(torus_embedding, monkeypatch):
+    """The 3-torus default (resolution 32, t = 0.05, q >= 1789) is refused with
+    one line giving both byte counts before jet_block runs; the 2-torus
+    acceptance solver fits in 0.2 GB; an unreadable meminfo skips the check."""
+    assert perturb._available_bytes() is None or perturb._available_bytes() > 0
+    model = ManifoldModel.flat_torus([TWO_PI] * 3)
+    policy = TruncationPolicy(rho=1.0)
+    assert policy.q(0.05, 3) == 1789
+    emb = build_embedding(analytic_spectrum(model, count=2200), 0.05, policy)
+
+    def no_jets(*args, **kwargs):
+        raise AssertionError("jet_block called")
+
+    monkeypatch.setattr(perturb, "_available_bytes", lambda: 4 * 2**30)
+    monkeypatch.setattr(type(emb.provider), "jet_block", no_jets)
+    with pytest.raises(PreconditionError) as exc:
+        perturb.ConformalSolver(emb)
+    need = 8 * 32**3 * (emb.q * (13 + 9 + 3 + 4) + 81)
+    msg = str(exc.value)
+    assert f"about {need / 1e9:.2f} GB" in msg and "the 4.29 GB available" in msg
+    assert "\n" not in msg and need > 13e9
+    monkeypatch.setattr(perturb, "_available_bytes", lambda: None)
+    with pytest.raises(AssertionError, match="jet_block called"):
+        perturb.ConformalSolver(emb)
+    monkeypatch.undo()
+    monkeypatch.setattr(perturb, "_available_bytes", lambda: 2 * 10**8)
+    perturb.ConformalSolver(torus_embedding, resolution=48)

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from heatconf import (ManifoldModel, analytic_spectrum, enumerate_eigenpairs,
                       load_external_spectrum, rescaled_provider, save_spectrum)
 from heatconf import geometry, spectrum
-from heatconf.errors import SpectrumError
+from heatconf.errors import PreconditionError, SpectrumError
 
 TWO_PI = 2.0 * np.pi
 
@@ -436,6 +436,77 @@ def test_torus_jets_match_direct_trig():
         want = [a[0, 0] for a in _direct_torus_jets(prov2, j, j + 1, x[None, :])]
         for got, ref in zip((jet.value, jet.gradient, jet.hessian), want):
             _assert_close_scaled(np.asarray(got), ref, 1e-12)
+
+
+def _jet_exponents(n, order):
+    """Every exponent vector of n entries with |e| <= order."""
+    return [np.array(e) for e in np.ndindex(*(order + 1,) * n) if sum(e) <= order]
+
+
+def _direct_derivative(prov, j0, j1, points, alpha):
+    """D^alpha of amp * cos/sin(kappa . x), mode by mode: the real and
+    imaginary part of amp i^|alpha| kappa^alpha exp(i kappa . x)."""
+    out = []
+    for j in range(j0, j1):
+        kappa = prov._kappa[j]
+        wave = (1j ** int(alpha.sum()) * np.prod(kappa ** alpha)
+                * np.exp(1j * (points @ kappa)) * prov._amp[j])
+        out.append(wave.real if prov._parity[j] == spectrum.COS else wave.imag)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("periods", [[TWO_PI, TWO_PI], [TWO_PI, 3.1],
+                                     [TWO_PI, TWO_PI, TWO_PI], [TWO_PI]],
+                         ids=["torus2", "torus2-3.1", "torus3", "circle"])
+def test_jet_moments_match_brute_force_sums(periods):
+    """sum_j w_j^2 D^a phi_j D^b phi_j at random points equals
+    Re(i^(|a| - |b|)) mom[a + b]: from jet_block for |a|, |b| <= 2, and from
+    direct trig derivatives up to |a|, |b| <= 4 (moment order 8)."""
+    n = len(periods)
+    model = (ManifoldModel.circle(TWO_PI) if n == 1
+             else ManifoldModel.flat_torus(periods))
+    prov = analytic_spectrum(model, count={1: 30, 2: 300, 3: 120}[n])
+    j1 = prov.count - (prov._parity[prov.count - 1] == spectrum.COS)   # whole pairs
+    w = np.exp(-0.05 * prov.lambdas[1:j1])
+    mom = prov.jet_moments(1, w, 8)
+    assert mom.shape == (9,) * n
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(0.0, 1.0, (7, n)) * np.asarray(periods)
+    vals, grads, hess = prov.jet_block(1, j1, pts)
+    eye = np.eye(n, dtype=int)
+    jets = [(np.zeros(n, dtype=int), vals)]
+    jets += [(eye[a], grads[:, :, a]) for a in range(n)]
+    jets += [(eye[a] + eye[b], hess[:, :, a, b]) for a in range(n) for b in range(n)]
+    direct = [(e, _direct_derivative(prov, 1, j1, pts, e)) for e in _jet_exponents(n, 4)]
+    scale = np.max(np.abs(mom))
+    for table in (jets, direct):
+        for (a, A), (b, B) in ((x, z) for x in table for z in table):
+            d = int(a.sum() - b.sum())
+            sign = 0 if d % 2 else 1 - 2 * ((d // 2) % 2)
+            brute = (w**2) @ (A * B)
+            assert np.max(np.abs(brute - sign * mom[tuple(a + b)])) <= 1e-12 * scale, (a, b)
+    degree = np.indices(mom.shape).sum(axis=0)
+    assert not mom[degree % 2 == 1].any()
+
+
+def test_jet_moments_reject_split_pairs(torus_spec):
+    """A block that starts on a sin mode or ends on a cos mode of a nonzero
+    vector, or a pair with two weights, has jet sums that vary in x."""
+    q = 100
+    assert torus_spec._parity[2] == spectrum.SIN and torus_spec._parity[q - 1] == spectrum.COS
+    w = np.ones(q)
+    with pytest.raises(PreconditionError, match="splits a cos/sin pair"):
+        torus_spec.jet_moments(2, w[:q - 2], 4)
+    with pytest.raises(PreconditionError, match="splits a cos/sin pair"):
+        torus_spec.jet_moments(1, w[:q - 1], 4)
+    uneven = w[:q - 2].copy()
+    uneven[1] = 2.0
+    with pytest.raises(PreconditionError, match="two weights"):
+        torus_spec.jet_moments(1, uneven, 4)
+    # the zero vector has no sin partner: blocks that end on it are whole
+    assert_allclose(torus_spec.jet_moments(0, w[:1], 2)[0, 0], 1.0 / torus_spec.model.volume,
+                    rtol=1e-15)
+    assert torus_spec.jet_moments(0, w[:q - 1], 2).shape == (3, 3)
 
 
 def _reference_product_modes(R, L, lambda_max):
