@@ -17,7 +17,7 @@ from .geometry import (ManifoldModel, MetricData, SampleGrid, conformal_defect,
 from .jets import (PointwiseRightInverse, block_inverse, trace_free_rows, xi_inverse,
                    xi_matrix)
 from .perturb import (ConformalResult, ConformalSolver, FieldRq, IterationState,
-                      SpectralGrid, assemble_C, fixed_point_solve, verify_conformal)
+                      SpectralGrid, assemble_C, fixed_point_solve)
 from .spectrum import (EigenPair, SpectrumProvider, analytic_spectrum,
                        enumerate_eigenpairs, load_external_spectrum, rescaled_provider,
                        save_spectrum)

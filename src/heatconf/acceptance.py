@@ -199,8 +199,7 @@ def check_fixed_point(epsilon: float = 1e-3, residual_tol: float = 1e-8,
     """Contraction, iterate bound, equation residual, and uniqueness of the solve."""
     solver, f = _manufactured_problem(epsilon)
     history, y = perturb.fixed_point_solve(solver, f, k=0.0, tol=1e-10)
-    v = solver.lift(y)
-    rep = perturb.verify_conformal(solver, y, v, f)
+    result = perturb.assemble_C(solver, y, 0.0, f)
     contractions = [st.contraction for st in history[1:]]
     # restart from a random kick of sup_x |P^T dy| = 1e-3
     rng = np.random.default_rng(seed)
@@ -212,8 +211,8 @@ def check_fixed_point(epsilon: float = 1e-3, residual_tol: float = 1e-8,
         "iterations": len(history),
         "max_contraction": max(contractions) if contractions else 0.0,
         "bound_ok_all": all(st.bound_ok for st in history),
-        "residual": rep.residual_sup,
-        "pullback_residual": rep.pullback_residual_sup,
+        "residual": result.residual_sup,
+        "pullback_residual": result.pullback_residual_sup,
         "reconvergence": reconv,
         "steps": [{"l": st.l, "step": st.step_norm, "contraction": st.contraction,
                    "residual": st.residual, "bound_ok": st.bound_ok}
@@ -222,7 +221,7 @@ def check_fixed_point(epsilon: float = 1e-3, residual_tol: float = 1e-8,
     ok = (len(history) <= 20
           and all(c <= 0.5 for c in contractions)
           and details["bound_ok_all"]
-          and rep.residual_sup <= residual_tol
+          and result.residual_sup <= residual_tol
           and reconv <= 1e-8)
     return CheckResult("fixed_point", ok, details, budget=300.0)
 
@@ -232,22 +231,21 @@ def check_conformal_family(epsilon: float = 1e-3, residual_tol: float = 1e-8) ->
     """Two members of the conformal family: residuals, separation, injectivity."""
     solver, f = _manufactured_problem(epsilon)
     ks = (0.0, 1e-3)
-    ys, injectivity, reports = {}, {}, {}
+    ys, injectivity, residuals = {}, {}, {}
     for k in ks:
         _, ys[k] = perturb.fixed_point_solve(solver, f, k=k, tol=1e-10)
-        v = solver.lift(ys[k])
-        injectivity[k] = perturb.assemble_C(solver, v, k=k, manufactured_f=f).injectivity
-        reports[k] = perturb.verify_conformal(solver, ys[k], v, f)
+        result = perturb.assemble_C(solver, ys[k], k, f)
+        injectivity[k], residuals[k] = result.injectivity, result.residual_sup
     diff, upper, lower = perturb.family_bounds(solver, ys[ks[0]], ys[ks[1]],
                                                ks[1] - ks[0])
     details = {
-        "residuals": {str(k): reports[k].residual_sup for k in ks},
+        "residuals": {str(k): residuals[k] for k in ks},
         "family_distance": diff,
         "upper_bound": upper,
         "lower_bound": lower,
         "injectivity": {str(k): injectivity[k] for k in ks},
     }
-    ok = (all(r.residual_sup <= residual_tol for r in reports.values())
+    ok = (all(r <= residual_tol for r in residuals.values())
           and lower <= diff <= upper
           and all(d > 0 for d in injectivity.values()))
     return CheckResult("conformal_family", ok, details, budget=300.0)

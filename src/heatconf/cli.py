@@ -145,7 +145,7 @@ CONFIG_KEYS = {
     "solver": {"e": (_as_float, 1.0), "tol": (_positive, 1e-10),
                "max_iter": (_count, 40), "k_values": (_distinct_float_list, [0.0]),
                "epsilon": (_as_float, 1e-3), "t": (_positive, 0.05),
-               "resolution": (_as_int, 48), "theta_threshold": (_as_float, 0.25),
+               "resolution": (_as_int, None), "theta_threshold": (_as_float, 0.25),
                "f_mode": (_as_float_list, [1, 0])},
     "verify": {"criteria": (_criteria, None), "overrides": (_overrides, {})},
 }
@@ -334,14 +334,15 @@ def cmd_perturb(cfg: RunConfig, out_dir: Path) -> dict:
         raise ConfigError("perturb needs a model")
     sv = cfg.solver
     alpha = cfg.analysis["alpha"]
+    resolution = perturb.grid_resolution(cfg.model.dim, sv["resolution"])
     # on the solver grid's points, sampled before any build so that a bad f_mode exits first
-    f = perturb.manufactured_defect(geometry.sample_grid(cfg.model, sv["resolution"]).points,
+    f = perturb.manufactured_defect(geometry.sample_grid(cfg.model, resolution).points,
                                     sv["epsilon"], sv["f_mode"])
     t = sv["t"]
     policy = embedding.TruncationPolicy(rho=cfg.rho, q_override=cfg.q_override)
     provider = spectrum.analytic_spectrum(cfg.model, count=policy.q(t, cfg.model.dim) + 8)
     emb = embedding.build_embedding(provider, t, policy)
-    solver = perturb.ConformalSolver(emb, resolution=sv["resolution"], e=sv["e"])
+    solver = perturb.ConformalSolver(emb, resolution=resolution, e=sv["e"])
     runs = []
     coeffs = {}                     # y per k: the family bounds need nothing more
     for k in sv["k_values"]:
@@ -366,10 +367,8 @@ def _perturb_run(solver: perturb.ConformalSolver, f: np.ndarray, k: float, histo
                  y: np.ndarray, alpha: float) -> dict:
     """The record of one k-solve: its steps, the verify numbers and the
     assembled C's, with alpha-Hoelder quotients of the residual and defect
-    fields.  v = P^T y and C are freed on return, before the next solve."""
-    v = solver.lift(y)
-    rep = perturb.verify_conformal(solver, y, v, f)
-    result = perturb.assemble_C(solver, v, k=k, manufactured_f=f)
+    fields.  C is freed on return, before the next solve."""
+    result = perturb.assemble_C(solver, y, k, f)
     holder = lambda field: analysis.holder_seminorm_field(
         field, solver.grid.points, solver.model, alpha)
     return {
@@ -379,9 +378,9 @@ def _perturb_run(solver: perturb.ConformalSolver, f: np.ndarray, k: float, histo
                    "contraction": None if not np.isfinite(st.contraction)
                    else st.contraction, "bound_ok": st.bound_ok}
                   for st in history],
-        "verify": {"residual_sup": rep.residual_sup,
-                   "residual_holder": holder(rep.residual),
-                   "pullback_residual_sup": rep.pullback_residual_sup},
+        "verify": {"residual_sup": result.residual_sup,
+                   "residual_holder": holder(result.residual),
+                   "pullback_residual_sup": result.pullback_residual_sup},
         "conformal_result": {"defect_sup": result.defect_sup,
                              "defect_holder": holder(result.defect),
                              "injectivity": result.injectivity,

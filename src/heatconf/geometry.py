@@ -226,16 +226,41 @@ def conformal_defect(G, g, g_inv=None):
     return G - tr[..., None, None] * g, tr
 
 
+def available_bytes() -> int | None:
+    """MemAvailable from /proc/meminfo in bytes, or None where it cannot be read."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def check_memory(need: int, what: str) -> None:
+    """Refuse `what`, which needs `need` bytes, with PreconditionError when that
+    passes MemAvailable; where MemAvailable cannot be read nothing is refused."""
+    avail = available_bytes()
+    if avail is not None and need > avail:
+        raise PreconditionError(f"{what} needs about {need / 1e9:.2f} GB, more than "
+                                f"the {avail / 1e9:.2f} GB available")
+
+
 def sample_grid(model: ManifoldModel, resolution: int) -> SampleGrid:
     """Quadrature grid with weights summing to the analytic volume.
 
     Tori and circles use periodic midpoint cells (spectrally exact).  The
     sphere uses Gauss-Legendre nodes in cos(theta) and a uniform phi grid,
     which keeps the poles out of the grid and integrates polynomial mode
-    products exactly.
+    products exactly.  A grid of resolution^dim points whose arrays would not
+    fit in memory is refused before any allocation.
     """
     if resolution < 4:
         raise ConfigError("resolution must be at least 4 per dimension")
+    points = resolution ** model.dim
+    # the points, the per-axis grids they are stacked from, and the weights
+    check_memory(8 * points * (2 * model.dim + 1), f"a sample grid of {points} points")
     if model.kind == FLAT_TORUS:
         axes = [np.arange(resolution) * (L / resolution) for L in model.periods]
         cell = model.volume / resolution ** model.dim

@@ -180,6 +180,37 @@ def test_perturb_defect_errors_exit_before_any_build(tmp_path, capsys, monkeypat
         assert err.startswith("config error:") and err.count("\n") == 1, (name, err)
 
 
+def test_perturb_3_torus_takes_the_solver_default_grid(tmp_path, capsys, monkeypatch):
+    """A 3-torus config that sets no solver resolution gets the solver's 32
+    per axis: at the default t = 0.05 the preflight refuses N = 32768 against
+    4 GiB with one line, before any jet_block call."""
+    def no_jets(*args, **kwargs):
+        raise AssertionError("jet_block called")
+
+    monkeypatch.setattr(heatconf.spectrum.LatticeSpectrum, "jet_block", no_jets)
+    monkeypatch.setattr(heatconf.geometry, "available_bytes", lambda: 4 * 2**30)
+    cfg = write_config(tmp_path, {"model": {"kind": "flat_torus",
+                                            "params": {"periods": [TWO_PI] * 3}}})
+    capsys.readouterr()
+    assert run(["--config", cfg, "--out", str(tmp_path / "o"), "perturb"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("precondition failure:") and err.count("\n") == 1, err
+    assert "N = 32768)" in err
+
+
+def test_huge_sample_grid_exits_3(tmp_path, capsys, monkeypatch):
+    """defect-scan on a 2-torus at resolution 100000 (1e10 points) exits 3 with
+    one line from sample_grid, before any grid array is allocated."""
+    monkeypatch.setattr(heatconf.geometry, "available_bytes", lambda: 4 * 2**30)
+    cfg = write_config(tmp_path, {"model": TORUS_MODEL, "t_grid": [0.1],
+                                  "resolution": 100000})
+    capsys.readouterr()
+    assert run(["--config", cfg, "--out", str(tmp_path / "o"), "defect-scan"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("precondition failure:") and err.count("\n") == 1, err
+    assert "10000000000 points" in err and "the 4.29 GB available" in err
+
+
 def test_perturb_theta_violation_exits_3(tmp_path):
     cfg = write_config(tmp_path, {
         "model": TORUS_MODEL,

@@ -3,14 +3,16 @@
 The v-space Q(v, v) products and residual below (`quadratic_products_v`,
 `quadratic_v`, `residual_v`) are test oracles: the solver iterates on the
 coefficients y of v = P^T y, and its moment forms are checked against them.
+`verify_oracle` recomputes the residual and the pullback check of
+`assemble_C` from v and its gradient, as separate steps.
 """
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from heatconf import (ManifoldModel, TruncationPolicy, analytic_spectrum,
-                      build_embedding, fixed_point_solve, verify_conformal)
-from heatconf import jets, perturb, spectrum
+                      build_embedding, fixed_point_solve)
+from heatconf import geometry, jets, perturb, spectrum
 from heatconf.errors import ConfigError, ConvergenceError, PreconditionError
 from heatconf.geometry import conformal_defect
 
@@ -50,6 +52,33 @@ def as_field(grid, values):
     return perturb.FieldRq(values, grid.grad(values))
 
 
+def lift(solver, y):
+    """v = P^T y [N, q] of coefficients y [N, m], with its grid gradient."""
+    return as_field(solver.grid, np.einsum("nmq,nm->nq", solver.E.P, y))
+
+
+def grad_u(solver):
+    """The gradient rows of P as the embedding's gradient [N, q, n]."""
+    return solver.E.P[:, :solver.model.dim].transpose(0, 2, 1)
+
+
+def verify_oracle(solver, y, v, f):
+    """Oracle: (residual sup, pullback residual sup, residual field) of v = P^T y.
+
+    The residual is the solver's, from y.  The pullback check rebuilds the
+    pullbacks of u + v and of u from their gradients and takes the trace-free
+    part of pullback(u + v) - pullback(u) - f.
+    """
+    res = solver.conformal_residual(y, f)
+    gu = np.ascontiguousarray(grad_u(solver))                  # [N, q, n]
+    grad_total = gu + v.grad
+    G_uv = grad_total.transpose(0, 2, 1) @ grad_total
+    G_u = gu.transpose(0, 2, 1) @ gu
+    pull_res = float(np.max(np.abs(conformal_defect(G_uv - G_u - f,
+                                                    np.eye(solver.model.dim))[0])))
+    return float(np.max(np.abs(res))), pull_res, res
+
+
 def quadratic_products_v(grid, v, e, chunk=64):
     """Oracle: the dealiased products of Q(v, v) of v [N, q] on the grid,
     (b [N, n], L [N, n, n]).
@@ -57,27 +86,20 @@ def quadratic_products_v(grid, v, e, chunk=64):
     b = Delta v . grad v and L is the quadratic curvature-free kernel of the
     (Delta - e)(grad v . grad v) identity.  All components take one forward
     transform, in component-major layout [q, *grid].  Each chunk of components
-    scatters the band of its gradient and Hessian channels F = [G_i, H_ab
-    (a<=b)] into one reused pruned refined half-spectrum [m, c, *grid] and
-    transforms it to the 3/2 grid, where the Gram product K = sum_m F_m F_m^T
-    is accumulated.  b and L are fixed linear combinations of the entries of K
-    (Delta v = tr H).
+    refines the band of its gradient and Hessian channels F = [G_i, H_ab
+    (a<=b)], [m, c, *grid], to the 3/2 grid, where the Gram product
+    K = sum_m F_m F_m^T is accumulated.  b and L are fixed linear combinations
+    of the entries of K (Delta v = tr H).
     """
     n = grid.model.dim
     k = np.moveaxis(grid.kvecs, -1, 0)                          # [n, *spec]
     iu = np.triu_indices(n)
-    sym = np.concatenate([1j * k, -k[iu[0]] * k[iu[1]]]) * (grid.fine / grid.resolution) ** n
+    sym = np.concatenate([1j * k, -k[iu[0]] * k[iu[1]]])
     c = len(sym)
     spec = np.fft.rfftn(v.T.reshape((-1,) + grid.shape), axes=range(1, n + 1))
-    buf = grid._refined_buffer((min(chunk, len(spec)), c))
     K = np.zeros((grid.fine**n, c, c))
     for a0 in range(0, len(spec), chunk):
-        part = spec[a0:a0 + chunk, None]
-        out = buf[:len(part)]
-        for coarse, fine in grid._blocks:
-            np.multiply(part[(Ellipsis,) + coarse], sym[(Ellipsis,) + coarse],
-                        out=out[(Ellipsis,) + fine])
-        F = grid._refine(out)                                   # [m, c, Nf]
+        F = grid.refine(spec[a0:a0 + chunk, None] * sym)        # [m, c, Nf]
         K += np.einsum("mcp,mdp->pcd", F, F)
     H = np.empty((n, n), dtype=int)             # channel of H_ab
     H[iu] = H.T[iu] = np.arange(n, c)
@@ -100,7 +122,7 @@ def quadratic_v(solver, v):
 def residual_v(solver, v, f):
     """Oracle: trace-free part of grad u . grad v + grad v . grad u + grad v . grad v - f
     from the grid gradient of v (a FieldRq)."""
-    cross = solver.grad_u.transpose(0, 2, 1) @ v.grad
+    cross = grad_u(solver).transpose(0, 2, 1) @ v.grad
     quad = v.grad.transpose(0, 2, 1) @ v.grad
     return conformal_defect(cross + cross.transpose(0, 2, 1) + quad - f,
                             np.eye(solver.model.dim))[0]
@@ -268,7 +290,7 @@ def test_quadratic_defining_equation(solver):
     """P(u) Q(v,v) reproduces the resolvent-processed right-hand side."""
     assert_allclose(solver.quadratic(np.zeros((solver.grid.N, 5))), 0.0, atol=1e-15)
     y = band_limited_y(solver.grid, 21, kmax=4, scale=1e-2)
-    v = solver.lift(y).values
+    v = lift(solver, y).values
     Q = np.einsum("nmq,nm->nq", solver.E.P, solver.quadratic(y))
     grid = solver.grid
     Dv, Gv = laplacian(grid, v), grid.grad(v)
@@ -342,19 +364,26 @@ def test_fixed_point_residual_identity(solver, manufactured, solved):
 
 
 def test_verify_conformal(solver, manufactured, solved):
+    """The verify numbers of assemble_C: the moment residual and the pullback
+    check equal the step-by-step oracle bit for bit."""
     _, y = solved
-    rep = verify_conformal(solver, y, solver.lift(y), manufactured)
+    rep = perturb.assemble_C(solver, y, 0.0, manufactured)
     assert rep.residual_sup <= 1e-8
     assert rep.pullback_residual_sup <= 1e-8
     assert rep.residual.shape == (solver.grid.N, 2, 2)
     assert rep.residual_sup == np.max(np.abs(rep.residual))
     zero = np.zeros_like(y)
-    rep0 = verify_conformal(solver, zero, solver.lift(zero), np.zeros_like(manufactured))
+    rep0 = perturb.assemble_C(solver, zero, 0.0, np.zeros_like(manufactured))
     assert rep0.residual_sup <= 1e-14
     corrupted = y.copy()
     corrupted[0, 2] += 1e-3
-    repc = verify_conformal(solver, corrupted, solver.lift(corrupted), manufactured)
+    repc = perturb.assemble_C(solver, corrupted, 0.0, manufactured)
     assert repc.residual_sup > 1e-5
+    for got, yy, f in ((rep, y, manufactured), (rep0, zero, np.zeros_like(manufactured)),
+                       (repc, corrupted, manufactured)):
+        want = verify_oracle(solver, yy, lift(solver, yy), f)
+        assert (got.residual_sup, got.pullback_residual_sup) == want[:2]
+        assert np.array_equal(got.residual, want[2])
 
 
 def test_theta_condition_rejection(solver):
@@ -384,15 +413,16 @@ def test_non_finite_iterate_stops(solver, manufactured):
 
 def test_assemble_C(solver, torus_embedding, manufactured, solved):
     _, y = solved
-    v = solver.lift(y)
-    res = perturb.assemble_C(solver, v, k=0.0, manufactured_f=manufactured)
+    v = lift(solver, y)
+    res = perturb.assemble_C(solver, y, 0.0, manufactured)
     assert res.defect_sup <= 1e-10
     assert res.defect_sup == np.max(np.abs(res.defect))
     assert res.injectivity > 0 and res.injectivity_ok
     assert res.C.values.shape == (solver.grid.N, torus_embedding.q)
-    assert np.array_equal(res.C.grad, solver.grad_u + v.grad)
+    assert np.array_equal(res.C.grad, grad_u(solver) + v.grad)
+    assert np.array_equal(res.C.values, torus_embedding.values_on(solver.grid.points) + v.values)
     # v = 0: C is the embedding itself, still injective on the grid
-    res0 = perturb.assemble_C(solver, solver.lift(np.zeros_like(y)))
+    res0 = perturb.assemble_C(solver, np.zeros_like(y), 0.0, np.zeros_like(manufactured))
     assert res0.injectivity > 0
 
 
@@ -419,11 +449,8 @@ def test_pruned_refinement_matches_oracle_upsampler(dim, resolution):
     grid = perturb.SpectralGrid(model, resolution)
     v = np.random.default_rng(3).standard_normal((grid.N, 3))
     spec = np.fft.rfftn(v.T.reshape((-1,) + grid.shape), axes=range(1, dim + 1))
-    buf = grid._refined_buffer((3,))
-    assert buf.shape[-1] == (resolution - 1) // 2 + 1
-    for coarse, fine in grid._blocks:
-        buf[(Ellipsis,) + fine] = spec[(Ellipsis,) + coarse] * (grid.fine / resolution) ** dim
-    assert_allclose(grid._refine(buf).T, pad(grid, grid.from_spec(grid.to_spec(v))),
+    assert grid._cols == (resolution - 1) // 2 + 1
+    assert_allclose(grid.refine(spec).T, pad(grid, grid.from_spec(grid.to_spec(v))),
                     atol=1e-12)
 
 
@@ -447,7 +474,7 @@ def test_quadratic_products_on_a_circle_torus(resolution):
 def test_one_gradient_per_iterate(solver, manufactured, monkeypatch):
     """One grid gradient per solve: the iterates are coefficients y whose
     channels Q and the residual take from their own transforms, and v = P^T y
-    with its gradient is formed once, for verify_conformal and assemble_C."""
+    with its gradient is formed once, in assemble_C."""
     calls = []
     grad = perturb.SpectralGrid.grad
 
@@ -458,20 +485,21 @@ def test_one_gradient_per_iterate(solver, manufactured, monkeypatch):
     monkeypatch.setattr(perturb.SpectralGrid, "grad", counted)
     history, y = fixed_point_solve(solver, manufactured, k=0.0, tol=1e-11)
     assert len(history) > 1 and calls == []
-    v = solver.lift(y)
-    rep = verify_conformal(solver, y, v, manufactured)
-    result = perturb.assemble_C(solver, v, manufactured_f=manufactured)
+    result = perturb.assemble_C(solver, y, 0.0, manufactured)
     assert calls == [(solver.grid.N, solver.emb.q)]
-    assert rep.residual_sup == history[-1].residual
+    assert result.residual_sup == history[-1].residual
     # the iterate's gradient is the grid gradient of its values, bit for bit
     monkeypatch.undo()
+    v = lift(solver, y)
     assert np.array_equal(v.grad, solver.grid.grad(v.values))
-    assert np.array_equal(result.C.grad, solver.grad_u + v.grad)
+    assert np.array_equal(result.C.grad, grad_u(solver) + v.grad)
 
 
 def test_solver_fetches_grid_jets_once(torus_embedding, monkeypatch):
-    """Building the solver makes one deriv=2 jet_block call on its grid, and
-    grad_u is the weighted jet_block gradient bit for bit."""
+    """Building the solver makes one deriv=2 jet_block call on its grid, for P,
+    and one deriv=0 call, for Psi; assemble_C makes none.  The gradient rows
+    of P are the weighted jet_block gradient bit for bit, and Psi is the
+    embedding's values on the grid."""
     provider = torus_embedding.provider
     calls = []
     jet_block = type(provider).jet_block
@@ -482,11 +510,15 @@ def test_solver_fetches_grid_jets_once(torus_embedding, monkeypatch):
 
     monkeypatch.setattr(type(provider), "jet_block", counted)
     built = perturb.ConformalSolver(torus_embedding, resolution=16)
-    assert calls == [2]
+    assert calls == [2, 0]
+    N = built.grid.N
+    perturb.assemble_C(built, np.zeros((N, 5)), 0.0, np.zeros((N, 2, 2)))
+    assert calls == [2, 0]
     monkeypatch.undo()
     _, grads, _ = provider.jet_block(1, torus_embedding.q + 1, built.grid.points)
     want = (torus_embedding.weights[:, None, None] * grads).transpose(1, 0, 2)
-    assert np.array_equal(built.grad_u, want)
+    assert np.array_equal(grad_u(built), want)
+    assert np.array_equal(built.psi, torus_embedding.values_on(built.grid.points))
 
 
 def test_min_pair_distance_in_blocks():
@@ -542,7 +574,7 @@ def test_y_space_matches_v_oracles(oracle_case):
     on v = P^T y to 1e-12 relative."""
     built, y = oracle_case
     grid = built.grid
-    v = built.lift(y)
+    v = lift(built, y)
     spec = np.fft.rfftn(v.values.reshape(grid.shape + (-1,)), axes=range(grid.model.dim))
     assert np.max(np.abs(spec[~grid.band])) <= 1e-13 * np.max(np.abs(spec))
     want = quadratic_v(built, v.values)
@@ -560,7 +592,7 @@ def test_family_bounds_match_v_formulas(oracle_case):
     y_b = y_a + band_limited_y(built.grid, 18, kmax=1, scale=1e-4)
     N, n, dk = built.grid.N, built.model.dim, 2e-3
     E = built.E
-    want = (np.max(np.linalg.norm(built.lift(y_b).values - built.lift(y_a).values, axis=1)),
+    want = (np.max(np.linalg.norm(lift(built, y_b).values - lift(built, y_a).values, axis=1)),
             2.0 * np.max(np.linalg.norm(E.apply_tensor(np.zeros((N, n)),
                                                        np.broadcast_to(dk * np.eye(n), (N, n, n))),
                                         axis=1)),
@@ -591,7 +623,7 @@ def test_preflight_refuses_before_any_jets(torus_embedding, monkeypatch):
     """The 3-torus default (resolution 32, t = 0.05, q >= 1789) is refused with
     one line giving both byte counts before jet_block runs; the 2-torus
     acceptance solver fits in 0.2 GB; an unreadable meminfo skips the check."""
-    assert perturb._available_bytes() is None or perturb._available_bytes() > 0
+    assert geometry.available_bytes() is None or geometry.available_bytes() > 0
     model = ManifoldModel.flat_torus([TWO_PI] * 3)
     policy = TruncationPolicy(rho=1.0)
     assert policy.q(0.05, 3) == 1789
@@ -600,17 +632,17 @@ def test_preflight_refuses_before_any_jets(torus_embedding, monkeypatch):
     def no_jets(*args, **kwargs):
         raise AssertionError("jet_block called")
 
-    monkeypatch.setattr(perturb, "_available_bytes", lambda: 4 * 2**30)
+    monkeypatch.setattr(geometry, "available_bytes", lambda: 4 * 2**30)
     monkeypatch.setattr(type(emb.provider), "jet_block", no_jets)
     with pytest.raises(PreconditionError) as exc:
         perturb.ConformalSolver(emb)
-    need = 8 * 32**3 * (emb.q * (13 + 9 + 3 + 4) + 81)
+    need = 8 * 32**3 * (emb.q * (13 + 9 + 1 + 4) + 81)
     msg = str(exc.value)
     assert f"about {need / 1e9:.2f} GB" in msg and "the 4.29 GB available" in msg
-    assert "\n" not in msg and need > 13e9
-    monkeypatch.setattr(perturb, "_available_bytes", lambda: None)
+    assert "\n" not in msg and need > 12e9
+    monkeypatch.setattr(geometry, "available_bytes", lambda: None)
     with pytest.raises(AssertionError, match="jet_block called"):
         perturb.ConformalSolver(emb)
     monkeypatch.undo()
-    monkeypatch.setattr(perturb, "_available_bytes", lambda: 2 * 10**8)
+    monkeypatch.setattr(geometry, "available_bytes", lambda: 2 * 10**8)
     perturb.ConformalSolver(torus_embedding, resolution=48)
