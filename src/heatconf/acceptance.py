@@ -16,6 +16,7 @@ import numpy as np
 
 from . import analysis, embedding, geometry, jets, perturb, spectrum
 from .embedding import TruncationPolicy, build_embedding
+from .errors import ConfigError
 from .geometry import ManifoldModel
 
 
@@ -119,6 +120,8 @@ def check_rank_laws(points: int = 20, seed: int = 20240901) -> CheckResult:
     provider = spectrum.analytic_spectrum(TORUS_2PI, count=2700)
     emb = build_embedding(provider, t, TruncationPolicy(rho=1.0))
     grid = geometry.sample_grid(TORUS_2PI, 32)
+    if not 1 <= points <= len(grid.points):
+        raise ConfigError(f"rank_laws takes 1 to {len(grid.points)} points, got {points!r}")
     rng = np.random.default_rng(seed)
     pts = grid.points[rng.choice(len(grid.points), size=points, replace=False)]
     n = 2

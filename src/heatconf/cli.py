@@ -14,7 +14,9 @@ Exit codes: 0 success, 1 verification failures, 2 config error,
 Configuration is a single JSON document.  CONFIG_KEYS is its whole contract:
 each section's keys with their parser and default.  An absent or null key
 takes its default; a key not in the table, a section that is not an object
-or a value its parser rejects exits 2 with one line naming the key.  The only
+or a value its parser rejects exits 2 with one line naming the key.  Every
+number must be finite (json parses NaN and Infinity), and a verify override
+is parsed by the type of its check's default.  The only
 environment override is HEATCONF_OUT for the output directory.  Identical
 config and seed give a byte-identical report up to the timestamp field and,
 for verify, the per-criterion elapsed_s timings.
@@ -55,15 +57,26 @@ BASIS_CONVENTIONS = {
 }
 
 
-def _as_float(value, name: str) -> float:
+def _finite(value) -> bool:
+    """Whether a JSON value is a number that converts to a finite float.  The
+    json module parses NaN and Infinity, and an integer literal past the float
+    range converts to no float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _as_float(value, name: str) -> float:
+    if not _finite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 
 
 def _as_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not float(value).is_integer():
+    if not _finite(value) or (isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -79,14 +92,14 @@ def _between(parse, lo, hi, what: str):
 
 
 _positive = _between(_as_float, 0, math.inf, "a positive finite number")
-_alpha = _between(_as_float, 0, 1, "a number in (0, 1)")
+_fraction = _between(_as_float, 0, 1, "a number in (0, 1)")
 _count = _between(_as_int, 0, math.inf, "an integer >= 1")
+_natural = _between(_as_int, -1, math.inf, "an integer >= 0")
 
 
 def _as_float_list(value, name: str) -> list[float]:
-    if not isinstance(value, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
-        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    if not isinstance(value, list) or not all(_finite(v) for v in value):
+        raise ConfigError(f"{name} must be a list of finite numbers, got {value!r}")
     return [float(v) for v in value]
 
 
@@ -116,17 +129,43 @@ def _criteria(value, name: str) -> list[str]:
     return list(value)
 
 
+def _override_parser(default):
+    """The parser of an acceptance override, implied by its default's type: a
+    seed or count (int) is >= 0, a tolerance (float) finite, and a window
+    (tuple) a list of as many finite numbers."""
+    if isinstance(default, int):
+        return _natural
+    if isinstance(default, float):
+        return _as_float
+
+    def parse_window(value, name: str) -> list[float]:
+        parsed = _as_float_list(value, name)
+        if len(parsed) != len(default):
+            raise ConfigError(f"{name} must be a list of {len(default)} numbers, "
+                              f"got {value!r}")
+        return parsed
+    return parse_window
+
+
 def _overrides(value, name: str) -> dict:
-    """Per-criterion keyword overrides; each must bind to its check's signature."""
+    """Per-criterion keyword overrides; each must bind to its check's signature
+    and is parsed by the parser its default implies.  A keyword that binds to
+    no named parameter, as with a check wrapped into (*args, **kwargs) by a
+    call tracer, is passed on as given."""
+    parsed = {}
     for crit, kwargs in _as_section(value, name).items():
         if crit not in acceptance.ALL_CHECKS:
             raise ConfigError(f"{name} names unknown criterion {crit!r}")
+        sig = inspect.signature(acceptance.ALL_CHECKS[crit])
+        kwargs = _as_section(kwargs, f"{name}.{crit}")
         try:
-            inspect.signature(acceptance.ALL_CHECKS[crit]).bind(
-                **_as_section(kwargs, f"{name}.{crit}"))
+            sig.bind(**kwargs)
         except TypeError as exc:
             raise ConfigError(f"{name}.{crit}: {exc}") from None
-    return dict(value)
+        parsed[crit] = {key: _override_parser(sig.parameters[key].default)(
+                            val, f"{name}.{crit}.{key}") if key in sig.parameters else val
+                        for key, val in kwargs.items()}
+    return parsed
 
 
 # The config contract: key -> (parser, default), a nested dict being a section.
@@ -137,14 +176,14 @@ CONFIG_KEYS = {
     "q_override": (_as_int, None),
     "t_grid": (_as_float_list, []),
     "resolution": (_as_int, 16),
-    "seed": (_as_int, 0),
-    "analysis": {"s": (_as_int, 2), "alpha": (_alpha, 0.45)},
+    "seed": (_natural, 0),
+    "analysis": {"s": (_as_int, 2), "alpha": (_fraction, 0.45)},
     "correction": {"l": (_as_int, 2), "eta": (_as_float_list, [0.0])},
     "spectrum": {"count": (_count, 32), "lambda_max": (_positive, None),
                  "lambda_t_margin": (_positive, None)},
     "solver": {"e": (_as_float, 1.0), "tol": (_positive, 1e-10),
                "max_iter": (_count, 40), "k_values": (_distinct_float_list, [0.0]),
-               "epsilon": (_as_float, 1e-3), "t": (_positive, 0.05),
+               "epsilon": (_as_float, 1e-3), "t": (_fraction, 0.05),
                "resolution": (_as_int, None), "theta_threshold": (_as_float, 0.25),
                "f_mode": (_as_float_list, [1, 0])},
     "verify": {"criteria": (_criteria, None), "overrides": (_overrides, {})},
@@ -189,7 +228,7 @@ def parse_config(raw, seed_override=None) -> RunConfig:
     """Check every key of a config document against CONFIG_KEYS and fill in defaults."""
     fields = _parse_section(CONFIG_KEYS, raw, "")
     if seed_override is not None:
-        fields["seed"] = _as_int(seed_override, "seed")
+        fields["seed"] = _natural(seed_override, "seed")
     corr, ana = fields["correction"], fields["analysis"]
     fields["correction"] = None
     if raw.get("correction"):
@@ -296,6 +335,8 @@ def cmd_gram(cfg: RunConfig, out_dir: Path) -> dict:
     if cfg.model is None:
         raise ConfigError("gram diagnostics need a model")
     t = cfg.solver["t"] if not cfg.t_grid else cfg.t_grid[0]
+    if not 0 < t < 1:
+        raise ConfigError(f"t must lie in (0, 1), got {t!r}")
     policy = embedding.TruncationPolicy(rho=cfg.rho, q_override=cfg.q_override)
     provider = spectrum.analytic_spectrum(cfg.model,
                                           count=policy.q(t, cfg.model.dim) + 8)

@@ -47,7 +47,12 @@ class TruncationPolicy:
                 raise ConfigError(
                     f"q_override={self.q_override} below freeness floor {floor}")
             return self.q_override
-        return max(int(math.ceil(t ** (-n / 2.0 - self.rho))), floor)
+        try:
+            q = math.ceil(t ** (-n / 2.0 - self.rho))
+        except OverflowError:
+            raise PreconditionError(f"q(t) = t^(-n/2 - rho) overflows at t = {t!r}, "
+                                    f"rho = {self.rho!r}") from None
+        return max(q, floor)
 
 
 class EmbeddingMap:
@@ -78,16 +83,6 @@ class EmbeddingMap:
             if arr.size:
                 arr *= self.weights.reshape((-1,) + (1,) * (arr.ndim - 1))
         return jets
-
-    def values_on(self, points: np.ndarray, chunk: int = 1024) -> np.ndarray:
-        """Embedding point cloud [N, q] without materializing derivative jets."""
-        points = np.asarray(points, dtype=float)
-        out = np.empty((points.shape[0], self.q))
-        for j0 in range(0, self.q, chunk):
-            j1 = min(self.q, j0 + chunk)
-            vals, _, _ = self.provider.jet_block(j0 + 1, j1 + 1, points, deriv=0)
-            out[:, j0:j1] = (self.weights[j0:j1, None] * vals).T
-        return out
 
     def pullback_on(self, points: np.ndarray, chunk: int = 1024) -> np.ndarray:
         """Pullback metric G(x) = sum_j grad Psi_j(x) outer grad Psi_j(x), [N, n, n].

@@ -17,6 +17,7 @@ correction and the flat-torus solver.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,18 +46,19 @@ class ManifoldModel:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown manifold kind {self.kind!r}")
+        # NaN fails every comparison, so it is refused with the rest
         if self.kind == FLAT_TORUS:
-            if not self.periods or any(p <= 0 for p in self.periods):
-                raise ConfigError("flat torus needs strictly positive periods")
+            if not self.periods or not all(0 < p < math.inf for p in self.periods):
+                raise ConfigError("flat torus needs strictly positive finite periods")
         elif self.kind == CIRCLE:
-            if self.length <= 0:
-                raise ConfigError("circle length must be positive")
+            if not 0 < self.length < math.inf:
+                raise ConfigError("circle length must be positive and finite")
         elif self.kind == SPHERE2:
-            if self.radius <= 0:
-                raise ConfigError("sphere radius must be positive")
+            if not 0 < self.radius < math.inf:
+                raise ConfigError("sphere radius must be positive and finite")
         else:
-            if self.radius <= 0 or self.length <= 0:
-                raise ConfigError("product needs positive radius and length")
+            if not (0 < self.radius < math.inf and 0 < self.length < math.inf):
+                raise ConfigError("product needs positive finite radius and length")
 
     @classmethod
     def flat_torus(cls, periods) -> "ManifoldModel":
@@ -238,12 +240,15 @@ def available_bytes() -> int | None:
     return None
 
 
-def check_memory(need: int, what: str) -> None:
-    """Refuse `what`, which needs `need` bytes, with PreconditionError when that
-    passes MemAvailable; where MemAvailable cannot be read nothing is refused."""
+def check_memory(need: int | float, what: str) -> None:
+    """Refuse `what`, which needs `need` bytes (an int of any size, or a float
+    that may be inf), with PreconditionError when that passes MemAvailable;
+    where MemAvailable cannot be read nothing is refused."""
     avail = available_bytes()
     if avail is not None and need > avail:
-        raise PreconditionError(f"{what} needs about {need / 1e9:.2f} GB, more than "
+        gb = need / 1e9 if need < 1e300 else math.inf     # an int past the float range
+        size = f"{gb:.2f}" if gb < 1e6 else f"{gb:.3g}"
+        raise PreconditionError(f"{what} needs about {size} GB, more than "
                                 f"the {avail / 1e9:.2f} GB available")
 
 

@@ -40,8 +40,9 @@ def pack_symmetric(h: np.ndarray) -> np.ndarray:
     return np.stack([h[..., a, b] for a, b in pairs], axis=-1)
 
 
-def _jet_rows(emb, points: np.ndarray) -> np.ndarray:
-    """Batched P matrices [N, m, q] in the orthonormal frame.
+def _jet_rows(emb, points: np.ndarray):
+    """The embedding's values [N, q] and the batched P matrices [N, m, q] in
+    the orthonormal frame, from one jet call.
 
     The frame is diagonal in the chart (basis convention), so each row is its
     chart derivative scaled per point: d_a / sqrt(g_aa) for a gradient row and
@@ -52,7 +53,7 @@ def _jet_rows(emb, points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     model = emb.model
     n = model.dim
-    _, grads, hess = emb.jets(points)                     # [q, N, n], [q, N, n, n]
+    vals, grads, hess = emb.jets(points)                  # [q, N], [q, N, n], [q, N, n, n]
     metric = geometry.metric_on_grid(model, points)
     gamma = metric.christoffel                            # [N, k, i, j]
     fr = np.einsum("nii->ni", metric.frame)               # [N, n]
@@ -66,7 +67,7 @@ def _jet_rows(emb, points: np.ndarray) -> np.ndarray:
         for k in np.flatnonzero(np.any(gamma[:, :, a, b] != 0, axis=0)):
             row = row - gamma[:, k, a, b] * grads[:, :, k]
         P[:, n + idx] = (row * (fr[:, a] * fr[:, b])).T
-    return P
+    return vals.T, P
 
 
 def trace_free_rows(P: np.ndarray, n: int) -> np.ndarray:
@@ -123,14 +124,16 @@ def block_inverse(A1: np.ndarray, A2: np.ndarray, b: np.ndarray) -> np.ndarray:
 class PointwiseRightInverse:
     """Batched E over a point set: builds every P(u)(x) and its Gram once.
 
-    Each apply solves all Gram systems with one batched np.linalg.solve.
+    The jet call behind P also gives the embedding's values on the points,
+    kept as `values` [N, q].  Each apply solves all Gram systems with one
+    batched np.linalg.solve.
     """
 
     def __init__(self, emb, points: np.ndarray):
         self.emb = emb
         self.n = emb.model.dim
         self.points = np.asarray(points, dtype=float)
-        self.P = _jet_rows(emb, self.points)            # [N, m, q]
+        self.values, self.P = _jet_rows(emb, self.points)   # [N, q], [N, m, q]
         self.gram = self.P @ self.P.transpose(0, 2, 1)  # [N, m, m]
 
     def apply(self, rhs: np.ndarray) -> np.ndarray:

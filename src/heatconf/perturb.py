@@ -48,10 +48,17 @@ quadratic form of b and L on the 3/2 grid and projects them back to the band.
 This equals the dealiased products of v itself to rounding while v = P^T y
 lies in the open band.
 
-`assemble_C` is the one per-k pass after a solve: it forms v = P^T y and its
-grid gradient once, the immersion C = Psi + v with grad C = grad u + grad v,
-and from the one pullback G = grad C^T grad C the moment residual, the
-independent pullback check, the trace-free defect and the injectivity.
+`assemble_C` is the one per-k pass after a solve: it forms the immersion
+C = Psi + v, v = P^T y, and its gradient, and from the one pullback
+G = grad C grad C^T the moment residual, the independent pullback check, the
+trace-free defect and the injectivity.  Every embedding mode is one half of a
+cos/sin pair whose two modes carry one weight (`jet_moments` refuses any other
+block), so d_i (w_j D^a phi_j) = sigma_j kappa_(j,i) w_p(j) D^a phi_p(j), p(j)
+the pair partner and sigma = -1 for cos, +1 for sin
+(`LatticeSpectrum.pair_partners`).  Applied to Psi and to every row of P this
+gives grad C_j = sigma_j kappa_j C_p(j) + (P^T grad y)_j, with grad y from the
+same coarse channel samples as the moment residual: no array of q components
+is transformed.
 """
 from __future__ import annotations
 
@@ -132,7 +139,8 @@ class SpectralGrid:
     # -- exact spectral calculus --------------------------------------------
 
     def grad(self, values: np.ndarray) -> np.ndarray:
-        """[N, ...] -> [N, ..., n]."""
+        """[N, ...] -> [N, ..., n].  No production path calls it: it is the
+        FFT-gradient reference that the tests compare against."""
         # the band spectrum is a temporary: it is freed before the inverse transform
         return self.from_spec(self.to_spec(values)[..., None]
                               * self._bcast(1j * self.kvecs, values.ndim - 1))
@@ -180,7 +188,8 @@ class SpectralGrid:
 @dataclass(frozen=True)
 class FieldRq:
     """R^q-valued field on a spectral grid, the type of `assemble_C`'s C:
-    samples [N, q] and their coarse gradient [N, q, n]."""
+    samples [N, q] and their gradient [N, n, q], row i the derivative along
+    x_i."""
 
     values: np.ndarray
     grad: np.ndarray
@@ -294,9 +303,10 @@ def manufactured_defect(points: np.ndarray, epsilon: float, f_mode) -> np.ndarra
 class ConformalSolver:
     """The one handle of a flat-torus solve: the embedding (and its t), the
     spectral shift e, the spectral grid, the right inverse E on it, the
-    embedding Psi on the grid [N, q], and the constant Gram M with the moment
-    forms of the y iteration.  The gradient rows of P are grad u (the frame of
-    a flat torus is the identity), so the Gram's leading n x n block is the
+    embedding Psi on the grid [N, q] from the jet call behind P, the cos/sin
+    pair partners of its modes, and the constant Gram M with the moment forms
+    of the y iteration.  The gradient rows of P are grad u (the frame of a
+    flat torus is the identity), so the Gram's leading n x n block is the
     pullback of Psi."""
 
     def __init__(self, emb, resolution: int | None = None, e: float = 1.0):
@@ -325,7 +335,8 @@ class ConformalSolver:
             raise PreconditionError(
                 f"the jet Gram is not constant on the grid: it differs from the moment "
                 f"Gram by {gap:.3g}")
-        self.psi = emb.values_on(self.grid.points)                       # [N, q]
+        self.psi = self.E.values                                         # [N, q]
+        self._partner, self._sk = emb.provider.pair_partners(1, emb.q + 1)
         # channel symbols (i k)^gamma on the band, [c, *spec]
         ik = 1j * np.moveaxis(self.grid.kvecs, -1, 0)
         gammas = _channel_exponents(n).reshape((-1, n) + (1,) * n)
@@ -367,13 +378,19 @@ class ConformalSolver:
         prods = _quadratic_form(self._q_form, Y)                         # (-b, L)
         return self._solve(grid.resolvent(grid.unpad(prods.T), self.e))
 
+    def _coarse_channels(self, y: np.ndarray) -> np.ndarray:
+        """Samples of the channels (y, grad y) on the grid, [m (1 + n), N]
+        channel-minor."""
+        n = self.model.dim
+        chan = self._channels(y)[:, :1 + n]
+        return np.fft.irfftn(chan, s=self.grid.shape, axes=range(2, n + 2)).reshape(
+            -1, self.grid.N)
+
     def conformal_residual(self, y: np.ndarray, f: np.ndarray) -> np.ndarray:
         """Trace-free part of grad u . grad v + grad v . grad u + grad v . grad v - f
         for v = P^T y, from the moment forms in the channels (y, grad y)."""
         n = self.model.dim
-        chan = self._channels(y)[:, :1 + n]
-        Y = np.fft.irfftn(chan, s=self.grid.shape, axes=range(2, n + 2)).reshape(
-            -1, self.grid.N)                                              # [R1, N]
+        Y = self._coarse_channels(y)                                      # [R1, N]
         cross = (self._cross_form @ Y).T.reshape(-1, n, n)
         quad = _quadratic_form(self._quad_form, Y).T.reshape(-1, n, n)
         return conformal_defect(cross + cross.transpose(0, 2, 1) + quad - f, np.eye(n))[0]
@@ -479,27 +496,32 @@ def assemble_C(solver: ConformalSolver, y: np.ndarray, k: float,
                f: np.ndarray) -> ConformalResult:
     """The conformal immersion C = Psi + v of a k-solve, with its checks.
 
-    v = P^T y and its grid gradient are formed once, grad C = grad u + grad v
-    [N, q, n], and from the one pullback G = grad C^T grad C it reports (tf
+    C = Psi + P^T y [N, q] is formed once.  Its gradient [N, n, q] comes from
+    the cos/sin pair identity: the modes of one lattice vector kappa carry
+    one weight (the precondition that `jet_moments` checks at set-up), so
+    d_i Psi_j = sigma_j kappa_(j,i) Psi_p(j) and d_i P_(r,j) = sigma_j
+    kappa_(j,i) P_(r,p(j)) for the pair partner p(j), sigma = -1 for cos and
+    +1 for sin.  With the product rule,
+        grad C_j = sigma_j kappa_j C_p(j) + (P^T grad y)_j,
+    where grad y comes from the coarse channel samples that the moment
+    residual reads.  From the one pullback G = grad C grad C^T it reports (tf
     the trace-free part): the solver's moment residual of y with its field;
     the pullback residual tf(G - G_u - f), G_u the pullback of Psi, which is
     the independent check that v does what the equation promises; the defect
     tf(G - f) with its trace factor, compensated by the manufactured f so that
     it measures the solve rather than the injected defect; and the injectivity,
     the smallest distance between grid points of C.
-
-    The pullback residual also measures the grid's aliasing of v, which the
-    moment residual does not see; at coarse grids it is the larger number.  On
-    the 3-torus at N = 12 it reads 2.07e-12, against 1.2e-13 for the moment
-    residual.
     """
     n = solver.model.dim
     P = solver.E.P
     C = np.einsum("nmq,nm->nq", P, y)                          # v
-    grad_C = solver.grid.grad(C)                                # grad v
-    grad_C += P[:, :n].transpose(0, 2, 1)                       # + grad u
     C += solver.psi
-    G = grad_C.transpose(0, 2, 1) @ grad_C
+    dy = solver._coarse_channels(y).reshape(len(solver.M), 1 + n, -1)[:, 1:]
+    grad_C = np.ascontiguousarray(dy.transpose(2, 1, 0)) @ P  # P^T grad y, [N, n, q]
+    C_p = C[:, solver._partner]
+    for i in range(n):
+        grad_C[:, i] += solver._sk[:, i] * C_p
+    G = grad_C @ grad_C.transpose(0, 2, 1)
     residual = solver.conformal_residual(y, f)
     pullback = conformal_defect(G - solver.E.gram[:, :n, :n] - f, np.eye(n))[0]
     defect, trace_factor = conformal_defect(G - f, np.eye(n))

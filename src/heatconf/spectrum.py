@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,7 +183,8 @@ class LatticeSpectrum(AnalyticSpectrum):
     and gathers the value (c or s) and the derivative factor (-s or c) onto
     the modes.  `gradient_gram` needs no jets: the Gram sum of a cos/sin pair
     is a closed form in kappa, constant in x when the pair's weights agree.
-    `jet_moments` gives every such pair sum of derivatives.
+    `jet_moments` gives every such pair sum of derivatives, and
+    `pair_partners` the derivative of each mode as its partner's value.
     """
 
     def _init_lattice(self, unit, volume: float):
@@ -280,6 +282,36 @@ class LatticeSpectrum(AnalyticSpectrum):
                 G[:, a, b] = G[:, b, a]
         return G
 
+    def _whole_pairs(self, j0, j1):
+        """The parities of the block [j0, j1); a block that splits a cos/sin
+        pair raises PreconditionError."""
+        _check_range(self, j0, j1)
+        parity = self._parity[j0:j1]
+        if parity.size and (parity[0] == SIN or (parity[-1] == COS
+                                                 and self._kappa[j1 - 1].any())):
+            raise PreconditionError(
+                f"mode block [{j0}, {j1}) splits a cos/sin pair; its jet sums vary in x")
+        return parity
+
+    def pair_partners(self, j0, j1):
+        """Each mode's cos/sin partner in the block [j0, j1) and its signed wave vector.
+
+        Returns (p [j1 - j0], sk [j1 - j0, n]), p counted from j0, such that
+        d_i phi_j = sk[j, i] phi_p(j) at every x: the cos and sin modes of
+        kappa share one amplitude, d_i cos(kappa . x) = -kappa_i sin(kappa . x)
+        and d_i sin(kappa . x) = kappa_i cos(kappa . x), so sk = sigma kappa
+        with sigma = -1 for cos and +1 for sin.  The constant mode is its own
+        partner with sk = 0.  Applied to weighted modes w_j phi_j the identity
+        needs the pair's two weights to agree, which `jet_moments` checks.  A
+        block that splits a pair raises PreconditionError.
+        """
+        parity = self._whole_pairs(j0, j1)
+        idx = np.arange(j1 - j0)
+        live = self._kappa[j0:j1].any(axis=1)
+        partner = np.where(live, np.where(parity == COS, idx + 1, idx - 1), idx)
+        sigma = np.where(parity == COS, -1.0, 1.0)
+        return partner, sigma[:, None] * self._kappa[j0:j1]
+
     def jet_moments(self, j0, weights, order):
         """Weighted lattice moments behind every pair sum of the block's jets.
 
@@ -297,13 +329,8 @@ class LatticeSpectrum(AnalyticSpectrum):
         """
         w = np.asarray(weights, dtype=float)
         j1 = j0 + len(w)
-        _check_range(self, j0, j1)
-        parity = self._parity[j0:j1]
+        parity = self._whole_pairs(j0, j1)
         sin = np.flatnonzero(parity == SIN)
-        if parity.size and (parity[0] == SIN or (parity[-1] == COS
-                                                 and self._kappa[j1 - 1].any())):
-            raise PreconditionError(
-                f"mode block [{j0}, {j1}) splits a cos/sin pair; its jet sums vary in x")
         if np.any(w[sin] != w[sin - 1]):
             raise PreconditionError("a cos/sin pair carries two weights; its jet sums "
                                     "vary in x")
@@ -331,8 +358,13 @@ class TorusSpectrum(LatticeSpectrum):
 
     def _enumerate(self, lambda_max):
         L = np.asarray(self.model.periods)
-        kmax = np.floor(np.sqrt(lambda_max) * L / (2.0 * np.pi)).astype(int)
-        axes = [np.arange(-km, km + 1) for km in kmax]
+        kmax = np.floor(np.sqrt(lambda_max) * L / (2.0 * np.pi))
+        box = math.prod(2.0 * k + 1.0 for k in kmax.tolist())
+        # the mesh axes, the stacked lattice, its int copy and kappa [box, n],
+        # and lambda [box]
+        geometry.check_memory(8 * box * (4 * len(L) + 1),
+                              f"a lattice box of {box:.3g} vectors")
+        axes = [np.arange(-km, km + 1) for km in kmax.astype(int)]
         lattice = geometry._mesh(axes).astype(int)
         kappa = lattice * (2.0 * np.pi / L)
         lam = np.sum(kappa * kappa, axis=1)
@@ -367,8 +399,11 @@ class CircleSpectrum(LatticeSpectrum):
 
 def _circle_modes(length: float, lambda_max: float):
     """cos/sin(k s) modes of a circle of length L for k <= sqrt(lambda_max) L / 2 pi."""
-    kmax = int(np.floor(np.sqrt(max(lambda_max, 0.0)) * length / (2.0 * np.pi)))
-    k, parity = _cos_sin(np.arange(2 * kmax + 1))
+    kmax = float(np.floor(np.sqrt(max(lambda_max, 0.0)) * length / (2.0 * np.pi)))
+    modes = 2.0 * kmax + 1.0
+    # the mode indices, k, parity, lambda and the [modes, 2] descriptors
+    geometry.check_memory(48 * modes, f"{modes:.3g} circle modes")
+    k, parity = _cos_sin(np.arange(2 * int(kmax) + 1))
     # float_power is libm pow, as Python's float ** 2: it keeps lambda bit for
     # bit where the x * x of ndarray ** 2 rounds differently
     lam = np.float_power(2.0 * np.pi * k / length, 2)
@@ -473,7 +508,12 @@ def _sphere_modes(radius: float, lambda_max: float):
     Shell k lists (k, 0, cos), (k, 1, cos), (k, 1, sin), ..., (k, k, sin).
     """
     R2 = radius**2
-    k = np.arange(int(np.sqrt(max(lambda_max, 0.0) * R2)) + 2)   # past the last degree
+    # degree count, one past the last degree inside the window
+    degrees = float(np.floor(np.sqrt(max(lambda_max, 0.0) * R2))) + 2.0
+    modes = degrees * degrees
+    # each mode with an index, k, m, parity, lambda and 3 descriptors
+    geometry.check_memory(72 * modes, f"{modes:.3g} sphere modes")
+    k = np.arange(int(degrees))
     lam = k * (k + 1) / R2
     inside = lam <= lambda_max
     k, lam, size = k[inside], lam[inside], 2 * k[inside] + 1
@@ -530,6 +570,9 @@ class ProductSpectrum(AnalyticSpectrum):
         # every (sphere mode, circle mode) pair whose eigenvalues sum to <= lambda_max
         lam_s, sphere = _sphere_modes(self.model.radius, lambda_max)
         lam_c, circle = _circle_modes(self.model.length, lambda_max)
+        box = lam_s.size * lam_c.size
+        # the [sphere, circle] eigenvalue box, its mask and the kept index pairs
+        geometry.check_memory(25 * box, f"a box of {box:.3g} sphere x circle modes")
         lam = lam_s[:, None] + lam_c[None, :]
         si, ci = np.nonzero(lam <= lambda_max)
         return lam[si, ci], np.column_stack([sphere[si], circle[ci]])
@@ -655,6 +698,9 @@ def analytic_spectrum(model: ManifoldModel, count: int | None = None,
         raise ConfigError("need count or lambda_max")
     if count is not None and count < 1:
         raise SpectrumError(f"count must be at least 1, got {count!r}")
+    if count is not None:
+        # a provider holds lambda and at least two descriptor columns per mode
+        geometry.check_memory(24 * count, f"a spectrum of {count:.3g} modes")
     cls = _ANALYTIC[model.kind]
     if lambda_max is not None:
         prov = cls(model, lambda_max)

@@ -1,8 +1,15 @@
 """Command-line interface: configs, outputs, exit codes, determinism."""
+import contextlib
+import io
 import json
+import tempfile
+import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import heatconf
@@ -211,6 +218,26 @@ def test_huge_sample_grid_exits_3(tmp_path, capsys, monkeypatch):
     assert "10000000000 points" in err and "the 4.29 GB available" in err
 
 
+@pytest.mark.parametrize("command, payload, what", [
+    ("spectrum", {"model": TORUS_MODEL, "spectrum": {"count": 10**12}},
+     "a spectrum of 1e+12 modes"),
+    ("defect-scan", {"model": TORUS_MODEL, "t_grid": [0.1], "resolution": 6,
+                     "spectrum": {"lambda_t_margin": 1e9}}, "a lattice box of"),
+    ("spectrum", {"model": CIRCLE_MODEL, "spectrum": {"lambda_max": 1e14}},
+     "2e+07 circle modes"),
+], ids=["spectrum-count", "scan-margin", "circle-lambda-max"])
+def test_huge_spectrum_window_exits_3(tmp_path, capsys, monkeypatch, command, payload, what):
+    """A mode count or an eigenvalue window whose enumeration would not fit in
+    memory exits 3 with one line, before the candidate modes are allocated."""
+    monkeypatch.setattr(heatconf.geometry, "available_bytes", lambda: 2**28)
+    cfg = write_config(tmp_path, payload)
+    capsys.readouterr()
+    assert run(["--config", cfg, "--out", str(tmp_path / "o"), command]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("precondition failure:") and err.count("\n") == 1, err
+    assert what in err and "the 0.27 GB available" in err
+
+
 def test_perturb_theta_violation_exits_3(tmp_path):
     cfg = write_config(tmp_path, {
         "model": TORUS_MODEL,
@@ -332,7 +359,9 @@ def test_malformed_config_values_exit_2(tmp_path, capsys):
         "gram_t_zero": ("gram", {"model": TORUS_MODEL, "t_grid": [0.0]}),
         "gram_t_negative_rho_half": ("gram", {"model": TORUS_MODEL, "rho": 0.5,
                                               "t_grid": [-0.1]}),
+        "gram_t_past_one": ("gram", {"model": TORUS_MODEL, "t_grid": [5.0]}),
         "solver_t_zero": ("perturb", {"model": TORUS_MODEL, "solver": {"t": 0.0}}),
+        "solver_t_past_one": ("perturb", {"model": TORUS_MODEL, "solver": {"t": 5.0}}),
         "solver_t_negative_rho_half": ("perturb", {"model": TORUS_MODEL, "rho": 0.5,
                                                    "solver": {"t": -0.1}}),
         "spectrum_count_negative": ("spectrum", {"model": {
@@ -350,6 +379,23 @@ def test_malformed_config_values_exit_2(tmp_path, capsys):
                                                  "solver": {"k_values": [0.0, 0.0]}}),
         "solver_max_iter_zero": ("perturb", {"model": TORUS_MODEL, "solver": {"max_iter": 0}}),
         "solver_tol_negative": ("perturb", {"model": TORUS_MODEL, "solver": {"tol": -1}}),
+        # NaN and Infinity, which json parses, a negative seed, an integer past
+        # the float range, and an override its default's type rejects
+        "theta_threshold_nan": ("perturb", {"model": TORUS_MODEL,
+                                            "solver": {"theta_threshold": float("nan")}}),
+        "k_values_infinity": ("perturb", {"model": TORUS_MODEL,
+                                          "solver": {"k_values": [float("inf")]}}),
+        "e_infinity": ("perturb", {"model": TORUS_MODEL, "solver": {"e": float("inf")}}),
+        "seed_negative": ("gram", {"model": TORUS_MODEL, "seed": -1}),
+        "torus_period_nan": ("spectrum", {"model": {"kind": "flat_torus", "params": {
+            "periods": [float("nan"), 1.0]}}}),
+        "resolution_past_float_range": ("defect-scan", {**scan, "resolution": 10**400}),
+        "verify_override_points_zero": (
+            "verify", {"verify": {"criteria": ["rank_laws"],
+                                  "overrides": {"rank_laws": {"points": 0}}}}),
+        "verify_override_seed_string": (
+            "verify", {"verify": {"criteria": ["linear_algebra"],
+                                  "overrides": {"linear_algebra": {"seed": "x"}}}}),
     }
     for name, (command, payload) in bad.items():
         cfg = write_config(tmp_path, payload, name=f"{name}.json")
@@ -392,3 +438,62 @@ def test_gram_command(tmp_path):
         Gc = np.array(entry["gram_Pc"])
         assert Gc.shape == (9, 9)
         assert np.max(np.abs(Gc[-n:].sum(axis=0))) <= 1e-13 * np.max(np.abs(Gc))
+
+
+def _contract_keys(table, prefix=()):
+    """Key paths of the leaves of a CONFIG_KEYS table."""
+    for key, spec in table.items():
+        if isinstance(spec, dict):
+            yield from _contract_keys(spec, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+# non-finite, negative, zero, huge and mistyped values, and a few in range
+EXTREMES = [float("nan"), float("inf"), float("-inf"), -1, 0, 0.5, -1e300, 1e300,
+            10**30, 10**400, "x", True, {}, [], [float("nan")], [float("inf")], [-1],
+            [1e300], [0.5, 0.25]]
+CHEAP_RUNS = {
+    "gram": {"model": TORUS_MODEL, "resolution": 6, "t_grid": [0.2]},
+    "spectrum": {"model": CIRCLE_MODEL, "resolution": 6, "spectrum": {"count": 5}},
+    "defect-scan": {"model": TORUS_MODEL, "t_grid": [0.2, 0.1], "resolution": 6},
+    "verify": {"verify": {"criteria": ["linear_algebra"]}},
+}
+
+
+@st.composite
+def mutated_configs(draw):
+    """A cheap command and its config with one to three CONFIG_KEYS leaves
+    replaced by extreme values; the linear_algebra seed override is one more
+    leaf."""
+    command = draw(st.sampled_from(sorted(CHEAP_RUNS)))
+    cfg = json.loads(json.dumps(CHEAP_RUNS[command]))
+    value = st.sampled_from(EXTREMES)
+    keys = sorted(_contract_keys(cli.CONFIG_KEYS))
+    for path in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True)):
+        leaf = draw(st.one_of(value, value.map(lambda v: {"linear_algebra": {"seed": v}}))
+                    if path == ("verify", "overrides") else value)
+        section = cfg
+        for key in path[:-1]:
+            section = section.setdefault(key, {})
+        section[path[-1]] = leaf
+    return command, cfg
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(mutated_configs())
+def test_config_contract_holds_for_mutated_configs(case):
+    """Any mutation of a cheap run's config exits 0, 2, 3 or 4 with at most one
+    line on stderr and no warning.  MemAvailable reads 256 MB, so a request
+    for more is refused before it is allocated."""
+    command, cfg = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+            mock.patch.object(heatconf.geometry, "available_bytes", lambda: 2**28), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        code = run(["--config", str(path), "--out", str(Path(tmp) / "out"), command])
+    assert code in (0, 2, 3, 4), (code, err.getvalue())
+    assert err.getvalue().count("\n") <= 1, err.getvalue()

@@ -4,7 +4,8 @@ The v-space Q(v, v) products and residual below (`quadratic_products_v`,
 `quadratic_v`, `residual_v`) are test oracles: the solver iterates on the
 coefficients y of v = P^T y, and its moment forms are checked against them.
 `verify_oracle` recomputes the residual and the pullback check of
-`assemble_C` from v and its gradient, as separate steps.
+`assemble_C` from v and its FFT gradient on the grid (`SpectralGrid.grad`),
+as separate steps.
 """
 import numpy as np
 import pytest
@@ -48,18 +49,18 @@ def solved(solver, manufactured):
 
 
 def as_field(grid, values):
-    """A FieldRq of plain samples, with their gradient taken on the grid."""
-    return perturb.FieldRq(values, grid.grad(values))
+    """A FieldRq of plain samples, with their FFT gradient on the grid [N, n, q]."""
+    return perturb.FieldRq(values, np.moveaxis(grid.grad(values), -1, 1))
 
 
 def lift(solver, y):
-    """v = P^T y [N, q] of coefficients y [N, m], with its grid gradient."""
+    """v = P^T y [N, q] of coefficients y [N, m], with its FFT gradient."""
     return as_field(solver.grid, np.einsum("nmq,nm->nq", solver.E.P, y))
 
 
 def grad_u(solver):
-    """The gradient rows of P as the embedding's gradient [N, q, n]."""
-    return solver.E.P[:, :solver.model.dim].transpose(0, 2, 1)
+    """The gradient rows of P as the embedding's gradient [N, n, q]."""
+    return solver.E.P[:, :solver.model.dim]
 
 
 def verify_oracle(solver, y, v, f):
@@ -70,10 +71,10 @@ def verify_oracle(solver, y, v, f):
     part of pullback(u + v) - pullback(u) - f.
     """
     res = solver.conformal_residual(y, f)
-    gu = np.ascontiguousarray(grad_u(solver))                  # [N, q, n]
+    gu = grad_u(solver)                                        # [N, n, q]
     grad_total = gu + v.grad
-    G_uv = grad_total.transpose(0, 2, 1) @ grad_total
-    G_u = gu.transpose(0, 2, 1) @ gu
+    G_uv = grad_total @ grad_total.transpose(0, 2, 1)
+    G_u = gu @ gu.transpose(0, 2, 1)
     pull_res = float(np.max(np.abs(conformal_defect(G_uv - G_u - f,
                                                     np.eye(solver.model.dim))[0])))
     return float(np.max(np.abs(res))), pull_res, res
@@ -122,8 +123,8 @@ def quadratic_v(solver, v):
 def residual_v(solver, v, f):
     """Oracle: trace-free part of grad u . grad v + grad v . grad u + grad v . grad v - f
     from the grid gradient of v (a FieldRq)."""
-    cross = grad_u(solver).transpose(0, 2, 1) @ v.grad
-    quad = v.grad.transpose(0, 2, 1) @ v.grad
+    cross = grad_u(solver) @ v.grad.transpose(0, 2, 1)
+    quad = v.grad @ v.grad.transpose(0, 2, 1)
     return conformal_defect(cross + cross.transpose(0, 2, 1) + quad - f,
                             np.eye(solver.model.dim))[0]
 
@@ -364,8 +365,11 @@ def test_fixed_point_residual_identity(solver, manufactured, solved):
 
 
 def test_verify_conformal(solver, manufactured, solved):
-    """The verify numbers of assemble_C: the moment residual and the pullback
-    check equal the step-by-step oracle bit for bit."""
+    """The verify numbers of assemble_C: the moment residual equals the
+    step-by-step oracle bit for bit.  The pullback check, whose grad C comes
+    from the pair identity, equals the oracle's from the FFT gradient of v to
+    1e-15 where v lies in the open band (the solved and the zero y), and
+    catches a corrupted y as the moment residual does."""
     _, y = solved
     rep = perturb.assemble_C(solver, y, 0.0, manufactured)
     assert rep.residual_sup <= 1e-8
@@ -379,11 +383,14 @@ def test_verify_conformal(solver, manufactured, solved):
     corrupted[0, 2] += 1e-3
     repc = perturb.assemble_C(solver, corrupted, 0.0, manufactured)
     assert repc.residual_sup > 1e-5
+    assert repc.pullback_residual_sup > 1e-5
     for got, yy, f in ((rep, y, manufactured), (rep0, zero, np.zeros_like(manufactured)),
                        (repc, corrupted, manufactured)):
         want = verify_oracle(solver, yy, lift(solver, yy), f)
-        assert (got.residual_sup, got.pullback_residual_sup) == want[:2]
+        assert got.residual_sup == want[0]
         assert np.array_equal(got.residual, want[2])
+        if got is not repc:
+            assert abs(got.pullback_residual_sup - want[1]) <= 1e-15
 
 
 def test_theta_condition_rejection(solver):
@@ -419,8 +426,9 @@ def test_assemble_C(solver, torus_embedding, manufactured, solved):
     assert res.defect_sup == np.max(np.abs(res.defect))
     assert res.injectivity > 0 and res.injectivity_ok
     assert res.C.values.shape == (solver.grid.N, torus_embedding.q)
-    assert np.array_equal(res.C.grad, grad_u(solver) + v.grad)
-    assert np.array_equal(res.C.values, torus_embedding.values_on(solver.grid.points) + v.values)
+    assert res.C.grad.shape == (solver.grid.N, 2, torus_embedding.q)
+    psi = torus_embedding.jets(solver.grid.points, deriv=0)[0].T
+    assert np.array_equal(res.C.values, psi + v.values)
     # v = 0: C is the embedding itself, still injective on the grid
     res0 = perturb.assemble_C(solver, np.zeros_like(y), 0.0, np.zeros_like(manufactured))
     assert res0.injectivity > 0
@@ -472,9 +480,10 @@ def test_quadratic_products_on_a_circle_torus(resolution):
 
 
 def test_one_gradient_per_iterate(solver, manufactured, monkeypatch):
-    """One grid gradient per solve: the iterates are coefficients y whose
-    channels Q and the residual take from their own transforms, and v = P^T y
-    with its gradient is formed once, in assemble_C."""
+    """No FFT gradient of a q-component field: the iterates are coefficients y
+    whose channels Q and the residual take from their own transforms, and
+    assemble_C takes grad C from the pair identity.  At N = 48, where C lies
+    in the open band, it matches the FFT gradient of C to 1e-13 relative."""
     calls = []
     grad = perturb.SpectralGrid.grad
 
@@ -486,20 +495,32 @@ def test_one_gradient_per_iterate(solver, manufactured, monkeypatch):
     history, y = fixed_point_solve(solver, manufactured, k=0.0, tol=1e-11)
     assert len(history) > 1 and calls == []
     result = perturb.assemble_C(solver, y, 0.0, manufactured)
-    assert calls == [(solver.grid.N, solver.emb.q)]
+    assert calls == []
     assert result.residual_sup == history[-1].residual
-    # the iterate's gradient is the grid gradient of its values, bit for bit
     monkeypatch.undo()
-    v = lift(solver, y)
-    assert np.array_equal(v.grad, solver.grid.grad(v.values))
-    assert np.array_equal(result.C.grad, grad_u(solver) + v.grad)
+    want = as_field(solver.grid, result.C.values).grad
+    assert np.max(np.abs(result.C.grad - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_pullback_check_on_a_coarse_grid(torus_embedding):
+    """The smoke config of the CLI (t = 0.05, q = 400, resolution 16), where
+    v = P^T y has content past the open band of the grid: the pullback check
+    and the defect agree with the moment residual to 1e-12 at both k."""
+    built = perturb.ConformalSolver(torus_embedding, resolution=16, e=1.0)
+    f = perturb.manufactured_defect(built.grid.points, 1e-3, [1, 0])
+    for k in (0.0, 1e-3):
+        _, y = fixed_point_solve(built, f, k=k)
+        res = perturb.assemble_C(built, y, k, f)
+        assert res.residual_sup <= 1e-12
+        assert res.pullback_residual_sup <= 1e-12
+        assert res.defect_sup <= 1e-12
 
 
 def test_solver_fetches_grid_jets_once(torus_embedding, monkeypatch):
-    """Building the solver makes one deriv=2 jet_block call on its grid, for P,
-    and one deriv=0 call, for Psi; assemble_C makes none.  The gradient rows
-    of P are the weighted jet_block gradient bit for bit, and Psi is the
-    embedding's values on the grid."""
+    """Building the solver makes one deriv=2 jet_block call on its grid, for P
+    and Psi; assemble_C makes none.  The gradient rows of P are the weighted
+    jet_block gradient bit for bit, and Psi is the embedding's values on the
+    grid."""
     provider = torus_embedding.provider
     calls = []
     jet_block = type(provider).jet_block
@@ -510,15 +531,15 @@ def test_solver_fetches_grid_jets_once(torus_embedding, monkeypatch):
 
     monkeypatch.setattr(type(provider), "jet_block", counted)
     built = perturb.ConformalSolver(torus_embedding, resolution=16)
-    assert calls == [2, 0]
+    assert calls == [2]
     N = built.grid.N
     perturb.assemble_C(built, np.zeros((N, 5)), 0.0, np.zeros((N, 2, 2)))
-    assert calls == [2, 0]
+    assert calls == [2]
     monkeypatch.undo()
     _, grads, _ = provider.jet_block(1, torus_embedding.q + 1, built.grid.points)
-    want = (torus_embedding.weights[:, None, None] * grads).transpose(1, 0, 2)
+    want = (torus_embedding.weights[:, None, None] * grads).transpose(1, 2, 0)
     assert np.array_equal(grad_u(built), want)
-    assert np.array_equal(built.psi, torus_embedding.values_on(built.grid.points))
+    assert np.array_equal(built.psi, torus_embedding.jets(built.grid.points, deriv=0)[0].T)
 
 
 def test_min_pair_distance_in_blocks():
@@ -606,9 +627,9 @@ def test_solver_needs_a_constant_gram(torus_embedding, monkeypatch):
     rows = jets._jet_rows
 
     def bumped(emb, points):
-        P = rows(emb, points)
+        values, P = rows(emb, points)
         P[7] *= 1.0 + 1e-9
-        return P
+        return values, P
 
     monkeypatch.setattr(jets, "_jet_rows", bumped)
     with pytest.raises(PreconditionError, match="not constant"):

@@ -509,6 +509,57 @@ def test_jet_moments_reject_split_pairs(torus_spec):
     assert torus_spec.jet_moments(0, w[:q - 1], 2).shape == (3, 3)
 
 
+@pytest.mark.parametrize("periods", [[TWO_PI, TWO_PI], [TWO_PI, 3.1],
+                                     [TWO_PI, TWO_PI, TWO_PI], [TWO_PI]],
+                         ids=["torus2", "torus2-3.1", "torus3", "circle"])
+def test_pair_partners_give_the_gradients(periods):
+    """d_a phi_j = sk[j, a] phi_p(j) matches jet_block's gradients, on blocks
+    with and without the constant mode; a block that splits a pair raises."""
+    n = len(periods)
+    model = (ManifoldModel.circle(TWO_PI) if n == 1
+             else ManifoldModel.flat_torus(periods))
+    prov = analytic_spectrum(model, count={1: 30, 2: 300, 3: 120}[n])
+    j1 = prov.count - (prov._parity[prov.count - 1] == spectrum.COS)   # whole pairs
+    pts = np.random.default_rng(6).uniform(0.0, 1.0, (9, n)) * np.asarray(periods)
+    for j0 in (0, 1):
+        partner, sk = prov.pair_partners(j0, j1)
+        assert partner.shape == (j1 - j0,) and sk.shape == (j1 - j0, n)
+        vals, grads, _ = prov.jet_block(j0, j1, pts, deriv=1)
+        scale = np.max(np.abs(grads))
+        assert np.max(np.abs(grads - sk[:, None, :] * vals[partner][:, :, None])) \
+            <= 1e-13 * scale
+    assert partner[0] == 1 and partner[1] == 0 and (sk[0] == -sk[1]).all()
+    with pytest.raises(PreconditionError, match="splits a cos/sin pair"):
+        prov.pair_partners(2, j1)
+    with pytest.raises(PreconditionError, match="splits a cos/sin pair"):
+        prov.pair_partners(1, j1 - 1)
+
+
+@pytest.mark.parametrize("kind, lambda_max, what", [
+    ("torus2", 1e14, "a lattice box of 4e+14 vectors"),
+    ("torus3", 1e300, "a lattice box of inf vectors"),
+    ("circle", 1e14, "2e+07 circle modes"),
+    ("sphere", 1e14, "1e+14 sphere modes"),
+    ("product", 1e5, "sphere x circle modes"),
+])
+def test_enumeration_refuses_a_window_past_memory(kind, lambda_max, what, monkeypatch):
+    """Each provider refuses an eigenvalue window whose candidate modes would
+    not fit in memory before building them; so does a count past memory.  On
+    S^2 x S^1 at lambda_max = 1e5 the sphere and circle modes fit, and the
+    [sphere, circle] box does not."""
+    model = {"torus2": ManifoldModel.flat_torus([TWO_PI] * 2),
+             "torus3": ManifoldModel.flat_torus([TWO_PI] * 3),
+             "circle": ManifoldModel.circle(TWO_PI),
+             "sphere": ManifoldModel.sphere2(1.0),
+             "product": ManifoldModel.product_sphere_circle(1.0, TWO_PI)}[kind]
+    monkeypatch.setattr(geometry, "available_bytes", lambda: 2**24)
+    with pytest.raises(PreconditionError, match="GB available") as exc:
+        analytic_spectrum(model, lambda_max=lambda_max)
+    assert what in str(exc.value)
+    with pytest.raises(PreconditionError, match="a spectrum of 1e\\+12 modes"):
+        analytic_spectrum(model, count=10**12)
+
+
 def _reference_product_modes(R, L, lambda_max):
     """S^2(R) x S^1(L) modes by nested loops over (k, j, m, parities) and a tuple sort."""
     jmax = int(np.floor(np.sqrt(lambda_max) * L / TWO_PI))
