@@ -65,25 +65,31 @@ def _lattice_holder(values: np.ndarray, model: ManifoldModel, r: int, radius: fl
                     alpha: float) -> float:
     """The increment quotient over every pair of a torus lattice within radius.
 
-    Each pair is a lattice offset o; one of o and -o is taken, the field is
-    shifted by it (np.roll) and compared with itself.  The offset length
-    |o_a L_a / r| decides membership, with 1e-12 relative slack so that pairs
-    lying on the radius count whatever their rounding.
+    Each pair is a lattice offset o; one of o and -o is taken and the field
+    is compared with itself shifted by it.  The field is wrap-padded once by
+    the offset box's reach on each axis, so every shifted copy is a slice
+    view of the padded one.  The offset length |o_a L_a / r| decides
+    membership, with 1e-12 relative slack so that pairs lying on the radius
+    count whatever their rounding.
     """
     n = model.dim
     h = np.asarray(model.periods) / r
     reach = radius * (1.0 + 1e-12)
     field = values.reshape((r,) * n + values.shape[1:])
-    box = [np.arange(-int(reach / h_a), int(reach / h_a) + 1) for h_a in h]
+    wide = [int(reach / h_a) for h_a in h]
+    padded = np.pad(field, [(w, w) for w in wide] + [(0, 0)] * (field.ndim - n),
+                    mode="wrap")
     best = 0.0
-    for o in itertools.product(*box):
+    for o in itertools.product(*(range(-w, w + 1) for w in wide)):
         nonzero = [x for x in o if x]
         if not nonzero or nonzero[0] < 0:          # o = 0, or -o stands for it
             continue
         d = float(np.sqrt(np.sum((np.array(o) * h) ** 2)))
         if d > reach:
             continue
-        diff = np.max(np.abs(field - np.roll(field, o, axis=tuple(range(n)))))
+        # field shifted by o, as np.roll(field, o) would give it
+        shifted = padded[tuple(slice(w - o_a, w - o_a + r) for w, o_a in zip(wide, o))]
+        diff = np.max(np.abs(field - shifted))
         best = max(best, float(diff) / d**alpha)
     return best
 

@@ -59,6 +59,16 @@ class ManifoldModel:
         else:
             if not (0 < self.radius < math.inf and 0 < self.length < math.inf):
                 raise ConfigError("product needs positive finite radius and length")
+        # finite parameters can still overflow or underflow: the square of a
+        # radius of 1e300 or 1e-200
+        try:
+            with np.errstate(over="ignore", under="ignore"):
+                volume = float(self.volume)
+        except OverflowError:
+            volume = math.inf
+        if not 0 < volume < math.inf:
+            raise ConfigError(f"{self.kind} volume {volume:g} is not positive and finite: "
+                              "its parameters overflow or underflow")
 
     @classmethod
     def flat_torus(cls, periods) -> "ManifoldModel":

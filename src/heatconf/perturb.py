@@ -59,9 +59,24 @@ the pair partner and sigma = -1 for cos, +1 for sin
 gives grad C_j = sigma_j kappa_j C_p(j) + (P^T grad y)_j, with grad y from the
 same coarse channel samples as the moment residual: no array of q components
 is transformed.
+
+The same pair weights make the injectivity cheap.  Psi(x + d) is Psi(x)
+rotated by kappa . d in each cos/sin pair plane, so |Psi(x) - Psi(x + d)| =
+gap(d) depends on the grid offset d alone, and one row of Psi gives the table
+(`ConformalSolver._offsets`).  Every pair at offset d of C = Psi + v lies at
+least gap(d) - 2 sup|v| apart, with sup|v| = `sup_norm(y)`.  The scan takes
+the offsets in increasing order of that bound, the min over x of each by
+direct differences, and stops once the next bound exceeds the best distance
+plus a rounding margin that covers the rounding of the jet phases and the
+1e-12 gap between the jet Gram and M that the set-up allows (derived in
+`assemble_C`).  The result is the exact minimum over all pairs; on the
+2-torus at N = 48^2 it scans 2 of 1153 offsets.  Where the bound prunes
+little, one row-block Gram pass over all pairs, with its near-least pairs
+measured by direct differences, takes over.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -73,6 +88,9 @@ from .errors import ConfigError, ConvergenceError, PreconditionError
 from .geometry import ManifoldModel, conformal_defect
 
 DEFAULT_THETA_THRESHOLD = 0.25
+# the entrywise gap, relative to max |M|, that the set-up allows between the jet
+# Gram and the moment Gram M
+_GRAM_RTOL = 1e-12
 
 
 class SpectralGrid:
@@ -331,7 +349,7 @@ class ConformalSolver:
                               f"the solver (jets, P, Gram, Psi and C at q = {q}, N = {N})")
         self.E = jets.PointwiseRightInverse(emb, self.grid.points)
         gap = float(np.max(np.abs(self.E.gram - self.M)))
-        if gap > 1e-12 * float(np.max(np.abs(self.M))):
+        if gap > _GRAM_RTOL * float(np.max(np.abs(self.M))):
             raise PreconditionError(
                 f"the jet Gram is not constant on the grid: it differs from the moment "
                 f"Gram by {gap:.3g}")
@@ -341,6 +359,26 @@ class ConformalSolver:
         ik = 1j * np.moveaxis(self.grid.kvecs, -1, 0)
         gammas = _channel_exponents(n).reshape((-1, n) + (1,) * n)
         self._sym = np.prod(ik ** gammas, axis=1) * self.grid.band
+
+    @functools.cached_property
+    def _offsets(self):
+        """The offset table of the injectivity scan (see `assemble_C`), built
+        on first use: one of each pair of grid offsets +-d != 0 (flat grid
+        indices) in increasing order of gap(d) = |Psi(x0) - Psi(x0 + d)|, x0
+        the grid origin, with their gaps; eps_Psi, the bound on the rounding
+        of Psi at a grid point; and |Psi|, the same at every point."""
+        grid, n = self.grid, self.model.dim
+        flat = np.arange(grid.N)
+        neg = np.ravel_multi_index(tuple(-c % grid.resolution for c in
+                                         np.unravel_index(flat, grid.shape)), grid.shape)
+        offsets = np.flatnonzero(flat <= neg)[1:]
+        gaps = _distances(self.psi, np.zeros_like(offsets), offsets)
+        order = np.argsort(gaps, kind="stable")
+        norm2 = float(self.psi[0] @ self.psi[0])
+        L2 = np.asarray(self.model.periods) ** 2
+        eps_psi = (np.finfo(float).eps / 2) * math.sqrt(
+            72 * n * float(L2 @ np.diag(self.M)[:n]) + 392 * n * n * norm2)
+        return offsets[order], gaps[order], eps_psi, math.sqrt(norm2)
 
     # -- building blocks ------------------------------------------------------
 
@@ -511,6 +549,45 @@ def assemble_C(solver: ConformalSolver, y: np.ndarray, k: float,
     tf(G - f) with its trace factor, compensated by the manufactured f so that
     it measures the solve rather than the injected defect; and the injectivity,
     the smallest distance between grid points of C.
+
+    The injectivity is the exact minimum over all pairs, found by scanning a
+    few grid offsets d.  The identity: the same pair weights make Psi(x + d)
+    the rotation of Psi(x) by kappa . d in each cos/sin pair plane, so
+        |Psi(x) - Psi(x + d)| = gap(d) = |Psi(x0) - Psi(x0 + d)|
+    for every x, and one row of Psi gives the whole table
+    (`ConformalSolver._offsets`, x0 the grid origin).  The bound: every pair
+    at offset d lies at least gap(d) - 2 sup|v| apart, sup|v| =
+    sup sqrt(y^T M y) being `solver.sup_norm(y)`.  The scan (`_injectivity`)
+    takes one of +-d at a time, in increasing order of that bound, with the
+    min over x by direct differences, and stops once the bound of the next
+    offset exceeds the best distance found plus the rounding margin
+        2 (V - sup|v|) + 4 eps_Psi + 2 gamma_(q+3) gap(d).
+    The margin follows from the standard model of rounding, to first order in
+    u = 2^-53 with gamma_k = k u / (1 - k u), and cos and sin within 4 ulp:
+    - eps_Psi bounds |Psi~(x) - Psi(x)|, the stored Psi against the exact one
+      at the exact lattice point i L / r.  The phase kappa_a x_a of a pair
+      passes six roundings (pi, 2 pi / L_a, times k_a, L_a / r, times i, the
+      product), so it is off by at most 6 u |kappa_a| L_a; the table entry
+      exp(i kappa_a x_a) adds sqrt(2) 8 u, each of the n - 1 complex products
+      sqrt(5) u and the amplitude and weight 2 u.  Each pair is thus off by
+      at most sqrt(s_kappa) u (6 sum_a |kappa_a| L_a + 14 n), and by
+      Cauchy-Schwarz eps_Psi^2 = u^2 (72 n sum_a L_a^2 M_aa + 392 n^2 |Psi|^2),
+      where M_aa = sum_kappa s_kappa kappa_a^2 and |Psi|^2 = sum_kappa s_kappa.
+    - V bounds sup |C~ - Psi~|, the v that the stored C holds.  The set-up
+      admits a jet Gram G(x) = P P^T within 1e-12 max|M| of M entrywise, and
+      `sup_norm` rounds y^T M y by gamma_2m m max|M| |y|^2, so with
+      delta = m (1e-12 + gamma_q + gamma_2m) max|M| and Y = sup |y|,
+      |P^T y|^2 <= sup_norm(y)^2 + delta Y^2.  Forming P^T y adds
+      gamma_m |P|_F |y| (|P|_F^2 = tr G <= tr M + delta) and adding Psi u |C|:
+      V = (1 + u) (sqrt(sup_norm(y)^2 + delta Y^2)
+                   + gamma_m sqrt(tr M + delta) Y) + u |Psi|.
+    - A distance computed by direct differences is within gamma_(q+3) of the
+      exact one, relatively; this counts once for gap(d) and once for the pair.
+    Then |C~(x) - C~(x + d)| >= |Psi~(x) - Psi~(x + d)| - 2 V
+    >= |Psi(x0) - Psi(x0 + d)| - 2 eps_Psi - 2 V >= gap(d) (1 - gamma_(q+3))
+    - 4 eps_Psi - 2 V, so no computed distance at d falls below
+    (1 - 2 gamma_(q+3)) gap(d) - 2 V - 4 eps_Psi, which is the bound minus the
+    margin.
     """
     n = solver.model.dim
     P = solver.E.P
@@ -521,27 +598,101 @@ def assemble_C(solver: ConformalSolver, y: np.ndarray, k: float,
     C_p = C[:, solver._partner]
     for i in range(n):
         grad_C[:, i] += solver._sk[:, i] * C_p
+    del C_p
     G = grad_C @ grad_C.transpose(0, 2, 1)
     residual = solver.conformal_residual(y, f)
     pullback = conformal_defect(G - solver.E.gram[:, :n, :n] - f, np.eye(n))[0]
     defect, trace_factor = conformal_defect(G - f, np.eye(n))
-    injectivity = _min_pair_distance(C)
+    injectivity = _injectivity(solver, C, y)
     return ConformalResult(FieldRq(C, grad_C), k, float(np.max(np.abs(residual))), residual,
                            float(np.max(np.abs(pullback))), float(np.max(np.abs(defect))),
                            defect, trace_factor, injectivity, injectivity > 0.0)
 
 
-def _min_pair_distance(X: np.ndarray, block: int = 256) -> float:
-    """Smallest distance between distinct rows of X [N, q].
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), u = 2^-53: the relative rounding bound of k
+    floating-point operations in sequence."""
+    u = np.finfo(float).eps / 2
+    return k * u / (1 - k * u)
 
-    Each block of rows is compared with itself and the rows after it, through
-    |a|^2 + |b|^2 - 2 a.b, so no N x N matrix is held.
+
+def _injectivity(solver: ConformalSolver, C: np.ndarray, y: np.ndarray) -> float:
+    """min over grid points x != x' of |C(x) - C(x')|, by the offset scan that
+    `assemble_C` derives.
+
+    Offsets come in increasing order of gap(d), hence of their lower bound
+    (1 - 2 gamma_(q+3)) gap(d) - 2 V - 4 eps_Psi.  Offset d pairs each x with
+    x + d through the rolled index grid.  After the first offset, the offsets
+    whose bound does not exceed the best distance are the ones left to scan.
+    When scanning them would cost more than one Gram pass over all pairs
+    (`_gram_min`), the pass takes over: on one BLAS thread a direct offset
+    measured about 2 ns per entry of its N x q differences and the pass about
+    4 ns per pair plus 0.05 ns per multiply-add, so the pass costs as much as
+    about N (1 / q + 1 / 80) offsets.
     """
-    sq = np.sum(X**2, axis=1)
-    best = np.inf
-    for i0 in range(0, len(X), block):
-        rows = X[i0:i0 + block]
-        d2 = sq[i0:i0 + block, None] + sq[None, i0:] - 2.0 * (rows @ X[i0:].T)
+    offsets, gaps, eps_psi, psi_norm = solver._offsets
+    grid, M = solver.grid, solver.M
+    q, m, u = C.shape[1], len(M), np.finfo(float).eps / 2
+    delta = m * (_GRAM_RTOL + _gamma(q) + _gamma(2 * m)) * float(np.max(np.abs(M)))
+    Y2 = float(np.max(np.einsum("nm,nm->n", y, y)))
+    V = ((1 + u) * (math.sqrt(solver.sup_norm(y) ** 2 + delta * Y2)
+                    + _gamma(m) * math.sqrt((np.trace(M) + delta) * Y2)) + u * psi_norm)
+    lower = (1 - 2 * _gamma(q + 3)) * gaps - 2 * V - 4 * eps_psi
+    index = np.arange(grid.N).reshape(grid.shape)
+    axes = tuple(range(solver.model.dim))
+
+    def scan(d):
+        shift = [-int(c) for c in np.unravel_index(d, grid.shape)]
+        return float(np.min(_distances(C, np.roll(index, shift, axis=axes).ravel())))
+
+    best = scan(offsets[0])
+    live = int(np.searchsorted(lower, best, side="right"))
+    if live * q > grid.N * (1 + q / 80):
+        return min(best, _gram_min(C))
+    for d, bound in zip(offsets[1:live], lower[1:live]):
+        if bound > best:
+            break
+        best = min(best, scan(d))
+    return best
+
+
+def _distances(A: np.ndarray, partner: np.ndarray, rows: np.ndarray | None = None):
+    """|A[partner[k]] - A[rows[k]]| for every k (rows 0, 1, ... by default), by
+    direct differences in chunks of 256 N / q pairs, so that each temporary is
+    no larger than a 256-row block of the N x N distance table."""
+    step = max(1, 256 * len(A) // A.shape[1])
+    out = np.empty(len(partner))
+    for k in range(0, len(partner), step):
+        D = A[partner[k:k + step]]
+        D -= A[k:k + step] if rows is None else A[rows[k:k + step]]
+        out[k:k + step] = np.einsum("ij,ij->i", D, D)
+    return np.sqrt(out, out=out)
+
+
+def _gram_min(C: np.ndarray, block: int = 256) -> float:
+    """min over i != j of |C_i - C_j| through the row-block Gram form.
+
+    Each block of rows meets itself and the rows after it in |a|^2 + |b|^2 -
+    2 a.b, one BLAS product per block.  The form is off by at most
+    E = 4 gamma_(q+3) max |C_i|^2 on any pair (the squares and the dot product
+    to gamma_q, two more roundings, and 2 |a||b| <= |a|^2 + |b|^2), so the
+    pair of the exact minimum lies within 2 E of the smallest form; only
+    those pairs are measured, by direct differences.
+    """
+    sq = np.einsum("nq,nq->n", C, C)
+    slack = 8 * _gamma(C.shape[1] + 3) * float(np.max(sq))
+    low, found = np.inf, []
+    for i0 in range(0, len(C), block):
+        d2 = C[i0:i0 + block] @ C[i0:].T     # formed in place: one [block, N] temporary
+        d2 *= -2.0
+        d2 += sq[i0:i0 + block, None]
+        d2 += sq[i0:]
         np.fill_diagonal(d2, np.inf)
-        best = min(best, float(np.min(d2)))
-    return float(np.sqrt(max(best, 0.0)))
+        least = float(np.min(d2))
+        if least <= low + slack:                # the block holds pairs near the least
+            low = min(low, least)
+            i, j = np.divmod(np.flatnonzero(d2 <= low + slack), d2.shape[1])
+            found.append((i0 + i, i0 + j, d2[i, j]))
+    i, j, d2 = (np.concatenate(parts) for parts in zip(*found))
+    near = d2 <= low + slack
+    return float(np.min(_distances(C, j[near], i[near])))

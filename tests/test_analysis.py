@@ -1,4 +1,6 @@
 """Norm surrogates and order fitting."""
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -133,6 +135,41 @@ def test_lattice_holder_matches_all_pairs(periods, r):
     radius = model.injectivity_surrogate / 2.0
     close = (d > 0) & (d <= radius * (1 + 1e-12))
     assert_allclose(got, np.max(diff[close] / d[close] ** alpha), rtol=1e-12)
+
+
+def lattice_holder_roll(values, model, r, radius, alpha):
+    """Oracle: the lattice quotient with one np.roll copy of the field per offset."""
+    n = model.dim
+    h = np.asarray(model.periods) / r
+    reach = radius * (1.0 + 1e-12)
+    field = values.reshape((r,) * n + values.shape[1:])
+    box = [np.arange(-int(reach / h_a), int(reach / h_a) + 1) for h_a in h]
+    best = 0.0
+    for o in itertools.product(*box):
+        nonzero = [x for x in o if x]
+        if not nonzero or nonzero[0] < 0:
+            continue
+        d = float(np.sqrt(np.sum((np.array(o) * h) ** 2)))
+        if d > reach:
+            continue
+        diff = np.max(np.abs(field - np.roll(field, o, axis=tuple(range(n)))))
+        best = max(best, float(diff) / d**alpha)
+    return best
+
+
+@pytest.mark.parametrize("periods, r, comps", [((TWO_PI, 3.1), 48, 4),
+                                               ((TWO_PI, 5.0, 4.2), 10, 3)],
+                         ids=["torus2-48", "torus3-10"])
+def test_lattice_holder_matches_roll_oracle(periods, r, comps):
+    """The slice views of the wrap-padded field give the np.roll quotient bit
+    for bit."""
+    model = geometry.ManifoldModel.flat_torus(periods)
+    radius = model.injectivity_surrogate / 2.0
+    rng = np.random.default_rng(r)
+    for alpha in (0.3, 0.5):
+        vals = rng.standard_normal((r ** len(periods), comps))
+        assert (analysis._lattice_holder(vals, model, r, radius, alpha)
+                == lattice_holder_roll(vals, model, r, radius, alpha))
 
 
 def test_lattice_path_needs_the_sample_lattice(circle):

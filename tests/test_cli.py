@@ -390,6 +390,18 @@ def test_malformed_config_values_exit_2(tmp_path, capsys):
         "torus_period_nan": ("spectrum", {"model": {"kind": "flat_torus", "params": {
             "periods": [float("nan"), 1.0]}}}),
         "resolution_past_float_range": ("defect-scan", {**scan, "resolution": 10**400}),
+        # finite parameters whose volume overflows or underflows
+        "sphere_radius_volume_overflow": ("gram", {"model": {
+            "kind": "sphere2", "params": {"radius": 1e300}}, "t_grid": [0.1]}),
+        "product_volume_overflow": ("gram", {"model": {
+            "kind": "product_sphere_circle", "params": {"radius": 1e154, "length": 1e300}},
+            "t_grid": [0.1]}),
+        "torus_volume_overflow": ("gram", {"model": {
+            "kind": "flat_torus", "params": {"periods": [1e200, 1e200]}}, "t_grid": [0.1]}),
+        "sphere_radius_volume_underflow": ("gram", {"model": {
+            "kind": "sphere2", "params": {"radius": 1e-200}}, "t_grid": [0.1]}),
+        "torus_volume_underflow": ("gram", {"model": {
+            "kind": "flat_torus", "params": {"periods": [1e-200, 1e-200]}}, "t_grid": [0.1]}),
         "verify_override_points_zero": (
             "verify", {"verify": {"criteria": ["rank_laws"],
                                   "overrides": {"rank_laws": {"points": 0}}}}),

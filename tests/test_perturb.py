@@ -5,7 +5,8 @@ The v-space Q(v, v) products and residual below (`quadratic_products_v`,
 coefficients y of v = P^T y, and its moment forms are checked against them.
 `verify_oracle` recomputes the residual and the pullback check of
 `assemble_C` from v and its FFT gradient on the grid (`SpectralGrid.grad`),
-as separate steps.
+as separate steps.  `min_pair_distance`, the row-block all-pairs scan, is the
+oracle of `assemble_C`'s offset-pruned injectivity.
 """
 import numpy as np
 import pytest
@@ -542,6 +543,22 @@ def test_solver_fetches_grid_jets_once(torus_embedding, monkeypatch):
     assert np.array_equal(built.psi, torus_embedding.jets(built.grid.points, deriv=0)[0].T)
 
 
+def min_pair_distance(X: np.ndarray, block: int = 256) -> float:
+    """Oracle: the smallest distance between distinct rows of X [N, q].
+
+    Each block of rows is compared with itself and the rows after it, through
+    |a|^2 + |b|^2 - 2 a.b, so no N x N matrix is held.
+    """
+    sq = np.sum(X**2, axis=1)
+    best = np.inf
+    for i0 in range(0, len(X), block):
+        rows = X[i0:i0 + block]
+        d2 = sq[i0:i0 + block, None] + sq[None, i0:] - 2.0 * (rows @ X[i0:].T)
+        np.fill_diagonal(d2, np.inf)
+        best = min(best, float(np.min(d2)))
+    return float(np.sqrt(max(best, 0.0)))
+
+
 def test_min_pair_distance_in_blocks():
     rng = np.random.default_rng(12)
     X = rng.standard_normal((300, 7))
@@ -550,7 +567,57 @@ def test_min_pair_distance_in_blocks():
     d = np.sqrt(np.sum(diff**2, axis=-1))
     np.fill_diagonal(d, np.inf)
     for block in (1, 7, 64, 256, 1000):
-        assert_allclose(perturb._min_pair_distance(X, block), d.min(), rtol=1e-6)
+        assert_allclose(min_pair_distance(X, block), d.min(), rtol=1e-6)
+
+
+@pytest.fixture(scope="module", params=[([TWO_PI, TWO_PI], 0.05, 48, 600),
+                                        ([TWO_PI, 3.1], 0.1, 24, 200),
+                                        ([TWO_PI] * 3, 0.2, 12, 200)],
+                ids=["torus2-N48", "torus2-3.1-N24", "torus3-N12"])
+def injectivity_case(request):
+    """A solver, its manufactured defect and the solved y at k = 0 and 0.001."""
+    periods, t, resolution, count = request.param
+    model = ManifoldModel.flat_torus(periods)
+    emb = build_embedding(analytic_spectrum(model, count=count), t, TruncationPolicy(rho=1.0))
+    built = perturb.ConformalSolver(emb, resolution=resolution, e=1.0)
+    f = perturb.manufactured_defect(built.grid.points, 1e-3, [1, 0])
+    ys = {k: fixed_point_solve(built, f, k=k, tol=1e-10)[1] for k in (0.0, 1e-3)}
+    return built, f, ys
+
+
+@pytest.mark.parametrize("scale", [1, 30, 300])
+@pytest.mark.parametrize("k", [0.0, 1e-3])
+def test_injectivity_matches_pair_oracle(injectivity_case, k, scale, monkeypatch):
+    """The offset scan's injectivity equals the all-pairs oracle to 1e-12
+    relative, for the solved y and for y scaled up until the bound prunes
+    nothing: the 3-torus at y x 300 takes the Gram pass, every y x 1 does not."""
+    built, f, ys = injectivity_case
+    if built.model.dim == 2 and built.grid.N == 48**2:
+        assert built.emb.q == 400
+    passes = []
+    gram_min = perturb._gram_min
+    monkeypatch.setattr(perturb, "_gram_min", lambda C: passes.append(1) or gram_min(C))
+    res = perturb.assemble_C(built, scale * ys[k], k, f)
+    assert_allclose(res.injectivity, min_pair_distance(res.C.values), rtol=1e-12)
+    if scale == 1:
+        assert not passes
+    if built.model.dim == 3 and scale == 300:
+        assert passes
+
+
+def test_gram_min_is_exact():
+    """The Gram pass measures its near-least pairs by direct differences: on
+    rows of norm 1e3 whose closest pairs lie 1e-3 apart, where the Gram form
+    alone is off by about 1e-3 relative, it returns the direct minimum."""
+    rng = np.random.default_rng(5)
+    X = 1e3 * rng.standard_normal((300, 7))
+    X[123] = X[45] + 1e-3 * np.eye(7)[0]
+    X[200] = X[17] + 1.0000001e-3 * np.eye(7)[1]
+    X[260] = X[261] + 1.0000002e-3 * np.eye(7)[2]
+    d = np.sqrt(np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=-1))
+    np.fill_diagonal(d, np.inf)
+    assert_allclose(perturb._gram_min(X), d.min(), rtol=1e-12)
+    assert_allclose(perturb._gram_min(X, block=7), d.min(), rtol=1e-12)
 
 
 def test_manufactured_defect(sgrid):
