@@ -60,15 +60,18 @@ class ManifoldModel:
             if not (0 < self.radius < math.inf and 0 < self.length < math.inf):
                 raise ConfigError("product needs positive finite radius and length")
         # finite parameters can still overflow or underflow: the square of a
-        # radius of 1e300 or 1e-200
+        # radius of 1e300 or 1e-200, or the eigenvalue scale (2 pi)^2 /
+        # volume^(2/n) of a circle of length 1e-320 or 1e200
         try:
-            with np.errstate(over="ignore", under="ignore"):
+            with np.errstate(over="ignore", under="ignore", divide="ignore"):
                 volume = float(self.volume)
+                scale = (2.0 * np.pi) ** 2 / np.float64(volume) ** (2.0 / self.dim)
         except OverflowError:
-            volume = math.inf
-        if not 0 < volume < math.inf:
-            raise ConfigError(f"{self.kind} volume {volume:g} is not positive and finite: "
-                              "its parameters overflow or underflow")
+            volume = scale = math.inf
+        if not (0 < volume < math.inf and 0 < scale < math.inf):
+            raise ConfigError(f"{self.kind} volume {volume:g} or its eigenvalue scale (2 pi)^2 "
+                              f"/ volume^(2/n) = {scale:g} is not positive and finite: its "
+                              "parameters overflow or underflow")
 
     @classmethod
     def flat_torus(cls, periods) -> "ManifoldModel":

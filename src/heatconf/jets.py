@@ -15,8 +15,8 @@ P w = (0, identity).  E = P^T (P P^T)^{-1} is the minimum-norm right inverse;
 it is never materialized as a q x m matrix.  PointwiseRightInverse builds P
 and its Gram over a point set and applies E pointwise; a single point is a
 batch of one.  On flat tori the fixed-point solver applies E through the
-constant Gram instead (see `perturb`): there P P^T is one matrix, which the
-solver checks against this batched Gram.
+constant Gram and never forms P: each row is the embedding's complex cos/sin
+pairs times a constant symbol (see `perturb`; the tests pin it to this class).
 """
 from __future__ import annotations
 
@@ -41,8 +41,8 @@ def pack_symmetric(h: np.ndarray) -> np.ndarray:
 
 
 def _jet_rows(emb, points: np.ndarray):
-    """The embedding's values [N, q] and the batched P matrices [N, m, q] in
-    the orthonormal frame, from one jet call.
+    """The batched P matrices [N, m, q] in the orthonormal frame, from one
+    jet call.
 
     The frame is diagonal in the chart (basis convention), so each row is its
     chart derivative scaled per point: d_a / sqrt(g_aa) for a gradient row and
@@ -53,7 +53,7 @@ def _jet_rows(emb, points: np.ndarray):
     points = np.asarray(points, dtype=float)
     model = emb.model
     n = model.dim
-    vals, grads, hess = emb.jets(points)                  # [q, N], [q, N, n], [q, N, n, n]
+    grads, hess = emb.jets(points)[1:]                    # [q, N, n], [q, N, n, n]
     metric = geometry.metric_on_grid(model, points)
     gamma = metric.christoffel                            # [N, k, i, j]
     fr = np.einsum("nii->ni", metric.frame)               # [N, n]
@@ -67,7 +67,7 @@ def _jet_rows(emb, points: np.ndarray):
         for k in np.flatnonzero(np.any(gamma[:, :, a, b] != 0, axis=0)):
             row = row - gamma[:, k, a, b] * grads[:, :, k]
         P[:, n + idx] = (row * (fr[:, a] * fr[:, b])).T
-    return vals.T, P
+    return P
 
 
 def trace_free_rows(P: np.ndarray, n: int) -> np.ndarray:
@@ -124,16 +124,14 @@ def block_inverse(A1: np.ndarray, A2: np.ndarray, b: np.ndarray) -> np.ndarray:
 class PointwiseRightInverse:
     """Batched E over a point set: builds every P(u)(x) and its Gram once.
 
-    The jet call behind P also gives the embedding's values on the points,
-    kept as `values` [N, q].  Each apply solves all Gram systems with one
-    batched np.linalg.solve.
+    Each apply solves all Gram systems with one batched np.linalg.solve.
     """
 
     def __init__(self, emb, points: np.ndarray):
         self.emb = emb
         self.n = emb.model.dim
         self.points = np.asarray(points, dtype=float)
-        self.values, self.P = _jet_rows(emb, self.points)   # [N, q], [N, m, q]
+        self.P = _jet_rows(emb, self.points)            # [N, m, q]
         self.gram = self.P @ self.P.transpose(0, 2, 1)  # [N, m, m]
 
     def apply(self, rhs: np.ndarray) -> np.ndarray:

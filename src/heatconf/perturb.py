@@ -22,16 +22,22 @@ The sign of X and the -e/2 term in L are fixed by the requirement that
 embedding equation to rounding.
 
 E = P^T (P P^T)^{-1}, so every iterate is v = P^T y with coefficients y in
-R^m, m = n + n(n+1)/2.  On a flat torus with closed shells the Gram M = P P^T
-is one constant matrix (the solver checks it against the batched Gram at
-every grid point), and the solver iterates on y [N, m]:
+R^m, m = n + n(n+1)/2.  P itself is never formed.  Every embedding mode is
+one half of a cos/sin pair whose two modes carry one weight (`jet_moments`
+refuses any other block), so each pair, read as one complex number, is the
+mode psi_kappa = w a exp(i kappa . x) (`LatticeSpectrum.pair_kappas`), and
+D^alpha psi_kappa = (i kappa)^alpha psi_kappa.  Row r of P is psi [N, q/2]
+times the constant symbol S[r, kappa] = (i kappa)^alpha_r: P^T y = psi (y S),
+and the jet Gram at x is |psi(x)|^2 T with T[kappa, (r, s)] =
+Re((i kappa)^alpha_r conj((i kappa)^alpha_s)).  On a flat torus with closed
+shells it is one constant matrix M = P P^T (the solver checks this at every
+grid point, from one deriv-0 jet call), and the solver iterates on y [N, m]:
 
     y_{l+1} = M^{-1} (0, -f/2 + k g) + M^{-1} (X, B)(P^T y_l).
 
 Pointwise |P^T z|^2 = z^T M z, which gives the step norm, the iterate bound,
 the smallness surrogate and the family bounds.  By the product rule
-D^d (P^T y) = sum_{c <= d} binom(d, c) (D^{d-c} P)^T D^c y, and a cos/sin pair
-sums w^2 D^a phi D^b phi to Re(i^{|a|-|b|}) w^2 kappa^{a+b} at every x.  So
+D^d (P^T y) = sum_{c <= d} binom(d, c) (D^{d-c} P)^T D^c y, so
 K = sum_j F_j F_j^T (F_j = [grad v_j, Hess v_j]) is a quadratic form in the
 channels (y, grad y, Hess y), and the residual's cross term
 sum_j grad u_j (x) grad v_j is linear in (y, grad y).  Their coefficients are
@@ -49,30 +55,15 @@ This equals the dealiased products of v itself to rounding while v = P^T y
 lies in the open band.
 
 `assemble_C` is the one per-k pass after a solve: it forms the immersion
-C = Psi + v, v = P^T y, and its gradient, and from the one pullback
-G = grad C grad C^T the moment residual, the independent pullback check, the
-trace-free defect and the injectivity.  Every embedding mode is one half of a
-cos/sin pair whose two modes carry one weight (`jet_moments` refuses any other
-block), so d_i (w_j D^a phi_j) = sigma_j kappa_(j,i) w_p(j) D^a phi_p(j), p(j)
-the pair partner and sigma = -1 for cos, +1 for sin
-(`LatticeSpectrum.pair_partners`).  Applied to Psi and to every row of P this
-gives grad C_j = sigma_j kappa_j C_p(j) + (P^T grad y)_j, with grad y from the
-same coarse channel samples as the moment residual: no array of q components
-is transformed.
-
-The same pair weights make the injectivity cheap.  Psi(x + d) is Psi(x)
-rotated by kappa . d in each cos/sin pair plane, so |Psi(x) - Psi(x + d)| =
-gap(d) depends on the grid offset d alone, and one row of Psi gives the table
-(`ConformalSolver._offsets`).  Every pair at offset d of C = Psi + v lies at
-least gap(d) - 2 sup|v| apart, with sup|v| = `sup_norm(y)`.  The scan takes
-the offsets in increasing order of that bound, the min over x of each by
-direct differences, and stops once the next bound exceeds the best distance
-plus a rounding margin that covers the rounding of the jet phases and the
-1e-12 gap between the jet Gram and M that the set-up allows (derived in
-`assemble_C`).  The result is the exact minimum over all pairs; on the
-2-torus at N = 48^2 it scans 2 of 1153 offsets.  Where the bound prunes
-little, one row-block Gram pass over all pairs, with its near-least pairs
-measured by direct differences, takes over.
+C = Psi + v = psi (1 + y S) and its gradient grad_i C = i kappa_i C +
+psi (d_i y S), and from the one pullback G = grad C grad C^T the moment
+residual, the independent pullback check, the trace-free defect and the
+injectivity.  No array of q components is transformed, and no per-point array
+holds m rows of q components.  The injectivity is exact and cheap: the pair
+weights make |Psi(x) - Psi(x + d)| = gap(d) depend on the grid offset d
+alone, every pair at offset d lies at least gap(d) - 2 sup|v| apart, and a
+scan of the offsets by that bound stops after a few (2 of 1153 on the 2-torus
+at N = 48^2; see `assemble_C`).
 """
 from __future__ import annotations
 
@@ -94,7 +85,7 @@ _GRAM_RTOL = 1e-12
 
 
 class SpectralGrid:
-    """Uniform FFT grid on a flat torus with exact derivative and resolvent ops.
+    """Uniform FFT grid on a flat torus with the exact resolvent and 3/2-rule products.
 
     Fields are arrays whose first axis is the flattened grid; any trailing
     component axes broadcast through the spectral operations.  Spectra are
@@ -155,13 +146,6 @@ class SpectralGrid:
         return arr.reshape((self.N,) + spec.shape[n:])
 
     # -- exact spectral calculus --------------------------------------------
-
-    def grad(self, values: np.ndarray) -> np.ndarray:
-        """[N, ...] -> [N, ..., n].  No production path calls it: it is the
-        FFT-gradient reference that the tests compare against."""
-        # the band spectrum is a temporary: it is freed before the inverse transform
-        return self.from_spec(self.to_spec(values)[..., None]
-                              * self._bcast(1j * self.kvecs, values.ndim - 1))
 
     def resolvent(self, values: np.ndarray, e: float) -> np.ndarray:
         """(Delta - e)^{-1}: spectral coefficient c_lam -> c_lam / (-lam - e)."""
@@ -320,12 +304,13 @@ def manufactured_defect(points: np.ndarray, epsilon: float, f_mode) -> np.ndarra
 
 class ConformalSolver:
     """The one handle of a flat-torus solve: the embedding (and its t), the
-    spectral shift e, the spectral grid, the right inverse E on it, the
-    embedding Psi on the grid [N, q] from the jet call behind P, the cos/sin
-    pair partners of its modes, and the constant Gram M with the moment forms
-    of the y iteration.  The gradient rows of P are grad u (the frame of a
-    flat torus is the identity), so the Gram's leading n x n block is the
-    pullback of Psi."""
+    spectral shift e, the spectral grid, the embedding on it as cos/sin pairs
+    psi [N, q/2] (complex; `psi.view(float)` is Psi [N, q]), the wave vector
+    of each pair and the symbols S [m, q/2] of the rows of P, the jet Gram
+    [N, m, m], and the constant Gram M with the moment forms of the y
+    iteration.  The gradient rows of P are grad u (the frame of a flat torus
+    is the identity), so the jet Gram's leading n x n block is the pullback of
+    Psi."""
 
     def __init__(self, emb, resolution: int | None = None, e: float = 1.0):
         self.emb = emb
@@ -342,19 +327,25 @@ class ConformalSolver:
                                     "of an analytic torus spectrum")
         mom = emb.provider.jet_moments(1, emb.weights, 8)
         self.M, self._q_form, self._cross_form, self._quad_form = _moment_forms(mom, n, e)
-        # the deriv-2 jets, P, the Gram and Psi of the set-up and the C = Psi + v
-        # with its gradient of each assemble_C, as if all were held at once
+        # Psi, |psi|^2 and the jet Gram of the set-up, and C, grad C and one
+        # [N, q] temporary of each assemble_C, as if all were held at once
         m, N, q = len(self.M), self.grid.N, emb.q
-        geometry.check_memory(8 * N * (q * ((1 + n + n * n) + m + 1 + (1 + n)) + m * m),
-                              f"the solver (jets, P, Gram, Psi and C at q = {q}, N = {N})")
-        self.E = jets.PointwiseRightInverse(emb, self.grid.points)
-        gap = float(np.max(np.abs(self.E.gram - self.M)))
+        geometry.check_memory(8 * N * (q * (3 + n) + q // 2 + m * m),
+                              f"the solver (Psi, its Gram and C at q = {q}, N = {N})")
+        self._kappa = emb.provider.pair_kappas(1, emb.q + 1)             # [V, n]
+        # the row symbols (i kappa)^alpha_r of P, [m, V]
+        self._S = np.prod((1j * self._kappa.T) ** _row_exponents(n)[:, :, None], axis=1)
+        # [N, V] from the values [q, N]: pair i is columns 2i (cos), 2i + 1 (sin)
+        self.psi = np.ascontiguousarray(
+            emb.jets(self.grid.points, deriv=0)[0].T).view(complex)
+        pairs = self.psi.view(float).reshape(N, -1, 2)
+        T = (self._S[:, None] * self._S.conj()).real.reshape(m * m, -1)   # [m m, V]
+        self.gram = (np.einsum("nvc,nvc->nv", pairs, pairs) @ T.T).reshape(N, m, m)
+        gap = float(np.max(np.abs(self.gram - self.M)))
         if gap > _GRAM_RTOL * float(np.max(np.abs(self.M))):
             raise PreconditionError(
                 f"the jet Gram is not constant on the grid: it differs from the moment "
                 f"Gram by {gap:.3g}")
-        self.psi = self.E.values                                         # [N, q]
-        self._partner, self._sk = emb.provider.pair_partners(1, emb.q + 1)
         # channel symbols (i k)^gamma on the band, [c, *spec]
         ik = 1j * np.moveaxis(self.grid.kvecs, -1, 0)
         gammas = _channel_exponents(n).reshape((-1, n) + (1,) * n)
@@ -372,9 +363,10 @@ class ConformalSolver:
         neg = np.ravel_multi_index(tuple(-c % grid.resolution for c in
                                          np.unravel_index(flat, grid.shape)), grid.shape)
         offsets = np.flatnonzero(flat <= neg)[1:]
-        gaps = _distances(self.psi, np.zeros_like(offsets), offsets)
+        psi = self.psi.view(float)
+        gaps = _distances(psi, np.zeros_like(offsets), offsets)
         order = np.argsort(gaps, kind="stable")
-        norm2 = float(self.psi[0] @ self.psi[0])
+        norm2 = float(psi[0] @ psi[0])
         L2 = np.asarray(self.model.periods) ** 2
         eps_psi = (np.finfo(float).eps / 2) * math.sqrt(
             72 * n * float(L2 @ np.diag(self.M)[:n]) + 392 * n * n * norm2)
@@ -391,6 +383,12 @@ class ConformalSolver:
         spec = np.fft.rfftn(y.T.reshape((-1,) + self.grid.shape),
                             axes=range(1, self.model.dim + 1))
         return spec[:, None] * self._sym
+
+    def image(self, z: np.ndarray) -> np.ndarray:
+        """P^T z [N, q] of coefficients z [N, m]: psi (z S) per cos/sin pair."""
+        v = (z @ self._S.view(float)).view(complex)
+        v *= self.psi
+        return v.view(float)
 
     def sup_norm(self, z: np.ndarray) -> float:
         """sup_x |P^T z| = sup_x sqrt(z^T M z) of coefficients z [N, m]."""
@@ -534,21 +532,17 @@ def assemble_C(solver: ConformalSolver, y: np.ndarray, k: float,
                f: np.ndarray) -> ConformalResult:
     """The conformal immersion C = Psi + v of a k-solve, with its checks.
 
-    C = Psi + P^T y [N, q] is formed once.  Its gradient [N, n, q] comes from
-    the cos/sin pair identity: the modes of one lattice vector kappa carry
-    one weight (the precondition that `jet_moments` checks at set-up), so
-    d_i Psi_j = sigma_j kappa_(j,i) Psi_p(j) and d_i P_(r,j) = sigma_j
-    kappa_(j,i) P_(r,p(j)) for the pair partner p(j), sigma = -1 for cos and
-    +1 for sin.  With the product rule,
-        grad C_j = sigma_j kappa_j C_p(j) + (P^T grad y)_j,
-    where grad y comes from the coarse channel samples that the moment
-    residual reads.  From the one pullback G = grad C grad C^T it reports (tf
-    the trace-free part): the solver's moment residual of y with its field;
-    the pullback residual tf(G - G_u - f), G_u the pullback of Psi, which is
-    the independent check that v does what the equation promises; the defect
-    tf(G - f) with its trace factor, compensated by the manufactured f so that
-    it measures the solve rather than the injected defect; and the injectivity,
-    the smallest distance between grid points of C.
+    C = psi (1 + y S) and grad_i C = i kappa_i C + psi (d_i y S) are formed
+    once on the cos/sin pairs (see the module docstring), with d_i y from the
+    coarse channel samples that the moment residual reads; `.view(float)`
+    gives C [N, q] and grad C [N, n, q].  From the one pullback
+    G = grad C grad C^T it reports (tf the trace-free part): the solver's
+    moment residual of y with its field; the pullback residual tf(G - G_u - f),
+    G_u the pullback of Psi, which is the independent check that v does what
+    the equation promises; the defect tf(G - f) with its trace factor,
+    compensated by the manufactured f so that it measures the solve rather
+    than the injected defect; and the injectivity, the smallest distance
+    between grid points of C.
 
     The injectivity is the exact minimum over all pairs, found by scanning a
     few grid offsets d.  The identity: the same pair weights make Psi(x + d)
@@ -573,14 +567,21 @@ def assemble_C(solver: ConformalSolver, y: np.ndarray, k: float,
       at most sqrt(s_kappa) u (6 sum_a |kappa_a| L_a + 14 n), and by
       Cauchy-Schwarz eps_Psi^2 = u^2 (72 n sum_a L_a^2 M_aa + 392 n^2 |Psi|^2),
       where M_aa = sum_kappa s_kappa kappa_a^2 and |Psi|^2 = sum_kappa s_kappa.
-    - V bounds sup |C~ - Psi~|, the v that the stored C holds.  The set-up
-      admits a jet Gram G(x) = P P^T within 1e-12 max|M| of M entrywise, and
-      `sup_norm` rounds y^T M y by gamma_2m m max|M| |y|^2, so with
-      delta = m (1e-12 + gamma_q + gamma_2m) max|M| and Y = sup |y|,
-      |P^T y|^2 <= sup_norm(y)^2 + delta Y^2.  Forming P^T y adds
-      gamma_m |P|_F |y| (|P|_F^2 = tr G <= tr M + delta) and adding Psi u |C|:
-      V = (1 + u) (sqrt(sup_norm(y)^2 + delta Y^2)
-                   + gamma_m sqrt(tr M + delta) Y) + u |Psi|.
+    - V bounds sup |C~ - Psi~|, the v that the stored C holds.  With z = y S,
+      |psi z|^2 = y^T G(x) y, G(x) = sum_kappa |psi_kappa|^2 T_kappa.  The
+      set-up admits a computed G within 1e-12 max|M| of M entrywise; its
+      rounding (|psi|^2, times T, a sum over V = q/2 pairs whose absolute
+      terms sum to at most max diag G) is gamma_(V+3) max|M|, and `sup_norm`
+      rounds y^T M y by gamma_2m m max|M| |y|^2, so with delta = m (1e-12 +
+      gamma_(V+3) + gamma_2m) max|M| and Y = sup |y|, |psi z|^2 <=
+      sup_norm(y)^2 + delta Y^2.  Each symbol is real or imaginary and z is
+      the real product of y with the (re, im) columns of S, so z_kappa is off
+      by at most gamma_m |y| |S_kappa|, and psi z by gamma_m |y| sqrt(tr G) <=
+      gamma_m sqrt(tr M + delta) Y.  Adding 1 (u |1 + z~|) and the complex
+      product (sqrt(5) u |psi| |1 + z~|) add at most 4 u |psi (1 + z~)| <=
+      4 u (|Psi| + |psi z~|).  So
+      V = (1 + 4 u) (sqrt(sup_norm(y)^2 + delta Y^2)
+                     + gamma_m sqrt(tr M + delta) Y) + 4 u |Psi|.
     - A distance computed by direct differences is within gamma_(q+3) of the
       exact one, relatively; this counts once for gap(d) and once for the pair.
     Then |C~(x) - C~(x + d)| >= |Psi~(x) - Psi~(x + d)| - 2 V
@@ -589,19 +590,24 @@ def assemble_C(solver: ConformalSolver, y: np.ndarray, k: float,
     (1 - 2 gamma_(q+3)) gap(d) - 2 V - 4 eps_Psi, which is the bound minus the
     margin.
     """
-    n = solver.model.dim
-    P = solver.E.P
-    C = np.einsum("nmq,nm->nq", P, y)                          # v
-    C += solver.psi
+    n, psi = solver.model.dim, solver.psi
+    S = solver._S.view(float)                  # (re, im) columns: real products
+    C = (y @ S).view(complex)
+    C += 1.0
+    C *= psi                                                   # psi (1 + y S), [N, V]
     dy = solver._coarse_channels(y).reshape(len(solver.M), 1 + n, -1)[:, 1:]
-    grad_C = np.ascontiguousarray(dy.transpose(2, 1, 0)) @ P  # P^T grad y, [N, n, q]
-    C_p = C[:, solver._partner]
+    grad_C = np.empty((len(C), n, C.shape[1]), dtype=complex)
+    ik_C = np.empty_like(C)
     for i in range(n):
-        grad_C[:, i] += solver._sk[:, i] * C_p
-    del C_p
+        np.matmul(dy[:, i].T, S, out=grad_C[:, i].view(float))  # d_i y S
+        grad_C[:, i] *= psi
+        np.multiply(C, 1j * solver._kappa[:, i], out=ik_C)
+        grad_C[:, i] += ik_C
+    del ik_C
+    C, grad_C = C.view(float), grad_C.view(float)              # [N, q], [N, n, q]
     G = grad_C @ grad_C.transpose(0, 2, 1)
     residual = solver.conformal_residual(y, f)
-    pullback = conformal_defect(G - solver.E.gram[:, :n, :n] - f, np.eye(n))[0]
+    pullback = conformal_defect(G - solver.gram[:, :n, :n] - f, np.eye(n))[0]
     defect, trace_factor = conformal_defect(G - f, np.eye(n))
     injectivity = _injectivity(solver, C, y)
     return ConformalResult(FieldRq(C, grad_C), k, float(np.max(np.abs(residual))), residual,
@@ -633,10 +639,10 @@ def _injectivity(solver: ConformalSolver, C: np.ndarray, y: np.ndarray) -> float
     offsets, gaps, eps_psi, psi_norm = solver._offsets
     grid, M = solver.grid, solver.M
     q, m, u = C.shape[1], len(M), np.finfo(float).eps / 2
-    delta = m * (_GRAM_RTOL + _gamma(q) + _gamma(2 * m)) * float(np.max(np.abs(M)))
+    delta = m * (_GRAM_RTOL + _gamma(q // 2 + 3) + _gamma(2 * m)) * float(np.max(np.abs(M)))
     Y2 = float(np.max(np.einsum("nm,nm->n", y, y)))
-    V = ((1 + u) * (math.sqrt(solver.sup_norm(y) ** 2 + delta * Y2)
-                    + _gamma(m) * math.sqrt((np.trace(M) + delta) * Y2)) + u * psi_norm)
+    V = ((1 + 4 * u) * (math.sqrt(solver.sup_norm(y) ** 2 + delta * Y2)
+                        + _gamma(m) * math.sqrt((np.trace(M) + delta) * Y2)) + 4 * u * psi_norm)
     lower = (1 - 2 * _gamma(q + 3)) * gaps - 2 * V - 4 * eps_psi
     index = np.arange(grid.N).reshape(grid.shape)
     axes = tuple(range(solver.model.dim))

@@ -183,8 +183,8 @@ class LatticeSpectrum(AnalyticSpectrum):
     and gathers the value (c or s) and the derivative factor (-s or c) onto
     the modes.  `gradient_gram` needs no jets: the Gram sum of a cos/sin pair
     is a closed form in kappa, constant in x when the pair's weights agree.
-    `jet_moments` gives every such pair sum of derivatives, and
-    `pair_partners` the derivative of each mode as its partner's value.
+    `jet_moments` gives every such pair sum of derivatives, and `pair_kappas`
+    the wave vector of each pair, so that a pair is one complex mode.
     """
 
     def _init_lattice(self, unit, volume: float):
@@ -293,24 +293,17 @@ class LatticeSpectrum(AnalyticSpectrum):
                 f"mode block [{j0}, {j1}) splits a cos/sin pair; its jet sums vary in x")
         return parity
 
-    def pair_partners(self, j0, j1):
-        """Each mode's cos/sin partner in the block [j0, j1) and its signed wave vector.
-
-        Returns (p [j1 - j0], sk [j1 - j0, n]), p counted from j0, such that
-        d_i phi_j = sk[j, i] phi_p(j) at every x: the cos and sin modes of
-        kappa share one amplitude, d_i cos(kappa . x) = -kappa_i sin(kappa . x)
-        and d_i sin(kappa . x) = kappa_i cos(kappa . x), so sk = sigma kappa
-        with sigma = -1 for cos and +1 for sin.  The constant mode is its own
-        partner with sk = 0.  Applied to weighted modes w_j phi_j the identity
-        needs the pair's two weights to agree, which `jet_moments` checks.  A
-        block that splits a pair raises PreconditionError.
-        """
+    def pair_kappas(self, j0, j1):
+        """The wave vector kappa [(j1 - j0) / 2, n] of each cos/sin pair of the
+        block [j0, j1), whose modes must run cos, sin, cos, sin, ...: read as
+        complex pairs, the weighted modes are w a exp(i kappa . x) when each
+        pair has one weight (`jet_moments` checks it).  A block that splits a
+        pair or holds the constant mode raises PreconditionError."""
         parity = self._whole_pairs(j0, j1)
-        idx = np.arange(j1 - j0)
-        live = self._kappa[j0:j1].any(axis=1)
-        partner = np.where(live, np.where(parity == COS, idx + 1, idx - 1), idx)
-        sigma = np.where(parity == COS, -1.0, 1.0)
-        return partner, sigma[:, None] * self._kappa[j0:j1]
+        if parity.size % 2 or np.any(parity[0::2] != COS) or np.any(parity[1::2] != SIN):
+            raise PreconditionError(f"mode block [{j0}, {j1}) is not a run of cos/sin "
+                                    "pairs")
+        return self._kappa[j0:j1:2]
 
     def jet_moments(self, j0, weights, order):
         """Weighted lattice moments behind every pair sum of the block's jets.

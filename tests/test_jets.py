@@ -344,6 +344,6 @@ def test_jet_rows_match_generic_formula(kind):
     prov = analytic_spectrum(model, count=90)
     emb = build_embedding(prov, 0.1, TruncationPolicy(q_override=60))
     want = jet_rows_oracle(emb, pts)
-    _, got = jets._jet_rows(emb, pts)
+    got = jets._jet_rows(emb, pts)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -512,27 +512,30 @@ def test_jet_moments_reject_split_pairs(torus_spec):
 @pytest.mark.parametrize("periods", [[TWO_PI, TWO_PI], [TWO_PI, 3.1],
                                      [TWO_PI, TWO_PI, TWO_PI], [TWO_PI]],
                          ids=["torus2", "torus2-3.1", "torus3", "circle"])
-def test_pair_partners_give_the_gradients(periods):
-    """d_a phi_j = sk[j, a] phi_p(j) matches jet_block's gradients, on blocks
-    with and without the constant mode; a block that splits a pair raises."""
+def test_pair_kappas_give_the_gradients(periods):
+    """Read as complex numbers, the (cos, sin) rows of jet_block are the modes
+    a exp(i kappa . x), and d_a of each is i kappa_a times it: the gradients
+    match to 1e-13 for kappa from pair_kappas.  A block that holds the constant
+    mode or splits a pair raises."""
     n = len(periods)
     model = (ManifoldModel.circle(TWO_PI) if n == 1
              else ManifoldModel.flat_torus(periods))
     prov = analytic_spectrum(model, count={1: 30, 2: 300, 3: 120}[n])
     j1 = prov.count - (prov._parity[prov.count - 1] == spectrum.COS)   # whole pairs
     pts = np.random.default_rng(6).uniform(0.0, 1.0, (9, n)) * np.asarray(periods)
-    for j0 in (0, 1):
-        partner, sk = prov.pair_partners(j0, j1)
-        assert partner.shape == (j1 - j0,) and sk.shape == (j1 - j0, n)
-        vals, grads, _ = prov.jet_block(j0, j1, pts, deriv=1)
-        scale = np.max(np.abs(grads))
-        assert np.max(np.abs(grads - sk[:, None, :] * vals[partner][:, :, None])) \
-            <= 1e-13 * scale
-    assert partner[0] == 1 and partner[1] == 0 and (sk[0] == -sk[1]).all()
+    kappa = prov.pair_kappas(1, j1)
+    assert kappa.shape == ((j1 - 1) // 2, n)
+    vals, grads, _ = prov.jet_block(1, j1, pts, deriv=1)
+    psi = np.ascontiguousarray(vals.T).view(complex)                    # [N, V]
+    dpsi = np.ascontiguousarray(grads.transpose(1, 2, 0)).view(complex)  # [N, n, V]
+    assert np.max(np.abs(dpsi - 1j * kappa.T * psi[:, None])) <= 1e-13 * np.max(np.abs(dpsi))
+    assert_allclose(np.abs(psi), prov._amp[1], rtol=1e-15)
+    with pytest.raises(PreconditionError, match="not a run of cos/sin pairs"):
+        prov.pair_kappas(0, j1)
     with pytest.raises(PreconditionError, match="splits a cos/sin pair"):
-        prov.pair_partners(2, j1)
+        prov.pair_kappas(2, j1)
     with pytest.raises(PreconditionError, match="splits a cos/sin pair"):
-        prov.pair_partners(1, j1 - 1)
+        prov.pair_kappas(1, j1 - 1)
 
 
 @pytest.mark.parametrize("kind, lambda_max, what", [
