@@ -11,7 +11,6 @@ never asserted as equalities (the underlying estimates are one-sided).
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,9 +67,10 @@ def _lattice_holder(values: np.ndarray, model: ManifoldModel, r: int, radius: fl
     Each pair is a lattice offset o; one of o and -o is taken and the field
     is compared with itself shifted by it.  The field is wrap-padded once by
     the offset box's reach on each axis, so every shifted copy is a slice
-    view of the padded one.  The offset length |o_a L_a / r| decides
-    membership, with 1e-12 relative slack so that pairs lying on the radius
-    count whatever their rounding.
+    view of the padded one.  The offsets kept and their lengths are built as
+    one table, and every difference goes through one buffer.  The offset
+    length |o_a L_a / r| decides membership, with 1e-12 relative slack so
+    that pairs lying on the radius count whatever their rounding.
     """
     n = model.dim
     h = np.asarray(model.periods) / r
@@ -79,18 +79,18 @@ def _lattice_holder(values: np.ndarray, model: ManifoldModel, r: int, radius: fl
     wide = [int(reach / h_a) for h_a in h]
     padded = np.pad(field, [(w, w) for w in wide] + [(0, 0)] * (field.ndim - n),
                     mode="wrap")
+    box = np.stack(np.meshgrid(*(np.arange(-w, w + 1) for w in wide), indexing="ij"),
+                   axis=-1).reshape(-1, n)
+    lead = box[np.arange(len(box)), np.argmax(box != 0, axis=1)]  # first nonzero entry
+    dist = np.sqrt(np.sum((box * h) ** 2, axis=1))
+    keep = (lead > 0) & (dist <= reach)         # o = 0 and the -o of a kept o drop out
+    diff = np.empty_like(field)
     best = 0.0
-    for o in itertools.product(*(range(-w, w + 1) for w in wide)):
-        nonzero = [x for x in o if x]
-        if not nonzero or nonzero[0] < 0:          # o = 0, or -o stands for it
-            continue
-        d = float(np.sqrt(np.sum((np.array(o) * h) ** 2)))
-        if d > reach:
-            continue
+    for o, d in zip(box[keep].tolist(), dist[keep].tolist()):
         # field shifted by o, as np.roll(field, o) would give it
         shifted = padded[tuple(slice(w - o_a, w - o_a + r) for w, o_a in zip(wide, o))]
-        diff = np.max(np.abs(field - shifted))
-        best = max(best, float(diff) / d**alpha)
+        np.subtract(field, shifted, out=diff)
+        best = max(best, float(np.max(np.abs(diff, out=diff))) / d**alpha)
     return best
 
 

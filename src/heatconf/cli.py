@@ -252,17 +252,12 @@ def load_config(path, seed_override=None) -> RunConfig:
 
 
 def _report(out_dir: Path, command: str, cfg: RunConfig, results: dict) -> Path:
-    # scipy is read only for this version stamp; importing it here, after the
-    # command's arrays are freed, keeps its 1.3 MB off the peak RSS of a run
-    import scipy
-
     report = {
         "command": command,
         "config": cfg.raw,
         "versions": {
             "heatconf": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
         "basis_conventions": BASIS_CONVENTIONS,

@@ -56,14 +56,15 @@ lies in the open band.
 
 `assemble_C` is the one per-k pass after a solve: it forms the immersion
 C = Psi + v = psi (1 + y S) and its gradient grad_i C = i kappa_i C +
-psi (d_i y S), and from the one pullback G = grad C grad C^T the moment
-residual, the independent pullback check, the trace-free defect and the
-injectivity.  No array of q components is transformed, and no per-point array
-holds m rows of q components.  The injectivity is exact and cheap: the pair
-weights make |Psi(x) - Psi(x + d)| = gap(d) depend on the grid offset d
-alone, every pair at offset d lies at least gap(d) - 2 sup|v| apart, and a
-scan of the offsets by that bound stops after a few (2 of 1153 on the 2-torus
-at N = 48^2; see `assemble_C`).
+psi (d_i y S) one block of grid points at a time, keeping C and the pullback
+G = grad C grad C^T of each block, and from G the moment residual, the
+independent pullback check, the trace-free defect and the injectivity.  No
+array of q components is transformed, no per-point array holds m rows of q
+components, and grad C is held one block at a time.  The injectivity is exact
+and cheap: the pair weights make |Psi(x) - Psi(x + d)| = gap(d) depend on the
+grid offset d alone, every pair at offset d lies at least gap(d) - 2 sup|v|
+apart, and a scan of the offsets by that bound stops after a few (2 of 1153
+on the 2-torus at N = 48^2; see `assemble_C`).
 """
 from __future__ import annotations
 
@@ -190,11 +191,9 @@ class SpectralGrid:
 @dataclass(frozen=True)
 class FieldRq:
     """R^q-valued field on a spectral grid, the type of `assemble_C`'s C:
-    samples [N, q] and their gradient [N, n, q], row i the derivative along
-    x_i."""
+    samples [N, q]."""
 
     values: np.ndarray
-    grad: np.ndarray
 
 
 def _row_exponents(n: int) -> np.ndarray:
@@ -327,10 +326,10 @@ class ConformalSolver:
                                     "of an analytic torus spectrum")
         mom = emb.provider.jet_moments(1, emb.weights, 8)
         self.M, self._q_form, self._cross_form, self._quad_form = _moment_forms(mom, n, e)
-        # Psi, |psi|^2 and the jet Gram of the set-up, and C, grad C and one
-        # [N, q] temporary of each assemble_C, as if all were held at once
+        # Psi, |psi|^2 and the jet Gram of the set-up, and the C of each
+        # assemble_C, as if all were held at once
         m, N, q = len(self.M), self.grid.N, emb.q
-        geometry.check_memory(8 * N * (q * (3 + n) + q // 2 + m * m),
+        geometry.check_memory(8 * N * (2 * q + q // 2 + m * m),
                               f"the solver (Psi, its Gram and C at q = {q}, N = {N})")
         self._kappa = emb.provider.pair_kappas(1, emb.q + 1)             # [V, n]
         # the row symbols (i kappa)^alpha_r of P, [m, V]
@@ -533,16 +532,19 @@ def assemble_C(solver: ConformalSolver, y: np.ndarray, k: float,
     """The conformal immersion C = Psi + v of a k-solve, with its checks.
 
     C = psi (1 + y S) and grad_i C = i kappa_i C + psi (d_i y S) are formed
-    once on the cos/sin pairs (see the module docstring), with d_i y from the
-    coarse channel samples that the moment residual reads; `.view(float)`
-    gives C [N, q] and grad C [N, n, q].  From the one pullback
-    G = grad C grad C^T it reports (tf the trace-free part): the solver's
-    moment residual of y with its field; the pullback residual tf(G - G_u - f),
-    G_u the pullback of Psi, which is the independent check that v does what
-    the equation promises; the defect tf(G - f) with its trace factor,
-    compensated by the manufactured f so that it measures the solve rather
-    than the injected defect; and the injectivity, the smallest distance
-    between grid points of C.
+    on the cos/sin pairs (see the module docstring), with d_i y from the
+    coarse channel samples that the moment residual reads, one block of
+    2^15 / q grid points at a time (`_immersion_block`): each block writes
+    its rows of C [N, q] (`.view(float)` of the pairs) and of the pullback
+    G = grad C grad C^T [N, n, n], and its gradient [b, n, q] lives in one
+    reused buffer of at most 2^15 n floats (256 n KB, sized to the cache), so
+    grad C is never held whole.  From G it reports (tf the trace-free part):
+    the solver's moment residual of y with its field; the pullback residual
+    tf(G - G_u - f), G_u the pullback of Psi, which is the independent check
+    that v does what the equation promises; the defect tf(G - f) with its
+    trace factor, compensated by the manufactured f so that it measures the
+    solve rather than the injected defect; and the injectivity, the smallest
+    distance between grid points of C.
 
     The injectivity is the exact minimum over all pairs, found by scanning a
     few grid offsets d.  The identity: the same pair weights make Psi(x + d)
@@ -590,29 +592,45 @@ def assemble_C(solver: ConformalSolver, y: np.ndarray, k: float,
     (1 - 2 gamma_(q+3)) gap(d) - 2 V - 4 eps_Psi, which is the bound minus the
     margin.
     """
-    n, psi = solver.model.dim, solver.psi
-    S = solver._S.view(float)                  # (re, im) columns: real products
-    C = (y @ S).view(complex)
-    C += 1.0
-    C *= psi                                                   # psi (1 + y S), [N, V]
-    dy = solver._coarse_channels(y).reshape(len(solver.M), 1 + n, -1)[:, 1:]
-    grad_C = np.empty((len(C), n, C.shape[1]), dtype=complex)
-    ik_C = np.empty_like(C)
-    for i in range(n):
-        np.matmul(dy[:, i].T, S, out=grad_C[:, i].view(float))  # d_i y S
-        grad_C[:, i] *= psi
-        np.multiply(C, 1j * solver._kappa[:, i], out=ik_C)
-        grad_C[:, i] += ik_C
-    del ik_C
-    C, grad_C = C.view(float), grad_C.view(float)              # [N, q], [N, n, q]
-    G = grad_C @ grad_C.transpose(0, 2, 1)
+    n, N, V = solver.model.dim, solver.grid.N, solver.psi.shape[1]
+    dy = solver._coarse_channels(y).reshape(len(solver.M), 1 + n, N)[:, 1:].T   # [N, n, m]
+    C = np.empty((N, V), dtype=complex)
+    G = np.empty((N, n, n))
+    rows = max(1, 2**15 // solver.emb.q)
+    grad = np.empty((rows, n, V), dtype=complex)
+    for r0 in range(0, N, rows):
+        block = slice(r0, min(r0 + rows, N))
+        grad_b = _immersion_block(solver, y, dy, block, C, grad).view(float)   # [b, n, q]
+        np.matmul(grad_b, grad_b.transpose(0, 2, 1), out=G[block])
+    C = C.view(float)                                          # [N, q]
     residual = solver.conformal_residual(y, f)
     pullback = conformal_defect(G - solver.gram[:, :n, :n] - f, np.eye(n))[0]
     defect, trace_factor = conformal_defect(G - f, np.eye(n))
     injectivity = _injectivity(solver, C, y)
-    return ConformalResult(FieldRq(C, grad_C), k, float(np.max(np.abs(residual))), residual,
+    return ConformalResult(FieldRq(C), k, float(np.max(np.abs(residual))), residual,
                            float(np.max(np.abs(pullback))), float(np.max(np.abs(defect))),
                            defect, trace_factor, injectivity, injectivity > 0.0)
+
+
+def _immersion_block(solver: ConformalSolver, y: np.ndarray, dy: np.ndarray, block: slice,
+                     C: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """C = psi (1 + y S) and grad_i C = i kappa_i C + psi (d_i y S) on the
+    cos/sin pairs at the b grid points of `block`, from the coefficients
+    y [N, m] and their gradient dy [N, n, m].  Writes C[block] of C [N, V]
+    (complex) and returns grad[:b] [b, n, V], written into the buffer
+    grad [>= b, n, V]."""
+    psi, S = solver.psi[block], solver._S.view(float)    # (re, im) columns: real products
+    C_b, grad_b = C[block], grad[:len(psi)]
+    np.matmul(y[block], S, out=C_b.view(float))
+    C_b += 1.0
+    C_b *= psi
+    ik_C = np.empty_like(C_b)
+    for i in range(solver.model.dim):
+        np.matmul(dy[block, i], S, out=grad_b[:, i].view(float))   # d_i y S
+        grad_b[:, i] *= psi
+        np.multiply(C_b, 1j * solver._kappa[:, i], out=ik_C)
+        grad_b[:, i] += ik_C
+    return grad_b
 
 
 def _gamma(k: int) -> float:
@@ -672,6 +690,7 @@ def _distances(A: np.ndarray, partner: np.ndarray, rows: np.ndarray | None = Non
         D = A[partner[k:k + step]]
         D -= A[k:k + step] if rows is None else A[rows[k:k + step]]
         out[k:k + step] = np.einsum("ij,ij->i", D, D)
+        del D                                   # before the next chunk is copied
     return np.sqrt(out, out=out)
 
 
@@ -699,6 +718,7 @@ def _gram_min(C: np.ndarray, block: int = 256) -> float:
             low = min(low, least)
             i, j = np.divmod(np.flatnonzero(d2 <= low + slack), d2.shape[1])
             found.append((i0 + i, i0 + j, d2[i, j]))
+        del d2
     i, j, d2 = (np.concatenate(parts) for parts in zip(*found))
     near = d2 <= low + slack
     return float(np.min(_distances(C, j[near], i[near])))

@@ -190,20 +190,20 @@ def test_perturb_defect_errors_exit_before_any_build(tmp_path, capsys, monkeypat
 def test_perturb_3_torus_takes_the_solver_default_grid(tmp_path, capsys, monkeypatch):
     """A 3-torus config that sets no solver resolution gets the solver's 32
     per axis: at the default t = 0.05 (q = 1790) the preflight asks about
-    3.07 GB and refuses N = 32768 against 2 GiB with one line, before any
+    1.19 GB and refuses N = 32768 against 1 GiB with one line, before any
     jet_block call."""
     def no_jets(*args, **kwargs):
         raise AssertionError("jet_block called")
 
     monkeypatch.setattr(heatconf.spectrum.LatticeSpectrum, "jet_block", no_jets)
-    monkeypatch.setattr(heatconf.geometry, "available_bytes", lambda: 2 * 2**30)
+    monkeypatch.setattr(heatconf.geometry, "available_bytes", lambda: 2**30)
     cfg = write_config(tmp_path, {"model": {"kind": "flat_torus",
                                             "params": {"periods": [TWO_PI] * 3}}})
     capsys.readouterr()
     assert run(["--config", cfg, "--out", str(tmp_path / "o"), "perturb"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("precondition failure:") and err.count("\n") == 1, err
-    assert "N = 32768)" in err and "about 3.07 GB" in err
+    assert "N = 32768)" in err and "about 1.19 GB" in err
 
 
 def test_huge_sample_grid_exits_3(tmp_path, capsys, monkeypatch):

@@ -12,6 +12,8 @@ path (`jets.PointwiseRightInverse`), the oracle that the complex-pair form is
 pinned against.
 """
 import functools
+import tracemalloc
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -60,9 +62,23 @@ def fft_grad(grid, values):
                           * grid._bcast(1j * grid.kvecs, values.ndim - 1))
 
 
+Field = namedtuple("Field", "values grad")
+
+
 def as_field(grid, values):
-    """A FieldRq of plain samples, with their FFT gradient on the grid [N, n, q]."""
-    return perturb.FieldRq(values, np.moveaxis(fft_grad(grid, values), -1, 1))
+    """A Field of plain samples [N, q], with their FFT gradient on the grid [N, n, q]."""
+    return Field(values, np.moveaxis(fft_grad(grid, values), -1, 1))
+
+
+def immersion(solver, y):
+    """C [N, q] and grad C [N, n, q] of coefficients y [N, m], from the block
+    helper of `assemble_C` called once over the whole grid."""
+    n, N = solver.model.dim, solver.grid.N
+    dy = solver._coarse_channels(y).reshape(len(solver.M), 1 + n, N)[:, 1:].T
+    C = np.empty_like(solver.psi)
+    grad = np.empty((N, n, C.shape[1]), dtype=complex)
+    perturb._immersion_block(solver, y, dy, slice(0, N), C, grad)
+    return C.view(float), grad.view(float)
 
 
 @functools.lru_cache(maxsize=2)
@@ -142,7 +158,7 @@ def quadratic_v(solver, v):
 
 def residual_v(solver, v, f):
     """Oracle: trace-free part of grad u . grad v + grad v . grad u + grad v . grad v - f
-    from the grid gradient of v (a FieldRq)."""
+    from the grid gradient of v (a Field)."""
     cross = grad_u(solver) @ v.grad.transpose(0, 2, 1)
     quad = v.grad @ v.grad.transpose(0, 2, 1)
     return conformal_defect(cross + cross.transpose(0, 2, 1) + quad - f,
@@ -440,14 +456,25 @@ def test_non_finite_iterate_stops(solver, manufactured):
 
 
 def test_assemble_C(solver, torus_embedding, manufactured, solved):
+    """C and its checks at N = 48^2, q = 400; grad C is held one block of grid
+    points at a time, so the traced peak of a call stays below the bytes of a
+    whole grad C."""
     _, y = solved
     v = lift(solver, y)
     res = perturb.assemble_C(solver, y, 0.0, manufactured)
     assert res.defect_sup <= 1e-10
     assert res.defect_sup == np.max(np.abs(res.defect))
     assert res.injectivity > 0 and res.injectivity_ok
-    assert res.C.values.shape == (solver.grid.N, torus_embedding.q)
-    assert res.C.grad.shape == (solver.grid.N, 2, torus_embedding.q)
+    N, q = solver.grid.N, torus_embedding.q
+    assert res.C.values.shape == (N, q)
+    assert immersion(solver, y)[1].shape == (N, 2, q)
+    tracemalloc.start()
+    try:
+        perturb.assemble_C(solver, y, 0.0, manufactured)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * N * q * 8
     # C = psi (1 + y S) is Psi + P^T y of the oracle P to rounding
     psi = torus_embedding.jets(solver.grid.points, deriv=0)[0].T
     want = psi + v.values
@@ -506,7 +533,8 @@ def test_one_gradient_per_iterate(solver, manufactured, monkeypatch):
     """No FFT of a q-component field: the iterates are coefficients y whose
     channels Q and the residual take from their own transforms, and
     assemble_C takes grad C from the complex pairs.  At N = 48, where C lies
-    in the open band, it matches the FFT gradient of C to 1e-13 relative."""
+    in the open band, its block helper's grad C matches the FFT gradient of C
+    to 1e-13 relative."""
     q, shapes = solver.emb.q, []
     for name in ("rfftn", "irfftn", "ifftn", "irfft"):
         def counted(a, *args, _transform=getattr(np.fft, name), **kwargs):
@@ -518,8 +546,10 @@ def test_one_gradient_per_iterate(solver, manufactured, monkeypatch):
     monkeypatch.undo()
     assert len(history) > 1 and shapes and not any(q in shape for shape in shapes)
     assert result.residual_sup == history[-1].residual
-    want = as_field(solver.grid, result.C.values).grad
-    assert np.max(np.abs(result.C.grad - want)) <= 1e-13 * np.max(np.abs(want))
+    C, grad_C = immersion(solver, y)
+    assert np.array_equal(C, result.C.values)
+    want = as_field(solver.grid, C).grad
+    assert np.max(np.abs(grad_C - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_pullback_check_on_a_coarse_grid(torus_embedding):
@@ -570,7 +600,11 @@ def test_complex_pairs_match_the_jet_path(periods, t, resolution, count):
     """C, grad C and the jet Gram of the complex-pair form equal the generic
     jet path to 1e-14 relative: C = Psi + P^T y with the oracle P, grad C_j =
     sigma_j kappa_j C_p(j) + (P^T grad y)_j for the cos/sin partner p(j)
-    (sigma = -1 for cos, +1 for sin), and the Gram P P^T at every point."""
+    (sigma = -1 for cos, +1 for sin), and the Gram P P^T at every point.
+    grad C is the block helper's over the whole grid.  assemble_C's pullback
+    check and defect, from its blocks of grid points (the last one partial on
+    each grid here), equal those of the whole-array G = grad C grad C^T to
+    1e-14 relative."""
     model = ManifoldModel.flat_torus(periods)
     emb = build_embedding(analytic_spectrum(model, count=count), t, TruncationPolicy(rho=1.0))
     built = perturb.ConformalSolver(emb, resolution=resolution, e=1.0)
@@ -584,8 +618,15 @@ def test_complex_pairs_match_the_jet_path(periods, t, resolution, count):
     sk = np.where(cos, -1.0, 1.0)[:, None] * emb.provider._kappa[1:q + 1]      # [q, n]
     dy = built._coarse_channels(y).reshape(len(built.M), 1 + n, N)[:, 1:]      # [m, n, N]
     grad_C = np.einsum("xrq,rix->xiq", E.P, dy) + sk.T * C[:, None, partner]
-    for got, want in ((res.C.values, C), (res.C.grad, grad_C), (built.gram, E.gram)):
+    grad = immersion(built, y)[1]
+    for got, want in ((res.C.values, C), (grad, grad_C), (built.gram, E.gram)):
         assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    G = grad @ grad.transpose(0, 2, 1)
+    pullback = conformal_defect(G - built.gram[:, :n, :n], np.eye(n))[0]
+    defect = conformal_defect(G, np.eye(n))[0]
+    for got, want in ((res.pullback_residual_sup, np.max(np.abs(pullback))),
+                      (res.defect, defect)):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -758,10 +799,9 @@ def test_solver_needs_a_constant_gram(torus_embedding, monkeypatch):
 
 def test_preflight_refuses_before_any_jets(torus_embedding, monkeypatch):
     """The 3-torus default (resolution 32, t = 0.05, q >= 1789) asks for Psi,
-    |psi|^2, C, grad C and one [N, q] temporary, with the jet Gram: against
-    2 GiB it is refused with one line giving both byte counts before jet_block
-    runs; the 2-torus acceptance solver fits in 0.2 GB; an unreadable meminfo
-    skips the check."""
+    |psi|^2 and C, with the jet Gram: against 1 GiB it is refused with one
+    line giving both byte counts before jet_block runs; the 2-torus
+    acceptance solver fits in 0.2 GB; an unreadable meminfo skips the check."""
     assert geometry.available_bytes() is None or geometry.available_bytes() > 0
     model = ManifoldModel.flat_torus([TWO_PI] * 3)
     policy = TruncationPolicy(rho=1.0)
@@ -771,14 +811,14 @@ def test_preflight_refuses_before_any_jets(torus_embedding, monkeypatch):
     def no_jets(*args, **kwargs):
         raise AssertionError("jet_block called")
 
-    monkeypatch.setattr(geometry, "available_bytes", lambda: 2 * 2**30)
+    monkeypatch.setattr(geometry, "available_bytes", lambda: 2**30)
     monkeypatch.setattr(type(emb.provider), "jet_block", no_jets)
     with pytest.raises(PreconditionError) as exc:
         perturb.ConformalSolver(emb)
-    need = 8 * 32**3 * (emb.q * (3 + 3) + emb.q // 2 + 81)
+    need = 8 * 32**3 * (2 * emb.q + emb.q // 2 + 81)
     msg = str(exc.value)
-    assert f"about {need / 1e9:.2f} GB" in msg and "the 2.15 GB available" in msg
-    assert "\n" not in msg and 3e9 < need < 4 * 2**30
+    assert f"about {need / 1e9:.2f} GB" in msg and "the 1.07 GB available" in msg
+    assert "\n" not in msg and 2**30 < need < 2 * 2**30
     monkeypatch.setattr(geometry, "available_bytes", lambda: None)
     with pytest.raises(AssertionError, match="jet_block called"):
         perturb.ConformalSolver(emb)

@@ -715,7 +715,7 @@ def test_sphere_jets_finite_at_degree_1000():
 
 def test_sphere_jets_do_not_import_scipy_special(tmp_path):
     """The CLI and an S^2 x S^1 jet block load no scipy.special, and a CLI run
-    loads no jsonschema."""
+    loads no scipy and no jsonschema."""
     import json
     import os
     import subprocess
@@ -736,6 +736,7 @@ def test_sphere_jets_do_not_import_scipy_special(tmp_path):
             "assert heatconf.cli.main(['--config', sys.argv[1], '--out', sys.argv[2],\n"
             "                          'spectrum']) == 0\n"
             "assert 'scipy.special' not in sys.modules\n"
+            "assert 'scipy' not in sys.modules\n"
             "assert 'jsonschema' not in sys.modules\n")
     src = str(Path(heatconf.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
