@@ -84,7 +84,7 @@ class EmbeddingMap:
                 arr *= self.weights.reshape((-1,) + (1,) * (arr.ndim - 1))
         return jets
 
-    def pullback_on(self, points: np.ndarray, chunk: int = 1024) -> np.ndarray:
+    def pullback_on(self, points: np.ndarray) -> np.ndarray:
         """Pullback metric G(x) = sum_j grad Psi_j(x) outer grad Psi_j(x), [N, n, n].
 
         The provider's `gradient_gram` sums the q weighted components.  The
@@ -92,7 +92,7 @@ class EmbeddingMap:
         the S^2 x S^1 provider contracts its sphere and circle factors; neither
         builds per-mode jets.
         """
-        return self.provider.gradient_gram(1, self.weights, points, chunk)
+        return self.provider.gradient_gram(1, self.weights, points)
 
 
 def build_embedding(provider: SpectrumProvider, t: float,
@@ -309,12 +309,12 @@ def write_scan_json(rows: list[dict], path, metadata: dict) -> None:
 
 
 def tail_bound_check(provider: SpectrumProvider, t: float, policy: TruncationPolicy,
-                     grid: SampleGrid | None = None, resolution: int = 16):
+                     resolution: int = 16):
     """Truncation-tail size versus the exponential target exp(-t^(-rho/n)).
 
-    tail = sup over the grid of sum_{j>q} c(t)^2 e^{-lambda_j t} |grad phi_j|^2
-    (the discarded gradient mass of the embedding); reported, with a pass flag,
-    never asserted here.
+    tail = sup over the sample grid of `resolution` points per axis of
+    sum_{j>q} c(t)^2 e^{-lambda_j t} |grad phi_j|^2 (the discarded gradient
+    mass of the embedding); reported, with a pass flag, never asserted here.
     """
     model = provider.model
     n = model.dim
@@ -326,8 +326,7 @@ def tail_bound_check(provider: SpectrumProvider, t: float, policy: TruncationPol
     if provider.count < 4 * q:
         raise SpectrumError(
             f"tail check needs >= 4x modes beyond q={q}, have {provider.count}")
-    if grid is None:
-        grid = geometry.sample_grid(model, resolution)
+    grid = geometry.sample_grid(model, resolution)
     g_inv = geometry.metric_on_grid(model, grid.points).g_inv
     weights = emb.c_norm * np.exp(-provider.lambdas[q + 1:] * t / 2.0)
     # |grad phi|^2 in the metric: g^{ij} d_i phi d_j phi, summed over the tail

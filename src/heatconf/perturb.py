@@ -23,27 +23,34 @@ embedding equation to rounding.
 
 E = P^T (P P^T)^{-1}, so every iterate is v = P^T y with coefficients y in
 R^m, m = n + n(n+1)/2.  P itself is never formed.  Every embedding mode is
-one half of a cos/sin pair whose two modes carry one weight (`jet_moments`
-refuses any other block), so each pair, read as one complex number, is the
-mode psi_kappa = w a exp(i kappa . x) (`LatticeSpectrum.pair_kappas`), and
-D^alpha psi_kappa = (i kappa)^alpha psi_kappa.  Row r of P is psi [N, q/2]
-times the constant symbol S[r, kappa] = (i kappa)^alpha_r: P^T y = psi (y S),
-and the jet Gram at x is |psi(x)|^2 T with T[kappa, (r, s)] =
-Re((i kappa)^alpha_r conj((i kappa)^alpha_s)).  On a flat torus with closed
-shells it is one constant matrix M = P P^T (the solver checks this at every
-grid point, from one deriv-0 jet call), and the solver iterates on y [N, m]:
+one half of a cos/sin pair whose two modes carry one weight, so each pair,
+read as one complex number, is the mode psi_kappa = w a exp(i kappa . x),
+and D^alpha psi_kappa = (i kappa)^alpha psi_kappa.  One provider call,
+`LatticeSpectrum.pairs`, gives kappa, s_kappa = (w a)^2 and psi [N, q/2] on
+the grid, and refuses any other block.  Row r of P is psi times the constant
+symbol S[r, kappa] = (i kappa)^alpha_r, so P^T y = psi (y S).  By the product
+rule, D^delta (P^T y) is psi times the symbols A_delta[(r, gamma), kappa] =
+binom(delta, gamma) (i kappa)^(alpha_r + delta - gamma) applied to the
+channels D^gamma y_r (`_symbols`; A_0 at gamma = 0 is S).  Every constant of
+the iteration is then one pair sum Re((X s) Z^H) of two such symbol tables
+(`_pair_forms`):
+
+* M = P P^T = Re((S s) S^H), one constant matrix on a flat torus with
+  closed shells.  The set-up takes it as T s, T[(r, r'), kappa] =
+  Re(S_r conj(S_r')), and checks it against the jet Gram |psi(x)|^2 T at
+  every grid point;
+* the Q form: K = sum_j F_j F_j^T (F_j = [grad v_j, Hess v_j]) as a
+  quadratic form in the channels (y, grad y, Hess y);
+* the residual's cross term sum_j grad u_j (x) grad v_j, linear in (y,
+  grad y), and its quadratic term, a form in (y, grad y).
+
+The solver iterates on y [N, m]:
 
     y_{l+1} = M^{-1} (0, -f/2 + k g) + M^{-1} (X, B)(P^T y_l).
 
 Pointwise |P^T z|^2 = z^T M z, which gives the step norm, the iterate bound,
-the smallness surrogate and the family bounds.  By the product rule
-D^d (P^T y) = sum_{c <= d} binom(d, c) (D^{d-c} P)^T D^c y, so
-K = sum_j F_j F_j^T (F_j = [grad v_j, Hess v_j]) is a quadratic form in the
-channels (y, grad y, Hess y), and the residual's cross term
-sum_j grad u_j (x) grad v_j is linear in (y, grad y).  Their coefficients are
-the lattice moments sum_kappa s_kappa kappa^e of even order up to 8
-(`LatticeSpectrum.jet_moments`); no array of q components is read or written
-per iterate.
+the smallness surrogate and the family bounds.  No array of q components is
+read or written per iterate.
 
 Spectra are real-FFT half-spectra without Nyquist bins.  Q(v, v) is
 dealiased by the 3/2 rule: `SpectralGrid.refine` scatters the band of the
@@ -57,7 +64,7 @@ lies in the open band.
 `assemble_C` is the one per-k pass after a solve: it forms the immersion
 C = Psi + v = psi (1 + y S) and its gradient grad_i C = i kappa_i C +
 psi (d_i y S) one block of grid points at a time, keeping C and the pullback
-G = grad C grad C^T of each block, and from G the moment residual, the
+G = grad C grad C^T of each block, and from G the pair-form residual, the
 independent pullback check, the trace-free defect and the injectivity.  No
 array of q components is transformed, no per-point array holds m rows of q
 components, and grad C is held one block at a time.  The injectivity is exact
@@ -81,7 +88,7 @@ from .geometry import ManifoldModel, conformal_defect
 
 DEFAULT_THETA_THRESHOLD = 0.25
 # the entrywise gap, relative to max |M|, that the set-up allows between the jet
-# Gram and the moment Gram M
+# Gram and the pair Gram M
 _GRAM_RTOL = 1e-12
 
 
@@ -211,56 +218,56 @@ def _channel_exponents(n: int) -> np.ndarray:
     return np.concatenate([np.zeros((1, n), dtype=int), eye, eye[a] + eye[b]])
 
 
-def _leibniz(alpha: np.ndarray, gammas: np.ndarray, delta: np.ndarray):
-    """D^delta (P^T y) by the product rule, as coefficients over the channels:
-    sum_(r, g) coef[r, g] D^beta[r, g] P . D^gamma_g y_r with beta = alpha_r +
-    delta - gamma_g, coef = binom(delta, gamma_g) (0 unless gamma_g <= delta).
-    Returns (coef [m * c], beta [m * c, n]), flattened channel-minor."""
+def _symbols(kappa: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """The pair symbols A_delta [m c, V] of D^delta (P^T y), channel-minor.
+
+    By the product rule D^delta (P^T y) = sum_(r, gamma) binom(delta, gamma)
+    (D^(delta - gamma) P_r) D^gamma y_r, and row r of P is (i kappa)^alpha_r
+    psi_kappa on pair kappa, so on each pair D^delta (P^T y) is psi_kappa
+    times sum_(r, gamma) A_delta[(r, gamma), kappa] D^gamma y_r with
+    A_delta[(r, gamma), kappa] = binom(delta, gamma) (i kappa)^(alpha_r +
+    delta - gamma), 0 unless gamma <= delta.  A_0 at gamma = 0 is S."""
+    n = kappa.shape[1]
+    alpha, gammas = _row_exponents(n), _channel_exponents(n)
     inside = np.all(gammas <= delta, axis=1)
     binom = np.array([math.prod(map(math.comb, delta, g)) if ok else 0
                       for g, ok in zip(gammas, inside)])
-    beta = alpha[:, None, :] + np.where(inside[:, None], delta - gammas, 0)
-    return np.tile(binom, len(alpha)), beta.reshape(-1, len(delta))
+    beta = alpha[:, None, :] + np.where(inside[:, None], delta - gammas, 0)   # [m, c, n]
+    power = np.prod((1j * kappa.T) ** beta[..., None], axis=2)              # [m, c, V]
+    return (binom[:, None] * power).reshape(-1, len(kappa))
 
 
-def _pair_form(mom: np.ndarray, lhs, rhs) -> np.ndarray:
-    """The matrix of sum_j (sum_i a_i w_j D^beta_i phi_j X_i)(sum_k b_k w_j
-    D^beta'_k phi_j Z_k) as a bilinear form in X and Z, for lhs = (a, beta)
-    and rhs = (b, beta'): a_i b_k Re(i^(|beta_i| - |beta'_k|)) mom[beta_i + beta'_k]
-    (see `LatticeSpectrum.jet_moments`)."""
-    (a, beta), (b, beta2) = lhs, rhs
-    d = beta.sum(axis=1)[:, None] - beta2.sum(axis=1)[None, :]
-    sign = np.where(d % 2 == 0, 1 - 2 * ((d // 2) % 2), 0)
-    idx = beta[:, None, :] + beta2[None, :, :]
-    return a[:, None] * b[None, :] * sign * mom[tuple(np.moveaxis(idx, -1, 0))]
+def _pair_forms(S: np.ndarray, kappa: np.ndarray, s: np.ndarray, e: float):
+    """The constant tables of the y iteration, each a pair sum Re((X s) Z^H).
 
-
-def _moment_forms(mom: np.ndarray, n: int, e: float):
-    """The constant tables of the y iteration from the lattice moments.
-
-    Returns (M [m, m], Q form [m, R, R], cross form [n * n, R1], quad form
-    [n * n, R1, R1]) with R = m c channels (y, grad y, Hess y) and R1 = m (1 + n)
-    channels (y, grad y).  With K[d1, d2] = sum_j D^d1 v_j D^d2 v_j, the Q form
-    gives (-b, L) packed per the jets row order, b_i = sum_d K[2e_d, e_i] and
-    L_ij = sum_a K[e_a + e_i, e_a + e_j] - sum_d K[2e_d, e_i + e_j]
-    - (e/2) K[e_i, e_j], so that (X, B) is their resolvent.  The cross form
-    gives sum_j d_a u_j d_b v_j and the quad form K[e_a, e_b].
+    For v = P^T y, sum_j D^d1 v_j D^d2 v_j sums Re(a conj(b)) over the
+    pairs, a and b the complex values of D^d1 v and D^d2 v on the pair.  Each
+    is psi_kappa times a column of symbols (`_symbols`) applied to the
+    channels, and |psi_kappa|^2 = s_kappa at every point, so the sum is the
+    form K(d1, d2) = Re((A_d1 s) A_d2^H) [R, R] in the R = m c channels
+    (y, grad y, Hess y).  Returns (Q form [m, R, R], cross form [n * n, R1],
+    quad form [n * n, R1, R1]), R1 = m (1 + n) channels (y, grad y).  The
+    Q form gives (-b, L) packed per the jets row order, b_i = sum_d
+    K(2 e_d, e_i) and L_ij = sum_a K(e_a + e_i, e_a + e_j) -
+    sum_d K(2 e_d, e_i + e_j) - (e/2) K(e_i, e_j), so that (X, B) is their
+    resolvent.  The cross form gives sum_j d_a u_j d_b v_j, whose X is the
+    gradient row S_a of the symbols S of P, and the quad form K(e_a, e_b).
     """
-    alpha, gammas = _row_exponents(n), _channel_exponents(n)
-    m, c = len(alpha), len(gammas)
+    n = kappa.shape[1]
     eye = np.eye(n, dtype=int)
-    M = _pair_form(mom, (np.ones(m), alpha), (np.ones(m), alpha))
-    K = lambda d1, d2: _pair_form(mom, _leibniz(alpha, gammas, d1),
-                                  _leibniz(alpha, gammas, d2))
+    symbols = functools.cache(lambda d: _symbols(kappa, np.array(d)))
+    A = lambda d: symbols(tuple(d))
+    form = lambda X, Z: ((X * s) @ Z.conj().T).real
+    K = lambda d1, d2: form(A(d1), A(d2))
+    c = len(_channel_exponents(n))
+    first = np.arange(len(S) * c).reshape(-1, c)[:, :1 + n].ravel()   # channels y, grad y
     b = [-sum(K(2 * eye[d], eye[i]) for d in range(n)) for i in range(n)]
     L = [sum(K(eye[a] + eye[i], eye[a] + eye[j]) for a in range(n))
          - sum(K(2 * eye[d], eye[i] + eye[j]) for d in range(n))
          - 0.5 * e * K(eye[i], eye[j]) for i, j in jets.row_index_pairs(n)]
-    first = np.arange(m * c).reshape(m, c)[:, :1 + n].ravel()   # channels y, grad y
-    cross = [_pair_form(mom, (np.ones(1), eye[a][None]), _leibniz(alpha, gammas, eye[b]))[0]
-             for a in range(n) for b in range(n)]
-    quad = [K(eye[a], eye[b])[np.ix_(first, first)] for a in range(n) for b in range(n)]
-    return M, np.stack(b + L), np.stack(cross)[:, first], np.stack(quad)
+    cross = [form(S[a], A(eye[b])[first]) for a in range(n) for b in range(n)]
+    quad = [form(A(eye[a])[first], A(eye[b])[first]) for a in range(n) for b in range(n)]
+    return np.stack(b + L), np.stack(cross), np.stack(quad)
 
 
 def _quadratic_form(W: np.ndarray, Y: np.ndarray, chunk: int = 4096) -> np.ndarray:
@@ -303,13 +310,13 @@ def manufactured_defect(points: np.ndarray, epsilon: float, f_mode) -> np.ndarra
 
 class ConformalSolver:
     """The one handle of a flat-torus solve: the embedding (and its t), the
-    spectral shift e, the spectral grid, the embedding on it as cos/sin pairs
-    psi [N, q/2] (complex; `psi.view(float)` is Psi [N, q]), the wave vector
-    of each pair and the symbols S [m, q/2] of the rows of P, the jet Gram
-    [N, m, m], and the constant Gram M with the moment forms of the y
-    iteration.  The gradient rows of P are grad u (the frame of a flat torus
-    is the identity), so the jet Gram's leading n x n block is the pullback of
-    Psi."""
+    spectral shift e, the spectral grid, and from one `LatticeSpectrum.pairs`
+    call the embedding on the grid as cos/sin pairs psi [N, q/2] (complex;
+    `psi.view(float)` is Psi [N, q]) with the wave vector of each pair.  From
+    them: the symbols S [m, q/2] of the rows of P, the jet Gram [N, m, m], and
+    the constant Gram M with the pair forms of the y iteration.  The gradient
+    rows of P are grad u (the frame of a flat torus is the identity), so the
+    jet Gram's leading n x n block is the pullback of Psi."""
 
     def __init__(self, emb, resolution: int | None = None, e: float = 1.0):
         self.emb = emb
@@ -321,30 +328,27 @@ class ConformalSolver:
         self.e = e
         self.grid = SpectralGrid(self.model, grid_resolution(self.model.dim, resolution))
         n = self.model.dim
-        if not hasattr(emb.provider, "jet_moments"):
-            raise PreconditionError("the fixed-point solver needs the lattice moments "
+        if not hasattr(emb.provider, "pairs"):
+            raise PreconditionError("the fixed-point solver needs the cos/sin pairs "
                                     "of an analytic torus spectrum")
-        mom = emb.provider.jet_moments(1, emb.weights, 8)
-        self.M, self._q_form, self._cross_form, self._quad_form = _moment_forms(mom, n, e)
         # Psi, |psi|^2 and the jet Gram of the set-up, and the C of each
         # assemble_C, as if all were held at once
-        m, N, q = len(self.M), self.grid.N, emb.q
+        m, N, q = len(_row_exponents(n)), self.grid.N, emb.q
         geometry.check_memory(8 * N * (2 * q + q // 2 + m * m),
                               f"the solver (Psi, its Gram and C at q = {q}, N = {N})")
-        self._kappa = emb.provider.pair_kappas(1, emb.q + 1)             # [V, n]
-        # the row symbols (i kappa)^alpha_r of P, [m, V]
-        self._S = np.prod((1j * self._kappa.T) ** _row_exponents(n)[:, :, None], axis=1)
-        # [N, V] from the values [q, N]: pair i is columns 2i (cos), 2i + 1 (sin)
-        self.psi = np.ascontiguousarray(
-            emb.jets(self.grid.points, deriv=0)[0].T).view(complex)
-        pairs = self.psi.view(float).reshape(N, -1, 2)
+        self._kappa, s, self.psi = emb.provider.pairs(1, emb.weights, self.grid.points)
+        self._S = _symbols(self._kappa, np.zeros(n, dtype=int))[::len(_channel_exponents(n))]
+        # M = T s and the jet Gram |psi|^2 T, T[(r, r'), kappa] = Re(S_r conj(S_r'))
         T = (self._S[:, None] * self._S.conj()).real.reshape(m * m, -1)   # [m m, V]
+        self.M = (T @ s).reshape(m, m)
+        pairs = self.psi.view(float).reshape(N, -1, 2)
         self.gram = (np.einsum("nvc,nvc->nv", pairs, pairs) @ T.T).reshape(N, m, m)
         gap = float(np.max(np.abs(self.gram - self.M)))
         if gap > _GRAM_RTOL * float(np.max(np.abs(self.M))):
             raise PreconditionError(
-                f"the jet Gram is not constant on the grid: it differs from the moment "
+                f"the jet Gram is not constant on the grid: it differs from the pair "
                 f"Gram by {gap:.3g}")
+        self._q_form, self._cross_form, self._quad_form = _pair_forms(self._S, self._kappa, s, e)
         # channel symbols (i k)^gamma on the band, [c, *spec]
         ik = 1j * np.moveaxis(self.grid.kvecs, -1, 0)
         gammas = _channel_exponents(n).reshape((-1, n) + (1,) * n)
@@ -403,7 +407,7 @@ class ConformalSolver:
                                            jets.pack_symmetric(h)], axis=-1))
 
     def quadratic(self, y: np.ndarray) -> np.ndarray:
-        """Coefficients of Q(v, v) for v = P^T y [N, m]: the moment form of the
+        """Coefficients of Q(v, v) for v = P^T y [N, m]: the pair form of the
         products on the 3/2 grid, projected to the band, through the resolvent
         and the constant Gram solve."""
         if not y.any():
@@ -423,7 +427,7 @@ class ConformalSolver:
 
     def conformal_residual(self, y: np.ndarray, f: np.ndarray) -> np.ndarray:
         """Trace-free part of grad u . grad v + grad v . grad u + grad v . grad v - f
-        for v = P^T y, from the moment forms in the channels (y, grad y)."""
+        for v = P^T y, from the pair forms in the channels (y, grad y)."""
         n = self.model.dim
         Y = self._coarse_channels(y)                                      # [R1, N]
         cross = (self._cross_form @ Y).T.reshape(-1, n, n)
@@ -518,7 +522,7 @@ class ConformalResult:
     C: FieldRq
     k: float
     residual_sup: float
-    residual: np.ndarray          # [N, n, n] trace-free moment residual
+    residual: np.ndarray          # [N, n, n] trace-free pair-form residual
     pullback_residual_sup: float
     defect_sup: float
     defect: np.ndarray            # [N, n, n] trace-free defect field
@@ -533,13 +537,13 @@ def assemble_C(solver: ConformalSolver, y: np.ndarray, k: float,
 
     C = psi (1 + y S) and grad_i C = i kappa_i C + psi (d_i y S) are formed
     on the cos/sin pairs (see the module docstring), with d_i y from the
-    coarse channel samples that the moment residual reads, one block of
+    coarse channel samples that the pair-form residual reads, one block of
     2^15 / q grid points at a time (`_immersion_block`): each block writes
     its rows of C [N, q] (`.view(float)` of the pairs) and of the pullback
     G = grad C grad C^T [N, n, n], and its gradient [b, n, q] lives in one
     reused buffer of at most 2^15 n floats (256 n KB, sized to the cache), so
     grad C is never held whole.  From G it reports (tf the trace-free part):
-    the solver's moment residual of y with its field; the pullback residual
+    the solver's pair-form residual of y with its field; the pullback residual
     tf(G - G_u - f), G_u the pullback of Psi, which is the independent check
     that v does what the equation promises; the defect tf(G - f) with its
     trace factor, compensated by the manufactured f so that it measures the

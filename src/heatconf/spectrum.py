@@ -7,12 +7,13 @@ tabulated grid.
 
 Each analytic backend enumerates its modes as an eigenvalue array and an
 integer descriptor table, sorted once with `np.lexsort`.  Torus and circle
-modes share one lattice implementation: a block's jets come from one
-exp(i kappa_a x_a) table per axis, multiplied into cos and sin once per
-lattice vector and gathered onto that vector's cos and sin modes.  Their
-gradient Gram sum needs no jets: it is closed in form per lattice vector.
-Neither do their jet pair sums sum_j w_j^2 D^a phi_j D^b phi_j over whole
-cos/sin pairs, which are weighted lattice moments (`jet_moments`).
+modes share one lattice implementation, built on one phase builder: one
+exp(i kappa_a x_a) table per axis, multiplied into exp(i kappa . x) once per
+lattice vector.  A block's jets gather its cos and sin parts onto the
+vector's cos and sin modes; `pairs` reads each cos/sin pair with one weight
+as one complex mode w a exp(i kappa . x), whose derivatives are
+(i kappa)^alpha times itself.  Their gradient Gram sum needs no jets: it is
+closed in form per lattice vector.
 
 Sphere modes (on S^2 and the S^2 factor of S^2 x S^1) come from one fully
 normalized associated Legendre table per block, built over the block's
@@ -177,14 +178,14 @@ class LatticeSpectrum(AnalyticSpectrum):
     Descriptors are (k_1, ..., k_n, parity).  Modes are sorted by
     (lambda, descriptor), so the cos and sin modes of one lattice vector are
     adjacent (the zero vector has cos only) and a block of modes covers one
-    contiguous range of lattice vectors.  `jet_block` builds one table
-    exp(i kappa_a x_a) per axis over the distinct k_a of the block, multiplies
-    the gathered rows into c + i s = exp(i kappa . x) once per lattice vector,
-    and gathers the value (c or s) and the derivative factor (-s or c) onto
-    the modes.  `gradient_gram` needs no jets: the Gram sum of a cos/sin pair
-    is a closed form in kappa, constant in x when the pair's weights agree.
-    `jet_moments` gives every such pair sum of derivatives, and `pair_kappas`
-    the wave vector of each pair, so that a pair is one complex mode.
+    contiguous range of lattice vectors.  `_phases` builds one table
+    exp(i kappa_a x_a) per axis over the distinct k_a of the block and
+    multiplies the gathered rows into c + i s = exp(i kappa . x) once per
+    lattice vector.  `jet_block` gathers the value (c or s) and the derivative
+    factor (-s or c) onto the modes; `pairs` keeps c + i s whole, so that a
+    cos/sin pair with one weight is one complex mode.  `gradient_gram` needs
+    no jets: the Gram sum of a cos/sin pair is a closed form in kappa,
+    constant in x when the pair's weights agree.
     """
 
     def _init_lattice(self, unit, volume: float):
@@ -205,15 +206,12 @@ class LatticeSpectrum(AnalyticSpectrum):
         v0 = vec[0] if vec.size else 0
         return v0, vec - v0
 
-    def jet_block(self, j0, j1, points, deriv=2):
-        _check_deriv(deriv)
-        _check_range(self, j0, j1)
-        points = np.asarray(points, dtype=float)
-        N, n = points.shape
-        v0, rows = self._vectors(j0, j1)
-        lattice = self._lattice[v0:v0 + rows.max(initial=-1) + 1]
+    def _phases(self, lattice, points):
+        """exp(i kappa . x) [vectors, N] of lattice vectors [vectors, n] at
+        points [N, n]: one table exp(i kappa_a x_a) per axis over the distinct
+        k_a, gathered and multiplied once per vector."""
         phase = None
-        for a in range(n):
+        for a in range(points.shape[1]):
             ks, row = np.unique(lattice[:, a], return_inverse=True)
             arg = np.outer(ks * self._unit[a], points[:, a])
             table = np.empty(arg.shape, dtype=complex)
@@ -222,6 +220,15 @@ class LatticeSpectrum(AnalyticSpectrum):
                 phase = table[row]
             else:
                 phase *= table[row]
+        return phase
+
+    def jet_block(self, j0, j1, points, deriv=2):
+        _check_deriv(deriv)
+        _check_range(self, j0, j1)
+        points = np.asarray(points, dtype=float)
+        N, n = points.shape
+        v0, rows = self._vectors(j0, j1)
+        phase = self._phases(self._lattice[v0:v0 + rows.max(initial=-1) + 1], points)
         cs = phase.view(float).reshape(-1, N, 2)           # (c, s) per vector
         parity = self._parity[j0:j1]
         amp = self._amp[j0:j1]
@@ -282,62 +289,37 @@ class LatticeSpectrum(AnalyticSpectrum):
                 G[:, a, b] = G[:, b, a]
         return G
 
-    def _whole_pairs(self, j0, j1):
-        """The parities of the block [j0, j1); a block that splits a cos/sin
-        pair raises PreconditionError."""
-        _check_range(self, j0, j1)
-        parity = self._parity[j0:j1]
-        if parity.size and (parity[0] == SIN or (parity[-1] == COS
-                                                 and self._kappa[j1 - 1].any())):
-            raise PreconditionError(
-                f"mode block [{j0}, {j1}) splits a cos/sin pair; its jet sums vary in x")
-        return parity
+    def pairs(self, j0, weights, points):
+        """The weighted modes j0, j0 + 1, ... at points [N, n] as complex pairs.
 
-    def pair_kappas(self, j0, j1):
-        """The wave vector kappa [(j1 - j0) / 2, n] of each cos/sin pair of the
-        block [j0, j1), whose modes must run cos, sin, cos, sin, ...: read as
-        complex pairs, the weighted modes are w a exp(i kappa . x) when each
-        pair has one weight (`jet_moments` checks it).  A block that splits a
-        pair or holds the constant mode raises PreconditionError."""
-        parity = self._whole_pairs(j0, j1)
-        if parity.size % 2 or np.any(parity[0::2] != COS) or np.any(parity[1::2] != SIN):
-            raise PreconditionError(f"mode block [{j0}, {j1}) is not a run of cos/sin "
-                                    "pairs")
-        return self._kappa[j0:j1:2]
-
-    def jet_moments(self, j0, weights, order):
-        """Weighted lattice moments behind every pair sum of the block's jets.
-
-        Returns mom [order + 1, ...] (n axes), mom[e] = sum_kappa s_kappa kappa^e
-        for the exponents e with |e| even and at most `order`, and 0 for the
-        others; s_kappa = (w a)^2 is the squared weighted amplitude that the
-        cos and sin modes of kappa share.  D^alpha of cos/sin(kappa . x) is
-        the real/imaginary part of i^|alpha| kappa^alpha exp(i kappa . x), so
-        at every x
-            sum_j w_j^2 D^alpha phi_j D^beta phi_j
-              = Re(i^(|alpha| - |beta|)) mom[alpha + beta],
-        which is +-mom when |alpha| + |beta| is even and 0 when it is odd.
-        A block that splits a cos/sin pair, or gives a pair two weights,
-        makes the sum depend on x and raises PreconditionError.
+        The block must run cos, sin, cos, sin, ... with one weight w per pair:
+        then the pair of wave vector kappa, read as one complex number
+        w (phi_cos + i phi_sin), is psi_kappa = w a exp(i kappa . x), and
+        D^alpha psi_kappa = (i kappa)^alpha psi_kappa.  Returns (kappa [V, n],
+        s [V], psi [N, V] complex).  s_kappa = (w a)^2 comes from the weights
+        and amplitudes, not from |psi|^2, so a Gram built from psi can be
+        checked against one built from s.  psi is a exp(i kappa . x) from
+        `_phases`, then times w, so psi.view(float) [N, 2 V] equals the
+        weighted `jet_block` values, transposed, bit for bit.  The constant
+        mode, a split pair or a pair with two weights raises PreconditionError.
         """
         w = np.asarray(weights, dtype=float)
         j1 = j0 + len(w)
-        parity = self._whole_pairs(j0, j1)
-        sin = np.flatnonzero(parity == SIN)
-        if np.any(w[sin] != w[sin - 1]):
-            raise PreconditionError("a cos/sin pair carries two weights; its jet sums "
-                                    "vary in x")
-        cos = np.flatnonzero(parity == COS)
-        s = (w[cos] * self._amp[j0 + cos]) ** 2
-        n = self._kappa.shape[1]
-        powers = self._kappa[j0 + cos, :, None] ** np.arange(order + 1)   # [V, n, order+1]
-        table = s[:, None]
-        for a in range(n - 1):
-            table = (table[:, :, None] * powers[:, a, None, :]).reshape(len(s), -1)
-        mom = (table.T @ powers[:, n - 1]).reshape((order + 1,) * n)
-        degree = np.indices(mom.shape).sum(axis=0)
-        mom[(degree % 2 == 1) | (degree > order)] = 0.0
-        return mom
+        _check_range(self, j0, j1)
+        parity = self._parity[j0:j1]
+        if parity.size % 2 or np.any(parity[0::2] != COS) or np.any(parity[1::2] != SIN):
+            raise PreconditionError(f"mode block [{j0}, {j1}) is not a run of whole "
+                                    "cos/sin pairs")
+        if np.any(w[0::2] != w[1::2]):
+            raise PreconditionError("a cos/sin pair carries two weights")
+        w, amp = w[0::2], self._amp[j0:j1:2]
+        v0, _ = self._vectors(j0, j1)
+        phase = self._phases(self._lattice[v0:v0 + len(w)], np.asarray(points, dtype=float))
+        psi = np.empty(phase.shape[::-1], dtype=complex)
+        np.multiply(phase.T, amp, out=psi)
+        del phase
+        psi *= w
+        return self._kappa[j0:j1:2], (w * amp) ** 2, psi
 
 
 class TorusSpectrum(LatticeSpectrum):

@@ -191,11 +191,11 @@ def test_perturb_3_torus_takes_the_solver_default_grid(tmp_path, capsys, monkeyp
     """A 3-torus config that sets no solver resolution gets the solver's 32
     per axis: at the default t = 0.05 (q = 1790) the preflight asks about
     1.19 GB and refuses N = 32768 against 1 GiB with one line, before any
-    jet_block call."""
-    def no_jets(*args, **kwargs):
-        raise AssertionError("jet_block called")
+    lattice phase is built (for `jet_block` or `pairs`)."""
+    def no_phases(*args, **kwargs):
+        raise AssertionError("lattice phases built")
 
-    monkeypatch.setattr(heatconf.spectrum.LatticeSpectrum, "jet_block", no_jets)
+    monkeypatch.setattr(heatconf.spectrum.LatticeSpectrum, "_phases", no_phases)
     monkeypatch.setattr(heatconf.geometry, "available_bytes", lambda: 2**30)
     cfg = write_config(tmp_path, {"model": {"kind": "flat_torus",
                                             "params": {"periods": [TWO_PI] * 3}}})

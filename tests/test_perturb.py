@@ -2,7 +2,7 @@
 
 The v-space Q(v, v) products and residual below (`quadratic_products_v`,
 `quadratic_v`, `residual_v`) are test oracles: the solver iterates on the
-coefficients y of v = P^T y, and its moment forms are checked against them.
+coefficients y of v = P^T y, and its pair forms are checked against them.
 `verify_oracle` recomputes the residual and the pullback check of
 `assemble_C` from v and its FFT gradient on the grid (`fft_grad`), as
 separate steps.  `min_pair_distance`, the row-block all-pairs scan, is the
@@ -402,11 +402,11 @@ def test_fixed_point_residual_identity(solver, manufactured, solved):
 
 
 def test_verify_conformal(solver, manufactured, solved):
-    """The verify numbers of assemble_C: the moment residual equals the
+    """The verify numbers of assemble_C: the pair-form residual equals the
     step-by-step oracle bit for bit.  The pullback check, whose grad C comes
     from the pair identity, equals the oracle's from the FFT gradient of v to
     1e-15 where v lies in the open band (the solved and the zero y), and
-    catches a corrupted y as the moment residual does."""
+    catches a corrupted y as the pair-form residual does."""
     _, y = solved
     rep = perturb.assemble_C(solver, y, 0.0, manufactured)
     assert rep.residual_sup <= 1e-8
@@ -555,7 +555,7 @@ def test_one_gradient_per_iterate(solver, manufactured, monkeypatch):
 def test_pullback_check_on_a_coarse_grid(torus_embedding):
     """The smoke config of the CLI (t = 0.05, q = 400, resolution 16), where
     v = P^T y has content past the open band of the grid: the pullback check
-    and the defect agree with the moment residual to 1e-12 at both k."""
+    and the defect agree with the pair-form residual to 1e-12 at both k."""
     built = perturb.ConformalSolver(torus_embedding, resolution=16, e=1.0)
     f = perturb.manufactured_defect(built.grid.points, 1e-3, [1, 0])
     for k in (0.0, 1e-3):
@@ -567,23 +567,29 @@ def test_pullback_check_on_a_coarse_grid(torus_embedding):
 
 
 def test_solver_fetches_grid_jets_once(torus_embedding, monkeypatch):
-    """Building the solver makes one deriv=0 jet_block call on its grid, for
-    Psi; assemble_C makes none.  Psi is the embedding's values on the grid bit
-    for bit, and its complex view pairs each cos column with its sin column."""
+    """Building the solver makes one `pairs` call on its grid, for psi, and no
+    jet_block call; assemble_C makes neither.  psi is the embedding's values
+    on the grid bit for bit, and its complex view pairs each cos column with
+    its sin column."""
     provider = torus_embedding.provider
     calls = []
-    jet_block = type(provider).jet_block
+    jet_block, pairs = type(provider).jet_block, type(provider).pairs
 
-    def counted(self, j0, j1, points, deriv=2):
-        calls.append(deriv)
+    def counted_jets(self, j0, j1, points, deriv=2):
+        calls.append("jet_block")
         return jet_block(self, j0, j1, points, deriv)
 
-    monkeypatch.setattr(type(provider), "jet_block", counted)
+    def counted_pairs(self, j0, weights, points):
+        calls.append("pairs")
+        return pairs(self, j0, weights, points)
+
+    monkeypatch.setattr(type(provider), "jet_block", counted_jets)
+    monkeypatch.setattr(type(provider), "pairs", counted_pairs)
     built = perturb.ConformalSolver(torus_embedding, resolution=16)
-    assert calls == [0]
+    assert calls == ["pairs"]
     N = built.grid.N
     perturb.assemble_C(built, np.zeros((N, 5)), 0.0, np.zeros((N, 2, 2)))
-    assert calls == [0]
+    assert calls == ["pairs"]
     monkeypatch.undo()
     values = torus_embedding.jets(built.grid.points, deriv=0)[0].T
     assert built.psi.shape == (N, torus_embedding.q // 2)
@@ -745,7 +751,7 @@ def oracle_case(request):
 
 
 def test_y_space_matches_v_oracles(oracle_case):
-    """Q and the residual from the moment forms in y equal the v-space oracles
+    """Q and the residual from the pair forms in y equal the v-space oracles
     on v = P^T y to 1e-12 relative."""
     built, y = oracle_case
     grid = built.grid
@@ -777,30 +783,30 @@ def test_family_bounds_match_v_formulas(oracle_case):
 
 def test_solver_needs_a_constant_gram(torus_embedding, monkeypatch):
     """A jet Gram that varies over the grid (one pair's value bumped at one
-    grid point), or a provider without lattice moments, is a precondition
+    grid point), or a provider without cos/sin pairs, is a precondition
     failure."""
     provider = torus_embedding.provider
-    jet_block = type(provider).jet_block
+    pairs = type(provider).pairs
 
-    def bumped(self, j0, j1, points, deriv=2):
-        vals, grads, hess = jet_block(self, j0, j1, points, deriv)
+    def bumped(self, j0, weights, points):
+        kappa, s, psi = pairs(self, j0, weights, points)
         # the first cos/sin pair at x_7, whose Gram terms are about 1e-4 max|M|
-        vals[0:2, 7] *= 1.0 + 1e-7
-        return vals, grads, hess
+        psi[7, 0] *= 1.0 + 1e-7
+        return kappa, s, psi
 
-    monkeypatch.setattr(type(provider), "jet_block", bumped)
+    monkeypatch.setattr(type(provider), "pairs", bumped)
     with pytest.raises(PreconditionError, match="not constant"):
         perturb.ConformalSolver(torus_embedding, resolution=16)
     monkeypatch.undo()
-    monkeypatch.delattr(spectrum.LatticeSpectrum, "jet_moments")
-    with pytest.raises(PreconditionError, match="lattice moments"):
+    monkeypatch.delattr(spectrum.LatticeSpectrum, "pairs")
+    with pytest.raises(PreconditionError, match="needs the cos/sin pairs"):
         perturb.ConformalSolver(torus_embedding, resolution=16)
 
 
 def test_preflight_refuses_before_any_jets(torus_embedding, monkeypatch):
     """The 3-torus default (resolution 32, t = 0.05, q >= 1789) asks for Psi,
     |psi|^2 and C, with the jet Gram: against 1 GiB it is refused with one
-    line giving both byte counts before jet_block runs; the 2-torus
+    line giving both byte counts before `pairs` runs; the 2-torus
     acceptance solver fits in 0.2 GB; an unreadable meminfo skips the check."""
     assert geometry.available_bytes() is None or geometry.available_bytes() > 0
     model = ManifoldModel.flat_torus([TWO_PI] * 3)
@@ -808,11 +814,11 @@ def test_preflight_refuses_before_any_jets(torus_embedding, monkeypatch):
     assert policy.q(0.05, 3) == 1789
     emb = build_embedding(analytic_spectrum(model, count=2200), 0.05, policy)
 
-    def no_jets(*args, **kwargs):
-        raise AssertionError("jet_block called")
+    def no_pairs(*args, **kwargs):
+        raise AssertionError("pairs called")
 
     monkeypatch.setattr(geometry, "available_bytes", lambda: 2**30)
-    monkeypatch.setattr(type(emb.provider), "jet_block", no_jets)
+    monkeypatch.setattr(type(emb.provider), "pairs", no_pairs)
     with pytest.raises(PreconditionError) as exc:
         perturb.ConformalSolver(emb)
     need = 8 * 32**3 * (2 * emb.q + emb.q // 2 + 81)
@@ -820,8 +826,22 @@ def test_preflight_refuses_before_any_jets(torus_embedding, monkeypatch):
     assert f"about {need / 1e9:.2f} GB" in msg and "the 1.07 GB available" in msg
     assert "\n" not in msg and 2**30 < need < 2 * 2**30
     monkeypatch.setattr(geometry, "available_bytes", lambda: None)
-    with pytest.raises(AssertionError, match="jet_block called"):
+    with pytest.raises(AssertionError, match="pairs called"):
         perturb.ConformalSolver(emb)
     monkeypatch.undo()
     monkeypatch.setattr(geometry, "available_bytes", lambda: 2 * 10**8)
     perturb.ConformalSolver(torus_embedding, resolution=48)
+
+
+def test_solver_setup_peaks_below_its_preflight(torus_embedding):
+    """Building the solver at N = 48^2, q = 400 peaks, traced, below its own
+    preflight estimate 8 N (2 q + q/2 + m^2) (18.9 MB): the set-up holds psi,
+    |psi|^2 and the jet Gram, and no jet values beside them."""
+    tracemalloc.start()
+    try:
+        built = perturb.ConformalSolver(torus_embedding, resolution=48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    N, q, m = built.grid.N, torus_embedding.q, len(built.M)
+    assert peak < 8 * N * (2 * q + q // 2 + m * m)

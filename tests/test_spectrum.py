@@ -455,87 +455,74 @@ def _direct_derivative(prov, j0, j1, points, alpha):
     return np.array(out)
 
 
-@pytest.mark.parametrize("periods", [[TWO_PI, TWO_PI], [TWO_PI, 3.1],
-                                     [TWO_PI, TWO_PI, TWO_PI], [TWO_PI]],
-                         ids=["torus2", "torus2-3.1", "torus3", "circle"])
-def test_jet_moments_match_brute_force_sums(periods):
-    """sum_j w_j^2 D^a phi_j D^b phi_j at random points equals
-    Re(i^(|a| - |b|)) mom[a + b]: from jet_block for |a|, |b| <= 2, and from
-    direct trig derivatives up to |a|, |b| <= 4 (moment order 8)."""
+def _whole_pair_block(periods, t):
+    """A lattice provider on `periods`, the end j1 of its longest run of whole
+    cos/sin pairs from mode 1, and weights exp(-t lambda) of modes 1..j1-1."""
     n = len(periods)
     model = (ManifoldModel.circle(TWO_PI) if n == 1
              else ManifoldModel.flat_torus(periods))
     prov = analytic_spectrum(model, count={1: 30, 2: 300, 3: 120}[n])
-    j1 = prov.count - (prov._parity[prov.count - 1] == spectrum.COS)   # whole pairs
-    w = np.exp(-0.05 * prov.lambdas[1:j1])
-    mom = prov.jet_moments(1, w, 8)
-    assert mom.shape == (9,) * n
+    j1 = prov.count - (prov._parity[prov.count - 1] == spectrum.COS)
+    return prov, j1, np.exp(-t * prov.lambdas[1:j1])
+
+
+@pytest.mark.parametrize("periods", [[TWO_PI, TWO_PI], [TWO_PI, 3.1],
+                                     [TWO_PI, TWO_PI, TWO_PI], [TWO_PI]],
+                         ids=["torus2", "torus2-3.1", "torus3", "circle"])
+def test_jet_moments_match_brute_force_sums(periods):
+    """The jet pair sums sum_j w_j^2 D^a phi_j D^b phi_j at random points equal
+    the pair sums sum_kappa s_kappa Re((i kappa)^a conj((i kappa)^b)) of
+    `pairs`: from jet_block for |a|, |b| <= 2, and from direct trig
+    derivatives up to |a|, |b| <= 4."""
+    n = len(periods)
+    prov, j1, w = _whole_pair_block(periods, 0.05)
     rng = np.random.default_rng(5)
     pts = rng.uniform(0.0, 1.0, (7, n)) * np.asarray(periods)
+    kappa, s, _ = prov.pairs(1, w, pts)
     vals, grads, hess = prov.jet_block(1, j1, pts)
     eye = np.eye(n, dtype=int)
     jets = [(np.zeros(n, dtype=int), vals)]
     jets += [(eye[a], grads[:, :, a]) for a in range(n)]
     jets += [(eye[a] + eye[b], hess[:, :, a, b]) for a in range(n) for b in range(n)]
     direct = [(e, _direct_derivative(prov, 1, j1, pts, e)) for e in _jet_exponents(n, 4)]
-    scale = np.max(np.abs(mom))
-    for table in (jets, direct):
-        for (a, A), (b, B) in ((x, z) for x in table for z in table):
-            d = int(a.sum() - b.sum())
-            sign = 0 if d % 2 else 1 - 2 * ((d // 2) % 2)
-            brute = (w**2) @ (A * B)
-            assert np.max(np.abs(brute - sign * mom[tuple(a + b)])) <= 1e-12 * scale, (a, b)
-    degree = np.indices(mom.shape).sum(axis=0)
-    assert not mom[degree % 2 == 1].any()
-
-
-def test_jet_moments_reject_split_pairs(torus_spec):
-    """A block that starts on a sin mode or ends on a cos mode of a nonzero
-    vector, or a pair with two weights, has jet sums that vary in x."""
-    q = 100
-    assert torus_spec._parity[2] == spectrum.SIN and torus_spec._parity[q - 1] == spectrum.COS
-    w = np.ones(q)
-    with pytest.raises(PreconditionError, match="splits a cos/sin pair"):
-        torus_spec.jet_moments(2, w[:q - 2], 4)
-    with pytest.raises(PreconditionError, match="splits a cos/sin pair"):
-        torus_spec.jet_moments(1, w[:q - 1], 4)
-    uneven = w[:q - 2].copy()
-    uneven[1] = 2.0
-    with pytest.raises(PreconditionError, match="two weights"):
-        torus_spec.jet_moments(1, uneven, 4)
-    # the zero vector has no sin partner: blocks that end on it are whole
-    assert_allclose(torus_spec.jet_moments(0, w[:1], 2)[0, 0], 1.0 / torus_spec.model.volume,
-                    rtol=1e-15)
-    assert torus_spec.jet_moments(0, w[:q - 1], 2).shape == (3, 3)
+    symbol = lambda e: np.prod((1j * kappa) ** e, axis=1)                # [V]
+    sums = [((a, b), (w**2) @ (A * B), s @ (symbol(a) * symbol(b).conj()).real)
+            for table in (jets, direct) for (a, A) in table for (b, B) in table]
+    scale = max(abs(pair_sum) for _, _, pair_sum in sums)
+    for key, brute, pair_sum in sums:
+        assert np.max(np.abs(brute - pair_sum)) <= 1e-12 * scale, key
 
 
 @pytest.mark.parametrize("periods", [[TWO_PI, TWO_PI], [TWO_PI, 3.1],
                                      [TWO_PI, TWO_PI, TWO_PI], [TWO_PI]],
                          ids=["torus2", "torus2-3.1", "torus3", "circle"])
 def test_pair_kappas_give_the_gradients(periods):
-    """Read as complex numbers, the (cos, sin) rows of jet_block are the modes
-    a exp(i kappa . x), and d_a of each is i kappa_a times it: the gradients
-    match to 1e-13 for kappa from pair_kappas.  A block that holds the constant
-    mode or splits a pair raises."""
+    """`pairs` reads the weighted (cos, sin) rows of jet_block as the complex
+    modes w a exp(i kappa . x): psi equals them bit for bit, |psi|^2 = s to
+    1e-15, and d_a psi = i kappa_a psi matches their gradients to 1e-13.  A
+    block that holds the constant mode, splits a pair at either end, or gives
+    a pair two weights raises."""
     n = len(periods)
-    model = (ManifoldModel.circle(TWO_PI) if n == 1
-             else ManifoldModel.flat_torus(periods))
-    prov = analytic_spectrum(model, count={1: 30, 2: 300, 3: 120}[n])
-    j1 = prov.count - (prov._parity[prov.count - 1] == spectrum.COS)   # whole pairs
+    prov, j1, w = _whole_pair_block(periods, 0.1)
     pts = np.random.default_rng(6).uniform(0.0, 1.0, (9, n)) * np.asarray(periods)
-    kappa = prov.pair_kappas(1, j1)
-    assert kappa.shape == ((j1 - 1) // 2, n)
+    kappa, s, psi = prov.pairs(1, w, pts)
+    assert kappa.shape == ((j1 - 1) // 2, n) and psi.shape == (len(pts), len(kappa))
     vals, grads, _ = prov.jet_block(1, j1, pts, deriv=1)
-    psi = np.ascontiguousarray(vals.T).view(complex)                    # [N, V]
+    vals *= w[:, None]
+    grads *= w[:, None, None]
+    assert np.array_equal(psi.view(float), vals.T)
+    assert_allclose(np.abs(psi) ** 2, np.broadcast_to(s, psi.shape), rtol=1e-15)
     dpsi = np.ascontiguousarray(grads.transpose(1, 2, 0)).view(complex)  # [N, n, V]
     assert np.max(np.abs(dpsi - 1j * kappa.T * psi[:, None])) <= 1e-13 * np.max(np.abs(dpsi))
-    assert_allclose(np.abs(psi), prov._amp[1], rtol=1e-15)
-    with pytest.raises(PreconditionError, match="not a run of cos/sin pairs"):
-        prov.pair_kappas(0, j1)
-    with pytest.raises(PreconditionError, match="splits a cos/sin pair"):
-        prov.pair_kappas(2, j1)
-    with pytest.raises(PreconditionError, match="splits a cos/sin pair"):
-        prov.pair_kappas(1, j1 - 1)
+    assert prov._parity[2] == spectrum.SIN
+    uneven = w.copy()
+    uneven[1] *= 2.0
+    for j0, weights, match in ((0, np.ones(j1), "not a run of whole cos/sin pairs"),
+                               (2, w[1:], "not a run of whole cos/sin pairs"),
+                               (1, w[:-1], "not a run of whole cos/sin pairs"),
+                               (1, uneven, "two weights")):
+        with pytest.raises(PreconditionError, match=match):
+            prov.pairs(j0, weights, pts)
 
 
 @pytest.mark.parametrize("kind, lambda_max, what", [
