@@ -499,9 +499,7 @@ def test_jet_moments_match_brute_force_sums(periods):
 def test_pair_kappas_give_the_gradients(periods):
     """`pairs` reads the weighted (cos, sin) rows of jet_block as the complex
     modes w a exp(i kappa . x): psi equals them bit for bit, |psi|^2 = s to
-    1e-15, and d_a psi = i kappa_a psi matches their gradients to 1e-13.  A
-    block that holds the constant mode, splits a pair at either end, or gives
-    a pair two weights raises."""
+    1e-15, and d_a psi = i kappa_a psi matches their gradients to 1e-13."""
     n = len(periods)
     prov, j1, w = _whole_pair_block(periods, 0.1)
     pts = np.random.default_rng(6).uniform(0.0, 1.0, (9, n)) * np.asarray(periods)
@@ -514,15 +512,25 @@ def test_pair_kappas_give_the_gradients(periods):
     assert_allclose(np.abs(psi) ** 2, np.broadcast_to(s, psi.shape), rtol=1e-15)
     dpsi = np.ascontiguousarray(grads.transpose(1, 2, 0)).view(complex)  # [N, n, V]
     assert np.max(np.abs(dpsi - 1j * kappa.T * psi[:, None])) <= 1e-13 * np.max(np.abs(dpsi))
-    assert prov._parity[2] == spectrum.SIN
-    uneven = w.copy()
-    uneven[1] *= 2.0
-    for j0, weights, match in ((0, np.ones(j1), "not a run of whole cos/sin pairs"),
-                               (2, w[1:], "not a run of whole cos/sin pairs"),
-                               (1, w[:-1], "not a run of whole cos/sin pairs"),
-                               (1, uneven, "two weights")):
-        with pytest.raises(PreconditionError, match=match):
-            prov.pairs(j0, weights, pts)
+
+
+def test_jet_moments_reject_split_pairs(torus_spec):
+    """`pairs` refuses a block that holds the constant mode, starts on a sin
+    mode or ends on a cos mode, or gives a pair two weights: such a block
+    has no complex-pair reading, and its jet sums vary in x."""
+    q = 100
+    assert torus_spec._parity[2] == spectrum.SIN and torus_spec._parity[q - 1] == spectrum.COS
+    pts = np.random.default_rng(7).uniform(0.0, TWO_PI, (3, 2))
+    w = np.ones(q)
+    for j0, weights in ((0, w[:q - 1]), (0, w[:1]), (2, w[:q - 2]), (1, w[:q - 1])):
+        with pytest.raises(PreconditionError, match="not a run of whole cos/sin pairs"):
+            torus_spec.pairs(j0, weights, pts)
+    uneven = w[:q - 2].copy()
+    uneven[1] = 2.0
+    with pytest.raises(PreconditionError, match="two weights"):
+        torus_spec.pairs(1, uneven, pts)
+    kappa, s, psi = torus_spec.pairs(1, w[:q - 2], pts)
+    assert kappa.shape == ((q - 2) // 2, 2) and psi.shape == (3, (q - 2) // 2)
 
 
 @pytest.mark.parametrize("kind, lambda_max, what", [
