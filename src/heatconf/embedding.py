@@ -25,6 +25,11 @@ from .spectrum import SpectrumProvider
 _SHELL_RTOL = 1e-9
 
 
+def _freeness_floor(n: int) -> int:
+    """The fewest components a free embedding of an n-manifold can have: n + n(n+1)/2."""
+    return n + n * (n + 1) // 2
+
+
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Component count selection: q(t) = ceil(t^(-n/2 - rho)) unless overridden."""
@@ -41,7 +46,7 @@ class TruncationPolicy:
     def q(self, t: float, n: int) -> int:
         if not t > 0:
             raise ConfigError(f"t must be positive, got {t!r}")
-        floor = n + n * (n + 1) // 2
+        floor = _freeness_floor(n)
         if self.q_override is not None:
             if self.q_override < floor:
                 raise ConfigError(
@@ -88,7 +93,7 @@ class EmbeddingMap:
         """Pullback metric G(x) = sum_j grad Psi_j(x) outer grad Psi_j(x), [N, n, n].
 
         The provider's `gradient_gram` sums the q weighted components.  The
-        torus and circle providers sum each lattice vector in closed form and
+        torus and circle providers sum each cos/sin pair in closed form and
         the S^2 x S^1 provider contracts its sphere and circle factors; neither
         builds per-mode jets.
         """
@@ -173,7 +178,9 @@ def corrected_model(model: ManifoldModel, h1_frame: np.ndarray, t: float,
                     lambda_max: float | None = None):
     """Model and provider realizing g(t) = g + t h1 for blockwise-constant h1.
 
-    Returns (rescaled model, analytic provider of the rescaled metric).
+    Returns (rescaled model, analytic provider of the rescaled metric), the
+    provider holding `count` modes or the window lambda <= `lambda_max` of
+    the rescaled metric.
     """
     h1_frame = np.asarray(h1_frame, dtype=float)
     n = model.dim
@@ -195,10 +202,7 @@ def corrected_model(model: ManifoldModel, h1_frame: np.ndarray, t: float,
         factors.append(fac)
     if t == 0 or all(f == 1.0 for f in factors):
         return model, spectrum.analytic_spectrum(model, count=count, lambda_max=lambda_max)
-    scaled, shrink = spectrum.rescaled_model(model, factors)
-    if lambda_max is not None:
-        # the window of the base provider, rescaled, never below lambda_max
-        lambda_max = max(float(lambda_max) / shrink, lambda_max)
+    scaled, _ = spectrum.rescaled_model(model, factors)
     return scaled, spectrum.analytic_spectrum(scaled, count=count, lambda_max=lambda_max)
 
 
@@ -277,6 +281,11 @@ def defect_scan(model: ManifoldModel, t_grid, policy: TruncationPolicy,
         else:
             n_keep = int(np.searchsorted(provider.lambdas, window * (1 + 1e-12),
                                          side="right"))
+            floor = _freeness_floor(model.dim)
+            if n_keep - 1 < floor:
+                raise ConfigError(
+                    f"the eigenvalue window lambda <= {window:g} at t = {t:g} holds "
+                    f"{n_keep - 1} non-constant modes, below the freeness floor {floor}")
             eff_policy = TruncationPolicy(rho=policy.rho, q_override=n_keep - 1)
         emb = build_embedding(provider, t, eff_policy)
         rep = pullback_report(emb, grid, reference=model)

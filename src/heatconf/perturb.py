@@ -428,8 +428,12 @@ class ConformalSolver:
     def conformal_residual(self, y: np.ndarray, f: np.ndarray) -> np.ndarray:
         """Trace-free part of grad u . grad v + grad v . grad u + grad v . grad v - f
         for v = P^T y, from the pair forms in the channels (y, grad y)."""
+        return self._residual(self._coarse_channels(y), f)
+
+    def _residual(self, Y: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """`conformal_residual` from the channel samples Y [R1, N] of
+        `_coarse_channels`."""
         n = self.model.dim
-        Y = self._coarse_channels(y)                                      # [R1, N]
         cross = (self._cross_form @ Y).T.reshape(-1, n, n)
         quad = _quadratic_form(self._quad_form, Y).T.reshape(-1, n, n)
         return conformal_defect(cross + cross.transpose(0, 2, 1) + quad - f, np.eye(n))[0]
@@ -597,7 +601,8 @@ def assemble_C(solver: ConformalSolver, y: np.ndarray, k: float,
     margin.
     """
     n, N, V = solver.model.dim, solver.grid.N, solver.psi.shape[1]
-    dy = solver._coarse_channels(y).reshape(len(solver.M), 1 + n, N)[:, 1:].T   # [N, n, m]
+    Y = solver._coarse_channels(y)                                         # [R1, N]
+    dy = Y.reshape(len(solver.M), 1 + n, N)[:, 1:].T                           # [N, n, m]
     C = np.empty((N, V), dtype=complex)
     G = np.empty((N, n, n))
     rows = max(1, 2**15 // solver.emb.q)
@@ -607,7 +612,7 @@ def assemble_C(solver: ConformalSolver, y: np.ndarray, k: float,
         grad_b = _immersion_block(solver, y, dy, block, C, grad).view(float)   # [b, n, q]
         np.matmul(grad_b, grad_b.transpose(0, 2, 1), out=G[block])
     C = C.view(float)                                          # [N, q]
-    residual = solver.conformal_residual(y, f)
+    residual = solver._residual(Y, f)
     pullback = conformal_defect(G - solver.gram[:, :n, :n] - f, np.eye(n))[0]
     defect, trace_factor = conformal_defect(G - f, np.eye(n))
     injectivity = _injectivity(solver, C, y)
@@ -650,13 +655,9 @@ def _injectivity(solver: ConformalSolver, C: np.ndarray, y: np.ndarray) -> float
 
     Offsets come in increasing order of gap(d), hence of their lower bound
     (1 - 2 gamma_(q+3)) gap(d) - 2 V - 4 eps_Psi.  Offset d pairs each x with
-    x + d through the rolled index grid.  After the first offset, the offsets
-    whose bound does not exceed the best distance are the ones left to scan.
-    When scanning them would cost more than one Gram pass over all pairs
-    (`_gram_min`), the pass takes over: on one BLAS thread a direct offset
-    measured about 2 ns per entry of its N x q differences and the pass about
-    4 ns per pair plus 0.05 ns per multiply-add, so the pass costs as much as
-    about N (1 / q + 1 / 80) offsets.
+    x + d through the rolled index grid.  The scan stops at the first offset
+    whose bound exceeds the best distance found, so the minimum is exact
+    however weakly the bound prunes.
     """
     offsets, gaps, eps_psi, psi_norm = solver._offsets
     grid, M = solver.grid, solver.M
@@ -674,10 +675,7 @@ def _injectivity(solver: ConformalSolver, C: np.ndarray, y: np.ndarray) -> float
         return float(np.min(_distances(C, np.roll(index, shift, axis=axes).ravel())))
 
     best = scan(offsets[0])
-    live = int(np.searchsorted(lower, best, side="right"))
-    if live * q > grid.N * (1 + q / 80):
-        return min(best, _gram_min(C))
-    for d, bound in zip(offsets[1:live], lower[1:live]):
+    for d, bound in zip(offsets[1:], lower[1:]):
         if bound > best:
             break
         best = min(best, scan(d))
@@ -696,33 +694,3 @@ def _distances(A: np.ndarray, partner: np.ndarray, rows: np.ndarray | None = Non
         out[k:k + step] = np.einsum("ij,ij->i", D, D)
         del D                                   # before the next chunk is copied
     return np.sqrt(out, out=out)
-
-
-def _gram_min(C: np.ndarray, block: int = 256) -> float:
-    """min over i != j of |C_i - C_j| through the row-block Gram form.
-
-    Each block of rows meets itself and the rows after it in |a|^2 + |b|^2 -
-    2 a.b, one BLAS product per block.  The form is off by at most
-    E = 4 gamma_(q+3) max |C_i|^2 on any pair (the squares and the dot product
-    to gamma_q, two more roundings, and 2 |a||b| <= |a|^2 + |b|^2), so the
-    pair of the exact minimum lies within 2 E of the smallest form; only
-    those pairs are measured, by direct differences.
-    """
-    sq = np.einsum("nq,nq->n", C, C)
-    slack = 8 * _gamma(C.shape[1] + 3) * float(np.max(sq))
-    low, found = np.inf, []
-    for i0 in range(0, len(C), block):
-        d2 = C[i0:i0 + block] @ C[i0:].T     # formed in place: one [block, N] temporary
-        d2 *= -2.0
-        d2 += sq[i0:i0 + block, None]
-        d2 += sq[i0:]
-        np.fill_diagonal(d2, np.inf)
-        least = float(np.min(d2))
-        if least <= low + slack:                # the block holds pairs near the least
-            low = min(low, least)
-            i, j = np.divmod(np.flatnonzero(d2 <= low + slack), d2.shape[1])
-            found.append((i0 + i, i0 + j, d2[i, j]))
-        del d2
-    i, j, d2 = (np.concatenate(parts) for parts in zip(*found))
-    near = d2 <= low + slack
-    return float(np.min(_distances(C, j[near], i[near])))

@@ -12,8 +12,8 @@ exp(i kappa_a x_a) table per axis, multiplied into exp(i kappa . x) once per
 lattice vector.  A block's jets gather its cos and sin parts onto the
 vector's cos and sin modes; `pairs` reads each cos/sin pair with one weight
 as one complex mode w a exp(i kappa . x), whose derivatives are
-(i kappa)^alpha times itself.  Their gradient Gram sum needs no jets: it is
-closed in form per lattice vector.
+(i kappa)^alpha times itself.  The gradient Gram sum of such pairs needs no
+jets: it is the constant sum over the pairs of (w a)^2 kappa kappa^T.
 
 Sphere modes (on S^2 and the S^2 factor of S^2 x S^1) come from one fully
 normalized associated Legendre table per block, built over the block's
@@ -182,10 +182,11 @@ class LatticeSpectrum(AnalyticSpectrum):
     exp(i kappa_a x_a) per axis over the distinct k_a of the block and
     multiplies the gathered rows into c + i s = exp(i kappa . x) once per
     lattice vector.  `jet_block` gathers the value (c or s) and the derivative
-    factor (-s or c) onto the modes; `pairs` keeps c + i s whole, so that a
-    cos/sin pair with one weight is one complex mode.  `gradient_gram` needs
-    no jets: the Gram sum of a cos/sin pair is a closed form in kappa,
-    constant in x when the pair's weights agree.
+    factor (-s or c) onto the modes.  `_pair_block` admits the blocks of whole
+    cos/sin pairs with one weight per pair; on them `pairs` keeps c + i s
+    whole, so that each pair is one complex mode, and `gradient_gram` is the
+    constant closed form in kappa, without jets.  `gradient_gram` of any other
+    block is the generic body.
     """
 
     def _init_lattice(self, unit, volume: float):
@@ -249,59 +250,13 @@ class LatticeSpectrum(AnalyticSpectrum):
                     np.multiply(vals, -(K[:, i] * K[:, j])[:, None], out=hess[:, :, i, j])
         return vals, grads, hess
 
-    def gradient_gram(self, j0, weights, points, chunk=1024):
-        """The Gram sum of `SpectrumProvider.gradient_gram`, per lattice vector.
+    def _pair_block(self, j0, weights):
+        """Wave vectors [V, n], weights [V] and amplitudes [V] of the cos/sin
+        pairs of the weighted modes j0, j0 + 1, ...
 
-        The cos and sin modes of kappa have gradients -a kappa sin(kappa . x)
-        and a kappa cos(kappa . x).  With s_c and s_s the squared weighted
-        amplitudes (w a)^2 of the two modes in the block (0 for a partner
-        outside it), sin^2 = (1 - cos 2u) / 2 and cos^2 = (1 + cos 2u) / 2 give
-        G = sum_kappa kappa kappa^T (s_c + s_s) / 2
-          + sum_kappa kappa kappa^T (s_s - s_c) / 2 cos(2 kappa . x).
-        The second sum runs over the vectors with s_c != s_s only; weights
-        that depend on lambda alone, as the embedding's do, leave it empty.
-        It is built in chunks of `chunk` vectors.  Each entry a <= b is one
-        contraction over the vectors, mirrored below the diagonal.
-        """
-        w = np.asarray(weights, dtype=float)
-        j1 = j0 + len(w)
-        _check_range(self, j0, j1)
-        points = np.asarray(points, dtype=float)
-        N, n = points.shape
-        v0, rows = self._vectors(j0, j1)
-        s = np.zeros((2, rows.max(initial=-1) + 1))          # [cos, sin] per vector
-        s[self._parity[j0:j1], rows] = (w * self._amp[j0:j1]) ** 2
-        kappa = self._lattice[v0:v0 + s.shape[1]] * self._unit
-        mean, ripple = (s[COS] + s[SIN]) / 2, (s[SIN] - s[COS]) / 2
-        G = np.empty((N, n, n))
-        for a in range(n):
-            for b in range(a, n):
-                G[:, a, b] = mean @ (kappa[:, a] * kappa[:, b])
-        live = np.flatnonzero(ripple)
-        for lo in range(0, live.size, chunk):
-            K, r = kappa[live[lo:lo + chunk]], ripple[live[lo:lo + chunk]]
-            wave = np.cos(points @ (2.0 * K).T)               # [N, chunk]
-            for a in range(n):
-                for b in range(a, n):
-                    G[:, a, b] += wave @ (r * K[:, a] * K[:, b])
-        for a in range(n):
-            for b in range(a):
-                G[:, a, b] = G[:, b, a]
-        return G
-
-    def pairs(self, j0, weights, points):
-        """The weighted modes j0, j0 + 1, ... at points [N, n] as complex pairs.
-
-        The block must run cos, sin, cos, sin, ... with one weight w per pair:
-        then the pair of wave vector kappa, read as one complex number
-        w (phi_cos + i phi_sin), is psi_kappa = w a exp(i kappa . x), and
-        D^alpha psi_kappa = (i kappa)^alpha psi_kappa.  Returns (kappa [V, n],
-        s [V], psi [N, V] complex).  s_kappa = (w a)^2 comes from the weights
-        and amplitudes, not from |psi|^2, so a Gram built from psi can be
-        checked against one built from s.  psi is a exp(i kappa . x) from
-        `_phases`, then times w, so psi.view(float) [N, 2 V] equals the
-        weighted `jet_block` values, transposed, bit for bit.  The constant
-        mode, a split pair or a pair with two weights raises PreconditionError.
+        The block must run cos, sin, cos, sin, ... with one weight per pair,
+        which leaves out the constant mode; any other block raises
+        PreconditionError.
         """
         w = np.asarray(weights, dtype=float)
         j1 = j0 + len(w)
@@ -312,14 +267,51 @@ class LatticeSpectrum(AnalyticSpectrum):
                                     "cos/sin pairs")
         if np.any(w[0::2] != w[1::2]):
             raise PreconditionError("a cos/sin pair carries two weights")
-        w, amp = w[0::2], self._amp[j0:j1:2]
-        v0, _ = self._vectors(j0, j1)
+        return self._kappa[j0:j1:2], w[0::2], self._amp[j0:j1:2]
+
+    def gradient_gram(self, j0, weights, points, chunk=1024):
+        """The Gram sum of `SpectrumProvider.gradient_gram`, per cos/sin pair.
+
+        The cos and sin modes of kappa have gradients -a kappa sin(kappa . x)
+        and a kappa cos(kappa . x), so a pair with one weight w contributes
+        s_kappa kappa kappa^T, s_kappa = (w a)^2, at every point.  A block of
+        such pairs (`_pair_block`), as the embedding's weights e^{-lambda t/2}
+        on closed shells give, sums to the constant sum_kappa s_kappa kappa
+        kappa^T; any other block goes to the generic body.
+        """
+        try:
+            kappa, w, amp = self._pair_block(j0, weights)
+        except PreconditionError:
+            return super().gradient_gram(j0, weights, points, chunk)
+        s = (w * amp) ** 2
+        N, n = np.shape(points)
+        G = np.empty((N, n, n))
+        for a in range(n):
+            for b in range(a, n):
+                G[:, a, b] = G[:, b, a] = s @ (kappa[:, a] * kappa[:, b])
+        return G
+
+    def pairs(self, j0, weights, points):
+        """The weighted modes j0, j0 + 1, ... at points [N, n] as complex pairs.
+
+        The block must be one that `_pair_block` admits: then the pair of wave
+        vector kappa, read as one complex number w (phi_cos + i phi_sin), is
+        psi_kappa = w a exp(i kappa . x), and D^alpha psi_kappa =
+        (i kappa)^alpha psi_kappa.  Returns (kappa [V, n], s [V], psi [N, V]
+        complex).  s_kappa = (w a)^2 comes from the weights and amplitudes,
+        not from |psi|^2, so a Gram built from psi can be checked against one
+        built from s.  psi is a exp(i kappa . x) from `_phases`, then times w,
+        so psi.view(float) [N, 2 V] equals the weighted `jet_block` values,
+        transposed, bit for bit.
+        """
+        kappa, w, amp = self._pair_block(j0, weights)
+        v0, _ = self._vectors(j0, j0 + 2 * len(w))
         phase = self._phases(self._lattice[v0:v0 + len(w)], np.asarray(points, dtype=float))
         psi = np.empty(phase.shape[::-1], dtype=complex)
         np.multiply(phase.T, amp, out=psi)
         del phase
         psi *= w
-        return self._kappa[j0:j1:2], (w * amp) ** 2, psi
+        return kappa, (w * amp) ** 2, psi
 
 
 class TorusSpectrum(LatticeSpectrum):

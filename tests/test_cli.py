@@ -239,6 +239,24 @@ def test_huge_spectrum_window_exits_3(tmp_path, capsys, monkeypatch, command, pa
     assert what in err and "the 0.27 GB available" in err
 
 
+@pytest.mark.parametrize("payload, window, t, held, floor", [
+    ({"model": CIRCLE_MODEL, "spectrum": {"lambda_max": 0.5}}, "0.5", "0.1", 0, 2),
+    ({"model": TORUS_MODEL, "spectrum": {"lambda_max": 1}}, "1", "0.1", 4, 5),
+    ({"model": {"kind": "product_sphere_circle", "params": {"radius": 1.0, "length": TWO_PI}},
+      "spectrum": {"lambda_t_margin": 0.1}}, "1", "0.1", 2, 9),
+], ids=["circle-lambda-max", "torus-lambda-max", "s2xs1-margin"])
+def test_narrow_scan_window_exits_2(tmp_path, capsys, payload, window, t, held, floor):
+    """A defect-scan window with fewer modes than the freeness floor exits 2
+    with one line that names the window, t and both counts."""
+    cfg = write_config(tmp_path, {**payload, "t_grid": [0.1, 0.05]})
+    capsys.readouterr()
+    assert run(["--config", cfg, "--out", str(tmp_path / "o"), "defect-scan"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    assert f"lambda <= {window} at t = {t} holds {held} non-constant modes" in err
+    assert f"freeness floor {floor}" in err and "q_override" not in err
+
+
 def test_perturb_theta_violation_exits_3(tmp_path):
     cfg = write_config(tmp_path, {
         "model": TORUS_MODEL,

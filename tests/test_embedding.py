@@ -460,10 +460,10 @@ def _gram_case(name):
 @pytest.mark.parametrize("chunk", [24, 25])
 def test_gradient_gram_matches_einsum(name, chunk):
     """The provider's Gram sum is symmetric and equals one einsum, with chunks
-    that do (24) and do not (25) divide the 96 modes (48 lattice vectors in
-    the closed lattice form).  The closed-form
+    that do (24) and do not (25) divide the 96 modes.  The closed-form
     lattice and separable S^2 x S^1 overrides also equal the generic chunked
-    body."""
+    body; on lattice blocks that are not whole cos/sin pairs with one weight
+    per pair the lattice provider is that body, bit for bit."""
     prov, j0, w, pts = _gram_case(name)
     G = prov.gradient_gram(j0, w, pts, chunk=chunk)
     _, grads, _ = prov.jet_block(j0, j0 + len(w), pts, deriv=1)
@@ -472,6 +472,8 @@ def test_gradient_gram_matches_einsum(name, chunk):
     assert np.max(np.abs(G - want)) <= 1e-13 * np.max(np.abs(want))
     base = spectrum.SpectrumProvider.gradient_gram(prov, j0, w, pts, chunk=chunk)
     assert np.max(np.abs(G - base)) <= 1e-13 * np.max(np.abs(base))
+    if name in ("n1", "n2", "n2_split_pairs", "n3_torus"):
+        assert np.array_equal(G, base)
     if name == "n2_pair_weights":
         # partners share lambda, so only the constant term of the closed form is left
         assert np.array_equal(G, np.broadcast_to(G[0], G.shape))
@@ -549,7 +551,7 @@ def test_product_scan_matches_level_sum_oracle(product, monkeypatch, corrected):
 
 def test_corrected_scan_builds_one_provider_per_t(product, monkeypatch):
     """A corrected windowed scan enumerates only the rescaled provider at each
-    t, over the same eigenvalue window as the former rescale-a-base recipe."""
+    t, over the scan's own eigenvalue window."""
     built = []
     init = spectrum.AnalyticSpectrum.__init__
 
@@ -567,12 +569,9 @@ def test_corrected_scan_builds_one_provider_per_t(product, monkeypatch):
     monkeypatch.undo()
     h1 = embedding.h1_frame_constant(product, 0.0)
     for t, (model, lam_max) in zip(ts, built):
-        # the former recipe: enumerate the base window, rescale it, and widen
-        # it back to the window when rescaling shrank it
         factors = (1.0 + t * h1[0, 0], 1.0 + t * h1[2, 2])
-        old = rescaled_provider(analytic_spectrum(product, lambda_max=window(t)), factors)
-        assert model == old.model
-        assert lam_max == (old.lambda_max if old.lambda_max >= window(t) else window(t))
+        assert model == spectrum.rescaled_model(product, factors)[0]
+        assert lam_max == window(t)
 
 
 def test_jets_scale_fresh_jets(torus2):
