@@ -19,7 +19,6 @@ from .jets import (PointwiseRightInverse, block_inverse, trace_free_rows, xi_inv
 from .perturb import (ConformalResult, ConformalSolver, FieldRq, IterationState,
                       SpectralGrid, assemble_C, fixed_point_solve)
 from .spectrum import (EigenPair, SpectrumProvider, analytic_spectrum,
-                       enumerate_eigenpairs, load_external_spectrum, rescaled_provider,
-                       save_spectrum)
+                       enumerate_eigenpairs, load_external_spectrum, save_spectrum)
 
 __version__ = "0.1.0"

@@ -202,7 +202,7 @@ def check_fixed_point(epsilon: float = 1e-3, residual_tol: float = 1e-8,
     """Contraction, iterate bound, equation residual, and uniqueness of the solve."""
     solver, f = _manufactured_problem(epsilon)
     history, y = perturb.fixed_point_solve(solver, f, k=0.0, tol=1e-10)
-    result = perturb.assemble_C(solver, y, 0.0, f)
+    result = perturb.assemble_C(solver, y, f)
     contractions = [st.contraction for st in history[1:]]
     # restart from a random kick of sup_x |P^T dy| = 1e-3
     rng = np.random.default_rng(seed)
@@ -237,7 +237,7 @@ def check_conformal_family(epsilon: float = 1e-3, residual_tol: float = 1e-8) ->
     ys, injectivity, residuals = {}, {}, {}
     for k in ks:
         _, ys[k] = perturb.fixed_point_solve(solver, f, k=k, tol=1e-10)
-        result = perturb.assemble_C(solver, ys[k], k, f)
+        result = perturb.assemble_C(solver, ys[k], f)
         injectivity[k], residuals[k] = result.injectivity, result.residual_sup
     diff, upper, lower = perturb.family_bounds(solver, ys[ks[0]], ys[ks[1]],
                                                ks[1] - ks[0])

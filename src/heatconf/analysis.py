@@ -8,6 +8,8 @@ pair, one lattice offset at a time; elsewhere a dense pair list is strided
 down to a pair budget.
 Order claims are measured as log-log regression slopes and reported as fits,
 never asserted as equalities (the underlying estimates are one-sided).
+`defect-scan` and `perturb` report the Hoelder quotients of the fields they
+compute; no acceptance check reads them.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from . import geometry
 from .errors import ConfigError
 from .geometry import ManifoldModel
 
+# pairs the dense Hoelder quotient compares at most; read at call time
 PAIR_CAP = 1_000_000
 
 
@@ -27,19 +30,17 @@ class OrderFit:
     slope: float
     intercept: float
     r_squared: float
-    t_values: np.ndarray
-    y_values: np.ndarray
 
 
-def _close_pairs(points: np.ndarray, model: ManifoldModel, radius: float,
-                 cap: int = PAIR_CAP):
+def _close_pairs(points: np.ndarray, model: ManifoldModel, radius: float):
     """Index pairs (i, j), i < j, with geodesic distance <= radius, plus distances.
 
-    Point sets too large for the pair budget are strided down deterministically.
+    Point sets too large for the pair budget `PAIR_CAP` are strided down
+    deterministically.
     """
     N = len(points)
     stride = 1
-    while (N // stride) ** 2 // 2 > cap:
+    while (N // stride) ** 2 // 2 > PAIR_CAP:
         stride += 1
     idx = np.arange(0, N, stride)
     sub = points[idx]
@@ -95,22 +96,21 @@ def _lattice_holder(values: np.ndarray, model: ManifoldModel, r: int, radius: fl
 
 
 def holder_seminorm_field(values: np.ndarray, points: np.ndarray,
-                          model: ManifoldModel, alpha: float,
-                          cap: int = PAIR_CAP) -> float:
+                          model: ManifoldModel, alpha: float) -> float:
     """max over close pairs of |values_i - values_j|_inf / dist^alpha.
 
     `values` is [N, ...], one sample per point; the trailing axes are
     flattened into the component max.  On a flat torus sampled at its
     `sample_grid` lattice every pair is a lattice offset, and all pairs are
     compared by shifting the field.  Any other model or point set compares a
-    dense pair list, strided to `cap`.
+    dense pair list, strided to `PAIR_CAP` pairs.
     """
     values = np.asarray(values, dtype=float).reshape(len(values), -1)
     radius = model.injectivity_surrogate / 2.0
     r = _lattice_resolution(points, model)
     if r is not None:
         return _lattice_holder(values, model, r, radius, alpha)
-    ii, jj, d = _close_pairs(points, model, radius, cap)
+    ii, jj, d = _close_pairs(points, model, radius)
     if len(d) == 0:
         return 0.0
     good = d > 0
@@ -132,4 +132,4 @@ def fit_order(t_values, values) -> OrderFit:
     resid = ly - A @ coef
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    return OrderFit(float(coef[0]), float(coef[1]), r2, t, y)
+    return OrderFit(float(coef[0]), float(coef[1]), r2)

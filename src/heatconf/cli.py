@@ -284,7 +284,7 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> dict:
     eig_dir = out_dir / "eigenpairs"
     eig_dir.mkdir(parents=True, exist_ok=True)
     path = eig_dir / f"{cfg.model.kind}.jsonl"
-    spectrum.save_spectrum(provider, path, grid, tolerance=1e-6, count=count)
+    spectrum.save_spectrum(provider, path, grid, count=count)
     return {
         "file": str(path.relative_to(out_dir)),
         "count": count,
@@ -333,8 +333,7 @@ def cmd_gram(cfg: RunConfig, out_dir: Path) -> dict:
     if not 0 < t < 1:
         raise ConfigError(f"t must lie in (0, 1), got {t!r}")
     policy = embedding.TruncationPolicy(rho=cfg.rho, q_override=cfg.q_override)
-    provider = spectrum.analytic_spectrum(cfg.model,
-                                          count=policy.q(t, cfg.model.dim) + 8)
+    provider = spectrum.analytic_spectrum(cfg.model, count=policy.q(t, cfg.model.dim) + 1)
     emb = embedding.build_embedding(provider, t, policy)
     grid = geometry.sample_grid(cfg.model, cfg.resolution)
     rng = np.random.default_rng(cfg.seed)
@@ -376,7 +375,7 @@ def cmd_perturb(cfg: RunConfig, out_dir: Path) -> dict:
                                     sv["epsilon"], sv["f_mode"])
     t = sv["t"]
     policy = embedding.TruncationPolicy(rho=cfg.rho, q_override=cfg.q_override)
-    provider = spectrum.analytic_spectrum(cfg.model, count=policy.q(t, cfg.model.dim) + 8)
+    provider = spectrum.analytic_spectrum(cfg.model, count=policy.q(t, cfg.model.dim) + 1)
     emb = embedding.build_embedding(provider, t, policy)
     solver = perturb.ConformalSolver(emb, resolution=resolution, e=sv["e"])
     runs = []
@@ -404,7 +403,7 @@ def _perturb_run(solver: perturb.ConformalSolver, f: np.ndarray, k: float, histo
     """The record of one k-solve: its steps, the verify numbers and the
     assembled C's, with alpha-Hoelder quotients of the residual and defect
     fields.  C is freed on return, before the next solve."""
-    result = perturb.assemble_C(solver, y, k, f)
+    result = perturb.assemble_C(solver, y, f)
     holder = lambda field: analysis.holder_seminorm_field(
         field, solver.grid.points, solver.model, alpha)
     return {

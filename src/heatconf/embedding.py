@@ -6,6 +6,13 @@ c(t) = sqrt(2) (4 pi)^{n/4} t^{(n+2)/4} chosen so the pullback metric tends
 to g as t -> 0.  Truncation indices are always extended to close the final
 eigenvalue shell: partial shells break the isometry-group symmetry that the
 homothety tests rely on, and the embedding is only canonical on full shells.
+
+The pullback metric and the truncation tail are the provider's
+`gradient_gram` sums; `EmbeddingMap.jets` returns the weighted jets of a
+point set, uncached.  The pullback report keeps the trace-free defect field
+beside its sup, and `defect_scan` reports the field's Hoelder quotient.  The
+metric correction supports l <= 2, with h1 checked constant on each block of
+the frame over `sample_grid(model, 8)`.
 """
 from __future__ import annotations
 
@@ -73,20 +80,14 @@ class EmbeddingMap:
         # component j (1-based provider index) carries weight c(t) e^{-lambda_j t/2}
         self.weights = self.c_norm * np.exp(-provider.lambdas[1:q + 1] * t / 2.0)
 
-    @property
-    def lambdas(self) -> np.ndarray:
-        return self.provider.lambdas[1:self.q + 1]
+    def jets(self, points: np.ndarray):
+        """Scaled jets of all q components on chart points [N, n].
 
-    def jets(self, points: np.ndarray, deriv: int = 2):
-        """Scaled jets of all q components on chart points [N, n], up to `deriv`.
-
-        Returns (values [q, N], gradients [q, N, n], hessians [q, N, n, n]);
-        arrays above `deriv` are zero-size, as from `jet_block`.
+        Returns (values [q, N], gradients [q, N, n], hessians [q, N, n, n]).
         """
-        jets = self.provider.jet_block(1, self.q + 1, points, deriv)
+        jets = self.provider.jet_block(1, self.q + 1, points)
         for arr in jets:      # fresh arrays: scale in place, hold one copy
-            if arr.size:
-                arr *= self.weights.reshape((-1,) + (1,) * (arr.ndim - 1))
+            arr *= self.weights.reshape((-1,) + (1,) * (arr.ndim - 1))
         return jets
 
     def pullback_on(self, points: np.ndarray) -> np.ndarray:
@@ -102,7 +103,12 @@ class EmbeddingMap:
 
 def build_embedding(provider: SpectrumProvider, t: float,
                     policy: TruncationPolicy) -> EmbeddingMap:
-    """Embedding at time t with the policy's component count, shell-closed."""
+    """Embedding at time t with the policy's component count, shell-closed.
+
+    An analytic provider holds whole shells, so a shell that runs to its last
+    mode is closed.  Any other provider may end inside a shell, so a shell
+    that reaches its last mode is refused: it cannot be told closed.
+    """
     if t >= 1.0:
         warnings.warn(f"t = {t} >= 1: outside the asymptotic regime", stacklevel=2)
     n = provider.model.dim
@@ -114,8 +120,9 @@ def build_embedding(provider: SpectrumProvider, t: float,
     while q + 1 < provider.count and \
             lams[q + 1] - lams[q] <= _SHELL_RTOL * (1.0 + lams[q]):
         q += 1
-    if q + 1 < provider.count and lams[q + 1] - lams[q] <= _SHELL_RTOL * (1.0 + lams[q]):
-        raise SpectrumError("insufficient spectrum: cannot close the final shell")
+    if q + 1 == provider.count and not isinstance(provider, spectrum.AnalyticSpectrum):
+        raise SpectrumError(f"insufficient spectrum: the shell at q = {q} reaches the "
+                            f"last of the provider's {provider.count} modes and may be open")
     return EmbeddingMap(provider, t, q)
 
 
@@ -202,15 +209,14 @@ def corrected_model(model: ManifoldModel, h1_frame: np.ndarray, t: float,
         factors.append(fac)
     if t == 0 or all(f == 1.0 for f in factors):
         return model, spectrum.analytic_spectrum(model, count=count, lambda_max=lambda_max)
-    scaled, _ = spectrum.rescaled_model(model, factors)
+    scaled = spectrum.rescaled_model(model, factors)
     return scaled, spectrum.analytic_spectrum(scaled, count=count, lambda_max=lambda_max)
 
 
 @dataclass
 class PullbackReport:
-    """Pullback metric, trace factor, and trace-free defect over a grid."""
+    """Trace factor and trace-free defect of a pullback metric over a grid."""
 
-    G: np.ndarray                 # [N, n, n] chart components
     trace_factor: np.ndarray      # [N]
     defect_frame: np.ndarray      # [N, n, n] orthonormal-frame components
     sup: float
@@ -225,7 +231,7 @@ def pullback_report(emb: EmbeddingMap, grid: SampleGrid,
     m = geometry.metric_on_grid(reference, pts)
     defect, tr = conformal_defect(G, m.g, m.g_inv)
     defect_frame = np.einsum("nia,nij,njb->nab", m.frame, defect, m.frame)
-    return PullbackReport(G, tr, defect_frame, float(np.max(np.abs(defect_frame))))
+    return PullbackReport(tr, defect_frame, float(np.max(np.abs(defect_frame))))
 
 
 def defect_scan(model: ManifoldModel, t_grid, policy: TruncationPolicy,
@@ -330,8 +336,6 @@ def tail_bound_check(provider: SpectrumProvider, t: float, policy: TruncationPol
     emb = build_embedding(provider, t, policy)
     q = emb.q
     bound = float(np.exp(-t ** (-policy.rho / n)))
-    if q + 1 >= provider.count:
-        return 0.0, bound, True
     if provider.count < 4 * q:
         raise SpectrumError(
             f"tail check needs >= 4x modes beyond q={q}, have {provider.count}")

@@ -10,7 +10,8 @@ Supported kinds:
 One batched evaluator, `metric_on_grid`, gives the metric, its inverse, the
 orthonormal frame, the connection, Ricci and scalar curvature and the first
 heat-expansion tensor A1 over chart points [N, n]; a single point is a batch
-of one.  Curvature is hard-coded per kind and cross-checked by finite
+of one.  Point arrays not of width n, and points within 1e-9 of a pole,
+raise DomainError.  Curvature is hard-coded per kind and cross-checked by finite
 differences of that same evaluator in the tests.  `conformal_defect` is the
 one trace-free part G - (tr_g G / n) g, shared by the pullback report, the h1
 correction and the flat-torus solver.

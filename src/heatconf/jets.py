@@ -17,6 +17,9 @@ and its Gram over a point set and applies E pointwise; a single point is a
 batch of one.  On flat tori the fixed-point solver applies E through the
 constant Gram and never forms P: each row is the embedding's complex cos/sin
 pairs times a constant symbol (see `perturb`; the tests pin it to this class).
+The frame is diagonal in the chart, so the rows of P are per-entry scalings
+of the chart jets, with a Christoffel term only where Gamma is nonzero.  The
+block inverse and the Xi matrices of the Gram asymptotics live here too.
 """
 from __future__ import annotations
 

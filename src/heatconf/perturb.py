@@ -72,6 +72,11 @@ and cheap: the pair weights make |Psi(x) - Psi(x + d)| = gap(d) depend on the
 grid offset d alone, every pair at offset d lies at least gap(d) - 2 sup|v|
 apart, and a scan of the offsets by that bound stops after a few (2 of 1153
 on the 2-torus at N = 48^2; see `assemble_C`).
+
+The set-up refuses, before it fetches any jets, a problem whose estimated
+bytes pass MemAvailable (`geometry.check_memory`).  The grid defaults to 48
+points per axis on a 2-torus and 32 above (`grid_resolution`), for the CLI
+too.
 """
 from __future__ import annotations
 
@@ -90,6 +95,8 @@ DEFAULT_THETA_THRESHOLD = 0.25
 # the entrywise gap, relative to max |M|, that the set-up allows between the jet
 # Gram and the pair Gram M
 _GRAM_RTOL = 1e-12
+# sample columns per matrix product of `_quadratic_form`
+_FORM_CHUNK = 4096
 
 
 class SpectralGrid:
@@ -270,15 +277,15 @@ def _pair_forms(S: np.ndarray, kappa: np.ndarray, s: np.ndarray, e: float):
     return np.stack(b + L), np.stack(cross), np.stack(quad)
 
 
-def _quadratic_form(W: np.ndarray, Y: np.ndarray, chunk: int = 4096) -> np.ndarray:
+def _quadratic_form(W: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Forms W [o, R, R] at the sample columns of Y [R, P]: [o, P], out[o, p] =
-    Y[:, p]^T W[o] Y[:, p], one matrix product per chunk of samples."""
+    Y[:, p]^T W[o] Y[:, p], one matrix product per `_FORM_CHUNK` samples."""
     o, R, _ = W.shape
     Wt = W.transpose(0, 2, 1).reshape(o * R, R)
     out = np.empty((o, Y.shape[1]))
-    for p0 in range(0, Y.shape[1], chunk):
-        Yc = Y[:, p0:p0 + chunk]
-        out[:, p0:p0 + chunk] = ((Wt @ Yc).reshape(o, R, -1) * Yc).sum(axis=1)
+    for p0 in range(0, Y.shape[1], _FORM_CHUNK):
+        Yc = Y[:, p0:p0 + _FORM_CHUNK]
+        out[:, p0:p0 + _FORM_CHUNK] = ((Wt @ Yc).reshape(o, R, -1) * Yc).sum(axis=1)
     return out
 
 
@@ -524,19 +531,16 @@ def family_bounds(solver: ConformalSolver, y_a: np.ndarray, y_b: np.ndarray,
 @dataclass
 class ConformalResult:
     C: FieldRq
-    k: float
     residual_sup: float
     residual: np.ndarray          # [N, n, n] trace-free pair-form residual
     pullback_residual_sup: float
     defect_sup: float
     defect: np.ndarray            # [N, n, n] trace-free defect field
-    trace_factor: np.ndarray
     injectivity: float
     injectivity_ok: bool
 
 
-def assemble_C(solver: ConformalSolver, y: np.ndarray, k: float,
-               f: np.ndarray) -> ConformalResult:
+def assemble_C(solver: ConformalSolver, y: np.ndarray, f: np.ndarray) -> ConformalResult:
     """The conformal immersion C = Psi + v of a k-solve, with its checks.
 
     C = psi (1 + y S) and grad_i C = i kappa_i C + psi (d_i y S) are formed
@@ -549,10 +553,10 @@ def assemble_C(solver: ConformalSolver, y: np.ndarray, k: float,
     grad C is never held whole.  From G it reports (tf the trace-free part):
     the solver's pair-form residual of y with its field; the pullback residual
     tf(G - G_u - f), G_u the pullback of Psi, which is the independent check
-    that v does what the equation promises; the defect tf(G - f) with its
-    trace factor, compensated by the manufactured f so that it measures the
-    solve rather than the injected defect; and the injectivity, the smallest
-    distance between grid points of C.
+    that v does what the equation promises; the defect tf(G - f),
+    compensated by the manufactured f so that it measures the solve rather
+    than the injected defect; and the injectivity, the smallest distance
+    between grid points of C.
 
     The injectivity is the exact minimum over all pairs, found by scanning a
     few grid offsets d.  The identity: the same pair weights make Psi(x + d)
@@ -614,11 +618,11 @@ def assemble_C(solver: ConformalSolver, y: np.ndarray, k: float,
     C = C.view(float)                                          # [N, q]
     residual = solver._residual(Y, f)
     pullback = conformal_defect(G - solver.gram[:, :n, :n] - f, np.eye(n))[0]
-    defect, trace_factor = conformal_defect(G - f, np.eye(n))
+    defect = conformal_defect(G - f, np.eye(n))[0]
     injectivity = _injectivity(solver, C, y)
-    return ConformalResult(FieldRq(C), k, float(np.max(np.abs(residual))), residual,
+    return ConformalResult(FieldRq(C), float(np.max(np.abs(residual))), residual,
                            float(np.max(np.abs(pullback))), float(np.max(np.abs(defect))),
-                           defect, trace_factor, injectivity, injectivity > 0.0)
+                           defect, injectivity, injectivity > 0.0)
 
 
 def _immersion_block(solver: ConformalSolver, y: np.ndarray, dy: np.ndarray, block: slice,

@@ -46,6 +46,9 @@ from .errors import ConfigError, PreconditionError, SpectrumError
 from .geometry import ManifoldModel
 
 COS, SIN = 0, 1
+# modes per jet_block call of the generic gradient_gram, and sphere factors per
+# chunk of the S^2 x S^1 one; read at call time
+_GRAM_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,6 @@ class SpectrumProvider:
     """Common interface: ordered eigenpairs plus vectorized jet evaluation."""
 
     model: ManifoldModel
-    backing: str
 
     @property
     def count(self) -> int:
@@ -81,15 +83,14 @@ class SpectrumProvider:
         """
         raise NotImplementedError
 
-    def gradient_gram(self, j0: int, weights: np.ndarray, points: np.ndarray,
-                      chunk: int = 1024) -> np.ndarray:
+    def gradient_gram(self, j0: int, weights: np.ndarray, points: np.ndarray) -> np.ndarray:
         """sum_i (w_i grad phi_{j0+i}) outer (w_i grad phi_{j0+i}) at points [N, n].
 
         One mode per weight; modes past the provider's count are rejected.
         Returns [N, n, n], exactly symmetric.  This generic body serves the
         sphere and external providers and is the reference that the
         closed-form overrides (lattice and S^2 x S^1) are tested against: it
-        fetches gradients in chunks of `chunk` modes, and each entry (a, b),
+        fetches gradients in chunks of `_GRAM_CHUNK` modes, and each entry (a, b),
         a <= b, of a chunk's sum is one contraction along the mode axis,
         w^2 @ (d_a phi * d_b phi).
         """
@@ -97,6 +98,7 @@ class SpectrumProvider:
         points = np.asarray(points, dtype=float)
         N, n = points.shape
         G = np.zeros((N, n, n))
+        chunk = _GRAM_CHUNK
         for lo in range(0, len(weights), chunk):
             hi = min(len(weights), lo + chunk)
             _, grads, _ = self.jet_block(j0 + lo, j0 + hi, points, deriv=1)
@@ -146,8 +148,6 @@ class AnalyticSpectrum(SpectrumProvider):
     `_enumerate` returns the eigenvalues [M] and integer descriptors
     [M, width] in any order; they are sorted here by (lambda, descriptor).
     """
-
-    backing = "analytic"
 
     def __init__(self, model: ManifoldModel, lambda_max: float):
         self.model = model
@@ -269,7 +269,7 @@ class LatticeSpectrum(AnalyticSpectrum):
             raise PreconditionError("a cos/sin pair carries two weights")
         return self._kappa[j0:j1:2], w[0::2], self._amp[j0:j1:2]
 
-    def gradient_gram(self, j0, weights, points, chunk=1024):
+    def gradient_gram(self, j0, weights, points):
         """The Gram sum of `SpectrumProvider.gradient_gram`, per cos/sin pair.
 
         The cos and sin modes of kappa have gradients -a kappa sin(kappa . x)
@@ -282,7 +282,7 @@ class LatticeSpectrum(AnalyticSpectrum):
         try:
             kappa, w, amp = self._pair_block(j0, weights)
         except PreconditionError:
-            return super().gradient_gram(j0, weights, points, chunk)
+            return super().gradient_gram(j0, weights, points)
         s = (w * amp) ** 2
         N, n = np.shape(points)
         G = np.empty((N, n, n))
@@ -595,7 +595,7 @@ class ProductSpectrum(AnalyticSpectrum):
             hess[:, :, 2, 2] = sv * d2c
         return vals, grads, hess
 
-    def gradient_gram(self, j0, weights, points, chunk=1024):
+    def gradient_gram(self, j0, weights, points):
         """The Gram sum of `SpectrumProvider.gradient_gram`, contracted per factor.
 
         grad (Y c) = (c grad Y, Y c'), so each entry a <= b pairs a sphere
@@ -603,7 +603,7 @@ class ProductSpectrum(AnalyticSpectrum):
         (c^2, c c' or c'^2).  With W[s, c] the squared weight of the one mode
         whose factors are s and c, G_ab at a point on (theta, phi) row x and
         circle angle y is sum_c (P_ab^T W)[x, c] B_ab[c, y].  Sphere factors
-        are evaluated on the distinct rows in chunks of `chunk`, and the sum
+        are evaluated on the distinct rows in chunks of `_GRAM_CHUNK`, and the sum
         over c is taken per point, so no [rows, angles] table is formed.
         """
         points = np.asarray(points, dtype=float)
@@ -618,6 +618,7 @@ class ProductSpectrum(AnalyticSpectrum):
         # (a, b, circle product); sphere factor 2 below is Y itself
         entries = [(0, 0, cc), (0, 1, cc), (1, 1, cc), (0, 2, cd), (1, 2, cd), (2, 2, dd)]
         A = np.zeros((len(entries), len(rows), fc.size))
+        chunk = _GRAM_CHUNK
         for lo in range(0, fs.size, chunk):
             sv, sg, _ = self._sphere_factor_jets(fs[lo:lo + chunk], rows, 1)
             F = (sg[:, :, 0], sg[:, :, 1], sv)
@@ -686,41 +687,28 @@ def analytic_spectrum(model: ManifoldModel, count: int | None = None,
     raise SpectrumError(f"could not enumerate {count} modes")   # pragma: no cover
 
 
-def rescaled_model(model: ManifoldModel, factor_per_block):
+def rescaled_model(model: ManifoldModel, factor_per_block) -> ManifoldModel:
     """Model with each product block's metric multiplied by its constant factor.
 
-    Returns (scaled model, shrink), shrink being the smallest factor: each
-    eigenvalue of the scaled model is at most the matching one of `model`
-    divided by shrink, so the window lambda_max / shrink keeps every mode.
+    Dividing a block's metric by its factor scales that block's eigenvalues by
+    1/factor and renormalizes its eigenfunctions through the volume change;
+    the analytic provider of the scaled model realizes both exactly.
     """
     factors = np.atleast_1d(np.asarray(factor_per_block, dtype=float))
     if np.any(factors <= 0):
         raise ConfigError("metric block factors must be strictly positive")
     if model.kind == geometry.FLAT_TORUS:
         (c,) = factors
-        return ManifoldModel.flat_torus([L * np.sqrt(c) for L in model.periods]), c
+        return ManifoldModel.flat_torus([L * np.sqrt(c) for L in model.periods])
     if model.kind == geometry.CIRCLE:
         (c,) = factors
-        return ManifoldModel.circle(model.length * np.sqrt(c)), c
+        return ManifoldModel.circle(model.length * np.sqrt(c))
     if model.kind == geometry.SPHERE2:
         (c,) = factors
-        return ManifoldModel.sphere2(model.radius * np.sqrt(c)), c
+        return ManifoldModel.sphere2(model.radius * np.sqrt(c))
     cs, cc = factors
-    return (ManifoldModel.product_sphere_circle(
-        model.radius * np.sqrt(cs), model.length * np.sqrt(cc)), min(cs, cc))
-
-
-def rescaled_provider(provider: SpectrumProvider, factor_per_block) -> SpectrumProvider:
-    """Provider of the metric rescaled by constant factors per product block.
-
-    Dividing each block's metric by its factor scales that block's eigenvalues
-    by 1/factor and renormalizes eigenfunctions through the volume change;
-    both are realized exactly by the analytic provider of the rescaled model.
-    """
-    if not isinstance(provider, AnalyticSpectrum):
-        raise SpectrumError("rescaling is only supported for analytic spectra")
-    scaled, shrink = rescaled_model(provider.model, factor_per_block)
-    return _ANALYTIC[scaled.kind](scaled, provider.lambda_max / shrink)
+    return ManifoldModel.product_sphere_circle(model.radius * np.sqrt(cs),
+                                               model.length * np.sqrt(cc))
 
 
 # ---------------------------------------------------------------------------
@@ -730,12 +718,9 @@ def rescaled_provider(provider: SpectrumProvider, factor_per_block) -> SpectrumP
 class ExternalSpectrum(SpectrumProvider):
     """Spectrum tabulated on a fixed grid; off-grid queries are rejected."""
 
-    backing = "external"
-
-    def __init__(self, model, grid, tolerance, eigenpairs, vals, grads, hess):
+    def __init__(self, model, grid, eigenpairs, vals, grads, hess):
         self.model = model
         self.grid = grid
-        self.tolerance = tolerance
         self.eigenpairs = eigenpairs
         self._lambdas = np.array([ep.lam for ep in eigenpairs])
         self._vals = vals
@@ -764,12 +749,15 @@ class ExternalSpectrum(SpectrumProvider):
 
 
 def save_spectrum(provider: SpectrumProvider, path, grid: geometry.SampleGrid,
-                  tolerance: float = 1e-6, count: int | None = None) -> None:
-    """Dump eigenpairs with tabulated jets to the JSON-lines eigenpair file."""
+                  count: int | None = None) -> None:
+    """Dump eigenpairs with tabulated jets to the JSON-lines eigenpair file.
+
+    The header asks the loader to check grid orthonormality to 1e-6.
+    """
     count = provider.count if count is None else count
     header = {
         "n": provider.model.dim,
-        "tolerance": tolerance,
+        "tolerance": 1e-6,
         "model": provider.model.to_config(),
         "grid": {"points": np.asarray(grid.points).tolist(),
                  "weights": np.asarray(grid.weights).tolist()},
@@ -844,5 +832,4 @@ def load_external_spectrum(path) -> ExternalSpectrum:
     if err > tolerance:
         raise SpectrumError(
             f"orthonormality check failed: max Gram error {err:.3e} > {tolerance}")
-    return ExternalSpectrum(model, grid, tolerance, pairs,
-                            V, np.stack(grads), np.stack(hess))
+    return ExternalSpectrum(model, grid, pairs, V, np.stack(grads), np.stack(hess))

@@ -65,12 +65,12 @@ def test_holder_monotone_under_refinement(circle):
     assert h_fine >= h_coarse - 1e-12
 
 
-def test_holder_pair_cap(circle):
+def test_holder_pair_cap(circle, monkeypatch):
     grid = geometry.sample_grid(circle, 256)
     vals = np.sin(grid.points[:, 0])
     full = analysis.holder_seminorm_field(vals, grid.points, circle, 0.5)
-    capped = analysis.holder_seminorm_field(vals, grid.points, circle, 0.5,
-                                            cap=2000)
+    monkeypatch.setattr(analysis, "PAIR_CAP", 2000)
+    capped = analysis.holder_seminorm_field(vals, grid.points, circle, 0.5)
     assert 0 < capped <= full * (1 + 1e-12)
 
 

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from heatconf import (CorrectionSpec, ManifoldModel, TruncationPolicy, analytic_spectrum,
                       build_embedding, conformal_defect, corrected_model, defect_scan,
-                      h1_solve, rescaled_provider, tail_bound_check)
+                      h1_solve, tail_bound_check)
 from heatconf import acceptance, embedding, geometry, spectrum
 from heatconf.errors import ConfigError, PreconditionError, SpectrumError
 
@@ -59,6 +59,20 @@ def test_shell_closing(torus2):
     emb = build_embedding(prov, 0.3, TruncationPolicy(q_override=6))
     assert emb.q == 8
     assert prov.lambdas[emb.q] < prov.lambdas[emb.q + 1]
+
+
+def test_external_spectrum_refuses_an_open_final_shell(torus2, tmp_path):
+    """An eigenpair file of 40 modes ends inside the lambda = 13 shell
+    (indices 37-44): a truncation whose shell runs into its last mode is
+    refused, one whose shell closes inside the file is built."""
+    path = tmp_path / "flat_torus.jsonl"
+    spectrum.save_spectrum(analytic_spectrum(torus2, count=40), path,
+                           geometry.sample_grid(torus2, 8), count=40)
+    prov = spectrum.load_external_spectrum(path)
+    assert prov.count == 40 and prov.lambdas[37] == prov.lambdas[39] == 13.0
+    with pytest.raises(SpectrumError, match="insufficient spectrum"):
+        build_embedding(prov, 0.3, TruncationPolicy(q_override=38))
+    assert build_embedding(prov, 0.3, TruncationPolicy(q_override=30)).q == 36
 
 
 def test_circle_pullback_poisson(circle):
@@ -392,11 +406,10 @@ def test_tail_bound_modes(circle, torus2):
     have = lam[emb.q:]                # provider indices q+1 .. count-1
     oracle = emb.c_norm**2 * np.sum(have * np.exp(-have * 0.1)) / (2 * np.pi)
     assert_allclose(tail, oracle, rtol=1e-10)
-    # no-tail short circuit
+    # a truncation with no tail left to measure is refused, not passed
     small = analytic_spectrum(circle, count=40)
-    t0, b0, ok0 = tail_bound_check(
-        small, 0.1, TruncationPolicy(rho=1.0, q_override=small.count - 1))
-    assert (t0, ok0) == (0.0, True)
+    with pytest.raises(SpectrumError, match="4x modes"):
+        tail_bound_check(small, 0.1, TruncationPolicy(rho=1.0, q_override=small.count - 1))
     # reports without asserting: this configuration may fail the bound
     t1, b1, ok1 = tail_bound_check(prov, 0.5, TruncationPolicy(rho=0.01),
                                    resolution=16)
@@ -432,7 +445,7 @@ def _gram_case(name):
         j0 = int(np.searchsorted(prov.lambdas, prov.lambdas[250])) + 5
         assert prov.lambdas[j0 - 1] == prov.lambdas[j0]
     elif name == "n3_rescaled":
-        prov = rescaled_provider(prov, (1.1, 0.8))
+        prov = analytic_spectrum(spectrum.rescaled_model(model, (1.1, 0.8)), count=100)
     elif name == "n2_pair_weights":
         # the embedding's weights e^{-lambda t/2} at large q, as in the
         # homothety criterion, on a few points
@@ -458,19 +471,20 @@ def _gram_case(name):
                                   "n2_empty", "n3_torus", "n3", "n3_scattered",
                                   "n3_mid_shell", "n3_rescaled"])
 @pytest.mark.parametrize("chunk", [24, 25])
-def test_gradient_gram_matches_einsum(name, chunk):
+def test_gradient_gram_matches_einsum(name, chunk, monkeypatch):
     """The provider's Gram sum is symmetric and equals one einsum, with chunks
     that do (24) and do not (25) divide the 96 modes.  The closed-form
     lattice and separable S^2 x S^1 overrides also equal the generic chunked
     body; on lattice blocks that are not whole cos/sin pairs with one weight
     per pair the lattice provider is that body, bit for bit."""
     prov, j0, w, pts = _gram_case(name)
-    G = prov.gradient_gram(j0, w, pts, chunk=chunk)
+    monkeypatch.setattr(spectrum, "_GRAM_CHUNK", chunk)
+    G = prov.gradient_gram(j0, w, pts)
     _, grads, _ = prov.jet_block(j0, j0 + len(w), pts, deriv=1)
     want = np.einsum("m,mpi,mpj->pij", w * w, grads, grads)
     assert np.array_equal(G, G.transpose(0, 2, 1))
     assert np.max(np.abs(G - want)) <= 1e-13 * np.max(np.abs(want))
-    base = spectrum.SpectrumProvider.gradient_gram(prov, j0, w, pts, chunk=chunk)
+    base = spectrum.SpectrumProvider.gradient_gram(prov, j0, w, pts)
     assert np.max(np.abs(G - base)) <= 1e-13 * np.max(np.abs(base))
     if name in ("n1", "n2", "n2_split_pairs", "n3_torus"):
         assert np.array_equal(G, base)
@@ -570,22 +584,16 @@ def test_corrected_scan_builds_one_provider_per_t(product, monkeypatch):
     h1 = embedding.h1_frame_constant(product, 0.0)
     for t, (model, lam_max) in zip(ts, built):
         factors = (1.0 + t * h1[0, 0], 1.0 + t * h1[2, 2])
-        assert model == spectrum.rescaled_model(product, factors)[0]
+        assert model == spectrum.rescaled_model(product, factors)
         assert lam_max == window(t)
 
 
 def test_jets_scale_fresh_jets(torus2):
-    """EmbeddingMap.jets weights the jet_block arrays bit for bit, at every order,
-    and leaves the arrays above the order zero-size."""
+    """EmbeddingMap.jets weights the jet_block arrays bit for bit, at every order."""
     prov = analytic_spectrum(torus2, count=80)
     emb = build_embedding(prov, 0.1, TruncationPolicy(q_override=40))
     pts = geometry.sample_grid(torus2, 6).points
     raw = prov.jet_block(1, emb.q + 1, pts)
     w = emb.weights
-    for deriv in (0, 1, 2):
-        got = emb.jets(pts, deriv=deriv)
-        for order, (arr, ref) in enumerate(zip(got, raw)):
-            if order > deriv:
-                assert arr.size == 0
-            else:
-                assert np.array_equal(arr, w.reshape((-1,) + (1,) * (ref.ndim - 1)) * ref)
+    for arr, ref in zip(emb.jets(pts), raw):
+        assert np.array_equal(arr, w.reshape((-1,) + (1,) * (ref.ndim - 1)) * ref)

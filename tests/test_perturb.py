@@ -408,17 +408,17 @@ def test_verify_conformal(solver, manufactured, solved):
     1e-15 where v lies in the open band (the solved and the zero y), and
     catches a corrupted y as the pair-form residual does."""
     _, y = solved
-    rep = perturb.assemble_C(solver, y, 0.0, manufactured)
+    rep = perturb.assemble_C(solver, y, manufactured)
     assert rep.residual_sup <= 1e-8
     assert rep.pullback_residual_sup <= 1e-8
     assert rep.residual.shape == (solver.grid.N, 2, 2)
     assert rep.residual_sup == np.max(np.abs(rep.residual))
     zero = np.zeros_like(y)
-    rep0 = perturb.assemble_C(solver, zero, 0.0, np.zeros_like(manufactured))
+    rep0 = perturb.assemble_C(solver, zero, np.zeros_like(manufactured))
     assert rep0.residual_sup <= 1e-14
     corrupted = y.copy()
     corrupted[0, 2] += 1e-3
-    repc = perturb.assemble_C(solver, corrupted, 0.0, manufactured)
+    repc = perturb.assemble_C(solver, corrupted, manufactured)
     assert repc.residual_sup > 1e-5
     assert repc.pullback_residual_sup > 1e-5
     for got, yy, f in ((rep, y, manufactured), (rep0, zero, np.zeros_like(manufactured)),
@@ -461,7 +461,7 @@ def test_assemble_C(solver, torus_embedding, manufactured, solved):
     whole grad C."""
     _, y = solved
     v = lift(solver, y)
-    res = perturb.assemble_C(solver, y, 0.0, manufactured)
+    res = perturb.assemble_C(solver, y, manufactured)
     assert res.defect_sup <= 1e-10
     assert res.defect_sup == np.max(np.abs(res.defect))
     assert res.injectivity > 0 and res.injectivity_ok
@@ -470,17 +470,17 @@ def test_assemble_C(solver, torus_embedding, manufactured, solved):
     assert immersion(solver, y)[1].shape == (N, 2, q)
     tracemalloc.start()
     try:
-        perturb.assemble_C(solver, y, 0.0, manufactured)
+        perturb.assemble_C(solver, y, manufactured)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 * N * q * 8
     # C = psi (1 + y S) is Psi + P^T y of the oracle P to rounding
-    psi = torus_embedding.jets(solver.grid.points, deriv=0)[0].T
+    psi = torus_embedding.jets(solver.grid.points)[0].T
     want = psi + v.values
     assert np.max(np.abs(res.C.values - want)) <= 1e-14 * np.max(np.abs(want))
     # v = 0: C is the embedding itself, still injective on the grid
-    res0 = perturb.assemble_C(solver, np.zeros_like(y), 0.0, np.zeros_like(manufactured))
+    res0 = perturb.assemble_C(solver, np.zeros_like(y), np.zeros_like(manufactured))
     assert res0.injectivity > 0
 
 
@@ -542,7 +542,7 @@ def test_one_gradient_per_iterate(solver, manufactured, monkeypatch):
             return _transform(a, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     history, y = fixed_point_solve(solver, manufactured, k=0.0, tol=1e-11)
-    result = perturb.assemble_C(solver, y, 0.0, manufactured)
+    result = perturb.assemble_C(solver, y, manufactured)
     monkeypatch.undo()
     assert len(history) > 1 and shapes and not any(q in shape for shape in shapes)
     assert result.residual_sup == history[-1].residual
@@ -560,7 +560,7 @@ def test_pullback_check_on_a_coarse_grid(torus_embedding):
     f = perturb.manufactured_defect(built.grid.points, 1e-3, [1, 0])
     for k in (0.0, 1e-3):
         _, y = fixed_point_solve(built, f, k=k)
-        res = perturb.assemble_C(built, y, k, f)
+        res = perturb.assemble_C(built, y, f)
         assert res.residual_sup <= 1e-12
         assert res.pullback_residual_sup <= 1e-12
         assert res.defect_sup <= 1e-12
@@ -588,10 +588,10 @@ def test_solver_fetches_grid_jets_once(torus_embedding, monkeypatch):
     built = perturb.ConformalSolver(torus_embedding, resolution=16)
     assert calls == ["pairs"]
     N = built.grid.N
-    perturb.assemble_C(built, np.zeros((N, 5)), 0.0, np.zeros((N, 2, 2)))
+    perturb.assemble_C(built, np.zeros((N, 5)), np.zeros((N, 2, 2)))
     assert calls == ["pairs"]
     monkeypatch.undo()
-    values = torus_embedding.jets(built.grid.points, deriv=0)[0].T
+    values = torus_embedding.jets(built.grid.points)[0].T
     assert built.psi.shape == (N, torus_embedding.q // 2)
     assert np.array_equal(built.psi.view(float), values)
     assert np.array_equal(built.psi.real, values[:, 0::2])
@@ -616,9 +616,9 @@ def test_complex_pairs_match_the_jet_path(periods, t, resolution, count):
     built = perturb.ConformalSolver(emb, resolution=resolution, e=1.0)
     n, N, q = built.model.dim, built.grid.N, emb.q
     y = band_limited_y(built.grid, 23, kmax=3, scale=1e-2)
-    res = perturb.assemble_C(built, y, 0.0, np.zeros((N, n, n)))
+    res = perturb.assemble_C(built, y, np.zeros((N, n, n)))
     E = jets.PointwiseRightInverse(emb, built.grid.points)
-    C = emb.jets(built.grid.points, deriv=0)[0].T + np.einsum("nmq,nm->nq", E.P, y)
+    C = emb.jets(built.grid.points)[0].T + np.einsum("nmq,nm->nq", E.P, y)
     cos = emb.provider._parity[1:q + 1] == spectrum.COS
     partner = np.where(cos, np.arange(q) + 1, np.arange(q) - 1)
     sk = np.where(cos, -1.0, 1.0)[:, None] * emb.provider._kappa[1:q + 1]      # [q, n]
@@ -687,7 +687,7 @@ def test_injectivity_matches_pair_oracle(injectivity_case, k, scale):
     built, f, ys = injectivity_case
     if built.model.dim == 2 and built.grid.N == 48**2:
         assert built.emb.q == 400
-    res = perturb.assemble_C(built, scale * ys[k], k, f)
+    res = perturb.assemble_C(built, scale * ys[k], f)
     assert_allclose(res.injectivity, min_pair_distance(res.C.values), rtol=1e-12)
 
 

@@ -6,9 +6,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from heatconf import (ManifoldModel, analytic_spectrum, enumerate_eigenpairs,
-                      load_external_spectrum, rescaled_provider, save_spectrum)
+                      load_external_spectrum, save_spectrum)
 from heatconf import geometry, spectrum
-from heatconf.errors import PreconditionError, SpectrumError
+from heatconf.spectrum import ExternalSpectrum, rescaled_model
+from heatconf.errors import ConfigError, PreconditionError, SpectrumError
 
 TWO_PI = 2.0 * np.pi
 
@@ -131,10 +132,10 @@ def test_weyl_count_torus(torus2):
 def test_external_roundtrip(tmp_path, circle_spec, circle):
     grid = geometry.sample_grid(circle, 32)
     path = tmp_path / "circle.jsonl"
-    save_spectrum(circle_spec, path, grid, tolerance=1e-6, count=9)
+    save_spectrum(circle_spec, path, grid, count=9)
     prov = load_external_spectrum(path)
     assert prov.count == 9
-    assert prov.backing == "external"
+    assert isinstance(prov, ExternalSpectrum)
     for j in (0, 3, 8):
         for x in grid.points[:5]:
             a = eval_jet(circle_spec, j, x)
@@ -209,7 +210,7 @@ def test_mode_blocks_outside_the_provider_rejected(name, request, tmp_path, circ
 def test_rescaled_circle(circle):
     base = analytic_spectrum(circle, count=20)
     c2 = 1.21
-    scaled = rescaled_provider(base, [c2])
+    scaled = analytic_spectrum(rescaled_model(circle, [c2]), count=20)
     assert_allclose(scaled.lambdas[1], 1.0 / c2, rtol=1e-12)
     # eigenfunctions renormalized by 1/sqrt(c): value scales as c^{-1/4}
     a = eval_jet(base, 1, [0.0]).value
@@ -219,15 +220,14 @@ def test_rescaled_circle(circle):
 
 def test_rescaled_identity(torus2):
     base = analytic_spectrum(torus2, count=30)
-    same = rescaled_provider(base, [1.0])
+    same = analytic_spectrum(rescaled_model(torus2, [1.0]), count=30)
     assert_allclose(same.lambdas[:30], base.lambdas[:30], rtol=0, atol=0)
 
 
 def test_rescaled_product_orthonormal(product):
     t = 0.09
     factors = (1 + t / 9.0, 1 - 2 * t / 9.0)
-    base = analytic_spectrum(product, count=40)
-    scaled = rescaled_provider(base, factors)
+    scaled = analytic_spectrum(rescaled_model(product, factors), count=40)
     # block eigenvalues divide by their factors
     sphere_lam = 2.0 / factors[0]       # degree-1 level of the sphere block
     circle_lam = 1.0 / factors[1]
@@ -240,9 +240,8 @@ def test_rescaled_product_orthonormal(product):
 
 
 def test_rescaled_rejects_bad_input(circle):
-    base = analytic_spectrum(circle, count=10)
-    with pytest.raises(Exception):
-        rescaled_provider(base, [-1.0])
+    with pytest.raises(ConfigError, match="strictly positive"):
+        rescaled_model(circle, [-1.0])
 
 
 def test_completeness_tail(torus2, circle):
@@ -271,7 +270,7 @@ def deriv_providers(torus2, circle, sphere, product, tmp_path_factory):
         "circle": (analytic_spectrum(circle, count=64), geometry.sample_grid(circle, 16)),
         "sphere": (analytic_spectrum(sphere, count=100), geometry.sample_grid(sphere, 6)),
         "product": (prod, geometry.sample_grid(product, 6)),
-        "rescaled_product": (rescaled_provider(prod, (1.1, 0.8)),
+        "rescaled_product": (analytic_spectrum(rescaled_model(product, (1.1, 0.8)), count=200),
                              geometry.sample_grid(product, 6)),
         "external": (load_external_spectrum(path), tgrid),
     }
