@@ -209,7 +209,7 @@ def check_fixed_point(epsilon: float = 1e-3, residual_tol: float = 1e-8,
     kick = rng.standard_normal(y.shape)
     kick *= 1e-3 / solver.sup_norm(kick)
     _, y2 = perturb.fixed_point_solve(solver, f, k=0.0, tol=1e-10, y_start=y + kick)
-    reconv = float(np.max(np.abs(solver.image(y2 - y))))
+    reconv = solver.sup_norm(y2 - y)
     details = {
         "iterations": len(history),
         "max_contraction": max(contractions) if contractions else 0.0,

@@ -296,10 +296,13 @@ def cmd_defect_scan(cfg: RunConfig, out_dir: Path) -> dict:
     if cfg.model is None or not cfg.t_grid:
         raise ConfigError("defect-scan needs a model and a t_grid")
     policy = embedding.TruncationPolicy(rho=cfg.rho, q_override=cfg.q_override)
-    window = cfg.spectrum["lambda_max"]
+    lambda_max = cfg.spectrum["lambda_max"]
     margin = cfg.spectrum["lambda_t_margin"]
+    window = None
     if margin is not None:
         window = lambda t: margin / t
+    elif lambda_max is not None:
+        window = lambda t: lambda_max
     rows = embedding.defect_scan(cfg.model, cfg.t_grid, policy,
                                  correction=cfg.correction,
                                  resolution=cfg.resolution,

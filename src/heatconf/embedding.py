@@ -12,7 +12,9 @@ The pullback metric and the truncation tail are the provider's
 point set, uncached.  The pullback report keeps the trace-free defect field
 beside its sup, and `defect_scan` reports the field's Hoelder quotient.  The
 metric correction supports l <= 2, with h1 checked constant on each block of
-the frame over `sample_grid(model, 8)`.
+`ManifoldModel.blocks` over `sample_grid(model, 8)`; `corrected_model` turns
+it into the blockwise rescaled model, and `defect_scan` enumerates one
+provider per t, of that model or of the uncorrected one.
 """
 from __future__ import annotations
 
@@ -160,14 +162,6 @@ class CorrectionSpec:
                 "(the closed-form first-order correction h1)")
 
 
-_BLOCKS = {
-    geometry.FLAT_TORUS: None,               # single block, all coordinates
-    geometry.CIRCLE: ((0,),),
-    geometry.SPHERE2: ((0, 1),),
-    geometry.PRODUCT_SPHERE_CIRCLE: ((0, 1), (2,)),
-}
-
-
 def h1_frame_constant(model: ManifoldModel, eta1: float) -> np.ndarray:
     """h1 in orthonormal-frame components, verified constant over sample_grid(model, 8)."""
     m = geometry.metric_on_grid(model, geometry.sample_grid(model, 8).points)
@@ -181,13 +175,12 @@ def h1_frame_constant(model: ManifoldModel, eta1: float) -> np.ndarray:
 
 
 def corrected_model(model: ManifoldModel, h1_frame: np.ndarray, t: float,
-                    eta1: float = 0.0, count: int | None = None,
-                    lambda_max: float | None = None):
-    """Model and provider realizing g(t) = g + t h1 for blockwise-constant h1.
+                    eta1: float = 0.0) -> ManifoldModel:
+    """The model of g(t) = g + t h1 for h1 constant on each metric block.
 
-    Returns (rescaled model, analytic provider of the rescaled metric), the
-    provider holding `count` modes or the window lambda <= `lambda_max` of
-    the rescaled metric.
+    h1 in orthonormal-frame components must be diagonal, with mean trace eta1
+    and one value h1_b on each block b of `model.blocks`; g(t) is then
+    (1 + t h1_b) g on block b, which `ManifoldModel.rescaled` realizes.
     """
     h1_frame = np.asarray(h1_frame, dtype=float)
     n = model.dim
@@ -195,11 +188,8 @@ def corrected_model(model: ManifoldModel, h1_frame: np.ndarray, t: float,
         raise PreconditionError("(1/n) tr h1 must equal eta1")
     if np.max(np.abs(h1_frame - np.diag(np.diag(h1_frame)))) > 1e-10:
         raise PreconditionError("h1 must be diagonal in the product frame")
-    blocks = _BLOCKS[model.kind]
-    if blocks is None:
-        blocks = (tuple(range(n)),)
     factors = []
-    for blk in blocks:
+    for blk in model.blocks:
         coeffs = np.diag(h1_frame)[list(blk)]
         if np.max(np.abs(coeffs - coeffs[0])) > 1e-10:
             raise PreconditionError("h1 must be a constant multiple of g on each block")
@@ -207,10 +197,7 @@ def corrected_model(model: ManifoldModel, h1_frame: np.ndarray, t: float,
         if fac <= 0:
             raise PreconditionError(f"degenerate scale 1 + t*h1 = {fac} on block {blk}")
         factors.append(fac)
-    if t == 0 or all(f == 1.0 for f in factors):
-        return model, spectrum.analytic_spectrum(model, count=count, lambda_max=lambda_max)
-    scaled = spectrum.rescaled_model(model, factors)
-    return scaled, spectrum.analytic_spectrum(scaled, count=count, lambda_max=lambda_max)
+    return model.rescaled(factors)
 
 
 @dataclass
@@ -239,13 +226,14 @@ def defect_scan(model: ManifoldModel, t_grid, policy: TruncationPolicy,
                 lambda_cutoff=None, alpha: float = 0.5) -> list[dict]:
     """One row per t: component count, defect norms, and trace-factor range.
 
-    With a correction, the embedding is built from the corrected metric's
-    spectrum while the defect is still measured against the original g.
-    A lambda_cutoff (a number, or a callable of t) replaces the count policy
-    by an eigenvalue window; all enumerated modes are then used.  The window
-    must keep lambda_max * t large: the anisotropy of the last included
-    shells enters the defect at size ~ exp(-lambda_max t), which buries any
-    higher-order signal when the window is too narrow.
+    Each t enumerates one analytic provider, of `model` or, with a
+    correction, of `corrected_model`; the defect is always measured against
+    the original g.  A lambda_cutoff, a callable of t, replaces the count
+    policy by the eigenvalue window lambda <= lambda_cutoff(t) of that
+    provider, and the embedding keeps every non-constant mode of the window.
+    The window must keep lambda_max * t large: the anisotropy of the last
+    included shells enters the defect at size ~ exp(-lambda_max t), which
+    buries any higher-order signal when the window is too narrow.
 
     On the analytic testbeds defect_holder is rounding noise (at most 5.0e-15
     measured): they are homogeneous and truncation closes shells, so each
@@ -266,33 +254,20 @@ def defect_scan(model: ManifoldModel, t_grid, policy: TruncationPolicy,
     if correction is not None and correction.l >= 2:
         eta1 = correction.eta[0]
         h1 = h1_frame_constant(model, eta1)
-    base_provider = None
     for t in t_grid:
-        window = lambda_cutoff(t) if callable(lambda_cutoff) else lambda_cutoff
-        q_target = None if window else policy.q(t, model.dim)
-        if h1 is None:
-            if base_provider is None or \
-                    (window is None and base_provider.count < q_target + 1) or \
-                    (window is not None and base_provider.lambda_max < window):
-                base_provider = spectrum.analytic_spectrum(
-                    model, count=None if window else q_target + 1,
-                    lambda_max=window)
-            provider = base_provider
-        else:
-            _, provider = corrected_model(
-                model, h1, t, eta1,
-                count=None if window else q_target + 1, lambda_max=window)
-        if window is None:
+        scaled = model if h1 is None else corrected_model(model, h1, t, eta1)
+        if lambda_cutoff is None:
+            provider = spectrum.analytic_spectrum(scaled, count=policy.q(t, model.dim) + 1)
             eff_policy = policy
         else:
-            n_keep = int(np.searchsorted(provider.lambdas, window * (1 + 1e-12),
-                                         side="right"))
-            floor = _freeness_floor(model.dim)
-            if n_keep - 1 < floor:
+            window = lambda_cutoff(t)
+            provider = spectrum.analytic_spectrum(scaled, lambda_max=window)
+            held, floor = provider.count - 1, _freeness_floor(model.dim)
+            if held < floor:
                 raise ConfigError(
                     f"the eigenvalue window lambda <= {window:g} at t = {t:g} holds "
-                    f"{n_keep - 1} non-constant modes, below the freeness floor {floor}")
-            eff_policy = TruncationPolicy(rho=policy.rho, q_override=n_keep - 1)
+                    f"{held} non-constant modes, below the freeness floor {floor}")
+            eff_policy = TruncationPolicy(rho=policy.rho, q_override=held)
         emb = build_embedding(provider, t, eff_policy)
         rep = pullback_report(emb, grid, reference=model)
         rows.append({

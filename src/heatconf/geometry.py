@@ -12,12 +12,16 @@ orthonormal frame, the connection, Ricci and scalar curvature and the first
 heat-expansion tensor A1 over chart points [N, n]; a single point is a batch
 of one.  Point arrays not of width n, and points within 1e-9 of a pole,
 raise DomainError.  Curvature is hard-coded per kind and cross-checked by finite
-differences of that same evaluator in the tests.  `conformal_defect` is the
-one trace-free part G - (tr_g G / n) g, shared by the pullback report, the h1
-correction and the flat-torus solver.
+differences of that same evaluator in the tests.  Every metric is a sum of
+blocks, `ManifoldModel.blocks`: the S^2 and S^1 factors of the product, one
+block of every coordinate elsewhere.  `ManifoldModel.rescaled` multiplies
+each block by a constant factor, which realizes the first-order correction
+g + t h1.  `conformal_defect` is the one trace-free part G - (tr_g G / n) g,
+shared by the pullback report, the h1 correction and the flat-torus solver.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -115,6 +119,32 @@ class ManifoldModel:
         if self.kind == SPHERE2:
             return np.pi * self.radius
         return min(np.pi * self.radius, self.length / 2.0)
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """Chart coordinates of each metric block: the sphere and circle factors
+        of the product, one block of every coordinate on the other kinds."""
+        if self.kind == PRODUCT_SPHERE_CIRCLE:
+            return ((0, 1), (2,))
+        return (tuple(range(self.dim)),)
+
+    def rescaled(self, factors) -> "ManifoldModel":
+        """The model whose metric is factors[b] times g on each block b.
+
+        Each block's lengths scale by sqrt(factor), so its eigenvalues divide
+        by the factor and its eigenfunctions renormalize through the volume
+        change.  The periods and the radius belong to the first block, the
+        length to the last.
+        """
+        factors = [float(c) for c in factors]
+        if len(factors) != len(self.blocks):
+            raise ConfigError(f"{self.kind} has {len(self.blocks)} metric blocks, "
+                              f"got {len(factors)} factors")
+        if not all(c > 0 for c in factors):
+            raise ConfigError(f"metric block factors must be strictly positive, got {factors}")
+        first, last = math.sqrt(factors[0]), math.sqrt(factors[-1])
+        return dataclasses.replace(self, periods=tuple(L * first for L in self.periods),
+                                   radius=self.radius * first, length=self.length * last)
 
     def to_config(self) -> dict:
         params: dict = {}

@@ -394,12 +394,6 @@ class ConformalSolver:
                             axes=range(1, self.model.dim + 1))
         return spec[:, None] * self._sym
 
-    def image(self, z: np.ndarray) -> np.ndarray:
-        """P^T z [N, q] of coefficients z [N, m]: psi (z S) per cos/sin pair."""
-        v = (z @ self._S.view(float)).view(complex)
-        v *= self.psi
-        return v.view(float)
-
     def sup_norm(self, z: np.ndarray) -> float:
         """sup_x |P^T z| = sup_x sqrt(z^T M z) of coefficients z [N, m]."""
         sq = np.einsum("nm,nm->n", z @ self.M, z)

@@ -1,9 +1,12 @@
 """Ordered Laplace-Beltrami eigenpairs with derivative jets.
 
 Analytic backends cover the geometry testbeds (lattice modes on flat tori
-and circles, real spherical harmonics, and their products).  Externally
-computed spectra are ingested from a JSON-lines file and served from the
-tabulated grid.
+and circles, real spherical harmonics, and their products).  A metric scaled
+by a constant on each block has the spectrum of `ManifoldModel.rescaled`, so
+one `analytic_spectrum` call serves corrected and uncorrected metrics alike.
+Externally computed spectra are ingested from a JSON-lines file and served
+from the tabulated grid; its header must name a model of dimension n and a
+grid of [G, n] points.
 
 Each analytic backend enumerates its modes as an eigenvalue array and an
 integer descriptor table, sorted once with `np.lexsort`.  Torus and circle
@@ -687,30 +690,6 @@ def analytic_spectrum(model: ManifoldModel, count: int | None = None,
     raise SpectrumError(f"could not enumerate {count} modes")   # pragma: no cover
 
 
-def rescaled_model(model: ManifoldModel, factor_per_block) -> ManifoldModel:
-    """Model with each product block's metric multiplied by its constant factor.
-
-    Dividing a block's metric by its factor scales that block's eigenvalues by
-    1/factor and renormalizes its eigenfunctions through the volume change;
-    the analytic provider of the scaled model realizes both exactly.
-    """
-    factors = np.atleast_1d(np.asarray(factor_per_block, dtype=float))
-    if np.any(factors <= 0):
-        raise ConfigError("metric block factors must be strictly positive")
-    if model.kind == geometry.FLAT_TORUS:
-        (c,) = factors
-        return ManifoldModel.flat_torus([L * np.sqrt(c) for L in model.periods])
-    if model.kind == geometry.CIRCLE:
-        (c,) = factors
-        return ManifoldModel.circle(model.length * np.sqrt(c))
-    if model.kind == geometry.SPHERE2:
-        (c,) = factors
-        return ManifoldModel.sphere2(model.radius * np.sqrt(c))
-    cs, cc = factors
-    return ManifoldModel.product_sphere_circle(model.radius * np.sqrt(cs),
-                                               model.length * np.sqrt(cc))
-
-
 # ---------------------------------------------------------------------------
 # external spectra (JSON lines)
 # ---------------------------------------------------------------------------
@@ -781,7 +760,7 @@ def save_spectrum(provider: SpectrumProvider, path, grid: geometry.SampleGrid,
 
 
 def load_external_spectrum(path) -> ExternalSpectrum:
-    """Load an eigenpair file, checking monotonicity and grid orthonormality."""
+    """Load an eigenpair file, checking its header, monotonicity and grid orthonormality."""
     with open(path) as fh:
         lines = fh.readlines()
     if not lines:
@@ -794,8 +773,15 @@ def load_external_spectrum(path) -> ExternalSpectrum:
         gw = np.asarray(header["grid"]["weights"], dtype=float)
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"malformed eigenpair header: {exc}") from exc
-    model = (ManifoldModel.from_config(header["model"])
-             if "model" in header else None)
+    if "model" not in header:
+        raise ConfigError("malformed eigenpair header: no model")
+    model = ManifoldModel.from_config(header["model"])
+    if model.dim != n:
+        raise ConfigError(f"malformed eigenpair header: a {model.kind} model of "
+                          f"dimension {model.dim} with n = {n}")
+    if gp.ndim != 2 or gp.shape[1] != n:
+        raise ConfigError(f"malformed eigenpair header: grid points of shape "
+                          f"{gp.shape}, expected [G, {n}]")
     grid = geometry.SampleGrid(gp, gw)
     pairs, vals, grads, hess = [], [], [], []
     for ln in lines[1:]:

@@ -188,19 +188,19 @@ def test_h1_solve(product):
 
 def test_corrected_model_product(product):
     h1 = np.diag([1 / 9.0, 1 / 9.0, -2 / 9.0])
-    model2, prov2 = corrected_model(product, h1, 0.09, 0.0, count=30)
+    model2 = corrected_model(product, h1, 0.09, 0.0)
     assert_allclose(model2.radius**2, 1.01, rtol=1e-12)
     assert_allclose((model2.length / TWO_PI) ** 2, 0.98, rtol=1e-12)
-    model3, _ = corrected_model(product, h1, 0.0, 0.0, count=30)
-    assert model3 == product
+    assert corrected_model(product, h1, 0.0, 0.0) == product
 
 
 def test_corrected_model_torus_uniform(torus2):
     eta1 = 0.25
     h1 = eta1 * np.eye(2)
-    model2, prov2 = corrected_model(torus2, h1, 0.1, eta1, count=20)
+    model2 = corrected_model(torus2, h1, 0.1, eta1)
     assert_allclose(np.array(model2.periods),
                     np.array(torus2.periods) * np.sqrt(1 + 0.1 * eta1), rtol=1e-12)
+    prov2 = analytic_spectrum(model2, count=20)
     assert_allclose(prov2.lambdas[1], 1.0 / (1 + 0.1 * eta1), rtol=1e-12)
 
 
@@ -212,9 +212,9 @@ def test_large_t_flagged(circle):
 
 def test_corrected_model_rejects_degenerate(torus2):
     with pytest.raises(PreconditionError, match="degenerate"):
-        corrected_model(torus2, -20.0 * np.eye(2), 0.1, -20.0, count=20)
+        corrected_model(torus2, -20.0 * np.eye(2), 0.1, -20.0)
     with pytest.raises(PreconditionError):
-        corrected_model(torus2, np.array([[0.0, 1.0], [1.0, 0.0]]), 0.1, 0.0, count=20)
+        corrected_model(torus2, np.array([[0.0, 1.0], [1.0, 0.0]]), 0.1, 0.0)
 
 
 def product_defect_oracle(t, lam_cut, corrected):
@@ -445,7 +445,7 @@ def _gram_case(name):
         j0 = int(np.searchsorted(prov.lambdas, prov.lambdas[250])) + 5
         assert prov.lambdas[j0 - 1] == prov.lambdas[j0]
     elif name == "n3_rescaled":
-        prov = analytic_spectrum(spectrum.rescaled_model(model, (1.1, 0.8)), count=100)
+        prov = analytic_spectrum(model.rescaled((1.1, 0.8)), count=100)
     elif name == "n2_pair_weights":
         # the embedding's weights e^{-lambda t/2} at large q, as in the
         # homothety criterion, on a few points
@@ -564,28 +564,37 @@ def test_product_scan_matches_level_sum_oracle(product, monkeypatch, corrected):
 
 
 def test_corrected_scan_builds_one_provider_per_t(product, monkeypatch):
-    """A corrected windowed scan enumerates only the rescaled provider at each
-    t, over the scan's own eigenvalue window."""
+    """Every scan, corrected or not, by a margin window, a fixed lambda_max or
+    the count policy, enumerates one analytic provider per t, of the model or
+    of its corrected model, over the scan's own eigenvalue window; a windowed
+    scan keeps every non-constant mode of it."""
     built = []
-    init = spectrum.AnalyticSpectrum.__init__
+    enumerate_ = spectrum.analytic_spectrum
 
-    def counting_init(self, model, lambda_max):
-        built.append((model, float(lambda_max)))
-        init(self, model, lambda_max)
+    def counting(model, count=None, lambda_max=None):
+        prov = enumerate_(model, count=count, lambda_max=lambda_max)
+        built.append((model, count, lambda_max, prov))
+        return prov
 
-    monkeypatch.setattr(spectrum.AnalyticSpectrum, "__init__", counting_init)
+    monkeypatch.setattr(spectrum, "analytic_spectrum", counting)
     ts = [0.1, 0.08, 0.06, 0.05, 0.04]
-    window = lambda t: 7.0 / t
-    defect_scan(product, ts, TruncationPolicy(rho=1.0),
-                correction=CorrectionSpec(l=2, eta=(0.0,)), resolution=4,
-                lambda_cutoff=window)
-    assert len(built) == 5
-    monkeypatch.undo()
+    policy = TruncationPolicy(rho=1.0)
     h1 = embedding.h1_frame_constant(product, 0.0)
-    for t, (model, lam_max) in zip(ts, built):
-        factors = (1.0 + t * h1[0, 0], 1.0 + t * h1[2, 2])
-        assert model == spectrum.rescaled_model(product, factors)
-        assert lam_max == window(t)
+    for window in (lambda t: 7.0 / t, lambda t: 70.0, None):
+        for correction in (None, CorrectionSpec(l=2, eta=(0.0,))):
+            built.clear()
+            rows = defect_scan(product, ts, policy, correction=correction, resolution=4,
+                               lambda_cutoff=window)
+            assert len(built) == 5
+            for t, row, (model, count, lam_max, prov) in zip(ts, rows, built):
+                factors = (1.0, 1.0) if correction is None else \
+                    (1.0 + t * h1[0, 0], 1.0 + t * h1[2, 2])
+                assert model == product.rescaled(factors)
+                if window is None:
+                    assert (count, lam_max) == (policy.q(t, 3) + 1, None)
+                else:
+                    assert (count, lam_max) == (None, window(t))
+                    assert row["q"] == prov.count - 1
 
 
 def test_jets_scale_fresh_jets(torus2):

@@ -243,3 +243,13 @@ def test_config_roundtrip(product):
     cfg = product.to_config()
     back = ManifoldModel.from_config(cfg)
     assert back == product
+
+
+def test_blocks_partition_the_chart(models):
+    """The metric blocks partition range(dim), and unit factors leave the
+    model unchanged."""
+    for model in models:
+        coords = [i for blk in model.blocks for i in blk]
+        assert sorted(coords) == list(range(model.dim))
+        assert model.rescaled([1.0] * len(model.blocks)) == model
+    assert models[3].blocks == ((0, 1), (2,))

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from heatconf import (ManifoldModel, analytic_spectrum, enumerate_eigenpairs,
                       load_external_spectrum, save_spectrum)
 from heatconf import geometry, spectrum
-from heatconf.spectrum import ExternalSpectrum, rescaled_model
+from heatconf.spectrum import ExternalSpectrum
 from heatconf.errors import ConfigError, PreconditionError, SpectrumError
 
 TWO_PI = 2.0 * np.pi
@@ -182,6 +182,46 @@ def test_external_rejects_orthonormality_violation(tmp_path, circle_spec, circle
         load_external_spectrum(path)
 
 
+def _edit_header(path, edit):
+    """Rewrite the header line of an eigenpair file through `edit`."""
+    import json
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    edit(header)
+    lines[0] = json.dumps(header)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.fixture
+def torus_file(tmp_path, torus2):
+    """The 40-mode 2-torus eigenpair file of the CLI smoke run."""
+    path = tmp_path / "torus.jsonl"
+    save_spectrum(analytic_spectrum(torus2, count=40), path,
+                  geometry.sample_grid(torus2, 8), count=40)
+    return path
+
+
+def test_external_rejects_header_without_model(torus_file):
+    _edit_header(torus_file, lambda h: h.pop("model"))
+    with pytest.raises(ConfigError, match="malformed eigenpair header: no model"):
+        load_external_spectrum(torus_file)
+
+
+def test_external_rejects_header_model_of_other_dimension(torus_file, circle):
+    _edit_header(torus_file, lambda h: h.update(model=circle.to_config()))
+    with pytest.raises(ConfigError, match="malformed eigenpair header: a circle model "
+                                          "of dimension 1 with n = 2"):
+        load_external_spectrum(torus_file)
+
+
+def test_external_rejects_header_grid_of_other_width(torus_file):
+    _edit_header(torus_file, lambda h: h["grid"].update(
+        points=[p[:1] for p in h["grid"]["points"]]))
+    with pytest.raises(ConfigError, match=r"malformed eigenpair header: grid points "
+                                          r"of shape \(64, 1\), expected \[G, 2\]"):
+        load_external_spectrum(torus_file)
+
+
 @pytest.mark.parametrize("name", ["torus2", "circle", "sphere", "product", "external"])
 def test_mode_blocks_outside_the_provider_rejected(name, request, tmp_path, circle_spec):
     """jet_block and gradient_gram reject blocks that are not inside
@@ -210,7 +250,7 @@ def test_mode_blocks_outside_the_provider_rejected(name, request, tmp_path, circ
 def test_rescaled_circle(circle):
     base = analytic_spectrum(circle, count=20)
     c2 = 1.21
-    scaled = analytic_spectrum(rescaled_model(circle, [c2]), count=20)
+    scaled = analytic_spectrum(circle.rescaled([c2]), count=20)
     assert_allclose(scaled.lambdas[1], 1.0 / c2, rtol=1e-12)
     # eigenfunctions renormalized by 1/sqrt(c): value scales as c^{-1/4}
     a = eval_jet(base, 1, [0.0]).value
@@ -220,14 +260,14 @@ def test_rescaled_circle(circle):
 
 def test_rescaled_identity(torus2):
     base = analytic_spectrum(torus2, count=30)
-    same = analytic_spectrum(rescaled_model(torus2, [1.0]), count=30)
+    same = analytic_spectrum(torus2.rescaled([1.0]), count=30)
     assert_allclose(same.lambdas[:30], base.lambdas[:30], rtol=0, atol=0)
 
 
 def test_rescaled_product_orthonormal(product):
     t = 0.09
     factors = (1 + t / 9.0, 1 - 2 * t / 9.0)
-    scaled = analytic_spectrum(rescaled_model(product, factors), count=40)
+    scaled = analytic_spectrum(product.rescaled(factors), count=40)
     # block eigenvalues divide by their factors
     sphere_lam = 2.0 / factors[0]       # degree-1 level of the sphere block
     circle_lam = 1.0 / factors[1]
@@ -239,9 +279,13 @@ def test_rescaled_product_orthonormal(product):
     assert_allclose(G, np.eye(30), atol=1e-6)
 
 
-def test_rescaled_rejects_bad_input(circle):
+def test_rescaled_rejects_bad_input(circle, product):
     with pytest.raises(ConfigError, match="strictly positive"):
-        rescaled_model(circle, [-1.0])
+        circle.rescaled([-1.0])
+    with pytest.raises(ConfigError, match="strictly positive"):
+        product.rescaled([1.0, float("nan")])
+    with pytest.raises(ConfigError, match="2 metric blocks, got 1"):
+        product.rescaled([1.0])
 
 
 def test_completeness_tail(torus2, circle):
@@ -270,7 +314,7 @@ def deriv_providers(torus2, circle, sphere, product, tmp_path_factory):
         "circle": (analytic_spectrum(circle, count=64), geometry.sample_grid(circle, 16)),
         "sphere": (analytic_spectrum(sphere, count=100), geometry.sample_grid(sphere, 6)),
         "product": (prod, geometry.sample_grid(product, 6)),
-        "rescaled_product": (analytic_spectrum(rescaled_model(product, (1.1, 0.8)), count=200),
+        "rescaled_product": (analytic_spectrum(product.rescaled((1.1, 0.8)), count=200),
                              geometry.sample_grid(product, 6)),
         "external": (load_external_spectrum(path), tgrid),
     }
