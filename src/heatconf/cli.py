@@ -298,6 +298,9 @@ def cmd_defect_scan(cfg: RunConfig, out_dir: Path) -> dict:
     policy = embedding.TruncationPolicy(rho=cfg.rho, q_override=cfg.q_override)
     lambda_max = cfg.spectrum["lambda_max"]
     margin = cfg.spectrum["lambda_t_margin"]
+    if margin is not None and lambda_max is not None:
+        raise ConfigError("spectrum.lambda_max and spectrum.lambda_t_margin both set "
+                          "a scan window; set one of them")
     window = None
     if margin is not None:
         window = lambda t: margin / t

@@ -311,9 +311,8 @@ def sample_grid(model: ManifoldModel, resolution: int) -> SampleGrid:
     # the points, the per-axis grids they are stacked from, and the weights
     check_memory(8 * points * (2 * model.dim + 1), f"a sample grid of {points} points")
     if model.kind == FLAT_TORUS:
-        axes = [np.arange(resolution) * (L / resolution) for L in model.periods]
         cell = model.volume / resolution ** model.dim
-        pts = _mesh(axes)
+        pts = _mesh(torus_axes(model, resolution))
         return SampleGrid(pts, np.full(len(pts), cell))
     if model.kind == CIRCLE:
         theta = np.arange(resolution) * (2.0 * np.pi / resolution)
@@ -341,6 +340,12 @@ def _sphere_grid(radius: float, resolution: int):
     pts = _mesh([theta, phi])
     w = np.repeat(gl_w, resolution) * (2.0 * np.pi / resolution) * radius**2
     return pts, w
+
+
+def torus_axes(model: ManifoldModel, resolution: int) -> list[np.ndarray]:
+    """The axis coordinates [resolution] of a flat torus's sample grid, whose
+    tensor product (first axis slowest) is its points."""
+    return [np.arange(resolution) * (L / resolution) for L in model.periods]
 
 
 def _mesh(axes) -> np.ndarray:

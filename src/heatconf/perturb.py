@@ -26,8 +26,10 @@ R^m, m = n + n(n+1)/2.  P itself is never formed.  Every embedding mode is
 one half of a cos/sin pair whose two modes carry one weight, so each pair,
 read as one complex number, is the mode psi_kappa = w a exp(i kappa . x),
 and D^alpha psi_kappa = (i kappa)^alpha psi_kappa.  One provider call,
-`LatticeSpectrum.pairs`, gives kappa, s_kappa = (w a)^2 and psi [N, q/2] on
-the grid, and refuses any other block.  Row r of P is psi times the constant
+`LatticeSpectrum.pairs`, gives kappa, s_kappa = (w a)^2 and one phase table
+exp(i kappa_a x_a) [r, q/2] per grid axis, and refuses any other block.  psi
+on the grid is never held whole: `ConformalSolver._psi` rebuilds it for any
+block of grid points from the tables.  Row r of P is psi times the constant
 symbol S[r, kappa] = (i kappa)^alpha_r, so P^T y = psi (y S).  By the product
 rule, D^delta (P^T y) is psi times the symbols A_delta[(r, gamma), kappa] =
 binom(delta, gamma) (i kappa)^(alpha_r + delta - gamma) applied to the
@@ -97,6 +99,14 @@ DEFAULT_THETA_THRESHOLD = 0.25
 _GRAM_RTOL = 1e-12
 # sample columns per matrix product of `_quadratic_form`
 _FORM_CHUNK = 4096
+# values per block of grid points (2^15 / q rows of q values, 256 KB): the
+# set-up's pass, assemble_C's blocks and the injectivity scan's chunks
+_BLOCK = 2**15
+
+
+def _block_rows(q: int) -> int:
+    """Rows of q values per block of `_BLOCK` values."""
+    return max(1, _BLOCK // q)
 
 
 class SpectralGrid:
@@ -119,6 +129,7 @@ class SpectralGrid:
         self.shape = (N,) * n
         self.N = N**n
         self.points = geometry.sample_grid(model, N).points
+        self.axes = geometry.torus_axes(model, N)
         self.fine = int(np.ceil(1.5 * N))
         self.fine += self.fine % 2
         # signed integer frequencies: full axes, then the halved last axis
@@ -285,7 +296,9 @@ def _quadratic_form(W: np.ndarray, Y: np.ndarray) -> np.ndarray:
     out = np.empty((o, Y.shape[1]))
     for p0 in range(0, Y.shape[1], _FORM_CHUNK):
         Yc = Y[:, p0:p0 + _FORM_CHUNK]
-        out[:, p0:p0 + _FORM_CHUNK] = ((Wt @ Yc).reshape(o, R, -1) * Yc).sum(axis=1)
+        WY = (Wt @ Yc).reshape(o, R, -1)
+        WY *= Yc                                # in place: one chunk temporary
+        out[:, p0:p0 + _FORM_CHUNK] = WY.sum(axis=1)
     return out
 
 
@@ -318,12 +331,14 @@ def manufactured_defect(points: np.ndarray, epsilon: float, f_mode) -> np.ndarra
 class ConformalSolver:
     """The one handle of a flat-torus solve: the embedding (and its t), the
     spectral shift e, the spectral grid, and from one `LatticeSpectrum.pairs`
-    call the embedding on the grid as cos/sin pairs psi [N, q/2] (complex;
-    `psi.view(float)` is Psi [N, q]) with the wave vector of each pair.  From
-    them: the symbols S [m, q/2] of the rows of P, the jet Gram [N, m, m], and
-    the constant Gram M with the pair forms of the y iteration.  The gradient
-    rows of P are grad u (the frame of a flat torus is the identity), so the
-    jet Gram's leading n x n block is the pullback of Psi."""
+    call the embedding's cos/sin pairs as the wave vector of each pair and
+    one phase table per grid axis, from which `_psi` rebuilds psi (complex;
+    `.view(float)` is Psi) on any block of grid points.  From them: the
+    symbols S [m, q/2] of the rows of P, the jet Gram [N, m, m], the gap table
+    |Psi(x0) - Psi(x)| [N] of the injectivity scan, and the constant Gram M
+    with the pair forms of the y iteration.  The gradient rows of P are grad u
+    (the frame of a flat torus is the identity), so the jet Gram's leading
+    n x n block is the pullback of Psi."""
 
     def __init__(self, emb, resolution: int | None = None, e: float = 1.0):
         self.emb = emb
@@ -338,45 +353,75 @@ class ConformalSolver:
         if not hasattr(emb.provider, "pairs"):
             raise PreconditionError("the fixed-point solver needs the cos/sin pairs "
                                     "of an analytic torus spectrum")
-        # Psi, |psi|^2 and the jet Gram of the set-up, and the C of each
-        # assemble_C, as if all were held at once
+        # the jet Gram and the gap table of the set-up, and the C of each
+        # assemble_C; psi is only ever held one block at a time
         m, N, q = len(_row_exponents(n)), self.grid.N, emb.q
-        geometry.check_memory(8 * N * (2 * q + q // 2 + m * m),
-                              f"the solver (Psi, its Gram and C at q = {q}, N = {N})")
-        self._kappa, s, self.psi = emb.provider.pairs(1, emb.weights, self.grid.points)
+        geometry.check_memory(8 * N * (q + m * m + 1),
+                              f"the solver (C, the jet Gram and the gap table at q = {q}, "
+                              f"N = {N})")
+        self._pairs = emb.provider.pairs(1, emb.weights, self.grid.axes)
+        self._kappa = self._pairs.kappa
         self._S = _symbols(self._kappa, np.zeros(n, dtype=int))[::len(_channel_exponents(n))]
         # M = T s and the jet Gram |psi|^2 T, T[(r, r'), kappa] = Re(S_r conj(S_r'))
         T = (self._S[:, None] * self._S.conj()).real.reshape(m * m, -1)   # [m m, V]
-        self.M = (T @ s).reshape(m, m)
-        pairs = self.psi.view(float).reshape(N, -1, 2)
-        self.gram = (np.einsum("nvc,nvc->nv", pairs, pairs) @ T.T).reshape(N, m, m)
+        self.M = (T @ self._pairs.s).reshape(m, m)
+        # one pass over blocks of grid points fills the jet Gram and the gaps
+        self.gram = np.empty((N, m, m))
+        self._gaps = np.empty(N)
+        psi0 = self._psi(slice(0, 1)).view(float)
+        rows = _block_rows(q)
+        for r0 in range(0, N, rows):
+            block = slice(r0, min(r0 + rows, N))
+            psi = self._psi(block).view(float)                          # [b, q]
+            pairs = psi.reshape(len(psi), -1, 2)
+            self.gram[block] = (np.einsum("nvc,nvc->nv", pairs, pairs) @ T.T).reshape(-1, m, m)
+            D = np.subtract(psi0, psi, out=psi)
+            self._gaps[block] = np.einsum("ij,ij->i", D, D)
+        np.sqrt(self._gaps, out=self._gaps)
         gap = float(np.max(np.abs(self.gram - self.M)))
         if gap > _GRAM_RTOL * float(np.max(np.abs(self.M))):
             raise PreconditionError(
                 f"the jet Gram is not constant on the grid: it differs from the pair "
                 f"Gram by {gap:.3g}")
-        self._q_form, self._cross_form, self._quad_form = _pair_forms(self._S, self._kappa, s, e)
+        self._q_form, self._cross_form, self._quad_form = _pair_forms(
+            self._S, self._kappa, self._pairs.s, e)
         # channel symbols (i k)^gamma on the band, [c, *spec]
         ik = 1j * np.moveaxis(self.grid.kvecs, -1, 0)
         gammas = _channel_exponents(n).reshape((-1, n) + (1,) * n)
         self._sym = np.prod(ik ** gammas, axis=1) * self.grid.band
+
+    def _psi(self, rows: slice) -> np.ndarray:
+        """psi [b, V] (complex) at the grid points `rows` (a slice of flat
+        indices), from the phase tables of `pairs`: each point's table rows
+        multiplied in axis order, then times the amplitudes, then times the
+        weights.  That is the provider's own multiply order, so every row
+        equals the weighted jet values bit for bit."""
+        p = self._pairs
+        index = np.unravel_index(np.arange(rows.start, rows.stop), self.grid.shape)
+        psi = p.phases[0][index[0]]
+        for table, i in zip(p.phases[1:], index[1:]):
+            psi *= table[i]
+        psi *= p.amp
+        psi *= p.w
+        return psi
 
     @functools.cached_property
     def _offsets(self):
         """The offset table of the injectivity scan (see `assemble_C`), built
         on first use: one of each pair of grid offsets +-d != 0 (flat grid
         indices) in increasing order of gap(d) = |Psi(x0) - Psi(x0 + d)|, x0
-        the grid origin, with their gaps; eps_Psi, the bound on the rounding
-        of Psi at a grid point; and |Psi|, the same at every point."""
+        the grid origin, with their gaps from the set-up's gap table; eps_Psi,
+        the bound on the rounding of Psi at a grid point; and |Psi|, the same
+        at every point."""
         grid, n = self.grid, self.model.dim
         flat = np.arange(grid.N)
         neg = np.ravel_multi_index(tuple(-c % grid.resolution for c in
                                          np.unravel_index(flat, grid.shape)), grid.shape)
         offsets = np.flatnonzero(flat <= neg)[1:]
-        psi = self.psi.view(float)
-        gaps = _distances(psi, np.zeros_like(offsets), offsets)
+        gaps = self._gaps[offsets]
         order = np.argsort(gaps, kind="stable")
-        norm2 = float(psi[0] @ psi[0])
+        psi0 = self._psi(slice(0, 1)).view(float)[0]
+        norm2 = float(psi0 @ psi0)
         L2 = np.asarray(self.model.periods) ** 2
         eps_psi = (np.finfo(float).eps / 2) * math.sqrt(
             72 * n * float(L2 @ np.diag(self.M)[:n]) + 392 * n * n * norm2)
@@ -540,11 +585,12 @@ def assemble_C(solver: ConformalSolver, y: np.ndarray, f: np.ndarray) -> Conform
     C = psi (1 + y S) and grad_i C = i kappa_i C + psi (d_i y S) are formed
     on the cos/sin pairs (see the module docstring), with d_i y from the
     coarse channel samples that the pair-form residual reads, one block of
-    2^15 / q grid points at a time (`_immersion_block`): each block writes
-    its rows of C [N, q] (`.view(float)` of the pairs) and of the pullback
-    G = grad C grad C^T [N, n, n], and its gradient [b, n, q] lives in one
-    reused buffer of at most 2^15 n floats (256 n KB, sized to the cache), so
-    grad C is never held whole.  From G it reports (tf the trace-free part):
+    2^15 / q grid points at a time (`_immersion_block`): each block rebuilds
+    its own psi [b, q/2] (`ConformalSolver._psi`), writes its rows of C [N, q]
+    (`.view(float)` of the pairs) and of the pullback G = grad C grad C^T
+    [N, n, n], and its gradient [b, n, q] lives in one reused buffer of at
+    most 2^15 n floats (256 n KB, sized to the cache), so neither psi nor
+    grad C is ever held whole.  From G it reports (tf the trace-free part):
     the solver's pair-form residual of y with its field; the pullback residual
     tf(G - G_u - f), G_u the pullback of Psi, which is the independent check
     that v does what the equation promises; the defect tf(G - f),
@@ -557,7 +603,8 @@ def assemble_C(solver: ConformalSolver, y: np.ndarray, f: np.ndarray) -> Conform
     the rotation of Psi(x) by kappa . d in each cos/sin pair plane, so
         |Psi(x) - Psi(x + d)| = gap(d) = |Psi(x0) - Psi(x0 + d)|
     for every x, and one row of Psi gives the whole table
-    (`ConformalSolver._offsets`, x0 the grid origin).  The bound: every pair
+    (`ConformalSolver._offsets`, x0 the grid origin, read from the set-up's
+    gap table).  The bound: every pair
     at offset d lies at least gap(d) - 2 sup|v| apart, sup|v| =
     sup sqrt(y^T M y) being `solver.sup_norm(y)`.  The scan (`_injectivity`)
     takes one of +-d at a time, in increasing order of that bound, with the
@@ -566,7 +613,7 @@ def assemble_C(solver: ConformalSolver, y: np.ndarray, f: np.ndarray) -> Conform
         2 (V - sup|v|) + 4 eps_Psi + 2 gamma_(q+3) gap(d).
     The margin follows from the standard model of rounding, to first order in
     u = 2^-53 with gamma_k = k u / (1 - k u), and cos and sin within 4 ulp:
-    - eps_Psi bounds |Psi~(x) - Psi(x)|, the stored Psi against the exact one
+    - eps_Psi bounds |Psi~(x) - Psi(x)|, the computed Psi against the exact one
       at the exact lattice point i L / r.  The phase kappa_a x_a of a pair
       passes six roundings (pi, 2 pi / L_a, times k_a, L_a / r, times i, the
       product), so it is off by at most 6 u |kappa_a| L_a; the table entry
@@ -598,12 +645,12 @@ def assemble_C(solver: ConformalSolver, y: np.ndarray, f: np.ndarray) -> Conform
     (1 - 2 gamma_(q+3)) gap(d) - 2 V - 4 eps_Psi, which is the bound minus the
     margin.
     """
-    n, N, V = solver.model.dim, solver.grid.N, solver.psi.shape[1]
+    n, N, V = solver.model.dim, solver.grid.N, len(solver._kappa)
     Y = solver._coarse_channels(y)                                         # [R1, N]
     dy = Y.reshape(len(solver.M), 1 + n, N)[:, 1:].T                           # [N, n, m]
     C = np.empty((N, V), dtype=complex)
     G = np.empty((N, n, n))
-    rows = max(1, 2**15 // solver.emb.q)
+    rows = _block_rows(solver.emb.q)
     grad = np.empty((rows, n, V), dtype=complex)
     for r0 in range(0, N, rows):
         block = slice(r0, min(r0 + rows, N))
@@ -622,11 +669,11 @@ def assemble_C(solver: ConformalSolver, y: np.ndarray, f: np.ndarray) -> Conform
 def _immersion_block(solver: ConformalSolver, y: np.ndarray, dy: np.ndarray, block: slice,
                      C: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """C = psi (1 + y S) and grad_i C = i kappa_i C + psi (d_i y S) on the
-    cos/sin pairs at the b grid points of `block`, from the coefficients
-    y [N, m] and their gradient dy [N, n, m].  Writes C[block] of C [N, V]
-    (complex) and returns grad[:b] [b, n, V], written into the buffer
-    grad [>= b, n, V]."""
-    psi, S = solver.psi[block], solver._S.view(float)    # (re, im) columns: real products
+    cos/sin pairs at the b grid points of `block`, from the block's psi
+    (`ConformalSolver._psi`), the coefficients y [N, m] and their gradient
+    dy [N, n, m].  Writes C[block] of C [N, V] (complex) and returns
+    grad[:b] [b, n, V], written into the buffer grad [>= b, n, V]."""
+    psi, S = solver._psi(block), solver._S.view(float)   # (re, im) columns: real products
     C_b, grad_b = C[block], grad[:len(psi)]
     np.matmul(y[block], S, out=C_b.view(float))
     C_b += 1.0
@@ -680,15 +727,15 @@ def _injectivity(solver: ConformalSolver, C: np.ndarray, y: np.ndarray) -> float
     return best
 
 
-def _distances(A: np.ndarray, partner: np.ndarray, rows: np.ndarray | None = None):
-    """|A[partner[k]] - A[rows[k]]| for every k (rows 0, 1, ... by default), by
-    direct differences in chunks of 256 N / q pairs, so that each temporary is
-    no larger than a 256-row block of the N x N distance table."""
-    step = max(1, 256 * len(A) // A.shape[1])
+def _distances(A: np.ndarray, partner: np.ndarray) -> np.ndarray:
+    """|A[partner[k]] - A[k]| for every row k of A [N, q], by direct
+    differences in chunks of `_BLOCK` / q rows, so that each temporary holds
+    `_BLOCK` values whatever N is."""
+    step = _block_rows(A.shape[1])
     out = np.empty(len(partner))
     for k in range(0, len(partner), step):
         D = A[partner[k:k + step]]
-        D -= A[k:k + step] if rows is None else A[rows[k:k + step]]
+        D -= A[k:k + step]
         out[k:k + step] = np.einsum("ij,ij->i", D, D)
         del D                                   # before the next chunk is copied
     return np.sqrt(out, out=out)

@@ -15,8 +15,9 @@ exp(i kappa_a x_a) table per axis, multiplied into exp(i kappa . x) once per
 lattice vector.  A block's jets gather its cos and sin parts onto the
 vector's cos and sin modes; `pairs` reads each cos/sin pair with one weight
 as one complex mode w a exp(i kappa . x), whose derivatives are
-(i kappa)^alpha times itself.  The gradient Gram sum of such pairs needs no
-jets: it is the constant sum over the pairs of (w a)^2 kappa kappa^T.
+(i kappa)^alpha times itself, and gives it on a tensor grid as the per-axis
+tables only.  The gradient Gram sum of such pairs needs no jets: it is the
+constant sum over the pairs of (w a)^2 kappa kappa^T.
 
 Sphere modes (on S^2 and the S^2 factor of S^2 x S^1) come from one fully
 normalized associated Legendre table per block, built over the block's
@@ -41,6 +42,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -186,8 +188,9 @@ class LatticeSpectrum(AnalyticSpectrum):
     multiplies the gathered rows into c + i s = exp(i kappa . x) once per
     lattice vector.  `jet_block` gathers the value (c or s) and the derivative
     factor (-s or c) onto the modes.  `_pair_block` admits the blocks of whole
-    cos/sin pairs with one weight per pair; on them `pairs` keeps c + i s
-    whole, so that each pair is one complex mode, and `gradient_gram` is the
+    cos/sin pairs with one weight per pair; on them `pairs` returns, on a
+    tensor grid, the per-axis tables whose product is c + i s, so that each
+    pair is one complex mode without a [N, V] array, and `gradient_gram` is the
     constant closed form in kappa, without jets.  `gradient_gram` of any other
     block is the generic body.
     """
@@ -210,16 +213,23 @@ class LatticeSpectrum(AnalyticSpectrum):
         v0 = vec[0] if vec.size else 0
         return v0, vec - v0
 
+    def _axis_table(self, column, a, x):
+        """exp(i kappa_a x) of the lattice column k_a [vectors] at coordinates
+        x [r]: one table [distinct k_a, r] over the distinct k_a, and each
+        vector's row of it."""
+        ks, row = np.unique(column, return_inverse=True)
+        arg = np.outer(ks * self._unit[a], x)
+        table = np.empty(arg.shape, dtype=complex)
+        table.real, table.imag = np.cos(arg), np.sin(arg)
+        return table, row
+
     def _phases(self, lattice, points):
         """exp(i kappa . x) [vectors, N] of lattice vectors [vectors, n] at
-        points [N, n]: one table exp(i kappa_a x_a) per axis over the distinct
-        k_a, gathered and multiplied once per vector."""
+        points [N, n]: one `_axis_table` per axis, gathered and multiplied
+        once per vector."""
         phase = None
         for a in range(points.shape[1]):
-            ks, row = np.unique(lattice[:, a], return_inverse=True)
-            arg = np.outer(ks * self._unit[a], points[:, a])
-            table = np.empty(arg.shape, dtype=complex)
-            table.real, table.imag = np.cos(arg), np.sin(arg)
+            table, row = self._axis_table(lattice[:, a], a, points[:, a])
             if phase is None:
                 phase = table[row]
             else:
@@ -294,27 +304,41 @@ class LatticeSpectrum(AnalyticSpectrum):
                 G[:, a, b] = G[:, b, a] = s @ (kappa[:, a] * kappa[:, b])
         return G
 
-    def pairs(self, j0, weights, points):
-        """The weighted modes j0, j0 + 1, ... at points [N, n] as complex pairs.
+    def pairs(self, j0, weights, axes):
+        """The weighted modes j0, j0 + 1, ... on the tensor grid of the axis
+        coordinates `axes` (n arrays [r_a]) as complex pairs.
 
         The block must be one that `_pair_block` admits: then the pair of wave
         vector kappa, read as one complex number w (phi_cos + i phi_sin), is
         psi_kappa = w a exp(i kappa . x), and D^alpha psi_kappa =
-        (i kappa)^alpha psi_kappa.  Returns (kappa [V, n], s [V], psi [N, V]
-        complex).  s_kappa = (w a)^2 comes from the weights and amplitudes,
-        not from |psi|^2, so a Gram built from psi can be checked against one
-        built from s.  psi is a exp(i kappa . x) from `_phases`, then times w,
-        so psi.view(float) [N, 2 V] equals the weighted `jet_block` values,
-        transposed, bit for bit.
+        (i kappa)^alpha psi_kappa.  Returns `LatticePairs`: kappa [V, n], s [V],
+        one phase table exp(i kappa_a x_a) [r_a, V] per axis (`_axis_table`),
+        and the amplitudes a and weights w [V].  s_kappa = (w a)^2 comes from
+        the weights and amplitudes, not from |psi|^2, so a Gram built from psi
+        can be checked against one built from s.  psi at the grid point
+        (i_1, ..., i_n) is the product of the table rows i_1, ..., i_n in axis
+        order, then times a, then times w: that is `_phases` of the point
+        times a, times w, so its view(float) equals the weighted `jet_block`
+        values there bit for bit.
         """
         kappa, w, amp = self._pair_block(j0, weights)
         v0, _ = self._vectors(j0, j0 + 2 * len(w))
-        phase = self._phases(self._lattice[v0:v0 + len(w)], np.asarray(points, dtype=float))
-        psi = np.empty(phase.shape[::-1], dtype=complex)
-        np.multiply(phase.T, amp, out=psi)
-        del phase
-        psi *= w
-        return kappa, (w * amp) ** 2, psi
+        lattice = self._lattice[v0:v0 + len(w)]
+        phases = []
+        for a, x in enumerate(axes):
+            table, row = self._axis_table(lattice[:, a], a, np.asarray(x, dtype=float))
+            phases.append(np.ascontiguousarray(table[row].T))
+        return LatticePairs(kappa, (w * amp) ** 2, phases, amp, w)
+
+
+class LatticePairs(NamedTuple):
+    """The cos/sin pairs of `LatticeSpectrum.pairs` on a tensor grid."""
+
+    kappa: np.ndarray         # [V, n] wave vectors
+    s: np.ndarray             # [V] (w a)^2
+    phases: list              # per axis a, exp(i kappa_a x_a) [r_a, V]
+    amp: np.ndarray           # [V] amplitudes a
+    w: np.ndarray             # [V] weights
 
 
 class TorusSpectrum(LatticeSpectrum):

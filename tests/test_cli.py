@@ -190,20 +190,20 @@ def test_perturb_defect_errors_exit_before_any_build(tmp_path, capsys, monkeypat
 def test_perturb_3_torus_takes_the_solver_default_grid(tmp_path, capsys, monkeypatch):
     """A 3-torus config that sets no solver resolution gets the solver's 32
     per axis: at the default t = 0.05 (q = 1790) the preflight asks about
-    1.19 GB and refuses N = 32768 against 1 GiB with one line, before any
-    lattice phase is built (for `jet_block` or `pairs`)."""
+    0.49 GB and refuses N = 32768 against 256 MiB with one line, before any
+    lattice phase table is built (for `jet_block` or `pairs`)."""
     def no_phases(*args, **kwargs):
         raise AssertionError("lattice phases built")
 
-    monkeypatch.setattr(heatconf.spectrum.LatticeSpectrum, "_phases", no_phases)
-    monkeypatch.setattr(heatconf.geometry, "available_bytes", lambda: 2**30)
+    monkeypatch.setattr(heatconf.spectrum.LatticeSpectrum, "_axis_table", no_phases)
+    monkeypatch.setattr(heatconf.geometry, "available_bytes", lambda: 2**28)
     cfg = write_config(tmp_path, {"model": {"kind": "flat_torus",
                                             "params": {"periods": [TWO_PI] * 3}}})
     capsys.readouterr()
     assert run(["--config", cfg, "--out", str(tmp_path / "o"), "perturb"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("precondition failure:") and err.count("\n") == 1, err
-    assert "N = 32768)" in err and "about 1.19 GB" in err
+    assert "N = 32768)" in err and "about 0.49 GB" in err
 
 
 def test_huge_sample_grid_exits_3(tmp_path, capsys, monkeypatch):
@@ -255,6 +255,26 @@ def test_narrow_scan_window_exits_2(tmp_path, capsys, payload, window, t, held, 
     assert err.startswith("config error:") and err.count("\n") == 1, err
     assert f"lambda <= {window} at t = {t} holds {held} non-constant modes" in err
     assert f"freeness floor {floor}" in err and "q_override" not in err
+
+
+@pytest.mark.parametrize("window", [{"lambda_max": 50}, {"lambda_t_margin": 16},
+                                    {"lambda_max": 50, "lambda_t_margin": 16}],
+                         ids=["lambda-max", "margin", "both"])
+def test_scan_refuses_two_windows(tmp_path, capsys, window):
+    """A circle defect-scan with `spectrum.lambda_max` or
+    `spectrum.lambda_t_margin` exits 0; with both it exits 2 with one line
+    that names both keys, since the two windows conflict."""
+    cfg = write_config(tmp_path, {"model": CIRCLE_MODEL, "t_grid": [0.1, 0.05],
+                                  "spectrum": window})
+    capsys.readouterr()
+    code = run(["--config", cfg, "--out", str(tmp_path / "o"), "defect-scan"])
+    err = capsys.readouterr().err
+    if len(window) == 1:
+        assert code == 0, err
+        return
+    assert code == 2
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    assert "spectrum.lambda_max" in err and "spectrum.lambda_t_margin" in err
 
 
 def test_perturb_theta_violation_exits_3(tmp_path):

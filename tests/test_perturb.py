@@ -75,7 +75,7 @@ def immersion(solver, y):
     helper of `assemble_C` called once over the whole grid."""
     n, N = solver.model.dim, solver.grid.N
     dy = solver._coarse_channels(y).reshape(len(solver.M), 1 + n, N)[:, 1:].T
-    C = np.empty_like(solver.psi)
+    C = np.empty((N, len(solver._kappa)), dtype=complex)
     grad = np.empty((N, n, C.shape[1]), dtype=complex)
     perturb._immersion_block(solver, y, dy, slice(0, N), C, grad)
     return C.view(float), grad.view(float)
@@ -567,10 +567,9 @@ def test_pullback_check_on_a_coarse_grid(torus_embedding):
 
 
 def test_solver_fetches_grid_jets_once(torus_embedding, monkeypatch):
-    """Building the solver makes one `pairs` call on its grid, for psi, and no
-    jet_block call; assemble_C makes neither.  psi is the embedding's values
-    on the grid bit for bit, and its complex view pairs each cos column with
-    its sin column."""
+    """Building the solver makes one `pairs` call on its grid axes, for the
+    phase tables, and no jet_block call; assemble_C makes neither.  The
+    solver then holds no [N, .] complex array: psi is rebuilt per block."""
     provider = torus_embedding.provider
     calls = []
     jet_block, pairs = type(provider).jet_block, type(provider).pairs
@@ -579,9 +578,9 @@ def test_solver_fetches_grid_jets_once(torus_embedding, monkeypatch):
         calls.append("jet_block")
         return jet_block(self, j0, j1, points, deriv)
 
-    def counted_pairs(self, j0, weights, points):
+    def counted_pairs(self, j0, weights, axes):
         calls.append("pairs")
-        return pairs(self, j0, weights, points)
+        return pairs(self, j0, weights, axes)
 
     monkeypatch.setattr(type(provider), "jet_block", counted_jets)
     monkeypatch.setattr(type(provider), "pairs", counted_pairs)
@@ -590,12 +589,9 @@ def test_solver_fetches_grid_jets_once(torus_embedding, monkeypatch):
     N = built.grid.N
     perturb.assemble_C(built, np.zeros((N, 5)), np.zeros((N, 2, 2)))
     assert calls == ["pairs"]
-    monkeypatch.undo()
-    values = torus_embedding.jets(built.grid.points)[0].T
-    assert built.psi.shape == (N, torus_embedding.q // 2)
-    assert np.array_equal(built.psi.view(float), values)
-    assert np.array_equal(built.psi.real, values[:, 0::2])
-    assert np.array_equal(built.psi.imag, values[:, 1::2])
+    held = [name for name, value in vars(built).items()
+            if isinstance(value, np.ndarray) and np.iscomplexobj(value) and len(value) == N]
+    assert not held
 
 
 @pytest.mark.parametrize("periods, t, resolution, count", [
@@ -610,15 +606,25 @@ def test_complex_pairs_match_the_jet_path(periods, t, resolution, count):
     grad C is the block helper's over the whole grid.  assemble_C's pullback
     check and defect, from its blocks of grid points (the last one partial on
     each grid here), equal those of the whole-array G = grad C grad C^T to
-    1e-14 relative."""
+    1e-14 relative.  psi gathered from the phase tables, over the whole grid
+    or in blocks of any size, is the weighted jet values bit for bit, its
+    complex view pairing each cos column with its sin column."""
     model = ManifoldModel.flat_torus(periods)
     emb = build_embedding(analytic_spectrum(model, count=count), t, TruncationPolicy(rho=1.0))
     built = perturb.ConformalSolver(emb, resolution=resolution, e=1.0)
     n, N, q = built.model.dim, built.grid.N, emb.q
     y = band_limited_y(built.grid, 23, kmax=3, scale=1e-2)
     res = perturb.assemble_C(built, y, np.zeros((N, n, n)))
+    values = emb.jets(built.grid.points)[0].T                                  # [N, q]
+    psi = built._psi(slice(0, N))
+    assert psi.shape == (N, q // 2) and np.array_equal(psi.view(float), values)
+    assert np.array_equal(psi.real, values[:, 0::2]) and np.array_equal(psi.imag, values[:, 1::2])
+    for rows in (1, 7, 100):
+        for r0 in range(0, N, rows):
+            block = slice(r0, min(r0 + rows, N))
+            assert np.array_equal(built._psi(block).view(float), values[block])
     E = jets.PointwiseRightInverse(emb, built.grid.points)
-    C = emb.jets(built.grid.points)[0].T + np.einsum("nmq,nm->nq", E.P, y)
+    C = values + np.einsum("nmq,nm->nq", E.P, y)
     cos = emb.provider._parity[1:q + 1] == spectrum.COS
     partner = np.where(cos, np.arange(q) + 1, np.arange(q) - 1)
     sk = np.where(cos, -1.0, 1.0)[:, None] * emb.provider._kappa[1:q + 1]      # [q, n]
@@ -661,6 +667,25 @@ def test_min_pair_distance_in_blocks():
     np.fill_diagonal(d, np.inf)
     for block in (1, 7, 64, 256, 1000):
         assert_allclose(min_pair_distance(X, block), d.min(), rtol=1e-6)
+
+
+@pytest.mark.parametrize("N", [2048, 8192])
+def test_distance_chunks_hold_a_fixed_block(N):
+    """`_distances` equals direct differences bit for bit, and its traced
+    peak beside the output stays below two `_BLOCK`-value chunks however
+    large N is (q = 64)."""
+    rng = np.random.default_rng(13)
+    A = rng.standard_normal((N, 64))
+    partner = rng.permutation(N)
+    tracemalloc.start()
+    try:
+        got = perturb._distances(A, partner)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    D = A[partner] - A
+    assert np.array_equal(got, np.sqrt(np.einsum("ij,ij->i", D, D)))
+    assert peak < 8 * N + 2 * 8 * perturb._BLOCK
 
 
 @pytest.fixture(scope="module", params=[([TWO_PI, TWO_PI], 0.05, 48, 600),
@@ -760,17 +785,18 @@ def test_family_bounds_match_v_formulas(oracle_case):
 
 
 def test_solver_needs_a_constant_gram(torus_embedding, monkeypatch):
-    """A jet Gram that varies over the grid (one pair's value bumped at one
-    grid point), or a provider without cos/sin pairs, is a precondition
+    """A jet Gram that varies over the grid (one pair's phase bumped on one
+    grid line), or a provider without cos/sin pairs, is a precondition
     failure."""
     provider = torus_embedding.provider
     pairs = type(provider).pairs
 
-    def bumped(self, j0, weights, points):
-        kappa, s, psi = pairs(self, j0, weights, points)
-        # the first cos/sin pair at x_7, whose Gram terms are about 1e-4 max|M|
-        psi[7, 0] *= 1.0 + 1e-7
-        return kappa, s, psi
+    def bumped(self, j0, weights, axes):
+        got = pairs(self, j0, weights, axes)
+        # the first cos/sin pair on the grid line x_1 = 7 h, whose Gram terms
+        # are about 1e-4 max|M|
+        got.phases[0][7, 0] *= 1.0 + 1e-7
+        return got
 
     monkeypatch.setattr(type(provider), "pairs", bumped)
     with pytest.raises(PreconditionError, match="not constant"):
@@ -782,10 +808,11 @@ def test_solver_needs_a_constant_gram(torus_embedding, monkeypatch):
 
 
 def test_preflight_refuses_before_any_jets(torus_embedding, monkeypatch):
-    """The 3-torus default (resolution 32, t = 0.05, q >= 1789) asks for Psi,
-    |psi|^2 and C, with the jet Gram: against 1 GiB it is refused with one
-    line giving both byte counts before `pairs` runs; the 2-torus
-    acceptance solver fits in 0.2 GB; an unreadable meminfo skips the check."""
+    """The 3-torus default (resolution 32, t = 0.05, q >= 1789) asks for C,
+    the jet Gram and the gap table, 8 N (q + m^2 + 1) bytes: against 256 MiB
+    it is refused with one line giving both byte counts before `pairs` runs;
+    the 2-torus acceptance solver fits in 0.2 GB; an unreadable meminfo skips
+    the check."""
     assert geometry.available_bytes() is None or geometry.available_bytes() > 0
     model = ManifoldModel.flat_torus([TWO_PI] * 3)
     policy = TruncationPolicy(rho=1.0)
@@ -795,14 +822,14 @@ def test_preflight_refuses_before_any_jets(torus_embedding, monkeypatch):
     def no_pairs(*args, **kwargs):
         raise AssertionError("pairs called")
 
-    monkeypatch.setattr(geometry, "available_bytes", lambda: 2**30)
+    monkeypatch.setattr(geometry, "available_bytes", lambda: 2**28)
     monkeypatch.setattr(type(emb.provider), "pairs", no_pairs)
     with pytest.raises(PreconditionError) as exc:
         perturb.ConformalSolver(emb)
-    need = 8 * 32**3 * (2 * emb.q + emb.q // 2 + 81)
+    need = 8 * 32**3 * (emb.q + 81 + 1)
     msg = str(exc.value)
-    assert f"about {need / 1e9:.2f} GB" in msg and "the 1.07 GB available" in msg
-    assert "\n" not in msg and 2**30 < need < 2 * 2**30
+    assert f"about {need / 1e9:.2f} GB" in msg and "the 0.27 GB available" in msg
+    assert "\n" not in msg and 2**28 < need < 2 * 2**28
     monkeypatch.setattr(geometry, "available_bytes", lambda: None)
     with pytest.raises(AssertionError, match="pairs called"):
         perturb.ConformalSolver(emb)
@@ -813,8 +840,9 @@ def test_preflight_refuses_before_any_jets(torus_embedding, monkeypatch):
 
 def test_solver_setup_peaks_below_its_preflight(torus_embedding):
     """Building the solver at N = 48^2, q = 400 peaks, traced, below its own
-    preflight estimate 8 N (2 q + q/2 + m^2) (18.9 MB): the set-up holds psi,
-    |psi|^2 and the jet Gram, and no jet values beside them."""
+    preflight estimate 8 N (q + m^2 + 1) (7.8 MB) and below one [N, q/2]
+    complex array (7.4 MB): the set-up holds the jet Gram and the gap table,
+    and psi one block of grid points at a time."""
     tracemalloc.start()
     try:
         built = perturb.ConformalSolver(torus_embedding, resolution=48)
@@ -822,4 +850,5 @@ def test_solver_setup_peaks_below_its_preflight(torus_embedding):
     finally:
         tracemalloc.stop()
     N, q, m = built.grid.N, torus_embedding.q, len(built.M)
-    assert peak < 8 * N * (2 * q + q // 2 + m * m)
+    assert peak < 8 * N * (q + m * m + 1)
+    assert peak < 16 * N * (q // 2)

@@ -521,7 +521,7 @@ def test_jet_moments_match_brute_force_sums(periods):
     prov, j1, w = _whole_pair_block(periods, 0.05)
     rng = np.random.default_rng(5)
     pts = rng.uniform(0.0, 1.0, (7, n)) * np.asarray(periods)
-    kappa, s, _ = prov.pairs(1, w, pts)
+    kappa, s = prov.pairs(1, w, [[0.0]] * n)[:2]
     vals, grads, hess = prov.jet_block(1, j1, pts)
     eye = np.eye(n, dtype=int)
     jets = [(np.zeros(n, dtype=int), vals)]
@@ -541,13 +541,25 @@ def test_jet_moments_match_brute_force_sums(periods):
                          ids=["torus2", "torus2-3.1", "torus3", "circle"])
 def test_pair_kappas_give_the_gradients(periods):
     """`pairs` reads the weighted (cos, sin) rows of jet_block as the complex
-    modes w a exp(i kappa . x): psi equals them bit for bit, |psi|^2 = s to
-    1e-15, and d_a psi = i kappa_a psi matches their gradients to 1e-13."""
+    modes w a exp(i kappa . x): on a tensor grid of random axis coordinates,
+    the product of each point's table rows in axis order, times a, times w,
+    equals them bit for bit, |psi|^2 = s to 1e-15, and d_a psi = i kappa_a psi
+    matches their gradients to 1e-13."""
     n = len(periods)
     prov, j1, w = _whole_pair_block(periods, 0.1)
-    pts = np.random.default_rng(6).uniform(0.0, 1.0, (9, n)) * np.asarray(periods)
-    kappa, s, psi = prov.pairs(1, w, pts)
-    assert kappa.shape == ((j1 - 1) // 2, n) and psi.shape == (len(pts), len(kappa))
+    rng = np.random.default_rng(6)
+    axes = [rng.uniform(0.0, L, 4) for L in periods]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    kappa, s, phases, amp, wp = prov.pairs(1, w, axes)
+    V = (j1 - 1) // 2
+    assert kappa.shape == (V, n) and [p.shape for p in phases] == [(4, V)] * n
+    assert np.array_equal(wp, w[0::2])
+    index = np.unravel_index(np.arange(len(pts)), (4,) * n)
+    psi = phases[0][index[0]]
+    for table, i in zip(phases[1:], index[1:]):
+        psi *= table[i]
+    psi *= amp
+    psi *= wp
     vals, grads, _ = prov.jet_block(1, j1, pts, deriv=1)
     vals *= w[:, None]
     grads *= w[:, None, None]
@@ -563,17 +575,18 @@ def test_jet_moments_reject_split_pairs(torus_spec):
     has no complex-pair reading, and its jet sums vary in x."""
     q = 100
     assert torus_spec._parity[2] == spectrum.SIN and torus_spec._parity[q - 1] == spectrum.COS
-    pts = np.random.default_rng(7).uniform(0.0, TWO_PI, (3, 2))
+    axes = list(np.random.default_rng(7).uniform(0.0, TWO_PI, (2, 3)))
     w = np.ones(q)
     for j0, weights in ((0, w[:q - 1]), (0, w[:1]), (2, w[:q - 2]), (1, w[:q - 1])):
         with pytest.raises(PreconditionError, match="not a run of whole cos/sin pairs"):
-            torus_spec.pairs(j0, weights, pts)
+            torus_spec.pairs(j0, weights, axes)
     uneven = w[:q - 2].copy()
     uneven[1] = 2.0
     with pytest.raises(PreconditionError, match="two weights"):
-        torus_spec.pairs(1, uneven, pts)
-    kappa, s, psi = torus_spec.pairs(1, w[:q - 2], pts)
-    assert kappa.shape == ((q - 2) // 2, 2) and psi.shape == (3, (q - 2) // 2)
+        torus_spec.pairs(1, uneven, axes)
+    kappa, _, phases, _, _ = torus_spec.pairs(1, w[:q - 2], axes)
+    assert kappa.shape == ((q - 2) // 2, 2)
+    assert [p.shape for p in phases] == [(3, (q - 2) // 2)] * 2
 
 
 @pytest.mark.parametrize("kind, lambda_max, what", [
