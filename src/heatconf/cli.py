@@ -181,10 +181,10 @@ CONFIG_KEYS = {
     "correction": {"l": (_as_int, 2), "eta": (_as_float_list, [0.0])},
     "spectrum": {"count": (_count, 32), "lambda_max": (_positive, None),
                  "lambda_t_margin": (_positive, None)},
-    "solver": {"e": (_as_float, 1.0), "tol": (_positive, 1e-10),
+    "solver": {"e": (_positive, 1.0), "tol": (_positive, 1e-10),
                "max_iter": (_count, 40), "k_values": (_distinct_float_list, [0.0]),
                "epsilon": (_as_float, 1e-3), "t": (_fraction, 0.05),
-               "resolution": (_as_int, None), "theta_threshold": (_as_float, 0.25),
+               "resolution": (_as_int, None), "theta_threshold": (_positive, 0.25),
                "f_mode": (_as_float_list, [1, 0])},
     "verify": {"criteria": (_criteria, None), "overrides": (_overrides, {})},
 }

@@ -40,7 +40,8 @@ the iteration is then one pair sum Re((X s) Z^H) of two such symbol tables
 * M = P P^T = Re((S s) S^H), one constant matrix on a flat torus with
   closed shells.  The set-up takes it as T s, T[(r, r'), kappa] =
   Re(S_r conj(S_r')), and checks it against the jet Gram |psi(x)|^2 T at
-  every grid point;
+  every grid point, one block of points at a time, holding none of it: M's
+  leading n x n block is then the pullback of Psi on the whole grid;
 * the Q form: K = sum_j F_j F_j^T (F_j = [grad v_j, Hess v_j]) as a
   quadratic form in the channels (y, grad y, Hess y);
 * the residual's cross term sum_j grad u_j (x) grad v_j, linear in (y,
@@ -54,14 +55,18 @@ Pointwise |P^T z|^2 = z^T M z, which gives the step norm, the iterate bound,
 the smallness surrogate and the family bounds.  No array of q components is
 read or written per iterate.
 
-Spectra are real-FFT half-spectra without Nyquist bins.  Q(v, v) is
-dealiased by the 3/2 rule: `SpectralGrid.refine` scatters the band of the
-channels of y, component-major, into a refined half-spectrum pruned to the
-band's last-axis columns and transforms it axis by axis (ifft over the leading
-axes, then an irfft that zero-pads the dropped columns); Q evaluates the
-quadratic form of b and L on the 3/2 grid and projects them back to the band.
-This equals the dealiased products of v itself to rounding while v = P^T y
-lies in the open band.
+Fields are laid out grid axes last, [*lead, N], with real-FFT half-spectra
+[*lead, *spec] without Nyquist bins.  Q(v, v) is one 3/2-rule pass from the
+band to the refined grid and back: `SpectralGrid.refine` scatters the band
+spectra of the channels of y (`_channels`), component-major, into a refined
+half-spectrum pruned to the band's last-axis columns and transforms it axis
+by axis (ifft over the leading axes, then an irfft that zero-pads the dropped
+columns); Q evaluates the quadratic form of b and L there;
+`SpectralGrid.project` takes the products back to the band, where the
+resolvent is the band symbol 1 / (-lam - e); and one inverse transform gives
+(X, B) on the grid, five FFTs in all on a 2- or 3-torus.  This equals the
+dealiased products of v itself to rounding while v = P^T y lies in the open
+band.
 
 `assemble_C` is the one per-k pass after a solve: it forms the immersion
 C = Psi + v = psi (1 + y S) and its gradient grad_i C = i kappa_i C +
@@ -110,14 +115,14 @@ def _block_rows(q: int) -> int:
 
 
 class SpectralGrid:
-    """Uniform FFT grid on a flat torus with the exact resolvent and 3/2-rule products.
+    """Uniform FFT grid on a flat torus with 3/2-rule dealiasing.
 
-    Fields are arrays whose first axis is the flattened grid; any trailing
-    component axes broadcast through the spectral operations.  Spectra are
-    `rfftn` half-spectra over the grid axes (`kvecs`, `lam`, `band` alike);
-    3/2-rule dealiasing moves the open band between the coarse and the refined
-    half-spectrum through precomputed slice pairs (`_blocks`), for odd and
-    even resolutions and any dimension alike.
+    Fields are arrays [*lead, N] whose last axis is the flattened grid;
+    spectra are `rfftn` half-spectra [*lead, *spec] over the trailing grid
+    axes (`kvecs`, `lam`, `band` alike), and the leading axes broadcast
+    through every operation.  3/2-rule dealiasing moves the open band between
+    the coarse and the refined half-spectrum through precomputed slice pairs
+    (`_blocks`), for odd and even resolutions and any dimension alike.
     """
 
     def __init__(self, model: ManifoldModel, resolution: int):
@@ -153,38 +158,27 @@ class SpectralGrid:
         for coarse, _ in self._blocks:
             self.band[coarse] = True
 
-    def _bcast(self, arr: np.ndarray, trailing: int) -> np.ndarray:
-        """Reshape a per-bin array [*spec, ...] to broadcast over `trailing` axes."""
-        spec = self.kvecs.shape[:-1]
-        return arr.reshape(spec + (1,) * trailing + arr.shape[len(spec):])
-
     # -- transforms ---------------------------------------------------------
 
     def to_spec(self, values: np.ndarray) -> np.ndarray:
-        arr = values.reshape(self.shape + values.shape[1:])
-        spec = np.fft.rfftn(arr, axes=range(self.model.dim))
-        spec *= self._bcast(self.band, values.ndim - 1)
+        """The band half-spectrum [*lead, *spec] of fields [*lead, N], with
+        the Nyquist bins zeroed."""
+        n = self.model.dim
+        spec = np.fft.rfftn(values.reshape(values.shape[:-1] + self.shape), axes=range(-n, 0))
+        spec *= self.band
         return spec
 
     def from_spec(self, spec: np.ndarray) -> np.ndarray:
+        """Fields [*lead, N] of a half-spectrum [*lead, *spec]."""
         n = self.model.dim
-        arr = np.fft.irfftn(spec, s=self.shape, axes=range(n))
-        return arr.reshape((self.N,) + spec.shape[n:])
-
-    # -- exact spectral calculus --------------------------------------------
-
-    def resolvent(self, values: np.ndarray, e: float) -> np.ndarray:
-        """(Delta - e)^{-1}: spectral coefficient c_lam -> c_lam / (-lam - e)."""
-        if e <= 0:
-            raise ConfigError("spectral shift e must be strictly positive")
-        spec = self.to_spec(values)
-        return self.from_spec(spec * self._bcast(1.0 / (-self.lam - e), values.ndim - 1))
+        arr = np.fft.irfftn(spec, s=self.shape, axes=range(-n, 0))
+        return arr.reshape(spec.shape[:-n] + (self.N,))
 
     # -- dealiased products ---------------------------------------------------
 
     def refine(self, spec: np.ndarray) -> np.ndarray:
         """Samples [*lead, fine**n] on the refined grid of a band half-spectrum
-        [*lead, *spec] (grid axes last).
+        [*lead, *spec].
 
         The band, rescaled by (fine / N)^n, is scattered into a refined
         half-spectrum pruned to the band's last-axis columns; an ifft over the
@@ -201,16 +195,18 @@ class SpectralGrid:
         arr = np.fft.irfft(arr, n=self.fine, axis=-1)
         return arr.reshape(lead + (self.fine**n,))
 
-    def unpad(self, fine_values: np.ndarray) -> np.ndarray:
-        """Project physical samples on the refined grid back to the open band."""
+    def project(self, fine_values: np.ndarray) -> np.ndarray:
+        """The band half-spectrum [*lead, *spec] of samples [*lead, fine**n] on
+        the refined grid: their rfftn, cut to the open band and rescaled by
+        (N / fine)^n."""
         n = self.model.dim
-        arr = fine_values.reshape((self.fine,) * n + fine_values.shape[1:])
-        fine_spec = np.fft.rfftn(arr, axes=range(n))
-        spec = np.zeros(self.kvecs.shape[:-1] + fine_values.shape[1:], dtype=complex)
+        lead = fine_values.shape[:-1]
+        fine_spec = np.fft.rfftn(fine_values.reshape(lead + (self.fine,) * n), axes=range(-n, 0))
+        spec = np.zeros(lead + self.lam.shape, dtype=complex)
         for coarse, fine in self._blocks:
-            spec[coarse] = fine_spec[fine]
+            spec[(Ellipsis,) + coarse] = fine_spec[(Ellipsis,) + fine]
         spec *= (self.resolution / self.fine) ** n
-        return self.from_spec(spec)
+        return spec
 
 
 @dataclass(frozen=True)
@@ -334,11 +330,13 @@ class ConformalSolver:
     call the embedding's cos/sin pairs as the wave vector of each pair and
     one phase table per grid axis, from which `_psi` rebuilds psi (complex;
     `.view(float)` is Psi) on any block of grid points.  From them: the
-    symbols S [m, q/2] of the rows of P, the jet Gram [N, m, m], the gap table
-    |Psi(x0) - Psi(x)| [N] of the injectivity scan, and the constant Gram M
-    with the pair forms of the y iteration.  The gradient rows of P are grad u
-    (the frame of a flat torus is the identity), so the jet Gram's leading
-    n x n block is the pullback of Psi."""
+    symbols S [m, q/2] of the rows of P, the gap table |Psi(x0) - Psi(x)| [N]
+    of the injectivity scan, the constant Gram M with the pair forms of the y
+    iteration, and the band symbol of the resolvent.  The set-up checks the
+    jet Gram against M one block of grid points at a time and keeps none of
+    it.  The gradient rows of P are grad u (the frame of a flat torus is the
+    identity), so M's leading n x n block is the pullback of Psi at every grid
+    point."""
 
     def __init__(self, emb, resolution: int | None = None, e: float = 1.0):
         self.emb = emb
@@ -353,20 +351,20 @@ class ConformalSolver:
         if not hasattr(emb.provider, "pairs"):
             raise PreconditionError("the fixed-point solver needs the cos/sin pairs "
                                     "of an analytic torus spectrum")
-        # the jet Gram and the gap table of the set-up, and the C of each
-        # assemble_C; psi is only ever held one block at a time
+        # the gap table of the set-up and the C of each assemble_C; psi and
+        # the jet Gram are only ever held one block at a time
         m, N, q = len(_row_exponents(n)), self.grid.N, emb.q
-        geometry.check_memory(8 * N * (q + m * m + 1),
-                              f"the solver (C, the jet Gram and the gap table at q = {q}, "
-                              f"N = {N})")
+        geometry.check_memory(8 * N * (q + 1),
+                              f"the solver (C and the gap table at q = {q}, N = {N})")
         self._pairs = emb.provider.pairs(1, emb.weights, self.grid.axes)
         self._kappa = self._pairs.kappa
         self._S = _symbols(self._kappa, np.zeros(n, dtype=int))[::len(_channel_exponents(n))]
         # M = T s and the jet Gram |psi|^2 T, T[(r, r'), kappa] = Re(S_r conj(S_r'))
         T = (self._S[:, None] * self._S.conj()).real.reshape(m * m, -1)   # [m m, V]
         self.M = (T @ self._pairs.s).reshape(m, m)
-        # one pass over blocks of grid points fills the jet Gram and the gaps
-        self.gram = np.empty((N, m, m))
+        # one pass over blocks of grid points takes the jet Gram's largest
+        # distance from M and fills the gaps
+        gap = 0.0
         self._gaps = np.empty(N)
         psi0 = self._psi(slice(0, 1)).view(float)
         rows = _block_rows(q)
@@ -374,21 +372,23 @@ class ConformalSolver:
             block = slice(r0, min(r0 + rows, N))
             psi = self._psi(block).view(float)                          # [b, q]
             pairs = psi.reshape(len(psi), -1, 2)
-            self.gram[block] = (np.einsum("nvc,nvc->nv", pairs, pairs) @ T.T).reshape(-1, m, m)
+            gram = np.einsum("nvc,nvc->nv", pairs, pairs) @ T.T            # [b, m m]
+            gap = max(gap, float(np.max(np.abs(gram - self.M.ravel()))))
             D = np.subtract(psi0, psi, out=psi)
             self._gaps[block] = np.einsum("ij,ij->i", D, D)
         np.sqrt(self._gaps, out=self._gaps)
-        gap = float(np.max(np.abs(self.gram - self.M)))
         if gap > _GRAM_RTOL * float(np.max(np.abs(self.M))):
             raise PreconditionError(
                 f"the jet Gram is not constant on the grid: it differs from the pair "
                 f"Gram by {gap:.3g}")
         self._q_form, self._cross_form, self._quad_form = _pair_forms(
             self._S, self._kappa, self._pairs.s, e)
-        # channel symbols (i k)^gamma on the band, [c, *spec]
+        # channel symbols (i k)^gamma, [c, *spec], and the band symbol
+        # 1 / (-lam - e) of the resolvent (Delta - e)^{-1}, [*spec]
         ik = 1j * np.moveaxis(self.grid.kvecs, -1, 0)
         gammas = _channel_exponents(n).reshape((-1, n) + (1,) * n)
-        self._sym = np.prod(ik ** gammas, axis=1) * self.grid.band
+        self._sym = np.prod(ik ** gammas, axis=1)
+        self._resolvent = self.grid.band / (-self.grid.lam - e)
 
     def _psi(self, rows: slice) -> np.ndarray:
         """psi [b, V] (complex) at the grid points `rows` (a slice of flat
@@ -435,9 +435,7 @@ class ConformalSolver:
 
     def _channels(self, y: np.ndarray) -> np.ndarray:
         """Band spectra of the channels (y, grad y, Hess y), [m, c, *spec]."""
-        spec = np.fft.rfftn(y.T.reshape((-1,) + self.grid.shape),
-                            axes=range(1, self.model.dim + 1))
-        return spec[:, None] * self._sym
+        return self.grid.to_spec(y.T)[:, None] * self._sym
 
     def sup_norm(self, z: np.ndarray) -> float:
         """sup_x |P^T z| = sup_x sqrt(z^T M z) of coefficients z [N, m]."""
@@ -454,21 +452,19 @@ class ConformalSolver:
 
     def quadratic(self, y: np.ndarray) -> np.ndarray:
         """Coefficients of Q(v, v) for v = P^T y [N, m]: the pair form of the
-        products on the 3/2 grid, projected to the band, through the resolvent
-        and the constant Gram solve."""
+        products on the 3/2 grid, projected to the band, times the resolvent
+        symbol, back on the grid through the constant Gram solve."""
         if not y.any():
             return np.zeros_like(y)
         grid = self.grid
         Y = grid.refine(self._channels(y)).reshape(-1, grid.fine ** self.model.dim)  # [R, Nf]
         prods = _quadratic_form(self._q_form, Y)                         # (-b, L)
-        return self._solve(grid.resolvent(grid.unpad(prods.T), self.e))
+        return self._solve(grid.from_spec(grid.project(prods) * self._resolvent).T)
 
     def _coarse_channels(self, y: np.ndarray) -> np.ndarray:
         """Samples of the channels (y, grad y) on the grid, [m (1 + n), N]
         channel-minor."""
-        n = self.model.dim
-        chan = self._channels(y)[:, :1 + n]
-        return np.fft.irfftn(chan, s=self.grid.shape, axes=range(2, n + 2)).reshape(
+        return self.grid.from_spec(self._channels(y)[:, :1 + self.model.dim]).reshape(
             -1, self.grid.N)
 
     def conformal_residual(self, y: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -592,7 +588,8 @@ def assemble_C(solver: ConformalSolver, y: np.ndarray, f: np.ndarray) -> Conform
     most 2^15 n floats (256 n KB, sized to the cache), so neither psi nor
     grad C is ever held whole.  From G it reports (tf the trace-free part):
     the solver's pair-form residual of y with its field; the pullback residual
-    tf(G - G_u - f), G_u the pullback of Psi, which is the independent check
+    tf(G - G_u - f), G_u = M[:n, :n] the pullback of Psi, which the set-up
+    certified against the jet Gram at every grid point, the independent check
     that v does what the equation promises; the defect tf(G - f),
     compensated by the manufactured f so that it measures the solve rather
     than the injected defect; and the injectivity, the smallest distance
@@ -658,7 +655,7 @@ def assemble_C(solver: ConformalSolver, y: np.ndarray, f: np.ndarray) -> Conform
         np.matmul(grad_b, grad_b.transpose(0, 2, 1), out=G[block])
     C = C.view(float)                                          # [N, q]
     residual = solver._residual(Y, f)
-    pullback = conformal_defect(G - solver.gram[:, :n, :n] - f, np.eye(n))[0]
+    pullback = conformal_defect(G - solver.M[:n, :n] - f, np.eye(n))[0]
     defect = conformal_defect(G - f, np.eye(n))[0]
     injectivity = _injectivity(solver, C, y)
     return ConformalResult(FieldRq(C), float(np.max(np.abs(residual))), residual,

@@ -189,9 +189,10 @@ def test_perturb_defect_errors_exit_before_any_build(tmp_path, capsys, monkeypat
 
 def test_perturb_3_torus_takes_the_solver_default_grid(tmp_path, capsys, monkeypatch):
     """A 3-torus config that sets no solver resolution gets the solver's 32
-    per axis: at the default t = 0.05 (q = 1790) the preflight asks about
-    0.49 GB and refuses N = 32768 against 256 MiB with one line, before any
-    lattice phase table is built (for `jet_block` or `pairs`)."""
+    per axis: at the default t = 0.05 (q = 1790) the preflight asks
+    8 N (q + 1) bytes, about 0.47 GB, and refuses N = 32768 against 256 MiB
+    with one line, before any lattice phase table is built (for `jet_block`
+    or `pairs`)."""
     def no_phases(*args, **kwargs):
         raise AssertionError("lattice phases built")
 
@@ -203,7 +204,7 @@ def test_perturb_3_torus_takes_the_solver_default_grid(tmp_path, capsys, monkeyp
     assert run(["--config", cfg, "--out", str(tmp_path / "o"), "perturb"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("precondition failure:") and err.count("\n") == 1, err
-    assert "N = 32768)" in err and "about 0.49 GB" in err
+    assert "N = 32768)" in err and "about 0.47 GB" in err
 
 
 def test_huge_sample_grid_exits_3(tmp_path, capsys, monkeypatch):
@@ -275,6 +276,19 @@ def test_scan_refuses_two_windows(tmp_path, capsys, window):
     assert code == 2
     assert err.startswith("config error:") and err.count("\n") == 1, err
     assert "spectrum.lambda_max" in err and "spectrum.lambda_t_margin" in err
+
+
+@pytest.mark.parametrize("key, value", [("e", 0), ("theta_threshold", -1)])
+def test_solver_shift_and_threshold_must_be_positive(tmp_path, capsys, key, value):
+    """A zero shift e or a negative smallness threshold exits 2 with one line
+    that names the key, before any solver is built."""
+    cfg = write_config(tmp_path, {"model": TORUS_MODEL, "solver": {key: value}})
+    capsys.readouterr()
+    code = run(["--config", cfg, "--out", str(tmp_path / "o"), "perturb"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    assert f"solver.{key} must be a positive finite number" in err
 
 
 def test_perturb_theta_violation_exits_3(tmp_path):

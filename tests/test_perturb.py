@@ -56,10 +56,34 @@ def solved(solver, manufactured):
     return fixed_point_solve(solver, manufactured, k=0.0, tol=1e-11)
 
 
+def spectral(grid, values, symbol):
+    """Oracle: grid samples [N, ...] times a band symbol [..., *spec], back on
+    the grid [N, ...]."""
+    spec = grid.to_spec(np.moveaxis(values, 0, -1))
+    return np.moveaxis(grid.from_spec(spec * symbol), -1, 0)
+
+
+def lowpass(grid, values):
+    """Oracle: grid samples [N, ...] projected to the open band."""
+    return spectral(grid, values, 1.0)
+
+
 def fft_grad(grid, values):
     """Oracle: the FFT gradient [N, ..., n] of grid samples [N, ...] on the band."""
-    return grid.from_spec(grid.to_spec(values)[..., None]
-                          * grid._bcast(1j * grid.kvecs, values.ndim - 1))
+    return spectral(grid, values[..., None], 1j * np.moveaxis(grid.kvecs, -1, 0))
+
+
+def unpad(grid, fine_values):
+    """Oracle: samples [Nf, ...] on the refined grid projected to the open band
+    of the grid [N, ...]."""
+    spec = grid.project(np.moveaxis(fine_values, 0, -1))
+    return np.moveaxis(grid.from_spec(spec), -1, 0)
+
+
+def resolve(solver, values):
+    """Oracle: (Delta - e)^{-1} of grid samples [N, ...] through the solver's
+    stored band symbol."""
+    return spectral(solver.grid, values, solver._resolvent)
 
 
 Field = namedtuple("Field", "values grad")
@@ -122,9 +146,9 @@ def quadratic_products_v(grid, v, e, chunk=64):
 
     b = Delta v . grad v and L is the quadratic curvature-free kernel of the
     (Delta - e)(grad v . grad v) identity.  All components take one forward
-    transform, in component-major layout [q, *grid].  Each chunk of components
+    transform, in component-major layout [q, *spec].  Each chunk of components
     refines the band of its gradient and Hessian channels F = [G_i, H_ab
-    (a<=b)], [m, c, *grid], to the 3/2 grid, where the Gram product
+    (a<=b)], [m, c, *spec], to the 3/2 grid, where the Gram product
     K = sum_m F_m F_m^T is accumulated.  b and L are fixed linear combinations
     of the entries of K (Delta v = tr H).
     """
@@ -133,7 +157,7 @@ def quadratic_products_v(grid, v, e, chunk=64):
     iu = np.triu_indices(n)
     sym = np.concatenate([1j * k, -k[iu[0]] * k[iu[1]]])
     c = len(sym)
-    spec = np.fft.rfftn(v.T.reshape((-1,) + grid.shape), axes=range(1, n + 1))
+    spec = grid.to_spec(v.T)
     K = np.zeros((grid.fine**n, c, c))
     for a0 in range(0, len(spec), chunk):
         F = grid.refine(spec[a0:a0 + chunk, None] * sym)        # [m, c, Nf]
@@ -144,15 +168,15 @@ def quadratic_products_v(grid, v, e, chunk=64):
     b = K[:, D, :n].sum(axis=1)
     L = (K[:, H[:, :, None], H[:, None, :]].sum(axis=1)
          - K[:, D[:, None, None], H].sum(axis=1) - 0.5 * e * K[:, :n, :n])
-    return grid.unpad(b), grid.unpad(L)
+    return unpad(grid, b), unpad(grid, L)
 
 
 def quadratic_v(solver, v):
     """Oracle: Q(v, v) [N, q], E applied pointwise to the resolvent-processed products."""
     grid = solver.grid
     b, L = quadratic_products_v(grid, v, solver.e)
-    X = -grid.resolvent(b, solver.e)
-    B = grid.resolvent(L, solver.e)
+    X = -resolve(solver, b)
+    B = resolve(solver, L)
     return right_inverse(solver).apply(np.concatenate([X, jets.pack_symmetric(B)], axis=-1))
 
 
@@ -196,8 +220,7 @@ def pad(grid, values):
 
 def laplacian(grid, values):
     """Exact spectral Laplacian of grid samples [N, ...]: c_lam -> -lam c_lam."""
-    lam = grid.lam.reshape(grid.lam.shape + (1,) * (values.ndim - 1))
-    return grid.from_spec(grid.to_spec(values) * -lam)
+    return spectral(grid, values, -grid.lam)
 
 
 def band_limited_field(grid, seed, comps=3, kmax=5):
@@ -223,7 +246,7 @@ def test_backend_requires_flat(sphere):
 def test_round_trip_and_derivative_exactness(any_grid):
     grid = any_grid
     v = band_limited_field(grid, 1)
-    assert_allclose(grid.from_spec(grid.to_spec(v)), v, atol=1e-12)
+    assert_allclose(lowpass(grid, v), v, atol=1e-12)
     # a single mode: the gradient and Laplacian are exact
     m = np.array([3, -2, 1])[:grid.model.dim]
     lam = float(m @ m)
@@ -233,18 +256,18 @@ def test_round_trip_and_derivative_exactness(any_grid):
     assert_allclose(fft_grad(grid, mode)[:, 0], -np.sin(phase)[:, None] * m, atol=1e-13 * lam)
     # differentiation commutes with the transform
     g1 = fft_grad(grid, v)
-    g2 = grid.from_spec(grid.to_spec(fft_grad(grid, v)))
+    g2 = lowpass(grid, fft_grad(grid, v))
     assert_allclose(g1, g2, atol=1e-12)
 
 
 def test_dealiased_product_projection(any_grid):
-    # pad/unpad reproduces the exact band-limited projection of a product
+    # pad/project reproduces the exact band-limited projection of a product
     grid = any_grid
     kmax = (grid.resolution // 2 - 1) // 2
     a = band_limited_field(grid, 2, comps=1, kmax=kmax)[:, 0]
     b = band_limited_field(grid, 3, comps=1, kmax=kmax)[:, 0]
-    prod = grid.unpad(pad(grid, a[:, None]) * pad(grid, b[:, None]))[:, 0]
-    direct = grid.from_spec(grid.to_spec((a * b)[:, None]))[:, 0]
+    prod = unpad(grid, pad(grid, a[:, None]) * pad(grid, b[:, None]))[:, 0]
+    direct = lowpass(grid, (a * b)[:, None])[:, 0]
     # frequencies |k| <= 2 kmax < Nyquist survive both paths identically
     assert_allclose(prod, direct, atol=1e-11)
 
@@ -266,17 +289,24 @@ def test_quadratic_products_alias_free_oracle(any_grid):
     assert_allclose(L, L_ref, rtol=0, atol=1e-12 * np.max(np.abs(L_ref)))
 
 
-def test_resolvent(sgrid):
-    const = np.full((sgrid.N, 1), 3.0)
-    assert_allclose(sgrid.resolvent(const, 2.0), -1.5, atol=1e-13)
-    mode = np.cos(sgrid.points @ np.array([1, 0]))[:, None]
-    assert_allclose(sgrid.resolvent(mode, 1.0), -mode / 2.0, atol=1e-13)
-    v = band_limited_field(sgrid, 4)
-    out = sgrid.resolvent(v, 1.7)
-    back = laplacian(sgrid, out) - 1.7 * out
+def test_resolvent(torus_embedding):
+    """The band symbol that the solver stores is (Delta - e)^{-1} on the open
+    band, c_lam -> c_lam / (-lam - e), and zero off it; the solver refuses a
+    shift e <= 0."""
+    built = {e: perturb.ConformalSolver(torus_embedding, resolution=32, e=e)
+             for e in (1.0, 1.7, 2.0)}
+    grid = built[1.0].grid
+    const = np.full((grid.N, 1), 3.0)
+    assert_allclose(resolve(built[2.0], const), -1.5, atol=1e-13)
+    mode = np.cos(grid.points @ np.array([1, 0]))[:, None]
+    assert_allclose(resolve(built[1.0], mode), -mode / 2.0, atol=1e-13)
+    v = band_limited_field(grid, 4)
+    out = resolve(built[1.7], v)
+    back = laplacian(grid, out) - 1.7 * out
     assert_allclose(back, v, atol=1e-12)
-    with pytest.raises(Exception):
-        sgrid.resolvent(v, -1.0)
+    assert not built[1.7]._resolvent[~grid.band].any()
+    with pytest.raises(ConfigError, match="spectral shift"):
+        perturb.ConformalSolver(torus_embedding, resolution=8, e=-1.0)
 
 
 def test_Lij_trivial_inputs(sgrid):
@@ -318,8 +348,8 @@ def test_Lij_spectral_identity(sgrid):
     gradT = fft_grad(sgrid, T)                           # [N, i, j] = d_j T_i
     rhs = 2.0 * L + gradT + np.transpose(gradT, (0, 2, 1))
     # products leave the grid band; compare their band-limited projections
-    lhs_p = sgrid.from_spec(sgrid.to_spec(lhs))
-    rhs_p = sgrid.from_spec(sgrid.to_spec(rhs))
+    lhs_p = lowpass(sgrid, lhs)
+    rhs_p = lowpass(sgrid, rhs)
     assert np.max(np.abs(lhs_p - rhs_p)) <= 1e-7 * np.max(np.abs(lhs_p))
 
 
@@ -332,11 +362,11 @@ def test_quadratic_defining_equation(solver):
     Q = np.einsum("nmq,nm->nq", P, solver.quadratic(y))
     grid = solver.grid
     Dv, Gv = laplacian(grid, v), fft_grad(grid, v)
-    prod = grid.unpad(np.einsum("fm,fmi->fi", pad(grid, Dv), pad(grid, Gv)))
+    prod = unpad(grid, np.einsum("fm,fmi->fi", pad(grid, Dv), pad(grid, Gv)))
     b, L = quadratic_products_v(grid, v, solver.e)
     assert_allclose(b, prod, atol=1e-12 * np.max(np.abs(prod)))
-    X = -grid.resolvent(b, solver.e)
-    B = grid.resolvent(L, solver.e)
+    X = -resolve(solver, b)
+    B = resolve(solver, L)
     rhs = np.concatenate([X, jets.pack_symmetric(B)], axis=-1)
     img = np.einsum("nmq,nq->nm", P, Q)
     assert np.max(np.abs(img - rhs)) <= 1e-9 * max(1.0, np.max(np.abs(rhs)))
@@ -506,10 +536,8 @@ def test_pruned_refinement_matches_oracle_upsampler(dim, resolution):
     model = ManifoldModel.flat_torus([TWO_PI, 3.1, 4.2][:dim])
     grid = perturb.SpectralGrid(model, resolution)
     v = np.random.default_rng(3).standard_normal((grid.N, 3))
-    spec = np.fft.rfftn(v.T.reshape((-1,) + grid.shape), axes=range(1, dim + 1))
     assert grid._cols == (resolution - 1) // 2 + 1
-    assert_allclose(grid.refine(spec).T, pad(grid, grid.from_spec(grid.to_spec(v))),
-                    atol=1e-12)
+    assert_allclose(grid.refine(grid.to_spec(v.T)).T, pad(grid, lowpass(grid, v)), atol=1e-12)
 
 
 @pytest.mark.parametrize("resolution", [16, 17])
@@ -532,19 +560,32 @@ def test_quadratic_products_on_a_circle_torus(resolution):
 def test_one_gradient_per_iterate(solver, manufactured, monkeypatch):
     """No FFT of a q-component field: the iterates are coefficients y whose
     channels Q and the residual take from their own transforms, and
-    assemble_C takes grad C from the complex pairs.  At N = 48, where C lies
-    in the open band, its block helper's grad C matches the FFT gradient of C
-    to 1e-13 relative."""
-    q, shapes = solver.emb.q, []
+    assemble_C takes grad C from the complex pairs.  One Q call makes five
+    FFTs on the 2-torus and on the 3-torus: the transform of y, the ifftn and
+    irfft of `refine`, the transform of the products on the 3/2 grid, and one
+    inverse transform after the resolvent symbol.  At N = 48, where C lies in
+    the open band, its block helper's grad C matches the FFT gradient of C to
+    1e-13 relative."""
+    model3 = ManifoldModel.flat_torus([TWO_PI] * 3)
+    emb3 = build_embedding(analytic_spectrum(model3, count=200), 0.2, TruncationPolicy(rho=1.0))
+    solver3 = perturb.ConformalSolver(emb3, resolution=12, e=1.0)
+    q, shapes, names = solver.emb.q, [], []
     for name in ("rfftn", "irfftn", "ifftn", "irfft"):
-        def counted(a, *args, _transform=getattr(np.fft, name), **kwargs):
+        def counted(a, *args, _name=name, _transform=getattr(np.fft, name), **kwargs):
             shapes.append(np.shape(a))
+            names.append(_name)
             return _transform(a, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     history, y = fixed_point_solve(solver, manufactured, k=0.0, tol=1e-11)
     result = perturb.assemble_C(solver, y, manufactured)
+    per_q = []
+    for built in (solver, solver3):
+        del names[:]
+        built.quadratic(band_limited_y(built.grid, 21, kmax=2, scale=1e-2))
+        per_q.append(list(names))
     monkeypatch.undo()
     assert len(history) > 1 and shapes and not any(q in shape for shape in shapes)
+    assert per_q == [["rfftn", "ifftn", "irfft", "rfftn", "irfftn"]] * 2
     assert result.residual_sup == history[-1].residual
     C, grad_C = immersion(solver, y)
     assert np.array_equal(C, result.C.values)
@@ -599,16 +640,17 @@ def test_solver_fetches_grid_jets_once(torus_embedding, monkeypatch):
     ([TWO_PI, 3.1], 0.1, 24, 200), ([TWO_PI] * 3, 0.2, 12, 200)],
     ids=["torus2-N16", "torus2-N33", "torus2-3.1-N24", "torus3-N12"])
 def test_complex_pairs_match_the_jet_path(periods, t, resolution, count):
-    """C, grad C and the jet Gram of the complex-pair form equal the generic
-    jet path to 1e-14 relative: C = Psi + P^T y with the oracle P, grad C_j =
+    """C, grad C and the Gram of the complex-pair form equal the generic jet
+    path to 1e-14 relative: C = Psi + P^T y with the oracle P, grad C_j =
     sigma_j kappa_j C_p(j) + (P^T grad y)_j for the cos/sin partner p(j)
-    (sigma = -1 for cos, +1 for sin), and the Gram P P^T at every point.
-    grad C is the block helper's over the whole grid.  assemble_C's pullback
-    check and defect, from its blocks of grid points (the last one partial on
-    each grid here), equal those of the whole-array G = grad C grad C^T to
-    1e-14 relative.  psi gathered from the phase tables, over the whole grid
-    or in blocks of any size, is the weighted jet values bit for bit, its
-    complex view pairing each cos column with its sin column."""
+    (sigma = -1 for cos, +1 for sin), and the constant Gram M, at every point,
+    the oracle's P P^T.  grad C is the block helper's over the whole grid.
+    assemble_C's pullback check and defect, from its blocks of grid points
+    (the last one partial on each grid here), equal those of the whole-array
+    G = grad C grad C^T, checked against M's n x n block, to 1e-14 relative.
+    psi gathered from the phase tables, over the whole grid or in blocks of
+    any size, is the weighted jet values bit for bit, its complex view
+    pairing each cos column with its sin column."""
     model = ManifoldModel.flat_torus(periods)
     emb = build_embedding(analytic_spectrum(model, count=count), t, TruncationPolicy(rho=1.0))
     built = perturb.ConformalSolver(emb, resolution=resolution, e=1.0)
@@ -631,11 +673,12 @@ def test_complex_pairs_match_the_jet_path(periods, t, resolution, count):
     dy = built._coarse_channels(y).reshape(len(built.M), 1 + n, N)[:, 1:]      # [m, n, N]
     grad_C = np.einsum("xrq,rix->xiq", E.P, dy) + sk.T * C[:, None, partner]
     grad = immersion(built, y)[1]
-    for got, want in ((res.C.values, C), (grad, grad_C), (built.gram, E.gram)):
+    gram = np.broadcast_to(built.M, E.gram.shape)
+    for got, want in ((res.C.values, C), (grad, grad_C), (gram, E.gram)):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     G = grad @ grad.transpose(0, 2, 1)
-    pullback = conformal_defect(G - built.gram[:, :n, :n], np.eye(n))[0]
+    pullback = conformal_defect(G - built.M[:n, :n], np.eye(n))[0]
     defect = conformal_defect(G, np.eye(n))[0]
     for got, want in ((res.pullback_residual_sup, np.max(np.abs(pullback))),
                       (res.defect, defect)):
@@ -808,9 +851,9 @@ def test_solver_needs_a_constant_gram(torus_embedding, monkeypatch):
 
 
 def test_preflight_refuses_before_any_jets(torus_embedding, monkeypatch):
-    """The 3-torus default (resolution 32, t = 0.05, q >= 1789) asks for C,
-    the jet Gram and the gap table, 8 N (q + m^2 + 1) bytes: against 256 MiB
-    it is refused with one line giving both byte counts before `pairs` runs;
+    """The 3-torus default (resolution 32, t = 0.05, q >= 1789) asks for C and
+    the gap table, 8 N (q + 1) bytes: against 256 MiB it is refused with one
+    line that names them and gives both byte counts before `pairs` runs;
     the 2-torus acceptance solver fits in 0.2 GB; an unreadable meminfo skips
     the check."""
     assert geometry.available_bytes() is None or geometry.available_bytes() > 0
@@ -826,8 +869,9 @@ def test_preflight_refuses_before_any_jets(torus_embedding, monkeypatch):
     monkeypatch.setattr(type(emb.provider), "pairs", no_pairs)
     with pytest.raises(PreconditionError) as exc:
         perturb.ConformalSolver(emb)
-    need = 8 * 32**3 * (emb.q + 81 + 1)
+    need = 8 * 32**3 * (emb.q + 1)
     msg = str(exc.value)
+    assert msg.startswith(f"the solver (C and the gap table at q = {emb.q}, N = {32**3})")
     assert f"about {need / 1e9:.2f} GB" in msg and "the 0.27 GB available" in msg
     assert "\n" not in msg and 2**28 < need < 2 * 2**28
     monkeypatch.setattr(geometry, "available_bytes", lambda: None)
@@ -840,15 +884,15 @@ def test_preflight_refuses_before_any_jets(torus_embedding, monkeypatch):
 
 def test_solver_setup_peaks_below_its_preflight(torus_embedding):
     """Building the solver at N = 48^2, q = 400 peaks, traced, below its own
-    preflight estimate 8 N (q + m^2 + 1) (7.8 MB) and below one [N, q/2]
-    complex array (7.4 MB): the set-up holds the jet Gram and the gap table,
-    and psi one block of grid points at a time."""
+    preflight estimate 8 N (q + 1) (7.4 MB) and below one [N, q/2] complex
+    array (7.4 MB): the set-up holds the gap table, and psi and the jet Gram
+    one block of grid points at a time."""
     tracemalloc.start()
     try:
         built = perturb.ConformalSolver(torus_embedding, resolution=48)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    N, q, m = built.grid.N, torus_embedding.q, len(built.M)
-    assert peak < 8 * N * (q + m * m + 1)
+    N, q = built.grid.N, torus_embedding.q
+    assert peak < 8 * N * (q + 1)
     assert peak < 16 * N * (q // 2)
