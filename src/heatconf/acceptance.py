@@ -189,19 +189,29 @@ def check_right_inverse(seed: int = 20240902) -> CheckResult:
                        budget=30.0)
 
 
-def _manufactured_problem(epsilon: float = 1e-3, resolution: int = 48):
+@functools.lru_cache(maxsize=1)
+def _manufactured_solve(epsilon: float):
+    """The k = 0 solve of the manufactured 2-torus problem that `check_fixed_point`
+    and `check_conformal_family` share: (solver, f, history, y).
+
+    Cached for the last epsilon, so a verify run solves it once.  f and y are
+    read-only, so a caller that writes to them fails instead of changing what
+    the other check reads.
+    """
     provider = spectrum.analytic_spectrum(TORUS_2PI, count=600)
     emb = build_embedding(provider, 0.05, TruncationPolicy(rho=1.0))
-    solver = perturb.ConformalSolver(emb, resolution=resolution, e=1.0)
-    return solver, perturb.manufactured_defect(solver.grid.points, epsilon, [1, 0])
+    solver = perturb.ConformalSolver(emb, resolution=48, e=1.0)
+    f = perturb.manufactured_defect(solver.grid.points, epsilon, [1, 0])
+    history, y = perturb.fixed_point_solve(solver, f, k=0.0, tol=1e-10)
+    f.flags.writeable = y.flags.writeable = False
+    return solver, f, tuple(history), y
 
 
 @_timed
 def check_fixed_point(epsilon: float = 1e-3, residual_tol: float = 1e-8,
                       seed: int = 20240903) -> CheckResult:
     """Contraction, iterate bound, equation residual, and uniqueness of the solve."""
-    solver, f = _manufactured_problem(epsilon)
-    history, y = perturb.fixed_point_solve(solver, f, k=0.0, tol=1e-10)
+    solver, f, history, y = _manufactured_solve(epsilon)
     result = perturb.assemble_C(solver, y, f)
     contractions = [st.contraction for st in history[1:]]
     # restart from a random kick of sup_x |P^T dy| = 1e-3
@@ -232,11 +242,11 @@ def check_fixed_point(epsilon: float = 1e-3, residual_tol: float = 1e-8,
 @_timed
 def check_conformal_family(epsilon: float = 1e-3, residual_tol: float = 1e-8) -> CheckResult:
     """Two members of the conformal family: residuals, separation, injectivity."""
-    solver, f = _manufactured_problem(epsilon)
+    solver, f, _, y0 = _manufactured_solve(epsilon)
     ks = (0.0, 1e-3)
-    ys, injectivity, residuals = {}, {}, {}
+    ys = {ks[0]: y0, ks[1]: perturb.fixed_point_solve(solver, f, k=ks[1], tol=1e-10)[1]}
+    injectivity, residuals = {}, {}
     for k in ks:
-        _, ys[k] = perturb.fixed_point_solve(solver, f, k=k, tol=1e-10)
         result = perturb.assemble_C(solver, ys[k], f)
         injectivity[k], residuals[k] = result.injectivity, result.residual_sup
     diff, upper, lower = perturb.family_bounds(solver, ys[ks[0]], ys[ks[1]],

@@ -3,9 +3,12 @@
 The continuum Hoelder seminorm is replaced by a computable surrogate: the
 increment quotient |f(x) - f(y)| / d^alpha maximized over grid pairs closer
 than half the model's injectivity surrogate.
-On a flat torus sampled at its uniform lattice the quotient covers every such
-pair, one lattice offset at a time; elsewhere a dense pair list is strided
-down to a pair budget.
+The pairs are one table per point set (`holder_pairs`), which the quotient of
+every field sampled on those points reads (`holder_seminorm_field`).  On a
+flat torus sampled at its uniform lattice the table is the lattice offsets,
+which cover every such pair, and the quotient compares the field with each
+shift of itself; elsewhere it is a dense pair list strided down to a pair
+budget.
 Order claims are measured as log-log regression slopes and reported as fits,
 never asserted as equalities (the underlying estimates are one-sided).
 `defect-scan` and `perturb` report the Hoelder quotients of the fields they
@@ -14,6 +17,7 @@ compute; no acceptance check reads them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,33 +65,77 @@ def _lattice_resolution(points: np.ndarray, model: ManifoldModel) -> int | None:
     return r if np.array_equal(points, geometry.sample_grid(model, r).points) else None
 
 
-def _lattice_holder(values: np.ndarray, model: ManifoldModel, r: int, radius: float,
-                    alpha: float) -> float:
-    """The increment quotient over every pair of a torus lattice within radius.
+class LatticeOffsets(NamedTuple):
+    """The pairs of a flat torus's `sample_grid` lattice within the radius.
 
-    Each pair is a lattice offset o; one of o and -o is taken and the field
-    is compared with itself shifted by it.  The field is wrap-padded once by
-    the offset box's reach on each axis, so every shifted copy is a slice
-    view of the padded one.  The offsets kept and their lengths are built as
-    one table, and every difference goes through one buffer.  The offset
-    length |o_a L_a / r| decides membership, with 1e-12 relative slack so
-    that pairs lying on the radius count whatever their rounding.
+    Each pair is a lattice offset o, and one of o and -o is kept.  The field
+    is wrap-padded by `wide`, the offset box's reach on each axis, so every
+    shifted copy is a slice view of the padded one.
+    """
+
+    r: int                    # points per axis
+    wide: tuple               # per axis, the padding width
+    offsets: list             # kept offsets, one n-tuple each
+    dist: list                # their lengths
+
+
+class ClosePairs(NamedTuple):
+    """Index pairs (i, j), i < j, at geodesic distance 0 < d <= radius."""
+
+    ii: np.ndarray
+    jj: np.ndarray
+    d: np.ndarray
+
+
+def _lattice_offsets(model: ManifoldModel, r: int, radius: float) -> LatticeOffsets:
+    """The offsets of the r-point-per-axis torus lattice within radius.
+
+    The offset length |o_a L_a / r| decides membership, with 1e-12 relative
+    slack so that pairs lying on the radius count whatever their rounding.
     """
     n = model.dim
     h = np.asarray(model.periods) / r
     reach = radius * (1.0 + 1e-12)
-    field = values.reshape((r,) * n + values.shape[1:])
-    wide = [int(reach / h_a) for h_a in h]
-    padded = np.pad(field, [(w, w) for w in wide] + [(0, 0)] * (field.ndim - n),
-                    mode="wrap")
+    wide = tuple(int(reach / h_a) for h_a in h)
     box = np.stack(np.meshgrid(*(np.arange(-w, w + 1) for w in wide), indexing="ij"),
                    axis=-1).reshape(-1, n)
     lead = box[np.arange(len(box)), np.argmax(box != 0, axis=1)]  # first nonzero entry
     dist = np.sqrt(np.sum((box * h) ** 2, axis=1))
     keep = (lead > 0) & (dist <= reach)         # o = 0 and the -o of a kept o drop out
+    return LatticeOffsets(r, wide, box[keep].tolist(), dist[keep].tolist())
+
+
+def holder_pairs(points: np.ndarray, model: ManifoldModel) -> LatticeOffsets | ClosePairs:
+    """The pair table of the Hoelder quotient on `points`: the pairs closer than
+    half the model's injectivity surrogate.
+
+    On a flat torus sampled at its `sample_grid` lattice every pair is a
+    lattice offset, and the table is the offsets (`LatticeOffsets`).  Any
+    other model or point set gets the dense pair list with d > 0, strided to
+    `PAIR_CAP` pairs (`ClosePairs`).  One table serves every field sampled
+    on the same points.
+    """
+    radius = model.injectivity_surrogate / 2.0
+    r = _lattice_resolution(points, model)
+    if r is not None:
+        return _lattice_offsets(model, r, radius)
+    ii, jj, d = _close_pairs(points, model, radius)
+    good = d > 0
+    return ClosePairs(ii[good], jj[good], d[good])
+
+
+def _lattice_holder(values: np.ndarray, pairs: LatticeOffsets, alpha: float) -> float:
+    """The increment quotient over the offsets of a torus lattice: the field
+    is compared with itself shifted by each offset, every difference going
+    through one buffer."""
+    r, wide = pairs.r, pairs.wide
+    n = len(wide)
+    field = values.reshape((r,) * n + values.shape[1:])
+    padded = np.pad(field, [(w, w) for w in wide] + [(0, 0)] * (field.ndim - n),
+                    mode="wrap")
     diff = np.empty_like(field)
     best = 0.0
-    for o, d in zip(box[keep].tolist(), dist[keep].tolist()):
+    for o, d in zip(pairs.offsets, pairs.dist):
         # field shifted by o, as np.roll(field, o) would give it
         shifted = padded[tuple(slice(w - o_a, w - o_a + r) for w, o_a in zip(wide, o))]
         np.subtract(field, shifted, out=diff)
@@ -95,27 +143,20 @@ def _lattice_holder(values: np.ndarray, model: ManifoldModel, r: int, radius: fl
     return best
 
 
-def holder_seminorm_field(values: np.ndarray, points: np.ndarray,
-                          model: ManifoldModel, alpha: float) -> float:
-    """max over close pairs of |values_i - values_j|_inf / dist^alpha.
+def holder_seminorm_field(values: np.ndarray, pairs: LatticeOffsets | ClosePairs,
+                          alpha: float) -> float:
+    """max over the pairs of |values_i - values_j|_inf / dist^alpha.
 
-    `values` is [N, ...], one sample per point; the trailing axes are
-    flattened into the component max.  On a flat torus sampled at its
-    `sample_grid` lattice every pair is a lattice offset, and all pairs are
-    compared by shifting the field.  Any other model or point set compares a
-    dense pair list, strided to `PAIR_CAP` pairs.
+    `values` is [N, ...], one sample per point of the `holder_pairs` table
+    `pairs`; the trailing axes are flattened into the component max.
     """
     values = np.asarray(values, dtype=float).reshape(len(values), -1)
-    radius = model.injectivity_surrogate / 2.0
-    r = _lattice_resolution(points, model)
-    if r is not None:
-        return _lattice_holder(values, model, r, radius, alpha)
-    ii, jj, d = _close_pairs(points, model, radius)
-    if len(d) == 0:
+    if isinstance(pairs, LatticeOffsets):
+        return _lattice_holder(values, pairs, alpha)
+    if len(pairs.d) == 0:
         return 0.0
-    good = d > 0
-    diff = np.max(np.abs(values[ii[good]] - values[jj[good]]), axis=1)
-    return float(np.max(diff / d[good] ** alpha)) if np.any(good) else 0.0
+    diff = np.max(np.abs(values[pairs.ii] - values[pairs.jj]), axis=1)
+    return float(np.max(diff / pairs.d ** alpha))
 
 
 def fit_order(t_values, values) -> OrderFit:

@@ -384,13 +384,14 @@ def cmd_perturb(cfg: RunConfig, out_dir: Path) -> dict:
     provider = spectrum.analytic_spectrum(cfg.model, count=policy.q(t, cfg.model.dim) + 1)
     emb = embedding.build_embedding(provider, t, policy)
     solver = perturb.ConformalSolver(emb, resolution=resolution, e=sv["e"])
+    pairs = analysis.holder_pairs(solver.grid.points, solver.model)
     runs = []
     coeffs = {}                     # y per k: the family bounds need nothing more
     for k in sv["k_values"]:
         history, coeffs[k] = perturb.fixed_point_solve(
             solver, f, k=k, tol=sv["tol"], max_iter=sv["max_iter"],
             theta_threshold=sv["theta_threshold"], s=cfg.analysis["s"], alpha=alpha)
-        runs.append(_perturb_run(solver, f, k, history, coeffs[k], alpha))
+        runs.append(_perturb_run(solver, f, k, history, coeffs[k], pairs, alpha))
     family = None
     ks = sv["k_values"]
     if len(ks) >= 2:
@@ -405,13 +406,14 @@ def cmd_perturb(cfg: RunConfig, out_dir: Path) -> dict:
 
 
 def _perturb_run(solver: perturb.ConformalSolver, f: np.ndarray, k: float, history: list,
-                 y: np.ndarray, alpha: float) -> dict:
+                 y: np.ndarray, pairs: analysis.LatticeOffsets | analysis.ClosePairs,
+                 alpha: float) -> dict:
     """The record of one k-solve: its steps, the verify numbers and the
     assembled C's, with alpha-Hoelder quotients of the residual and defect
-    fields.  C is freed on return, before the next solve."""
+    fields over the solver grid's pair table `pairs`.  C is freed on return,
+    before the next solve."""
     result = perturb.assemble_C(solver, y, f)
-    holder = lambda field: analysis.holder_seminorm_field(
-        field, solver.grid.points, solver.model, alpha)
+    holder = lambda field: analysis.holder_seminorm_field(field, pairs, alpha)
     return {
         "k": k,
         "iterations": len(history),

@@ -10,11 +10,12 @@ homothety tests rely on, and the embedding is only canonical on full shells.
 The pullback metric and the truncation tail are the provider's
 `gradient_gram` sums; `EmbeddingMap.jets` returns the weighted jets of a
 point set, uncached.  The pullback report keeps the trace-free defect field
-beside its sup, and `defect_scan` reports the field's Hoelder quotient.  The
-metric correction supports l <= 2, with h1 checked constant on each block of
-`ManifoldModel.blocks` over `sample_grid(model, 8)`; `corrected_model` turns
-it into the blockwise rescaled model, and `defect_scan` enumerates one
-provider per t, of that model or of the uncorrected one.
+beside its sup, and `defect_scan` reports the field's Hoelder quotient over
+one pair table per scan.  The metric correction supports l <= 2, with h1
+checked constant on each block of `ManifoldModel.blocks` over
+`sample_grid(model, 8)`; `corrected_model` turns it into the blockwise
+rescaled model, and `defect_scan` enumerates one provider per t, of that
+model or of the uncorrected one.
 """
 from __future__ import annotations
 
@@ -235,10 +236,12 @@ def defect_scan(model: ManifoldModel, t_grid, policy: TruncationPolicy,
     included shells enters the defect at size ~ exp(-lambda_max t), which
     buries any higher-order signal when the window is too narrow.
 
-    On the analytic testbeds defect_holder is rounding noise (at most 5.0e-15
-    measured): they are homogeneous and truncation closes shells, so each
-    shell's sum of grad phi outer grad phi is constant in the orthonormal
-    frame and the defect is the same at every grid point.  On S^2 x S^1 the
+    Every row samples the defect on the same grid, so the Hoelder pair table
+    (`analysis.holder_pairs`) is built once per scan.  On the analytic
+    testbeds defect_holder is rounding noise (at most 5.0e-15 measured): they
+    are homogeneous and truncation closes shells, so each shell's sum of
+    grad phi outer grad phi is constant in the orthonormal frame and the
+    defect is the same at every grid point.  On S^2 x S^1 the
     pullback comes from the provider's separable Gram sum, without mode jets,
     and the rows match the closed-form (degree, wavenumber) level sums
     (tests/test_embedding.py).
@@ -249,6 +252,7 @@ def defect_scan(model: ManifoldModel, t_grid, policy: TruncationPolicy,
     if any(b >= a for a, b in zip(t_grid, t_grid[1:])):
         raise ConfigError("t_grid must be strictly decreasing")
     grid = geometry.sample_grid(model, resolution)
+    pairs = analysis.holder_pairs(grid.points, model)
     rows = []
     h1 = eta1 = None
     if correction is not None and correction.l >= 2:
@@ -274,8 +278,7 @@ def defect_scan(model: ManifoldModel, t_grid, policy: TruncationPolicy,
             "t": t,
             "q": emb.q,
             "defect_sup": rep.sup,
-            "defect_holder": analysis.holder_seminorm_field(rep.defect_frame, grid.points,
-                                                            model, alpha),
+            "defect_holder": analysis.holder_seminorm_field(rep.defect_frame, pairs, alpha),
             "trace_min": float(np.min(rep.trace_factor)),
             "trace_max": float(np.max(rep.trace_factor)),
         })

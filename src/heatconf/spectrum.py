@@ -9,10 +9,11 @@ from the tabulated grid; its header must name a model of dimension n and a
 grid of [G, n] points.
 
 Each analytic backend enumerates its modes as an eigenvalue array and an
-integer descriptor table, sorted once with `np.lexsort`.  Torus and circle
-modes share one lattice implementation, built on one phase builder: one
-exp(i kappa_a x_a) table per axis, multiplied into exp(i kappa . x) once per
-lattice vector.  A block's jets gather its cos and sin parts onto the
+integer descriptor table, sorted once by (lambda, descriptor) with a two-key
+`np.lexsort` whose second key ravels each descriptor row into one integer.
+Torus and circle modes share one lattice implementation, built on one phase
+builder: one exp(i kappa_a x_a) table per axis, multiplied into
+exp(i kappa . x) once per lattice vector.  A block's jets gather its cos and sin parts onto the
 vector's cos and sin modes; `pairs` reads each cos/sin pair with one weight
 as one complex mode w a exp(i kappa . x), whose derivatives are
 (i kappa)^alpha times itself, and gives it on a tensor grid as the per-axis
@@ -152,13 +153,18 @@ class AnalyticSpectrum(SpectrumProvider):
 
     `_enumerate` returns the eigenvalues [M] and integer descriptors
     [M, width] in any order; they are sorted here by (lambda, descriptor).
+    The descriptor rows, shifted by their column minima (lattice entries can
+    be negative), are raveled into one integer key in row-major order, which
+    orders them as the tuples do, so one two-key lexsort does the sort.
     """
 
     def __init__(self, model: ManifoldModel, lambda_max: float):
         self.model = model
         self.lambda_max = float(lambda_max)
         lams, desc = self._enumerate(self.lambda_max)
-        order = np.lexsort((*desc.T[::-1], lams))
+        low = desc.min(axis=0)
+        key = np.ravel_multi_index((desc - low).T, tuple(desc.max(axis=0) - low + 1))
+        order = np.lexsort((key, lams))
         self._lambdas = lams[order]
         self._descriptors = desc[order]
 
@@ -175,6 +181,11 @@ class AnalyticSpectrum(SpectrumProvider):
 def _cos_sin(i: np.ndarray):
     """(k, parity) at positions i of the run (0, cos), (1, cos), (1, sin), (2, cos), ..."""
     return (i + 1) // 2, np.where((i > 0) & (i % 2 == 0), SIN, COS)
+
+
+def _cos_sin_position(k: np.ndarray, parity: np.ndarray) -> np.ndarray:
+    """The position of (k, parity) in the `_cos_sin` run: its inverse."""
+    return np.maximum(2 * k - 1 + parity, 0)
 
 
 class LatticeSpectrum(AnalyticSpectrum):
@@ -544,20 +555,30 @@ class ProductSpectrum(AnalyticSpectrum):
     and many points share a (theta, phi) row or an s.  `jet_block` and
     `gradient_gram` evaluate each distinct sphere factor once per distinct
     (theta, phi) row and each distinct circle factor once per distinct s.
+
+    Every sphere mode of the window pairs with the constant circle mode and
+    every circle mode with the constant sphere mode, so the factors are whole
+    runs: the sphere shells 0..K in `_sphere_modes` order and the circle
+    modes (0, cos), ..., (J, sin).  A mode's factor index is its factor's
+    position in that run, k^2 plus the `_cos_sin` position of (m, ps) in
+    shell k, and the `_cos_sin` position of (j, pc).
     """
 
     def __init__(self, model, lambda_max):
         if model.kind != geometry.PRODUCT_SPHERE_CIRCLE:
             raise ConfigError("ProductSpectrum needs a product_sphere_circle model")
         super().__init__(model, lambda_max)
-        desc = self._descriptors
-        sphere, self._sphere_of = _distinct_rows(desc[:, :3])
-        circle, self._circle_of = _distinct_rows(desc[:, 3:])
-        self._sk, self._sm = sphere[:, 0], sphere[:, 1]
-        self._seven = sphere[:, 2] == COS
+        k, m, ps, j, pc = self._descriptors.T
+        self._sphere_of = k * k + _cos_sin_position(m, ps)
+        self._circle_of = _cos_sin_position(j, pc)
+        degrees = np.arange(k.max() + 1)
+        self._sk = np.repeat(degrees, 2 * degrees + 1)
+        self._sm, sphere_parity = _cos_sin(np.arange(self._sk.size) - self._sk ** 2)
+        self._seven = sphere_parity == COS
+        cj, circle_parity = _cos_sin(np.arange(2 * j.max() + 1))
         L = model.length
-        self._cj = circle[:, 0].astype(float)
-        self._ceven = circle[:, 1] == COS
+        self._cj = cj.astype(float)
+        self._ceven = circle_parity == COS
         self._camp = np.where(self._cj > 0, np.sqrt(2.0 / L), np.sqrt(1.0 / L))
 
     def _enumerate(self, lambda_max):

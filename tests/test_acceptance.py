@@ -39,3 +39,19 @@ def test_criterion(number, name):
     if not result.passed and result.expected_fail:
         pytest.xfail(f"criterion {number} ({name}): {result.note}")
     assert result.passed, result.details
+
+
+def test_solver_criteria_share_one_read_only_solve():
+    """fixed_point and conformal_family solve k = 0 once between them, on
+    read-only arrays, and the family criterion run alone gives the details it
+    gives after fixed_point."""
+    acceptance._manufactured_solve.cache_clear()
+    alone = acceptance.check_conformal_family()
+    _, f, _, y = acceptance._manufactured_solve(1e-3)
+    for arr in (f, y):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert acceptance.check_fixed_point().passed
+    after = acceptance.check_conformal_family()
+    assert after.passed and after.details == alone.details
+    assert acceptance._manufactured_solve.cache_info().misses == 1

@@ -15,11 +15,13 @@ def test_holder_constant_field(circle, torus2):
     """A constant field has quotient 0, on the pair list and the lattice path,
     whatever its trailing component shape."""
     grid = geometry.sample_grid(circle, 64)
-    assert analysis.holder_seminorm_field(np.full(len(grid), -2.5), grid.points,
-                                          circle, 0.5) == 0.0
+    assert analysis.holder_seminorm_field(np.full(len(grid), -2.5),
+                                          analysis.holder_pairs(grid.points, circle),
+                                          0.5) == 0.0
     lattice = geometry.sample_grid(torus2, 12)
     assert analysis.holder_seminorm_field(np.full((len(lattice), 2, 2), 0.7),
-                                          lattice.points, torus2, 0.5) == 0.0
+                                          analysis.holder_pairs(lattice.points, torus2),
+                                          0.5) == 0.0
 
 
 def test_holder_single_mode(circle):
@@ -28,8 +30,8 @@ def test_holder_single_mode(circle):
     at cos(h/2) for odd m."""
     N, alpha = 256, 0.5
     grid = geometry.sample_grid(circle, N)
-    got = analysis.holder_seminorm_field(np.cos(grid.points[:, 0]), grid.points,
-                                         circle, alpha)
+    got = analysis.holder_seminorm_field(np.cos(grid.points[:, 0]),
+                                         analysis.holder_pairs(grid.points, circle), alpha)
     h = TWO_PI / N
     m = np.arange(1, int(circle.injectivity_surrogate / 2.0 / h * (1 + 1e-12)) + 1)
     peak = np.where(m % 2 == 0, 1.0, np.cos(h / 2.0))
@@ -42,7 +44,8 @@ def test_holder_seminorm_dense_pair_oracle(circle):
     x = grid.points[:, 0]
     vals = np.sin(3 * x) + 0.2 * np.cos(7 * x)
     alpha = 0.5
-    capped = analysis.holder_seminorm_field(vals, grid.points, circle, alpha)
+    capped = analysis.holder_seminorm_field(
+        vals, analysis.holder_pairs(grid.points, circle), alpha)
     # dense brute force over every admissible pair
     radius = circle.injectivity_surrogate / 2.0
     best = 0.0
@@ -58,19 +61,21 @@ def test_holder_monotone_under_refinement(circle):
     coarse = geometry.sample_grid(circle, 64)
     fine = geometry.sample_grid(circle, 128)   # contains the coarse points
     f = lambda p: np.sin(2 * p[:, 0]) + 0.1 * np.sin(9 * p[:, 0])
-    h_coarse = analysis.holder_seminorm_field(f(coarse.points), coarse.points,
-                                              circle, 0.5)
-    h_fine = analysis.holder_seminorm_field(f(fine.points), fine.points,
-                                            circle, 0.5)
+    h_coarse = analysis.holder_seminorm_field(
+        f(coarse.points), analysis.holder_pairs(coarse.points, circle), 0.5)
+    h_fine = analysis.holder_seminorm_field(
+        f(fine.points), analysis.holder_pairs(fine.points, circle), 0.5)
     assert h_fine >= h_coarse - 1e-12
 
 
 def test_holder_pair_cap(circle, monkeypatch):
     grid = geometry.sample_grid(circle, 256)
     vals = np.sin(grid.points[:, 0])
-    full = analysis.holder_seminorm_field(vals, grid.points, circle, 0.5)
+    full = analysis.holder_seminorm_field(
+        vals, analysis.holder_pairs(grid.points, circle), 0.5)
     monkeypatch.setattr(analysis, "PAIR_CAP", 2000)
-    capped = analysis.holder_seminorm_field(vals, grid.points, circle, 0.5)
+    capped = analysis.holder_seminorm_field(
+        vals, analysis.holder_pairs(grid.points, circle), 0.5)
     assert 0 < capped <= full * (1 + 1e-12)
 
 
@@ -128,7 +133,8 @@ def test_lattice_holder_matches_all_pairs(periods, r):
     assert analysis._lattice_resolution(grid.points, model) == r
     vals = np.random.default_rng(9).standard_normal((len(grid), 3))
     alpha = 0.45
-    got = analysis.holder_seminorm_field(vals, grid.points, model, alpha)
+    got = analysis.holder_seminorm_field(vals, analysis.holder_pairs(grid.points, model),
+                                         alpha)
     p = grid.points
     d = geometry.geodesic_distance(model, p[:, None, :], p[None, :, :])
     diff = np.max(np.abs(vals[:, None, :] - vals[None, :, :]), axis=-1)
@@ -165,10 +171,12 @@ def test_lattice_holder_matches_roll_oracle(periods, r, comps):
     for bit."""
     model = geometry.ManifoldModel.flat_torus(periods)
     radius = model.injectivity_surrogate / 2.0
+    pairs = analysis.holder_pairs(geometry.sample_grid(model, r).points, model)
+    assert isinstance(pairs, analysis.LatticeOffsets)
     rng = np.random.default_rng(r)
     for alpha in (0.3, 0.5):
         vals = rng.standard_normal((r ** len(periods), comps))
-        assert (analysis._lattice_holder(vals, model, r, radius, alpha)
+        assert (analysis.holder_seminorm_field(vals, pairs, alpha)
                 == lattice_holder_roll(vals, model, r, radius, alpha))
 
 

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from heatconf import (CorrectionSpec, ManifoldModel, TruncationPolicy, analytic_spectrum,
                       build_embedding, conformal_defect, corrected_model, defect_scan,
                       h1_solve, tail_bound_check)
-from heatconf import acceptance, embedding, geometry, spectrum
+from heatconf import acceptance, analysis, embedding, geometry, spectrum
 from heatconf.errors import ConfigError, PreconditionError, SpectrumError
 
 TWO_PI = 2.0 * np.pi
@@ -595,6 +595,34 @@ def test_corrected_scan_builds_one_provider_per_t(product, monkeypatch):
                 else:
                     assert (count, lam_max) == (None, window(t))
                     assert row["q"] == prov.count - 1
+
+
+def test_scan_builds_one_holder_pair_table(product, monkeypatch):
+    """A five-row S^2 x S^1 scan finds its close pairs once, and each row's
+    defect_holder equals the quotient over a table built for that field alone."""
+    close_pairs, holder = analysis._close_pairs, analysis.holder_seminorm_field
+    found, fields = [], []
+
+    def counting(*args, **kwargs):
+        found.append(args)
+        return close_pairs(*args, **kwargs)
+
+    def recording(values, pairs, alpha):
+        fields.append(values)
+        return holder(values, pairs, alpha)
+
+    monkeypatch.setattr(analysis, "_close_pairs", counting)
+    monkeypatch.setattr(analysis, "holder_seminorm_field", recording)
+    ts, alpha = [0.1, 0.08, 0.06, 0.05, 0.04], 0.45
+    rows = defect_scan(product, ts, TruncationPolicy(rho=1.0),
+                       correction=CorrectionSpec(l=2, eta=(0.0,)), resolution=6,
+                       lambda_cutoff=lambda t: 12.0 / t, alpha=alpha)
+    assert len(rows) == len(fields) == 5 and len(found) == 1
+    points = geometry.sample_grid(product, 6).points
+    for row, field in zip(rows, fields):
+        assert row["defect_holder"] == holder(field, analysis.holder_pairs(points, product),
+                                              alpha)
+    assert len(found) == 6          # one table for each one-shot quotient
 
 
 def test_jets_scale_fresh_jets(torus2):

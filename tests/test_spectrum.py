@@ -689,6 +689,47 @@ def test_product_enumeration_matches_reference(R, L, lambda_max):
     assert [(ep.lam, ep.descriptor) for ep in prov.eigenpairs] == list(zip(lams, descs))
 
 
+@pytest.mark.parametrize("model, lambda_max", [
+    (ManifoldModel.flat_torus([TWO_PI, 3.1]), 400.0),
+    (ManifoldModel.flat_torus([TWO_PI, 5.0, 4.2]), 60.0),
+    (ManifoldModel.circle(3.0), 900.0),
+    (ManifoldModel.sphere2(0.8), 500.0),
+    (ManifoldModel.product_sphere_circle(1.0, TWO_PI), 160.0),
+], ids=["torus2-rect", "torus3", "circle", "sphere", "product"])
+def test_sort_matches_lexsort_over_every_descriptor_column(model, lambda_max):
+    """The raveled-key sort orders the modes as a lexsort over lambda and every
+    descriptor column does, negative lattice entries included."""
+    prov = analytic_spectrum(model, lambda_max=lambda_max)
+    lams, desc = prov._enumerate(prov.lambda_max)
+    order = np.lexsort((*desc.T[::-1], lams))
+    assert np.array_equal(prov._lambdas, lams[order])
+    assert np.array_equal(prov._descriptors, desc[order])
+    if model.kind == geometry.FLAT_TORUS:
+        assert desc[:, :-1].min() < 0
+
+
+@pytest.mark.parametrize("model, lambda_max", [
+    (ManifoldModel.product_sphere_circle(1.0, TWO_PI), 160.0),
+    (ManifoldModel.product_sphere_circle(0.8, 3.0), 90.0),
+    (ManifoldModel.product_sphere_circle(1.0, TWO_PI).rescaled([1.03, 0.97]), 123.0),
+    (ManifoldModel.product_sphere_circle(1.0, TWO_PI), 1.5),
+], ids=["unit", "R0.8-L3", "rescaled", "constant-sphere-factor"])
+def test_product_factor_indices_match_distinct_rows(model, lambda_max):
+    """The closed-form factor positions and factor tables of the product
+    provider equal the distinct sphere and circle descriptor rows."""
+    prov = spectrum.ProductSpectrum(model, lambda_max)
+    desc = prov._descriptors
+    sphere, sphere_of = spectrum._distinct_rows(desc[:, :3])
+    circle, circle_of = spectrum._distinct_rows(desc[:, 3:])
+    assert np.array_equal(prov._sphere_of, sphere_of)
+    assert np.array_equal(prov._circle_of, circle_of)
+    assert np.array_equal(prov._sk, sphere[:, 0])
+    assert np.array_equal(prov._sm, sphere[:, 1])
+    assert np.array_equal(prov._seven, sphere[:, 2] == spectrum.COS)
+    assert np.array_equal(prov._cj, circle[:, 0].astype(float))
+    assert np.array_equal(prov._ceven, circle[:, 1] == spectrum.COS)
+
+
 def _scipy_sphere_jets(radius, desc, points):
     """Real spherical-harmonic jets from scipy's fully normalized P_k^m(x) and
     its x-derivatives at x = cos(theta), mode by mode: the test oracle."""
