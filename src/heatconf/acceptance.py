@@ -44,6 +44,22 @@ def _timed(fn):
 TORUS_2PI = ManifoldModel.flat_torus([2.0 * np.pi, 2.0 * np.pi])
 
 
+@functools.lru_cache(maxsize=1)
+def _torus_provider() -> spectrum.TorusSpectrum:
+    """The 10100-mode 2 pi-torus provider that `check_homothety` and
+    `check_tail_bound` share, so a verify run enumerates it once.
+
+    Its arrays (lambdas, descriptors and the lattice tables) are read-only,
+    so a caller that writes to them fails instead of changing what the other
+    check reads.
+    """
+    provider = spectrum.analytic_spectrum(TORUS_2PI, count=10100)
+    for value in vars(provider).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return provider
+
+
 @_timed
 def check_homothety(tol: float = 1e-10) -> CheckResult:
     """Flat-torus symmetry forces an exact homothety at every truncation shell.
@@ -54,13 +70,14 @@ def check_homothety(tol: float = 1e-10) -> CheckResult:
     `test_gradient_gram_matches_einsum` (count 10100, weights e^{-lambda t/2}).
     """
     grid = geometry.sample_grid(TORUS_2PI, 32)
+    metric = geometry.metric_on_grid(TORUS_2PI, grid.points)
     policy = TruncationPolicy(rho=1.0)
     details = {"rows": []}
     worst = 0.0
-    provider = spectrum.analytic_spectrum(TORUS_2PI, count=10100)
+    provider = _torus_provider()
     for t in (0.05, 0.02, 0.01):
         emb = build_embedding(provider, t, policy)
-        rep = embedding.pullback_report(emb, grid)
+        rep = embedding.pullback_report(emb, grid.points, metric)
         worst = max(worst, rep.sup)
         details["rows"].append({"t": t, "q": emb.q, "defect_sup": rep.sup})
     details["tol"] = tol
@@ -324,7 +341,7 @@ def check_tail_bound() -> CheckResult:
         tail, bound, okay = embedding.tail_bound_check(cprov, t, policy, resolution=32)
         rows.append({"model": "circle", "t": t, "tail": tail, "bound": bound,
                      "pass": okay, "in_criterion": True})
-    tprov = spectrum.analytic_spectrum(TORUS_2PI, count=10100)
+    tprov = _torus_provider()
     for t, stated in ((0.1, True), (0.05, True), (0.02, False)):
         tail, bound, okay = embedding.tail_bound_check(tprov, t, policy, resolution=16)
         rows.append({"model": "flat_torus", "t": t, "tail": tail, "bound": bound,

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import analysis, geometry, spectrum
 from .errors import ConfigError, PreconditionError, SpectrumError
-from .geometry import ManifoldModel, SampleGrid, conformal_defect
+from .geometry import ManifoldModel, MetricData, conformal_defect
 from .spectrum import SpectrumProvider
 
 _SHELL_RTOL = 1e-9
@@ -210,15 +210,13 @@ class PullbackReport:
     sup: float
 
 
-def pullback_report(emb: EmbeddingMap, grid: SampleGrid,
-                    reference: ManifoldModel | None = None) -> PullbackReport:
-    """Measure the embedding's conformal defect against a reference metric."""
-    reference = reference or emb.model
-    pts = grid.points
-    G = emb.pullback_on(pts)
-    m = geometry.metric_on_grid(reference, pts)
-    defect, tr = conformal_defect(G, m.g, m.g_inv)
-    defect_frame = np.einsum("nia,nij,njb->nab", m.frame, defect, m.frame)
+def pullback_report(emb: EmbeddingMap, points: np.ndarray,
+                    metric: MetricData) -> PullbackReport:
+    """Measure the embedding's conformal defect at points [N, n] against a
+    reference metric over them, `geometry.metric_on_grid(reference, points)`."""
+    G = emb.pullback_on(points)
+    defect, tr = conformal_defect(G, metric.g, metric.g_inv)
+    defect_frame = np.einsum("nia,nij,njb->nab", metric.frame, defect, metric.frame)
     return PullbackReport(tr, defect_frame, float(np.max(np.abs(defect_frame))))
 
 
@@ -236,12 +234,12 @@ def defect_scan(model: ManifoldModel, t_grid, policy: TruncationPolicy,
     included shells enters the defect at size ~ exp(-lambda_max t), which
     buries any higher-order signal when the window is too narrow.
 
-    Every row samples the defect on the same grid, so the Hoelder pair table
-    (`analysis.holder_pairs`) is built once per scan.  On the analytic
-    testbeds defect_holder is rounding noise (at most 5.0e-15 measured): they
-    are homogeneous and truncation closes shells, so each shell's sum of
-    grad phi outer grad phi is constant in the orthonormal frame and the
-    defect is the same at every grid point.  On S^2 x S^1 the
+    Every row samples the defect on the same grid, so the metric of `model`
+    on it and the Hoelder pair table (`analysis.holder_pairs`) are built once
+    per scan.  On the analytic testbeds defect_holder is rounding noise (at
+    most 5.0e-15 measured): they are homogeneous and truncation closes
+    shells, so each shell's sum of grad phi outer grad phi is constant in the
+    orthonormal frame and the defect is the same at every grid point.  On S^2 x S^1 the
     pullback comes from the provider's separable Gram sum, without mode jets,
     and the rows match the closed-form (degree, wavenumber) level sums
     (tests/test_embedding.py).
@@ -252,6 +250,7 @@ def defect_scan(model: ManifoldModel, t_grid, policy: TruncationPolicy,
     if any(b >= a for a, b in zip(t_grid, t_grid[1:])):
         raise ConfigError("t_grid must be strictly decreasing")
     grid = geometry.sample_grid(model, resolution)
+    metric = geometry.metric_on_grid(model, grid.points)
     pairs = analysis.holder_pairs(grid.points, model)
     rows = []
     h1 = eta1 = None
@@ -273,7 +272,7 @@ def defect_scan(model: ManifoldModel, t_grid, policy: TruncationPolicy,
                     f"{held} non-constant modes, below the freeness floor {floor}")
             eff_policy = TruncationPolicy(rho=policy.rho, q_override=held)
         emb = build_embedding(provider, t, eff_policy)
-        rep = pullback_report(emb, grid, reference=model)
+        rep = pullback_report(emb, grid.points, metric)
         rows.append({
             "t": t,
             "q": emb.q,

@@ -6,9 +6,11 @@ failures: the unit-constant tail bound is off by the two-dimensional lattice
 prefactor at those t (measured 0.34 and 0.025 against bounds 0.042 and 0.011);
 the same check passes at t = 0.02 and the circle rows pass outright.
 """
+import json
+
 import pytest
 
-from heatconf import acceptance
+from heatconf import acceptance, cli, spectrum
 
 CRITERIA = [
     ("1", "homothety"),
@@ -55,3 +57,34 @@ def test_solver_criteria_share_one_read_only_solve():
     after = acceptance.check_conformal_family()
     assert after.passed and after.details == alone.details
     assert acceptance._manufactured_solve.cache_info().misses == 1
+
+
+def test_torus_criteria_share_one_read_only_provider(tmp_path, monkeypatch):
+    """homothety and tail_bound enumerate the 2 pi torus once between them, on
+    read-only arrays, and each, run alone through `verify.criteria`, reports
+    the details it reports beside the other."""
+    built = []
+    init = spectrum.TorusSpectrum.__init__
+
+    def counting(self, model, lambda_max):
+        built.append(model)
+        init(self, model, lambda_max)
+
+    monkeypatch.setattr(spectrum.TorusSpectrum, "__init__", counting)
+    acceptance._torus_provider.cache_clear()
+    together = acceptance.run_all(["homothety", "tail_bound"])
+    assert built == [acceptance.TORUS_2PI]
+    provider = acceptance._torus_provider()
+    for arr in (provider.lambdas, provider._descriptors):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    for res in together:
+        acceptance._torus_provider.cache_clear()
+        cfg = tmp_path / f"{res.criterion}.json"
+        cfg.write_text(json.dumps({"verify": {"criteria": [res.criterion]}}))
+        out = tmp_path / res.criterion
+        assert cli.main(["--config", str(cfg), "--out", str(out), "verify"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        (alone,) = report["results"]["verify"]["criteria"]
+        assert alone["details"] == res.details
+    assert built == [acceptance.TORUS_2PI] * 3

@@ -256,11 +256,12 @@ def test_product_pullback_against_level_sum_oracle(product):
     assert_allclose(np.diag(F.T @ G @ F), frame_diag, rtol=1e-10)
     # every frame entry at every grid point, the zero off-diagonals included
     grid = geometry.sample_grid(product, 6)
-    frames = geometry.metric_on_grid(product, grid.points).frame
+    metric = geometry.metric_on_grid(product, grid.points)
+    frames = metric.frame
     G_frame = frames.transpose(0, 2, 1) @ emb.pullback_on(grid.points) @ frames
     want = np.broadcast_to(np.diag(frame_diag), G_frame.shape)
     assert_allclose(G_frame, want, rtol=1e-12, atol=1e-12 * np.max(frame_diag))
-    rep = embedding.pullback_report(emb, grid)
+    rep = embedding.pullback_report(emb, grid.points, metric)
     assert_allclose(rep.sup, defect_sup, rtol=1e-8)
 
 
@@ -303,7 +304,8 @@ def test_homothety_models(circle, sphere, torus2):
     for model, res, t in cases:
         prov = analytic_spectrum(model, count=TruncationPolicy(rho=1.0).q(t, model.dim) + 10)
         emb = build_embedding(prov, t, TruncationPolicy(rho=1.0))
-        rep = embedding.pullback_report(emb, geometry.sample_grid(model, res))
+        points = geometry.sample_grid(model, res).points
+        rep = embedding.pullback_report(emb, points, geometry.metric_on_grid(model, points))
         assert rep.sup <= 1e-10, (model.kind, t, rep.sup)
 
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from heatconf import (ManifoldModel, analytic_spectrum, enumerate_eigenpairs,
-                      load_external_spectrum, save_spectrum)
+from heatconf import (ManifoldModel, TruncationPolicy, analytic_spectrum,
+                      enumerate_eigenpairs, load_external_spectrum, save_spectrum)
 from heatconf import geometry, spectrum
 from heatconf.spectrum import ExternalSpectrum
 from heatconf.errors import ConfigError, PreconditionError, SpectrumError
@@ -127,6 +127,63 @@ def test_weyl_count_torus(torus2):
                 if a * a + b * b <= 100)
     assert count == brute
     assert abs(count - np.pi * 100) <= 0.15 * np.pi * 100
+
+
+WINDOW_MODELS = {
+    "circle": ManifoldModel.circle(TWO_PI),
+    "circle_3": ManifoldModel.circle(3.0),
+    "torus2": ManifoldModel.flat_torus([TWO_PI, TWO_PI]),
+    "torus2_rect": ManifoldModel.flat_torus([TWO_PI, 3.1]),
+    "torus2_large": ManifoldModel.flat_torus([1e5, 1e5]),
+    "torus3": ManifoldModel.flat_torus([TWO_PI] * 3),
+    "sphere": ManifoldModel.sphere2(1.0),
+    "sphere_2": ManifoldModel.sphere2(2.0),
+    "product": ManifoldModel.product_sphere_circle(1.0, TWO_PI),
+    "product_rescaled": ManifoldModel.product_sphere_circle(1.0, TWO_PI).rescaled((1.1, 0.8)),
+}
+
+
+@pytest.mark.parametrize("name", WINDOW_MODELS)
+def test_count_window_follows_weyls_law(name):
+    """A count request holds whole shells of at least the count and at most
+    1.4 times it: the first window is Weyl's law with the unit-ball volume
+    omega_n (2 on the circle, pi on the 2-torus and S^2, 4 pi / 3 in three
+    dimensions), which leaving out would hold omega_n times as many.  The
+    window scales with the model, so a large torus asks for no larger a
+    lattice box than the 2 pi one."""
+    model = WINDOW_MODELS[name]
+    for count in (30, 41, 80, 101, 200, 401, 600, 1000, 1791, 2000, 2700, 3000,
+                  5000, 8000, 10100):
+        held = analytic_spectrum(model, count=count).count
+        assert count <= held <= 1.4 * count, (count, held)
+
+
+def _verify_and_cli_counts():
+    """(model, count) of the count requests of verify and of the CI perturb configs."""
+    square = ManifoldModel.flat_torus([TWO_PI, TWO_PI])
+    policy = TruncationPolicy(rho=1.0)
+    cases = [(ManifoldModel.circle(TWO_PI), 80), (ManifoldModel.circle(TWO_PI), 600)]
+    cases += [(square, c) for c in (600, 2700, 10100)]
+    for model, t in ((square, 0.05), (ManifoldModel.flat_torus([TWO_PI] * 3), 0.2),
+                     (ManifoldModel.flat_torus([TWO_PI, 3.1]), 0.1)):
+        cases.append((model, policy.q(t, model.dim) + 1))
+    return cases
+
+
+@pytest.mark.parametrize("model, count", _verify_and_cli_counts())
+def test_verify_and_cli_counts_take_one_window(model, count, monkeypatch):
+    """Every count that verify and the CI perturb configs ask for is met by
+    the first window: exactly one provider is built."""
+    built = []
+    init = spectrum.AnalyticSpectrum.__init__
+
+    def counting(self, model, lambda_max):
+        built.append(lambda_max)
+        init(self, model, lambda_max)
+
+    monkeypatch.setattr(spectrum.AnalyticSpectrum, "__init__", counting)
+    assert analytic_spectrum(model, count=count).count >= count
+    assert len(built) == 1, built
 
 
 def test_external_roundtrip(tmp_path, circle_spec, circle):
