@@ -42,18 +42,24 @@ def _timed(fn):
 
 
 TORUS_2PI = ManifoldModel.flat_torus([2.0 * np.pi, 2.0 * np.pi])
+CIRCLE_2PI = ManifoldModel.circle(2.0 * np.pi)
 
 
-@functools.lru_cache(maxsize=1)
-def _torus_provider() -> spectrum.TorusSpectrum:
-    """The 10100-mode 2 pi-torus provider that `check_homothety` and
-    `check_tail_bound` share, so a verify run enumerates it once.
+# the modes held by the one provider of each testbed that the checks share
+_SHARED_COUNTS = {TORUS_2PI: 10100, CIRCLE_2PI: 600}
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_provider(model: ManifoldModel) -> spectrum.LatticeSpectrum:
+    """The one provider of the 2 pi torus or circle that every check on it
+    reads, so a verify run enumerates each testbed once.  An embedding reads
+    the first q + 1 modes, which do not depend on how many more it holds.
 
     Its arrays (lambdas, descriptors and the lattice tables) are read-only,
-    so a caller that writes to them fails instead of changing what the other
-    check reads.
+    so a check that writes to them fails instead of changing what the other
+    checks read.
     """
-    provider = spectrum.analytic_spectrum(TORUS_2PI, count=10100)
+    provider = spectrum.analytic_spectrum(model, count=_SHARED_COUNTS[model])
     for value in vars(provider).values():
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
@@ -74,7 +80,7 @@ def check_homothety(tol: float = 1e-10) -> CheckResult:
     policy = TruncationPolicy(rho=1.0)
     details = {"rows": []}
     worst = 0.0
-    provider = _torus_provider()
+    provider = _shared_provider(TORUS_2PI)
     for t in (0.05, 0.02, 0.01):
         emb = build_embedding(provider, t, policy)
         rep = embedding.pullback_report(emb, grid.points, metric)
@@ -87,10 +93,8 @@ def check_homothety(tol: float = 1e-10) -> CheckResult:
 @_timed
 def check_circle_scale(tol: float = 1e-8) -> CheckResult:
     """Truncated circle pullback equals 1 up to an exponentially small residue."""
-    model = ManifoldModel.circle(2.0 * np.pi)
-    provider = spectrum.analytic_spectrum(model, count=80)
-    emb = build_embedding(provider, 0.1, TruncationPolicy(rho=1.0))
-    grid = geometry.sample_grid(model, 64)
+    emb = build_embedding(_shared_provider(CIRCLE_2PI), 0.1, TruncationPolicy(rho=1.0))
+    grid = geometry.sample_grid(CIRCLE_2PI, 64)
     G = emb.pullback_on(grid.points)
     dev = float(np.max(np.abs(G[:, 0, 0] - 1.0)))
     return CheckResult("circle_scale", dev <= tol and emb.q >= 32,
@@ -134,8 +138,7 @@ def check_defect_law(uncorrected_window=(0.85, 1.15), corrected_min: float = 1.8
 def check_rank_laws(points: int = 20, seed: int = 20240901) -> CheckResult:
     """Singular-value structure and Gram block asymptotics of P and P_c."""
     t = 0.02
-    provider = spectrum.analytic_spectrum(TORUS_2PI, count=2700)
-    emb = build_embedding(provider, t, TruncationPolicy(rho=1.0))
+    emb = build_embedding(_shared_provider(TORUS_2PI), t, TruncationPolicy(rho=1.0))
     grid = geometry.sample_grid(TORUS_2PI, 32)
     if not 1 <= points <= len(grid.points):
         raise ConfigError(f"rank_laws takes 1 to {len(grid.points)} points, got {points!r}")
@@ -172,8 +175,7 @@ def check_rank_laws(points: int = 20, seed: int = 20240901) -> CheckResult:
 def check_right_inverse(seed: int = 20240902) -> CheckResult:
     """Right-inverse identities of E and the one-parameter family E_c."""
     t = 0.05
-    provider = spectrum.analytic_spectrum(TORUS_2PI, count=600)
-    emb = build_embedding(provider, t, TruncationPolicy(rho=1.0))
+    emb = build_embedding(_shared_provider(TORUS_2PI), t, TruncationPolicy(rho=1.0))
     rng = np.random.default_rng(seed)
     x = rng.uniform(0, 2 * np.pi, size=2)
     E = jets.PointwiseRightInverse(emb, x[None, :])
@@ -215,8 +217,7 @@ def _manufactured_solve(epsilon: float):
     read-only, so a caller that writes to them fails instead of changing what
     the other check reads.
     """
-    provider = spectrum.analytic_spectrum(TORUS_2PI, count=600)
-    emb = build_embedding(provider, 0.05, TruncationPolicy(rho=1.0))
+    emb = build_embedding(_shared_provider(TORUS_2PI), 0.05, TruncationPolicy(rho=1.0))
     solver = perturb.ConformalSolver(emb, resolution=48, e=1.0)
     f = perturb.manufactured_defect(solver.grid.points, epsilon, [1, 0])
     history, y = perturb.fixed_point_solve(solver, f, k=0.0, tol=1e-10)
@@ -335,13 +336,12 @@ def check_tail_bound() -> CheckResult:
     """
     policy = TruncationPolicy(rho=1.0)
     rows = []
-    circle = ManifoldModel.circle(2.0 * np.pi)
-    cprov = spectrum.analytic_spectrum(circle, count=600)
+    cprov = _shared_provider(CIRCLE_2PI)
     for t in (0.1, 0.05):
         tail, bound, okay = embedding.tail_bound_check(cprov, t, policy, resolution=32)
         rows.append({"model": "circle", "t": t, "tail": tail, "bound": bound,
                      "pass": okay, "in_criterion": True})
-    tprov = _torus_provider()
+    tprov = _shared_provider(TORUS_2PI)
     for t, stated in ((0.1, True), (0.05, True), (0.02, False)):
         tail, bound, okay = embedding.tail_bound_check(tprov, t, policy, resolution=16)
         rows.append({"model": "flat_torus", "t": t, "tail": tail, "bound": bound,

@@ -306,6 +306,10 @@ def cmd_defect_scan(cfg: RunConfig, out_dir: Path) -> dict:
         window = lambda t: margin / t
     elif lambda_max is not None:
         window = lambda t: lambda_max
+    if window is not None and cfg.q_override is not None:
+        key = "lambda_max" if margin is None else "lambda_t_margin"
+        raise ConfigError(f"q_override and spectrum.{key} both set the scan's q: a window "
+                          "keeps every mode it holds; set one of them")
     rows = embedding.defect_scan(cfg.model, cfg.t_grid, policy,
                                  correction=cfg.correction,
                                  resolution=cfg.resolution,

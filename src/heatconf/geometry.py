@@ -14,10 +14,13 @@ of one.  Point arrays not of width n, and points within 1e-9 of a pole,
 raise DomainError.  Curvature is hard-coded per kind and cross-checked by finite
 differences of that same evaluator in the tests.  Every metric is a sum of
 blocks, `ManifoldModel.blocks`: the S^2 and S^1 factors of the product, one
-block of every coordinate elsewhere.  `ManifoldModel.rescaled` multiplies
-each block by a constant factor, which realizes the first-order correction
-g + t h1.  `conformal_defect` is the one trace-free part G - (tr_g G / n) g,
-shared by the pullback report, the h1 correction and the flat-torus solver.
+block of every coordinate elsewhere; `ManifoldModel.factors` is the model on
+each block.  The product's sample grid and geodesic distance are built from
+those of its factors: the tensor product of the sphere and circle grids, and
+sqrt(ds^2 + dc^2).  `ManifoldModel.rescaled` multiplies each block by a
+constant factor, which realizes the first-order correction g + t h1.
+`conformal_defect` is the one trace-free part G - (tr_g G / n) g, shared by
+the pullback report, the h1 correction and the flat-torus solver.
 """
 from __future__ import annotations
 
@@ -127,6 +130,14 @@ class ManifoldModel:
         if self.kind == PRODUCT_SPHERE_CIRCLE:
             return ((0, 1), (2,))
         return (tuple(range(self.dim)),)
+
+    @property
+    def factors(self) -> tuple["ManifoldModel", ...]:
+        """The model on each metric block: S^2(R) and S^1(L) for the product,
+        the model itself on the other kinds."""
+        if self.kind == PRODUCT_SPHERE_CIRCLE:
+            return ManifoldModel.sphere2(self.radius), ManifoldModel.circle(self.length)
+        return (self,)
 
     def rescaled(self, factors) -> "ManifoldModel":
         """The model whose metric is factors[b] times g on each block b.
@@ -319,27 +330,16 @@ def sample_grid(model: ManifoldModel, resolution: int) -> SampleGrid:
         w = np.full(resolution, model.length / resolution)
         return SampleGrid(theta[:, None], w)
     if model.kind == SPHERE2:
-        pts, w = _sphere_grid(model.radius, resolution)
+        nodes, gl_w = np.polynomial.legendre.leggauss(resolution)
+        phi = np.arange(resolution) * (2.0 * np.pi / resolution)
+        pts = _mesh([np.arccos(nodes)[::-1], phi])
+        w = np.repeat(gl_w[::-1], resolution) * (2.0 * np.pi / resolution) * model.radius**2
         return SampleGrid(pts, w)
-    spts, sw = _sphere_grid(model.radius, resolution)
-    s = np.arange(resolution) * (2.0 * np.pi / resolution)
-    cw = model.length / resolution
-    pts = np.column_stack([
-        np.repeat(spts, resolution, axis=0),
-        np.tile(s, len(spts)),
-    ])
-    w = np.repeat(sw, resolution) * cw
-    return SampleGrid(pts, w)
-
-
-def _sphere_grid(radius: float, resolution: int):
-    nodes, gl_w = np.polynomial.legendre.leggauss(resolution)
-    theta = np.arccos(nodes)[::-1]
-    gl_w = gl_w[::-1]
-    phi = np.arange(resolution) * (2.0 * np.pi / resolution)
-    pts = _mesh([theta, phi])
-    w = np.repeat(gl_w, resolution) * (2.0 * np.pi / resolution) * radius**2
-    return pts, w
+    # the tensor product of the factor grids, sphere points slowest
+    sphere, circle = (sample_grid(f, resolution) for f in model.factors)
+    S, C = len(sphere), len(circle)
+    pts = np.column_stack([np.repeat(sphere.points, C, axis=0), np.tile(circle.points, (S, 1))])
+    return SampleGrid(pts, np.repeat(sphere.weights, C) * np.tile(circle.weights, S))
 
 
 def torus_axes(model: ManifoldModel, resolution: int) -> list[np.ndarray]:
@@ -367,14 +367,10 @@ def geodesic_distance(model: ManifoldModel, x: np.ndarray, y: np.ndarray) -> np.
         d = np.minimum(d, 2.0 * np.pi - d)
         return d * model.length / (2.0 * np.pi)
     if model.kind == SPHERE2:
-        return _sphere_dist(model.radius, x, y)
-    ds = _sphere_dist(model.radius, x[..., :2], y[..., :2])
-    dc = np.abs(x[..., 2] - y[..., 2])
-    dc = np.minimum(dc, 2.0 * np.pi - dc) * model.length / (2.0 * np.pi)
+        ct = (np.cos(x[..., 0]) * np.cos(y[..., 0])
+              + np.sin(x[..., 0]) * np.sin(y[..., 0]) * np.cos(x[..., 1] - y[..., 1]))
+        return model.radius * np.arccos(np.clip(ct, -1.0, 1.0))
+    sphere, circle = model.factors
+    ds = geodesic_distance(sphere, x[..., :2], y[..., :2])
+    dc = geodesic_distance(circle, x[..., 2:], y[..., 2:])
     return np.sqrt(ds * ds + dc * dc)
-
-
-def _sphere_dist(radius, x, y):
-    ct = (np.cos(x[..., 0]) * np.cos(y[..., 0])
-          + np.sin(x[..., 0]) * np.sin(y[..., 0]) * np.cos(x[..., 1] - y[..., 1]))
-    return radius * np.arccos(np.clip(ct, -1.0, 1.0))

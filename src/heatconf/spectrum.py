@@ -20,10 +20,14 @@ as one complex mode w a exp(i kappa . x), whose derivatives are
 tables only.  The gradient Gram sum of such pairs needs no jets: it is the
 constant sum over the pairs of (w a)^2 kappa kappa^T.
 
-Sphere modes (on S^2 and the S^2 factor of S^2 x S^1) come from one fully
-normalized associated Legendre table per block, built over the block's
-distinct theta: sectoral seeds Q_m^m, then the three-term recurrence in the
-degree at fixed order (Holmes & Featherstone, J. Geodesy 76 (2002) 279-299).
+The S^2 x S^1 provider is built from a sphere and a circle provider of its
+factors: its modes pair theirs, and its jets and gradient Gram sums multiply
+the factor jets that their `jet_block` gives.
+
+Sphere modes come from one fully normalized associated Legendre table per
+block, built over the block's distinct theta: sectoral seeds Q_m^m, then the
+three-term recurrence in the degree at fixed order (Holmes & Featherstone,
+J. Geodesy 76 (2002) 279-299).
 Its theta-derivatives come from the ladder identity
 dQ_k^m/dtheta = (sqrt((k-m)(k+m+1)) Q_k^{m+1} - sqrt((k+m)(k-m+1)) Q_k^{m-1}) / 2,
 applied twice, so no step divides by sin(theta) and the jets stay finite at
@@ -470,46 +474,6 @@ def _legendre_jets(kmax: int, theta: np.ndarray, deriv: int = 2):
     return Q, Q_t, Q_tt
 
 
-def _sphere_jets(radius: float, kk, mm, even, points, deriv):
-    """Jets of the real spherical harmonics (kk, mm, even) of S^2(R) at points [N, >=2].
-
-    kk, mm are integer arrays of degree and order, `even` is True for the
-    cos(m phi) modes.  Returns (vals [M, N], grads [M, N, 2],
-    hess [M, N, 2, 2]) in (theta, phi), with the arrays above `deriv`
-    zero-size.  Legendre and trigonometric tables are built over the
-    distinct theta and phi of the points and gathered onto the modes.
-    """
-    points = np.asarray(points, dtype=float)
-    theta, it = np.unique(points[:, 0], return_inverse=True)
-    phi, ip = np.unique(points[:, 1], return_inverse=True)
-    kmax = int(kk.max(initial=0))
-    Q, Q_t, Q_tt = _legendre_jets(kmax, theta, deriv)
-    ang = np.arange(kmax + 1.0)[:, None] * phi
-    trig = np.stack([np.cos(ang), np.sin(ang)])           # [cos/sin, m, phi]
-    parity = np.where(even, COS, SIN)[:, None]
-    legendre = (kk[:, None], mm[:, None], it)
-    A = (np.where(mm > 0, np.sqrt(2.0), 1.0) / radius)[:, None]
-    mf = mm.astype(float)[:, None]
-    T = trig[parity, mm[:, None], ip]
-    P = A * Q[legendre]
-    vals = P * T
-    grads = hess = _unrequested()
-    if deriv >= 1:
-        dT = trig[1 - parity, mm[:, None], ip]          # -sin for cos modes, cos for sin
-        dT *= np.where(even[:, None], -mf, mf)
-        Pt = A * Q_t[legendre]
-        grads = np.empty(vals.shape + (2,))
-        np.multiply(Pt, T, out=grads[:, :, 0])
-        np.multiply(P, dT, out=grads[:, :, 1])
-    if deriv >= 2:
-        hess = np.empty(vals.shape + (2, 2))
-        np.multiply(A * Q_tt[legendre], T, out=hess[:, :, 0, 0])
-        np.multiply(Pt, dT, out=hess[:, :, 0, 1])
-        hess[:, :, 1, 0] = hess[:, :, 0, 1]
-        np.multiply(vals, -(mf * mf), out=hess[:, :, 1, 1])
-    return vals, grads, hess
-
-
 def _sphere_modes(radius: float, lambda_max: float):
     """Real spherical harmonics (k, m, parity) of S^2(R) with k(k+1)/R^2 <= lambda_max.
 
@@ -545,55 +509,82 @@ class SphereSpectrum(AnalyticSpectrum):
         return _sphere_modes(self.model.radius, lambda_max)
 
     def jet_block(self, j0, j1, points, deriv=2):
+        """The jets of `SpectrumProvider.jet_block` in (theta, phi), at points
+        [N, >= 2].  Legendre and trigonometric tables are built over the
+        distinct theta and phi of the points and gathered onto the modes."""
         _check_deriv(deriv)
         _check_range(self, j0, j1)
-        return _sphere_jets(self.model.radius, self._k[j0:j1], self._m[j0:j1],
-                            self._even[j0:j1], points, deriv)
+        kk, mm, even = self._k[j0:j1], self._m[j0:j1], self._even[j0:j1]
+        points = np.asarray(points, dtype=float)
+        theta, it = np.unique(points[:, 0], return_inverse=True)
+        phi, ip = np.unique(points[:, 1], return_inverse=True)
+        kmax = int(kk.max(initial=0))
+        Q, Q_t, Q_tt = _legendre_jets(kmax, theta, deriv)
+        ang = np.arange(kmax + 1.0)[:, None] * phi
+        trig = np.stack([np.cos(ang), np.sin(ang)])       # [cos/sin, m, phi]
+        parity = np.where(even, COS, SIN)[:, None]
+        legendre = (kk[:, None], mm[:, None], it)
+        A = (np.where(mm > 0, np.sqrt(2.0), 1.0) / self.model.radius)[:, None]
+        mf = mm.astype(float)[:, None]
+        T = trig[parity, mm[:, None], ip]
+        P = A * Q[legendre]
+        vals = P * T
+        grads = hess = _unrequested()
+        if deriv >= 1:
+            dT = trig[1 - parity, mm[:, None], ip]          # -sin for cos modes, cos for sin
+            dT *= np.where(even[:, None], -mf, mf)
+            Pt = A * Q_t[legendre]
+            grads = np.empty(vals.shape + (2,))
+            np.multiply(Pt, T, out=grads[:, :, 0])
+            np.multiply(P, dT, out=grads[:, :, 1])
+        if deriv >= 2:
+            hess = np.empty(vals.shape + (2, 2))
+            np.multiply(A * Q_tt[legendre], T, out=hess[:, :, 0, 0])
+            np.multiply(Pt, dT, out=hess[:, :, 0, 1])
+            hess[:, :, 1, 0] = hess[:, :, 0, 1]
+            np.multiply(vals, -(mf * mf), out=hess[:, :, 1, 1])
+        return vals, grads, hess
 
 
 class ProductSpectrum(AnalyticSpectrum):
     """Separable modes Y_km(theta, phi) * c_j(s) on S^2(R) x S^1(L).
 
-    Many modes share a sphere factor (k, m, ps) or a circle factor (j, pc),
-    and many points share a (theta, phi) row or an s.  `jet_block` and
-    `gradient_gram` evaluate each distinct sphere factor once per distinct
-    (theta, phi) row and each distinct circle factor once per distinct s.
+    The product of a `SphereSpectrum` and a `CircleSpectrum` of the model's
+    `factors`, both enumerated over the product's window: a mode is a pair
+    of factor modes whose eigenvalues sum to at most lambda_max.  Every
+    sphere mode of the window pairs with the constant circle mode and every
+    circle mode with the constant sphere mode, so the factor providers hold
+    exactly the factors that occur, and a mode's factor index, its factor's
+    position in the factor provider, is k^2 plus the `_cos_sin` position of
+    (m, ps) in shell k, and the `_cos_sin` position of (j, pc).
 
-    Every sphere mode of the window pairs with the constant circle mode and
-    every circle mode with the constant sphere mode, so the factors are whole
-    runs: the sphere shells 0..K in `_sphere_modes` order and the circle
-    modes (0, cos), ..., (J, sin).  A mode's factor index is its factor's
-    position in that run, k^2 plus the `_cos_sin` position of (m, ps) in
-    shell k, and the `_cos_sin` position of (j, pc).
+    Many modes share a sphere or a circle factor, and many points share a
+    (theta, phi) row or an s.  `jet_block` and `gradient_gram` take the
+    factor jets from the factor providers' `jet_block`, each distinct factor
+    once per distinct (theta, phi) row or s, and multiply them.
     """
 
     def __init__(self, model, lambda_max):
         if model.kind != geometry.PRODUCT_SPHERE_CIRCLE:
             raise ConfigError("ProductSpectrum needs a product_sphere_circle model")
+        sphere, circle = model.factors
+        self._sphere = SphereSpectrum(sphere, lambda_max)
+        self._circle = CircleSpectrum(circle, lambda_max)
         super().__init__(model, lambda_max)
         k, m, ps, j, pc = self._descriptors.T
         self._sphere_of = k * k + _cos_sin_position(m, ps)
         self._circle_of = _cos_sin_position(j, pc)
-        degrees = np.arange(k.max() + 1)
-        self._sk = np.repeat(degrees, 2 * degrees + 1)
-        self._sm, sphere_parity = _cos_sin(np.arange(self._sk.size) - self._sk ** 2)
-        self._seven = sphere_parity == COS
-        cj, circle_parity = _cos_sin(np.arange(2 * j.max() + 1))
-        L = model.length
-        self._cj = cj.astype(float)
-        self._ceven = circle_parity == COS
-        self._camp = np.where(self._cj > 0, np.sqrt(2.0 / L), np.sqrt(1.0 / L))
 
     def _enumerate(self, lambda_max):
         # every (sphere mode, circle mode) pair whose eigenvalues sum to <= lambda_max
-        lam_s, sphere = _sphere_modes(self.model.radius, lambda_max)
-        lam_c, circle = _circle_modes(self.model.length, lambda_max)
+        lam_s, lam_c = self._sphere.lambdas, self._circle.lambdas
         box = lam_s.size * lam_c.size
         # the [sphere, circle] eigenvalue box, its mask and the kept index pairs
         geometry.check_memory(25 * box, f"a box of {box:.3g} sphere x circle modes")
         lam = lam_s[:, None] + lam_c[None, :]
         si, ci = np.nonzero(lam <= lambda_max)
-        return lam[si, ci], np.column_stack([sphere[si], circle[ci]])
+        return lam[si, ci], np.column_stack([self._sphere._descriptors[si],
+                                             self._circle._descriptors[ci]])
 
     def _factors(self, j0, j1):
         """Distinct sphere and circle factors of modes j0..j1-1, and each mode's
@@ -602,20 +593,6 @@ class ProductSpectrum(AnalyticSpectrum):
         fc, ci = np.unique(self._circle_of[j0:j1], return_inverse=True)
         return fs, si, fc, ci
 
-    def _sphere_factor_jets(self, fs, rows, deriv):
-        """Jets of the sphere factors fs at (theta, phi) rows [X, 2]."""
-        return _sphere_jets(self.model.radius, self._sk[fs], self._sm[fs],
-                            self._seven[fs], rows, deriv)
-
-    def _circle_factor_jets(self, fc, s):
-        """c and c' of the circle factors fc at the angles s, [C, S] each."""
-        jj = self._cj[fc][:, None]
-        even = self._ceven[fc][:, None]
-        amp = self._camp[fc][:, None]
-        ang = jj * s[None, :]
-        cw, sw = np.cos(ang), np.sin(ang)
-        return amp * np.where(even, cw, sw), amp * jj * np.where(even, -sw, cw)
-
     def jet_block(self, j0, j1, points, deriv=2):
         _check_deriv(deriv)
         _check_range(self, j0, j1)
@@ -623,8 +600,8 @@ class ProductSpectrum(AnalyticSpectrum):
         N = points.shape[0]
         fs, si, fc, ci = self._factors(j0, j1)
         rows, x, s, y = _product_points(points)
-        sv, sg, sh = self._sphere_factor_jets(fs, rows, deriv)
-        c, dc = self._circle_factor_jets(fc, s)
+        sv, sg, sh = _factor_jets(self._sphere, fs, rows, deriv)
+        c, dc, d2c = _factor_jets(self._circle, fc, s[:, None], deriv)
         # gather the factor tables onto (mode, point)
         on_x, on_y = np.ix_(si, x), np.ix_(ci, y)
         sv, c = sv[on_x], c[on_y]
@@ -632,18 +609,16 @@ class ProductSpectrum(AnalyticSpectrum):
         grads = hess = _unrequested()
         M = vals.shape[0]
         if deriv >= 1:
-            sg, dc = sg[on_x], dc[on_y]
+            sg, dc = sg[on_x], dc[:, :, 0][on_y]
             grads = np.empty((M, N, 3))
             grads[:, :, :2] = sg * c[:, :, None]
             grads[:, :, 2] = sv * dc
         if deriv >= 2:
-            jj = self._cj[fc][ci][:, None]
-            d2c = -(jj * jj) * c
             hess = np.empty((M, N, 3, 3))
             hess[:, :, :2, :2] = sh[on_x] * c[:, :, None, None]
             hess[:, :, :2, 2] = sg * dc[:, :, None]
             hess[:, :, 2, :2] = hess[:, :, :2, 2]
-            hess[:, :, 2, 2] = sv * d2c
+            hess[:, :, 2, 2] = sv * d2c[:, :, 0, 0][on_y]
         return vals, grads, hess
 
     def gradient_gram(self, j0, weights, points):
@@ -664,14 +639,15 @@ class ProductSpectrum(AnalyticSpectrum):
         W = np.zeros((fs.size, fc.size))
         W[si, ci] = w * w
         rows, x, s, y = _product_points(points)
-        c, dc = self._circle_factor_jets(fc, s)
+        c, dc, _ = _factor_jets(self._circle, fc, s[:, None], 1)
+        dc = dc[:, :, 0]
         cc, cd, dd = c * c, c * dc, dc * dc
         # (a, b, circle product); sphere factor 2 below is Y itself
         entries = [(0, 0, cc), (0, 1, cc), (1, 1, cc), (0, 2, cd), (1, 2, cd), (2, 2, dd)]
         A = np.zeros((len(entries), len(rows), fc.size))
         chunk = _GRAM_CHUNK
         for lo in range(0, fs.size, chunk):
-            sv, sg, _ = self._sphere_factor_jets(fs[lo:lo + chunk], rows, 1)
+            sv, sg, _ = _factor_jets(self._sphere, fs[lo:lo + chunk], rows, 1)
             F = (sg[:, :, 0], sg[:, :, 1], sv)
             for e, (a, b, _) in enumerate(entries):
                 A[e] += (F[a] * F[b]).T @ W[lo:lo + chunk]
@@ -679,6 +655,16 @@ class ProductSpectrum(AnalyticSpectrum):
         for e, (a, b, B) in enumerate(entries):
             G[:, a, b] = G[:, b, a] = np.einsum("pc,pc->p", A[e][x], B.T[y])
         return G
+
+
+def _factor_jets(provider: SpectrumProvider, f: np.ndarray, points: np.ndarray, deriv: int):
+    """Jets of the provider's modes f (ascending, distinct) at points: one
+    `jet_block` over [f[0], f[-1] + 1), gathered onto f where f has gaps."""
+    j0, j1 = (int(f[0]), int(f[-1]) + 1) if f.size else (0, 0)
+    jets = provider.jet_block(j0, j1, points, deriv)
+    if j1 - j0 == f.size:
+        return jets
+    return tuple(a[f - j0] if a.ndim > 1 else a for a in jets)
 
 
 def _product_points(points: np.ndarray):

@@ -23,6 +23,9 @@ CRITERIA = [
     ("8", "linear_algebra"),
     ("9", "tail_bound"),
 ]
+# the criteria of the light verify run
+LIGHT = ["homothety", "circle_scale", "rank_laws", "right_inverse", "linear_algebra",
+         "tail_bound"]
 
 
 def report(number, result):
@@ -60,26 +63,27 @@ def test_solver_criteria_share_one_read_only_solve():
 
 
 def test_torus_criteria_share_one_read_only_provider(tmp_path, monkeypatch):
-    """homothety and tail_bound enumerate the 2 pi torus once between them, on
-    read-only arrays, and each, run alone through `verify.criteria`, reports
-    the details it reports beside the other."""
+    """The six light criteria enumerate the 2 pi torus and the 2 pi circle once
+    each between them, on read-only arrays, and each, run alone through
+    `verify.criteria`, reports the details it reports beside the others."""
     built = []
-    init = spectrum.TorusSpectrum.__init__
+    for cls in (spectrum.TorusSpectrum, spectrum.CircleSpectrum):
+        def counting(self, model, lambda_max, init=cls.__init__):
+            built.append(model)
+            init(self, model, lambda_max)
 
-    def counting(self, model, lambda_max):
-        built.append(model)
-        init(self, model, lambda_max)
-
-    monkeypatch.setattr(spectrum.TorusSpectrum, "__init__", counting)
-    acceptance._torus_provider.cache_clear()
-    together = acceptance.run_all(["homothety", "tail_bound"])
-    assert built == [acceptance.TORUS_2PI]
-    provider = acceptance._torus_provider()
-    for arr in (provider.lambdas, provider._descriptors):
-        with pytest.raises(ValueError):
-            arr[0] = 0
+        monkeypatch.setattr(cls, "__init__", counting)
+    shared = acceptance._shared_provider
+    shared.cache_clear()
+    together = acceptance.run_all(LIGHT)
+    torus, circle = acceptance.TORUS_2PI, acceptance.CIRCLE_2PI
+    assert built == [torus, circle]
+    for provider in (shared(torus), shared(circle)):
+        for arr in (provider.lambdas, provider._descriptors):
+            with pytest.raises(ValueError):
+                arr[0] = 0
     for res in together:
-        acceptance._torus_provider.cache_clear()
+        shared.cache_clear()
         cfg = tmp_path / f"{res.criterion}.json"
         cfg.write_text(json.dumps({"verify": {"criteria": [res.criterion]}}))
         out = tmp_path / res.criterion
@@ -87,4 +91,6 @@ def test_torus_criteria_share_one_read_only_provider(tmp_path, monkeypatch):
         report = json.loads((out / "report.json").read_text())
         (alone,) = report["results"]["verify"]["criteria"]
         assert alone["details"] == res.details
-    assert built == [acceptance.TORUS_2PI] * 3
+    # alone: homothety, circle_scale, rank_laws, right_inverse, linear_algebra
+    # (none), tail_bound (circle rows first)
+    assert built == [torus, circle] + [torus, circle, torus, torus, circle, torus]

@@ -278,6 +278,23 @@ def test_scan_refuses_two_windows(tmp_path, capsys, window):
     assert "spectrum.lambda_max" in err and "spectrum.lambda_t_margin" in err
 
 
+@pytest.mark.parametrize("window", [{"lambda_max": 100}, {"lambda_t_margin": 16}],
+                         ids=["lambda-max", "margin"])
+def test_scan_refuses_q_override_with_a_window(tmp_path, capsys, window):
+    """A window keeps every mode it holds, so a circle defect-scan that also
+    sets `q_override` exits 2 with one line that names both keys, instead of
+    reporting the window's q."""
+    cfg = write_config(tmp_path, {"model": CIRCLE_MODEL, "t_grid": [0.1, 0.05, 0.02],
+                                  "q_override": 40, "spectrum": window})
+    capsys.readouterr()
+    code = run(["--config", cfg, "--out", str(tmp_path / "o"), "defect-scan"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    (key,) = window
+    assert "q_override" in err and f"spectrum.{key}" in err
+
+
 @pytest.mark.parametrize("key, value", [("e", 0), ("theta_threshold", -1)])
 def test_solver_shift_and_threshold_must_be_positive(tmp_path, capsys, key, value):
     """A zero shift e or a negative smallness threshold exits 2 with one line

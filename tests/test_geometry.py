@@ -239,6 +239,48 @@ def test_geodesic_distance(torus2, sphere):
     assert_allclose(d, np.pi, atol=1e-12)
 
 
+@pytest.mark.parametrize("R, L, resolution", [(1.0, TWO_PI, 6), (0.8, 3.0, 7)])
+def test_product_grid_is_the_tensor_product_of_the_factor_grids(R, L, resolution):
+    """The S^2 x S^1 grid is the sphere grid times the circle grid, sphere
+    points slowest, with the weights multiplied: bit for bit."""
+    grid = sample_grid(ManifoldModel.product_sphere_circle(R, L), resolution)
+    sphere = sample_grid(ManifoldModel.sphere2(R), resolution)
+    circle = sample_grid(ManifoldModel.circle(L), resolution)
+    i, j = np.divmod(np.arange(len(sphere) * len(circle)), len(circle))
+    assert np.array_equal(grid.points, np.column_stack([sphere.points[i], circle.points[j]]))
+    assert np.array_equal(grid.weights, sphere.weights[i] * circle.weights[j])
+
+
+def test_product_distance_composes_the_factor_distances():
+    """The S^2 x S^1 distance is sqrt(ds^2 + dc^2) of the sphere and circle
+    distances, bit for bit, and has the closed form along each factor."""
+    R, L = 0.8, 3.0
+    product = ManifoldModel.product_sphere_circle(R, L)
+    x = random_points(product, 40, seed=3)
+    y = random_points(product, 40, seed=4)
+    d = geometry.geodesic_distance(product, x[:, None, :], y[None, :, :])
+    ds = geometry.geodesic_distance(ManifoldModel.sphere2(R), x[:, None, :2], y[None, :, :2])
+    dc = geometry.geodesic_distance(ManifoldModel.circle(L), x[:, None, 2:], y[None, :, 2:])
+    assert d.shape == (40, 40)
+    assert np.array_equal(d, np.sqrt(ds * ds + dc * dc))
+    base = np.array([1.0, 2.0, 0.5])
+    assert_allclose(geometry.geodesic_distance(product, base, base + [0.3, 0.0, 0.0]),
+                    0.3 * R, rtol=1e-12)
+    assert_allclose(geometry.geodesic_distance(product, base, base + [0.0, 0.0, np.pi]),
+                    L / 2, rtol=1e-12)
+
+
+def test_factors_are_the_block_models(models):
+    """One model per metric block: the sphere and circle of the product, the
+    model itself elsewhere."""
+    for model in models:
+        assert len(model.factors) == len(model.blocks)
+        assert [f.dim for f in model.factors] == [len(b) for b in model.blocks]
+    product = ManifoldModel.product_sphere_circle(0.8, 3.0)
+    assert product.factors == (ManifoldModel.sphere2(0.8), ManifoldModel.circle(3.0))
+    assert models[0].factors == (models[0],)
+
+
 def test_config_roundtrip(product):
     cfg = product.to_config()
     back = ManifoldModel.from_config(cfg)

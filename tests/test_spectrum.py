@@ -400,8 +400,10 @@ def test_jet_block_derivative_order(deriv_providers, name):
 
 
 def test_product_jets_are_factor_products():
-    """S^2(R) x S^1(L) jets over a 1024-mode block against products of
-    independently built sphere and circle jets, matched by descriptor."""
+    """S^2(R) x S^1(L) jets over a 1024-mode block, whose factors run from the
+    first, and a 100-mode block, whose factors start later and have gaps,
+    equal, bit for bit, the products of independently built sphere and
+    circle jets, matched by descriptor."""
     R, L = 0.8, 3.0
     prov = analytic_spectrum(ManifoldModel.product_sphere_circle(R, L), count=1600)
     sph = spectrum.SphereSpectrum(ManifoldModel.sphere2(R), prov.lambda_max)
@@ -409,23 +411,27 @@ def test_product_jets_are_factor_products():
     rng = np.random.default_rng(5)
     pts = np.column_stack([rng.uniform(0.2, np.pi - 0.2, 40),
                            rng.uniform(0.0, TWO_PI, 40), rng.uniform(0.0, TWO_PI, 40)])
-    j0, j1 = 500, 1524
-    vals, grads, hess = prov.jet_block(j0, j1, pts)
     sv, sg, sh = sph.jet_block(0, sph.count, pts[:, :2])
     cv, cg, ch = circ.jet_block(0, circ.count, pts[:, 2:])
     s_index = {ep.descriptor: ep.index for ep in sph.eigenpairs}
     c_index = {ep.descriptor: ep.index for ep in circ.eigenpairs}
-    si = np.array([s_index[ep.descriptor[:3]] for ep in prov.eigenpairs[j0:j1]])
-    ci = np.array([c_index[ep.descriptor[3:]] for ep in prov.eigenpairs[j0:j1]])
-    Y, dY, HY = sv[si], sg[si], sh[si]
-    c, dc, d2c = cv[ci], cg[ci, :, 0], ch[ci, :, 0, 0]
-    want_grads = np.concatenate([dY * c[..., None], (Y * dc)[..., None]], axis=-1)
-    want_hess = np.empty_like(hess)
-    want_hess[..., :2, :2] = HY * c[..., None, None]
-    want_hess[..., :2, 2] = want_hess[..., 2, :2] = dY * dc[..., None]
-    want_hess[..., 2, 2] = Y * d2c
-    for got, want in [(vals, Y * c), (grads, want_grads), (hess, want_hess)]:
-        assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))
+    for j0, j1 in [(500, 1524), (1000, 1100)]:
+        vals, grads, hess = prov.jet_block(j0, j1, pts)
+        si = np.array([s_index[ep.descriptor[:3]] for ep in prov.eigenpairs[j0:j1]])
+        ci = np.array([c_index[ep.descriptor[3:]] for ep in prov.eigenpairs[j0:j1]])
+        Y, dY, HY = sv[si], sg[si], sh[si]
+        c, dc, d2c = cv[ci], cg[ci, :, 0], ch[ci, :, 0, 0]
+        want_grads = np.concatenate([dY * c[..., None], (Y * dc)[..., None]], axis=-1)
+        want_hess = np.empty_like(hess)
+        want_hess[..., :2, :2] = HY * c[..., None, None]
+        want_hess[..., :2, 2] = want_hess[..., 2, :2] = dY * dc[..., None]
+        want_hess[..., 2, 2] = Y * d2c
+        for got, want in [(vals, Y * c), (grads, want_grads), (hess, want_hess)]:
+            assert np.array_equal(got, want)
+    # the second block's factors neither start at the first nor run unbroken
+    fs, _, fc, _ = prov._factors(1000, 1100)
+    assert fs[0] > 0 and fc[0] > 0
+    assert fs[-1] - fs[0] + 1 > fs.size and fc[-1] - fc[0] + 1 > fc.size
 
 
 def test_product_jets_gather_repeated_points():
@@ -772,19 +778,21 @@ def test_sort_matches_lexsort_over_every_descriptor_column(model, lambda_max):
     (ManifoldModel.product_sphere_circle(1.0, TWO_PI), 1.5),
 ], ids=["unit", "R0.8-L3", "rescaled", "constant-sphere-factor"])
 def test_product_factor_indices_match_distinct_rows(model, lambda_max):
-    """The closed-form factor positions and factor tables of the product
-    provider equal the distinct sphere and circle descriptor rows."""
+    """The closed-form factor positions of the product provider index its
+    distinct sphere and circle descriptor rows, and those rows are the modes
+    of factor providers built independently over the same window."""
     prov = spectrum.ProductSpectrum(model, lambda_max)
     desc = prov._descriptors
     sphere, sphere_of = spectrum._distinct_rows(desc[:, :3])
     circle, circle_of = spectrum._distinct_rows(desc[:, 3:])
     assert np.array_equal(prov._sphere_of, sphere_of)
     assert np.array_equal(prov._circle_of, circle_of)
-    assert np.array_equal(prov._sk, sphere[:, 0])
-    assert np.array_equal(prov._sm, sphere[:, 1])
-    assert np.array_equal(prov._seven, sphere[:, 2] == spectrum.COS)
-    assert np.array_equal(prov._cj, circle[:, 0].astype(float))
-    assert np.array_equal(prov._ceven, circle[:, 1] == spectrum.COS)
+    sph = spectrum.SphereSpectrum(ManifoldModel.sphere2(model.radius), lambda_max)
+    circ = spectrum.CircleSpectrum(ManifoldModel.circle(model.length), lambda_max)
+    assert np.array_equal(sph._descriptors, sphere)
+    assert np.array_equal(circ._descriptors, circle)
+    assert np.array_equal(prov._sphere._descriptors, sphere)
+    assert np.array_equal(prov._circle._descriptors, circle)
 
 
 def _scipy_sphere_jets(radius, desc, points):
