@@ -15,8 +15,9 @@ Configuration is a single JSON document.  CONFIG_KEYS is its whole contract:
 each section's keys with their parser and default.  An absent or null key
 takes its default; a key not in the table, a section that is not an object
 or a value its parser rejects exits 2 with one line naming the key.  Every
-number must be finite (json parses NaN and Infinity), and a verify override
-is parsed by the type of its check's default.  The only
+number must be finite (json parses NaN and Infinity).  A verify override
+sets only the seed of a criterion in acceptance.SEEDED_CHECKS: the
+tolerances live in `acceptance` and cannot be overridden.  The only
 environment override is HEATCONF_OUT for the output directory.  Identical
 config and seed give a byte-identical report up to the timestamp field and,
 for verify, the per-criterion elapsed_s timings.
@@ -28,7 +29,6 @@ the environment before launch.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 import os
@@ -122,49 +122,28 @@ def _model(value, name: str) -> ManifoldModel:
 
 
 def _criteria(value, name: str) -> list[str]:
-    if not (isinstance(value, list) and all(
+    if not (isinstance(value, list) and value and all(
             isinstance(c, str) and c in acceptance.ALL_CHECKS for c in value)):
-        raise ConfigError(f"{name} must be a list of criteria from "
+        raise ConfigError(f"{name} must be a non-empty list of criteria from "
                           f"{', '.join(acceptance.ALL_CHECKS)}, got {value!r}")
     return list(value)
 
 
-def _override_parser(default):
-    """The parser of an acceptance override, implied by its default's type: a
-    seed or count (int) is >= 0, a tolerance (float) finite, and a window
-    (tuple) a list of as many finite numbers."""
-    if isinstance(default, int):
-        return _natural
-    if isinstance(default, float):
-        return _as_float
-
-    def parse_window(value, name: str) -> list[float]:
-        parsed = _as_float_list(value, name)
-        if len(parsed) != len(default):
-            raise ConfigError(f"{name} must be a list of {len(default)} numbers, "
-                              f"got {value!r}")
-        return parsed
-    return parse_window
-
-
 def _overrides(value, name: str) -> dict:
-    """Per-criterion keyword overrides; each must bind to its check's signature
-    and is parsed by the parser its default implies.  A keyword that binds to
-    no named parameter, as with a check wrapped into (*args, **kwargs) by a
-    call tracer, is passed on as given."""
+    """Per-criterion seeds, {criterion: {"seed": int >= 0}}.  The gates,
+    windows and sizes of the checks are constants of `acceptance`, so any
+    other key, or an entry for a criterion outside SEEDED_CHECKS, is refused."""
+    seeded = acceptance.SEEDED_CHECKS
     parsed = {}
-    for crit, kwargs in _as_section(value, name).items():
-        if crit not in acceptance.ALL_CHECKS:
-            raise ConfigError(f"{name} names unknown criterion {crit!r}")
-        sig = inspect.signature(acceptance.ALL_CHECKS[crit])
-        kwargs = _as_section(kwargs, f"{name}.{crit}")
-        try:
-            sig.bind(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(f"{name}.{crit}: {exc}") from None
-        parsed[crit] = {key: _override_parser(sig.parameters[key].default)(
-                            val, f"{name}.{crit}.{key}") if key in sig.parameters else val
-                        for key, val in kwargs.items()}
+    for crit, entry in _as_section(value, name).items():
+        path = f"{name}.{crit}"
+        entry = _as_section(entry, path)
+        unknown = [key for key in entry if key != "seed" or crit not in seeded]
+        if unknown or crit not in seeded:
+            where = f"{path}.{unknown[0]}" if unknown else path
+            raise ConfigError(f"{where} cannot be overridden: a verify override sets "
+                              f"only the seed of {', '.join(seeded)}")
+        parsed[crit] = {key: _natural(val, f"{path}.{key}") for key, val in entry.items()}
     return parsed
 
 
@@ -380,6 +359,14 @@ def cmd_perturb(cfg: RunConfig, out_dir: Path) -> dict:
     sv = cfg.solver
     alpha = cfg.analysis["alpha"]
     resolution = perturb.grid_resolution(cfg.model.dim, sv["resolution"])
+    # f_a L_a / 2 pi must be a lattice index that the grid resolves without aliasing
+    band = (resolution - 1) // 2
+    for f_a, L_a in zip(sv["f_mode"], cfg.model.periods):
+        m = f_a * L_a / (2.0 * math.pi)
+        if abs(m - round(m)) > 1e-9 or abs(round(m)) > band:
+            raise ConfigError(f"solver.f_mode {sv['f_mode']!r} must have entries "
+                              f"2 pi m_a / L_a with integers |m_a| <= {band} at "
+                              f"resolution {resolution}")
     # on the solver grid's points, sampled before any build so that a bad f_mode exits first
     f = perturb.manufactured_defect(geometry.sample_grid(cfg.model, resolution).points,
                                     sv["epsilon"], sv["f_mode"])

@@ -229,10 +229,11 @@ def defect_scan(model: ManifoldModel, t_grid, policy: TruncationPolicy,
     correction, of `corrected_model`; the defect is always measured against
     the original g.  A lambda_cutoff, a callable of t, replaces the count
     policy by the eigenvalue window lambda <= lambda_cutoff(t) of that
-    provider, and the embedding keeps every non-constant mode of the window.
-    The window must keep lambda_max * t large: the anisotropy of the last
-    included shells enters the defect at size ~ exp(-lambda_max t), which
-    buries any higher-order signal when the window is too narrow.
+    provider, and the embedding keeps every non-constant mode of the window,
+    so a policy that also sets q_override raises ConfigError.  The window
+    must keep lambda_max * t large: the anisotropy of the last included
+    shells enters the defect at size ~ exp(-lambda_max t), which buries any
+    higher-order signal when the window is too narrow.
 
     Every row samples the defect on the same grid, so the metric of `model`
     on it and the Hoelder pair table (`analysis.holder_pairs`) are built once
@@ -249,6 +250,9 @@ def defect_scan(model: ManifoldModel, t_grid, policy: TruncationPolicy,
         raise ConfigError("t values must lie in (0, 1)")
     if any(b >= a for a, b in zip(t_grid, t_grid[1:])):
         raise ConfigError("t_grid must be strictly decreasing")
+    if lambda_cutoff is not None and policy.q_override is not None:
+        raise ConfigError("policy.q_override and lambda_cutoff both set the scan's q: "
+                          "a window keeps every mode it holds; set one of them")
     grid = geometry.sample_grid(model, resolution)
     metric = geometry.metric_on_grid(model, grid.points)
     pairs = analysis.holder_pairs(grid.points, model)

@@ -6,6 +6,7 @@ failures: the unit-constant tail bound is off by the two-dimensional lattice
 prefactor at those t (measured 0.34 and 0.025 against bounds 0.042 and 0.011);
 the same check passes at t = 0.02 and the circle rows pass outright.
 """
+import inspect
 import json
 
 import pytest
@@ -46,13 +47,23 @@ def test_criterion(number, name):
     assert result.passed, result.details
 
 
+def test_only_the_seeded_checks_take_a_parameter():
+    """Gates, windows and problem sizes are constants of the checks: the seeded
+    list names exactly the checks with a `seed` parameter, and no check takes
+    any other."""
+    params = {name: list(inspect.signature(check).parameters)
+              for name, check in acceptance.ALL_CHECKS.items()}
+    assert [name for name, p in params.items() if p] == list(acceptance.SEEDED_CHECKS)
+    assert all(p in ([], ["seed"]) for p in params.values()), params
+
+
 def test_solver_criteria_share_one_read_only_solve():
     """fixed_point and conformal_family solve k = 0 once between them, on
     read-only arrays, and the family criterion run alone gives the details it
     gives after fixed_point."""
     acceptance._manufactured_solve.cache_clear()
     alone = acceptance.check_conformal_family()
-    _, f, _, y = acceptance._manufactured_solve(1e-3)
+    _, f, _, y = acceptance._manufactured_solve()
     for arr in (f, y):
         with pytest.raises(ValueError):
             arr[0] = 0.0

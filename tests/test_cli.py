@@ -19,6 +19,7 @@ TWO_PI = 2.0 * np.pi
 
 TORUS_MODEL = {"kind": "flat_torus", "params": {"periods": [TWO_PI, TWO_PI]}}
 CIRCLE_MODEL = {"kind": "circle", "params": {"length": TWO_PI}}
+RECT_MODEL = {"kind": "flat_torus", "params": {"periods": [TWO_PI, 3.1]}}
 
 # The report contract: every command's report.json has exactly these keys.
 REPORT_SCHEMA = {
@@ -339,15 +340,31 @@ def test_verify_subset(tmp_path):
                                                          "linear_algebra"]
 
 
-def test_verify_perturbed_tolerance_fails(tmp_path):
-    cfg = write_config(tmp_path, {
-        "verify": {"criteria": ["circle_scale"],
-                   "overrides": {"circle_scale": {"tol": 1e-15}}}})
+def test_verify_perturbed_tolerance_fails(tmp_path, monkeypatch):
+    """A criterion that fails its gate makes verify exit 1 and report it; the
+    gates are constants, so the failing check is put in the registry."""
+    failing = lambda: heatconf.acceptance.CheckResult("circle_scale", False,
+                                                     {"max_deviation": 1.0, "tol": 1e-8})
+    monkeypatch.setitem(heatconf.acceptance.ALL_CHECKS, "circle_scale", failing)
+    cfg = write_config(tmp_path, {"verify": {"criteria": ["circle_scale"]}})
     out = tmp_path / "out"
     assert run(["--config", cfg, "--out", str(out), "verify"]) == 1
     res = load_report(out)["results"]["verify"]
     assert not res["all_passed"]
     assert res["criteria"][0]["passed"] is False
+
+
+def test_verify_seed_override_reaches_its_check(tmp_path):
+    """A seed override is the seed its check runs with: the rank_laws details
+    equal those of check_rank_laws(seed=7) and differ from the default seed's."""
+    cfg = write_config(tmp_path, {"verify": {"criteria": ["rank_laws"],
+                                             "overrides": {"rank_laws": {"seed": 7}}}})
+    out = tmp_path / "out"
+    assert run(["--config", cfg, "--out", str(out), "verify"]) == 0
+    (entry,) = load_report(out)["results"]["verify"]["criteria"]
+    seeded = heatconf.acceptance.check_rank_laws(seed=7).details
+    assert entry["details"] == seeded
+    assert seeded != heatconf.acceptance.check_rank_laws().details
 
 
 def test_smoothness_budget_validation(tmp_path):
@@ -396,6 +413,11 @@ def test_malformed_config_values_exit_2(tmp_path, capsys):
         "spectrum_count_string": ("defect-scan", {**scan, "spectrum": {"count": "x"}}),
         "f_mode_too_long": ("perturb", {"model": TORUS_MODEL,
                                         "solver": {"f_mode": [1, 0, 0]}}),
+        # a wave vector off the lattice of the (2 pi, 3.1) torus, and one past the band
+        "f_mode_off_lattice": ("perturb", {"model": RECT_MODEL, "solver": {
+            "t": 0.1, "resolution": 24, "f_mode": [0, 1]}}),
+        "f_mode_aliased": ("perturb", {"model": TORUS_MODEL, "solver": {
+            "resolution": 16, "f_mode": [30, 0]}}),
         "perturb_on_1_torus": ("perturb", {"model": torus_1, "solver": {"f_mode": [1]}}),
         "lambda_t_margin_string": ("defect-scan", {**scan,
                                                    "spectrum": {"lambda_t_margin": "x"}}),
@@ -413,6 +435,18 @@ def test_malformed_config_values_exit_2(tmp_path, capsys):
                                   "overrides": {"circle_scale": {"nope": 1}}}}),
         "verify_override_not_object": ("verify",
                                        {"verify": {"overrides": {"circle_scale": [1]}}}),
+        "verify_criteria_empty": ("verify", {"verify": {"criteria": []}}),
+        # the gates, windows and sizes of the checks are constants; only four take a seed
+        "verify_override_tol": ("verify", {"verify": {
+            "criteria": ["circle_scale"], "overrides": {"circle_scale": {"tol": 1e-15}}}}),
+        "verify_override_residual_tol": ("verify", {"verify": {
+            "criteria": ["linear_algebra"],
+            "overrides": {"fixed_point": {"residual_tol": 1.0}}}}),
+        "verify_override_window": ("verify", {"verify": {
+            "criteria": ["linear_algebra"],
+            "overrides": {"defect_law": {"uncorrected_window": [0, 9]}}}}),
+        "verify_override_unseeded_seed": ("verify", {"verify": {
+            "criteria": ["tail_bound"], "overrides": {"tail_bound": {"seed": 1}}}}),
         # one misspelled key per section
         "unknown_top_key": ("defect-scan", {**scan, "resoluton": 8}),
         "unknown_model_key": ("spectrum", {"model": {**CIRCLE_MODEL, "parms": {}}}),

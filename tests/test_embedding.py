@@ -336,6 +336,18 @@ def test_defect_scan_torus(torus2):
         defect_scan(torus2, [1.5], TruncationPolicy())
 
 
+def test_defect_scan_refuses_q_override_with_a_window(circle, monkeypatch):
+    """A window keeps every mode it holds, so a policy that also fixes q is
+    refused before any provider is built, not silently overruled."""
+    def no_build(*args, **kwargs):
+        raise AssertionError("spectrum built before the policy was checked")
+
+    monkeypatch.setattr(spectrum, "analytic_spectrum", no_build)
+    with pytest.raises(ConfigError, match="q_override and lambda_cutoff"):
+        defect_scan(circle, [0.1, 0.05], TruncationPolicy(q_override=40),
+                    lambda_cutoff=lambda t: 100.0)
+
+
 def test_defect_scan_emitters(tmp_path, torus2):
     rows = defect_scan(torus2, [0.1, 0.05], TruncationPolicy(rho=1.0), resolution=8)
     csv_path = tmp_path / "scan.csv"
