@@ -15,7 +15,8 @@ Configuration is a single JSON document.  CONFIG_KEYS is its whole contract:
 each section's keys with their parser and default.  An absent or null key
 takes its default; a key not in the table, a section that is not an object
 or a value its parser rejects exits 2 with one line naming the key.  Every
-number must be finite (json parses NaN and Infinity).  A verify override
+number, model params included, must be a JSON number that converts to a
+finite float (`errors.finite`; json parses NaN and Infinity).  A verify override
 sets only the seed of a criterion in acceptance.SEEDED_CHECKS: the
 tolerances live in `acceptance` and cannot be overridden.  The only
 environment override is HEATCONF_OUT for the output directory.  Identical
@@ -34,16 +35,16 @@ import math
 import os
 import platform
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__, acceptance, analysis, embedding, geometry, jets, perturb, spectrum
 from .embedding import CorrectionSpec
 from .errors import (ConfigError, ConvergenceError, DomainError, PreconditionError,
-                     SpectrumError, reject_unknown_keys)
+                     SpectrumError, as_float, as_float_list, as_int, reject_unknown_keys)
 from .geometry import ManifoldModel
 
 
@@ -57,30 +58,6 @@ BASIS_CONVENTIONS = {
 }
 
 
-def _finite(value) -> bool:
-    """Whether a JSON value is a number that converts to a finite float.  The
-    json module parses NaN and Infinity, and an integer literal past the float
-    range converts to no float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def _as_float(value, name: str) -> float:
-    if not _finite(value):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _as_int(value, name: str) -> int:
-    if not _finite(value) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _between(parse, lo, hi, what: str):
     """`parse`, then reject values outside the open interval (lo, hi)."""
     def parse_between(value, name: str):
@@ -91,20 +68,14 @@ def _between(parse, lo, hi, what: str):
     return parse_between
 
 
-_positive = _between(_as_float, 0, math.inf, "a positive finite number")
-_fraction = _between(_as_float, 0, 1, "a number in (0, 1)")
-_count = _between(_as_int, 0, math.inf, "an integer >= 1")
-_natural = _between(_as_int, -1, math.inf, "an integer >= 0")
-
-
-def _as_float_list(value, name: str) -> list[float]:
-    if not isinstance(value, list) or not all(_finite(v) for v in value):
-        raise ConfigError(f"{name} must be a list of finite numbers, got {value!r}")
-    return [float(v) for v in value]
+_positive = _between(as_float, 0, math.inf, "a positive finite number")
+_fraction = _between(as_float, 0, 1, "a number in (0, 1)")
+_count = _between(as_int, 0, math.inf, "an integer >= 1")
+_natural = _between(as_int, -1, math.inf, "an integer >= 0")
 
 
 def _distinct_float_list(value, name: str) -> list[float]:
-    parsed = _as_float_list(value, name)
+    parsed = as_float_list(value, name)
     if not parsed or len(set(parsed)) < len(parsed):
         raise ConfigError(f"{name} must be a non-empty list of distinct numbers, "
                           f"got {value!r}")
@@ -152,19 +123,19 @@ def _overrides(value, name: str) -> dict:
 CONFIG_KEYS = {
     "model": (_model, None),
     "rho": (_positive, 1.0),
-    "q_override": (_as_int, None),
-    "t_grid": (_as_float_list, []),
-    "resolution": (_as_int, 16),
+    "q_override": (as_int, None),
+    "t_grid": (as_float_list, []),
+    "resolution": (as_int, 16),
     "seed": (_natural, 0),
-    "analysis": {"s": (_as_int, 2), "alpha": (_fraction, 0.45)},
-    "correction": {"l": (_as_int, 2), "eta": (_as_float_list, [0.0])},
+    "analysis": {"s": (_natural, 2), "alpha": (_fraction, 0.45)},
+    "correction": {"l": (as_int, 2), "eta": (as_float_list, [0.0])},
     "spectrum": {"count": (_count, 32), "lambda_max": (_positive, None),
                  "lambda_t_margin": (_positive, None)},
     "solver": {"e": (_positive, 1.0), "tol": (_positive, 1e-10),
                "max_iter": (_count, 40), "k_values": (_distinct_float_list, [0.0]),
-               "epsilon": (_as_float, 1e-3), "t": (_fraction, 0.05),
-               "resolution": (_as_int, None), "theta_threshold": (_positive, 0.25),
-               "f_mode": (_as_float_list, [1, 0])},
+               "epsilon": (as_float, 1e-3), "t": (_fraction, 0.05),
+               "resolution": (as_int, None), "theta_threshold": (_positive, 0.25),
+               "f_mode": (as_float_list, [1, 0])},
     "verify": {"criteria": (_criteria, None), "overrides": (_overrides, {})},
 }
 
@@ -185,26 +156,10 @@ def _parse_section(table: dict, raw, prefix: str) -> dict:
     return parsed
 
 
-@dataclass
-class RunConfig:
-    """A parsed config: the CONFIG_KEYS entries, sections as dicts of parsed keys."""
-
-    raw: dict
-    model: ManifoldModel | None
-    rho: float
-    q_override: int | None
-    t_grid: list
-    resolution: int
-    seed: int
-    analysis: dict
-    correction: CorrectionSpec | None     # None when the section is absent or empty
-    spectrum: dict
-    solver: dict
-    verify: dict
-
-
-def parse_config(raw, seed_override=None) -> RunConfig:
-    """Check every key of a config document against CONFIG_KEYS and fill in defaults."""
+def parse_config(raw, seed_override=None) -> SimpleNamespace:
+    """Check every key of a config document against CONFIG_KEYS and fill in
+    defaults: a namespace of the parsed keys (`correction` a CorrectionSpec,
+    None for an absent or empty section) and the document as `raw`."""
     fields = _parse_section(CONFIG_KEYS, raw, "")
     if seed_override is not None:
         fields["seed"] = _natural(seed_override, "seed")
@@ -216,10 +171,10 @@ def parse_config(raw, seed_override=None) -> RunConfig:
             raise ConfigError(
                 f"smoothness budget violated: s + alpha = {ana['s'] + ana['alpha']} "
                 f"must be < l + 1/2 = {corr['l'] + 0.5}")
-    return RunConfig(raw=raw, **fields)
+    return SimpleNamespace(raw=raw, **fields)
 
 
-def load_config(path, seed_override=None) -> RunConfig:
+def load_config(path, seed_override=None) -> SimpleNamespace:
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -230,7 +185,7 @@ def load_config(path, seed_override=None) -> RunConfig:
     return parse_config(raw, seed_override)
 
 
-def _report(out_dir: Path, command: str, cfg: RunConfig, results: dict) -> Path:
+def _report(out_dir: Path, command: str, cfg: SimpleNamespace, results: dict) -> Path:
     report = {
         "command": command,
         "config": cfg.raw,
@@ -252,7 +207,7 @@ def _report(out_dir: Path, command: str, cfg: RunConfig, results: dict) -> Path:
     return path
 
 
-def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> dict:
+def cmd_spectrum(cfg: SimpleNamespace, out_dir: Path) -> dict:
     if cfg.model is None:
         raise ConfigError("spectrum command needs a model")
     count = cfg.spectrum["count"]
@@ -271,7 +226,7 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> dict:
     }
 
 
-def cmd_defect_scan(cfg: RunConfig, out_dir: Path) -> dict:
+def cmd_defect_scan(cfg: SimpleNamespace, out_dir: Path) -> dict:
     if cfg.model is None or not cfg.t_grid:
         raise ConfigError("defect-scan needs a model and a t_grid")
     policy = embedding.TruncationPolicy(rho=cfg.rho, q_override=cfg.q_override)
@@ -314,7 +269,7 @@ def cmd_defect_scan(cfg: RunConfig, out_dir: Path) -> dict:
             "csv": "tables/defect_scan.csv", "json": "tables/defect_scan.json"}
 
 
-def cmd_gram(cfg: RunConfig, out_dir: Path) -> dict:
+def cmd_gram(cfg: SimpleNamespace, out_dir: Path) -> dict:
     """Diagnostic dump of jet Gram blocks and singular values at probe points."""
     if cfg.model is None:
         raise ConfigError("gram diagnostics need a model")
@@ -353,7 +308,7 @@ def cmd_gram(cfg: RunConfig, out_dir: Path) -> dict:
             "file": "gram_diagnostics.json"}
 
 
-def cmd_perturb(cfg: RunConfig, out_dir: Path) -> dict:
+def cmd_perturb(cfg: SimpleNamespace, out_dir: Path) -> dict:
     if cfg.model is None:
         raise ConfigError("perturb needs a model")
     sv = cfg.solver
@@ -422,7 +377,7 @@ def _perturb_run(solver: perturb.ConformalSolver, f: np.ndarray, k: float, histo
     }
 
 
-def cmd_verify(cfg: RunConfig, out_dir: Path) -> tuple[dict, bool]:
+def cmd_verify(cfg: SimpleNamespace, out_dir: Path) -> tuple[dict, bool]:
     results = acceptance.run_all(cfg.verify["criteria"], cfg.verify["overrides"])
     payload = {"criteria": [], "all_passed": True}
     for res in results:

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package, and the unknown-key check."""
+"""Exception hierarchy shared across the package, the unknown-key check, and
+the number rule for every input read from JSON: a config, a model's params or
+an eigenpair file.  A number is accepted only when it is a JSON number (not a
+string or boolean) that converts to a finite float."""
+import math
 
 
 class HeatconfError(Exception):
@@ -31,3 +35,33 @@ def reject_unknown_keys(section: dict, allowed, prefix: str) -> None:
         if key not in allowed:
             raise ConfigError(
                 f"unknown key {prefix}{key} (allowed: {', '.join(allowed)})")
+
+
+def finite(value) -> bool:
+    """Whether a JSON value is a number that converts to a finite float.  The
+    json module parses NaN and Infinity, and an integer literal past the float
+    range converts to no float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def as_float(value, name: str) -> float:
+    if not finite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def as_int(value, name: str) -> int:
+    if not finite(value) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def as_float_list(value, name: str) -> list[float]:
+    if not isinstance(value, list) or not all(finite(v) for v in value):
+        raise ConfigError(f"{name} must be a list of finite numbers, got {value!r}")
+    return [float(v) for v in value]

@@ -21,6 +21,9 @@ sqrt(ds^2 + dc^2).  `ManifoldModel.rescaled` multiplies each block by a
 constant factor, which realizes the first-order correction g + t h1.
 `conformal_defect` is the one trace-free part G - (tr_g G / n) g, shared by
 the pullback report, the h1 correction and the flat-torus solver.
+
+`PARAMS` names each kind's parameters once, in the order `to_config` writes
+them, with their config parsers: JSON numbers that `errors.finite` accepts.
 """
 from __future__ import annotations
 
@@ -30,14 +33,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, PreconditionError, reject_unknown_keys
+from .errors import (ConfigError, DomainError, PreconditionError, as_float,
+                     as_float_list, reject_unknown_keys)
 
 FLAT_TORUS = "flat_torus"
 CIRCLE = "circle"
 SPHERE2 = "sphere2"
 PRODUCT_SPHERE_CIRCLE = "product_sphere_circle"
 
-KINDS = (FLAT_TORUS, CIRCLE, SPHERE2, PRODUCT_SPHERE_CIRCLE)
+# Each kind's params with their config parsers, in the order `to_config` writes them
+PARAMS = {FLAT_TORUS: {"periods": lambda value, name: tuple(as_float_list(value, name))},
+          CIRCLE: {"length": as_float}, SPHERE2: {"radius": as_float},
+          PRODUCT_SPHERE_CIRCLE: {"length": as_float, "radius": as_float}}
+KINDS = tuple(PARAMS)
 
 _POLE_MARGIN = 1e-9
 
@@ -55,18 +63,11 @@ class ManifoldModel:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown manifold kind {self.kind!r}")
         # NaN fails every comparison, so it is refused with the rest
-        if self.kind == FLAT_TORUS:
-            if not self.periods or not all(0 < p < math.inf for p in self.periods):
-                raise ConfigError("flat torus needs strictly positive finite periods")
-        elif self.kind == CIRCLE:
-            if not 0 < self.length < math.inf:
-                raise ConfigError("circle length must be positive and finite")
-        elif self.kind == SPHERE2:
-            if not 0 < self.radius < math.inf:
-                raise ConfigError("sphere radius must be positive and finite")
-        else:
-            if not (0 < self.radius < math.inf and 0 < self.length < math.inf):
-                raise ConfigError("product needs positive finite radius and length")
+        for key in PARAMS[self.kind]:
+            value = getattr(self, key)
+            values = value if isinstance(value, tuple) else (value,)
+            if not values or not all(0 < v < math.inf for v in values):
+                raise ConfigError(f"{self.kind} needs positive finite {key}, got {value!r}")
         # finite parameters can still overflow or underflow: the square of a
         # radius of 1e300 or 1e-200, or the eigenvalue scale (2 pi)^2 /
         # volume^(2/n) of a circle of length 1e-320 or 1e200
@@ -158,40 +159,26 @@ class ManifoldModel:
                                    radius=self.radius * first, length=self.length * last)
 
     def to_config(self) -> dict:
-        params: dict = {}
-        if self.kind == FLAT_TORUS:
-            params["periods"] = list(self.periods)
-        if self.kind in (CIRCLE, PRODUCT_SPHERE_CIRCLE):
-            params["length"] = self.length
-        if self.kind in (SPHERE2, PRODUCT_SPHERE_CIRCLE):
-            params["radius"] = self.radius
-        return {"kind": self.kind, "params": params}
+        params = {key: getattr(self, key) for key in PARAMS[self.kind]}
+        return {"kind": self.kind, "params": {
+            key: list(v) if isinstance(v, tuple) else v for key, v in params.items()}}
 
     @classmethod
-    def from_config(cls, cfg: dict) -> "ManifoldModel":
-        """Model from {"kind", "params"}; params takes the keys `to_config` writes."""
-        try:
-            kind = cfg["kind"]
-            params = cfg.get("params", {})
-        except (TypeError, KeyError) as exc:
-            raise ConfigError(f"malformed model config: {cfg!r}") from exc
+    def from_config(cls, cfg) -> "ManifoldModel":
+        """Model from {"kind", "params"}: params holds the keys of PARAMS[kind],
+        each read by its parser; a key that is missing, unknown or refused by
+        its parser raises ConfigError naming it."""
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"model must be a JSON object, got {cfg!r}")
         reject_unknown_keys(cfg, ("kind", "params"), "model.")
-        try:
-            if kind == FLAT_TORUS:
-                model = cls.flat_torus(params["periods"])
-            elif kind == CIRCLE:
-                model = cls.circle(params["length"])
-            elif kind == SPHERE2:
-                model = cls.sphere2(params["radius"])
-            elif kind == PRODUCT_SPHERE_CIRCLE:
-                model = cls.product_sphere_circle(params["radius"], params["length"])
-            else:
-                raise ConfigError(f"unknown manifold kind {kind!r}")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(
-                f"{kind} params missing or malformed ({exc!r}): {params!r}") from exc
-        reject_unknown_keys(params, tuple(model.to_config()["params"]), "model.params.")
-        return model
+        kind, params = cfg.get("kind"), cfg.get("params", {})
+        if kind not in KINDS:
+            raise ConfigError(f"unknown manifold kind {kind!r} (allowed: {', '.join(KINDS)})")
+        if not isinstance(params, dict):
+            raise ConfigError(f"model.params must be a JSON object, got {params!r}")
+        reject_unknown_keys(params, PARAMS[kind], "model.params.")
+        return cls(kind, **{key: parse(params.get(key), f"model.params.{key}")
+                            for key, parse in PARAMS[kind].items()})
 
 
 @dataclass

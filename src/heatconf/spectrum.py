@@ -6,7 +6,8 @@ by a constant on each block has the spectrum of `ManifoldModel.rescaled`, so
 one `analytic_spectrum` call serves corrected and uncorrected metrics alike.
 Externally computed spectra are ingested from a JSON-lines file and served
 from the tabulated grid; its header must name a model of dimension n and a
-grid of [G, n] points.
+grid of [G, n] points, and every number in it follows the rule of
+`errors.finite`: a JSON number, not a string or boolean, that is finite.
 
 Each analytic backend enumerates its modes as an eigenvalue array and an
 integer descriptor table, sorted once by (lambda, descriptor) with a two-key
@@ -52,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry
-from .errors import ConfigError, PreconditionError, SpectrumError
+from .errors import ConfigError, PreconditionError, SpectrumError, as_float, as_int, finite
 from .geometry import ManifoldModel
 
 COS, SIN = 0, 1
@@ -799,19 +800,29 @@ def save_spectrum(provider: SpectrumProvider, path, grid: geometry.SampleGrid,
                 fh.write(json.dumps(rec) + "\n")
 
 
+def _finite_array(value, name: str) -> np.ndarray:
+    """`value`, a JSON number or lists of them nested to any depth, as a float
+    array; an entry that `errors.finite` refuses raises ConfigError naming `name`."""
+    entries = np.asarray(value, dtype=object)
+    if not all(map(finite, entries.flat)):
+        raise ConfigError(f"{name} must hold only finite numbers")
+    return entries.astype(float)
+
+
 def load_external_spectrum(path) -> ExternalSpectrum:
-    """Load an eigenpair file, checking its header, monotonicity and grid orthonormality."""
+    """Load an eigenpair file, checking its header, monotonicity and grid
+    orthonormality; a field missing or not of finite JSON numbers raises ConfigError."""
     with open(path) as fh:
         lines = fh.readlines()
     if not lines:
         raise ConfigError(f"empty eigenpair file {path}")
     try:
         header = json.loads(lines[0])
-        n = int(header["n"])
-        tolerance = float(header["tolerance"])
-        gp = np.asarray(header["grid"]["points"], dtype=float)
-        gw = np.asarray(header["grid"]["weights"], dtype=float)
-    except (KeyError, ValueError, TypeError) as exc:
+        n = as_int(header["n"], "n")
+        tolerance = as_float(header["tolerance"], "tolerance")
+        gp = _finite_array(header["grid"]["points"], "grid points")
+        gw = _finite_array(header["grid"]["weights"], "grid weights")
+    except (KeyError, ValueError, TypeError, ConfigError) as exc:
         raise ConfigError(f"malformed eigenpair header: {exc}") from exc
     if "model" not in header:
         raise ConfigError("malformed eigenpair header: no model")
@@ -829,11 +840,10 @@ def load_external_spectrum(path) -> ExternalSpectrum:
             continue
         try:
             rec = json.loads(ln)
-            lam = float(rec["lambda"])
-            v = np.asarray(rec["values"], dtype=float)
-            g = np.asarray(rec["gradients"], dtype=float)
-            h = np.asarray(rec["hessians"], dtype=float)
-        except (KeyError, ValueError, TypeError) as exc:
+            lam = as_float(rec["lambda"], "lambda")
+            v, g, h = (_finite_array(rec[key], key)
+                       for key in ("values", "gradients", "hessians"))
+        except (KeyError, ValueError, TypeError, ConfigError) as exc:
             raise ConfigError(f"malformed eigenpair record: {exc}") from exc
         if v.shape != (len(grid),) or g.shape != (len(grid), n) or \
                 h.shape != (len(grid), n, n):

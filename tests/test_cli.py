@@ -491,6 +491,8 @@ def test_malformed_config_values_exit_2(tmp_path, capsys):
                                           "solver": {"k_values": [float("inf")]}}),
         "e_infinity": ("perturb", {"model": TORUS_MODEL, "solver": {"e": float("inf")}}),
         "seed_negative": ("gram", {"model": TORUS_MODEL, "seed": -1}),
+        # a negative s would shrink the smallness bound theta and switch it off
+        "analysis_s_negative": ("perturb", {"model": TORUS_MODEL, "analysis": {"s": -1}}),
         "torus_period_nan": ("spectrum", {"model": {"kind": "flat_torus", "params": {
             "periods": [float("nan"), 1.0]}}}),
         "resolution_past_float_range": ("defect-scan", {**scan, "resolution": 10**400}),
@@ -526,6 +528,32 @@ def test_malformed_config_values_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 2, name
         assert err.startswith("config error:") and err.count("\n") == 1, (name, err)
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("flat_torus", "periods", "12"),
+    ("flat_torus", "periods", [True, 2]),
+    ("sphere2", "radius", True),
+    ("circle", "length", "6.5"),
+    ("sphere2", "radius", float("nan")),
+])
+def test_model_params_must_be_json_numbers(tmp_path, capsys, kind, key, value):
+    """A model param that is a string, a boolean or not finite exits 2 with one
+    line naming it, before any build."""
+    cfg = write_config(tmp_path, {"model": {"kind": kind, "params": {key: value}},
+                                  "t_grid": [0.1], "resolution": 6})
+    code = run(["--config", cfg, "--out", str(tmp_path / "out"), "defect-scan"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"config error: model.params.{key} ") and err.count("\n") == 1, err
+
+
+def test_parsed_config_holds_the_contract_keys():
+    """parse_config returns the CONFIG_KEYS table and the raw document, nothing more."""
+    cfg = cli.parse_config({"model": CIRCLE_MODEL, "solver": {"t": 0.1}})
+    assert set(vars(cfg)) == set(cli.CONFIG_KEYS) | {"raw"}
+    assert cfg.model == heatconf.ManifoldModel.circle(TWO_PI)
+    assert cfg.solver["t"] == 0.1 and cfg.analysis["s"] == 2 and cfg.correction is None
 
 
 def test_no_threads_flag():

@@ -281,10 +281,16 @@ def test_factors_are_the_block_models(models):
     assert models[0].factors == (models[0],)
 
 
-def test_config_roundtrip(product):
-    cfg = product.to_config()
-    back = ManifoldModel.from_config(cfg)
-    assert back == product
+def test_config_roundtrip(models):
+    """from_config inverts to_config on every kind, and each kind's params
+    keep the order eigenpair-file headers are written in."""
+    order = {"flat_torus": ["periods"], "circle": ["length"], "sphere2": ["radius"],
+             "product_sphere_circle": ["length", "radius"]}
+    assert [m.kind for m in models] == list(order)
+    for model in models:
+        cfg = model.to_config()
+        assert list(cfg["params"]) == order[model.kind]
+        assert ManifoldModel.from_config(cfg) == model
 
 
 def test_blocks_partition_the_chart(models):

@@ -239,13 +239,13 @@ def test_external_rejects_orthonormality_violation(tmp_path, circle_spec, circle
         load_external_spectrum(path)
 
 
-def _edit_header(path, edit):
-    """Rewrite the header line of an eigenpair file through `edit`."""
+def _edit_header(path, edit, line=0):
+    """Rewrite the header line of an eigenpair file, or the line `line`, through `edit`."""
     import json
     lines = path.read_text().splitlines()
-    header = json.loads(lines[0])
+    header = json.loads(lines[line])
     edit(header)
-    lines[0] = json.dumps(header)
+    lines[line] = json.dumps(header)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -277,6 +277,30 @@ def test_external_rejects_header_grid_of_other_width(torus_file):
     with pytest.raises(ConfigError, match=r"malformed eigenpair header: grid points "
                                           r"of shape \(64, 1\), expected \[G, 2\]"):
         load_external_spectrum(torus_file)
+
+
+@pytest.mark.parametrize("edits, field", [
+    # a NaN tolerance fails every comparison, so a record scaled by 5 would load
+    ([(0, lambda h: h.update(tolerance=float("nan"))),
+      (4, lambda r: r.update(values=[5.0 * v for v in r["values"]]))],
+     "header: tolerance"),
+    ([(0, lambda h: h.update(tolerance="1e-6"))], "header: tolerance"),
+    ([(0, lambda h: h.update(n=True))], "header: n"),
+    ([(2, lambda r: r["values"].__setitem__(5, float("nan")))], "record: values"),
+    # mode 2; a NaN lambda fails the monotonicity comparisons too
+    ([(3, lambda r: r.update({"lambda": float("nan")}))], "record: lambda"),
+], ids=["tolerance-nan", "tolerance-string", "n-bool", "values-nan", "lambda-nan"])
+def test_external_rejects_non_numeric_or_non_finite_fields(tmp_path, circle_spec, circle,
+                                                            edits, field):
+    """Every header and record number follows the config's number rule: a
+    JSON number, not a string or boolean, that is finite."""
+    path = tmp_path / "c.jsonl"
+    save_spectrum(circle_spec, path, geometry.sample_grid(circle, 16), count=8)
+    load_external_spectrum(path)
+    for line, edit in edits:
+        _edit_header(path, edit, line)
+    with pytest.raises(ConfigError, match=f"malformed eigenpair {field}"):
+        load_external_spectrum(path)
 
 
 @pytest.mark.parametrize("name", ["torus2", "circle", "sphere", "product", "external"])
