@@ -220,7 +220,7 @@ def _manufactured_solve():
     """
     emb = build_embedding(_shared_provider(TORUS_2PI), 0.05, TruncationPolicy(rho=1.0))
     solver = perturb.ConformalSolver(emb, resolution=48, e=1.0)
-    f = perturb.manufactured_defect(solver.grid.points, 1e-3, [1, 0])
+    f = perturb.manufactured_defect(solver.grid, 1e-3, [1, 0])
     history, y = perturb.fixed_point_solve(solver, f, k=0.0, tol=1e-10)
     f.flags.writeable = y.flags.writeable = False
     return solver, f, tuple(history), y

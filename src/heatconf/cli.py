@@ -314,16 +314,8 @@ def cmd_perturb(cfg: SimpleNamespace, out_dir: Path) -> dict:
     sv = cfg.solver
     alpha = cfg.analysis["alpha"]
     resolution = perturb.grid_resolution(cfg.model.dim, sv["resolution"])
-    # f_a L_a / 2 pi must be a lattice index that the grid resolves without aliasing
-    band = (resolution - 1) // 2
-    for f_a, L_a in zip(sv["f_mode"], cfg.model.periods):
-        m = f_a * L_a / (2.0 * math.pi)
-        if abs(m - round(m)) > 1e-9 or abs(round(m)) > band:
-            raise ConfigError(f"solver.f_mode {sv['f_mode']!r} must have entries "
-                              f"2 pi m_a / L_a with integers |m_a| <= {band} at "
-                              f"resolution {resolution}")
-    # on the solver grid's points, sampled before any build so that a bad f_mode exits first
-    f = perturb.manufactured_defect(geometry.sample_grid(cfg.model, resolution).points,
+    # on the solver's grid, built before any spectrum so that a bad f_mode exits first
+    f = perturb.manufactured_defect(perturb.SpectralGrid(cfg.model, resolution),
                                     sv["epsilon"], sv["f_mode"])
     t = sv["t"]
     policy = embedding.TruncationPolicy(rho=cfg.rho, q_override=cfg.q_override)

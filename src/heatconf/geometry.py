@@ -11,25 +11,27 @@ One batched evaluator, `metric_on_grid`, gives the metric, its inverse, the
 orthonormal frame, the connection, Ricci and scalar curvature and the first
 heat-expansion tensor A1 over chart points [N, n]; a single point is a batch
 of one.  Point arrays not of width n, and points within 1e-9 of a pole,
-raise DomainError.  Curvature is hard-coded per kind and cross-checked by finite
-differences of that same evaluator in the tests.  Every metric is a sum of
-blocks, `ManifoldModel.blocks`: the S^2 and S^1 factors of the product, one
-block of every coordinate elsewhere; `ManifoldModel.factors` is the model on
-each block.  The product's sample grid and geodesic distance are built from
-those of its factors: the tensor product of the sphere and circle grids, and
-sqrt(ds^2 + dc^2).  `ManifoldModel.rescaled` multiplies each block by a
-constant factor, which realizes the first-order correction g + t h1.
+raise DomainError.  Curvature is hard-coded per atomic kind and cross-checked
+by finite differences of that same evaluator in the tests.
+
+`KINDS` holds one record per kind: its params with their config parsers
+(JSON numbers that `errors.finite` accepts), in the order `to_config` writes
+them, and on an atomic kind its dim, volume and injectivity surrogate.  The
+product takes its dim, volume, injectivity surrogate and `blocks` from its
+`factors` S^2(R) and S^1(L): their sum, product, min and consecutive
+coordinate ranges; `metric_on_grid`, `sample_grid` and `geodesic_distance`
+compose the factors' too.  `ManifoldModel.rescaled` multiplies each block by
+a constant factor, which realizes the first-order correction g + t h1.
 `conformal_defect` is the one trace-free part G - (tr_g G / n) g, shared by
 the pullback report, the h1 correction and the flat-torus solver.
-
-`PARAMS` names each kind's parameters once, in the order `to_config` writes
-them, with their config parsers: JSON numbers that `errors.finite` accepts.
 """
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,11 +43,25 @@ CIRCLE = "circle"
 SPHERE2 = "sphere2"
 PRODUCT_SPHERE_CIRCLE = "product_sphere_circle"
 
-# Each kind's params with their config parsers, in the order `to_config` writes them
-PARAMS = {FLAT_TORUS: {"periods": lambda value, name: tuple(as_float_list(value, name))},
-          CIRCLE: {"length": as_float}, SPHERE2: {"radius": as_float},
-          PRODUCT_SPHERE_CIRCLE: {"length": as_float, "radius": as_float}}
-KINDS = tuple(PARAMS)
+
+class Kind(NamedTuple):
+    """One kind's params and, on an atomic kind, closed forms as functions of a model."""
+    params: dict
+    dim: Callable | None = None
+    volume: Callable | None = None
+    injectivity_surrogate: Callable | None = None
+
+
+KINDS = {
+    FLAT_TORUS: Kind({"periods": lambda value, name: tuple(as_float_list(value, name))},
+                     dim=lambda m: len(m.periods), volume=lambda m: float(np.prod(m.periods)),
+                     injectivity_surrogate=lambda m: min(m.periods) / 2.0),
+    CIRCLE: Kind({"length": as_float}, dim=lambda m: 1, volume=lambda m: m.length,
+                 injectivity_surrogate=lambda m: m.length / 2.0),
+    SPHERE2: Kind({"radius": as_float}, dim=lambda m: 2, volume=lambda m: 4 * np.pi * m.radius**2,
+                  injectivity_surrogate=lambda m: np.pi * m.radius),
+    PRODUCT_SPHERE_CIRCLE: Kind({"length": as_float, "radius": as_float}),
+}
 
 _POLE_MARGIN = 1e-9
 
@@ -63,7 +79,7 @@ class ManifoldModel:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown manifold kind {self.kind!r}")
         # NaN fails every comparison, so it is refused with the rest
-        for key in PARAMS[self.kind]:
+        for key in KINDS[self.kind].params:
             value = getattr(self, key)
             values = value if isinstance(value, tuple) else (value,)
             if not values or not all(0 < v < math.inf for v in values):
@@ -100,37 +116,22 @@ class ManifoldModel:
 
     @property
     def dim(self) -> int:
-        return {FLAT_TORUS: len(self.periods), CIRCLE: 1, SPHERE2: 2,
-                PRODUCT_SPHERE_CIRCLE: 3}[self.kind]
+        return sum(KINDS[f.kind].dim(f) for f in self.factors)
 
     @property
     def volume(self) -> float:
-        if self.kind == FLAT_TORUS:
-            return float(np.prod(self.periods))
-        if self.kind == CIRCLE:
-            return self.length
-        if self.kind == SPHERE2:
-            return 4.0 * np.pi * self.radius**2
-        return 4.0 * np.pi * self.radius**2 * self.length
+        return math.prod(KINDS[f.kind].volume(f) for f in self.factors)
 
     @property
     def injectivity_surrogate(self) -> float:
         """Length scale below which chart geodesic distance is trustworthy."""
-        if self.kind == FLAT_TORUS:
-            return min(self.periods) / 2.0
-        if self.kind == CIRCLE:
-            return self.length / 2.0
-        if self.kind == SPHERE2:
-            return np.pi * self.radius
-        return min(np.pi * self.radius, self.length / 2.0)
+        return min(KINDS[f.kind].injectivity_surrogate(f) for f in self.factors)
 
     @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
-        """Chart coordinates of each metric block: the sphere and circle factors
-        of the product, one block of every coordinate on the other kinds."""
-        if self.kind == PRODUCT_SPHERE_CIRCLE:
-            return ((0, 1), (2,))
-        return (tuple(range(self.dim)),)
+        """Chart coordinates of each metric block: one consecutive range per factor."""
+        ends = list(itertools.accumulate((f.dim for f in self.factors), initial=0))
+        return tuple(tuple(range(a, b)) for a, b in zip(ends, ends[1:]))
 
     @property
     def factors(self) -> tuple["ManifoldModel", ...]:
@@ -159,13 +160,13 @@ class ManifoldModel:
                                    radius=self.radius * first, length=self.length * last)
 
     def to_config(self) -> dict:
-        params = {key: getattr(self, key) for key in PARAMS[self.kind]}
+        params = {key: getattr(self, key) for key in KINDS[self.kind].params}
         return {"kind": self.kind, "params": {
             key: list(v) if isinstance(v, tuple) else v for key, v in params.items()}}
 
     @classmethod
     def from_config(cls, cfg) -> "ManifoldModel":
-        """Model from {"kind", "params"}: params holds the keys of PARAMS[kind],
+        """Model from {"kind", "params"}: params holds the keys of KINDS[kind].params,
         each read by its parser; a key that is missing, unknown or refused by
         its parser raises ConfigError naming it."""
         if not isinstance(cfg, dict):
@@ -176,9 +177,9 @@ class ManifoldModel:
             raise ConfigError(f"unknown manifold kind {kind!r} (allowed: {', '.join(KINDS)})")
         if not isinstance(params, dict):
             raise ConfigError(f"model.params must be a JSON object, got {params!r}")
-        reject_unknown_keys(params, PARAMS[kind], "model.params.")
+        reject_unknown_keys(params, KINDS[kind].params, "model.params.")
         return cls(kind, **{key: parse(params.get(key), f"model.params.{key}")
-                            for key, parse in PARAMS[kind].items()})
+                            for key, parse in KINDS[kind].params.items()})
 
 
 @dataclass
@@ -228,22 +229,24 @@ def metric_on_grid(model: ManifoldModel, points) -> MetricData:
     ric = np.zeros((N, n, n))
     gamma = np.zeros((N, n, n, n))
     scalar = np.zeros(N)
-    if model.kind in (CIRCLE, PRODUCT_SPHERE_CIRCLE):
-        diag[:, -1] = (model.length / (2.0 * np.pi)) ** 2
-    if model.kind in (SPHERE2, PRODUCT_SPHERE_CIRCLE):
-        theta = points[:, 0]
-        off = ~((theta > _POLE_MARGIN) & (theta < np.pi - _POLE_MARGIN))
-        if off.any():
-            raise DomainError(f"theta={theta[off][0]} outside the polar chart (0, pi)")
-        R2 = model.radius**2
-        st, ct = np.sin(theta), np.cos(theta)
-        diag[:, 0] = R2
-        diag[:, 1] = R2 * (st * st)
-        gamma[:, 0, 1, 1] = -st * ct          # Gamma^theta_{phi phi}
-        gamma[:, 1, 0, 1] = gamma[:, 1, 1, 0] = ct / st
-        ric[:, 0, 0] = 1.0
-        ric[:, 1, 1] = st * st
-        scalar[:] = 2.0 / R2
+    for factor, (a, *_) in zip(model.factors, model.blocks):
+        if factor.kind == CIRCLE:
+            diag[:, a] = (factor.length / (2.0 * np.pi)) ** 2
+        elif factor.kind == SPHERE2:
+            b = a + 1
+            theta = points[:, a]
+            off = ~((theta > _POLE_MARGIN) & (theta < np.pi - _POLE_MARGIN))
+            if off.any():
+                raise DomainError(f"theta={theta[off][0]} outside the polar chart (0, pi)")
+            R2 = factor.radius**2
+            st, ct = np.sin(theta), np.cos(theta)
+            diag[:, a] = R2
+            diag[:, b] = R2 * (st * st)
+            gamma[:, a, b, b] = -st * ct          # Gamma^theta_{phi phi}
+            gamma[:, b, a, b] = gamma[:, b, b, a] = ct / st
+            ric[:, a, a] = 1.0
+            ric[:, b, b] = st * st
+            scalar += 2.0 / R2
     g, g_inv, frame = (np.zeros((N, n, n)) for _ in range(3))
     np.einsum("nii->ni", g)[:] = diag
     np.einsum("nii->ni", g_inv)[:] = 1.0 / diag
@@ -357,7 +360,5 @@ def geodesic_distance(model: ManifoldModel, x: np.ndarray, y: np.ndarray) -> np.
         ct = (np.cos(x[..., 0]) * np.cos(y[..., 0])
               + np.sin(x[..., 0]) * np.sin(y[..., 0]) * np.cos(x[..., 1] - y[..., 1]))
         return model.radius * np.arccos(np.clip(ct, -1.0, 1.0))
-    sphere, circle = model.factors
-    ds = geodesic_distance(sphere, x[..., :2], y[..., :2])
-    dc = geodesic_distance(circle, x[..., 2:], y[..., 2:])
-    return np.sqrt(ds * ds + dc * dc)
+    d = [geodesic_distance(f, x[..., b], y[..., b]) for f, b in zip(model.factors, model.blocks)]
+    return np.sqrt(sum(di * di for di in d))

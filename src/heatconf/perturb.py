@@ -127,7 +127,7 @@ class SpectralGrid:
 
     def __init__(self, model: ManifoldModel, resolution: int):
         if model.kind != geometry.FLAT_TORUS:
-            raise PreconditionError("spectral backend requires a flat torus")
+            raise PreconditionError("the spectral grid and the solver run on flat tori only")
         self.model = model
         self.resolution = N = int(resolution)
         n = model.dim
@@ -153,7 +153,7 @@ class SpectralGrid:
                  (slice(N - h, N), slice(self.fine - h, self.fine)))] * (n - 1)
         last = ((slice(0, h + 1), slice(0, h + 1)),)
         self._blocks = [tuple(zip(*box)) for box in itertools.product(*runs, last)]
-        self._cols = h + 1
+        self.h = h                                                       # band half-width
         self.band = np.zeros(self.lam.shape, dtype=bool)                 # band projector
         for coarse, _ in self._blocks:
             self.band[coarse] = True
@@ -187,7 +187,7 @@ class SpectralGrid:
         """
         n = self.model.dim
         lead = spec.shape[:-n]
-        buf = np.zeros(lead + (self.fine,) * (n - 1) + (self._cols,), dtype=complex)
+        buf = np.zeros(lead + (self.fine,) * (n - 1) + (self.h + 1,), dtype=complex)
         scale = (self.fine / self.resolution) ** n
         for coarse, fine in self._blocks:
             np.multiply(spec[(Ellipsis,) + coarse], scale, out=buf[(Ellipsis,) + fine])
@@ -304,24 +304,30 @@ def grid_resolution(n: int, resolution: int | None) -> int:
     return (48 if n == 2 else 32) if resolution is None else resolution
 
 
-def manufactured_defect(points: np.ndarray, epsilon: float, f_mode) -> np.ndarray:
-    """Traceless test defect f = epsilon cos(x . f_mode) diag(1, -1, 0, ...) on points [N, n].
+def manufactured_defect(grid: SpectralGrid, epsilon: float, f_mode) -> np.ndarray:
+    """Traceless test defect f = epsilon cos(x . f_mode) diag(1, -1, 0, ...) on grid.points.
 
-    f_mode is padded with zeros to n entries.  Raises ConfigError when n < 2
-    or f_mode has more than n entries.
+    f_mode is padded with zeros to n entries.  Raises ConfigError when n < 2,
+    f_mode has more than n entries, or an entry is not 2 pi m_a / L_a with an
+    integer |m_a| <= grid.h (off the lattice, or aliased by the grid).
     """
-    n = points.shape[1]
+    n = grid.model.dim
     if n < 2:
         raise ConfigError("the manufactured defect diag(1, -1) needs a model of "
                           "dimension at least 2")
     if len(f_mode) > n:
         raise ConfigError(f"f_mode has {len(f_mode)} entries, more than the model "
                           f"dimension {n}")
+    for f_a, L_a in zip(f_mode, grid.model.periods):
+        m = f_a * L_a / (2.0 * math.pi)
+        if abs(m - round(m)) > 1e-9 or abs(round(m)) > grid.h:
+            raise ConfigError(f"f_mode {list(f_mode)!r} must have entries 2 pi m_a / L_a "
+                              f"with integers |m_a| <= {grid.h} at resolution {grid.resolution}")
     mode = np.zeros(n)
     mode[:len(f_mode)] = f_mode
     pattern = np.zeros((n, n))
     pattern[0, 0], pattern[1, 1] = 1.0, -1.0
-    return epsilon * np.cos(points @ mode)[:, None, None] * pattern
+    return epsilon * np.cos(grid.points @ mode)[:, None, None] * pattern
 
 
 class ConformalSolver:
@@ -341,12 +347,10 @@ class ConformalSolver:
     def __init__(self, emb, resolution: int | None = None, e: float = 1.0):
         self.emb = emb
         self.model = emb.model
-        if self.model.kind != geometry.FLAT_TORUS:
-            raise PreconditionError("the fixed-point solver runs on flat tori only")
+        self.grid = SpectralGrid(self.model, grid_resolution(self.model.dim, resolution))
         if e <= 0:
             raise ConfigError("spectral shift e must be strictly positive")
         self.e = e
-        self.grid = SpectralGrid(self.model, grid_resolution(self.model.dim, resolution))
         n = self.model.dim
         if not hasattr(emb.provider, "pairs"):
             raise PreconditionError("the fixed-point solver needs the cos/sin pairs "

@@ -164,9 +164,12 @@ class AnalyticSpectrum(SpectrumProvider):
     The descriptor rows, shifted by their column minima (lattice entries can
     be negative), are raveled into one integer key in row-major order, which
     orders them as the tuples do, so one two-key lexsort does the sort.
+    A subclass enumerates one model `kind`; another kind raises ConfigError.
     """
 
     def __init__(self, model: ManifoldModel, lambda_max: float):
+        if model.kind != self.kind:
+            raise ConfigError(f"{type(self).__name__} needs a {self.kind} model")
         self.model = model
         self.lambda_max = float(lambda_max)
         lams, desc = self._enumerate(self.lambda_max)
@@ -363,9 +366,9 @@ class LatticePairs(NamedTuple):
 class TorusSpectrum(LatticeSpectrum):
     """Real lattice modes cos/sin(kappa . x) on a flat torus, kappa_i = 2 pi k_i / L_i."""
 
+    kind = geometry.FLAT_TORUS
+
     def __init__(self, model, lambda_max):
-        if model.kind != geometry.FLAT_TORUS:
-            raise ConfigError("TorusSpectrum needs a flat_torus model")
         super().__init__(model, lambda_max)
         self._init_lattice(2.0 * np.pi / np.asarray(model.periods), model.volume)
 
@@ -400,9 +403,9 @@ class CircleSpectrum(LatticeSpectrum):
     sqrt(2/L) (sqrt(1/L) for the constant mode).
     """
 
+    kind = geometry.CIRCLE
+
     def __init__(self, model, lambda_max):
-        if model.kind != geometry.CIRCLE:
-            raise ConfigError("CircleSpectrum needs a circle model")
         super().__init__(model, lambda_max)
         self._init_lattice([1.0], model.length)
 
@@ -498,9 +501,9 @@ def _sphere_modes(radius: float, lambda_max: float):
 class SphereSpectrum(AnalyticSpectrum):
     """Real spherical harmonics on the round 2-sphere, lambda = k(k+1)/R^2."""
 
+    kind = geometry.SPHERE2
+
     def __init__(self, model, lambda_max):
-        if model.kind != geometry.SPHERE2:
-            raise ConfigError("SphereSpectrum needs a sphere2 model")
         super().__init__(model, lambda_max)
         desc = self._descriptors
         self._k, self._m = desc[:, 0], desc[:, 1]
@@ -565,18 +568,18 @@ class ProductSpectrum(AnalyticSpectrum):
     once per distinct (theta, phi) row or s, and multiply them.
     """
 
+    kind = geometry.PRODUCT_SPHERE_CIRCLE
+
     def __init__(self, model, lambda_max):
-        if model.kind != geometry.PRODUCT_SPHERE_CIRCLE:
-            raise ConfigError("ProductSpectrum needs a product_sphere_circle model")
-        sphere, circle = model.factors
-        self._sphere = SphereSpectrum(sphere, lambda_max)
-        self._circle = CircleSpectrum(circle, lambda_max)
         super().__init__(model, lambda_max)
         k, m, ps, j, pc = self._descriptors.T
         self._sphere_of = k * k + _cos_sin_position(m, ps)
         self._circle_of = _cos_sin_position(j, pc)
 
     def _enumerate(self, lambda_max):
+        sphere, circle = self.model.factors
+        self._sphere = SphereSpectrum(sphere, lambda_max)
+        self._circle = CircleSpectrum(circle, lambda_max)
         # every (sphere mode, circle mode) pair whose eigenvalues sum to <= lambda_max
         lam_s, lam_c = self._sphere.lambdas, self._circle.lambdas
         box = lam_s.size * lam_c.size
@@ -685,12 +688,8 @@ def _distinct_rows(cols: np.ndarray):
     return cols[first], inverse
 
 
-_ANALYTIC = {
-    geometry.FLAT_TORUS: TorusSpectrum,
-    geometry.CIRCLE: CircleSpectrum,
-    geometry.SPHERE2: SphereSpectrum,
-    geometry.PRODUCT_SPHERE_CIRCLE: ProductSpectrum,
-}
+_ANALYTIC = {cls.kind: cls for cls in (TorusSpectrum, CircleSpectrum, SphereSpectrum,
+                                        ProductSpectrum)}
 
 
 def analytic_spectrum(model: ManifoldModel, count: int | None = None,
@@ -843,12 +842,15 @@ def load_external_spectrum(path) -> ExternalSpectrum:
             lam = as_float(rec["lambda"], "lambda")
             v, g, h = (_finite_array(rec[key], key)
                        for key in ("values", "gradients", "hessians"))
+            desc = rec.get("descriptor", [len(pairs)])
+            if not isinstance(desc, list):
+                raise ConfigError(f"descriptor must be a list of integers, got {desc!r}")
+            desc = tuple(as_int(d, "descriptor entry") for d in desc)
         except (KeyError, ValueError, TypeError, ConfigError) as exc:
             raise ConfigError(f"malformed eigenpair record: {exc}") from exc
         if v.shape != (len(grid),) or g.shape != (len(grid), n) or \
                 h.shape != (len(grid), n, n):
             raise ConfigError("eigenpair record shapes do not match the grid")
-        desc = tuple(rec.get("descriptor", (len(pairs),)))
         pairs.append(EigenPair(len(pairs), lam, desc))
         vals.append(v)
         grads.append(g)

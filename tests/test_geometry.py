@@ -281,6 +281,47 @@ def test_factors_are_the_block_models(models):
     assert models[0].factors == (models[0],)
 
 
+@pytest.mark.parametrize("R, L", [(1.0, TWO_PI), (0.8, 5.0)])
+def test_product_model_composes_its_factors(R, L):
+    """S^2(R) x S^1(L) has no closed forms of its own: its dim is the sum of
+    its factors' dims, its volume their product (4 pi R^2) L, its injectivity
+    surrogate their min, and its blocks their consecutive coordinate ranges."""
+    product = ManifoldModel.product_sphere_circle(R, L)
+    sphere, circle = ManifoldModel.sphere2(R), ManifoldModel.circle(L)
+    assert product.factors == (sphere, circle)
+    assert product.dim == sphere.dim + circle.dim == 3
+    assert product.volume == sphere.volume * circle.volume == (4.0 * np.pi * R**2) * L
+    assert product.injectivity_surrogate == min(np.pi * R, L / 2.0)
+    assert product.blocks == ((0, 1), (2,))
+
+
+@pytest.mark.parametrize("R, L", [(1.0, TWO_PI), (0.8, 5.0)])
+def test_product_metric_is_the_block_diagonal_of_its_factors(R, L):
+    """On S^2(R) x S^1(L), g, g_inv, the frame, the connection and Ricci are
+    bit for bit the block-diagonal of the sphere's and the circle's, the
+    scalar curvature is 0 + their sum, and A1 is (S g / 2 - Ric) / 3 of
+    those (not the block-diagonal of the factors' A1: S couples the blocks)."""
+    product = ManifoldModel.product_sphere_circle(R, L)
+    pts = sample_grid(product, 5).points
+    got = metric_on_grid(product, pts)
+    N = len(pts)
+    rows = np.arange(N)
+    want = {name: np.zeros_like(getattr(got, name))
+            for name in ("g", "g_inv", "frame", "christoffel", "ricci")}
+    scalar = np.zeros(N)
+    for factor, blk in ((ManifoldModel.sphere2(R), [0, 1]), (ManifoldModel.circle(L), [2])):
+        data = metric_on_grid(factor, pts[:, blk])
+        for name in ("g", "g_inv", "frame", "ricci"):
+            want[name][np.ix_(rows, blk, blk)] = getattr(data, name)
+        want["christoffel"][np.ix_(rows, blk, blk, blk)] = data.christoffel
+        scalar += data.scalar
+    want["scalar"] = scalar
+    want["a1"] = (0.5 * scalar[:, None, None] * want["g"] - want["ricci"]) / 3.0
+    assert len(want) == len(geometry.MetricData.__dataclass_fields__) == 7
+    for name, value in want.items():
+        assert np.array_equal(getattr(got, name), value), name
+
+
 def test_config_roundtrip(models):
     """from_config inverts to_config on every kind, and each kind's params
     keep the order eigenpair-file headers are written in."""

@@ -48,7 +48,7 @@ def solver(torus_embedding):
 
 @pytest.fixture(scope="module")
 def manufactured(solver):
-    return perturb.manufactured_defect(solver.grid.points, 1e-3, [1, 0])
+    return perturb.manufactured_defect(solver.grid, 1e-3, [1, 0])
 
 
 @pytest.fixture(scope="module")
@@ -417,7 +417,7 @@ def test_fixed_point_converges(solved):
 
 def test_odd_resolution_converges(torus_embedding):
     odd = perturb.ConformalSolver(torus_embedding, resolution=33, e=1.0)
-    f = perturb.manufactured_defect(odd.grid.points, 1e-3, [1, 0])
+    f = perturb.manufactured_defect(odd.grid, 1e-3, [1, 0])
     history, _ = fixed_point_solve(odd, f, k=0.0, tol=1e-11)
     assert len(history) <= 20
     assert history[-1].residual <= 1e-10
@@ -536,7 +536,7 @@ def test_pruned_refinement_matches_oracle_upsampler(dim, resolution):
     model = ManifoldModel.flat_torus([TWO_PI, 3.1, 4.2][:dim])
     grid = perturb.SpectralGrid(model, resolution)
     v = np.random.default_rng(3).standard_normal((grid.N, 3))
-    assert grid._cols == (resolution - 1) // 2 + 1
+    assert grid.h == (resolution - 1) // 2
     assert_allclose(grid.refine(grid.to_spec(v.T)).T, pad(grid, lowpass(grid, v)), atol=1e-12)
 
 
@@ -598,7 +598,7 @@ def test_pullback_check_on_a_coarse_grid(torus_embedding):
     v = P^T y has content past the open band of the grid: the pullback check
     and the defect agree with the pair-form residual to 1e-12 at both k."""
     built = perturb.ConformalSolver(torus_embedding, resolution=16, e=1.0)
-    f = perturb.manufactured_defect(built.grid.points, 1e-3, [1, 0])
+    f = perturb.manufactured_defect(built.grid, 1e-3, [1, 0])
     for k in (0.0, 1e-3):
         _, y = fixed_point_solve(built, f, k=k)
         res = perturb.assemble_C(built, y, f)
@@ -741,7 +741,7 @@ def injectivity_case(request):
     model = ManifoldModel.flat_torus(periods)
     emb = build_embedding(analytic_spectrum(model, count=count), t, TruncationPolicy(rho=1.0))
     built = perturb.ConformalSolver(emb, resolution=resolution, e=1.0)
-    f = perturb.manufactured_defect(built.grid.points, 1e-3, [1, 0])
+    f = perturb.manufactured_defect(built.grid, 1e-3, [1, 0])
     ys = {k: fixed_point_solve(built, f, k=k, tol=1e-10)[1] for k in (0.0, 1e-3)}
     return built, f, ys
 
@@ -760,25 +760,46 @@ def test_injectivity_matches_pair_oracle(injectivity_case, k, scale):
 
 
 def test_manufactured_defect(sgrid):
-    """epsilon cos(x . f_mode) diag(1, -1, 0...): along x it is the hand-built
-    field bit for bit; f_mode is zero-padded to the model dimension.  Points
-    of one column and an f_mode longer than the point width are config errors."""
+    """epsilon cos(x . f_mode) diag(1, -1, 0...) on the grid points: along x it
+    is the hand-built field bit for bit; f_mode is zero-padded to the model
+    dimension.  A 1-torus and an f_mode longer than the model dimension are
+    config errors."""
     x = sgrid.points
-    f = perturb.manufactured_defect(x, 1e-3, [1, 0])
+    f = perturb.manufactured_defect(sgrid, 1e-3, [1, 0])
     want = np.zeros((sgrid.N, 2, 2))
     want[:, 0, 0] = 1e-3 * np.cos(x[:, 0])
     want[:, 1, 1] = -1e-3 * np.cos(x[:, 0])
     assert np.array_equal(f, want)
-    assert_allclose(perturb.manufactured_defect(x, 0.5, [0, 2])[:, 0, 0],
+    assert_allclose(perturb.manufactured_defect(sgrid, 0.5, [0, 2])[:, 0, 0],
                     0.5 * np.cos(2 * x[:, 1]), rtol=1e-15)
-    pts3 = np.array([[0.3, 1.0, 2.0], [4.0, 0.2, 5.0]])
-    f3 = perturb.manufactured_defect(pts3, 2.0, [1])
-    assert_allclose(f3, 2.0 * np.cos(pts3[:, 0])[:, None, None] * np.diag([1.0, -1.0, 0.0]),
-                    rtol=1e-15)
+    grid3 = perturb.SpectralGrid(ManifoldModel.flat_torus([TWO_PI] * 3), 4)
+    f3 = perturb.manufactured_defect(grid3, 2.0, [1])
+    assert_allclose(f3, 2.0 * np.cos(grid3.points[:, 0])[:, None, None]
+                    * np.diag([1.0, -1.0, 0.0]), rtol=1e-15)
     with pytest.raises(ConfigError, match="dimension at least 2"):
-        perturb.manufactured_defect(np.zeros((3, 1)), 1.0, [1])
+        perturb.manufactured_defect(
+            perturb.SpectralGrid(ManifoldModel.flat_torus([TWO_PI]), 4), 1.0, [1])
     with pytest.raises(ConfigError, match="3 entries, more than the model dimension 2"):
-        perturb.manufactured_defect(x, 1e-3, [1, 0, 0])
+        perturb.manufactured_defect(sgrid, 1e-3, [1, 0, 0])
+
+
+def test_manufactured_defect_refuses_off_lattice_or_aliased_modes(torus2):
+    """Entry a of f_mode must be 2 pi m_a / L_a with |m_a| <= (N - 1) // 2.  At
+    resolution 16 the mode [30, 0] aliases onto the band (a solve converges on
+    the alias) and [0.5, 0] is not periodic (a solve stalls); both raise
+    ConfigError, as do the first modes past the band.  On the (2 pi, 3.1)
+    torus [0, 1] is off the lattice and [0, 2 pi / 3.1] is on it."""
+    grid = perturb.SpectralGrid(torus2, 16)
+    assert grid.h == 7
+    for f_mode in ([30, 0], [0.5, 0], [8, 0], [0, -8]):
+        with pytest.raises(ConfigError, match=r"\|m_a\| <= 7 at resolution 16"):
+            perturb.manufactured_defect(grid, 1e-3, f_mode)
+    for f_mode in ([7, 0], [0, -7]):
+        assert perturb.manufactured_defect(grid, 1e-3, f_mode).shape == (grid.N, 2, 2)
+    rect = perturb.SpectralGrid(ManifoldModel.flat_torus([TWO_PI, 3.1]), 24)
+    with pytest.raises(ConfigError, match="2 pi m_a / L_a"):
+        perturb.manufactured_defect(rect, 1e-3, [0, 1])
+    assert perturb.manufactured_defect(rect, 1e-3, [0, TWO_PI / 3.1]).shape == (rect.N, 2, 2)
 
 
 @pytest.fixture(scope="module", params=[([TWO_PI, TWO_PI], 0.05, 48, 4),
@@ -807,7 +828,7 @@ def test_y_space_matches_v_oracles(oracle_case):
     want = quadratic_v(built, v.values)
     got = np.einsum("nmq,nm->nq", right_inverse(built).P, built.quadratic(y))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    f = perturb.manufactured_defect(grid.points, 1e-3, [1, 0])
+    f = perturb.manufactured_defect(grid, 1e-3, [1, 0])
     want = residual_v(built, v, f)
     assert np.max(np.abs(built.conformal_residual(y, f) - want)) <= 1e-12 * np.max(np.abs(want))
 

@@ -289,7 +289,11 @@ def test_external_rejects_header_grid_of_other_width(torus_file):
     ([(2, lambda r: r["values"].__setitem__(5, float("nan")))], "record: values"),
     # mode 2; a NaN lambda fails the monotonicity comparisons too
     ([(3, lambda r: r.update({"lambda": float("nan")}))], "record: lambda"),
-], ids=["tolerance-nan", "tolerance-string", "n-bool", "values-nan", "lambda-nan"])
+    # a descriptor is a list of integers: not a bare number, nor a string of characters
+    ([(2, lambda r: r.update(descriptor=5))], "record: descriptor"),
+    ([(2, lambda r: r.update(descriptor="ab"))], "record: descriptor"),
+], ids=["tolerance-nan", "tolerance-string", "n-bool", "values-nan", "lambda-nan",
+        "descriptor-number", "descriptor-string"])
 def test_external_rejects_non_numeric_or_non_finite_fields(tmp_path, circle_spec, circle,
                                                             edits, field):
     """Every header and record number follows the config's number rule: a
@@ -301,6 +305,24 @@ def test_external_rejects_non_numeric_or_non_finite_fields(tmp_path, circle_spec
         _edit_header(path, edit, line)
     with pytest.raises(ConfigError, match=f"malformed eigenpair {field}"):
         load_external_spectrum(path)
+
+
+def test_each_provider_refuses_every_other_kind(torus2, circle, sphere, product):
+    """Each analytic provider class declares the kind it enumerates, and
+    `analytic_spectrum` dispatches on it; any other kind's model raises
+    ConfigError before anything is enumerated, the product's before it
+    unpacks the model's factors."""
+    classes = (spectrum.TorusSpectrum, spectrum.CircleSpectrum, spectrum.SphereSpectrum,
+               spectrum.ProductSpectrum)
+    assert spectrum._ANALYTIC == {cls.kind: cls for cls in classes}
+    assert set(spectrum._ANALYTIC) == set(geometry.KINDS)
+    for cls in classes:
+        for model in (torus2, circle, sphere, product):
+            if model.kind == cls.kind:
+                assert type(analytic_spectrum(model, lambda_max=4.0)) is cls
+                continue
+            with pytest.raises(ConfigError, match=f"^{cls.__name__} needs a {cls.kind} model$"):
+                cls(model, 4.0)
 
 
 @pytest.mark.parametrize("name", ["torus2", "circle", "sphere", "product", "external"])
