@@ -70,15 +70,19 @@ band.
 
 `assemble_C` is the one per-k pass after a solve: it forms the immersion
 C = Psi + v = psi (1 + y S) and its gradient grad_i C = i kappa_i C +
-psi (d_i y S) one block of grid points at a time, keeping C and the pullback
+psi (d_i y S) one block of grid points at a time, keeping only the pullback
 G = grad C grad C^T of each block, and from G the pair-form residual, the
-independent pullback check, the trace-free defect and the injectivity.  No
-array of q components is transformed, no per-point array holds m rows of q
-components, and grad C is held one block at a time.  The injectivity is exact
-and cheap: the pair weights make |Psi(x) - Psi(x + d)| = gap(d) depend on the
-grid offset d alone, every pair at offset d lies at least gap(d) - 2 sup|v|
-apart, and a scan of the offsets by that bound stops after a few (2 of 1153
-on the 2-torus at N = 48^2; see `assemble_C`).
+independent pullback check and the trace-free defect.  No array of q
+components is transformed or held whole: C itself is a `FieldRq` of (solver,
+y) that samples C [N, q] only when its `values` are read.  The injectivity is
+exact and cheap: the pair weights make |Psi(x) - Psi(x + d)| = gap(d) depend
+on the grid offset d alone, every pair at offset d lies at least
+gap(d) - 2 sup|v| apart, and a scan of the offsets by that bound stops after
+a few (2 of 1153 on the 2-torus at N = 48^2).  Each offset's distances are
+one more pair sum: psi_kappa(x + d) = psi_kappa(x) exp(i kappa . d), so with
+Y~ = (1, y) and S~ = [1; S], |C(x) - C(x + d)|^2 = Y~(x)^T M~ Y~(x) +
+Y~(x + d)^T M~ Y~(x + d) - 2 Y~(x)^T T(d) Y~(x + d), M~ = T(0) and
+T(d) = Re((S~ s exp(-i kappa . d)) S~^H) (see `assemble_C`).
 
 The set-up refuses, before it fetches any jets, a problem whose estimated
 bytes pass MemAvailable (`geometry.check_memory`).  The grid defaults to 48
@@ -91,6 +95,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,15 +108,21 @@ DEFAULT_THETA_THRESHOLD = 0.25
 # Gram and the pair Gram M
 _GRAM_RTOL = 1e-12
 # sample columns per matrix product of `_quadratic_form`
-_FORM_CHUNK = 4096
+_FORM_CHUNK = 1024
 # values per block of grid points (2^15 / q rows of q values, 256 KB): the
-# set-up's pass, assemble_C's blocks and the injectivity scan's chunks
+# set-up's pass and the blocks of C and grad C
 _BLOCK = 2**15
 
 
 def _block_rows(q: int) -> int:
     """Rows of q values per block of `_BLOCK` values."""
     return max(1, _BLOCK // q)
+
+
+def _blocks(N: int, q: int):
+    """Slices of consecutive grid points, `_block_rows(q)` at a time, covering N."""
+    rows = _block_rows(q)
+    return (slice(r0, min(r0 + rows, N)) for r0 in range(0, N, rows))
 
 
 class SpectralGrid:
@@ -211,10 +222,21 @@ class SpectralGrid:
 
 @dataclass(frozen=True)
 class FieldRq:
-    """R^q-valued field on a spectral grid, the type of `assemble_C`'s C:
-    samples [N, q]."""
+    """The immersion C = Psi + P^T y of `assemble_C`, an R^q-valued field on
+    the solver's grid held as its solver and coefficients y [N, m].  `values`
+    samples C [N, q] each time it is read, one block of grid points at a time
+    through `_immersion_block`, the helper of `assemble_C`'s own pass."""
 
-    values: np.ndarray
+    solver: ConformalSolver
+    y: np.ndarray
+
+    @property
+    def values(self) -> np.ndarray:
+        solver = self.solver
+        C = np.empty((solver.grid.N, len(solver._kappa)), dtype=complex)
+        for block in _blocks(solver.grid.N, solver.emb.q):
+            _immersion_block(solver, self.y, block, C[block])
+        return C.view(float)
 
 
 def _row_exponents(n: int) -> np.ndarray:
@@ -298,6 +320,17 @@ def _quadratic_form(W: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return out
 
 
+def solver_bytes(grid: SpectralGrid) -> int:
+    """The bytes that `ConformalSolver`'s preflight asks for on `grid`: the
+    refined channel samples [R, Nf] of Q with `refine`'s two complex spectra,
+    about 3 * 8 R Nf together, R = m c the channels (y, grad y, Hess y) and
+    Nf = fine^n; one `_quadratic_form` chunk [m R, chunk]; and the gap table [N]."""
+    n = grid.model.dim
+    m, c = len(_row_exponents(n)), len(_channel_exponents(n))
+    Nf = grid.fine ** n
+    return 8 * (3 * m * c * Nf + m * m * c * min(_FORM_CHUNK, Nf) + grid.N)
+
+
 def grid_resolution(n: int, resolution: int | None) -> int:
     """The solver grid's points per axis: `resolution`, or by default 48 on a
     2-torus and 32 above."""
@@ -330,6 +363,18 @@ def manufactured_defect(grid: SpectralGrid, epsilon: float, f_mode) -> np.ndarra
     return epsilon * np.cos(grid.points @ mode)[:, None, None] * pattern
 
 
+class _ScanTables(NamedTuple):
+    """The tables of the injectivity scan, `ConformalSolver._scan`."""
+
+    offsets: np.ndarray       # one of each +-d, in increasing order of gap(d)
+    gaps: np.ndarray          # gap(d) of each offset
+    S: np.ndarray             # [m + 1, V] the symbols S~ = [1; S]
+    M: np.ndarray             # [m + 1, m + 1] M~ = Re((S~ s) S~^H)
+    M_abs: np.ndarray         # [m + 1, m + 1] |M~| = (|S~| s) |S~|^T
+    c_psi: float              # rounding bound of psi / sqrt(s) and of the phases
+    psi_norm: float           # |Psi| = sqrt(sum s)
+
+
 class ConformalSolver:
     """The one handle of a flat-torus solve: the embedding (and its t), the
     spectral shift e, the spectral grid, and from one `LatticeSpectrum.pairs`
@@ -338,11 +383,13 @@ class ConformalSolver:
     `.view(float)` is Psi) on any block of grid points.  From them: the
     symbols S [m, q/2] of the rows of P, the gap table |Psi(x0) - Psi(x)| [N]
     of the injectivity scan, the constant Gram M with the pair forms of the y
-    iteration, and the band symbol of the resolvent.  The set-up checks the
-    jet Gram against M one block of grid points at a time and keeps none of
-    it.  The gradient rows of P are grad u (the frame of a flat torus is the
-    identity), so M's leading n x n block is the pullback of Psi at every grid
-    point."""
+    iteration, and the band symbol of the resolvent.  It holds no array of q
+    components per grid point, so its preflight (`solver_bytes`) counts what
+    sets the peak of a solve instead: Q's refined channel samples.  The
+    set-up checks the jet Gram against M one block of grid points at a time
+    and keeps none of it.  The gradient rows of P are grad u (the frame of a
+    flat torus is the identity), so M's leading n x n block is the pullback
+    of Psi at every grid point."""
 
     def __init__(self, emb, resolution: int | None = None, e: float = 1.0):
         self.emb = emb
@@ -355,11 +402,12 @@ class ConformalSolver:
         if not hasattr(emb.provider, "pairs"):
             raise PreconditionError("the fixed-point solver needs the cos/sin pairs "
                                     "of an analytic torus spectrum")
-        # the gap table of the set-up and the C of each assemble_C; psi and
-        # the jet Gram are only ever held one block at a time
+        # Q's refined channels set the peak; psi, the jet Gram, C and grad C
+        # are only ever held one block of grid points at a time
         m, N, q = len(_row_exponents(n)), self.grid.N, emb.q
-        geometry.check_memory(8 * N * (q + 1),
-                              f"the solver (C and the gap table at q = {q}, N = {N})")
+        geometry.check_memory(solver_bytes(self.grid),
+                              f"the solver (the refined channels of {self.grid.fine}^{n} "
+                              f"points, a form chunk and the gap table at N = {N})")
         self._pairs = emb.provider.pairs(1, emb.weights, self.grid.axes)
         self._kappa = self._pairs.kappa
         self._S = _symbols(self._kappa, np.zeros(n, dtype=int))[::len(_channel_exponents(n))]
@@ -371,9 +419,7 @@ class ConformalSolver:
         gap = 0.0
         self._gaps = np.empty(N)
         psi0 = self._psi(slice(0, 1)).view(float)
-        rows = _block_rows(q)
-        for r0 in range(0, N, rows):
-            block = slice(r0, min(r0 + rows, N))
+        for block in _blocks(N, q):
             psi = self._psi(block).view(float)                          # [b, q]
             pairs = psi.reshape(len(psi), -1, 2)
             gram = np.einsum("nvc,nvc->nv", pairs, pairs) @ T.T            # [b, m m]
@@ -394,29 +440,37 @@ class ConformalSolver:
         self._sym = np.prod(ik ** gammas, axis=1)
         self._resolvent = self.grid.band / (-self.grid.lam - e)
 
-    def _psi(self, rows: slice) -> np.ndarray:
-        """psi [b, V] (complex) at the grid points `rows` (a slice of flat
-        indices), from the phase tables of `pairs`: each point's table rows
-        multiplied in axis order, then times the amplitudes, then times the
-        weights.  That is the provider's own multiply order, so every row
-        equals the weighted jet values bit for bit."""
+    def _phases(self, rows: slice) -> np.ndarray:
+        """exp(i kappa . x) [b, V] at the grid points `rows` (a slice of flat
+        indices): each point's rows of the phase tables of `pairs`,
+        multiplied in axis order."""
         p = self._pairs
         index = np.unravel_index(np.arange(rows.start, rows.stop), self.grid.shape)
-        psi = p.phases[0][index[0]]
+        phase = p.phases[0][index[0]]
         for table, i in zip(p.phases[1:], index[1:]):
-            psi *= table[i]
-        psi *= p.amp
-        psi *= p.w
+            phase *= table[i]
+        return phase
+
+    def _psi(self, rows: slice) -> np.ndarray:
+        """psi [b, V] (complex) at the grid points `rows`: `_phases`, then
+        times the amplitudes, then times the weights.  That is the provider's
+        own multiply order, so every row equals the weighted jet values bit
+        for bit."""
+        psi = self._phases(rows)
+        psi *= self._pairs.amp
+        psi *= self._pairs.w
         return psi
 
     @functools.cached_property
-    def _offsets(self):
-        """The offset table of the injectivity scan (see `assemble_C`), built
-        on first use: one of each pair of grid offsets +-d != 0 (flat grid
+    def _scan(self) -> _ScanTables:
+        """The tables of the injectivity scan (see `assemble_C`), built on
+        first use: one of each pair of grid offsets +-d != 0 (flat grid
         indices) in increasing order of gap(d) = |Psi(x0) - Psi(x0 + d)|, x0
-        the grid origin, with their gaps from the set-up's gap table; eps_Psi,
-        the bound on the rounding of Psi at a grid point; and |Psi|, the same
-        at every point."""
+        the grid origin, with their gaps from the set-up's gap table; the
+        symbols S~ = [1; S] of C = psi (Y~ S~), Y~ = (1, y); the pair form
+        M~ = Re((S~ s) S~^H) and its bound |M~| = (|S~| s) |S~|^T; c_psi, the
+        rounding bound of psi relative to sqrt(s) and of the phase products;
+        and |Psi|, the same at every point."""
         grid, n = self.grid, self.model.dim
         flat = np.arange(grid.N)
         neg = np.ravel_multi_index(tuple(-c % grid.resolution for c in
@@ -424,12 +478,13 @@ class ConformalSolver:
         offsets = np.flatnonzero(flat <= neg)[1:]
         gaps = self._gaps[offsets]
         order = np.argsort(gaps, kind="stable")
-        psi0 = self._psi(slice(0, 1)).view(float)[0]
-        norm2 = float(psi0 @ psi0)
-        L2 = np.asarray(self.model.periods) ** 2
-        eps_psi = (np.finfo(float).eps / 2) * math.sqrt(
-            72 * n * float(L2 @ np.diag(self.M)[:n]) + 392 * n * n * norm2)
-        return offsets[order], gaps[order], eps_psi, math.sqrt(norm2)
+        s = self._pairs.s
+        S = np.vstack([np.ones(len(s)), self._S])                         # [m + 1, V]
+        reach = float(np.max(np.abs(self._kappa) @ np.asarray(self.model.periods)))
+        return _ScanTables(offsets[order], gaps[order], S, ((S * s) @ S.conj().T).real,
+                           (np.abs(S) * s) @ np.abs(S).T,
+                           (np.finfo(float).eps / 2) * (6 * reach + 16 * n),
+                           math.sqrt(float(np.sum(s))))
 
     # -- building blocks ------------------------------------------------------
 
@@ -586,11 +641,12 @@ def assemble_C(solver: ConformalSolver, y: np.ndarray, f: np.ndarray) -> Conform
     on the cos/sin pairs (see the module docstring), with d_i y from the
     coarse channel samples that the pair-form residual reads, one block of
     2^15 / q grid points at a time (`_immersion_block`): each block rebuilds
-    its own psi [b, q/2] (`ConformalSolver._psi`), writes its rows of C [N, q]
-    (`.view(float)` of the pairs) and of the pullback G = grad C grad C^T
-    [N, n, n], and its gradient [b, n, q] lives in one reused buffer of at
-    most 2^15 n floats (256 n KB, sized to the cache), so neither psi nor
-    grad C is ever held whole.  From G it reports (tf the trace-free part):
+    its own psi [b, q/2] (`ConformalSolver._psi`), writes C and its gradient
+    [b, n, q] into reused buffers of at most 2^15 (n + 1) floats (256 (n + 1)
+    KB, sized to the cache) and its rows of the pullback G = grad C grad C^T
+    [N, n, n], so none of psi, C and grad C is ever held whole.  The result's
+    C is the `FieldRq` (solver, y), whose `values` rebuild C [N, q] through
+    the same helper when read.  From G it reports (tf the trace-free part):
     the solver's pair-form residual of y with its field; the pullback residual
     tf(G - G_u - f), G_u = M[:n, :n] the pullback of Psi, which the set-up
     certified against the jet Gram at every grid point, the independent check
@@ -599,93 +655,112 @@ def assemble_C(solver: ConformalSolver, y: np.ndarray, f: np.ndarray) -> Conform
     than the injected defect; and the injectivity, the smallest distance
     between grid points of C.
 
-    The injectivity is the exact minimum over all pairs, found by scanning a
-    few grid offsets d.  The identity: the same pair weights make Psi(x + d)
-    the rotation of Psi(x) by kappa . d in each cos/sin pair plane, so
+    The injectivity is the exact minimum of the computed distances over all
+    pairs of grid points, found by scanning a few grid offsets d.  The
+    identity: the pair weights make psi_kappa(x + d) = psi_kappa(x)
+    exp(i kappa . d) with |psi_kappa|^2 = s_kappa, so
         |Psi(x) - Psi(x + d)| = gap(d) = |Psi(x0) - Psi(x0 + d)|
-    for every x, and one row of Psi gives the whole table
-    (`ConformalSolver._offsets`, x0 the grid origin, read from the set-up's
-    gap table).  The bound: every pair
-    at offset d lies at least gap(d) - 2 sup|v| apart, sup|v| =
-    sup sqrt(y^T M y) being `solver.sup_norm(y)`.  The scan (`_injectivity`)
-    takes one of +-d at a time, in increasing order of that bound, with the
-    min over x by direct differences, and stops once the bound of the next
-    offset exceeds the best distance found plus the rounding margin
-        2 (V - sup|v|) + 4 eps_Psi + 2 gamma_(q+3) gap(d).
-    The margin follows from the standard model of rounding, to first order in
-    u = 2^-53 with gamma_k = k u / (1 - k u), and cos and sin within 4 ulp:
-    - eps_Psi bounds |Psi~(x) - Psi(x)|, the computed Psi against the exact one
-      at the exact lattice point i L / r.  The phase kappa_a x_a of a pair
-      passes six roundings (pi, 2 pi / L_a, times k_a, L_a / r, times i, the
-      product), so it is off by at most 6 u |kappa_a| L_a; the table entry
-      exp(i kappa_a x_a) adds sqrt(2) 8 u, each of the n - 1 complex products
-      sqrt(5) u and the amplitude and weight 2 u.  Each pair is thus off by
-      at most sqrt(s_kappa) u (6 sum_a |kappa_a| L_a + 14 n), and by
-      Cauchy-Schwarz eps_Psi^2 = u^2 (72 n sum_a L_a^2 M_aa + 392 n^2 |Psi|^2),
-      where M_aa = sum_kappa s_kappa kappa_a^2 and |Psi|^2 = sum_kappa s_kappa.
-    - V bounds sup |C~ - Psi~|, the v that the stored C holds.  With z = y S,
-      |psi z|^2 = y^T G(x) y, G(x) = sum_kappa |psi_kappa|^2 T_kappa.  The
-      set-up admits a computed G within 1e-12 max|M| of M entrywise; its
-      rounding (|psi|^2, times T, a sum over V = q/2 pairs whose absolute
-      terms sum to at most max diag G) is gamma_(V+3) max|M|, and `sup_norm`
-      rounds y^T M y by gamma_2m m max|M| |y|^2, so with delta = m (1e-12 +
-      gamma_(V+3) + gamma_2m) max|M| and Y = sup |y|, |psi z|^2 <=
-      sup_norm(y)^2 + delta Y^2.  Each symbol is real or imaginary and z is
-      the real product of y with the (re, im) columns of S, so z_kappa is off
-      by at most gamma_m |y| |S_kappa|, and psi z by gamma_m |y| sqrt(tr G) <=
-      gamma_m sqrt(tr M + delta) Y.  Adding 1 (u |1 + z~|) and the complex
-      product (sqrt(5) u |psi| |1 + z~|) add at most 4 u |psi (1 + z~)| <=
-      4 u (|Psi| + |psi z~|).  So
-      V = (1 + 4 u) (sqrt(sup_norm(y)^2 + delta Y^2)
-                     + gamma_m sqrt(tr M + delta) Y) + 4 u |Psi|.
-    - A distance computed by direct differences is within gamma_(q+3) of the
-      exact one, relatively; this counts once for gap(d) and once for the pair.
-    Then |C~(x) - C~(x + d)| >= |Psi~(x) - Psi~(x + d)| - 2 V
-    >= |Psi(x0) - Psi(x0 + d)| - 2 eps_Psi - 2 V >= gap(d) (1 - gamma_(q+3))
-    - 4 eps_Psi - 2 V, so no computed distance at d falls below
-    (1 - 2 gamma_(q+3)) gap(d) - 2 V - 4 eps_Psi, which is the bound minus the
-    margin.
+    for every x, read from the set-up's gap table (`ConformalSolver._scan`,
+    x0 the grid origin), and with C = psi (Y~ S~), Y~ = (1, y), S~ = [1; S],
+        |C(x) - C(x + d)|^2 = Y~(x)^T M~ Y~(x) + Y~(x + d)^T M~ Y~(x + d)
+                              - 2 Y~(x)^T T(d) Y~(x + d),
+    M~ = Re((S~ s) S~^H), T(d) = Re((S~ s exp(-i kappa . d)) S~^H): O(V m^2)
+    for T(d) and O(N m^2) for the N distances of one offset
+    (`_pair_distances`), with no array of q components.  The bound: every
+    pair at offset d lies at least gap(d) - 2 sup|v| apart.  The scan
+    (`_injectivity`) takes one of +-d at a time, in increasing order of
+    gap(d), and stops once the bound of the next offset, with its rounding
+    margin,
+        lower(d) = (1 - u) sqrt(max(L(d), 0)^2 - E^2)   (0 where negative),
+        L(d) = (1 - gamma_(q+3)) gap(d) - 2 c_psi |Psi| - 2 nu,
+    exceeds the best distance found.  The margin follows from the standard
+    model of rounding, to first order in u = 2^-53 with gamma_k = k u /
+    (1 - k u), and cos and sin within 4 ulp.  Let psi°_kappa =
+    sqrt(s_kappa) exp(i kappa . x) exactly, at the exact lattice point
+    i L / r, with the computed s; let Psi° = psi°, C° = psi° (Y~ S~) with the
+    computed S and v° = C° - Psi°; and let D(x, d) = |C°(x) - C°(x + d)|.
+    - c_psi bounds |psi~_kappa - psi°_kappa| / sqrt(s_kappa) for the
+      computed psi~, and |e~_kappa(d) - exp(i kappa . d)| for the computed
+      phase products e~ (`ConformalSolver._phases`).  The phase kappa_a x_a
+      of a pair passes six roundings (pi, 2 pi / L_a, times k_a, L_a / r,
+      times i, the product), so it is off by at most 6 u |kappa_a| L_a; the
+      table entry exp(i kappa_a x_a) adds sqrt(2) 8 u, each of the n - 1
+      complex products sqrt(5) u, the amplitude and weight 2 u, and
+      sqrt(s_kappa) = |w a| (1 + 1.5 u).  So c_psi = u (6 max_kappa sum_a
+      |kappa_a| L_a + 16 n), and |Psi~(x) - Psi°(x)| <= c_psi |Psi| with
+      |Psi|^2 = sum_kappa s_kappa.
+    - The gap table holds direct differences of Psi~, within gamma_(q+3) of
+      |Psi~(x0) - Psi~(x0 + d)| relatively, so |Psi°(x) - Psi°(x + d)| >=
+      (1 - gamma_(q+3)) gap(d) - 2 c_psi |Psi| at every x.
+    - nu bounds sup |v°| = sup sqrt(y^T M° y), M° the exact pair Gram of the
+      computed S and s.  M, a sum over V = q/2 pairs whose absolute terms sum
+      to at most max|M|, is within gamma_(V+3) max|M| of M° entrywise, and
+      `sup_norm` rounds y^T M y by gamma_2m m max|M| |y|^2, so with delta =
+      m (gamma_(V+3) + gamma_2m) max|M| and Y = sup |y|, nu =
+      sqrt(sup_norm(y)^2 + delta Y^2).  Hence D(x, d) >= L(d).
+    - E^2 bounds the distance of the computed square distance from D^2.  Let
+      w(x)^2 = |Y~(x)|^T |M~| |Y~(x)|, |M~| = (|S~| s) |S~|^T, and W^2 its
+      max over the grid, computed within gamma_(V+2m+4).  Then |C°(x)| <=
+      w(x), and by Cauchy-Schwarz sum_kappa s_kappa |a_kappa| |a'_kappa| <=
+      w(x) w(x') for a = Y~(x) S~, a' = Y~(x') S~.  Each form, a sum over V
+      pairs of (m + 1)^2 terms, is computed within gamma_(V+2m+10) w(x)
+      w(x'); the sum A + A' - 2 X adds gamma_2 (w + w')^2; and the phase
+      products move the cross form by at most 2 c_psi w w'.  So E^2 =
+      (4 gamma_(V+2m+12) + 2 c_psi) W^2.
+    The computed square distance is then at least D^2 - E^2 >= L(d)^2 - E^2
+    where L(d) >= 0, and its rounded root is at least 1 - u times the root,
+    so no computed distance at d falls below lower(d).
     """
-    n, N, V = solver.model.dim, solver.grid.N, len(solver._kappa)
+    n, N = solver.model.dim, solver.grid.N
     Y = solver._coarse_channels(y)                                         # [R1, N]
-    dy = Y.reshape(len(solver.M), 1 + n, N)[:, 1:].T                           # [N, n, m]
-    C = np.empty((N, V), dtype=complex)
-    G = np.empty((N, n, n))
-    rows = _block_rows(solver.emb.q)
-    grad = np.empty((rows, n, V), dtype=complex)
-    for r0 in range(0, N, rows):
-        block = slice(r0, min(r0 + rows, N))
-        grad_b = _immersion_block(solver, y, dy, block, C, grad).view(float)   # [b, n, q]
-        np.matmul(grad_b, grad_b.transpose(0, 2, 1), out=G[block])
-    C = C.view(float)                                          # [N, q]
+    G = _pullback(solver, y, Y.reshape(len(solver.M), 1 + n, N)[:, 1:].T)
     residual = solver._residual(Y, f)
     pullback = conformal_defect(G - solver.M[:n, :n] - f, np.eye(n))[0]
     defect = conformal_defect(G - f, np.eye(n))[0]
-    injectivity = _injectivity(solver, C, y)
-    return ConformalResult(FieldRq(C), float(np.max(np.abs(residual))), residual,
+    injectivity = _injectivity(solver, y)
+    return ConformalResult(FieldRq(solver, y), float(np.max(np.abs(residual))), residual,
                            float(np.max(np.abs(pullback))), float(np.max(np.abs(defect))),
                            defect, injectivity, injectivity > 0.0)
 
 
-def _immersion_block(solver: ConformalSolver, y: np.ndarray, dy: np.ndarray, block: slice,
-                     C: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """C = psi (1 + y S) and grad_i C = i kappa_i C + psi (d_i y S) on the
-    cos/sin pairs at the b grid points of `block`, from the block's psi
-    (`ConformalSolver._psi`), the coefficients y [N, m] and their gradient
-    dy [N, n, m].  Writes C[block] of C [N, V] (complex) and returns
-    grad[:b] [b, n, V], written into the buffer grad [>= b, n, V]."""
+def _pullback(solver: ConformalSolver, y: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """G = grad C grad C^T [N, n, n] of C = psi (1 + y S), from y [N, m] and
+    its gradient dy [N, n, m], one block of grid points at a time through two
+    buffers that `_immersion_block` reuses."""
+    n, N, V, q = solver.model.dim, solver.grid.N, len(solver._kappa), solver.emb.q
+    G = np.empty((N, n, n))
+    rows = _block_rows(q)
+    C, grad = np.empty((rows, V), dtype=complex), np.empty((rows, n, V), dtype=complex)
+    for block in _blocks(N, q):
+        grad_b = _immersion_block(solver, y, block, C, dy, grad)[1].view(float)   # [b, n, q]
+        np.matmul(grad_b, grad_b.transpose(0, 2, 1), out=G[block])
+    return G
+
+
+def _immersion_block(solver: ConformalSolver, y: np.ndarray, block: slice, C: np.ndarray,
+                     dy: np.ndarray | None = None, grad: np.ndarray | None = None):
+    """C = psi (1 + y S) on the cos/sin pairs at the b grid points of `block`,
+    from the block's psi (`ConformalSolver._psi`) and the coefficients y
+    [N, m], written into C[:b] of the buffer C [>= b, V] (complex).  Given the
+    gradient dy [N, n, m] of y and a buffer grad [>= b, n, V], also grad_i C
+    = i kappa_i C + psi (d_i y S) into grad[:b].  Returns (C[:b], grad[:b] or
+    None)."""
     psi, S = solver._psi(block), solver._S.view(float)   # (re, im) columns: real products
-    C_b, grad_b = C[block], grad[:len(psi)]
+    C_b = C[:len(psi)]
     np.matmul(y[block], S, out=C_b.view(float))
     C_b += 1.0
     C_b *= psi
-    ik_C = np.empty_like(C_b)
+    if dy is None:
+        return C_b, None
+    grad_b = grad[:len(psi)]
     for i in range(solver.model.dim):
         np.matmul(dy[block, i], S, out=grad_b[:, i].view(float))   # d_i y S
         grad_b[:, i] *= psi
+    ik_C = psi                                   # psi is spent: its buffer takes i kappa_i C
+    for i in range(solver.model.dim):
         np.multiply(C_b, 1j * solver._kappa[:, i], out=ik_C)
         grad_b[:, i] += ik_C
-    return grad_b
+    return C_b, grad_b
 
 
 def _gamma(k: int) -> float:
@@ -695,48 +770,58 @@ def _gamma(k: int) -> float:
     return k * u / (1 - k * u)
 
 
-def _injectivity(solver: ConformalSolver, C: np.ndarray, y: np.ndarray) -> float:
+def _pair_distances(solver: ConformalSolver, y: np.ndarray):
+    """The square distances of C between the grid points x and x + d, from the
+    pair forms of `assemble_C`: returns (dist2, E^2, W), dist2(d) [N] for a
+    flat grid offset d, with E^2 the bound on |dist2(d) - D(x, d)^2| and W
+    the bound on |C°| of `assemble_C`'s margin."""
+    scan, grid = solver._scan, solver.grid
+    N, (m1, V) = grid.N, scan.S.shape
+    Yt = np.empty((N, m1))                                                # Y~ = (1, y)
+    Yt[:, 0], Yt[:, 1:] = 1.0, y
+    A = np.einsum("nr,nr->n", Yt @ scan.M, Yt)                            # |C(x)|^2
+    absY = np.abs(Yt)
+    W2 = (1 + _gamma(V + 2 * m1 + 2)) * float(np.max(np.einsum("nr,nr->n",
+                                                               absY @ scan.M_abs, absY)))
+    index = np.arange(N).reshape(grid.shape)
+    axes = tuple(range(solver.model.dim))
+
+    def dist2(d):
+        shift = [-int(c) for c in np.unravel_index(d, grid.shape)]
+        partner = np.roll(index, shift, axis=axes).ravel()             # x -> x + d
+        weight = solver._pairs.s * solver._phases(slice(d, d + 1))[0].conj()
+        T = ((scan.S * weight) @ scan.S.conj().T).real
+        return A + A[partner] - 2.0 * np.einsum("nr,nr->n", Yt @ T, Yt[partner])
+
+    E2 = (4 * _gamma(V + 2 * m1 + 10) + 2 * scan.c_psi) * W2
+    return dist2, E2, math.sqrt(W2)
+
+
+def _injectivity(solver: ConformalSolver, y: np.ndarray) -> float:
     """min over grid points x != x' of |C(x) - C(x')|, by the offset scan that
     `assemble_C` derives.
 
     Offsets come in increasing order of gap(d), hence of their lower bound
-    (1 - 2 gamma_(q+3)) gap(d) - 2 V - 4 eps_Psi.  Offset d pairs each x with
-    x + d through the rolled index grid.  The scan stops at the first offset
-    whose bound exceeds the best distance found, so the minimum is exact
-    however weakly the bound prunes.
+    lower(d).  Offset d pairs each x with x + d through the rolled index
+    grid, and its distances are pair forms (`_pair_distances`).  The scan
+    stops at the first offset whose bound exceeds the best distance found, so
+    the minimum is exact however weakly the bound prunes.
     """
-    offsets, gaps, eps_psi, psi_norm = solver._offsets
-    grid, M = solver.grid, solver.M
-    q, m, u = C.shape[1], len(M), np.finfo(float).eps / 2
-    delta = m * (_GRAM_RTOL + _gamma(q // 2 + 3) + _gamma(2 * m)) * float(np.max(np.abs(M)))
+    scan, M = solver._scan, solver.M
+    q, m, V, u = solver.emb.q, len(M), len(solver._kappa), np.finfo(float).eps / 2
+    dist2, E2, _ = _pair_distances(solver, y)
+    delta = m * (_gamma(V + 3) + _gamma(2 * m)) * float(np.max(np.abs(M)))
     Y2 = float(np.max(np.einsum("nm,nm->n", y, y)))
-    V = ((1 + 4 * u) * (math.sqrt(solver.sup_norm(y) ** 2 + delta * Y2)
-                        + _gamma(m) * math.sqrt((np.trace(M) + delta) * Y2)) + 4 * u * psi_norm)
-    lower = (1 - 2 * _gamma(q + 3)) * gaps - 2 * V - 4 * eps_psi
-    index = np.arange(grid.N).reshape(grid.shape)
-    axes = tuple(range(solver.model.dim))
+    nu = math.sqrt(solver.sup_norm(y) ** 2 + delta * Y2)
+    L = (1 - _gamma(q + 3)) * scan.gaps - 2 * scan.c_psi * scan.psi_norm - 2 * nu
+    lower = (1 - u) * np.sqrt(np.maximum(np.maximum(L, 0.0) ** 2 - E2, 0.0))
 
-    def scan(d):
-        shift = [-int(c) for c in np.unravel_index(d, grid.shape)]
-        return float(np.min(_distances(C, np.roll(index, shift, axis=axes).ravel())))
+    def scan_offset(d):
+        return math.sqrt(max(float(np.min(dist2(d))), 0.0))
 
-    best = scan(offsets[0])
-    for d, bound in zip(offsets[1:], lower[1:]):
+    best = scan_offset(scan.offsets[0])
+    for d, bound in zip(scan.offsets[1:], lower[1:]):
         if bound > best:
             break
-        best = min(best, scan(d))
+        best = min(best, scan_offset(d))
     return best
-
-
-def _distances(A: np.ndarray, partner: np.ndarray) -> np.ndarray:
-    """|A[partner[k]] - A[k]| for every row k of A [N, q], by direct
-    differences in chunks of `_BLOCK` / q rows, so that each temporary holds
-    `_BLOCK` values whatever N is."""
-    step = _block_rows(A.shape[1])
-    out = np.empty(len(partner))
-    for k in range(0, len(partner), step):
-        D = A[partner[k:k + step]]
-        D -= A[k:k + step]
-        out[k:k + step] = np.einsum("ij,ij->i", D, D)
-        del D                                   # before the next chunk is copied
-    return np.sqrt(out, out=out)

@@ -767,23 +767,43 @@ class ExternalSpectrum(SpectrumProvider):
                      for order, tab in enumerate(tables))
 
 
+# the grid orthonormality that an eigenpair file written by `save_spectrum` asks for
+_SAVED_TOLERANCE = 1e-6
+
+
+def _check_orthonormal(values: np.ndarray, weights: np.ndarray, tolerance: float) -> None:
+    """The eigenpair file's Gram check: raise SpectrumError when the weighted
+    Gram matrix of the mode values [count, G] on the grid differs from the
+    identity by more than `tolerance` in some entry."""
+    gram = (values * weights) @ values.T
+    err = np.max(np.abs(gram - np.eye(len(values))))
+    if err > tolerance:
+        raise SpectrumError(
+            f"orthonormality check failed: max Gram error {err:.3e} > {tolerance}")
+
+
 def save_spectrum(provider: SpectrumProvider, path, grid: geometry.SampleGrid,
                   count: int | None = None) -> None:
     """Dump eigenpairs with tabulated jets to the JSON-lines eigenpair file.
 
-    The header asks the loader to check grid orthonormality to 1e-6.
+    The header asks the loader to check grid orthonormality to
+    `_SAVED_TOLERANCE`; the same check runs here first, so a grid too coarse
+    for the modes raises SpectrumError before anything is written.
     """
     count = provider.count if count is None else count
+    chunk = 256
+    values = [provider.jet_block(j0, min(count, j0 + chunk), grid.points, deriv=0)[0]
+              for j0 in range(0, count, chunk)]
+    _check_orthonormal(np.concatenate(values), np.asarray(grid.weights), _SAVED_TOLERANCE)
     header = {
         "n": provider.model.dim,
-        "tolerance": 1e-6,
+        "tolerance": _SAVED_TOLERANCE,
         "model": provider.model.to_config(),
         "grid": {"points": np.asarray(grid.points).tolist(),
                  "weights": np.asarray(grid.weights).tolist()},
     }
     with open(path, "w") as fh:
         fh.write(json.dumps(header) + "\n")
-        chunk = 256
         for j0 in range(0, count, chunk):
             j1 = min(count, j0 + chunk)
             vals, grads, hess = provider.jet_block(j0, j1, grid.points)
@@ -865,9 +885,5 @@ def load_external_spectrum(path) -> ExternalSpectrum:
         raise SpectrumError(
             f"eigenvalues decrease at index {bad}: {lams[bad - 1]} -> {lams[bad]}")
     V = np.stack(vals)
-    gram = (V * gw) @ V.T
-    err = np.max(np.abs(gram - np.eye(len(pairs))))
-    if err > tolerance:
-        raise SpectrumError(
-            f"orthonormality check failed: max Gram error {err:.3e} > {tolerance}")
+    _check_orthonormal(V, gw, tolerance)
     return ExternalSpectrum(model, grid, pairs, V, np.stack(grads), np.stack(hess))

@@ -69,6 +69,23 @@ def test_spectrum_dump_and_roundtrip(tmp_path):
     assert abs(a - b) <= 1e-12
 
 
+@pytest.mark.parametrize("model", [{"kind": "sphere2", "params": {"radius": 1.0}},
+                                   CIRCLE_MODEL], ids=["sphere2", "circle"])
+def test_spectrum_refuses_a_grid_too_coarse_for_its_modes(tmp_path, capsys, model):
+    """40 modes on an 8-point grid are not orthonormal there, so the loader
+    would refuse their file: the spectrum command exits 3 with one line and
+    writes no eigenpair file."""
+    cfg = write_config(tmp_path, {"model": model, "spectrum": {"count": 40},
+                                  "resolution": 8})
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(["--config", cfg, "--out", str(out), "spectrum"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("precondition failure: orthonormality check failed")
+    assert err.count("\n") == 1, err
+    assert not (out / "eigenpairs" / f"{model['kind']}.jsonl").exists()
+
+
 def test_invalid_kind_exits_2(tmp_path):
     cfg = write_config(tmp_path, {"model": {"kind": "lens_space", "params": {}}})
     assert run(["--config", cfg, "--out", str(tmp_path / "o"), "spectrum"]) == 2
@@ -190,22 +207,22 @@ def test_perturb_defect_errors_exit_before_any_build(tmp_path, capsys, monkeypat
 
 def test_perturb_3_torus_takes_the_solver_default_grid(tmp_path, capsys, monkeypatch):
     """A 3-torus config that sets no solver resolution gets the solver's 32
-    per axis: at the default t = 0.05 (q = 1790) the preflight asks
-    8 N (q + 1) bytes, about 0.47 GB, and refuses N = 32768 against 256 MiB
-    with one line, before any lattice phase table is built (for `jet_block`
-    or `pairs`)."""
+    per axis: at the default t = 0.05 (q = 1790) the preflight asks about
+    0.25 GB for Q's refined channels (`perturb.solver_bytes`), and refuses
+    N = 32768 against 128 MiB with one line, before any lattice phase table
+    is built (for `jet_block` or `pairs`)."""
     def no_phases(*args, **kwargs):
         raise AssertionError("lattice phases built")
 
     monkeypatch.setattr(heatconf.spectrum.LatticeSpectrum, "_axis_table", no_phases)
-    monkeypatch.setattr(heatconf.geometry, "available_bytes", lambda: 2**28)
+    monkeypatch.setattr(heatconf.geometry, "available_bytes", lambda: 2**27)
     cfg = write_config(tmp_path, {"model": {"kind": "flat_torus",
                                             "params": {"periods": [TWO_PI] * 3}}})
     capsys.readouterr()
     assert run(["--config", cfg, "--out", str(tmp_path / "o"), "perturb"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("precondition failure:") and err.count("\n") == 1, err
-    assert "N = 32768)" in err and "about 0.47 GB" in err
+    assert "N = 32768)" in err and "about 0.25 GB" in err
 
 
 def test_huge_sample_grid_exits_3(tmp_path, capsys, monkeypatch):

@@ -101,7 +101,7 @@ def immersion(solver, y):
     dy = solver._coarse_channels(y).reshape(len(solver.M), 1 + n, N)[:, 1:].T
     C = np.empty((N, len(solver._kappa)), dtype=complex)
     grad = np.empty((N, n, C.shape[1]), dtype=complex)
-    perturb._immersion_block(solver, y, dy, slice(0, N), C, grad)
+    perturb._immersion_block(solver, y, slice(0, N), C, dy, grad)
     return C.view(float), grad.view(float)
 
 
@@ -486,9 +486,9 @@ def test_non_finite_iterate_stops(solver, manufactured):
 
 
 def test_assemble_C(solver, torus_embedding, manufactured, solved):
-    """C and its checks at N = 48^2, q = 400; grad C is held one block of grid
-    points at a time, so the traced peak of a call stays below the bytes of a
-    whole grad C."""
+    """C and its checks at N = 48^2, q = 400; C and grad C are held one block
+    of grid points at a time and the injectivity scan reads pair forms, so the
+    traced peak of a call stays below a quarter of the bytes of a whole C."""
     _, y = solved
     v = lift(solver, y)
     res = perturb.assemble_C(solver, y, manufactured)
@@ -504,7 +504,7 @@ def test_assemble_C(solver, torus_embedding, manufactured, solved):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * N * q * 8
+    assert peak < N * q * 8 / 4
     # C = psi (1 + y S) is Psi + P^T y of the oracle P to rounding
     psi = torus_embedding.jets(solver.grid.points)[0].T
     want = psi + v.values
@@ -712,23 +712,42 @@ def test_min_pair_distance_in_blocks():
         assert_allclose(min_pair_distance(X, block), d.min(), rtol=1e-6)
 
 
-@pytest.mark.parametrize("N", [2048, 8192])
-def test_distance_chunks_hold_a_fixed_block(N):
-    """`_distances` equals direct differences bit for bit, and its traced
-    peak beside the output stays below two `_BLOCK`-value chunks however
-    large N is (q = 64)."""
-    rng = np.random.default_rng(13)
-    A = rng.standard_normal((N, 64))
-    partner = rng.permutation(N)
-    tracemalloc.start()
-    try:
-        got = perturb._distances(A, partner)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    D = A[partner] - A
-    assert np.array_equal(got, np.sqrt(np.einsum("ij,ij->i", D, D)))
-    assert peak < 8 * N + 2 * 8 * perturb._BLOCK
+@pytest.mark.parametrize("periods, t, resolution, count", [
+    ([TWO_PI, TWO_PI], 0.05, 16, 600), ([TWO_PI] * 3, 0.2, 8, 200)],
+    ids=["torus2-N16", "torus3-N8"])
+@pytest.mark.parametrize("scale", [1e-2, 1.0])
+def test_pair_form_distances_match_direct_differences(periods, t, resolution, count, scale):
+    """At every nonzero grid offset d, the pair-form distance |C(x) - C(x + d)|
+    of `_pair_distances` equals the direct difference of the rows of
+    C.values within the bound that `assemble_C` derives.  The pair form's
+    square is within E^2 of D^2, so its root D^ is within min(E, E^2 / D^)
+    of D.  Each row of C.values is within eps_C = (c_psi + gamma_(m+4)) W of
+    C°: per pair, psi~ is off by c_psi sqrt(s), y S and the 1 added to it by
+    gamma_(m+1) |Y~| |S~|, and the complex product by 3 u; summed over the
+    pairs these are at most (c_psi + gamma_(m+4)) w(x) <= eps_C.  So the
+    direct difference, rounded within gamma_(q+3), is within 2 eps_C +
+    gamma_(q+4) (D~ + 2 eps_C) of D."""
+    model = ManifoldModel.flat_torus(periods)
+    emb = build_embedding(analytic_spectrum(model, count=count), t, TruncationPolicy(rho=1.0))
+    built = perturb.ConformalSolver(emb, resolution=resolution, e=1.0)
+    grid, q, m = built.grid, emb.q, len(built.M)
+    y = band_limited_y(grid, 29, kmax=2, scale=scale)
+    C = perturb.assemble_C(built, y, np.zeros((grid.N,) + (grid.model.dim,) * 2)).C.values
+    dist2, E2, W = perturb._pair_distances(built, y)
+    eps_C = (built._scan.c_psi + perturb._gamma(m + 4)) * W
+    index = np.arange(grid.N).reshape(grid.shape)
+    worst = 0.0
+    for d in range(1, grid.N):
+        shift = [-int(c) for c in np.unravel_index(d, grid.shape)]
+        partner = np.roll(index, shift, axis=tuple(range(grid.model.dim))).ravel()
+        got = np.sqrt(np.maximum(dist2(d), 0.0))
+        want = np.linalg.norm(C[partner] - C, axis=1)
+        bound = (np.minimum(np.sqrt(E2), E2 / got) + 2 * eps_C
+                 + perturb._gamma(q + 4) * (want + 2 * eps_C))
+        assert np.all(np.abs(got - want) <= bound), d
+        worst = max(worst, float(np.max(bound / W)))
+    # the bound is tight enough to matter: below 1e-11 of |C| everywhere
+    assert worst < 1e-11
 
 
 @pytest.fixture(scope="module", params=[([TWO_PI, TWO_PI], 0.05, 48, 600),
@@ -872,30 +891,50 @@ def test_solver_needs_a_constant_gram(torus_embedding, monkeypatch):
 
 
 def test_preflight_refuses_before_any_jets(torus_embedding, monkeypatch):
-    """The 3-torus default (resolution 32, t = 0.05, q >= 1789) asks for C and
-    the gap table, 8 N (q + 1) bytes: against 256 MiB it is refused with one
-    line that names them and gives both byte counts before `pairs` runs;
-    the 2-torus acceptance solver fits in 0.2 GB; an unreadable meminfo skips
-    the check."""
+    """The preflight counts what a solve holds: Q's refined channel samples
+    with `refine`'s two complex spectra, 3 * 8 R Nf bytes, one form chunk and
+    the gap table (`solver_bytes`), and no C.  The 3-torus default
+    (resolution 32, t = 0.05, q = 1790) asks about 0.25 GB, and against
+    128 MiB it is refused with one line that names it and gives both byte
+    counts before `pairs` runs.  On a 12^3 grid the estimate, 19.2 MB, is
+    below C's 8 N (q + 1) = 24.8 MB: a budget between them builds the
+    solver, one just below the estimate still refuses.  The 2-torus
+    acceptance solver fits in 0.2 GB; an unreadable meminfo skips the check."""
     assert geometry.available_bytes() is None or geometry.available_bytes() > 0
     model = ManifoldModel.flat_torus([TWO_PI] * 3)
     policy = TruncationPolicy(rho=1.0)
     assert policy.q(0.05, 3) == 1789
     emb = build_embedding(analytic_spectrum(model, count=2200), 0.05, policy)
+    pairs = type(emb.provider).pairs
 
     def no_pairs(*args, **kwargs):
         raise AssertionError("pairs called")
 
-    monkeypatch.setattr(geometry, "available_bytes", lambda: 2**28)
-    monkeypatch.setattr(type(emb.provider), "pairs", no_pairs)
-    with pytest.raises(PreconditionError) as exc:
-        perturb.ConformalSolver(emb)
-    need = 8 * 32**3 * (emb.q + 1)
-    msg = str(exc.value)
-    assert msg.startswith(f"the solver (C and the gap table at q = {emb.q}, N = {32**3})")
-    assert f"about {need / 1e9:.2f} GB" in msg and "the 0.27 GB available" in msg
-    assert "\n" not in msg and 2**28 < need < 2 * 2**28
+    def refusal(resolution, budget):
+        monkeypatch.setattr(geometry, "available_bytes", lambda: budget)
+        monkeypatch.setattr(type(emb.provider), "pairs", no_pairs)
+        with pytest.raises(PreconditionError) as exc:
+            perturb.ConformalSolver(emb, resolution=resolution)
+        return str(exc.value)
+
+    grid = perturb.SpectralGrid(model, 32)
+    need = perturb.solver_bytes(grid)
+    assert need == 8 * (3 * 90 * 48**3 + 9 * 90 * 1024 + 32**3)
+    msg = refusal(None, 2**27)
+    assert msg.startswith(f"the solver (the refined channels of 48^3 points, a form chunk "
+                          f"and the gap table at N = {32**3})")
+    assert f"about {need / 1e9:.2f} GB" in msg and "the 0.13 GB available" in msg
+    assert "\n" not in msg and 2**27 < need < 2 * 2**27
+    small = perturb.SpectralGrid(model, 12)
+    need, old = perturb.solver_bytes(small), 8 * small.N * (emb.q + 1)
+    assert need < 22 * 10**6 < old
+    msg = refusal(12, need - 1)
+    assert f"N = {12**3})" in msg and "\n" not in msg
+    monkeypatch.setattr(type(emb.provider), "pairs", pairs)
+    monkeypatch.setattr(geometry, "available_bytes", lambda: 22 * 10**6)
+    assert perturb.ConformalSolver(emb, resolution=12).grid.N == 12**3
     monkeypatch.setattr(geometry, "available_bytes", lambda: None)
+    monkeypatch.setattr(type(emb.provider), "pairs", no_pairs)
     with pytest.raises(AssertionError, match="pairs called"):
         perturb.ConformalSolver(emb)
     monkeypatch.undo()
@@ -905,9 +944,9 @@ def test_preflight_refuses_before_any_jets(torus_embedding, monkeypatch):
 
 def test_solver_setup_peaks_below_its_preflight(torus_embedding):
     """Building the solver at N = 48^2, q = 400 peaks, traced, below its own
-    preflight estimate 8 N (q + 1) (7.4 MB) and below one [N, q/2] complex
-    array (7.4 MB): the set-up holds the gap table, and psi and the jet Gram
-    one block of grid points at a time."""
+    preflight estimate (`solver_bytes`, 5.0 MB) and below one [N, q/2]
+    complex array (7.4 MB): the set-up holds the gap table, and psi and the
+    jet Gram one block of grid points at a time."""
     tracemalloc.start()
     try:
         built = perturb.ConformalSolver(torus_embedding, resolution=48)
@@ -915,5 +954,5 @@ def test_solver_setup_peaks_below_its_preflight(torus_embedding):
     finally:
         tracemalloc.stop()
     N, q = built.grid.N, torus_embedding.q
-    assert peak < 8 * N * (q + 1)
+    assert peak < perturb.solver_bytes(built.grid) < 5.0e6
     assert peak < 16 * N * (q // 2)
