@@ -66,11 +66,17 @@ columns); Q evaluates the quadratic form of b and L there;
 resolvent is the band symbol 1 / (-lam - e); and one inverse transform gives
 (X, B) on the grid, five FFTs in all on a 2- or 3-torus.  This equals the
 dealiased products of v itself to rounding while v = P^T y lies in the open
-band.
+band.  Every large intermediate of the pass (the channel spectra, the pruned
+refined spectrum and the samples, the form chunk and the products, the
+spectra on their way back) and of the residual goes into two work buffers
+that the solver allocates once: the transforms write through numpy's `out=`
+(in place for the complex ones), the matrix products too, and buffers whose
+lifetimes do not overlap share memory (see `ConformalSolver.quadratic`).
 
-`assemble_C` is the one per-k pass after a solve: it forms the immersion
-C = Psi + v = psi (1 + y S) and its gradient grad_i C = i kappa_i C +
-psi (d_i y S) one block of grid points at a time, keeping only the pullback
+`assemble_C` is the one per-k pass after a solve: one block of grid points at
+a time, it forms the gradient of the immersion C = Psi + v = psi (1 + y S) by
+the product rule, grad_i C = psi ((1, y, d_i y) . [i kappa_i; i kappa_i S;
+S]), one real matrix product per direction, keeping only the pullback
 G = grad C grad C^T of each block, and from G the pair-form residual, the
 independent pullback check and the trace-free defect.  No array of q
 components is transformed or held whole: C itself is a `FieldRq` of (solver,
@@ -110,7 +116,7 @@ _GRAM_RTOL = 1e-12
 # sample columns per matrix product of `_quadratic_form`
 _FORM_CHUNK = 1024
 # values per block of grid points (2^15 / q rows of q values, 256 KB): the
-# set-up's pass and the blocks of C and grad C
+# set-up's pass, the blocks of grad C and those of C
 _BLOCK = 2**15
 
 
@@ -170,54 +176,80 @@ class SpectralGrid:
             self.band[coarse] = True
 
     # -- transforms ---------------------------------------------------------
+    #
+    # `out` and `work`, where given, are flat float64 buffers whose leading
+    # words take the result and the scratch (`_take`); the grid keeps no
+    # state between calls.
 
-    def to_spec(self, values: np.ndarray) -> np.ndarray:
+    def to_spec(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The band half-spectrum [*lead, *spec] of fields [*lead, N], with
         the Nyquist bins zeroed."""
         n = self.model.dim
-        spec = np.fft.rfftn(values.reshape(values.shape[:-1] + self.shape), axes=range(-n, 0))
+        lead = values.shape[:-1]
+        spec = np.fft.rfftn(values.reshape(lead + self.shape), axes=range(-n, 0),
+                            out=_take(out, lead + self.lam.shape, complex))
         spec *= self.band
         return spec
 
-    def from_spec(self, spec: np.ndarray) -> np.ndarray:
+    def from_spec(self, spec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Fields [*lead, N] of a half-spectrum [*lead, *spec]."""
         n = self.model.dim
-        arr = np.fft.irfftn(spec, s=self.shape, axes=range(-n, 0))
-        return arr.reshape(spec.shape[:-n] + (self.N,))
+        lead = spec.shape[:-n]
+        arr = np.fft.irfftn(spec, s=self.shape, axes=range(-n, 0),
+                            out=_take(out, lead + self.shape))
+        return arr.reshape(lead + (self.N,))
 
     # -- dealiased products ---------------------------------------------------
 
-    def refine(self, spec: np.ndarray) -> np.ndarray:
+    def refine(self, spec: np.ndarray, out: np.ndarray | None = None,
+               work: np.ndarray | None = None) -> np.ndarray:
         """Samples [*lead, fine**n] on the refined grid of a band half-spectrum
         [*lead, *spec].
 
-        The band, rescaled by (fine / N)^n, is scattered into a refined
-        half-spectrum pruned to the band's last-axis columns; an ifft over the
-        leading grid axes and an irfft(n=fine) over the last, which zero-pads
-        the dropped columns, give the samples.
+        The band, rescaled by (fine / N)^n, is scattered into a zeroed refined
+        half-spectrum (in `work`) pruned to the band's last-axis columns; an
+        ifft over the leading grid axes, in place, and an irfft(n=fine) over
+        the last, which zero-pads the dropped columns, give the samples.
         """
         n = self.model.dim
         lead = spec.shape[:-n]
-        buf = np.zeros(lead + (self.fine,) * (n - 1) + (self.h + 1,), dtype=complex)
+        buf = _take(work, lead + (self.fine,) * (n - 1) + (self.h + 1,), complex)
+        buf.fill(0.0)
         scale = (self.fine / self.resolution) ** n
         for coarse, fine in self._blocks:
             np.multiply(spec[(Ellipsis,) + coarse], scale, out=buf[(Ellipsis,) + fine])
-        arr = np.fft.ifftn(buf, axes=range(-n, -1)) if n > 1 else buf
-        arr = np.fft.irfft(arr, n=self.fine, axis=-1)
+        if n > 1:
+            np.fft.ifftn(buf, axes=range(-n, -1), out=buf)
+        arr = np.fft.irfft(buf, n=self.fine, axis=-1, out=_take(out, lead + (self.fine,) * n))
         return arr.reshape(lead + (self.fine**n,))
 
-    def project(self, fine_values: np.ndarray) -> np.ndarray:
+    def project(self, fine_values: np.ndarray, out: np.ndarray | None = None,
+                work: np.ndarray | None = None) -> np.ndarray:
         """The band half-spectrum [*lead, *spec] of samples [*lead, fine**n] on
-        the refined grid: their rfftn, cut to the open band and rescaled by
-        (N / fine)^n."""
+        the refined grid: their rfftn (in `work`), cut to the open band and
+        rescaled by (N / fine)^n."""
         n = self.model.dim
         lead = fine_values.shape[:-1]
-        fine_spec = np.fft.rfftn(fine_values.reshape(lead + (self.fine,) * n), axes=range(-n, 0))
-        spec = np.zeros(lead + self.lam.shape, dtype=complex)
+        fine_shape = (self.fine,) * n
+        fine_spec = np.fft.rfftn(fine_values.reshape(lead + fine_shape), axes=range(-n, 0),
+                                 out=_take(work, lead + fine_shape[:-1] + (self.fine // 2 + 1,),
+                                           complex))
+        spec = _take(out, lead + self.lam.shape, complex)
+        spec.fill(0.0)
         for coarse, fine in self._blocks:
             spec[(Ellipsis,) + coarse] = fine_spec[(Ellipsis,) + fine]
         spec *= (self.resolution / self.fine) ** n
         return spec
+
+
+def _take(words: np.ndarray | None, shape: tuple, dtype=float) -> np.ndarray:
+    """The leading words of the flat float64 buffer `words` as an array of
+    `shape` and `dtype` (a complex entry takes two words), or a new array
+    where `words` is None."""
+    if words is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape) * (np.dtype(dtype).itemsize // words.itemsize)
+    return words[:size].view(dtype).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -225,7 +257,7 @@ class FieldRq:
     """The immersion C = Psi + P^T y of `assemble_C`, an R^q-valued field on
     the solver's grid held as its solver and coefficients y [N, m].  `values`
     samples C [N, q] each time it is read, one block of grid points at a time
-    through `_immersion_block`, the helper of `assemble_C`'s own pass."""
+    through `_immersion_block`."""
 
     solver: ConformalSolver
     y: np.ndarray
@@ -306,29 +338,62 @@ def _pair_forms(S: np.ndarray, kappa: np.ndarray, s: np.ndarray, e: float):
     return np.stack(b + L), np.stack(cross), np.stack(quad)
 
 
-def _quadratic_form(W: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Forms W [o, R, R] at the sample columns of Y [R, P]: [o, P], out[o, p] =
-    Y[:, p]^T W[o] Y[:, p], one matrix product per `_FORM_CHUNK` samples."""
-    o, R, _ = W.shape
-    Wt = W.transpose(0, 2, 1).reshape(o * R, R)
-    out = np.empty((o, Y.shape[1]))
-    for p0 in range(0, Y.shape[1], _FORM_CHUNK):
+def _stacked(W: np.ndarray) -> np.ndarray:
+    """The forms W [o, R, R] as the rows [o R, R] of `_quadratic_form`: the
+    transposes W[0]^T, ..., W[o-1]^T stacked."""
+    return W.transpose(0, 2, 1).reshape(-1, W.shape[2])
+
+
+def _quadratic_form(Wt: np.ndarray, Y: np.ndarray, out: np.ndarray,
+                    work: np.ndarray) -> np.ndarray:
+    """Forms W [o, R, R], given as `_stacked` rows Wt [o R, R], at the sample
+    columns of Y [R, P]: [o, P] in the flat buffer `out`, out[o, p] =
+    Y[:, p]^T W[o] Y[:, p], one matrix product per `_FORM_CHUNK` samples
+    into the flat buffer `work`."""
+    R, P = Y.shape
+    o = len(Wt) // R
+    out = _take(out, (o, P))
+    for p0 in range(0, P, _FORM_CHUNK):
         Yc = Y[:, p0:p0 + _FORM_CHUNK]
-        WY = (Wt @ Yc).reshape(o, R, -1)
-        WY *= Yc                                # in place: one chunk temporary
-        out[:, p0:p0 + _FORM_CHUNK] = WY.sum(axis=1)
+        WY = np.matmul(Wt, Yc, out=_take(work, (o * R, Yc.shape[1]))).reshape(o, R, -1)
+        WY *= Yc
+        np.sum(WY, axis=1, out=out[:, p0:p0 + _FORM_CHUNK])
     return out
 
 
 def solver_bytes(grid: SpectralGrid) -> int:
-    """The bytes that `ConformalSolver`'s preflight asks for on `grid`: the
-    refined channel samples [R, Nf] of Q with `refine`'s two complex spectra,
-    about 3 * 8 R Nf together, R = m c the channels (y, grad y, Hess y) and
-    Nf = fine^n; one `_quadratic_form` chunk [m R, chunk]; and the gap table [N]."""
+    """The bytes that `ConformalSolver`'s preflight asks for on `grid`, 8 (3 R
+    Nf + m R chunk + N) with R = m c the channels (y, grad y, Hess y), Nf =
+    fine^n and chunk = min(`_FORM_CHUNK`, Nf): Q's refined channel samples
+    [R, Nf] with two complex spectra of them, one `_quadratic_form` chunk
+    [m R, chunk] and the gap table [N].  The count bounds the work buffers
+    that a solver holds (`_work_words`, at most 2 R Nf + m R chunk words)
+    with the gap table and what a solve adds to them."""
     n = grid.model.dim
     m, c = len(_row_exponents(n)), len(_channel_exponents(n))
     Nf = grid.fine ** n
     return 8 * (3 * m * c * Nf + m * m * c * min(_FORM_CHUNK, Nf) + grid.N)
+
+
+def _work_words(grid: SpectralGrid) -> tuple[int, int]:
+    """The float64 words of a solver's two work buffers on `grid`, `_samples`
+    and `_scratch`: each the largest of what the steps of `quadratic` and
+    `conformal_residual` (see there) put into it."""
+    n, N, fine = grid.model.dim, grid.N, grid.fine
+    m, c = len(_row_exponents(n)), len(_channel_exponents(n))
+    R, R1, Nf, Ns = m * c, m * (1 + n), fine ** n, grid.lam.size
+    pruned, half = fine ** (n - 1) * (grid.h + 1), fine ** (n - 1) * (fine // 2 + 1)
+    chunk_q, chunk_r = min(_FORM_CHUNK, Nf), min(_FORM_CHUNK, N)
+    samples = max(2 * R * Ns,                               # the channel spectra
+                  R * Nf,                                   # Q's refined samples
+                  2 * m * half,                             # the products' spectrum
+                  m * N,                                    # (X, B) on the grid
+                  3 * n * n * N + n * n * R1 * chunk_r)     # the residual's terms
+    scratch = max(2 * m * Ns,                               # y's or the products' band spectra
+                  2 * R * pruned,                           # `refine`'s spectrum
+                  m * R * chunk_q + m * Nf,                 # Q's form chunk, products
+                  R1 * N)                                   # the coarse channels
+    return samples, scratch
 
 
 def grid_resolution(n: int, resolution: int | None) -> int:
@@ -384,12 +449,17 @@ class ConformalSolver:
     symbols S [m, q/2] of the rows of P, the gap table |Psi(x0) - Psi(x)| [N]
     of the injectivity scan, the constant Gram M with the pair forms of the y
     iteration, and the band symbol of the resolvent.  It holds no array of q
-    components per grid point, so its preflight (`solver_bytes`) counts what
-    sets the peak of a solve instead: Q's refined channel samples.  The
-    set-up checks the jet Gram against M one block of grid points at a time
-    and keeps none of it.  The gradient rows of P are grad u (the frame of a
-    flat torus is the identity), so M's leading n x n block is the pullback
-    of Psi at every grid point."""
+    components per grid point.  It does hold two work buffers, allocated
+    once at the end of the set-up (`_work_words`): `_samples`, which takes
+    Q's refined channel samples, and `_scratch`.  `quadratic` and
+    `conformal_residual` write every large intermediate into them, so a
+    warm call allocates little beyond its result, and the preflight
+    (`solver_bytes`) counts them.  A solver thus runs one solve at a time:
+    the two calls share the buffers, so neither is re-entrant, and one
+    solver serves one thread.  The set-up checks the jet Gram against M one
+    block of grid points at a time and keeps none of it.  The gradient rows
+    of P are grad u (the frame of a flat torus is the identity), so M's
+    leading n x n block is the pullback of Psi at every grid point."""
 
     def __init__(self, emb, resolution: int | None = None, e: float = 1.0):
         self.emb = emb
@@ -431,32 +501,44 @@ class ConformalSolver:
             raise PreconditionError(
                 f"the jet Gram is not constant on the grid: it differs from the pair "
                 f"Gram by {gap:.3g}")
-        self._q_form, self._cross_form, self._quad_form = _pair_forms(
-            self._S, self._kappa, self._pairs.s, e)
+        q_form, self._cross_form, quad_form = _pair_forms(self._S, self._kappa,
+                                                          self._pairs.s, e)
+        self._q_form, self._quad_form = _stacked(q_form), _stacked(quad_form)
         # channel symbols (i k)^gamma, [c, *spec], and the band symbol
         # 1 / (-lam - e) of the resolvent (Delta - e)^{-1}, [*spec]
         ik = 1j * np.moveaxis(self.grid.kvecs, -1, 0)
         gammas = _channel_exponents(n).reshape((-1, n) + (1,) * n)
         self._sym = np.prod(ik ** gammas, axis=1)
         self._resolvent = self.grid.band / (-self.grid.lam - e)
+        self._samples, self._scratch = (np.empty(w) for w in _work_words(self.grid))
 
-    def _phases(self, rows: slice) -> np.ndarray:
+    def _phases(self, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
         """exp(i kappa . x) [b, V] at the grid points `rows` (a slice of flat
-        indices): each point's rows of the phase tables of `pairs`,
-        multiplied in axis order."""
-        p = self._pairs
-        index = np.unravel_index(np.arange(rows.start, rows.stop), self.grid.shape)
-        phase = p.phases[0][index[0]]
-        for table, i in zip(p.phases[1:], index[1:]):
-            phase *= table[i]
-        return phase
+        indices), into `out` [b, V] where given: each point's rows of the
+        phase tables of `pairs`, multiplied in axis order, one run of points
+        along the last grid axis at a time, with no gather."""
+        p, shape = self._pairs, self.grid.shape
+        out = np.empty((rows.stop - rows.start, len(p.s)), dtype=complex) if out is None else out
+        x = rows.start
+        while x < rows.stop:
+            line, i = divmod(x, shape[-1])
+            end = min(rows.stop, x - i + shape[-1])
+            run, last = out[x - rows.start:end - rows.start], p.phases[-1][i:i + end - x]
+            if len(shape) > 1:
+                head = functools.reduce(np.multiply, (
+                    table[j] for table, j in zip(p.phases, np.unravel_index(line, shape[:-1]))))
+                np.multiply(head, last, out=run)
+            else:
+                run[...] = last
+            x = end
+        return out
 
-    def _psi(self, rows: slice) -> np.ndarray:
-        """psi [b, V] (complex) at the grid points `rows`: `_phases`, then
-        times the amplitudes, then times the weights.  That is the provider's
-        own multiply order, so every row equals the weighted jet values bit
-        for bit."""
-        psi = self._phases(rows)
+    def _psi(self, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
+        """psi [b, V] (complex) at the grid points `rows`, into `out` [b, V]
+        where given: `_phases`, then times the amplitudes, then times the
+        weights.  That is the provider's own multiply order, so every row
+        equals the weighted jet values bit for bit."""
+        psi = self._phases(rows, out)
         psi *= self._pairs.amp
         psi *= self._pairs.w
         return psi
@@ -492,9 +574,14 @@ class ConformalSolver:
         """E in coefficients: y = M^{-1} rhs at every grid point, [N, m]."""
         return np.linalg.solve(self.M, rhs.T).T
 
-    def _channels(self, y: np.ndarray) -> np.ndarray:
-        """Band spectra of the channels (y, grad y, Hess y), [m, c, *spec]."""
-        return self.grid.to_spec(y.T)[:, None] * self._sym
+    def _channels(self, y: np.ndarray, count: int | None = None) -> np.ndarray:
+        """Band spectra of the channels (y, grad y, Hess y), [m, c, *spec], or
+        of the first `count`, in `_samples`; the spectrum of y passes through
+        `_scratch`."""
+        spec = self.grid.to_spec(y.T, out=self._scratch)                # [m, *spec]
+        sym = self._sym[:count]
+        return np.multiply(spec[:, None], sym,
+                           out=_take(self._samples, spec.shape[:1] + sym.shape, complex))
 
     def sup_norm(self, z: np.ndarray) -> float:
         """sup_x |P^T z| = sup_x sqrt(z^T M z) of coefficients z [N, m]."""
@@ -512,19 +599,30 @@ class ConformalSolver:
     def quadratic(self, y: np.ndarray) -> np.ndarray:
         """Coefficients of Q(v, v) for v = P^T y [N, m]: the pair form of the
         products on the 3/2 grid, projected to the band, times the resolvent
-        symbol, back on the grid through the constant Gram solve."""
+        symbol, back on the grid through the constant Gram solve.
+
+        Each step reads one work buffer and writes the other: the channel
+        spectra (`_samples`) scatter into `refine`'s spectrum (`_scratch`),
+        whose transform gives the refined samples Y (`_samples`); the form
+        chunk and the products take `_scratch` from its start, `project`'s
+        refined spectrum `_samples`, the band spectra `_scratch` again and
+        (X, B) on the grid `_samples`.  Only the result is a new array."""
         if not y.any():
             return np.zeros_like(y)
-        grid = self.grid
-        Y = grid.refine(self._channels(y)).reshape(-1, grid.fine ** self.model.dim)  # [R, Nf]
-        prods = _quadratic_form(self._q_form, Y)                         # (-b, L)
-        return self._solve(grid.from_spec(grid.project(prods) * self._resolvent).T)
+        grid, samples, scratch = self.grid, self._samples, self._scratch
+        Y = grid.refine(self._channels(y), out=samples, work=scratch).reshape(
+            -1, grid.fine ** self.model.dim)                                # [R, Nf]
+        chunk = len(self._q_form) * min(_FORM_CHUNK, Y.shape[1])
+        prods = _quadratic_form(self._q_form, Y, scratch[chunk:], scratch)    # (-b, L)
+        spec = grid.project(prods, out=scratch, work=samples)
+        spec *= self._resolvent
+        return self._solve(grid.from_spec(spec, out=samples).T)
 
     def _coarse_channels(self, y: np.ndarray) -> np.ndarray:
         """Samples of the channels (y, grad y) on the grid, [m (1 + n), N]
-        channel-minor."""
-        return self.grid.from_spec(self._channels(y)[:, :1 + self.model.dim]).reshape(
-            -1, self.grid.N)
+        channel-minor, in `_scratch`."""
+        channels = self._channels(y, 1 + self.model.dim)
+        return self.grid.from_spec(channels, out=self._scratch).reshape(-1, self.grid.N)
 
     def conformal_residual(self, y: np.ndarray, f: np.ndarray) -> np.ndarray:
         """Trace-free part of grad u . grad v + grad v . grad u + grad v . grad v - f
@@ -533,11 +631,18 @@ class ConformalSolver:
 
     def _residual(self, Y: np.ndarray, f: np.ndarray) -> np.ndarray:
         """`conformal_residual` from the channel samples Y [R1, N] of
-        `_coarse_channels`."""
-        n = self.model.dim
-        cross = (self._cross_form @ Y).T.reshape(-1, n, n)
-        quad = _quadratic_form(self._quad_form, Y).T.reshape(-1, n, n)
-        return conformal_defect(cross + cross.transpose(0, 2, 1) + quad - f, np.eye(n))[0]
+        `_coarse_channels`: the cross term, the quadratic term, their sum
+        [N, n, n] and the form chunk in `_samples`; only the trace-free
+        result is a new array."""
+        n, N = self.model.dim, self.grid.N
+        terms = self._samples
+        cross = np.matmul(self._cross_form, Y, out=_take(terms, (n * n, N))).reshape(n, n, N)
+        quad = _quadratic_form(self._quad_form, Y, terms[n * n * N:], terms[3 * n * n * N:])
+        total = _take(terms[2 * n * n * N:], (N, n, n))
+        np.add(cross.transpose(2, 0, 1), cross.transpose(2, 1, 0), out=total)
+        total += quad.reshape(n, n, N).transpose(2, 0, 1)
+        total -= f
+        return conformal_defect(total, np.eye(n))[0]
 
     def _check_traceless(self, f: np.ndarray):
         scale = max(1.0, float(np.max(np.abs(f))))
@@ -637,16 +742,19 @@ class ConformalResult:
 def assemble_C(solver: ConformalSolver, y: np.ndarray, f: np.ndarray) -> ConformalResult:
     """The conformal immersion C = Psi + v of a k-solve, with its checks.
 
-    C = psi (1 + y S) and grad_i C = i kappa_i C + psi (d_i y S) are formed
-    on the cos/sin pairs (see the module docstring), with d_i y from the
-    coarse channel samples that the pair-form residual reads, one block of
-    2^15 / q grid points at a time (`_immersion_block`): each block rebuilds
-    its own psi [b, q/2] (`ConformalSolver._psi`), writes C and its gradient
-    [b, n, q] into reused buffers of at most 2^15 (n + 1) floats (256 (n + 1)
-    KB, sized to the cache) and its rows of the pullback G = grad C grad C^T
-    [N, n, n], so none of psi, C and grad C is ever held whole.  The result's
-    C is the `FieldRq` (solver, y), whose `values` rebuild C [N, q] through
-    the same helper when read.  From G it reports (tf the trace-free part):
+    grad_i C = psi ((1, y, d_i y) . [i kappa_i; i kappa_i S; S]) is formed on
+    the cos/sin pairs (see the module docstring), with d_i y from the coarse
+    channel samples that the pair-form residual reads, one block of 2^15 / q
+    grid points at a time (`_gradient_blocks`): each block writes its own
+    psi [b, q/2] (`ConformalSolver._psi`) and its gradient [b, n, q], one
+    real product per direction, into reused buffers of at most 2^15 (n + 1)
+    floats (256 (n + 1) KB, sized to the cache), and its rows of the
+    pullback G = grad C grad C^T [N, n, n], so none of psi, C and grad C is
+    ever held whole.  The check builds grad C at every grid point and takes
+    its Gram, independently of the pair forms.  The result's C is the
+    `FieldRq` (solver, y), whose `values` form C = psi (1 + y S) [N, q] one
+    block at a time (`_immersion_block`) when read.  From G it reports (tf
+    the trace-free part):
     the solver's pair-form residual of y with its field; the pullback residual
     tf(G - G_u - f), G_u = M[:n, :n] the pullback of Psi, which the set-up
     certified against the jet Gram at every grid point, the independent check
@@ -725,42 +833,51 @@ def assemble_C(solver: ConformalSolver, y: np.ndarray, f: np.ndarray) -> Conform
 
 def _pullback(solver: ConformalSolver, y: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """G = grad C grad C^T [N, n, n] of C = psi (1 + y S), from y [N, m] and
-    its gradient dy [N, n, m], one block of grid points at a time through two
-    buffers that `_immersion_block` reuses."""
-    n, N, V, q = solver.model.dim, solver.grid.N, len(solver._kappa), solver.emb.q
+    its gradient dy [N, n, m]: the Gram of each block of `_gradient_blocks`."""
+    n, N = solver.model.dim, solver.grid.N
     G = np.empty((N, n, n))
-    rows = _block_rows(q)
-    C, grad = np.empty((rows, V), dtype=complex), np.empty((rows, n, V), dtype=complex)
-    for block in _blocks(N, q):
-        grad_b = _immersion_block(solver, y, block, C, dy, grad)[1].view(float)   # [b, n, q]
-        np.matmul(grad_b, grad_b.transpose(0, 2, 1), out=G[block])
+    for block, grad in _gradient_blocks(solver, y, dy):
+        grad = grad.view(float)                                           # [b, n, q]
+        np.matmul(grad, grad.transpose(0, 2, 1), out=G[block])
     return G
 
 
-def _immersion_block(solver: ConformalSolver, y: np.ndarray, block: slice, C: np.ndarray,
-                     dy: np.ndarray | None = None, grad: np.ndarray | None = None):
-    """C = psi (1 + y S) on the cos/sin pairs at the b grid points of `block`,
-    from the block's psi (`ConformalSolver._psi`) and the coefficients y
-    [N, m], written into C[:b] of the buffer C [>= b, V] (complex).  Given the
-    gradient dy [N, n, m] of y and a buffer grad [>= b, n, V], also grad_i C
-    = i kappa_i C + psi (d_i y S) into grad[:b].  Returns (C[:b], grad[:b] or
-    None)."""
-    psi, S = solver._psi(block), solver._S.view(float)   # (re, im) columns: real products
-    C_b = C[:len(psi)]
-    np.matmul(y[block], S, out=C_b.view(float))
-    C_b += 1.0
-    C_b *= psi
-    if dy is None:
-        return C_b, None
-    grad_b = grad[:len(psi)]
-    for i in range(solver.model.dim):
-        np.matmul(dy[block, i], S, out=grad_b[:, i].view(float))   # d_i y S
-        grad_b[:, i] *= psi
-    ik_C = psi                                   # psi is spent: its buffer takes i kappa_i C
-    for i in range(solver.model.dim):
-        np.multiply(C_b, 1j * solver._kappa[:, i], out=ik_C)
-        grad_b[:, i] += ik_C
-    return C_b, grad_b
+def _gradient_blocks(solver: ConformalSolver, y: np.ndarray, dy: np.ndarray):
+    """grad C [b, n, V] (complex) of C = psi (1 + y S) on each block of grid
+    points, yielded with the block as a view of a buffer that the next block
+    overwrites.
+
+    By the product rule grad_i C = i kappa_i C + psi (d_i y S) = psi ((1, y,
+    d_i y) . [i kappa_i; i kappa_i S; S]): per direction one real product of
+    the block's coefficient rows (1, y, d_i y) [b, 1 + 2m] with the symbols
+    viewed as (re, im) columns [1 + 2m, q], then times psi, which `_psi`
+    writes into a second reused buffer."""
+    n, N, q = solver.model.dim, solver.grid.N, solver.emb.q
+    m, V, S = len(solver.M), len(solver._kappa), solver._S
+    ik = 1j * solver._kappa.T                                             # [n, V]
+    symbols = [np.vstack([ik[i], ik[i] * S, S]).view(float) for i in range(n)]
+    rows = _block_rows(q)
+    psi, grad = np.empty((rows, V), dtype=complex), np.empty((rows, n, V), dtype=complex)
+    coef = np.empty((rows, 1 + 2 * m))
+    coef[:, 0] = 1.0
+    for block in _blocks(N, q):
+        b = block.stop - block.start
+        psi_b, grad_b, coef_b = solver._psi(block, out=psi[:b]), grad[:b], coef[:b]
+        coef_b[:, 1:1 + m] = y[block]
+        for i in range(n):
+            coef_b[:, 1 + m:] = dy[block, i]
+            np.matmul(coef_b, symbols[i], out=grad_b[:, i].view(float))
+            grad_b[:, i] *= psi_b
+        yield block, grad_b
+
+
+def _immersion_block(solver: ConformalSolver, y: np.ndarray, block: slice, C: np.ndarray):
+    """C = psi (1 + y S) [b, V] (complex) on the cos/sin pairs at the b grid
+    points of `block`, from the block's psi (`ConformalSolver._psi`) and the
+    coefficients y [N, m], written into C [b, V]."""
+    np.matmul(y[block], solver._S.view(float), out=C.view(float))   # (re, im) columns
+    C += 1.0
+    C *= solver._psi(block)
 
 
 def _gamma(k: int) -> float:

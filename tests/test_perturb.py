@@ -95,14 +95,14 @@ def as_field(grid, values):
 
 
 def immersion(solver, y):
-    """C [N, q] and grad C [N, n, q] of coefficients y [N, m], from the block
-    helper of `assemble_C` called once over the whole grid."""
+    """C [N, q] and grad C [N, n, q] of coefficients y [N, m]: C as the
+    result's `FieldRq` samples it, and grad C from the blocks of the pullback
+    pass of `assemble_C` (`_gradient_blocks`), each copied out of the buffer
+    that the next block overwrites."""
     n, N = solver.model.dim, solver.grid.N
     dy = solver._coarse_channels(y).reshape(len(solver.M), 1 + n, N)[:, 1:].T
-    C = np.empty((N, len(solver._kappa)), dtype=complex)
-    grad = np.empty((N, n, C.shape[1]), dtype=complex)
-    perturb._immersion_block(solver, y, slice(0, N), C, dy, grad)
-    return C.view(float), grad.view(float)
+    grad = np.concatenate([g.copy() for _, g in perturb._gradient_blocks(solver, y, dy)])
+    return perturb.FieldRq(solver, y).values, grad.view(float)
 
 
 @functools.lru_cache(maxsize=2)
@@ -564,8 +564,8 @@ def test_one_gradient_per_iterate(solver, manufactured, monkeypatch):
     FFTs on the 2-torus and on the 3-torus: the transform of y, the ifftn and
     irfft of `refine`, the transform of the products on the 3/2 grid, and one
     inverse transform after the resolvent symbol.  At N = 48, where C lies in
-    the open band, its block helper's grad C matches the FFT gradient of C to
-    1e-13 relative."""
+    the open band, the grad C of its pullback blocks matches the FFT gradient
+    of C to 1e-13 relative."""
     model3 = ManifoldModel.flat_torus([TWO_PI] * 3)
     emb3 = build_embedding(analytic_spectrum(model3, count=200), 0.2, TruncationPolicy(rho=1.0))
     solver3 = perturb.ConformalSolver(emb3, resolution=12, e=1.0)
@@ -591,6 +591,73 @@ def test_one_gradient_per_iterate(solver, manufactured, monkeypatch):
     assert np.array_equal(C, result.C.values)
     want = as_field(solver.grid, C).grad
     assert np.max(np.abs(grad_C - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("resolution", [16, 48])
+def test_pullback_matches_the_explicit_gradient(torus_embedding, resolution):
+    """`_pullback` at N = 16^2 and 48^2 (q = 400) for the solves at k = 0 and
+    k = 0.001 equals the Gram of grad C = grad u + grad v, with grad u the
+    embedding's jet gradients and grad v the explicit gradient of v = P^T y
+    (`lift`, oracle P): grad_i v_j = (P^T d_i y)_j + sigma_j kappa_ij v_p(j)
+    for the cos/sin partner p(j) of mode j (sigma = -1 for cos, +1 for sin).
+    No transform of v is taken, so it holds at 16^2 too, where v has content
+    past the open band.  The bound is the rounding of the two sums of q
+    products in each entry of G, 2 gamma_(q+8) max_x |grad C(x)|^2, the 8
+    allowing for the roundings inside each gradient component; the gap seen
+    is about 3 u max|grad C|^2."""
+    built = perturb.ConformalSolver(torus_embedding, resolution=resolution, e=1.0)
+    f = perturb.manufactured_defect(built.grid, 1e-3, [1, 0])
+    n, N, q = built.model.dim, built.grid.N, torus_embedding.q
+    cos = torus_embedding.provider._parity[1:q + 1] == spectrum.COS
+    partner = np.where(cos, np.arange(q) + 1, np.arange(q) - 1)
+    sk = np.where(cos, -1.0, 1.0)[:, None] * torus_embedding.provider._kappa[1:q + 1]
+    grad_u = np.moveaxis(torus_embedding.jets(built.grid.points)[1], 0, -1)    # [N, n, q]
+    P = right_inverse(built).P
+    for k in (0.0, 1e-3):
+        _, y = fixed_point_solve(built, f, k=k)
+        dy = built._coarse_channels(y).reshape(len(built.M), 1 + n, N)[:, 1:]   # [m, n, N]
+        v = lift(built, y).values
+        grad = grad_u + np.einsum("xrq,rix->xiq", P, dy) + sk.T * v[:, None, partner]
+        want = grad @ grad.transpose(0, 2, 1)
+        got = perturb._pullback(built, y, dy.T)
+        bound = 2 * perturb._gamma(q + 8) * np.max(np.einsum("xiq,xiq->x", grad, grad))
+        assert got.shape == (N, n, n)
+        assert np.max(np.abs(got - want)) <= bound
+
+
+def test_warm_solver_calls_allocate_little(solver, manufactured, solved):
+    """At N = 48^2, q = 400, after one warm-up call, a `quadratic` call and
+    a `conformal_residual` call each trace a peak under 0.5 MB: every large
+    intermediate goes into the solver's two work buffers (as fresh arrays
+    they traced 3.95 MB and 1.42 MB).  A second call, on other coefficients,
+    leaves the array that the first call returned unchanged, so no result
+    aliases a work buffer."""
+    _, y = solved
+    calls = {"quadratic": solver.quadratic,
+             "conformal_residual": lambda z: solver.conformal_residual(z, manufactured)}
+    for name, call in calls.items():
+        first = call(y)
+        kept = first.copy()
+        tracemalloc.start()
+        try:
+            second = call(0.5 * y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6, name
+        assert np.array_equal(first, kept) and not np.array_equal(second, kept), name
+
+
+@pytest.mark.parametrize("dim, top", [(1, 96), (2, 64), (3, 40)])
+def test_work_buffers_fit_the_preflight(dim, top):
+    """The two work buffers that a solver holds (`_work_words`) and the gap
+    table fit within the preflight estimate (`solver_bytes`) at every
+    resolution from 4 (the smallest grid) to `top`, where the largest step
+    that fills each buffer changes with the resolution."""
+    model = ManifoldModel.flat_torus([TWO_PI] * dim)
+    for resolution in range(4, top + 1):
+        grid = perturb.SpectralGrid(model, resolution)
+        assert 8 * (sum(perturb._work_words(grid)) + grid.N) <= perturb.solver_bytes(grid)
 
 
 def test_pullback_check_on_a_coarse_grid(torus_embedding):
@@ -644,7 +711,7 @@ def test_complex_pairs_match_the_jet_path(periods, t, resolution, count):
     path to 1e-14 relative: C = Psi + P^T y with the oracle P, grad C_j =
     sigma_j kappa_j C_p(j) + (P^T grad y)_j for the cos/sin partner p(j)
     (sigma = -1 for cos, +1 for sin), and the constant Gram M, at every point,
-    the oracle's P P^T.  grad C is the block helper's over the whole grid.
+    the oracle's P P^T.  grad C is that of the pullback blocks.
     assemble_C's pullback check and defect, from its blocks of grid points
     (the last one partial on each grid here), equal those of the whole-array
     G = grad C grad C^T, checked against M's n x n block, to 1e-14 relative.
