@@ -71,7 +71,7 @@ refined spectrum and the samples, the form chunk and the products, the
 spectra on their way back) and of the residual goes into two work buffers
 that the solver allocates once: the transforms write through numpy's `out=`
 (in place for the complex ones), the matrix products too, and buffers whose
-lifetimes do not overlap share memory (see `ConformalSolver.quadratic`).
+lifetimes do not overlap share memory (`_work_layout`).
 
 `assemble_C` is the one per-k pass after a solve: one block of grid points at
 a time, it forms the gradient of the immersion C = Psi + v = psi (1 + y S) by
@@ -171,32 +171,34 @@ class SpectralGrid:
         last = ((slice(0, h + 1), slice(0, h + 1)),)
         self._blocks = [tuple(zip(*box)) for box in itertools.product(*runs, last)]
         self.h = h                                                       # band half-width
+        self.pruned = (self.fine,) * (n - 1) + (h + 1,)                  # `refine`'s spectrum
         self.band = np.zeros(self.lam.shape, dtype=bool)                 # band projector
         for coarse, _ in self._blocks:
             self.band[coarse] = True
 
     # -- transforms ---------------------------------------------------------
     #
-    # `out` and `work`, where given, are flat float64 buffers whose leading
-    # words take the result and the scratch (`_take`); the grid keeps no
-    # state between calls.
+    # `out` and `work`, where given, are arrays of the shapes that a transform
+    # writes (the solver carves them from its work buffers, `_work_layout`);
+    # where not, the transform makes new ones, as numpy's own `out=` does, so
+    # a caller without buffers uses the grid as a plain transform.  The grid
+    # keeps no state between calls.
 
     def to_spec(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The band half-spectrum [*lead, *spec] of fields [*lead, N], with
         the Nyquist bins zeroed."""
         n = self.model.dim
         lead = values.shape[:-1]
-        spec = np.fft.rfftn(values.reshape(lead + self.shape), axes=range(-n, 0),
-                            out=_take(out, lead + self.lam.shape, complex))
+        spec = np.fft.rfftn(values.reshape(lead + self.shape), axes=range(-n, 0), out=out)
         spec *= self.band
         return spec
 
     def from_spec(self, spec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Fields [*lead, N] of a half-spectrum [*lead, *spec]."""
+        """Fields [*lead, N] of a half-spectrum [*lead, *spec]; `out` is
+        [*lead, *shape]."""
         n = self.model.dim
         lead = spec.shape[:-n]
-        arr = np.fft.irfftn(spec, s=self.shape, axes=range(-n, 0),
-                            out=_take(out, lead + self.shape))
+        arr = np.fft.irfftn(spec, s=self.shape, axes=range(-n, 0), out=out)
         return arr.reshape(lead + (self.N,))
 
     # -- dealiased products ---------------------------------------------------
@@ -204,52 +206,43 @@ class SpectralGrid:
     def refine(self, spec: np.ndarray, out: np.ndarray | None = None,
                work: np.ndarray | None = None) -> np.ndarray:
         """Samples [*lead, fine**n] on the refined grid of a band half-spectrum
-        [*lead, *spec].
+        [*lead, *spec]; `out` is [*lead, fine, ..., fine].
 
         The band, rescaled by (fine / N)^n, is scattered into a zeroed refined
-        half-spectrum (in `work`) pruned to the band's last-axis columns; an
-        ifft over the leading grid axes, in place, and an irfft(n=fine) over
-        the last, which zero-pads the dropped columns, give the samples.
+        half-spectrum pruned to the band's last-axis columns, [*lead,
+        *pruned] (`work`); an ifft over the leading grid axes, in place, and
+        an irfft(n=fine) over the last, which zero-pads the dropped columns,
+        give the samples.
         """
         n = self.model.dim
         lead = spec.shape[:-n]
-        buf = _take(work, lead + (self.fine,) * (n - 1) + (self.h + 1,), complex)
+        buf = np.empty(lead + self.pruned, complex) if work is None else work
         buf.fill(0.0)
         scale = (self.fine / self.resolution) ** n
         for coarse, fine in self._blocks:
             np.multiply(spec[(Ellipsis,) + coarse], scale, out=buf[(Ellipsis,) + fine])
         if n > 1:
             np.fft.ifftn(buf, axes=range(-n, -1), out=buf)
-        arr = np.fft.irfft(buf, n=self.fine, axis=-1, out=_take(out, lead + (self.fine,) * n))
+        arr = np.fft.irfft(buf, n=self.fine, axis=-1, out=out)
         return arr.reshape(lead + (self.fine**n,))
 
     def project(self, fine_values: np.ndarray, out: np.ndarray | None = None,
                 work: np.ndarray | None = None) -> np.ndarray:
         """The band half-spectrum [*lead, *spec] of samples [*lead, fine**n] on
-        the refined grid: their rfftn (in `work`), cut to the open band and
-        rescaled by (N / fine)^n."""
+        the refined grid: their rfftn [*lead, fine, ..., fine // 2 + 1]
+        (`work`), cut to the open band and rescaled by (N / fine)^n.  The
+        transform has read the samples before `out` is written, so the two
+        may share memory."""
         n = self.model.dim
         lead = fine_values.shape[:-1]
-        fine_shape = (self.fine,) * n
-        fine_spec = np.fft.rfftn(fine_values.reshape(lead + fine_shape), axes=range(-n, 0),
-                                 out=_take(work, lead + fine_shape[:-1] + (self.fine // 2 + 1,),
-                                           complex))
-        spec = _take(out, lead + self.lam.shape, complex)
+        fine_spec = np.fft.rfftn(fine_values.reshape(lead + (self.fine,) * n),
+                                 axes=range(-n, 0), out=work)
+        spec = np.empty(lead + self.lam.shape, complex) if out is None else out
         spec.fill(0.0)
         for coarse, fine in self._blocks:
             spec[(Ellipsis,) + coarse] = fine_spec[(Ellipsis,) + fine]
         spec *= (self.resolution / self.fine) ** n
         return spec
-
-
-def _take(words: np.ndarray | None, shape: tuple, dtype=float) -> np.ndarray:
-    """The leading words of the flat float64 buffer `words` as an array of
-    `shape` and `dtype` (a complex entry takes two words), or a new array
-    where `words` is None."""
-    if words is None:
-        return np.empty(shape, dtype)
-    size = math.prod(shape) * (np.dtype(dtype).itemsize // words.itemsize)
-    return words[:size].view(dtype).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -347,15 +340,15 @@ def _stacked(W: np.ndarray) -> np.ndarray:
 def _quadratic_form(Wt: np.ndarray, Y: np.ndarray, out: np.ndarray,
                     work: np.ndarray) -> np.ndarray:
     """Forms W [o, R, R], given as `_stacked` rows Wt [o R, R], at the sample
-    columns of Y [R, P]: [o, P] in the flat buffer `out`, out[o, p] =
-    Y[:, p]^T W[o] Y[:, p], one matrix product per `_FORM_CHUNK` samples
-    into the flat buffer `work`."""
+    columns of Y [R, P], into out [o, P]: out[o, p] = Y[:, p]^T W[o] Y[:, p],
+    one matrix product per `_FORM_CHUNK` samples into the leading words of
+    the flat buffer `work`."""
     R, P = Y.shape
     o = len(Wt) // R
-    out = _take(out, (o, P))
     for p0 in range(0, P, _FORM_CHUNK):
         Yc = Y[:, p0:p0 + _FORM_CHUNK]
-        WY = np.matmul(Wt, Yc, out=_take(work, (o * R, Yc.shape[1]))).reshape(o, R, -1)
+        WY = np.matmul(Wt, Yc, out=work[:len(Wt) * Yc.shape[1]].reshape(len(Wt), -1))
+        WY = WY.reshape(o, R, -1)
         WY *= Yc
         np.sum(WY, axis=1, out=out[:, p0:p0 + _FORM_CHUNK])
     return out
@@ -375,25 +368,62 @@ def solver_bytes(grid: SpectralGrid) -> int:
     return 8 * (3 * m * c * Nf + m * m * c * min(_FORM_CHUNK, Nf) + grid.N)
 
 
-def _work_words(grid: SpectralGrid) -> tuple[int, int]:
-    """The float64 words of a solver's two work buffers on `grid`, `_samples`
-    and `_scratch`: each the largest of what the steps of `quadratic` and
-    `conformal_residual` (see there) put into it."""
-    n, N, fine = grid.model.dim, grid.N, grid.fine
+def _work_layout(grid: SpectralGrid) -> dict[str, tuple[str, tuple]]:
+    """Where each step of `quadratic` and `conformal_residual` writes on
+    `grid`: {step: (buffer, parts)}, the solver's work buffer "samples" or
+    "scratch" and the (shape, dtype) of each part, laid end to end from the
+    buffer's start (`_carve`).  Each step after the first reads only what
+    the step before it left in the other buffer, so the steps that share a
+    buffer never need it at once.  `_work_words` sizes the buffers from this table and
+    `ConformalSolver._parts` carves them."""
+    n, N, fine, spec = grid.model.dim, grid.N, grid.fine, grid.lam.shape
     m, c = len(_row_exponents(n)), len(_channel_exponents(n))
-    R, R1, Nf, Ns = m * c, m * (1 + n), fine ** n, grid.lam.size
-    pruned, half = fine ** (n - 1) * (grid.h + 1), fine ** (n - 1) * (fine // 2 + 1)
-    chunk_q, chunk_r = min(_FORM_CHUNK, Nf), min(_FORM_CHUNK, N)
-    samples = max(2 * R * Ns,                               # the channel spectra
-                  R * Nf,                                   # Q's refined samples
-                  2 * m * half,                             # the products' spectrum
-                  m * N,                                    # (X, B) on the grid
-                  3 * n * n * N + n * n * R1 * chunk_r)     # the residual's terms
-    scratch = max(2 * m * Ns,                               # y's or the products' band spectra
-                  2 * R * pruned,                           # `refine`'s spectrum
-                  m * R * chunk_q + m * Nf,                 # Q's form chunk, products
-                  R1 * N)                                   # the coarse channels
-    return samples, scratch
+    R, R1, Nf = m * c, m * (1 + n), fine ** n
+    refined_spec = (fine,) * (n - 1) + (fine // 2 + 1,)
+    return {
+        # either call: the band spectrum of y
+        "y spectrum": ("scratch", (((m,) + spec, complex),)),
+        # quadratic, in order
+        "channels": ("samples", (((m, c) + spec, complex),)),
+        "pruned": ("scratch", (((m, c) + grid.pruned, complex),)),       # `refine`'s spectrum
+        "refined": ("samples", (((m, c) + (fine,) * n, float),)),       # Q's refined samples
+        "form": ("scratch", (((m * R * min(_FORM_CHUNK, Nf),), float),   # the form chunk
+                             ((m, Nf), float))),                         # the products
+        "refined spectrum": ("samples", (((m,) + refined_spec, complex),)),
+        "band": ("scratch", (((m,) + spec, complex),)),
+        "grid": ("samples", (((m,) + grid.shape, float),)),             # (X, B)
+        # conformal_residual, in order
+        "coarse spectra": ("samples", (((m, 1 + n) + spec, complex),)),
+        "coarse": ("scratch", (((m, 1 + n) + grid.shape, float),)),     # (y, grad y)
+        "terms": ("samples", (((n * n, N), float), ((n * n, N), float),  # cross, quad
+                              ((N, n, n), float),                        # their sum
+                              ((n * n * R1 * min(_FORM_CHUNK, N),), float))),
+    }
+
+
+def _words(shape: tuple, dtype) -> int:
+    """The float64 words of an array of `shape` and `dtype`."""
+    return math.prod(shape) * np.dtype(dtype).itemsize // 8
+
+
+def _carve(words: np.ndarray, parts) -> list[np.ndarray]:
+    """Consecutive stretches of the flat float64 buffer `words`, from its
+    start, as arrays of the (shape, dtype) of each of `parts`."""
+    arrays, at = [], 0
+    for shape, dtype in parts:
+        size = _words(shape, dtype)
+        arrays.append(words[at:at + size].view(dtype).reshape(shape))
+        at += size
+    return arrays
+
+
+def _work_words(grid: SpectralGrid) -> dict[str, int]:
+    """The float64 words of each of a solver's two work buffers on `grid`:
+    the largest step that `_work_layout` puts into it."""
+    words = {"samples": 0, "scratch": 0}
+    for buffer, parts in _work_layout(grid).values():
+        words[buffer] = max(words[buffer], sum(_words(*part) for part in parts))
+    return words
 
 
 def grid_resolution(n: int, resolution: int | None) -> int:
@@ -449,17 +479,18 @@ class ConformalSolver:
     symbols S [m, q/2] of the rows of P, the gap table |Psi(x0) - Psi(x)| [N]
     of the injectivity scan, the constant Gram M with the pair forms of the y
     iteration, and the band symbol of the resolvent.  It holds no array of q
-    components per grid point.  It does hold two work buffers, allocated
-    once at the end of the set-up (`_work_words`): `_samples`, which takes
-    Q's refined channel samples, and `_scratch`.  `quadratic` and
-    `conformal_residual` write every large intermediate into them, so a
-    warm call allocates little beyond its result, and the preflight
-    (`solver_bytes`) counts them.  A solver thus runs one solve at a time:
-    the two calls share the buffers, so neither is re-entrant, and one
-    solver serves one thread.  The set-up checks the jet Gram against M one
-    block of grid points at a time and keeps none of it.  The gradient rows
-    of P are grad u (the frame of a flat torus is the identity), so M's
-    leading n x n block is the pullback of Psi at every grid point."""
+    components per grid point.  It does hold two flat work buffers,
+    "samples" and "scratch", allocated once at the end of the set-up
+    (`_work_words`), and the table of where each step puts its parts in them
+    (`_work_layout`).  `quadratic` and `conformal_residual` write every
+    large intermediate into them, so a warm call allocates little beyond
+    its result, and the preflight (`solver_bytes`) counts them.  A solver
+    thus runs one solve at a time: the two calls share the buffers, so
+    neither is re-entrant, and one solver serves one thread.  The set-up
+    checks the jet Gram against M one block of grid points at a time and
+    keeps none of it.  The gradient rows of P are grad u (the frame of a
+    flat torus is the identity), so M's leading n x n block is the pullback
+    of Psi at every grid point."""
 
     def __init__(self, emb, resolution: int | None = None, e: float = 1.0):
         self.emb = emb
@@ -510,7 +541,8 @@ class ConformalSolver:
         gammas = _channel_exponents(n).reshape((-1, n) + (1,) * n)
         self._sym = np.prod(ik ** gammas, axis=1)
         self._resolvent = self.grid.band / (-self.grid.lam - e)
-        self._samples, self._scratch = (np.empty(w) for w in _work_words(self.grid))
+        self._layout = _work_layout(self.grid)
+        self._work = {buffer: np.empty(w) for buffer, w in _work_words(self.grid).items()}
 
     def _phases(self, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
         """exp(i kappa . x) [b, V] at the grid points `rows` (a slice of flat
@@ -574,14 +606,21 @@ class ConformalSolver:
         """E in coefficients: y = M^{-1} rhs at every grid point, [N, m]."""
         return np.linalg.solve(self.M, rhs.T).T
 
-    def _channels(self, y: np.ndarray, count: int | None = None) -> np.ndarray:
+    def _parts(self, *steps: str) -> list[np.ndarray]:
+        """The parts of `steps`, in order, in the work buffers (`_work_layout`)."""
+        arrays = []
+        for step in steps:
+            buffer, parts = self._layout[step]
+            arrays += _carve(self._work[buffer], parts)
+        return arrays
+
+    def _channels(self, y: np.ndarray, step: str = "channels") -> np.ndarray:
         """Band spectra of the channels (y, grad y, Hess y), [m, c, *spec], or
-        of the first `count`, in `_samples`; the spectrum of y passes through
-        `_scratch`."""
-        spec = self.grid.to_spec(y.T, out=self._scratch)                # [m, *spec]
-        sym = self._sym[:count]
-        return np.multiply(spec[:, None], sym,
-                           out=_take(self._samples, spec.shape[:1] + sym.shape, complex))
+        of as many as the part of `step` holds ("coarse spectra": y, grad y);
+        the spectrum of y passes through "y spectrum"."""
+        spec, out = self._parts("y spectrum", step)
+        self.grid.to_spec(y.T, out=spec)                                    # [m, *spec]
+        return np.multiply(spec[:, None], self._sym[:out.shape[1]], out=out)
 
     def sup_norm(self, z: np.ndarray) -> float:
         """sup_x |P^T z| = sup_x sqrt(z^T M z) of coefficients z [N, m]."""
@@ -601,28 +640,30 @@ class ConformalSolver:
         products on the 3/2 grid, projected to the band, times the resolvent
         symbol, back on the grid through the constant Gram solve.
 
-        Each step reads one work buffer and writes the other: the channel
-        spectra (`_samples`) scatter into `refine`'s spectrum (`_scratch`),
-        whose transform gives the refined samples Y (`_samples`); the form
-        chunk and the products take `_scratch` from its start, `project`'s
-        refined spectrum `_samples`, the band spectra `_scratch` again and
-        (X, B) on the grid `_samples`.  Only the result is a new array."""
+        Each step writes its part of the work buffers (`_work_layout`): the
+        channel spectra, `refine`'s spectrum, the refined samples Y, the
+        form chunk and the products, `project`'s refined spectrum, the band
+        spectra and (X, B) on the grid.  Only the result is a new array."""
         if not y.any():
             return np.zeros_like(y)
-        grid, samples, scratch = self.grid, self._samples, self._scratch
-        Y = grid.refine(self._channels(y), out=samples, work=scratch).reshape(
+        grid = self.grid
+        pruned, refined, chunk, prods, refined_spec, band, X = self._parts(
+            "pruned", "refined", "form", "refined spectrum", "band", "grid")
+        Y = grid.refine(self._channels(y), out=refined, work=pruned).reshape(
             -1, grid.fine ** self.model.dim)                                # [R, Nf]
-        chunk = len(self._q_form) * min(_FORM_CHUNK, Y.shape[1])
-        prods = _quadratic_form(self._q_form, Y, scratch[chunk:], scratch)    # (-b, L)
-        spec = grid.project(prods, out=scratch, work=samples)
+        _quadratic_form(self._q_form, Y, prods, chunk)                      # (-b, L)
+        spec = grid.project(prods, out=band, work=refined_spec)
         spec *= self._resolvent
-        return self._solve(grid.from_spec(spec, out=samples).T)
+        return self._solve(grid.from_spec(spec, out=X).T)
 
     def _coarse_channels(self, y: np.ndarray) -> np.ndarray:
         """Samples of the channels (y, grad y) on the grid, [m (1 + n), N]
-        channel-minor, in `_scratch`."""
-        channels = self._channels(y, 1 + self.model.dim)
-        return self.grid.from_spec(channels, out=self._scratch).reshape(-1, self.grid.N)
+        channel-minor, in the part "coarse" of the work buffers, which the
+        next `quadratic`, `conformal_residual` or `_coarse_channels` call
+        overwrites."""
+        (out,) = self._parts("coarse")
+        channels = self._channels(y, "coarse spectra")
+        return self.grid.from_spec(channels, out=out).reshape(-1, self.grid.N)
 
     def conformal_residual(self, y: np.ndarray, f: np.ndarray) -> np.ndarray:
         """Trace-free part of grad u . grad v + grad v . grad u + grad v . grad v - f
@@ -632,13 +673,12 @@ class ConformalSolver:
     def _residual(self, Y: np.ndarray, f: np.ndarray) -> np.ndarray:
         """`conformal_residual` from the channel samples Y [R1, N] of
         `_coarse_channels`: the cross term, the quadratic term, their sum
-        [N, n, n] and the form chunk in `_samples`; only the trace-free
-        result is a new array."""
+        [N, n, n] and the form chunk in the part "terms" of the work buffers;
+        only the trace-free result is a new array."""
         n, N = self.model.dim, self.grid.N
-        terms = self._samples
-        cross = np.matmul(self._cross_form, Y, out=_take(terms, (n * n, N))).reshape(n, n, N)
-        quad = _quadratic_form(self._quad_form, Y, terms[n * n * N:], terms[3 * n * n * N:])
-        total = _take(terms[2 * n * n * N:], (N, n, n))
+        cross, quad, total, chunk = self._parts("terms")
+        cross = np.matmul(self._cross_form, Y, out=cross).reshape(n, n, N)
+        _quadratic_form(self._quad_form, Y, quad, chunk)
         np.add(cross.transpose(2, 0, 1), cross.transpose(2, 1, 0), out=total)
         total += quad.reshape(n, n, N).transpose(2, 0, 1)
         total -= f
@@ -820,6 +860,9 @@ def assemble_C(solver: ConformalSolver, y: np.ndarray, f: np.ndarray) -> Conform
     so no computed distance at d falls below lower(d).
     """
     n, N = solver.model.dim, solver.grid.N
+    # Y stays in the scratch buffer (part "coarse") while `_pullback`, which
+    # uses no work buffer, and `_residual`, which writes only the samples
+    # buffer, read it
     Y = solver._coarse_channels(y)                                         # [R1, N]
     G = _pullback(solver, y, Y.reshape(len(solver.M), 1 + n, N)[:, 1:].T)
     residual = solver._residual(Y, f)

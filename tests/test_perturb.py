@@ -95,14 +95,17 @@ def as_field(grid, values):
 
 
 def immersion(solver, y):
-    """C [N, q] and grad C [N, n, q] of coefficients y [N, m]: C as the
-    result's `FieldRq` samples it, and grad C from the blocks of the pullback
-    pass of `assemble_C` (`_gradient_blocks`), each copied out of the buffer
-    that the next block overwrites."""
+    """C [N, q] and grad C [N, n, q] of coefficients y [N, m]: C from the
+    block helper of `FieldRq.values` called once over the whole grid, and
+    grad C from the blocks of the pullback pass of `assemble_C`
+    (`_gradient_blocks`), each copied out of the buffer that the next block
+    overwrites."""
     n, N = solver.model.dim, solver.grid.N
+    C = np.empty((N, len(solver._kappa)), dtype=complex)
+    perturb._immersion_block(solver, y, slice(0, N), C)
     dy = solver._coarse_channels(y).reshape(len(solver.M), 1 + n, N)[:, 1:].T
     grad = np.concatenate([g.copy() for _, g in perturb._gradient_blocks(solver, y, dy)])
-    return perturb.FieldRq(solver, y).values, grad.view(float)
+    return C.view(float), grad.view(float)
 
 
 @functools.lru_cache(maxsize=2)
@@ -657,7 +660,7 @@ def test_work_buffers_fit_the_preflight(dim, top):
     model = ManifoldModel.flat_torus([TWO_PI] * dim)
     for resolution in range(4, top + 1):
         grid = perturb.SpectralGrid(model, resolution)
-        assert 8 * (sum(perturb._work_words(grid)) + grid.N) <= perturb.solver_bytes(grid)
+        assert 8 * (sum(perturb._work_words(grid).values()) + grid.N) <= perturb.solver_bytes(grid)
 
 
 def test_pullback_check_on_a_coarse_grid(torus_embedding):
