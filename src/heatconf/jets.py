@@ -89,37 +89,47 @@ def block_inverse(A1: np.ndarray, A2: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     With c = -A2^{-1} b A1^{-1} the inverse is
     [[A1^{-1}, c^T], [c, A2^{-1}]] . diag((I + b^T c)^{-1}, (I + b c^T)^{-1})
-    exactly (checked against dense inversion), and
+    exactly for symmetric A1, A2 (checked against dense inversion), and
     ||c|| <= ||A2^{-1}|| ||b|| ||A1^{-1}||.
+
+    Takes stacks: A1 [..., m1, m1], A2 [..., m2, m2] and b [..., m2, m1] with
+    broadcasting leading axes give [..., m1 + m2, m1 + m2], each member the
+    inverse of its own triple; a 2-D triple is the stack with no leading axes.
+    Every member must pass the residual check at its own scale, else the
+    whole call raises.
     """
     A1 = np.asarray(A1, dtype=float)
     A2 = np.asarray(A2, dtype=float)
     b = np.asarray(b, dtype=float)
-    m1, m2 = A1.shape[0], A2.shape[0]
+    m1, m2 = A1.shape[-1], A2.shape[-1]
+    lead = np.broadcast_shapes(A1.shape[:-2], A2.shape[:-2], b.shape[:-2])
+    b_t = np.swapaxes(b, -1, -2)
     try:
         A1_inv = np.linalg.inv(A1)
         A2_inv = np.linalg.inv(A2)
     except np.linalg.LinAlgError as exc:
         raise PreconditionError("diagonal blocks must be invertible") from exc
     c = -A2_inv @ b @ A1_inv
-    left = np.zeros((m1 + m2, m1 + m2))
-    left[:m1, :m1] = A1_inv
-    left[:m1, m1:] = c.T
-    left[m1:, :m1] = c
-    left[m1:, m1:] = A2_inv
+    c_t = np.swapaxes(c, -1, -2)
+    left = np.zeros(lead + (m1 + m2, m1 + m2))
+    left[..., :m1, :m1] = A1_inv
+    left[..., :m1, m1:] = c_t
+    left[..., m1:, :m1] = c
+    left[..., m1:, m1:] = A2_inv
     try:
         right = np.zeros_like(left)
-        right[:m1, :m1] = np.linalg.inv(np.eye(m1) + b.T @ c)
-        right[m1:, m1:] = np.linalg.inv(np.eye(m2) + b @ c.T)
+        right[..., :m1, :m1] = np.linalg.inv(np.eye(m1) + b_t @ c)
+        right[..., m1:, m1:] = np.linalg.inv(np.eye(m2) + b @ c_t)
     except np.linalg.LinAlgError as exc:
         raise PreconditionError("coupling too large: I + b^T c is singular") from exc
     inv = left @ right
     M = np.zeros_like(left)
-    M[:m1, :m1] = A1
-    M[:m1, m1:] = b.T
-    M[m1:, :m1] = b
-    M[m1:, m1:] = A2
-    if np.max(np.abs(M @ inv - np.eye(m1 + m2))) > 1e-6 * max(1.0, np.max(np.abs(M))):
+    M[..., :m1, :m1] = A1
+    M[..., :m1, m1:] = b_t
+    M[..., m1:, :m1] = b
+    M[..., m1:, m1:] = A2
+    resid = np.max(np.abs(M @ inv - np.eye(m1 + m2)), axis=(-2, -1))
+    if np.any(resid > 1e-6 * np.maximum(1.0, np.max(np.abs(M), axis=(-2, -1)))):
         raise PreconditionError("coupling too large for the block-inverse route")
     return inv
 
@@ -138,7 +148,11 @@ class PointwiseRightInverse:
         self.gram = self.P @ self.P.transpose(0, 2, 1)  # [N, m, m]
 
     def apply(self, rhs: np.ndarray) -> np.ndarray:
-        """rhs [N, m] -> min-norm solutions [N, q]."""
+        """rhs [N, m] -> min-norm solutions [N, q].
+
+        A one-point E broadcasts: rhs [K, m] gives the K solutions [K, q] at
+        its point, each the same numbers as a single-row apply.
+        """
         try:
             y = np.linalg.solve(self.gram, rhs[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:

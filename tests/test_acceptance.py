@@ -9,9 +9,11 @@ the same check passes at t = 0.02 and the circle rows pass outright.
 import inspect
 import json
 
+import numpy as np
 import pytest
 
-from heatconf import acceptance, cli, spectrum
+from heatconf import acceptance, cli, jets, spectrum
+from heatconf.embedding import TruncationPolicy, build_embedding
 
 CRITERIA = [
     ("1", "homothety"),
@@ -105,3 +107,94 @@ def test_torus_criteria_share_one_read_only_provider(tmp_path, monkeypatch):
     # alone: homothety, circle_scale, rank_laws, right_inverse, linear_algebra
     # (none), tail_bound (circle rows first)
     assert built == [torus, circle] + [torus, circle, torus, torus, circle, torus]
+
+
+def default_seed(name):
+    return inspect.signature(acceptance.ALL_CHECKS[name]).parameters["seed"].default
+
+
+def replay_linear_algebra(seed, a2_first=False):
+    """The per-trial loop of `check_linear_algebra`: one `block_inverse` and one
+    dense inverse per trial.  Returns the drawn (A1, A2, b) triples and the
+    details; `a2_first` draws each A2 before its A1."""
+    rng = np.random.default_rng(seed)
+    worst_inv = 0.0
+    for n in range(2, 7):
+        for sigma in (-0.2, 0.0, 1.0 / 3.0, 0.9):
+            sigma_eff = max(sigma, -1.0 / (n - 1) + 1e-2)
+            Xi = jets.xi_matrix(n, sigma_eff)
+            err = float(np.max(np.abs(Xi @ jets.xi_inverse(n, sigma_eff) - np.eye(n))))
+            worst_inv = max(worst_inv, err)
+    trials, worst_block = [], 0.0
+    for _ in range(100):
+        m1, m2 = rng.integers(2, 5), rng.integers(2, 6)
+        if a2_first:
+            A2 = acceptance._random_spd(rng, m2)
+            A1 = acceptance._random_spd(rng, m1)
+        else:
+            A1 = acceptance._random_spd(rng, m1)
+            A2 = acceptance._random_spd(rng, m2)
+        b = 0.05 * rng.standard_normal((m2, m1))
+        M = np.block([[A1, b.T], [b, A2]])
+        inv = jets.block_inverse(A1, A2, b)
+        worst_block = max(worst_block, float(np.max(np.abs(inv - np.linalg.inv(M)))))
+        trials.append((A1, A2, b))
+    return trials, {"xi_inverse_err": worst_inv, "block_vs_dense": worst_block}
+
+
+def stacks_by_shape(triples):
+    """(m1, m2) -> the stacked (A1, A2, b) of the trials of that shape, in order."""
+    groups = {}
+    for A1, A2, b in triples:
+        groups.setdefault((A1.shape[-1], A2.shape[-1]), []).append((A1, A2, b))
+    return {key: [np.stack(blocks) for blocks in zip(*g)] for key, g in groups.items()}
+
+
+def same_stacks(got, want):
+    return got.keys() == want.keys() and all(
+        np.array_equal(x, y) for key in got for x, y in zip(got[key], want[key]))
+
+
+@pytest.mark.parametrize("seed", [default_seed("linear_algebra"), 7])
+def test_linear_algebra_replays_the_per_trial_loop(seed, monkeypatch):
+    """The stacked check draws the triples of the per-trial loop, in its order,
+    and reports its numbers bit for bit; a loop that draws in another order
+    is told apart."""
+    seen = []
+    inner = jets.block_inverse
+
+    def recording(A1, A2, b):
+        seen.append((A1, A2, b))
+        return inner(A1, A2, b)
+
+    monkeypatch.setattr(jets, "block_inverse", recording)
+    result = acceptance.check_linear_algebra(seed)
+    monkeypatch.undo()
+    assert len(seen) <= 12 and all(A1.ndim == 3 for A1, _, _ in seen)
+    got = {(A1.shape[-1], A2.shape[-1]): [A1, A2, b] for A1, A2, b in seen}
+    trials, details = replay_linear_algebra(seed)
+    assert result.details == details
+    assert same_stacks(got, stacks_by_shape(trials))
+    swapped, _ = replay_linear_algebra(seed, a2_first=True)
+    assert not same_stacks(got, stacks_by_shape(swapped))
+
+
+@pytest.mark.parametrize("seed", [default_seed("right_inverse"), 7])
+def test_right_hand_side_block_is_the_sequential_stream(seed):
+    """After the point draw, one standard_normal((100, 5)) block holds the 100
+    sequential standard_normal(5) draws, which the stacked `right_inverse`
+    relies on; its residual is the per-draw loop's, bit for bit."""
+    block_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    x = block_rng.uniform(0, 2 * np.pi, size=2)
+    assert np.array_equal(x, loop_rng.uniform(0, 2 * np.pi, size=2))
+    block = block_rng.standard_normal((100, 5))
+    rows = [loop_rng.standard_normal(5) for _ in range(100)]
+    assert np.array_equal(block, np.stack(rows))
+    emb = build_embedding(acceptance._shared_provider(acceptance.TORUS_2PI), 0.05,
+                          TruncationPolicy(rho=1.0))
+    E = jets.PointwiseRightInverse(emb, x[None, :])
+    P, worst = E.P[0], 0.0
+    for rhs in rows:
+        v = E.apply(rhs[None, :])[0]
+        worst = max(worst, float(np.linalg.norm(P @ v - rhs) / np.linalg.norm(rhs)))
+    assert acceptance.check_right_inverse(seed).details["max_E_residual"] == worst

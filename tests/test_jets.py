@@ -166,6 +166,67 @@ def test_block_inverse_rejects_singular():
         block_inverse(np.zeros((2, 2)), np.eye(2), np.zeros((2, 2)))
 
 
+def spd_stack(rng, lead, m):
+    A = rng.standard_normal(lead + (m, m))
+    return A @ np.swapaxes(A, -1, -2) + m * np.eye(m)
+
+
+def test_block_inverse_stack_equals_its_members():
+    """A stack of triples, couplings from zero to 0.5, inverts each member to
+    the numbers its own 2-D call gives; a 2-D call is a one-member stack."""
+    rng = np.random.default_rng(21)
+    lead = (2, 3)
+    A1, A2 = spd_stack(rng, lead, 3), spd_stack(rng, lead, 2)
+    scale = np.array([0.0, 1e-3, 0.05, 0.1, 0.3, 0.5]).reshape(lead + (1, 1))
+    b = scale * rng.standard_normal(lead + (2, 3))
+    inv = block_inverse(A1, A2, b)
+    assert inv.shape == lead + (5, 5)
+    for idx in np.ndindex(*lead):
+        assert np.array_equal(inv[idx], block_inverse(A1[idx], A2[idx], b[idx]))
+    one = block_inverse(A1[:1, 0], A2[:1, 0], b[:1, 0])
+    assert one.shape == (1, 5, 5)
+    assert np.array_equal(one[0], block_inverse(A1[0, 0], A2[0, 0], b[0, 0]))
+    # a shared A1 broadcasts against stacked A2 and b
+    shared = block_inverse(A1[0, 0], A2[0], b[0])
+    for j in range(lead[1]):
+        assert np.array_equal(shared[j], block_inverse(A1[0, 0], A2[0, j], b[0, j]))
+
+
+def test_block_inverse_stack_rejects_one_bad_member():
+    """One singular A1, one member whose I + b^T c is singular, or one member
+    off the lemma at its own scale fails the whole stack, whatever the others."""
+    rng = np.random.default_rng(22)
+    A1, A2 = spd_stack(rng, (4,), 2), spd_stack(rng, (4,), 2)
+    b = 0.05 * rng.standard_normal((4, 2, 2))
+    block_inverse(A1, A2, b)
+    singular = A1.copy()
+    singular[2] = 0.0
+    with pytest.raises(PreconditionError, match="invertible"):
+        block_inverse(singular, A2, b)
+    # A1 = A2 = b = I: c = -I and I + b^T c = 0
+    coupled_A1, coupled_A2, coupled_b = A1.copy(), A2.copy(), b.copy()
+    coupled_A1[1] = coupled_A2[1] = coupled_b[1] = np.eye(2)
+    with pytest.raises(PreconditionError, match="singular"):
+        block_inverse(coupled_A1, coupled_A2, coupled_b)
+    # a non-symmetric A1 puts an O(1e-4) residual on a unit-sized member; a
+    # member of size 1e3 beside it must not lift the tolerance it is held to
+    big_A1, skew_A1 = 1e3 * np.eye(2), np.array([[1.0, 1e-2], [0.0, 1.0]])
+    pair_A1, pair_A2 = np.stack([big_A1, skew_A1]), np.stack([1e3 * np.eye(2), np.eye(2)])
+    pair_b = np.stack([np.zeros((2, 2)), 1e-2 * np.eye(2)])
+    block_inverse(pair_A1[:1], pair_A2[:1], pair_b[:1])
+    with pytest.raises(PreconditionError, match="block-inverse route"):
+        block_inverse(pair_A1, pair_A2, pair_b)
+
+
+def test_one_point_apply_broadcasts_over_right_hand_sides(torus_embedding):
+    E = right_inverse_at(torus_embedding, X0)
+    rhs = np.random.default_rng(23).standard_normal((7, 5))
+    many = E.apply(rhs)
+    assert many.shape == (7, E.P.shape[-1])
+    for r, v in zip(rhs, many):
+        assert_allclose(v, E.apply(r[None, :])[0], rtol=0, atol=1e-15)
+
+
 def test_apply_E_right_inverse(torus_embedding):
     rng = np.random.default_rng(12)
     E = right_inverse_at(torus_embedding, X0)
