@@ -14,8 +14,8 @@ beside its sup, and `defect_scan` reports the field's Hoelder quotient over
 one pair table per scan.  The metric correction supports l <= 2, with h1
 checked constant on each block of `ManifoldModel.blocks` over
 `sample_grid(model, 8)`; `corrected_model` turns it into the blockwise
-rescaled model, and `defect_scan` enumerates one provider per t, of that
-model or of the uncorrected one.
+rescaled model.  `defect_scan` enumerates one provider per distinct row
+model, corrected or not, and each row reads its own window or count from it.
 """
 from __future__ import annotations
 
@@ -225,15 +225,22 @@ def defect_scan(model: ManifoldModel, t_grid, policy: TruncationPolicy,
                 lambda_cutoff=None, alpha: float = 0.5) -> list[dict]:
     """One row per t: component count, defect norms, and trace-factor range.
 
-    Each t enumerates one analytic provider, of `model` or, with a
-    correction, of `corrected_model`; the defect is always measured against
-    the original g.  A lambda_cutoff, a callable of t, replaces the count
-    policy by the eigenvalue window lambda <= lambda_cutoff(t) of that
-    provider, and the embedding keeps every non-constant mode of the window,
-    so a policy that also sets q_override raises ConfigError.  The window
-    must keep lambda_max * t large: the anisotropy of the last included
-    shells enters the defect at size ~ exp(-lambda_max t), which buries any
-    higher-order signal when the window is too narrow.
+    Each row's model is `model` or, with a correction, `corrected_model` at
+    its t; the defect is always measured against the original g.  Each
+    distinct row model enumerates one analytic provider, at its first row,
+    for the largest request among its rows: the count q(t) + 1 of the
+    policy, or, when lambda_cutoff, a callable of t, replaces the count
+    policy, the eigenvalue window lambda <= lambda_cutoff(t).  So an
+    uncorrected scan, and a corrected one whose h1 vanishes, enumerate once.
+    A count row closes its shell in that provider (`build_embedding`); a
+    window row keeps every non-constant mode with lambda <= lambda_cutoff(t)
+    and none past it, the modes a provider of its own window holds, so a
+    policy that also sets q_override raises ConfigError.  Sorted providers
+    agree on their shared prefix, so the rows equal those of one provider
+    per t bit for bit.  The window must keep lambda_max * t large: the
+    anisotropy of the last included shells enters the defect at size
+    ~ exp(-lambda_max t), which buries any higher-order signal when the
+    window is too narrow.
 
     Every row samples the defect on the same grid, so the metric of `model`
     on it and the Hoelder pair table (`analysis.holder_pairs`) are built once
@@ -256,26 +263,34 @@ def defect_scan(model: ManifoldModel, t_grid, policy: TruncationPolicy,
     grid = geometry.sample_grid(model, resolution)
     metric = geometry.metric_on_grid(model, grid.points)
     pairs = analysis.holder_pairs(grid.points, model)
-    rows = []
-    h1 = eta1 = None
+    floor = _freeness_floor(model.dim)
+    models = [model] * len(t_grid)
     if correction is not None and correction.l >= 2:
         eta1 = correction.eta[0]
         h1 = h1_frame_constant(model, eta1)
-    for t in t_grid:
-        scaled = model if h1 is None else corrected_model(model, h1, t, eta1)
+        models = [corrected_model(model, h1, t, eta1) for t in t_grid]
+    # a row asks for the window lambda <= lambda_cutoff(t), or for q(t) + 1 modes
+    requests = [policy.q(t, model.dim) + 1 if lambda_cutoff is None else lambda_cutoff(t)
+                for t in t_grid]
+    largest = {}
+    for scaled, request in zip(models, requests):
+        largest[scaled] = max(largest.get(scaled, request), request)
+    rows = []
+    provider = None     # the rows of one model are consecutive: 1 + t h1_b is monotone in t
+    for t, scaled, request in zip(t_grid, models, requests):
+        if provider is None or provider.model != scaled:
+            provider = (spectrum.analytic_spectrum(scaled, count=largest[scaled])
+                        if lambda_cutoff is None else
+                        spectrum.analytic_spectrum(scaled, lambda_max=largest[scaled]))
         if lambda_cutoff is None:
-            provider = spectrum.analytic_spectrum(scaled, count=policy.q(t, model.dim) + 1)
-            eff_policy = policy
+            emb = build_embedding(provider, t, policy)
         else:
-            window = lambda_cutoff(t)
-            provider = spectrum.analytic_spectrum(scaled, lambda_max=window)
-            held, floor = provider.count - 1, _freeness_floor(model.dim)
+            held = int(np.searchsorted(provider.lambdas, request, side="right")) - 1
             if held < floor:
                 raise ConfigError(
-                    f"the eigenvalue window lambda <= {window:g} at t = {t:g} holds "
+                    f"the eigenvalue window lambda <= {request:g} at t = {t:g} holds "
                     f"{held} non-constant modes, below the freeness floor {floor}")
-            eff_policy = TruncationPolicy(rho=policy.rho, q_override=held)
-        emb = build_embedding(provider, t, eff_policy)
+            emb = EmbeddingMap(provider, t, held)
         rep = pullback_report(emb, grid.points, metric)
         rows.append({
             "t": t,

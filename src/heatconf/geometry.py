@@ -28,6 +28,7 @@ the pullback report, the h1 correction and the flat-torus solver.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -133,10 +134,10 @@ class ManifoldModel:
         ends = list(itertools.accumulate((f.dim for f in self.factors), initial=0))
         return tuple(tuple(range(a, b)) for a, b in zip(ends, ends[1:]))
 
-    @property
+    @functools.cached_property
     def factors(self) -> tuple["ManifoldModel", ...]:
         """The model on each metric block: S^2(R) and S^1(L) for the product,
-        the model itself on the other kinds."""
+        the model itself on the other kinds; built on first use and kept."""
         if self.kind == PRODUCT_SPHERE_CIRCLE:
             return ManifoldModel.sphere2(self.radius), ManifoldModel.circle(self.length)
         return (self,)

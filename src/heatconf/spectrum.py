@@ -593,9 +593,8 @@ class ProductSpectrum(AnalyticSpectrum):
     def _factors(self, j0, j1):
         """Distinct sphere and circle factors of modes j0..j1-1, and each mode's
         index among them: (fs, si, fc, ci)."""
-        fs, si = np.unique(self._sphere_of[j0:j1], return_inverse=True)
-        fc, ci = np.unique(self._circle_of[j0:j1], return_inverse=True)
-        return fs, si, fc, ci
+        return (*_distinct(self._sphere_of[j0:j1], self._sphere.count),
+                *_distinct(self._circle_of[j0:j1], self._circle.count))
 
     def jet_block(self, j0, j1, points, deriv=2):
         _check_deriv(deriv)
@@ -669,6 +668,15 @@ def _factor_jets(provider: SpectrumProvider, f: np.ndarray, points: np.ndarray, 
     if j1 - j0 == f.size:
         return jets
     return tuple(a[f - j0] if a.ndim > 1 else a for a in jets)
+
+
+def _distinct(index: np.ndarray, count: int):
+    """`np.unique(index, return_inverse=True)` of indices into [0, count): the
+    distinct indices, ascending, and each entry's position among them, from
+    one mark per index and its running count instead of a sort."""
+    mark = np.zeros(count, dtype=bool)
+    mark[index] = True
+    return np.flatnonzero(mark), np.cumsum(mark)[index] - 1
 
 
 def _product_points(points: np.ndarray):

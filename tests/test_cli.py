@@ -276,6 +276,22 @@ def test_narrow_scan_window_exits_2(tmp_path, capsys, payload, window, t, held, 
     assert f"freeness floor {floor}" in err and "q_override" not in err
 
 
+def test_scan_refused_widest_window_exits_3_before_a_narrow_row(tmp_path, capsys,
+                                                                  monkeypatch):
+    """A scan enumerates its widest window at its first row, so a widest window
+    that does not fit in memory exits 3 with one line, though the first row's
+    window (lambda <= 1.5 at t = 0.5, 2 modes) is below the freeness floor."""
+    monkeypatch.setattr(heatconf.geometry, "available_bytes", lambda: 20000)
+    cfg = write_config(tmp_path, {
+        "model": {"kind": "product_sphere_circle", "params": {"radius": 1.0, "length": TWO_PI}},
+        "t_grid": [0.5, 0.005], "resolution": 4, "spectrum": {"lambda_t_margin": 0.75}})
+    capsys.readouterr()
+    assert run(["--config", cfg, "--out", str(tmp_path / "o"), "defect-scan"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("precondition failure:") and err.count("\n") == 1, err
+    assert "a box of 3.6e+03 sphere x circle modes" in err
+
+
 @pytest.mark.parametrize("window", [{"lambda_max": 50}, {"lambda_t_margin": 16},
                                     {"lambda_max": 50, "lambda_t_margin": 16}],
                          ids=["lambda-max", "margin", "both"])

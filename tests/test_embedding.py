@@ -577,11 +577,8 @@ def test_product_scan_matches_level_sum_oracle(product, monkeypatch, corrected):
         assert_allclose([row["trace_min"], row["trace_max"]], trace, rtol=1e-12)
 
 
-def test_corrected_scan_builds_one_provider_per_t(product, monkeypatch):
-    """Every scan, corrected or not, by a margin window, a fixed lambda_max or
-    the count policy, enumerates one analytic provider per t, of the model or
-    of its corrected model, over the scan's own eigenvalue window; a windowed
-    scan keeps every non-constant mode of it."""
+def _count_enumerations(monkeypatch):
+    """Record (model, count, lambda_max, provider) of each analytic_spectrum call."""
     built = []
     enumerate_ = spectrum.analytic_spectrum
 
@@ -591,6 +588,17 @@ def test_corrected_scan_builds_one_provider_per_t(product, monkeypatch):
         return prov
 
     monkeypatch.setattr(spectrum, "analytic_spectrum", counting)
+    return built
+
+
+def test_scan_enumerates_one_provider_per_row_model(product, circle, monkeypatch):
+    """A scan, by a margin window, a fixed lambda_max or the count policy,
+    enumerates one analytic provider per distinct row model, for the largest
+    request among that model's rows: once uncorrected, once per t corrected on
+    S^2 x S^1, where h1 rescales the blocks.  A windowed row keeps every
+    non-constant mode of its own window, and a corrected circle scan at
+    eta = 0, whose h1 vanishes, enumerates once."""
+    built = _count_enumerations(monkeypatch)
     ts = [0.1, 0.08, 0.06, 0.05, 0.04]
     policy = TruncationPolicy(rho=1.0)
     h1 = embedding.h1_frame_constant(product, 0.0)
@@ -599,16 +607,98 @@ def test_corrected_scan_builds_one_provider_per_t(product, monkeypatch):
             built.clear()
             rows = defect_scan(product, ts, policy, correction=correction, resolution=4,
                                lambda_cutoff=window)
-            assert len(built) == 5
-            for t, row, (model, count, lam_max, prov) in zip(ts, rows, built):
-                factors = (1.0, 1.0) if correction is None else \
-                    (1.0 + t * h1[0, 0], 1.0 + t * h1[2, 2])
-                assert model == product.rescaled(factors)
+            row_models = [product.rescaled((1.0, 1.0) if correction is None else
+                                           (1.0 + t * h1[0, 0], 1.0 + t * h1[2, 2]))
+                          for t in ts]
+            assert [m for m, *_ in built] == list(dict.fromkeys(row_models))
+            assert len(built) == (1 if correction is None else 5)
+            for model, count, lam_max, prov in built:
+                mine = [t for t, m in zip(ts, row_models) if m == model]
                 if window is None:
-                    assert (count, lam_max) == (policy.q(t, 3) + 1, None)
+                    assert (count, lam_max) == (max(policy.q(t, 3) for t in mine) + 1, None)
                 else:
-                    assert (count, lam_max) == (None, window(t))
-                    assert row["q"] == prov.count - 1
+                    assert (count, lam_max) == (None, max(window(t) for t in mine))
+            if window is not None:
+                for t, row, model in zip(ts, rows, row_models):
+                    prov = next(p for m, *_, p in built if m == model)
+                    assert row["q"] == np.count_nonzero(prov.lambdas <= window(t)) - 1
+    built.clear()
+    defect_scan(circle, [0.1, 0.05, 0.02], policy, correction=CorrectionSpec(l=2, eta=(0.0,)),
+                lambda_cutoff=lambda t: 16.0 / t)
+    assert [(m, lam_max) for m, _, lam_max, _ in built] == [(circle, 16.0 / 0.02)]
+
+
+def _per_row_scan(model, t_grid, policy, correction=None, resolution=8, lambda_cutoff=None,
+                  alpha=0.5):
+    """The defect scan as one analytic provider per t: the reference that
+    `defect_scan`'s shared providers must reproduce bit for bit."""
+    grid = geometry.sample_grid(model, resolution)
+    metric = geometry.metric_on_grid(model, grid.points)
+    pairs = analysis.holder_pairs(grid.points, model)
+    h1 = eta1 = None
+    if correction is not None and correction.l >= 2:
+        eta1 = correction.eta[0]
+        h1 = embedding.h1_frame_constant(model, eta1)
+    rows = []
+    for t in t_grid:
+        scaled = model if h1 is None else corrected_model(model, h1, t, eta1)
+        if lambda_cutoff is None:
+            provider = analytic_spectrum(scaled, count=policy.q(t, model.dim) + 1)
+            eff_policy = policy
+        else:
+            provider = analytic_spectrum(scaled, lambda_max=lambda_cutoff(t))
+            eff_policy = TruncationPolicy(rho=policy.rho, q_override=provider.count - 1)
+        emb = build_embedding(provider, t, eff_policy)
+        rep = embedding.pullback_report(emb, grid.points, metric)
+        rows.append({
+            "t": t,
+            "q": emb.q,
+            "defect_sup": rep.sup,
+            "defect_holder": analysis.holder_seminorm_field(rep.defect_frame, pairs, alpha),
+            "trace_min": float(np.min(rep.trace_factor)),
+            "trace_max": float(np.max(rep.trace_factor)),
+        })
+    return rows
+
+
+_PRODUCT_TS = [0.1, 0.07, 0.05, 0.035, 0.025]
+
+
+@pytest.mark.parametrize("model, ts, kwargs", [
+    (ManifoldModel.product_sphere_circle(1.0, TWO_PI), _PRODUCT_TS,
+     {"resolution": 6, "lambda_cutoff": lambda t: 16.0 / t}),
+    (ManifoldModel.product_sphere_circle(1.0, TWO_PI), _PRODUCT_TS,
+     {"resolution": 6, "lambda_cutoff": lambda t: 16.0 / t,
+      "correction": CorrectionSpec(l=2, eta=(0.0,))}),
+    (ManifoldModel.product_sphere_circle(1.0, TWO_PI), [0.1, 0.07], {"resolution": 6}),
+    (ManifoldModel.flat_torus([TWO_PI, 3.1]), [0.1, 0.05, 0.025],
+     {"resolution": 12, "lambda_cutoff": lambda t: 16.0 / t}),
+    (ManifoldModel.circle(TWO_PI), [0.1, 0.05, 0.02], {"lambda_cutoff": lambda t: 50.0}),
+    (ManifoldModel.sphere2(1.0), [0.1, 0.05], {"resolution": 8}),
+], ids=["s2xs1-margin", "s2xs1-margin-l2", "s2xs1-count", "rect-torus-margin",
+        "circle-lambda-max", "sphere-count"])
+def test_scan_rows_equal_the_per_row_providers(model, ts, kwargs):
+    """Every row of a scan that shares one provider per row model equals, field
+    for field and bit for bit, the row of a provider enumerated for that t
+    alone: the window rows keep the modes lambda <= window(t), and the count
+    rows close the same shell."""
+    policy = TruncationPolicy(rho=1.0)
+    got = defect_scan(model, ts, policy, **kwargs)
+    want = _per_row_scan(model, ts, policy, **kwargs)
+    assert [list(row) for row in got] == [list(row) for row in want]
+    for row, ref in zip(got, want):
+        assert all(row[key] == ref[key] for key in ref), (row, ref)
+
+
+def test_margin_window_keeps_the_modes_on_its_edge(product):
+    """At t = 0.1 the margin-16 window of S^2 x S^1 ends on the eigenvalue 160,
+    k(k+1) + j^2 at (12, 2), whose modes the row keeps."""
+    lams = analytic_spectrum(product, lambda_max=160.0).lambdas
+    on_edge = np.count_nonzero(lams == 16.0 / 0.1)
+    assert on_edge == 50
+    rows = defect_scan(product, [0.1, 0.05], TruncationPolicy(rho=1.0), resolution=4,
+                       lambda_cutoff=lambda t: 16.0 / t)
+    assert rows[0]["q"] == lams.size - 1 == 2786
 
 
 def test_scan_builds_one_holder_pair_table(product, monkeypatch):

@@ -1,4 +1,6 @@
 """Closed-form metric/curvature evaluators against finite-difference oracles."""
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -279,6 +281,37 @@ def test_factors_are_the_block_models(models):
     product = ManifoldModel.product_sphere_circle(0.8, 3.0)
     assert product.factors == (ManifoldModel.sphere2(0.8), ManifoldModel.circle(3.0))
     assert models[0].factors == (models[0],)
+
+
+def test_product_factors_are_built_once(monkeypatch):
+    """A product builds its two factor models on first use and keeps them:
+    later dim, volume, blocks and injectivity_surrogate calls build no model.
+    A rescaled product's factors carry its own radius and length, and the
+    kept factors leave equality and hash unchanged."""
+    built = []
+    post_init = ManifoldModel.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ManifoldModel, "__post_init__", counting)
+    product = ManifoldModel.product_sphere_circle(0.8, 3.0)
+    factors = product.factors
+    assert [m.kind for m in built] == [geometry.PRODUCT_SPHERE_CIRCLE, geometry.SPHERE2,
+                                       geometry.CIRCLE]
+    built.clear()
+    for _ in range(3):
+        assert (product.dim, product.blocks) == (3, ((0, 1), (2,)))
+        assert product.volume == 4.0 * np.pi * 0.8**2 * 3.0
+        assert product.injectivity_surrogate == 1.5
+        assert product.factors is factors
+    assert built == []
+    scaled = product.rescaled((1.21, 0.64))
+    assert scaled.factors == (ManifoldModel.sphere2(0.8 * 1.1), ManifoldModel.circle(3.0 * 0.8))
+    fields = tuple(getattr(product, f.name) for f in dataclasses.fields(product))
+    assert hash(product) == hash(fields) and product == ManifoldModel(*fields)
+    assert scaled != product and product.rescaled((1.0, 1.0)) == product
 
 
 @pytest.mark.parametrize("R, L", [(1.0, TWO_PI), (0.8, 5.0)])

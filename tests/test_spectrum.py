@@ -841,6 +841,30 @@ def test_product_factor_indices_match_distinct_rows(model, lambda_max):
     assert np.array_equal(prov._circle._descriptors, circle)
 
 
+def _factors_by_sort(prov, j0, j1):
+    """The distinct factors of a product block and each mode's position among
+    them, by one np.unique sort per factor: the reference for `_factors`."""
+    fs, si = np.unique(prov._sphere_of[j0:j1], return_inverse=True)
+    fc, ci = np.unique(prov._circle_of[j0:j1], return_inverse=True)
+    return fs, si, fc, ci
+
+
+@pytest.mark.parametrize("j0, j1", [(1, None), (1500, 1800), (7, 8), (40, 40)],
+                         ids=["full-from-1", "sphere-gaps", "single-mode", "empty"])
+def test_product_factors_equal_the_sorted_distinct_indices(product, j0, j1):
+    """`ProductSpectrum._factors`, which marks the factors it meets and counts
+    them, equals the two-np.unique version bit for bit, dtypes included."""
+    prov = spectrum.ProductSpectrum(product, 16.0 / 0.025)
+    j1 = prov.count if j1 is None else j1
+    got, want = prov._factors(j0, j1), _factors_by_sort(prov, j0, j1)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+    fs, si = got[:2]
+    assert si.size == j1 - j0 and (fs.size > 0) == (j1 > j0)
+    if j0 == 1500:
+        assert np.any(np.diff(fs) > 1)
+
+
 def _scipy_sphere_jets(radius, desc, points):
     """Real spherical-harmonic jets from scipy's fully normalized P_k^m(x) and
     its x-derivatives at x = cos(theta), mode by mode: the test oracle."""
