@@ -8,8 +8,9 @@ perturb       solve the conformal fixed point for each trace parameter k
 gram          dump jet Gram blocks and singular values at probe points
 verify        run the acceptance criteria and report pass/fail
 
-Exit codes: 0 success, 1 verification failures, 2 config error,
-3 mathematical precondition failure, 4 convergence failure.
+Exit codes: 0 success, 1 verification failures, 2 config error (an output
+directory that cannot be made included), 3 mathematical precondition
+failure, 4 convergence failure.
 
 Configuration is a single JSON document.  CONFIG_KEYS is its whole contract:
 each section's keys with their parser and default.  An absent or null key
@@ -403,6 +404,16 @@ def _json_safe(obj):
     return obj
 
 
+def _check_out_dir(out_dir: Path) -> None:
+    """Refuse, before any work, an output directory that cannot be made: the
+    nearest existing one of it and its ancestors must be a directory."""
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"output directory {out_dir}: {path} is not a directory")
+            return
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heatconf",
@@ -429,6 +440,7 @@ def main(argv=None) -> int:
             raise ConfigError("--config is required for this command")
         out_dir = Path(os.environ.get("HEATCONF_OUT") or args.out
                        or "heatconf-out")
+        _check_out_dir(out_dir)
         ok = True
         if args.command == "spectrum":
             results = {"spectrum": cmd_spectrum(cfg, out_dir)}

@@ -1,11 +1,12 @@
 """Norm surrogates and order fitting."""
 import itertools
+import json
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from heatconf import analysis, fit_order, geometry
+from heatconf import analysis, cli, fit_order, geometry, perturb
 from heatconf.errors import ConfigError
 
 TWO_PI = 2.0 * np.pi
@@ -163,21 +164,49 @@ def lattice_holder_roll(values, model, r, radius, alpha):
     return best
 
 
-@pytest.mark.parametrize("periods, r, comps", [((TWO_PI, 3.1), 48, 4),
+def structured_fields(model, r):
+    """Fields on the r-point lattice of a flat torus that the offset bounds
+    meet at their tightest and loosest: constant along each axis in turn,
+    constant, one axis-aligned mode, one diagonal mode, and integer steps
+    whose increments and bounds tie exactly."""
+    n = model.dim
+    x = geometry.sample_grid(model, r).points
+    phase = x * (TWO_PI / np.asarray(model.periods))
+    rng = np.random.default_rng(r)
+    fields = {}
+    for a in range(n):
+        lines = rng.standard_normal((r,) * a + (1,) + (r,) * (n - a - 1) + (2,))
+        fields[f"constant_along_{a}"] = np.broadcast_to(lines, (r,) * n + (2,)).reshape(-1, 2)
+    fields["constant"] = np.full((len(x), 3), -1.25)
+    fields["axis_mode"] = np.column_stack([np.cos(phase[:, 0]), 0.5 * np.sin(phase[:, 0])])
+    fields["diagonal_mode"] = np.cos(phase.sum(axis=1))[:, None]
+    fields["ties"] = (np.indices((r,) * n).sum(axis=0) // 2 % 3).reshape(-1, 1) * 0.25
+    return fields
+
+
+STRUCTURED = [((TWO_PI,), 16), ((TWO_PI, 3.1), 24), ((TWO_PI, 5.0, 4.2), 10)]
+
+
+@pytest.mark.parametrize("periods, r, comps", [((TWO_PI,), 16, 2), ((TWO_PI, 3.1), 24, 2),
+                                               ((TWO_PI, 3.1), 48, 4),
                                                ((TWO_PI, 5.0, 4.2), 10, 3)],
-                         ids=["torus2-48", "torus3-10"])
+                         ids=["torus1-16", "torus2-24", "torus2-48", "torus3-10"])
 def test_lattice_holder_matches_roll_oracle(periods, r, comps):
-    """The slice views of the wrap-padded field give the np.roll quotient bit
-    for bit."""
+    """The slice views of the wrap-padded field, compared only at the offsets
+    whose bound can win, give the np.roll quotient over every offset bit for
+    bit: on random fields and on fields where the bounds are tight, loose or
+    tied."""
     model = geometry.ManifoldModel.flat_torus(periods)
     radius = model.injectivity_surrogate / 2.0
     pairs = analysis.holder_pairs(geometry.sample_grid(model, r).points, model)
     assert isinstance(pairs, analysis.LatticeOffsets)
     rng = np.random.default_rng(r)
+    fields = structured_fields(model, r)
     for alpha in (0.3, 0.5):
-        vals = rng.standard_normal((r ** len(periods), comps))
-        assert (analysis.holder_seminorm_field(vals, pairs, alpha)
-                == lattice_holder_roll(vals, model, r, radius, alpha))
+        fields["random"] = rng.standard_normal((r ** len(periods), comps))
+        for name, vals in fields.items():
+            assert (analysis.holder_seminorm_field(vals, pairs, alpha)
+                    == lattice_holder_roll(vals, model, r, radius, alpha)), (name, alpha)
 
 
 def test_lattice_path_needs_the_sample_lattice(circle):
@@ -191,3 +220,92 @@ def test_lattice_path_needs_the_sample_lattice(circle):
     assert analysis._lattice_resolution(pts, other) is None
     line = geometry.sample_grid(circle, 64).points
     assert analysis._lattice_resolution(line, circle) is None
+
+
+
+def test_halved_offset_bound_misses_the_oracle(monkeypatch):
+    """The structured fields catch a bound that is too small: with every
+    bound halved some quotient falls below the full scan's."""
+    bounds = analysis._offset_bounds
+    monkeypatch.setattr(analysis, "_offset_bounds",
+                        lambda field, pairs: bounds(field, pairs) / 2.0)
+    missed = []
+    for periods, r in STRUCTURED:
+        model = geometry.ManifoldModel.flat_torus(periods)
+        radius = model.injectivity_surrogate / 2.0
+        pairs = analysis.holder_pairs(geometry.sample_grid(model, r).points, model)
+        for name, vals in structured_fields(model, r).items():
+            if (analysis.holder_seminorm_field(vals, pairs, 0.45)
+                    != lattice_holder_roll(vals, model, r, radius, 0.45)):
+                missed.append((len(periods), name))
+    assert missed
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_axis_aligned_field_compares_few_offsets(torus2, axis):
+    """A field that varies along one grid axis has bounds equal to each
+    offset's largest difference: of the 220 offsets at 48^2 the scan compares
+    at most 4, and its quotient is the full scan's; a diagonal mode needs
+    them all."""
+    r = 48
+    grid = geometry.sample_grid(torus2, r)
+    pairs = analysis.holder_pairs(grid.points, torus2)
+    radius = torus2.injectivity_surrogate / 2.0
+    x = grid.points[:, axis]
+    vals = np.column_stack([np.cos(x), np.sin(x), 1e-3 * np.cos(2 * x), np.ones_like(x)])
+    got, compared = analysis._lattice_holder(vals, pairs, 0.45)
+    assert len(pairs.offsets) == 220 and 1 <= compared <= 4
+    assert got == lattice_holder_roll(vals, torus2, r, radius, 0.45)
+    diagonal = np.cos(grid.points.sum(axis=1))[:, None]
+    assert analysis._lattice_holder(diagonal, pairs, 0.45)[1] == 220
+
+
+@pytest.mark.parametrize("f_mode", [[1, 0], [0, 1]])
+def test_perturb_holder_quotients_match_roll_oracle(tmp_path, monkeypatch, f_mode):
+    """The solver log's residual_holder and defect_holder on the 48^2 square
+    torus are the full lattice scan of `assemble_C`'s residual and defect."""
+    fields = []
+    assemble = perturb.assemble_C
+
+    def recording(solver, y, f):
+        result = assemble(solver, y, f)
+        fields.append((result.residual.copy(), result.defect.copy()))
+        return result
+
+    monkeypatch.setattr(perturb, "assemble_C", recording)
+    model = {"kind": "flat_torus", "params": {"periods": [TWO_PI, TWO_PI]}}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"model": model, "seed": 0, "solver": {
+        "t": 0.05, "epsilon": 1e-3, "k_values": [0.0, 0.001], "tol": 1e-10,
+        "resolution": 48, "f_mode": f_mode}}))
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg), "--out", str(out), "perturb"]) == 0
+    runs = json.loads((out / "solver_log.json").read_text())["runs"]
+    torus = geometry.ManifoldModel.flat_torus([TWO_PI, TWO_PI])
+    radius = torus.injectivity_surrogate / 2.0
+    assert len(runs) == len(fields) == 2
+    for run, (residual, defect) in zip(runs, fields):
+        oracle = lambda field: lattice_holder_roll(field.reshape(len(field), -1), torus,
+                                                   48, radius, 0.45)
+        assert run["verify"]["residual_holder"] == oracle(residual)
+        assert run["conformal_result"]["defect_holder"] == oracle(defect)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_holder_of_a_non_finite_field_is_nan(circle, torus2, monkeypatch, bad):
+    """A NaN or infinite sample gives quotient nan on the dense pair list and
+    on the lattice path alike, even where the strided pair list misses it."""
+    grid = geometry.sample_grid(circle, 32)
+    vals = np.sin(grid.points)
+    vals[5] = bad
+    assert np.isnan(analysis.holder_seminorm_field(
+        vals, analysis.holder_pairs(grid.points, circle), 0.5))
+    monkeypatch.setattr(analysis, "PAIR_CAP", 100)     # stride 2 skips point 5
+    pairs = analysis.holder_pairs(grid.points, circle)
+    assert 5 not in pairs.ii and 5 not in pairs.jj
+    assert np.isnan(analysis.holder_seminorm_field(vals, pairs, 0.5))
+    lattice = geometry.sample_grid(torus2, 12)
+    field = np.cos(lattice.points)
+    field[17, 1] = bad
+    assert np.isnan(analysis.holder_seminorm_field(
+        field, analysis.holder_pairs(lattice.points, torus2), 0.5))

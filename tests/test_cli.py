@@ -418,6 +418,28 @@ def test_out_env_override(tmp_path, monkeypatch):
     assert (env_out / "report.json").exists()
 
 
+@pytest.mark.parametrize("command", ["perturb", "verify"])
+def test_out_under_a_regular_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                          command):
+    """An output directory that is a regular file, or lies under one, exits 2
+    with one line naming the path, before any spectrum is built."""
+    def no_build(*args, **kwargs):
+        raise AssertionError("spectrum built before the output directory was checked")
+
+    monkeypatch.setattr(heatconf.spectrum, "analytic_spectrum", no_build)
+    cfg = write_config(tmp_path, {"model": TORUS_MODEL, "solver": {"resolution": 16}})
+    blocker = tmp_path / "run.json"
+    blocker.write_text("{}")
+    for out in (blocker, blocker / "x", blocker / "x" / "y"):
+        capsys.readouterr()
+        args = ["--out", str(out), command]
+        assert run((["--config", cfg] if command == "perturb" else []) + args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert f"{blocker} is not a directory" in err, err
+    assert blocker.read_text() == "{}"
+
+
 def test_malformed_config_values_exit_2(tmp_path, capsys):
     """Missing model params, mistyped or out-of-range values and unknown keys
     end in one stderr line, exit 2."""
