@@ -117,13 +117,11 @@ def check_defect_law() -> CheckResult:
     uncorrected_window, corrected_min, lambda_t_margin = (0.85, 1.15), 1.8, 16.0
     model = ManifoldModel.product_sphere_circle(1.0, 2.0 * np.pi)
     ts = [0.1, 0.07, 0.05, 0.035, 0.025]
-    policy = TruncationPolicy(rho=1.0)
-    window = lambda t: lambda_t_margin / t
-    rows_u = embedding.defect_scan(model, ts, policy, resolution=6,
-                                   lambda_cutoff=window)
+    policy = TruncationPolicy(rho=1.0, lambda_t_margin=lambda_t_margin)
+    rows_u = embedding.defect_scan(model, ts, policy, resolution=6)
     rows_c = embedding.defect_scan(model, ts, policy,
                                    correction=embedding.CorrectionSpec(l=2, eta=(0.0,)),
-                                   resolution=6, lambda_cutoff=window)
+                                   resolution=6)
     slope_u = analysis.fit_order(ts, [r["defect_sup"] for r in rows_u]).slope
     slope_c = analysis.fit_order(ts, [r["defect_sup"] for r in rows_c]).slope
     ok = uncorrected_window[0] <= slope_u <= uncorrected_window[1] \

@@ -3,12 +3,11 @@
 The continuum Hoelder seminorm is replaced by a computable surrogate: the
 increment quotient |f(x) - f(y)| / d^alpha maximized over grid pairs closer
 than half the model's injectivity surrogate.
-The pairs are one table per point set (`holder_pairs`), which the quotient of
-every field sampled on those points reads (`holder_seminorm_field`).  On a
-flat torus sampled at its uniform lattice the table is the lattice offsets,
-which cover every such pair, and the quotient compares the field with each
-shift of itself; elsewhere it is a dense pair list strided down to a pair
-budget.
+The pairs are one table per sample grid (`holder_pairs`), which the quotient
+of every field sampled on that grid reads (`holder_seminorm_field`).  On a
+flat torus the table is the offsets of its uniform lattice, which cover every
+such pair, and the quotient compares the field with each shift of itself;
+elsewhere it is a dense pair list strided down to a pair budget.
 The lattice scan is exact and output-sensitive: it bounds every offset's
 increment by the field's per-line maxima and minima along each grid axis
 (`_offset_bounds`) and visits the offsets in decreasing order of bound /
@@ -60,17 +59,6 @@ def _close_pairs(points: np.ndarray, model: ManifoldModel, radius: float):
     ii, jj = np.triu_indices(len(sub), k=1)
     mask = d[ii, jj] <= radius
     return idx[ii[mask]], idx[jj[mask]], d[ii, jj][mask]
-
-
-def _lattice_resolution(points: np.ndarray, model: ManifoldModel) -> int | None:
-    """r when `points` is exactly the flat torus's `sample_grid(model, r)`, else None."""
-    if model.kind != geometry.FLAT_TORUS:
-        return None
-    n = model.dim
-    r = int(round(len(points) ** (1.0 / n)))
-    if r < 4 or r**n != len(points):
-        return None
-    return r if np.array_equal(points, geometry.sample_grid(model, r).points) else None
 
 
 class LatticeOffsets(NamedTuple):
@@ -126,20 +114,19 @@ def _lattice_offsets(model: ManifoldModel, r: int, radius: float) -> LatticeOffs
     return LatticeOffsets(r, wide, kept.tolist(), dist[keep].tolist(), tuple(lines))
 
 
-def holder_pairs(points: np.ndarray, model: ManifoldModel) -> LatticeOffsets | ClosePairs:
-    """The pair table of the Hoelder quotient on `points`: the pairs closer than
-    half the model's injectivity surrogate.
+def holder_pairs(model: ManifoldModel, resolution: int) -> LatticeOffsets | ClosePairs:
+    """The pair table of the Hoelder quotient on `sample_grid(model, resolution)`:
+    the pairs closer than half the model's injectivity surrogate.
 
-    On a flat torus sampled at its `sample_grid` lattice every pair is a
-    lattice offset, and the table is the offsets (`LatticeOffsets`).  Any
-    other model or point set gets the dense pair list with d > 0, strided to
-    `PAIR_CAP` pairs (`ClosePairs`).  One table serves every field sampled
-    on the same points.
+    On a flat torus every pair of the sample lattice is a lattice offset, and
+    the table is the offsets (`LatticeOffsets`).  Any other model gets the
+    dense pair list of its sample grid with d > 0, strided to `PAIR_CAP`
+    pairs (`ClosePairs`).  One table serves every field sampled on the grid.
     """
     radius = model.injectivity_surrogate / 2.0
-    r = _lattice_resolution(points, model)
-    if r is not None:
-        return _lattice_offsets(model, r, radius)
+    if model.kind == geometry.FLAT_TORUS:
+        return _lattice_offsets(model, resolution, radius)
+    points = geometry.sample_grid(model, resolution).points
     ii, jj, d = _close_pairs(points, model, radius)
     good = d > 0
     return ClosePairs(ii[good], jj[good], d[good])

@@ -9,8 +9,9 @@ gram          dump jet Gram blocks and singular values at probe points
 verify        run the acceptance criteria and report pass/fail
 
 Exit codes: 0 success, 1 verification failures, 2 config error (an output
-directory that cannot be made included), 3 mathematical precondition
-failure, 4 convergence failure.
+directory or output file that cannot be made or written included), 3
+mathematical or resource precondition failure (a full disk or quota while
+writing an output included), 4 convergence failure.
 
 Configuration is a single JSON document.  CONFIG_KEYS is its whole contract:
 each section's keys with their parser and default.  An absent or null key
@@ -31,6 +32,7 @@ the environment before launch.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -181,6 +183,8 @@ def load_config(path, seed_override=None) -> SimpleNamespace:
             raw = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"config file {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return parse_config(raw, seed_override)
@@ -230,25 +234,12 @@ def cmd_spectrum(cfg: SimpleNamespace, out_dir: Path) -> dict:
 def cmd_defect_scan(cfg: SimpleNamespace, out_dir: Path) -> dict:
     if cfg.model is None or not cfg.t_grid:
         raise ConfigError("defect-scan needs a model and a t_grid")
-    policy = embedding.TruncationPolicy(rho=cfg.rho, q_override=cfg.q_override)
-    lambda_max = cfg.spectrum["lambda_max"]
-    margin = cfg.spectrum["lambda_t_margin"]
-    if margin is not None and lambda_max is not None:
-        raise ConfigError("spectrum.lambda_max and spectrum.lambda_t_margin both set "
-                          "a scan window; set one of them")
-    window = None
-    if margin is not None:
-        window = lambda t: margin / t
-    elif lambda_max is not None:
-        window = lambda t: lambda_max
-    if window is not None and cfg.q_override is not None:
-        key = "lambda_max" if margin is None else "lambda_t_margin"
-        raise ConfigError(f"q_override and spectrum.{key} both set the scan's q: a window "
-                          "keeps every mode it holds; set one of them")
+    policy = embedding.TruncationPolicy(rho=cfg.rho, q_override=cfg.q_override,
+                                        lambda_max=cfg.spectrum["lambda_max"],
+                                        lambda_t_margin=cfg.spectrum["lambda_t_margin"])
     rows = embedding.defect_scan(cfg.model, cfg.t_grid, policy,
                                  correction=cfg.correction,
                                  resolution=cfg.resolution,
-                                 lambda_cutoff=window,
                                  alpha=cfg.analysis["alpha"])
     tables = out_dir / "tables"
     tables.mkdir(parents=True, exist_ok=True)
@@ -278,7 +269,7 @@ def cmd_gram(cfg: SimpleNamespace, out_dir: Path) -> dict:
     if not 0 < t < 1:
         raise ConfigError(f"t must lie in (0, 1), got {t!r}")
     policy = embedding.TruncationPolicy(rho=cfg.rho, q_override=cfg.q_override)
-    provider = spectrum.analytic_spectrum(cfg.model, count=policy.q(t, cfg.model.dim) + 1)
+    provider = spectrum.analytic_spectrum(cfg.model, **policy.request(t, cfg.model.dim))
     emb = embedding.build_embedding(provider, t, policy)
     grid = geometry.sample_grid(cfg.model, cfg.resolution)
     rng = np.random.default_rng(cfg.seed)
@@ -320,10 +311,10 @@ def cmd_perturb(cfg: SimpleNamespace, out_dir: Path) -> dict:
                                     sv["epsilon"], sv["f_mode"])
     t = sv["t"]
     policy = embedding.TruncationPolicy(rho=cfg.rho, q_override=cfg.q_override)
-    provider = spectrum.analytic_spectrum(cfg.model, count=policy.q(t, cfg.model.dim) + 1)
+    provider = spectrum.analytic_spectrum(cfg.model, **policy.request(t, cfg.model.dim))
     emb = embedding.build_embedding(provider, t, policy)
     solver = perturb.ConformalSolver(emb, resolution=resolution, e=sv["e"])
-    pairs = analysis.holder_pairs(solver.grid.points, solver.model)
+    pairs = analysis.holder_pairs(solver.model, solver.grid.resolution)
     runs = []
     coeffs = {}                     # y per k: the family bounds need nothing more
     for k in sv["k_values"]:
@@ -468,6 +459,12 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:      # load_config maps its own, so this is an output's
+        if exc.errno in (errno.ENOSPC, errno.EDQUOT):
+            print(f"precondition failure: writing the output: {exc}", file=sys.stderr)
+            return 3
+        print(f"config error: output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

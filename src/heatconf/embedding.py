@@ -15,7 +15,8 @@ one pair table per scan.  The metric correction supports l <= 2, with h1
 checked constant on each block of `ManifoldModel.blocks` over
 `sample_grid(model, 8)`; `corrected_model` turns it into the blockwise
 rescaled model.  `defect_scan` enumerates one provider per distinct row
-model, corrected or not, and each row reads its own window or count from it.
+model, corrected or not, and builds each row's embedding in it with
+`build_embedding`, the one place q is chosen and its shell closed.
 """
 from __future__ import annotations
 
@@ -42,16 +43,47 @@ def _freeness_floor(n: int) -> int:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Component count selection: q(t) = ceil(t^(-n/2 - rho)) unless overridden."""
+    """What an embedding at time t keeps, before its last shell is closed.
+
+    A count policy keeps q(t) = ceil(t^(-n/2 - rho)) modes, or q_override; a
+    window policy keeps every non-constant mode with lambda <= window(t), the
+    fixed lambda_max or lambda_t_margin / t.  A window keeps every mode it
+    holds, so it cannot be set together with q_override or the other window.
+    A narrow window buries higher-order defect terms under the anisotropy of
+    its last shells, of size ~ exp(-lambda t) (`acceptance.check_defect_law`).
+    """
 
     rho: float = 1.0
     q_override: int | None = None
+    lambda_max: float | None = None
+    lambda_t_margin: float | None = None
 
     def __post_init__(self):
         if self.rho <= 0:
             raise ConfigError("rho must be positive")
         if self.q_override is not None and self.q_override < 1:
             raise ConfigError("q_override must be a positive integer")
+        if self.lambda_max is not None and self.lambda_t_margin is not None:
+            raise ConfigError("spectrum.lambda_max and spectrum.lambda_t_margin both set "
+                              "a scan window; set one of them")
+        key = "lambda_max" if self.lambda_t_margin is None else "lambda_t_margin"
+        if self.q_override is not None and getattr(self, key) is not None:
+            raise ConfigError(f"q_override and spectrum.{key} both set the scan's q: a "
+                              "window keeps every mode it holds; set one of them")
+
+    def window(self, t: float) -> float | None:
+        """The eigenvalue window at time t, None for a count policy."""
+        if self.lambda_t_margin is None:
+            return self.lambda_max
+        if not t > 0:
+            raise ConfigError(f"t must be positive, got {t!r}")
+        return self.lambda_t_margin / t
+
+    def request(self, t: float, n: int) -> dict:
+        """The `analytic_spectrum` arguments of a provider that holds what an
+        embedding at time t keeps: q(t) + 1 modes, or the window."""
+        window = self.window(t)
+        return {"count": self.q(t, n) + 1} if window is None else {"lambda_max": window}
 
     def q(self, t: float, n: int) -> int:
         if not t > 0:
@@ -106,20 +138,30 @@ class EmbeddingMap:
 
 def build_embedding(provider: SpectrumProvider, t: float,
                     policy: TruncationPolicy) -> EmbeddingMap:
-    """Embedding at time t with the policy's component count, shell-closed.
+    """Embedding at time t with the modes the policy keeps, shell-closed.
 
-    An analytic provider holds whole shells, so a shell that runs to its last
-    mode is closed.  Any other provider may end inside a shell, so a shell
-    that reaches its last mode is refused: it cannot be told closed.
+    q is q(t), or the non-constant modes with lambda <= window(t), refused
+    below the freeness floor; its last shell is then closed.  An analytic
+    provider holds whole shells, so a shell that runs to its last mode is
+    closed.  Any other provider may end inside a shell, so a shell that
+    reaches its last mode is refused: it cannot be told closed.
     """
     if t >= 1.0:
         warnings.warn(f"t = {t} >= 1: outside the asymptotic regime", stacklevel=2)
     n = provider.model.dim
-    q = policy.q(t, n)
     lams = provider.lambdas
-    if provider.count < q + 1:
-        raise SpectrumError(
-            f"insufficient spectrum: q(t)={q} needs {q + 1} modes, have {provider.count}")
+    window = policy.window(t)
+    if window is None:
+        q = policy.q(t, n)
+        if provider.count < q + 1:
+            raise SpectrumError(
+                f"insufficient spectrum: q(t)={q} needs {q + 1} modes, have {provider.count}")
+    else:
+        q, floor = int(np.searchsorted(lams, window, side="right")) - 1, _freeness_floor(n)
+        if q < floor:
+            raise ConfigError(
+                f"the eigenvalue window lambda <= {window:g} at t = {t:g} holds "
+                f"{q} non-constant modes, below the freeness floor {floor}")
     while q + 1 < provider.count and \
             lams[q + 1] - lams[q] <= _SHELL_RTOL * (1.0 + lams[q]):
         q += 1
@@ -222,25 +264,16 @@ def pullback_report(emb: EmbeddingMap, points: np.ndarray,
 
 def defect_scan(model: ManifoldModel, t_grid, policy: TruncationPolicy,
                 correction: CorrectionSpec | None = None, resolution: int = 8,
-                lambda_cutoff=None, alpha: float = 0.5) -> list[dict]:
+                alpha: float = 0.5) -> list[dict]:
     """One row per t: component count, defect norms, and trace-factor range.
 
     Each row's model is `model` or, with a correction, `corrected_model` at
-    its t; the defect is always measured against the original g.  Each
-    distinct row model enumerates one analytic provider, at its first row,
-    for the largest request among its rows: the count q(t) + 1 of the
-    policy, or, when lambda_cutoff, a callable of t, replaces the count
-    policy, the eigenvalue window lambda <= lambda_cutoff(t).  So an
-    uncorrected scan, and a corrected one whose h1 vanishes, enumerate once.
-    A count row closes its shell in that provider (`build_embedding`); a
-    window row keeps every non-constant mode with lambda <= lambda_cutoff(t)
-    and none past it, the modes a provider of its own window holds, so a
-    policy that also sets q_override raises ConfigError.  Sorted providers
-    agree on their shared prefix, so the rows equal those of one provider
-    per t bit for bit.  The window must keep lambda_max * t large: the
-    anisotropy of the last included shells enters the defect at size
-    ~ exp(-lambda_max t), which buries any higher-order signal when the
-    window is too narrow.
+    its t; the defect is always measured against the original g.  The rows of
+    one model are consecutive (1 + t h1_b is monotone in t), and the model
+    enumerates one analytic provider for its smallest t, which asks for the
+    most (`policy.request`).  Each row is then `build_embedding` in that
+    provider.  Sorted providers agree on their
+    shared prefix, so the rows equal those of one provider per t bit for bit.
 
     Every row samples the defect on the same grid, so the metric of `model`
     on it and the Hoelder pair table (`analysis.holder_pairs`) are built once
@@ -257,40 +290,21 @@ def defect_scan(model: ManifoldModel, t_grid, policy: TruncationPolicy,
         raise ConfigError("t values must lie in (0, 1)")
     if any(b >= a for a, b in zip(t_grid, t_grid[1:])):
         raise ConfigError("t_grid must be strictly decreasing")
-    if lambda_cutoff is not None and policy.q_override is not None:
-        raise ConfigError("policy.q_override and lambda_cutoff both set the scan's q: "
-                          "a window keeps every mode it holds; set one of them")
     grid = geometry.sample_grid(model, resolution)
     metric = geometry.metric_on_grid(model, grid.points)
-    pairs = analysis.holder_pairs(grid.points, model)
-    floor = _freeness_floor(model.dim)
+    pairs = analysis.holder_pairs(model, resolution)
     models = [model] * len(t_grid)
     if correction is not None and correction.l >= 2:
         eta1 = correction.eta[0]
         h1 = h1_frame_constant(model, eta1)
         models = [corrected_model(model, h1, t, eta1) for t in t_grid]
-    # a row asks for the window lambda <= lambda_cutoff(t), or for q(t) + 1 modes
-    requests = [policy.q(t, model.dim) + 1 if lambda_cutoff is None else lambda_cutoff(t)
-                for t in t_grid]
-    largest = {}
-    for scaled, request in zip(models, requests):
-        largest[scaled] = max(largest.get(scaled, request), request)
     rows = []
-    provider = None     # the rows of one model are consecutive: 1 + t h1_b is monotone in t
-    for t, scaled, request in zip(t_grid, models, requests):
+    provider = None
+    for t, scaled in zip(t_grid, models):
         if provider is None or provider.model != scaled:
-            provider = (spectrum.analytic_spectrum(scaled, count=largest[scaled])
-                        if lambda_cutoff is None else
-                        spectrum.analytic_spectrum(scaled, lambda_max=largest[scaled]))
-        if lambda_cutoff is None:
-            emb = build_embedding(provider, t, policy)
-        else:
-            held = int(np.searchsorted(provider.lambdas, request, side="right")) - 1
-            if held < floor:
-                raise ConfigError(
-                    f"the eigenvalue window lambda <= {request:g} at t = {t:g} holds "
-                    f"{held} non-constant modes, below the freeness floor {floor}")
-            emb = EmbeddingMap(provider, t, held)
+            smallest = min(s for s, m in zip(t_grid, models) if m == scaled)
+            provider = spectrum.analytic_spectrum(scaled, **policy.request(smallest, model.dim))
+        emb = build_embedding(provider, t, policy)
         rep = pullback_report(emb, grid.points, metric)
         rows.append({
             "t": t,

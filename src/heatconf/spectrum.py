@@ -796,9 +796,13 @@ def save_spectrum(provider: SpectrumProvider, path, grid: geometry.SampleGrid,
 
     The header asks the loader to check grid orthonormality to
     `_SAVED_TOLERANCE`; the same check runs here first, so a grid too coarse
-    for the modes raises SpectrumError before anything is written.
+    for the modes raises SpectrumError before anything is written.  Its
+    [count, G] value table is refused by `geometry.check_memory` before the
+    first jet is built.
     """
     count = provider.count if count is None else count
+    geometry.check_memory(8 * count * len(grid.points),
+                          f"the values of {count} modes on {len(grid.points)} grid points")
     chunk = 256
     values = [provider.jet_block(j0, min(count, j0 + chunk), grid.points, deriv=0)[0]
               for j0 in range(0, count, chunk)]

@@ -17,12 +17,10 @@ def test_holder_constant_field(circle, torus2):
     whatever its trailing component shape."""
     grid = geometry.sample_grid(circle, 64)
     assert analysis.holder_seminorm_field(np.full(len(grid), -2.5),
-                                          analysis.holder_pairs(grid.points, circle),
-                                          0.5) == 0.0
+                                          analysis.holder_pairs(circle, 64), 0.5) == 0.0
     lattice = geometry.sample_grid(torus2, 12)
     assert analysis.holder_seminorm_field(np.full((len(lattice), 2, 2), 0.7),
-                                          analysis.holder_pairs(lattice.points, torus2),
-                                          0.5) == 0.0
+                                          analysis.holder_pairs(torus2, 12), 0.5) == 0.0
 
 
 def test_holder_single_mode(circle):
@@ -32,7 +30,7 @@ def test_holder_single_mode(circle):
     N, alpha = 256, 0.5
     grid = geometry.sample_grid(circle, N)
     got = analysis.holder_seminorm_field(np.cos(grid.points[:, 0]),
-                                         analysis.holder_pairs(grid.points, circle), alpha)
+                                         analysis.holder_pairs(circle, N), alpha)
     h = TWO_PI / N
     m = np.arange(1, int(circle.injectivity_surrogate / 2.0 / h * (1 + 1e-12)) + 1)
     peak = np.where(m % 2 == 0, 1.0, np.cos(h / 2.0))
@@ -45,8 +43,7 @@ def test_holder_seminorm_dense_pair_oracle(circle):
     x = grid.points[:, 0]
     vals = np.sin(3 * x) + 0.2 * np.cos(7 * x)
     alpha = 0.5
-    capped = analysis.holder_seminorm_field(
-        vals, analysis.holder_pairs(grid.points, circle), alpha)
+    capped = analysis.holder_seminorm_field(vals, analysis.holder_pairs(circle, 256), alpha)
     # dense brute force over every admissible pair
     radius = circle.injectivity_surrogate / 2.0
     best = 0.0
@@ -63,20 +60,18 @@ def test_holder_monotone_under_refinement(circle):
     fine = geometry.sample_grid(circle, 128)   # contains the coarse points
     f = lambda p: np.sin(2 * p[:, 0]) + 0.1 * np.sin(9 * p[:, 0])
     h_coarse = analysis.holder_seminorm_field(
-        f(coarse.points), analysis.holder_pairs(coarse.points, circle), 0.5)
+        f(coarse.points), analysis.holder_pairs(circle, 64), 0.5)
     h_fine = analysis.holder_seminorm_field(
-        f(fine.points), analysis.holder_pairs(fine.points, circle), 0.5)
+        f(fine.points), analysis.holder_pairs(circle, 128), 0.5)
     assert h_fine >= h_coarse - 1e-12
 
 
 def test_holder_pair_cap(circle, monkeypatch):
     grid = geometry.sample_grid(circle, 256)
     vals = np.sin(grid.points[:, 0])
-    full = analysis.holder_seminorm_field(
-        vals, analysis.holder_pairs(grid.points, circle), 0.5)
+    full = analysis.holder_seminorm_field(vals, analysis.holder_pairs(circle, 256), 0.5)
     monkeypatch.setattr(analysis, "PAIR_CAP", 2000)
-    capped = analysis.holder_seminorm_field(
-        vals, analysis.holder_pairs(grid.points, circle), 0.5)
+    capped = analysis.holder_seminorm_field(vals, analysis.holder_pairs(circle, 256), 0.5)
     assert 0 < capped <= full * (1 + 1e-12)
 
 
@@ -131,11 +126,9 @@ def test_lattice_holder_matches_all_pairs(periods, r):
     pairs lying on the radius count up to rounding (slack 1e-12)."""
     model = geometry.ManifoldModel.flat_torus(periods)
     grid = geometry.sample_grid(model, r)
-    assert analysis._lattice_resolution(grid.points, model) == r
     vals = np.random.default_rng(9).standard_normal((len(grid), 3))
     alpha = 0.45
-    got = analysis.holder_seminorm_field(vals, analysis.holder_pairs(grid.points, model),
-                                         alpha)
+    got = analysis.holder_seminorm_field(vals, analysis.holder_pairs(model, r), alpha)
     p = grid.points
     d = geometry.geodesic_distance(model, p[:, None, :], p[None, :, :])
     diff = np.max(np.abs(vals[:, None, :] - vals[None, :, :]), axis=-1)
@@ -198,7 +191,7 @@ def test_lattice_holder_matches_roll_oracle(periods, r, comps):
     tied."""
     model = geometry.ManifoldModel.flat_torus(periods)
     radius = model.injectivity_surrogate / 2.0
-    pairs = analysis.holder_pairs(geometry.sample_grid(model, r).points, model)
+    pairs = analysis.holder_pairs(model, r)
     assert isinstance(pairs, analysis.LatticeOffsets)
     rng = np.random.default_rng(r)
     fields = structured_fields(model, r)
@@ -207,20 +200,6 @@ def test_lattice_holder_matches_roll_oracle(periods, r, comps):
         for name, vals in fields.items():
             assert (analysis.holder_seminorm_field(vals, pairs, alpha)
                     == lattice_holder_roll(vals, model, r, radius, alpha)), (name, alpha)
-
-
-def test_lattice_path_needs_the_sample_lattice(circle):
-    model = geometry.ManifoldModel.flat_torus((TWO_PI, 3.1))
-    pts = geometry.sample_grid(model, 12).points
-    assert analysis._lattice_resolution(pts, model) == 12
-    rng = np.random.default_rng(2)
-    assert analysis._lattice_resolution(pts[rng.permutation(len(pts))], model) is None
-    assert analysis._lattice_resolution(pts[:-1], model) is None
-    other = geometry.ManifoldModel.flat_torus((TWO_PI, 3.2))
-    assert analysis._lattice_resolution(pts, other) is None
-    line = geometry.sample_grid(circle, 64).points
-    assert analysis._lattice_resolution(line, circle) is None
-
 
 
 def test_halved_offset_bound_misses_the_oracle(monkeypatch):
@@ -233,7 +212,7 @@ def test_halved_offset_bound_misses_the_oracle(monkeypatch):
     for periods, r in STRUCTURED:
         model = geometry.ManifoldModel.flat_torus(periods)
         radius = model.injectivity_surrogate / 2.0
-        pairs = analysis.holder_pairs(geometry.sample_grid(model, r).points, model)
+        pairs = analysis.holder_pairs(model, r)
         for name, vals in structured_fields(model, r).items():
             if (analysis.holder_seminorm_field(vals, pairs, 0.45)
                     != lattice_holder_roll(vals, model, r, radius, 0.45)):
@@ -249,7 +228,7 @@ def test_axis_aligned_field_compares_few_offsets(torus2, axis):
     them all."""
     r = 48
     grid = geometry.sample_grid(torus2, r)
-    pairs = analysis.holder_pairs(grid.points, torus2)
+    pairs = analysis.holder_pairs(torus2, r)
     radius = torus2.injectivity_surrogate / 2.0
     x = grid.points[:, axis]
     vals = np.column_stack([np.cos(x), np.sin(x), 1e-3 * np.cos(2 * x), np.ones_like(x)])
@@ -298,14 +277,13 @@ def test_holder_of_a_non_finite_field_is_nan(circle, torus2, monkeypatch, bad):
     grid = geometry.sample_grid(circle, 32)
     vals = np.sin(grid.points)
     vals[5] = bad
-    assert np.isnan(analysis.holder_seminorm_field(
-        vals, analysis.holder_pairs(grid.points, circle), 0.5))
+    assert np.isnan(analysis.holder_seminorm_field(vals, analysis.holder_pairs(circle, 32), 0.5))
     monkeypatch.setattr(analysis, "PAIR_CAP", 100)     # stride 2 skips point 5
-    pairs = analysis.holder_pairs(grid.points, circle)
+    pairs = analysis.holder_pairs(circle, 32)
     assert 5 not in pairs.ii and 5 not in pairs.jj
     assert np.isnan(analysis.holder_seminorm_field(vals, pairs, 0.5))
     lattice = geometry.sample_grid(torus2, 12)
     field = np.cos(lattice.points)
     field[17, 1] = bad
     assert np.isnan(analysis.holder_seminorm_field(
-        field, analysis.holder_pairs(lattice.points, torus2), 0.5))
+        field, analysis.holder_pairs(torus2, 12), 0.5))

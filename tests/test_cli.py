@@ -1,5 +1,6 @@
 """Command-line interface: configs, outputs, exit codes, determinism."""
 import contextlib
+import errno
 import io
 import json
 import tempfile
@@ -438,6 +439,61 @@ def test_out_under_a_regular_file_exits_2_before_any_work(tmp_path, capsys, monk
         assert err.startswith("config error:") and err.count("\n") == 1, err
         assert f"{blocker} is not a directory" in err, err
     assert blocker.read_text() == "{}"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full here")
+@pytest.mark.parametrize("command, payload, target", [
+    ("verify", {"verify": {"criteria": ["linear_algebra"]}}, "report.json"),
+    ("spectrum", {"model": TORUS_MODEL, "spectrum": {"count": 7}, "resolution": 8},
+     "eigenpairs/flat_torus.jsonl"),
+], ids=["verify-report", "spectrum-eigenpairs"])
+def test_full_disk_while_writing_an_output_exits_3(tmp_path, capsys, command, payload, target):
+    """An output file that is a symlink to /dev/full fails its writes with
+    ENOSPC, as on a full disk: the run exits 3 with one line, not a traceback."""
+    out = tmp_path / "o"
+    (out / target).parent.mkdir(parents=True)
+    (out / target).symlink_to("/dev/full")
+    cfg = write_config(tmp_path, payload)
+    capsys.readouterr()
+    assert run(["--config", cfg, "--out", str(out), command]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("precondition failure: writing the output:"), err
+    assert err.count("\n") == 1 and f"[Errno {errno.ENOSPC}]" in err, err
+
+
+def test_unusable_output_file_or_config_file_exits_2(tmp_path, capsys):
+    """A directory where report.json goes exits 2 with one line that names the
+    file; so does a config path that is a directory, as a config error."""
+    out = tmp_path / "o"
+    (out / "report.json").mkdir(parents=True)
+    capsys.readouterr()
+    assert run(["--out", str(out), "verify"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output:") and err.count("\n") == 1, err
+    assert str(out / "report.json") in err
+    assert run(["--config", str(tmp_path), "--out", str(tmp_path / "p"), "verify"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config file {tmp_path}:") and err.count("\n") == 1
+
+
+def test_spectrum_value_table_past_memory_exits_3_before_any_jet(tmp_path, capsys,
+                                                                  monkeypatch):
+    """A 2-torus spectrum at resolution 64 with count 1000 checks its modes'
+    orthonormality on a [1000, 4096] value table (32.8 MB): with 10 MB
+    available it exits 3 with one line before any jet is built."""
+    def no_jets(*args, **kwargs):
+        raise AssertionError("jet_block called before the memory check")
+
+    monkeypatch.setattr(heatconf.spectrum.LatticeSpectrum, "jet_block", no_jets)
+    monkeypatch.setattr(heatconf.geometry, "available_bytes", lambda: 10**7)
+    cfg = write_config(tmp_path, {"model": TORUS_MODEL, "spectrum": {"count": 1000},
+                                  "resolution": 64})
+    capsys.readouterr()
+    assert run(["--config", cfg, "--out", str(tmp_path / "o"), "spectrum"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("precondition failure:") and err.count("\n") == 1, err
+    assert "the values of 1000 modes on 4096 grid points needs about 0.03 GB" in err
+    assert not (tmp_path / "o" / "eigenpairs" / "flat_torus.jsonl").exists()
 
 
 def test_malformed_config_values_exit_2(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Embedding construction, pullback metrics, defect, correction, tails."""
 import copy
 import dataclasses
+import json
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from numpy.testing import assert_allclose
 from heatconf import (CorrectionSpec, ManifoldModel, TruncationPolicy, analytic_spectrum,
                       build_embedding, conformal_defect, corrected_model, defect_scan,
                       h1_solve, tail_bound_check)
-from heatconf import acceptance, analysis, embedding, geometry, spectrum
+from heatconf import acceptance, analysis, cli, embedding, geometry, spectrum
 from heatconf.errors import ConfigError, PreconditionError, SpectrumError
 
 TWO_PI = 2.0 * np.pi
@@ -336,16 +338,34 @@ def test_defect_scan_torus(torus2):
         defect_scan(torus2, [1.5], TruncationPolicy())
 
 
-def test_defect_scan_refuses_q_override_with_a_window(circle, monkeypatch):
-    """A window keeps every mode it holds, so a policy that also fixes q is
-    refused before any provider is built, not silently overruled."""
+def test_defect_scan_refuses_q_override_with_a_window(tmp_path, capsys, monkeypatch):
+    """A window keeps every mode it holds, so a policy that also fixes q, or
+    sets both windows, is refused when it is constructed: a defect-scan
+    config that asks for one exits 2 with the policy's one line before any
+    provider is built, not silently overruled."""
     def no_build(*args, **kwargs):
         raise AssertionError("spectrum built before the policy was checked")
 
     monkeypatch.setattr(spectrum, "analytic_spectrum", no_build)
-    with pytest.raises(ConfigError, match="q_override and lambda_cutoff"):
-        defect_scan(circle, [0.1, 0.05], TruncationPolicy(q_override=40),
-                    lambda_cutoff=lambda t: 100.0)
+    keeps = "a window keeps every mode it holds; set one of them"
+    for fields, message in [
+            ({"lambda_max": 50.0, "lambda_t_margin": 16.0},
+             "spectrum.lambda_max and spectrum.lambda_t_margin both set a scan window; "
+             "set one of them"),
+            ({"q_override": 40, "lambda_t_margin": 16.0},
+             f"q_override and spectrum.lambda_t_margin both set the scan's q: {keeps}"),
+            ({"q_override": 40, "lambda_max": 100.0},
+             f"q_override and spectrum.lambda_max both set the scan's q: {keeps}")]:
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            TruncationPolicy(**fields)
+        q_override = fields.pop("q_override", None)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": {"kind": "circle", "params": {"length": TWO_PI}},
+                                      "t_grid": [0.1, 0.05], "q_override": q_override,
+                                      "spectrum": fields}))
+        capsys.readouterr()
+        code = cli.main(["--config", str(config), "--out", str(tmp_path / "o"), "defect-scan"])
+        assert (code, capsys.readouterr().err) == (2, f"config error: {message}\n")
 
 
 def test_defect_scan_emitters(tmp_path, torus2):
@@ -363,20 +383,19 @@ def test_defect_scan_emitters(tmp_path, torus2):
 
 
 def test_corrected_scan_uses_original_reference(product):
-    rows = defect_scan(product, [0.1, 0.07], TruncationPolicy(rho=1.0),
-                       correction=CorrectionSpec(l=2, eta=(0.0,)),
-                       resolution=6, lambda_cutoff=lambda t: 12.0 / t)
+    rows = defect_scan(product, [0.1, 0.07], TruncationPolicy(rho=1.0, lambda_t_margin=12.0),
+                       correction=CorrectionSpec(l=2, eta=(0.0,)), resolution=6)
     # corrected defect is an order of magnitude below the uncorrected one
-    base = defect_scan(product, [0.1, 0.07], TruncationPolicy(rho=1.0),
-                       resolution=6, lambda_cutoff=lambda t: 12.0 / t)
+    base = defect_scan(product, [0.1, 0.07], TruncationPolicy(rho=1.0, lambda_t_margin=12.0),
+                       resolution=6)
     assert rows[0]["defect_sup"] < 0.05 * base[0]["defect_sup"]
 
 
 def test_corrected_scan_leaves_spec_unchanged(product):
     spec = CorrectionSpec(l=2, eta=(0.0,))
     before = copy.deepcopy(spec)
-    defect_scan(product, [0.1], TruncationPolicy(rho=1.0), correction=spec,
-                resolution=4, lambda_cutoff=lambda t: 8.0 / t)
+    defect_scan(product, [0.1], TruncationPolicy(rho=1.0, lambda_t_margin=8.0),
+                correction=spec, resolution=4)
     assert spec == before
 
 
@@ -565,8 +584,8 @@ def test_product_scan_matches_level_sum_oracle(product, monkeypatch, corrected):
     calls = _count_jet_blocks(monkeypatch, spectrum.ProductSpectrum)
     ts, margin = [0.1, 0.07, 0.05, 0.035, 0.025], 16.0
     correction = CorrectionSpec(l=2, eta=(0.0,)) if corrected else None
-    rows = defect_scan(product, ts, TruncationPolicy(rho=1.0), correction=correction,
-                       resolution=6, lambda_cutoff=lambda t: margin / t)
+    rows = defect_scan(product, ts, TruncationPolicy(rho=1.0, lambda_t_margin=margin),
+                       correction=correction, resolution=6)
     assert calls == []
     # the corrected defect is a 1e-5 difference of O(1) block constants
     rtol = 1e-8 if corrected else 1e-12
@@ -600,13 +619,13 @@ def test_scan_enumerates_one_provider_per_row_model(product, circle, monkeypatch
     eta = 0, whose h1 vanishes, enumerates once."""
     built = _count_enumerations(monkeypatch)
     ts = [0.1, 0.08, 0.06, 0.05, 0.04]
-    policy = TruncationPolicy(rho=1.0)
     h1 = embedding.h1_frame_constant(product, 0.0)
-    for window in (lambda t: 7.0 / t, lambda t: 70.0, None):
+    for window, policy in ((lambda t: 7.0 / t, TruncationPolicy(rho=1.0, lambda_t_margin=7.0)),
+                           (lambda t: 70.0, TruncationPolicy(rho=1.0, lambda_max=70.0)),
+                           (None, TruncationPolicy(rho=1.0))):
         for correction in (None, CorrectionSpec(l=2, eta=(0.0,))):
             built.clear()
-            rows = defect_scan(product, ts, policy, correction=correction, resolution=4,
-                               lambda_cutoff=window)
+            rows = defect_scan(product, ts, policy, correction=correction, resolution=4)
             row_models = [product.rescaled((1.0, 1.0) if correction is None else
                                            (1.0 + t * h1[0, 0], 1.0 + t * h1[2, 2]))
                           for t in ts]
@@ -623,18 +642,19 @@ def test_scan_enumerates_one_provider_per_row_model(product, circle, monkeypatch
                     prov = next(p for m, *_, p in built if m == model)
                     assert row["q"] == np.count_nonzero(prov.lambdas <= window(t)) - 1
     built.clear()
-    defect_scan(circle, [0.1, 0.05, 0.02], policy, correction=CorrectionSpec(l=2, eta=(0.0,)),
-                lambda_cutoff=lambda t: 16.0 / t)
+    defect_scan(circle, [0.1, 0.05, 0.02], TruncationPolicy(rho=1.0, lambda_t_margin=16.0),
+                correction=CorrectionSpec(l=2, eta=(0.0,)))
     assert [(m, lam_max) for m, _, lam_max, _ in built] == [(circle, 16.0 / 0.02)]
 
 
-def _per_row_scan(model, t_grid, policy, correction=None, resolution=8, lambda_cutoff=None,
+def _per_row_scan(model, t_grid, policy, window=None, correction=None, resolution=8,
                   alpha=0.5):
-    """The defect scan as one analytic provider per t: the reference that
-    `defect_scan`'s shared providers must reproduce bit for bit."""
+    """The defect scan as one analytic provider per t, each row keeping every
+    mode of its window(t) or the count policy's shell-closed q(t): the
+    reference that `defect_scan`'s shared providers must reproduce bit for bit."""
     grid = geometry.sample_grid(model, resolution)
     metric = geometry.metric_on_grid(model, grid.points)
-    pairs = analysis.holder_pairs(grid.points, model)
+    pairs = analysis.holder_pairs(model, resolution)
     h1 = eta1 = None
     if correction is not None and correction.l >= 2:
         eta1 = correction.eta[0]
@@ -642,11 +662,11 @@ def _per_row_scan(model, t_grid, policy, correction=None, resolution=8, lambda_c
     rows = []
     for t in t_grid:
         scaled = model if h1 is None else corrected_model(model, h1, t, eta1)
-        if lambda_cutoff is None:
+        if window is None:
             provider = analytic_spectrum(scaled, count=policy.q(t, model.dim) + 1)
             eff_policy = policy
         else:
-            provider = analytic_spectrum(scaled, lambda_max=lambda_cutoff(t))
+            provider = analytic_spectrum(scaled, lambda_max=window(t))
             eff_policy = TruncationPolicy(rho=policy.rho, q_override=provider.count - 1)
         emb = build_embedding(provider, t, eff_policy)
         rep = embedding.pullback_report(emb, grid.points, metric)
@@ -664,30 +684,49 @@ def _per_row_scan(model, t_grid, policy, correction=None, resolution=8, lambda_c
 _PRODUCT_TS = [0.1, 0.07, 0.05, 0.035, 0.025]
 
 
-@pytest.mark.parametrize("model, ts, kwargs", [
+@pytest.mark.parametrize("model, ts, fields, window, kwargs", [
     (ManifoldModel.product_sphere_circle(1.0, TWO_PI), _PRODUCT_TS,
-     {"resolution": 6, "lambda_cutoff": lambda t: 16.0 / t}),
+     {"lambda_t_margin": 16.0}, lambda t: 16.0 / t, {"resolution": 6}),
     (ManifoldModel.product_sphere_circle(1.0, TWO_PI), _PRODUCT_TS,
-     {"resolution": 6, "lambda_cutoff": lambda t: 16.0 / t,
-      "correction": CorrectionSpec(l=2, eta=(0.0,))}),
-    (ManifoldModel.product_sphere_circle(1.0, TWO_PI), [0.1, 0.07], {"resolution": 6}),
+     {"lambda_t_margin": 16.0}, lambda t: 16.0 / t,
+     {"resolution": 6, "correction": CorrectionSpec(l=2, eta=(0.0,))}),
+    (ManifoldModel.product_sphere_circle(1.0, TWO_PI), [0.1, 0.07], {}, None,
+     {"resolution": 6}),
     (ManifoldModel.flat_torus([TWO_PI, 3.1]), [0.1, 0.05, 0.025],
-     {"resolution": 12, "lambda_cutoff": lambda t: 16.0 / t}),
-    (ManifoldModel.circle(TWO_PI), [0.1, 0.05, 0.02], {"lambda_cutoff": lambda t: 50.0}),
-    (ManifoldModel.sphere2(1.0), [0.1, 0.05], {"resolution": 8}),
+     {"lambda_t_margin": 16.0}, lambda t: 16.0 / t, {"resolution": 12}),
+    (ManifoldModel.circle(TWO_PI), [0.1, 0.05, 0.02], {"lambda_max": 50.0}, lambda t: 50.0,
+     {}),
+    (ManifoldModel.sphere2(1.0), [0.1, 0.05], {}, None, {"resolution": 8}),
 ], ids=["s2xs1-margin", "s2xs1-margin-l2", "s2xs1-count", "rect-torus-margin",
         "circle-lambda-max", "sphere-count"])
-def test_scan_rows_equal_the_per_row_providers(model, ts, kwargs):
+def test_scan_rows_equal_the_per_row_providers(model, ts, fields, window, kwargs):
     """Every row of a scan that shares one provider per row model equals, field
     for field and bit for bit, the row of a provider enumerated for that t
     alone: the window rows keep the modes lambda <= window(t), and the count
     rows close the same shell."""
-    policy = TruncationPolicy(rho=1.0)
-    got = defect_scan(model, ts, policy, **kwargs)
-    want = _per_row_scan(model, ts, policy, **kwargs)
+    got = defect_scan(model, ts, TruncationPolicy(rho=1.0, **fields), **kwargs)
+    want = _per_row_scan(model, ts, TruncationPolicy(rho=1.0), window=window, **kwargs)
     assert [list(row) for row in got] == [list(row) for row in want]
     for row, ref in zip(got, want):
         assert all(row[key] == ref[key] for key in ref), (row, ref)
+
+
+@pytest.mark.parametrize("fields", [{"lambda_t_margin": 16.0}, {"lambda_max": 60.0}, {}],
+                         ids=["margin", "lambda-max", "count"])
+def test_every_scan_row_is_one_build_embedding(product, monkeypatch, fields):
+    """Window, constant-window and count rows alike take their q from one
+    `build_embedding` call per row, in the order of t_grid."""
+    calls, build = [], embedding.build_embedding
+
+    def recording(provider, t, policy):
+        emb = build(provider, t, policy)
+        calls.append((t, emb.q))
+        return emb
+
+    monkeypatch.setattr(embedding, "build_embedding", recording)
+    rows = defect_scan(product, [0.1, 0.07, 0.05], TruncationPolicy(rho=1.0, **fields),
+                       resolution=4)
+    assert calls == [(row["t"], row["q"]) for row in rows]
 
 
 def test_margin_window_keeps_the_modes_on_its_edge(product):
@@ -696,8 +735,8 @@ def test_margin_window_keeps_the_modes_on_its_edge(product):
     lams = analytic_spectrum(product, lambda_max=160.0).lambdas
     on_edge = np.count_nonzero(lams == 16.0 / 0.1)
     assert on_edge == 50
-    rows = defect_scan(product, [0.1, 0.05], TruncationPolicy(rho=1.0), resolution=4,
-                       lambda_cutoff=lambda t: 16.0 / t)
+    rows = defect_scan(product, [0.1, 0.05], TruncationPolicy(rho=1.0, lambda_t_margin=16.0),
+                       resolution=4)
     assert rows[0]["q"] == lams.size - 1 == 2786
 
 
@@ -718,14 +757,11 @@ def test_scan_builds_one_holder_pair_table(product, monkeypatch):
     monkeypatch.setattr(analysis, "_close_pairs", counting)
     monkeypatch.setattr(analysis, "holder_seminorm_field", recording)
     ts, alpha = [0.1, 0.08, 0.06, 0.05, 0.04], 0.45
-    rows = defect_scan(product, ts, TruncationPolicy(rho=1.0),
-                       correction=CorrectionSpec(l=2, eta=(0.0,)), resolution=6,
-                       lambda_cutoff=lambda t: 12.0 / t, alpha=alpha)
+    rows = defect_scan(product, ts, TruncationPolicy(rho=1.0, lambda_t_margin=12.0),
+                       correction=CorrectionSpec(l=2, eta=(0.0,)), resolution=6, alpha=alpha)
     assert len(rows) == len(fields) == 5 and len(found) == 1
-    points = geometry.sample_grid(product, 6).points
     for row, field in zip(rows, fields):
-        assert row["defect_holder"] == holder(field, analysis.holder_pairs(points, product),
-                                              alpha)
+        assert row["defect_holder"] == holder(field, analysis.holder_pairs(product, 6), alpha)
     assert len(found) == 6          # one table for each one-shot quotient
 
 
