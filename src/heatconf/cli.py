@@ -8,10 +8,17 @@ perturb       solve the conformal fixed point for each trace parameter k
 gram          dump jet Gram blocks and singular values at probe points
 verify        run the acceptance criteria and report pass/fail
 
+Each `cmd_*` takes the parsed config and returns its results and its files,
+a map from a path under the output directory to a fill that writes the
+file's content to the path it is given.  `main` finds the command in
+COMMANDS and writes each file, then report.json, through `_write`.  Every
+JSON output has one format (`_json_file`).
+
 Exit codes: 0 success, 1 verification failures, 2 config error (an output
 directory or output file that cannot be made or written included), 3
 mathematical or resource precondition failure (a full disk or quota while
-writing an output included), 4 convergence failure.
+writing an output included), 4 convergence failure.  A failed write leaves
+neither the file nor its temp file.
 
 Configuration is a single JSON document.  CONFIG_KEYS is its whole contract:
 each section's keys with their parser and default.  An absent or null key
@@ -190,6 +197,20 @@ def load_config(path, seed_override=None) -> SimpleNamespace:
     return parse_config(raw, seed_override)
 
 
+def _write(path: Path, fill) -> None:
+    """Write the output file `path`: `fill(tmp)` writes `.<name>.tmp` beside
+    it, and `os.replace` moves that into place, replacing a symlink at `path`.
+    On any error the temp file is removed, so no partial file is left."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        fill(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _report(out_dir: Path, command: str, cfg: SimpleNamespace, results: dict) -> Path:
     report = {
         "command": command,
@@ -204,15 +225,25 @@ def _report(out_dir: Path, command: str, cfg: SimpleNamespace, results: dict) ->
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "results": results,
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "report.json"
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(path, _json_file(report, end="\n"))
     return path
 
 
-def cmd_spectrum(cfg: SimpleNamespace, out_dir: Path) -> dict:
+def _policy(cfg: SimpleNamespace) -> embedding.TruncationPolicy:
+    return embedding.TruncationPolicy(rho=cfg.rho, q_override=cfg.q_override,
+                                      lambda_max=cfg.spectrum["lambda_max"],
+                                      lambda_t_margin=cfg.spectrum["lambda_t_margin"])
+
+
+def _embedding(cfg: SimpleNamespace, t: float) -> embedding.EmbeddingMap:
+    """The embedding at time t under the config's truncation policy."""
+    policy = _policy(cfg)
+    provider = spectrum.analytic_spectrum(cfg.model, **policy.request(t, cfg.model.dim))
+    return embedding.build_embedding(provider, t, policy)
+
+
+def cmd_spectrum(cfg: SimpleNamespace) -> tuple[dict, dict]:
     if cfg.model is None:
         raise ConfigError("spectrum command needs a model")
     count = cfg.spectrum["count"]
@@ -220,30 +251,19 @@ def cmd_spectrum(cfg: SimpleNamespace, out_dir: Path) -> dict:
                                           lambda_max=cfg.spectrum["lambda_max"])
     pairs = spectrum.enumerate_eigenpairs(provider, count)
     grid = geometry.sample_grid(cfg.model, cfg.resolution)
-    eig_dir = out_dir / "eigenpairs"
-    eig_dir.mkdir(parents=True, exist_ok=True)
-    path = eig_dir / f"{cfg.model.kind}.jsonl"
-    spectrum.save_spectrum(provider, path, grid, count=count)
-    return {
-        "file": str(path.relative_to(out_dir)),
-        "count": count,
-        "lambdas": [p.lam for p in pairs[:min(count, 64)]],
-    }
+    path = f"eigenpairs/{cfg.model.kind}.jsonl"
+    results = {"file": path, "count": count,
+               "lambdas": [p.lam for p in pairs[:min(count, 64)]]}
+    return results, {path: lambda tmp: spectrum.save_spectrum(provider, tmp, grid, count)}
 
 
-def cmd_defect_scan(cfg: SimpleNamespace, out_dir: Path) -> dict:
+def cmd_defect_scan(cfg: SimpleNamespace) -> tuple[dict, dict]:
     if cfg.model is None or not cfg.t_grid:
         raise ConfigError("defect-scan needs a model and a t_grid")
-    policy = embedding.TruncationPolicy(rho=cfg.rho, q_override=cfg.q_override,
-                                        lambda_max=cfg.spectrum["lambda_max"],
-                                        lambda_t_margin=cfg.spectrum["lambda_t_margin"])
-    rows = embedding.defect_scan(cfg.model, cfg.t_grid, policy,
+    rows = embedding.defect_scan(cfg.model, cfg.t_grid, _policy(cfg),
                                  correction=cfg.correction,
                                  resolution=cfg.resolution,
                                  alpha=cfg.analysis["alpha"])
-    tables = out_dir / "tables"
-    tables.mkdir(parents=True, exist_ok=True)
-    embedding.write_scan_csv(rows, tables / "defect_scan.csv")
     metadata = {
         "model": cfg.model.to_config(),
         "rho": cfg.rho,
@@ -251,26 +271,25 @@ def cmd_defect_scan(cfg: SimpleNamespace, out_dir: Path) -> dict:
             "l": cfg.correction.l, "eta": list(cfg.correction.eta)},
         "basis_conventions": BASIS_CONVENTIONS,
     }
-    embedding.write_scan_json(rows, tables / "defect_scan.json", metadata)
     fit = None
     if len(rows) >= 3 and all(r["defect_sup"] > 0 for r in rows):
         of = analysis.fit_order([r["t"] for r in rows],
                                 [r["defect_sup"] for r in rows])
         fit = {"slope": of.slope, "intercept": of.intercept, "r_squared": of.r_squared}
-    return {"rows": rows, "defect_sup_fit": fit,
-            "csv": "tables/defect_scan.csv", "json": "tables/defect_scan.json"}
+    csv_path, json_path = "tables/defect_scan.csv", "tables/defect_scan.json"
+    results = {"rows": rows, "defect_sup_fit": fit, "csv": csv_path, "json": json_path}
+    return results, {csv_path: lambda tmp: embedding.write_scan_csv(rows, tmp),
+                     json_path: _json_file({"metadata": metadata, "rows": rows})}
 
 
-def cmd_gram(cfg: SimpleNamespace, out_dir: Path) -> dict:
+def cmd_gram(cfg: SimpleNamespace) -> tuple[dict, dict]:
     """Diagnostic dump of jet Gram blocks and singular values at probe points."""
     if cfg.model is None:
         raise ConfigError("gram diagnostics need a model")
     t = cfg.solver["t"] if not cfg.t_grid else cfg.t_grid[0]
     if not 0 < t < 1:
         raise ConfigError(f"t must lie in (0, 1), got {t!r}")
-    policy = embedding.TruncationPolicy(rho=cfg.rho, q_override=cfg.q_override)
-    provider = spectrum.analytic_spectrum(cfg.model, **policy.request(t, cfg.model.dim))
-    emb = embedding.build_embedding(provider, t, policy)
+    emb = _embedding(cfg, t)
     grid = geometry.sample_grid(cfg.model, cfg.resolution)
     rng = np.random.default_rng(cfg.seed)
     pts = grid.points[rng.choice(len(grid.points), size=min(4, len(grid.points)),
@@ -292,15 +311,12 @@ def cmd_gram(cfg: SimpleNamespace, out_dir: Path) -> dict:
             "singular_values_P": sv.tolist(),
             "singular_values_Pc": sv_c.tolist(),
         })
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "gram_diagnostics.json", "w") as fh:
-        json.dump({"t": t, "q": emb.q, "points": entries}, fh, indent=2,
-                  sort_keys=True)
-    return {"t": t, "q": emb.q, "points": len(entries),
-            "file": "gram_diagnostics.json"}
+    path = "gram_diagnostics.json"
+    results = {"t": t, "q": emb.q, "points": len(entries), "file": path}
+    return results, {path: _json_file({"t": t, "q": emb.q, "points": entries})}
 
 
-def cmd_perturb(cfg: SimpleNamespace, out_dir: Path) -> dict:
+def cmd_perturb(cfg: SimpleNamespace) -> tuple[dict, dict]:
     if cfg.model is None:
         raise ConfigError("perturb needs a model")
     sv = cfg.solver
@@ -309,11 +325,8 @@ def cmd_perturb(cfg: SimpleNamespace, out_dir: Path) -> dict:
     # on the solver's grid, built before any spectrum so that a bad f_mode exits first
     f = perturb.manufactured_defect(perturb.SpectralGrid(cfg.model, resolution),
                                     sv["epsilon"], sv["f_mode"])
-    t = sv["t"]
-    policy = embedding.TruncationPolicy(rho=cfg.rho, q_override=cfg.q_override)
-    provider = spectrum.analytic_spectrum(cfg.model, **policy.request(t, cfg.model.dim))
-    emb = embedding.build_embedding(provider, t, policy)
-    solver = perturb.ConformalSolver(emb, resolution=resolution, e=sv["e"])
+    solver = perturb.ConformalSolver(_embedding(cfg, sv["t"]), resolution=resolution,
+                                     e=sv["e"])
     pairs = analysis.holder_pairs(solver.model, solver.grid.resolution)
     runs = []
     coeffs = {}                     # y per k: the family bounds need nothing more
@@ -329,10 +342,9 @@ def cmd_perturb(cfg: SimpleNamespace, out_dir: Path) -> dict:
             solver, coeffs[ks[0]], coeffs[ks[1]], ks[1] - ks[0])
         family = {"distance": diff, "upper_bound": upper, "lower_bound": lower,
                   "pass": lower <= diff <= upper}
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "solver_log.json", "w") as fh:
-        json.dump({"runs": runs, "family": family}, fh, indent=2, sort_keys=True)
-    return {"runs": runs, "family": family, "log": "solver_log.json"}
+    path = "solver_log.json"
+    results = {"runs": runs, "family": family, "log": path}
+    return results, {path: _json_file({"runs": runs, "family": family})}
 
 
 def _perturb_run(solver: perturb.ConformalSolver, f: np.ndarray, k: float, history: list,
@@ -348,8 +360,7 @@ def _perturb_run(solver: perturb.ConformalSolver, f: np.ndarray, k: float, histo
         "k": k,
         "iterations": len(history),
         "steps": [{"l": st.l, "residual": st.residual, "step_norm": st.step_norm,
-                   "contraction": None if not np.isfinite(st.contraction)
-                   else st.contraction, "bound_ok": st.bound_ok}
+                   "contraction": st.contraction, "bound_ok": st.bound_ok}
                   for st in history],
         "verify": {"residual_sup": result.residual_sup,
                    "residual_holder": holder(result.residual),
@@ -361,23 +372,17 @@ def _perturb_run(solver: perturb.ConformalSolver, f: np.ndarray, k: float, histo
     }
 
 
-def cmd_verify(cfg: SimpleNamespace, out_dir: Path) -> tuple[dict, bool]:
+def cmd_verify(cfg: SimpleNamespace) -> tuple[dict, dict]:
     results = acceptance.run_all(cfg.verify["criteria"], cfg.verify["overrides"])
-    payload = {"criteria": [], "all_passed": True}
-    for res in results:
-        entry = {
-            "criterion": res.criterion,
-            "passed": res.passed,
-            "expected_fail": res.expected_fail,
-            "elapsed_s": round(res.elapsed, 3),
-            "budget_s": res.budget,
-            "note": res.note,
-            "details": _json_safe(res.details),
-        }
-        payload["criteria"].append(entry)
-        if not res.passed and not res.expected_fail:
-            payload["all_passed"] = False
-    return payload, payload["all_passed"]
+    criteria = [{"criterion": res.criterion,
+                 "passed": res.passed,
+                 "expected_fail": res.expected_fail,
+                 "elapsed_s": round(res.elapsed, 3),
+                 "budget_s": res.budget,
+                 "note": res.note,
+                 "details": res.details} for res in results]
+    all_passed = all(res.passed or res.expected_fail for res in results)
+    return {"criteria": criteria, "all_passed": all_passed}, {}
 
 
 def _json_safe(obj):
@@ -393,6 +398,17 @@ def _json_safe(obj):
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     return obj
+
+
+def _json_file(obj, end: str = ""):
+    """The fill of a JSON output, in the one format of them all: non-finite
+    numbers as null, indent 2, sorted keys, then `end`."""
+    return lambda path: path.write_text(
+        json.dumps(_json_safe(obj), indent=2, sort_keys=True) + end)
+
+
+COMMANDS = {"spectrum": cmd_spectrum, "defect-scan": cmd_defect_scan,
+            "perturb": cmd_perturb, "gram": cmd_gram, "verify": cmd_verify}
 
 
 def _check_out_dir(out_dir: Path) -> None:
@@ -415,8 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "env HEATCONF_OUT overrides)")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed for random probes (overrides config)")
-    parser.add_argument("command", choices=["spectrum", "defect-scan", "perturb",
-                                            "gram", "verify"])
+    parser.add_argument("command", choices=list(COMMANDS))
     return parser
 
 
@@ -432,21 +447,12 @@ def main(argv=None) -> int:
         out_dir = Path(os.environ.get("HEATCONF_OUT") or args.out
                        or "heatconf-out")
         _check_out_dir(out_dir)
-        ok = True
-        if args.command == "spectrum":
-            results = {"spectrum": cmd_spectrum(cfg, out_dir)}
-        elif args.command == "defect-scan":
-            results = {"defect_scan": cmd_defect_scan(cfg, out_dir)}
-        elif args.command == "perturb":
-            results = {"perturb": cmd_perturb(cfg, out_dir)}
-        elif args.command == "gram":
-            results = {"gram": cmd_gram(cfg, out_dir)}
-        else:
-            payload, ok = cmd_verify(cfg, out_dir)
-            results = {"verify": payload}
-        path = _report(out_dir, args.command, cfg, _json_safe(results))
+        results, files = COMMANDS[args.command](cfg)
+        for name, fill in files.items():
+            _write(out_dir / name, fill)
+        path = _report(out_dir, args.command, cfg, {args.command.replace("-", "_"): results})
         print(f"report written to {path}")
-        if not ok:
+        if not results.get("all_passed", True):
             print("verification failures present", file=sys.stderr)
             return 1
         return 0

@@ -21,7 +21,6 @@ model, corrected or not, and builds each row's embedding in it with
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -326,11 +325,6 @@ def write_scan_csv(rows: list[dict], path) -> None:
         writer.writeheader()
         for row in rows:
             writer.writerow({k: row[k] for k in SCAN_FIELDS})
-
-
-def write_scan_json(rows: list[dict], path, metadata: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump({"metadata": metadata, "rows": rows}, fh, indent=2, sort_keys=True)
 
 
 def tail_bound_check(provider: SpectrumProvider, t: float, policy: TruncationPolicy,

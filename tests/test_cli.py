@@ -330,6 +330,65 @@ def test_scan_refuses_q_override_with_a_window(tmp_path, capsys, window):
     assert "q_override" in err and f"spectrum.{key}" in err
 
 
+@pytest.mark.parametrize("command", ["perturb", "gram"])
+def test_embedding_commands_refuse_q_override_with_a_window(tmp_path, capsys, command):
+    """`perturb` and `gram` build their embedding under the truncation policy
+    that `defect-scan` scans with: a 2-torus config with `q_override` 40 and
+    `spectrum.lambda_t_margin` 16 exits 2 with defect-scan's line."""
+    cfg = write_config(tmp_path, {"model": TORUS_MODEL, "t_grid": [0.1], "q_override": 40,
+                                  "spectrum": {"lambda_t_margin": 16},
+                                  "solver": {"resolution": 16}})
+    lines = []
+    for cmd in ("defect-scan", command):
+        capsys.readouterr()
+        assert run(["--config", cfg, "--out", str(tmp_path / cmd), cmd]) == 2
+        lines.append(capsys.readouterr().err)
+    assert lines[0] == lines[1], lines
+    assert lines[0].startswith("config error: q_override and spectrum.lambda_t_margin")
+
+
+def test_perturb_solves_in_the_window(tmp_path, monkeypatch):
+    """A 2-torus perturb with `spectrum.lambda_t_margin` 8 at t = 0.05 keeps
+    the modes with lambda <= 160, q = 504 (the count policy's q is 400), and
+    still converges in 4 steps per k with the family bounds holding."""
+    qs = []
+    build = heatconf.embedding.build_embedding
+
+    def recorded(*args, **kwargs):
+        emb = build(*args, **kwargs)
+        qs.append(emb.q)
+        return emb
+
+    monkeypatch.setattr(heatconf.embedding, "build_embedding", recorded)
+    cfg = write_config(tmp_path, {"model": TORUS_MODEL, "spectrum": {"lambda_t_margin": 8},
+                                  "solver": {"k_values": [0.0, 0.001]}})
+    out = tmp_path / "out"
+    assert run(["--config", cfg, "--out", str(out), "perturb"]) == 0
+    assert qs == [504]
+    res = load_report(out)["results"]["perturb"]
+    assert [r["iterations"] for r in res["runs"]] == [4, 4]
+    assert all(r["verify"]["residual_sup"] <= 1e-12 for r in res["runs"])
+    assert res["family"]["pass"] is True
+
+
+def test_nan_holder_quotient_is_null_in_the_solver_log(tmp_path, monkeypatch):
+    """A Hoelder quotient that comes out NaN reaches solver_log.json, as every
+    non-finite number in a JSON output, as null: the file is strict JSON."""
+    monkeypatch.setattr(heatconf.analysis, "holder_seminorm_field",
+                        lambda *args: float("nan"))
+    cfg = write_config(tmp_path, {"model": TORUS_MODEL,
+                                  "solver": {"k_values": [0.0], "resolution": 16}})
+    out = tmp_path / "out"
+    assert run(["--config", cfg, "--out", str(out), "perturb"]) == 0
+
+    def refuse(token):
+        raise ValueError(f"{token} in solver_log.json")
+
+    (rec,) = json.loads((out / "solver_log.json").read_text(), parse_constant=refuse)["runs"]
+    assert rec["verify"]["residual_holder"] is None
+    assert rec["conformal_result"]["defect_holder"] is None
+
+
 @pytest.mark.parametrize("key, value", [("e", 0), ("theta_threshold", -1)])
 def test_solver_shift_and_threshold_must_be_positive(tmp_path, capsys, key, value):
     """A zero shift e or a negative smallness threshold exits 2 with one line
@@ -446,19 +505,76 @@ def test_out_under_a_regular_file_exits_2_before_any_work(tmp_path, capsys, monk
     ("verify", {"verify": {"criteria": ["linear_algebra"]}}, "report.json"),
     ("spectrum", {"model": TORUS_MODEL, "spectrum": {"count": 7}, "resolution": 8},
      "eigenpairs/flat_torus.jsonl"),
-], ids=["verify-report", "spectrum-eigenpairs"])
+    ("defect-scan", {"model": TORUS_MODEL, "t_grid": [0.1], "resolution": 8},
+     "tables/defect_scan.csv"),
+    ("perturb", {"model": TORUS_MODEL, "solver": {"k_values": [0.0], "resolution": 16}},
+     "solver_log.json"),
+    ("gram", {"model": TORUS_MODEL, "t_grid": [0.2], "resolution": 6},
+     "gram_diagnostics.json"),
+], ids=["verify-report", "spectrum-eigenpairs", "defect-scan-csv", "perturb-log",
+        "gram-diagnostics"])
 def test_full_disk_while_writing_an_output_exits_3(tmp_path, capsys, command, payload, target):
-    """An output file that is a symlink to /dev/full fails its writes with
-    ENOSPC, as on a full disk: the run exits 3 with one line, not a traceback."""
+    """An output's temp file `.<name>.tmp` that is a symlink to /dev/full fails
+    its writes with ENOSPC, as on a full disk: the run exits 3 with one line,
+    not a traceback, and leaves neither the output nor its temp file."""
     out = tmp_path / "o"
-    (out / target).parent.mkdir(parents=True)
-    (out / target).symlink_to("/dev/full")
+    final = out / target
+    tmp = final.with_name(f".{final.name}.tmp")
+    tmp.parent.mkdir(parents=True)
+    tmp.symlink_to("/dev/full")
     cfg = write_config(tmp_path, payload)
     capsys.readouterr()
     assert run(["--config", cfg, "--out", str(out), command]) == 3
     err = capsys.readouterr().err
     assert err.startswith("precondition failure: writing the output:"), err
     assert err.count("\n") == 1 and f"[Errno {errno.ENOSPC}]" in err, err
+    assert not final.exists() and not tmp.is_symlink() and not tmp.exists()
+
+
+def test_a_symlink_at_an_output_path_is_replaced(tmp_path):
+    """An output path that is a symlink is replaced by the new file, not
+    written through: the file it pointed at keeps its content."""
+    target = tmp_path / "elsewhere.json"
+    target.write_text("{}")
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "report.json").symlink_to(target)
+    cfg = write_config(tmp_path, {"verify": {"criteria": ["linear_algebra"]}})
+    assert run(["--config", cfg, "--out", str(out), "verify"]) == 0
+    assert not (out / "report.json").is_symlink() and target.read_text() == "{}"
+    assert load_report(out)["command"] == "verify"
+
+
+def test_spectrum_past_the_free_disk_exits_3_before_any_jet(tmp_path, capsys, monkeypatch):
+    """A 2-torus dump of 7 modes on 64 points holds 7·64·(1 + 2 + 4) numbers,
+    estimated at 8 bytes each (25 KB): with 20 KB free on the disk it exits 3
+    with one line before any jet is built and leaves no file; with 30 KB free
+    it is written."""
+    calls = []
+    jet_block = heatconf.spectrum.LatticeSpectrum.jet_block
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[:2])
+        return jet_block(self, *args, **kwargs)
+
+    monkeypatch.setattr(heatconf.spectrum.LatticeSpectrum, "jet_block", counted)
+    cfg = write_config(tmp_path, {"model": TORUS_MODEL, "spectrum": {"count": 7},
+                                  "resolution": 8})
+    out = tmp_path / "o"
+    eig = out / "eigenpairs"
+    for free, code in ((20_000, 3), (30_000, 0)):
+        monkeypatch.setattr(heatconf.spectrum.shutil, "disk_usage",
+                            lambda path, free=free: mock.Mock(free=free))
+        calls.clear()
+        capsys.readouterr()
+        assert run(["--config", cfg, "--out", str(out), "spectrum"]) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert calls and (eig / "flat_torus.jsonl").exists()
+            continue
+        assert err.startswith("precondition failure:") and err.count("\n") == 1, err
+        assert "needs about 2.51e-05 GB of disk, more than the 2e-05 GB free" in err, err
+        assert calls == [] and list(eig.iterdir()) == []
 
 
 def test_unusable_output_file_or_config_file_exits_2(tmp_path, capsys):

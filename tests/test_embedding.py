@@ -371,15 +371,16 @@ def test_defect_scan_refuses_q_override_with_a_window(tmp_path, capsys, monkeypa
 def test_defect_scan_emitters(tmp_path, torus2):
     rows = defect_scan(torus2, [0.1, 0.05], TruncationPolicy(rho=1.0), resolution=8)
     csv_path = tmp_path / "scan.csv"
-    json_path = tmp_path / "scan.json"
     embedding.write_scan_csv(rows, csv_path)
-    embedding.write_scan_json(rows, json_path, {"model": torus2.to_config()})
     header = csv_path.read_text().splitlines()[0]
     assert header == "t,q,defect_sup,defect_holder,trace_min,trace_max"
-    import json
-    payload = json.loads(json_path.read_text())
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": torus2.to_config(), "t_grid": [0.1, 0.05],
+                                  "resolution": 8}))
+    assert cli.main(["--config", str(config), "--out", str(tmp_path / "o"), "defect-scan"]) == 0
+    payload = json.loads((tmp_path / "o" / "tables" / "defect_scan.json").read_text())
     assert payload["metadata"]["model"]["kind"] == "flat_torus"
-    assert len(payload["rows"]) == 2
+    assert payload["rows"] == rows
 
 
 def test_corrected_scan_uses_original_reference(product):
