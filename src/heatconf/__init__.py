@@ -18,7 +18,7 @@ from .jets import (PointwiseRightInverse, block_inverse, trace_free_rows, xi_inv
                    xi_matrix)
 from .perturb import (ConformalResult, ConformalSolver, FieldRq, IterationState,
                       SpectralGrid, assemble_C, fixed_point_solve)
-from .spectrum import (EigenPair, SpectrumProvider, analytic_spectrum,
-                       enumerate_eigenpairs, load_external_spectrum, save_spectrum)
+from .spectrum import (EigenPair, SpectrumProvider, analytic_spectrum, enumerate_eigenpairs,
+                       save_spectrum)
 
 __version__ = "0.1.0"

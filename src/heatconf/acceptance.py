@@ -149,11 +149,7 @@ def check_rank_laws(seed: int = 20240901) -> CheckResult:
     target_P[n_off:, n_off:] = jets.xi_matrix(n, 1.0 / 3.0) * 3.0
     target_Pc = np.eye(n_off + n)
     target_Pc[n_off:, n_off:] = jets.xi_matrix(n, -1.0 / (n - 1)) * (2.0 * n - 2.0) / n
-    E = jets.PointwiseRightInverse(emb, pts)
-    Pc = jets.trace_free_rows(E.P, n)
-    G, Gc = E.gram, Pc @ Pc.transpose(0, 2, 1)
-    sv = np.linalg.svd(G, compute_uv=False)
-    svc = np.linalg.svd(Gc, compute_uv=False)
+    G, Gc, sv, svc = jets.PointwiseRightInverse(emb, pts).gram_blocks()
     hess_group, grad_group = sv[:, :n * (n + 1) // 2], sv[:, n * (n + 1) // 2:]
     worst = {
         "sv_grad_ratio": float(np.min(grad_group.min(1) / grad_group.max(1))),

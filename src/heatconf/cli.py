@@ -17,8 +17,9 @@ JSON output has one format (`_json_file`).
 Exit codes: 0 success, 1 verification failures, 2 config error (an output
 directory or output file that cannot be made or written included), 3
 mathematical or resource precondition failure (a full disk or quota while
-writing an output included), 4 convergence failure.  A failed write leaves
-neither the file nor its temp file.
+writing an output included, its line naming the file), 4 convergence
+failure.  A failed write leaves neither the file nor its temp file, and a
+stale temp file is removed first, so a symlink there is not written through.
 
 Configuration is a single JSON document.  CONFIG_KEYS is its whole contract:
 each section's keys with their parser and default.  An absent or null key
@@ -198,16 +199,22 @@ def load_config(path, seed_override=None) -> SimpleNamespace:
 
 
 def _write(path: Path, fill) -> None:
-    """Write the output file `path`: `fill(tmp)` writes `.<name>.tmp` beside
-    it, and `os.replace` moves that into place, replacing a symlink at `path`.
-    On any error the temp file is removed, so no partial file is left."""
+    """Write the output file `path`: a stale `.<name>.tmp` beside it is
+    removed, so a symlink there is never written through, `fill(tmp)` writes
+    that temp file afresh, and `os.replace` moves it into place, replacing a
+    symlink at `path`.  On any error the temp file is removed, so no partial
+    file is left, and an OSError that names no file (a full disk found when
+    the file is flushed) is given `path`."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
+        tmp.unlink(missing_ok=True)
         fill(tmp)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename is None:
+            exc.filename = str(path)
         raise
 
 
@@ -295,13 +302,8 @@ def cmd_gram(cfg: SimpleNamespace) -> tuple[dict, dict]:
     pts = grid.points[rng.choice(len(grid.points), size=min(4, len(grid.points)),
                                  replace=False)]
     n = cfg.model.dim
-    E = jets.PointwiseRightInverse(emb, pts)
-    Pc = jets.trace_free_rows(E.P, n)
-    grams, grams_c = E.gram, Pc @ Pc.transpose(0, 2, 1)
-    svs = np.linalg.svd(grams, compute_uv=False)
-    svs_c = np.linalg.svd(grams_c, compute_uv=False)
     entries = []
-    for x, G, Gc, sv, sv_c in zip(pts, grams, grams_c, svs, svs_c):
+    for x, G, Gc, sv, sv_c in zip(pts, *jets.PointwiseRightInverse(emb, pts).gram_blocks()):
         entries.append({
             "point": x.tolist(),
             "gram_P": G.tolist(),

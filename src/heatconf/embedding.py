@@ -6,6 +6,8 @@ c(t) = sqrt(2) (4 pi)^{n/4} t^{(n+2)/4} chosen so the pullback metric tends
 to g as t -> 0.  Truncation indices are always extended to close the final
 eigenvalue shell: partial shells break the isometry-group symmetry that the
 homothety tests rely on, and the embedding is only canonical on full shells.
+Every provider is analytic and holds whole shells, so a shell that runs to
+the provider's last mode is closed too.
 
 The pullback metric and the truncation tail are the provider's
 `gradient_gram` sums; `EmbeddingMap.jets` returns the weighted jets of a
@@ -140,10 +142,8 @@ def build_embedding(provider: SpectrumProvider, t: float,
     """Embedding at time t with the modes the policy keeps, shell-closed.
 
     q is q(t), or the non-constant modes with lambda <= window(t), refused
-    below the freeness floor; its last shell is then closed.  An analytic
-    provider holds whole shells, so a shell that runs to its last mode is
-    closed.  Any other provider may end inside a shell, so a shell that
-    reaches its last mode is refused: it cannot be told closed.
+    below the freeness floor; its last shell is then closed.  A provider
+    holds whole shells, so a shell that runs to its last mode is closed.
     """
     if t >= 1.0:
         warnings.warn(f"t = {t} >= 1: outside the asymptotic regime", stacklevel=2)
@@ -164,9 +164,6 @@ def build_embedding(provider: SpectrumProvider, t: float,
     while q + 1 < provider.count and \
             lams[q + 1] - lams[q] <= _SHELL_RTOL * (1.0 + lams[q]):
         q += 1
-    if q + 1 == provider.count and not isinstance(provider, spectrum.AnalyticSpectrum):
-        raise SpectrumError(f"insufficient spectrum: the shell at q = {q} reaches the "
-                            f"last of the provider's {provider.count} modes and may be open")
     return EmbeddingMap(provider, t, q)
 
 

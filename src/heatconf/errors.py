@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package, the unknown-key check, and
-the number rule for every input read from JSON: a config, a model's params or
-an eigenpair file.  A number is accepted only when it is a JSON number (not a
-string or boolean) that converts to a finite float."""
+the number rule for every input read from JSON: a config and a model's
+params.  A number is accepted only when it is a JSON number (not a string or
+boolean) that converts to a finite float."""
 import math
 
 
@@ -10,7 +10,7 @@ class HeatconfError(Exception):
 
 
 class ConfigError(HeatconfError):
-    """Invalid model description, run configuration, or file schema."""
+    """Invalid model description or run configuration."""
 
 
 class DomainError(HeatconfError):

@@ -14,7 +14,8 @@ one rank; the lost direction is recovered by the kernel generator w solving
 P w = (0, identity).  E = P^T (P P^T)^{-1} is the minimum-norm right inverse;
 it is never materialized as a q x m matrix.  PointwiseRightInverse builds P
 and its Gram over a point set and applies E pointwise; a single point is a
-batch of one.  On flat tori the fixed-point solver applies E through the
+batch of one.  Its `gram_blocks` are the Grams of P and P_c with their
+singular values, which the rank-law check and `heatconf gram` read.  On flat tori the fixed-point solver applies E through the
 constant Gram and never forms P: each row is the embedding's complex cos/sin
 pairs times a constant symbol (see `perturb`; the tests pin it to this class).
 The frame is diagonal in the chart, so the rows of P are per-entry scalings
@@ -162,6 +163,14 @@ class PointwiseRightInverse:
     def apply_tensor(self, f_vecs: np.ndarray, h_mats: np.ndarray) -> np.ndarray:
         rhs = np.concatenate([f_vecs, pack_symmetric(h_mats)], axis=-1)
         return self.apply(rhs)
+
+    def gram_blocks(self):
+        """The Grams of P and P_c at each point and their singular values:
+        (G [N, m, m], G_c [N, m, m], sv [N, m], sv_c [N, m]), sv descending."""
+        Pc = trace_free_rows(self.P, self.n)
+        gram_c = Pc @ Pc.transpose(0, 2, 1)
+        return (self.gram, gram_c, np.linalg.svd(self.gram, compute_uv=False),
+                np.linalg.svd(gram_c, compute_uv=False))
 
     def kernel_generator(self) -> np.ndarray:
         """w over the whole grid, [N, q]."""

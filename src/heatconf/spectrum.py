@@ -1,13 +1,12 @@
 """Ordered Laplace-Beltrami eigenpairs with derivative jets.
 
-Analytic backends cover the geometry testbeds (lattice modes on flat tori
+Every provider is analytic: `SpectrumProvider` is the one base of the
+closed-form backends of the geometry testbeds (lattice modes on flat tori
 and circles, real spherical harmonics, and their products).  A metric scaled
 by a constant on each block has the spectrum of `ManifoldModel.rescaled`, so
 one `analytic_spectrum` call serves corrected and uncorrected metrics alike.
-Externally computed spectra are ingested from a JSON-lines file and served
-from the tabulated grid; its header must name a model of dimension n and a
-grid of [G, n] points, and every number in it follows the rule of
-`errors.finite`: a JSON number, not a string or boolean, that is finite.
+`save_spectrum` dumps a provider's eigenpairs with their jets on a sample
+grid to the JSON-lines eigenpair file; nothing in the package reads it back.
 
 Each analytic backend enumerates its modes as an eigenvalue array and an
 integer descriptor table, sorted once by (lambda, descriptor) with a two-key
@@ -55,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry
-from .errors import ConfigError, PreconditionError, SpectrumError, as_float, as_int, finite
+from .errors import ConfigError, PreconditionError, SpectrumError
 from .geometry import ManifoldModel
 
 COS, SIN = 0, 1
@@ -75,9 +74,38 @@ class EigenPair:
 
 
 class SpectrumProvider:
-    """Common interface: ordered eigenpairs plus vectorized jet evaluation."""
+    """Ordered eigenpairs of a closed-form spectrum plus vectorized jet evaluation.
 
-    model: ManifoldModel
+    A subclass enumerates one model `kind`; another kind raises ConfigError.
+    `_enumerate` returns the eigenvalues [M] and integer descriptors
+    [M, width] of the modes with lambda <= lambda_max in any order; they are
+    sorted here by (lambda, descriptor).  The descriptor rows, shifted by
+    their column minima (lattice entries can be negative), are raveled into
+    one integer key in row-major order, which orders them as the tuples do,
+    so one two-key lexsort does the sort.  A window holds whole eigenvalue
+    shells, so a provider never ends inside one.
+    """
+
+    def __init__(self, model: ManifoldModel, lambda_max: float):
+        if model.kind != self.kind:
+            raise ConfigError(f"{type(self).__name__} needs a {self.kind} model")
+        self.model = model
+        self.lambda_max = float(lambda_max)
+        lams, desc = self._enumerate(self.lambda_max)
+        low = desc.min(axis=0)
+        key = np.ravel_multi_index((desc - low).T, tuple(desc.max(axis=0) - low + 1))
+        order = np.lexsort((key, lams))
+        self._lambdas = lams[order]
+        self._descriptors = desc[order]
+
+    @functools.cached_property
+    def eigenpairs(self) -> list[EigenPair]:
+        """One record per mode, built on first use; jets read the arrays."""
+        return [EigenPair(i, lam, tuple(d)) for i, (lam, d) in
+                enumerate(zip(self._lambdas.tolist(), self._descriptors.tolist()))]
+
+    def _enumerate(self, lambda_max: float) -> tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
 
     @property
     def count(self) -> int:
@@ -104,10 +132,10 @@ class SpectrumProvider:
 
         One mode per weight; modes past the provider's count are rejected.
         Returns [N, n, n], exactly symmetric.  This generic body serves the
-        sphere and external providers and is the reference that the
-        closed-form overrides (lattice and S^2 x S^1) are tested against: it
-        fetches gradients in chunks of `_GRAM_CHUNK` modes, and each entry (a, b),
-        a <= b, of a chunk's sum is one contraction along the mode axis,
+        sphere provider and is the reference that the closed-form overrides
+        (lattice and S^2 x S^1) are tested against: it fetches gradients in
+        chunks of `_GRAM_CHUNK` modes, and each entry (a, b), a <= b, of a
+        chunk's sum is one contraction along the mode axis,
         w^2 @ (d_a phi * d_b phi).
         """
         _check_range(self, j0, j0 + len(weights))
@@ -158,39 +186,6 @@ def enumerate_eigenpairs(provider: SpectrumProvider, count: int) -> list[EigenPa
 # analytic backends
 # ---------------------------------------------------------------------------
 
-class AnalyticSpectrum(SpectrumProvider):
-    """Base for closed-form spectra; subclasses enumerate the modes.
-
-    `_enumerate` returns the eigenvalues [M] and integer descriptors
-    [M, width] in any order; they are sorted here by (lambda, descriptor).
-    The descriptor rows, shifted by their column minima (lattice entries can
-    be negative), are raveled into one integer key in row-major order, which
-    orders them as the tuples do, so one two-key lexsort does the sort.
-    A subclass enumerates one model `kind`; another kind raises ConfigError.
-    """
-
-    def __init__(self, model: ManifoldModel, lambda_max: float):
-        if model.kind != self.kind:
-            raise ConfigError(f"{type(self).__name__} needs a {self.kind} model")
-        self.model = model
-        self.lambda_max = float(lambda_max)
-        lams, desc = self._enumerate(self.lambda_max)
-        low = desc.min(axis=0)
-        key = np.ravel_multi_index((desc - low).T, tuple(desc.max(axis=0) - low + 1))
-        order = np.lexsort((key, lams))
-        self._lambdas = lams[order]
-        self._descriptors = desc[order]
-
-    @functools.cached_property
-    def eigenpairs(self) -> list[EigenPair]:
-        """One record per mode, built on first use; jets read the arrays."""
-        return [EigenPair(i, lam, tuple(d)) for i, (lam, d) in
-                enumerate(zip(self._lambdas.tolist(), self._descriptors.tolist()))]
-
-    def _enumerate(self, lambda_max: float) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
-
-
 def _cos_sin(i: np.ndarray):
     """(k, parity) at positions i of the run (0, cos), (1, cos), (1, sin), (2, cos), ..."""
     return (i + 1) // 2, np.where((i > 0) & (i % 2 == 0), SIN, COS)
@@ -201,7 +196,7 @@ def _cos_sin_position(k: np.ndarray, parity: np.ndarray) -> np.ndarray:
     return np.maximum(2 * k - 1 + parity, 0)
 
 
-class LatticeSpectrum(AnalyticSpectrum):
+class LatticeSpectrum(SpectrumProvider):
     """Real lattice modes amp * cos/sin(kappa . x) with kappa_a = unit_a * k_a.
 
     Descriptors are (k_1, ..., k_n, parity).  Modes are sorted by
@@ -500,7 +495,7 @@ def _sphere_modes(radius: float, lambda_max: float):
     return np.repeat(lam, size), np.column_stack([np.repeat(k, size), m, parity])
 
 
-class SphereSpectrum(AnalyticSpectrum):
+class SphereSpectrum(SpectrumProvider):
     """Real spherical harmonics on the round 2-sphere, lambda = k(k+1)/R^2."""
 
     kind = geometry.SPHERE2
@@ -552,7 +547,7 @@ class SphereSpectrum(AnalyticSpectrum):
         return vals, grads, hess
 
 
-class ProductSpectrum(AnalyticSpectrum):
+class ProductSpectrum(SpectrumProvider):
     """Separable modes Y_km(theta, phi) * c_j(s) on S^2(R) x S^1(L).
 
     The product of a `SphereSpectrum` and a `CircleSpectrum` of the model's
@@ -703,7 +698,7 @@ _ANALYTIC = {cls.kind: cls for cls in (TorusSpectrum, CircleSpectrum, SphereSpec
 
 
 def analytic_spectrum(model: ManifoldModel, count: int | None = None,
-                      lambda_max: float | None = None) -> AnalyticSpectrum:
+                      lambda_max: float | None = None) -> SpectrumProvider:
     """Analytic provider holding at least `count` modes (or all with lambda <= lambda_max).
 
     Whole eigenvalue shells are always enumerated, so the provider may hold a
@@ -741,43 +736,11 @@ def analytic_spectrum(model: ManifoldModel, count: int | None = None,
 
 
 # ---------------------------------------------------------------------------
-# external spectra (JSON lines)
+# the eigenpair file (JSON lines)
 # ---------------------------------------------------------------------------
 
-class ExternalSpectrum(SpectrumProvider):
-    """Spectrum tabulated on a fixed grid; off-grid queries are rejected."""
-
-    def __init__(self, model, grid, eigenpairs, vals, grads, hess):
-        self.model = model
-        self.grid = grid
-        self.eigenpairs = eigenpairs
-        self._lambdas = np.array([ep.lam for ep in eigenpairs])
-        self._vals = vals
-        self._grads = grads
-        self._hess = hess
-
-    def _locate(self, points):
-        points = np.asarray(points, dtype=float)
-        idx = np.empty(points.shape[0], dtype=int)
-        for i, x in enumerate(points):
-            d = np.max(np.abs(self.grid.points - x[None, :]), axis=1)
-            j = int(np.argmin(d))
-            if d[j] > 1e-9:
-                raise SpectrumError(
-                    "external spectra are tabulated; off-grid query rejected")
-            idx[i] = j
-        return idx
-
-    def jet_block(self, j0, j1, points, deriv=2):
-        _check_deriv(deriv)
-        _check_range(self, j0, j1)
-        idx = self._locate(points)
-        tables = (self._vals, self._grads, self._hess)
-        return tuple(tab[j0:j1][:, idx] if order <= deriv else _unrequested()
-                     for order, tab in enumerate(tables))
-
-
-# the grid orthonormality that an eigenpair file written by `save_spectrum` asks for
+# the grid orthonormality that `save_spectrum` checks before it writes, and
+# records as the eigenpair file's `tolerance`
 _SAVED_TOLERANCE = 1e-6
 # bytes per number in the eigenpair file's size estimate: half the fewest
 # measured (16.3 on S^2 x S^1, up to 23 on the circle), so that no file that
@@ -785,27 +748,19 @@ _SAVED_TOLERANCE = 1e-6
 _SAVED_NUMBER_BYTES = 8
 
 
-def _check_orthonormal(values: np.ndarray, weights: np.ndarray, tolerance: float) -> None:
-    """The eigenpair file's Gram check: raise SpectrumError when the weighted
-    Gram matrix of the mode values [count, G] on the grid differs from the
-    identity by more than `tolerance` in some entry."""
-    gram = (values * weights) @ values.T
-    err = np.max(np.abs(gram - np.eye(len(values))))
-    if err > tolerance:
-        raise SpectrumError(
-            f"orthonormality check failed: max Gram error {err:.3e} > {tolerance}")
-
-
 def save_spectrum(provider: SpectrumProvider, path, grid: geometry.SampleGrid,
                   count: int | None = None) -> None:
     """Dump eigenpairs with tabulated jets to the JSON-lines eigenpair file.
 
-    The header asks the loader to check grid orthonormality to
-    `_SAVED_TOLERANCE`; the same check runs here first, so a grid too coarse
-    for the modes raises SpectrumError before anything is written.  Its
-    [count, G] value table is refused by `geometry.check_memory`, and a file
-    of count·G·(1 + n + n²) numbers that the free disk of its directory
-    cannot hold with PreconditionError, before the first jet is built.
+    A header {"n", "tolerance", "model", "grid": {"points", "weights"}} is
+    followed by one record {"j", "lambda", "descriptor", "values",
+    "gradients", "hessians"} per mode, row-major over the header grid.  The
+    weighted Gram matrix of the mode values on the grid must differ from the
+    identity by at most `tolerance` (`_SAVED_TOLERANCE`) in every entry, so a
+    grid too coarse for the modes raises SpectrumError before anything is
+    written.  Its [count, G] value table is refused by `geometry.check_memory`,
+    and a file of count·G·(1 + n + n²) numbers that the free disk of its
+    directory cannot hold with PreconditionError, before the first jet is built.
     """
     count = provider.count if count is None else count
     points, n = len(grid.points), provider.model.dim
@@ -818,9 +773,13 @@ def save_spectrum(provider: SpectrumProvider, path, grid: geometry.SampleGrid,
             f"the eigenpair file of {count} modes on {points} grid points needs about "
             f"{need / 1e9:.3g} GB of disk, more than the {free / 1e9:.3g} GB free")
     chunk = 256
-    values = [provider.jet_block(j0, min(count, j0 + chunk), grid.points, deriv=0)[0]
-              for j0 in range(0, count, chunk)]
-    _check_orthonormal(np.concatenate(values), np.asarray(grid.weights), _SAVED_TOLERANCE)
+    values = np.concatenate([
+        provider.jet_block(j0, min(count, j0 + chunk), grid.points, deriv=0)[0]
+        for j0 in range(0, count, chunk)])
+    err = np.max(np.abs((values * np.asarray(grid.weights)) @ values.T - np.eye(count)))
+    if err > _SAVED_TOLERANCE:
+        raise SpectrumError(f"orthonormality check failed: max Gram error {err:.3e} > "
+                            f"{_SAVED_TOLERANCE}")
     header = {
         "n": provider.model.dim,
         "tolerance": _SAVED_TOLERANCE,
@@ -843,73 +802,3 @@ def save_spectrum(provider: SpectrumProvider, path, grid: geometry.SampleGrid,
                     "hessians": hess[i].tolist(),
                 }
                 fh.write(json.dumps(rec) + "\n")
-
-
-def _finite_array(value, name: str) -> np.ndarray:
-    """`value`, a JSON number or lists of them nested to any depth, as a float
-    array; an entry that `errors.finite` refuses raises ConfigError naming `name`."""
-    entries = np.asarray(value, dtype=object)
-    if not all(map(finite, entries.flat)):
-        raise ConfigError(f"{name} must hold only finite numbers")
-    return entries.astype(float)
-
-
-def load_external_spectrum(path) -> ExternalSpectrum:
-    """Load an eigenpair file, checking its header, monotonicity and grid
-    orthonormality; a field missing or not of finite JSON numbers raises ConfigError."""
-    with open(path) as fh:
-        lines = fh.readlines()
-    if not lines:
-        raise ConfigError(f"empty eigenpair file {path}")
-    try:
-        header = json.loads(lines[0])
-        n = as_int(header["n"], "n")
-        tolerance = as_float(header["tolerance"], "tolerance")
-        gp = _finite_array(header["grid"]["points"], "grid points")
-        gw = _finite_array(header["grid"]["weights"], "grid weights")
-    except (KeyError, ValueError, TypeError, ConfigError) as exc:
-        raise ConfigError(f"malformed eigenpair header: {exc}") from exc
-    if "model" not in header:
-        raise ConfigError("malformed eigenpair header: no model")
-    model = ManifoldModel.from_config(header["model"])
-    if model.dim != n:
-        raise ConfigError(f"malformed eigenpair header: a {model.kind} model of "
-                          f"dimension {model.dim} with n = {n}")
-    if gp.ndim != 2 or gp.shape[1] != n:
-        raise ConfigError(f"malformed eigenpair header: grid points of shape "
-                          f"{gp.shape}, expected [G, {n}]")
-    grid = geometry.SampleGrid(gp, gw)
-    pairs, vals, grads, hess = [], [], [], []
-    for ln in lines[1:]:
-        if not ln.strip():
-            continue
-        try:
-            rec = json.loads(ln)
-            lam = as_float(rec["lambda"], "lambda")
-            v, g, h = (_finite_array(rec[key], key)
-                       for key in ("values", "gradients", "hessians"))
-            desc = rec.get("descriptor", [len(pairs)])
-            if not isinstance(desc, list):
-                raise ConfigError(f"descriptor must be a list of integers, got {desc!r}")
-            desc = tuple(as_int(d, "descriptor entry") for d in desc)
-        except (KeyError, ValueError, TypeError, ConfigError) as exc:
-            raise ConfigError(f"malformed eigenpair record: {exc}") from exc
-        if v.shape != (len(grid),) or g.shape != (len(grid), n) or \
-                h.shape != (len(grid), n, n):
-            raise ConfigError("eigenpair record shapes do not match the grid")
-        pairs.append(EigenPair(len(pairs), lam, desc))
-        vals.append(v)
-        grads.append(g)
-        hess.append(h)
-    if not pairs:
-        raise ConfigError("eigenpair file holds no modes")
-    lams = np.array([p.lam for p in pairs])
-    if lams[0] != 0.0 or np.any(lams < 0):
-        raise SpectrumError("eigenvalues must start at 0 and be nonnegative")
-    if np.any(np.diff(lams) < -1e-12 * (1.0 + lams[:-1])):
-        bad = int(np.argmax(np.diff(lams) < 0)) + 1
-        raise SpectrumError(
-            f"eigenvalues decrease at index {bad}: {lams[bad - 1]} -> {lams[bad]}")
-    V = np.stack(vals)
-    _check_orthonormal(V, gw, tolerance)
-    return ExternalSpectrum(model, grid, pairs, V, np.stack(grads), np.stack(hess))

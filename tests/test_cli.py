@@ -3,6 +3,7 @@ import contextlib
 import errno
 import io
 import json
+import os
 import tempfile
 import warnings
 from pathlib import Path
@@ -10,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import heatconf
@@ -55,27 +56,55 @@ def load_report(out_dir):
         return json.load(fh)
 
 
+# the model and resolution of each kind's 40-mode eigenpair file in CI
+DUMPS = {
+    "circle": (CIRCLE_MODEL, 48),
+    "flat_torus": (TORUS_MODEL, 8),
+    "sphere2": ({"kind": "sphere2", "params": {"radius": 1.0}}, 16),
+    "product_sphere_circle": ({"kind": "product_sphere_circle",
+                               "params": {"radius": 1.0, "length": TWO_PI}}, 8),
+}
+
+
 def test_spectrum_dump_and_roundtrip(tmp_path):
-    cfg = write_config(tmp_path, {"model": CIRCLE_MODEL, "spectrum": {"count": 7},
-                                  "resolution": 16, "seed": 1})
-    out = tmp_path / "out"
-    assert run(["--config", cfg, "--out", str(out), "spectrum"]) == 0
-    report = load_report(out)
-    assert report["results"]["spectrum"]["lambdas"] == [0, 1, 1, 4, 4, 9, 9]
-    prov = heatconf.load_external_spectrum(out / "eigenpairs" / "circle.jsonl")
-    assert prov.count == 7
-    base = heatconf.analytic_spectrum(heatconf.ManifoldModel.circle(TWO_PI), count=7)
-    x = prov.grid.points[3]
-    a, b = (p.jet_block(2, 3, x[None, :], deriv=0)[0][0, 0] for p in (base, prov))
-    assert abs(a - b) <= 1e-12
+    """The eigenpair file of 40 modes on each kind, read back as JSON lines:
+    the header holds n, tolerance, model and grid; each record's j, lambda
+    and descriptor are the analytic provider's, and its values, gradients and
+    hessians equal the provider's jet_block at the header grid to 1e-12."""
+    for kind, (model, resolution) in DUMPS.items():
+        cfg = write_config(tmp_path, {"model": model, "spectrum": {"count": 40},
+                                      "resolution": resolution, "seed": 1},
+                           name=f"{kind}.json")
+        out = tmp_path / kind
+        assert run(["--config", cfg, "--out", str(out), "spectrum"]) == 0
+        lines = (out / "eigenpairs" / f"{kind}.jsonl").read_text().splitlines()
+        header, records = json.loads(lines[0]), [json.loads(line) for line in lines[1:]]
+        manifold = heatconf.ManifoldModel.from_config(model)
+        assert set(header) == {"n", "tolerance", "model", "grid"}
+        assert header["n"] == manifold.dim and header["tolerance"] == 1e-6
+        assert heatconf.ManifoldModel.from_config(header["model"]) == manifold
+        grid = heatconf.sample_grid(manifold, resolution)
+        points = np.array(header["grid"]["points"])
+        assert np.array_equal(points, grid.points)
+        assert np.array_equal(header["grid"]["weights"], grid.weights)
+        prov = heatconf.analytic_spectrum(manifold, count=40)
+        pairs = prov.eigenpairs[:40]
+        assert load_report(out)["results"]["spectrum"]["lambdas"] == [p.lam for p in pairs]
+        assert [(r["j"], r["lambda"], r["descriptor"]) for r in records] == \
+            [(p.index, p.lam, list(p.descriptor)) for p in pairs]
+        for key, jets in zip(("values", "gradients", "hessians"),
+                             prov.jet_block(0, 40, points)):
+            assert_allclose([r[key] for r in records], jets, rtol=0, atol=1e-12)
+    assert load_report(tmp_path / "circle")["results"]["spectrum"]["lambdas"][:7] == \
+        [0, 1, 1, 4, 4, 9, 9]
 
 
 @pytest.mark.parametrize("model", [{"kind": "sphere2", "params": {"radius": 1.0}},
                                    CIRCLE_MODEL], ids=["sphere2", "circle"])
 def test_spectrum_refuses_a_grid_too_coarse_for_its_modes(tmp_path, capsys, model):
-    """40 modes on an 8-point grid are not orthonormal there, so the loader
-    would refuse their file: the spectrum command exits 3 with one line and
-    writes no eigenpair file."""
+    """40 modes on an 8-point grid are not orthonormal there to the file's
+    tolerance: the spectrum command exits 3 with one line and writes no
+    eigenpair file."""
     cfg = write_config(tmp_path, {"model": model, "spectrum": {"count": 40},
                                   "resolution": 8})
     out = tmp_path / "out"
@@ -500,7 +529,25 @@ def test_out_under_a_regular_file_exits_2_before_any_work(tmp_path, capsys, monk
     assert blocker.read_text() == "{}"
 
 
-@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full here")
+@contextlib.contextmanager
+def full_disk():
+    """Each file opened for writing under a temp name `.<name>.tmp` fails its
+    writes with ENOSPC and no filename, as a full disk fails the flush."""
+    real_open = io.open
+
+    def opener(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        name = Path(file).name if isinstance(file, (str, Path)) else ""
+        if "w" in mode and name.startswith(".") and name.endswith(".tmp"):
+            def no_space(*_):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            fh.write = no_space
+        return fh
+
+    with mock.patch("builtins.open", opener), mock.patch("io.open", opener):
+        yield
+
+
 @pytest.mark.parametrize("command, payload, target", [
     ("verify", {"verify": {"criteria": ["linear_algebra"]}}, "report.json"),
     ("spectrum", {"model": TORUS_MODEL, "spectrum": {"count": 7}, "resolution": 8},
@@ -514,21 +561,39 @@ def test_out_under_a_regular_file_exits_2_before_any_work(tmp_path, capsys, monk
 ], ids=["verify-report", "spectrum-eigenpairs", "defect-scan-csv", "perturb-log",
         "gram-diagnostics"])
 def test_full_disk_while_writing_an_output_exits_3(tmp_path, capsys, command, payload, target):
-    """An output's temp file `.<name>.tmp` that is a symlink to /dev/full fails
-    its writes with ENOSPC, as on a full disk: the run exits 3 with one line,
-    not a traceback, and leaves neither the output nor its temp file."""
+    """A full disk while the first output's temp file `.<name>.tmp` is
+    written: the run exits 3 with one line, not a traceback, that names the
+    output, and leaves neither the output nor its temp file."""
     out = tmp_path / "o"
     final = out / target
     tmp = final.with_name(f".{final.name}.tmp")
-    tmp.parent.mkdir(parents=True)
-    tmp.symlink_to("/dev/full")
     cfg = write_config(tmp_path, payload)
     capsys.readouterr()
-    assert run(["--config", cfg, "--out", str(out), command]) == 3
+    with full_disk():
+        assert run(["--config", cfg, "--out", str(out), command]) == 3
     err = capsys.readouterr().err
     assert err.startswith("precondition failure: writing the output:"), err
     assert err.count("\n") == 1 and f"[Errno {errno.ENOSPC}]" in err, err
+    assert str(final) in err, err
     assert not final.exists() and not tmp.is_symlink() and not tmp.exists()
+
+
+def test_a_symlink_at_a_temp_name_is_not_written_through(tmp_path):
+    """A stale `.report.json.tmp` that is a symlink to a regular file is
+    removed before the report is written: that file keeps its content, and
+    the run ends with a regular report.json and no temp file."""
+    target = tmp_path / "elsewhere.json"
+    target.write_text("{}")
+    out = tmp_path / "o"
+    out.mkdir()
+    tmp = out / ".report.json.tmp"
+    tmp.symlink_to(target)
+    cfg = write_config(tmp_path, {"verify": {"criteria": ["linear_algebra"]}})
+    assert run(["--config", cfg, "--out", str(out), "verify"]) == 0
+    assert target.read_text() == "{}"
+    assert (out / "report.json").is_file() and not (out / "report.json").is_symlink()
+    assert not tmp.exists() and not tmp.is_symlink()
+    assert load_report(out)["command"] == "verify"
 
 
 def test_a_symlink_at_an_output_path_is_replaced(tmp_path):
@@ -857,20 +922,56 @@ def mutated_configs(draw):
     return command, cfg
 
 
+# where --out points: each case is set up under the temp root by `_out_path`
+OUT_PATHS = ("fresh nested directory", "existing directory", "under a regular file",
+             "regular file", "report.json a directory", "stale temp file")
+
+
+def _out_path(root: Path, case: str) -> Path:
+    """Set up the output-path case `case` under `root` and return its --out."""
+    if case == "fresh nested directory":
+        return root / "a" / "b" / "out"
+    out = root / "out"
+    if case in ("regular file", "under a regular file"):
+        out.write_text("{}")
+        return out if case == "regular file" else out / "x"
+    out.mkdir()
+    if case == "report.json a directory":
+        (out / "report.json").mkdir()
+    elif case == "stale temp file":
+        (out / ".report.json.tmp").write_text("stale")
+    return out
+
+
+# the unmutated spectrum run, which writes two outputs, at every output path
+@example(("spectrum", CHEAP_RUNS["spectrum"]), "fresh nested directory")
+@example(("spectrum", CHEAP_RUNS["spectrum"]), "existing directory")
+@example(("spectrum", CHEAP_RUNS["spectrum"]), "under a regular file")
+@example(("spectrum", CHEAP_RUNS["spectrum"]), "regular file")
+@example(("spectrum", CHEAP_RUNS["spectrum"]), "report.json a directory")
+@example(("spectrum", CHEAP_RUNS["spectrum"]), "stale temp file")
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(mutated_configs())
-def test_config_contract_holds_for_mutated_configs(case):
-    """Any mutation of a cheap run's config exits 0, 2, 3 or 4 with at most one
-    line on stderr and no warning.  MemAvailable reads 256 MB, so a request
-    for more is refused before it is allocated."""
+@given(mutated_configs(), st.sampled_from(OUT_PATHS))
+def test_config_contract_holds_for_mutated_configs(case, out_case):
+    """Any mutation of a cheap run's config, written to any output path,
+    exits 0, 2 or 3 with at most one line on stderr and no warning, and
+    leaves no temp file: a stale `.report.json.tmp` stays only when the
+    run ends before it writes the report.  MemAvailable reads 256 MB, so a
+    request for more is refused before it is allocated."""
     command, cfg = case
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
             mock.patch.object(heatconf.geometry, "available_bytes", lambda: 2**28), \
             contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
+        root = Path(tmp) / "root"
+        root.mkdir()
+        out = _out_path(root, out_case)
+        stale = sorted(root.rglob(".*.tmp"))
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(cfg))
-        code = run(["--config", str(path), "--out", str(Path(tmp) / "out"), command])
-    assert code in (0, 2, 3, 4), (code, err.getvalue())
+        code = run(["--config", str(path), "--out", str(out), command])
+        left = sorted(root.rglob(".*.tmp"))
+    assert code in (0, 2, 3), (code, out_case, err.getvalue())
     assert err.getvalue().count("\n") <= 1, err.getvalue()
+    assert left == ([] if code == 0 else stale), (code, out_case, left)

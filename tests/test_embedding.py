@@ -63,20 +63,6 @@ def test_shell_closing(torus2):
     assert prov.lambdas[emb.q] < prov.lambdas[emb.q + 1]
 
 
-def test_external_spectrum_refuses_an_open_final_shell(torus2, tmp_path):
-    """An eigenpair file of 40 modes ends inside the lambda = 13 shell
-    (indices 37-44): a truncation whose shell runs into its last mode is
-    refused, one whose shell closes inside the file is built."""
-    path = tmp_path / "flat_torus.jsonl"
-    spectrum.save_spectrum(analytic_spectrum(torus2, count=40), path,
-                           geometry.sample_grid(torus2, 8), count=40)
-    prov = spectrum.load_external_spectrum(path)
-    assert prov.count == 40 and prov.lambdas[37] == prov.lambdas[39] == 13.0
-    with pytest.raises(SpectrumError, match="insufficient spectrum"):
-        build_embedding(prov, 0.3, TruncationPolicy(q_override=38))
-    assert build_embedding(prov, 0.3, TruncationPolicy(q_override=30)).q == 36
-
-
 def test_circle_pullback_poisson(circle):
     """Full-sum scale factor is 1 up to e^{-pi^2/t}; truncation adds ~6e-12."""
     prov = analytic_spectrum(circle, count=120)

@@ -1,14 +1,12 @@
-"""Eigenpair enumeration, jets, external files, and rescaling."""
+"""Eigenpair enumeration, jets, and rescaling."""
 from collections import namedtuple
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from heatconf import (ManifoldModel, TruncationPolicy, analytic_spectrum,
-                      enumerate_eigenpairs, load_external_spectrum, save_spectrum)
+from heatconf import ManifoldModel, TruncationPolicy, analytic_spectrum, enumerate_eigenpairs
 from heatconf import geometry, spectrum
-from heatconf.spectrum import ExternalSpectrum
 from heatconf.errors import ConfigError, PreconditionError, SpectrumError
 
 TWO_PI = 2.0 * np.pi
@@ -175,136 +173,15 @@ def test_verify_and_cli_counts_take_one_window(model, count, monkeypatch):
     """Every count that verify and the CI perturb configs ask for is met by
     the first window: exactly one provider is built."""
     built = []
-    init = spectrum.AnalyticSpectrum.__init__
+    init = spectrum.SpectrumProvider.__init__
 
     def counting(self, model, lambda_max):
         built.append(lambda_max)
         init(self, model, lambda_max)
 
-    monkeypatch.setattr(spectrum.AnalyticSpectrum, "__init__", counting)
+    monkeypatch.setattr(spectrum.SpectrumProvider, "__init__", counting)
     assert analytic_spectrum(model, count=count).count >= count
     assert len(built) == 1, built
-
-
-def test_external_roundtrip(tmp_path, circle_spec, circle):
-    grid = geometry.sample_grid(circle, 32)
-    path = tmp_path / "circle.jsonl"
-    save_spectrum(circle_spec, path, grid, count=9)
-    prov = load_external_spectrum(path)
-    assert prov.count == 9
-    assert isinstance(prov, ExternalSpectrum)
-    for j in (0, 3, 8):
-        for x in grid.points[:5]:
-            a = eval_jet(circle_spec, j, x)
-            b = eval_jet(prov, j, x)
-            assert_allclose(b.value, a.value, atol=1e-12)
-            assert_allclose(b.gradient, a.gradient, atol=1e-12)
-            assert_allclose(b.hessian, a.hessian, atol=1e-12)
-
-
-def test_external_rejects_off_grid(tmp_path, circle_spec, circle):
-    grid = geometry.sample_grid(circle, 16)
-    path = tmp_path / "c.jsonl"
-    save_spectrum(circle_spec, path, grid, count=5)
-    prov = load_external_spectrum(path)
-    with pytest.raises(SpectrumError):
-        eval_jet(prov, 1, [0.1234567])
-
-
-def test_external_rejects_decreasing_lambda(tmp_path, circle_spec, circle):
-    grid = geometry.sample_grid(circle, 16)
-    path = tmp_path / "c.jsonl"
-    save_spectrum(circle_spec, path, grid, count=5)
-    lines = path.read_text().splitlines()
-    import json
-    rec = json.loads(lines[2])
-    rec["lambda"] = 99.0
-    lines[2] = json.dumps(rec)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(SpectrumError, match="decrease"):
-        load_external_spectrum(path)
-
-
-def test_external_rejects_orthonormality_violation(tmp_path, circle_spec, circle):
-    grid = geometry.sample_grid(circle, 16)
-    path = tmp_path / "c.jsonl"
-    save_spectrum(circle_spec, path, grid, count=5)
-    lines = path.read_text().splitlines()
-    import json
-    rec = json.loads(lines[3])
-    rec["values"] = [2.0 * v for v in rec["values"]]
-    lines[3] = json.dumps(rec)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(SpectrumError, match="rthonormality"):
-        load_external_spectrum(path)
-
-
-def _edit_header(path, edit, line=0):
-    """Rewrite the header line of an eigenpair file, or the line `line`, through `edit`."""
-    import json
-    lines = path.read_text().splitlines()
-    header = json.loads(lines[line])
-    edit(header)
-    lines[line] = json.dumps(header)
-    path.write_text("\n".join(lines) + "\n")
-
-
-@pytest.fixture
-def torus_file(tmp_path, torus2):
-    """The 40-mode 2-torus eigenpair file of the CLI smoke run."""
-    path = tmp_path / "torus.jsonl"
-    save_spectrum(analytic_spectrum(torus2, count=40), path,
-                  geometry.sample_grid(torus2, 8), count=40)
-    return path
-
-
-def test_external_rejects_header_without_model(torus_file):
-    _edit_header(torus_file, lambda h: h.pop("model"))
-    with pytest.raises(ConfigError, match="malformed eigenpair header: no model"):
-        load_external_spectrum(torus_file)
-
-
-def test_external_rejects_header_model_of_other_dimension(torus_file, circle):
-    _edit_header(torus_file, lambda h: h.update(model=circle.to_config()))
-    with pytest.raises(ConfigError, match="malformed eigenpair header: a circle model "
-                                          "of dimension 1 with n = 2"):
-        load_external_spectrum(torus_file)
-
-
-def test_external_rejects_header_grid_of_other_width(torus_file):
-    _edit_header(torus_file, lambda h: h["grid"].update(
-        points=[p[:1] for p in h["grid"]["points"]]))
-    with pytest.raises(ConfigError, match=r"malformed eigenpair header: grid points "
-                                          r"of shape \(64, 1\), expected \[G, 2\]"):
-        load_external_spectrum(torus_file)
-
-
-@pytest.mark.parametrize("edits, field", [
-    # a NaN tolerance fails every comparison, so a record scaled by 5 would load
-    ([(0, lambda h: h.update(tolerance=float("nan"))),
-      (4, lambda r: r.update(values=[5.0 * v for v in r["values"]]))],
-     "header: tolerance"),
-    ([(0, lambda h: h.update(tolerance="1e-6"))], "header: tolerance"),
-    ([(0, lambda h: h.update(n=True))], "header: n"),
-    ([(2, lambda r: r["values"].__setitem__(5, float("nan")))], "record: values"),
-    # mode 2; a NaN lambda fails the monotonicity comparisons too
-    ([(3, lambda r: r.update({"lambda": float("nan")}))], "record: lambda"),
-    # a descriptor is a list of integers: not a bare number, nor a string of characters
-    ([(2, lambda r: r.update(descriptor=5))], "record: descriptor"),
-    ([(2, lambda r: r.update(descriptor="ab"))], "record: descriptor"),
-], ids=["tolerance-nan", "tolerance-string", "n-bool", "values-nan", "lambda-nan",
-        "descriptor-number", "descriptor-string"])
-def test_external_rejects_non_numeric_or_non_finite_fields(tmp_path, circle_spec, circle,
-                                                            edits, field):
-    """Every header and record number follows the config's number rule: a
-    JSON number, not a string or boolean, that is finite."""
-    path = tmp_path / "c.jsonl"
-    save_spectrum(circle_spec, path, geometry.sample_grid(circle, 16), count=8)
-    load_external_spectrum(path)
-    for line, edit in edits:
-        _edit_header(path, edit, line)
-    with pytest.raises(ConfigError, match=f"malformed eigenpair {field}"):
-        load_external_spectrum(path)
 
 
 def test_each_provider_refuses_every_other_kind(torus2, circle, sphere, product):
@@ -325,19 +202,13 @@ def test_each_provider_refuses_every_other_kind(torus2, circle, sphere, product)
                 cls(model, 4.0)
 
 
-@pytest.mark.parametrize("name", ["torus2", "circle", "sphere", "product", "external"])
-def test_mode_blocks_outside_the_provider_rejected(name, request, tmp_path, circle_spec):
+@pytest.mark.parametrize("name", ["torus2", "circle", "sphere", "product"])
+def test_mode_blocks_outside_the_provider_rejected(name, request):
     """jet_block and gradient_gram reject blocks that are not inside
     0 <= j0 <= j1 <= count; an empty block at the end is legal."""
-    if name == "external":
-        grid = geometry.sample_grid(request.getfixturevalue("circle"), 16)
-        save_spectrum(circle_spec, tmp_path / "c.jsonl", grid, count=9)
-        prov = load_external_spectrum(tmp_path / "c.jsonl")
-        pts = grid.points[:3]
-    else:
-        model = request.getfixturevalue(name)
-        prov = analytic_spectrum(model, count=40)
-        pts = geometry.sample_grid(model, 4).points[:3]
+    model = request.getfixturevalue(name)
+    prov = analytic_spectrum(model, count=40)
+    pts = geometry.sample_grid(model, 4).points[:3]
     M, n = prov.count, pts.shape[1]
     for j0, j1 in ((M - 2, M + 5), (-1, 3), (5, 3), (M + 1, M + 1)):
         with pytest.raises(SpectrumError, match="outside"):
@@ -405,26 +276,20 @@ def test_completeness_tail(torus2, circle):
 
 
 @pytest.fixture(scope="module")
-def deriv_providers(torus2, circle, sphere, product, tmp_path_factory):
-    """Providers of every backing, keyed by name, with a grid to query them on."""
-    torus = analytic_spectrum(torus2, count=200)
-    prod = analytic_spectrum(product, count=200)
-    tgrid = geometry.sample_grid(torus2, 8)
-    path = tmp_path_factory.mktemp("deriv") / "torus.jsonl"
-    save_spectrum(torus, path, tgrid, count=21)
+def deriv_providers(torus2, circle, sphere, product):
+    """Providers of every backend, keyed by name, with a grid to query them on."""
     return {
-        "torus": (torus, tgrid),
+        "torus": (analytic_spectrum(torus2, count=200), geometry.sample_grid(torus2, 8)),
         "circle": (analytic_spectrum(circle, count=64), geometry.sample_grid(circle, 16)),
         "sphere": (analytic_spectrum(sphere, count=100), geometry.sample_grid(sphere, 6)),
-        "product": (prod, geometry.sample_grid(product, 6)),
+        "product": (analytic_spectrum(product, count=200), geometry.sample_grid(product, 6)),
         "rescaled_product": (analytic_spectrum(product.rescaled((1.1, 0.8)), count=200),
                              geometry.sample_grid(product, 6)),
-        "external": (load_external_spectrum(path), tgrid),
     }
 
 
 @pytest.mark.parametrize("name", ["torus", "circle", "sphere", "product",
-                                  "rescaled_product", "external"])
+                                  "rescaled_product"])
 def test_jet_block_derivative_order(deriv_providers, name):
     """Lower orders return the leading arrays of the full jets exactly and
     leave the others zero-size."""
