@@ -1,4 +1,5 @@
 """Eigenpair enumeration, jets, and rescaling."""
+import json
 from collections import namedtuple
 
 import numpy as np
@@ -200,6 +201,27 @@ def test_each_provider_refuses_every_other_kind(torus2, circle, sphere, product)
                 continue
             with pytest.raises(ConfigError, match=f"^{cls.__name__} needs a {cls.kind} model$"):
                 cls(model, 4.0)
+
+
+def test_external_roundtrip(tmp_path, circle_spec, circle):
+    """The eigenpair file written by save_spectrum, read back as JSON lines:
+    its grid is the sampled grid, and each record's eigenvalue and tabulated
+    jets equal the provider's at every grid point."""
+    grid = geometry.sample_grid(circle, 32)
+    path = tmp_path / "circle.jsonl"
+    spectrum.save_spectrum(circle_spec, path, grid, count=9)
+    lines = path.read_text().splitlines()
+    header, records = json.loads(lines[0]), [json.loads(line) for line in lines[1:]]
+    assert np.array_equal(header["grid"]["points"], grid.points)
+    assert [r["j"] for r in records] == list(range(9))
+    pairs = enumerate_eigenpairs(circle_spec, 9)
+    assert [r["lambda"] for r in records] == [p.lam for p in pairs]
+    for j in (0, 3, 8):
+        for g, x in enumerate(grid.points[:5]):
+            jet = eval_jet(circle_spec, j, x)
+            assert_allclose(records[j]["values"][g], jet.value, atol=1e-12)
+            assert_allclose(records[j]["gradients"][g], jet.gradient, atol=1e-12)
+            assert_allclose(records[j]["hessians"][g], jet.hessian, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["torus2", "circle", "sphere", "product"])
