@@ -1,16 +1,19 @@
 """Quantitative acceptance checks for the whole pipeline.
 
 Each check returns a CheckResult with measured numbers; the pytest layer
-asserts on them and the CLI "verify" subcommand reports them.  Tolerances,
-windows and problem sizes are constants inside each check, and no config
-can override them: the four checks in SEEDED_CHECKS take only their random
-seed, the other five take nothing.  A check may be flagged expected_fail
-when the stated target is unattainable at desk scale (documented in the
-details); such checks still run and report honestly.
+asserts on them and the CLI "verify" subcommand reports them.  `run_all`
+runs them and is the one place a check is timed: it sets each result's
+`elapsed`.  Tolerances, windows and problem sizes are constants inside each
+check, and no config can override them: the checks in SEEDED_CHECKS, those
+with a `seed` parameter, take only their random seed, the others nothing.
+A check may be flagged expected_fail when the stated target is unattainable
+at desk scale (documented in the details); such checks still run and report
+honestly.
 """
 from __future__ import annotations
 
 import functools
+import inspect
 import time
 from dataclasses import dataclass, field
 
@@ -23,6 +26,9 @@ from .geometry import ManifoldModel
 
 @dataclass
 class CheckResult:
+    """What a check measured.  The check sets every field but `elapsed`, its
+    wall time in seconds, which `run_all` sets; `budget` is the time the
+    criterion may take, a gate of the acceptance tests."""
     criterion: str
     passed: bool
     details: dict = field(default_factory=dict)
@@ -30,16 +36,6 @@ class CheckResult:
     note: str = ""
     elapsed: float = 0.0
     budget: float = 0.0
-
-
-def _timed(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs) -> CheckResult:
-        t0 = time.perf_counter()
-        result = fn(*args, **kwargs)
-        result.elapsed = time.perf_counter() - t0
-        return result
-    return wrapper
 
 
 TORUS_2PI = ManifoldModel.flat_torus([2.0 * np.pi, 2.0 * np.pi])
@@ -67,7 +63,6 @@ def _shared_provider(model: ManifoldModel) -> spectrum.LatticeSpectrum:
     return provider
 
 
-@_timed
 def check_homothety() -> CheckResult:
     """Flat-torus symmetry forces an exact homothety at every truncation shell.
 
@@ -92,7 +87,6 @@ def check_homothety() -> CheckResult:
     return CheckResult("homothety", worst <= tol, details, budget=60.0)
 
 
-@_timed
 def check_circle_scale() -> CheckResult:
     """Truncated circle pullback equals 1 up to an exponentially small residue."""
     tol = 1e-8
@@ -104,7 +98,6 @@ def check_circle_scale() -> CheckResult:
                        {"q": emb.q, "max_deviation": dev, "tol": tol}, budget=5.0)
 
 
-@_timed
 def check_defect_law() -> CheckResult:
     """First-order defect decay and its cancellation by the h1 correction.
 
@@ -135,7 +128,6 @@ def check_defect_law() -> CheckResult:
                        budget=600.0)
 
 
-@_timed
 def check_rank_laws(seed: int = 20240901) -> CheckResult:
     """Singular-value structure and Gram block asymptotics of P and P_c."""
     t = 0.02
@@ -166,7 +158,6 @@ def check_rank_laws(seed: int = 20240901) -> CheckResult:
     return CheckResult("rank_laws", ok, worst, budget=30.0)
 
 
-@_timed
 def check_right_inverse(seed: int = 20240902) -> CheckResult:
     """Right-inverse identities of E and the one-parameter family E_c."""
     t = 0.05
@@ -219,7 +210,6 @@ def _manufactured_solve():
     return solver, f, tuple(history), y
 
 
-@_timed
 def check_fixed_point(seed: int = 20240903) -> CheckResult:
     """Contraction, iterate bound, equation residual, and uniqueness of the solve."""
     solver, f, history, y = _manufactured_solve()
@@ -250,7 +240,6 @@ def check_fixed_point(seed: int = 20240903) -> CheckResult:
     return CheckResult("fixed_point", ok, details, budget=300.0)
 
 
-@_timed
 def check_conformal_family() -> CheckResult:
     """Two members of the conformal family: residuals, separation, injectivity."""
     solver, f, _, y0 = _manufactured_solve()
@@ -275,7 +264,6 @@ def check_conformal_family() -> CheckResult:
     return CheckResult("conformal_family", ok, details, budget=300.0)
 
 
-@_timed
 def check_linear_algebra(seed: int = 20240904) -> CheckResult:
     """Closed-form Xi inverses, boundary rank drop, and the block-inverse lemma."""
     rng = np.random.default_rng(seed)
@@ -328,7 +316,6 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
     return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
 
 
-@_timed
 def check_tail_bound() -> CheckResult:
     """Truncation-tail size against exp(-t^(-rho/n)) with unit constant.
 
@@ -371,11 +358,13 @@ ALL_CHECKS = {
     "tail_bound": check_tail_bound,
 }
 # the checks that draw random probes: a config may set their seed, and nothing else
-SEEDED_CHECKS = ("rank_laws", "right_inverse", "fixed_point", "linear_algebra")
+SEEDED_CHECKS = tuple(name for name, check in ALL_CHECKS.items()
+                      if "seed" in inspect.signature(check).parameters)
 
 
 def run_all(criteria=None, overrides=None) -> list[CheckResult]:
-    """Run the named criteria (all by default); `overrides` maps a criterion of
+    """Run the named criteria (all by default) in order, each result's
+    `elapsed` the wall time of its check; `overrides` maps a criterion of
     SEEDED_CHECKS to {"seed": n}."""
     overrides = overrides or {}
     names = list(ALL_CHECKS) if criteria is None else list(criteria)
@@ -383,5 +372,8 @@ def run_all(criteria=None, overrides=None) -> list[CheckResult]:
     for name in names:
         if name not in ALL_CHECKS:
             raise KeyError(f"unknown acceptance criterion {name!r}")
-        results.append(ALL_CHECKS[name](**overrides.get(name, {})))
+        t0 = time.perf_counter()
+        result = ALL_CHECKS[name](**overrides.get(name, {}))
+        result.elapsed = time.perf_counter() - t0
+        results.append(result)
     return results

@@ -6,7 +6,8 @@ spectrum      dump eigenpairs (with tabulated jets) to the eigenpair file format
 defect-scan   sweep t, measure the conformal defect, emit CSV/JSON tables
 perturb       solve the conformal fixed point for each trace parameter k
 gram          dump jet Gram blocks and singular values at probe points
-verify        run the acceptance criteria and report pass/fail
+verify        run the acceptance criteria and report pass/fail; their wall
+              times go to timings.json
 
 Each `cmd_*` takes the parsed config and returns its results and its files,
 a map from a path under the output directory to a fill that writes the
@@ -30,8 +31,7 @@ finite float (`errors.finite`; json parses NaN and Infinity).  A verify override
 sets only the seed of a criterion in acceptance.SEEDED_CHECKS: the
 tolerances live in `acceptance` and cannot be overridden.  The only
 environment override is HEATCONF_OUT for the output directory.  Identical
-config and seed give a byte-identical report up to the timestamp field and,
-for verify, the per-criterion elapsed_s timings.
+config and seed give a byte-identical report up to the timestamp field.
 
 The CLI sets no thread counts.  numpy's BLAS pool is sized when the package
 is first imported, so pin it with OPENBLAS_NUM_THREADS / OMP_NUM_THREADS in
@@ -105,8 +105,9 @@ def _model(value, name: str) -> ManifoldModel:
 
 def _criteria(value, name: str) -> list[str]:
     if not (isinstance(value, list) and value and all(
-            isinstance(c, str) and c in acceptance.ALL_CHECKS for c in value)):
-        raise ConfigError(f"{name} must be a non-empty list of criteria from "
+            isinstance(c, str) and c in acceptance.ALL_CHECKS for c in value)
+            and len(set(value)) == len(value)):
+        raise ConfigError(f"{name} must be a non-empty list of distinct criteria from "
                           f"{', '.join(acceptance.ALL_CHECKS)}, got {value!r}")
     return list(value)
 
@@ -375,16 +376,21 @@ def _perturb_run(solver: perturb.ConformalSolver, f: np.ndarray, k: float, histo
 
 
 def cmd_verify(cfg: SimpleNamespace) -> tuple[dict, dict]:
+    """The criteria's outcomes for the report and their volatile timings,
+    in run order, for timings.json."""
     results = acceptance.run_all(cfg.verify["criteria"], cfg.verify["overrides"])
     criteria = [{"criterion": res.criterion,
                  "passed": res.passed,
                  "expected_fail": res.expected_fail,
-                 "elapsed_s": round(res.elapsed, 3),
-                 "budget_s": res.budget,
                  "note": res.note,
                  "details": res.details} for res in results]
+    timings = [{"criterion": res.criterion,
+                "elapsed_s": round(res.elapsed, 3),
+                "budget_s": res.budget} for res in results]
     all_passed = all(res.passed or res.expected_fail for res in results)
-    return {"criteria": criteria, "all_passed": all_passed}, {}
+    path = "timings.json"
+    return ({"criteria": criteria, "all_passed": all_passed, "timings": path},
+            {path: _json_file({"criteria": timings})})
 
 
 def _json_safe(obj):

@@ -142,8 +142,9 @@ def test_defect_scan_outputs(tmp_path):
 
 
 def test_report_determinism(tmp_path):
-    """Every command's report repeats exactly apart from the timestamp and
-    verify's elapsed_s, and perturb's solver log repeats exactly."""
+    """Every command's report repeats byte for byte apart from the timestamp
+    line, perturb's solver log repeats exactly, and each verify run's
+    timings.json lists the criteria it ran, in order."""
     configs = {
         "spectrum": {"model": CIRCLE_MODEL, "spectrum": {"count": 7}, "resolution": 16},
         "defect-scan": {"model": TORUS_MODEL, "t_grid": [0.1], "resolution": 8},
@@ -155,15 +156,18 @@ def test_report_determinism(tmp_path):
     }
     for command, payload in configs.items():
         cfg = write_config(tmp_path, {**payload, "seed": 9}, f"{command}.json")
-        out1, out2 = tmp_path / command / "a", tmp_path / command / "b"
-        assert run(["--config", cfg, "--out", str(out1), command]) == 0
-        assert run(["--config", cfg, "--out", str(out2), command]) == 0
-        r1, r2 = load_report(out1), load_report(out2)
-        for rep in (r1, r2):
-            rep.pop("timestamp")
-            for entry in rep["results"].get("verify", {}).get("criteria", []):
-                entry.pop("elapsed_s")
-        assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True), command
+        outs = tmp_path / command / "a", tmp_path / command / "b"
+        stable = []
+        for out in outs:
+            assert run(["--config", cfg, "--out", str(out), command]) == 0
+            lines = (out / "report.json").read_text().splitlines()
+            stable.append([line for line in lines if not line.startswith('  "timestamp": ')])
+            assert len(stable[-1]) == len(lines) - 1, command
+        assert stable[0] == stable[1], command
+    for side in "ab":
+        timings = json.loads((tmp_path / "verify" / side / "timings.json").read_text())
+        assert [t["criterion"] for t in timings["criteria"]] == ["circle_scale",
+                                                                 "linear_algebra"]
     log1, log2 = ((tmp_path / "perturb" / side / "solver_log.json").read_text()
                   for side in "ab")
     assert log1 == log2
@@ -452,14 +456,22 @@ def test_perturb_convergence_failure_exits_4(tmp_path):
 
 
 def test_verify_subset(tmp_path):
-    cfg = write_config(tmp_path, {
-        "verify": {"criteria": ["circle_scale", "linear_algebra"]}})
+    """verify reports the criteria it ran, in order, and their timings go to
+    timings.json, each with its check's budget, and not to report.json."""
+    names = ["circle_scale", "linear_algebra"]
+    cfg = write_config(tmp_path, {"verify": {"criteria": names}})
     out = tmp_path / "out"
     assert run(["--config", cfg, "--out", str(out), "verify"]) == 0
     res = load_report(out)["results"]["verify"]
-    assert res["all_passed"]
-    assert [c["criterion"] for c in res["criteria"]] == ["circle_scale",
-                                                         "linear_algebra"]
+    assert res["all_passed"] and res["timings"] == "timings.json"
+    assert [c["criterion"] for c in res["criteria"]] == names
+    text = (out / "report.json").read_text()
+    assert '"elapsed_s"' not in text and '"budget_s"' not in text
+    timings = json.loads((out / "timings.json").read_text())["criteria"]
+    budgets = [check.budget for check in heatconf.acceptance.run_all(names)]
+    assert [t["criterion"] for t in timings] == names
+    assert [t["budget_s"] for t in timings] == budgets
+    assert all(t["elapsed_s"] >= 0 for t in timings)
 
 
 def test_verify_perturbed_tolerance_fails(tmp_path, monkeypatch):
@@ -530,15 +542,14 @@ def test_out_under_a_regular_file_exits_2_before_any_work(tmp_path, capsys, monk
 
 
 @contextlib.contextmanager
-def full_disk():
-    """Each file opened for writing under a temp name `.<name>.tmp` fails its
-    writes with ENOSPC and no filename, as a full disk fails the flush."""
+def full_disk(name: str):
+    """The output `name` fails the writes to its temp file `.<name>.tmp` with
+    ENOSPC and no filename, as a full disk fails the flush."""
     real_open = io.open
 
     def opener(file, mode="r", *args, **kwargs):
         fh = real_open(file, mode, *args, **kwargs)
-        name = Path(file).name if isinstance(file, (str, Path)) else ""
-        if "w" in mode and name.startswith(".") and name.endswith(".tmp"):
+        if "w" in mode and isinstance(file, (str, Path)) and Path(file).name == f".{name}.tmp":
             def no_space(*_):
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
             fh.write = no_space
@@ -549,6 +560,7 @@ def full_disk():
 
 
 @pytest.mark.parametrize("command, payload, target", [
+    ("verify", {"verify": {"criteria": ["linear_algebra"]}}, "timings.json"),
     ("verify", {"verify": {"criteria": ["linear_algebra"]}}, "report.json"),
     ("spectrum", {"model": TORUS_MODEL, "spectrum": {"count": 7}, "resolution": 8},
      "eigenpairs/flat_torus.jsonl"),
@@ -558,18 +570,19 @@ def full_disk():
      "solver_log.json"),
     ("gram", {"model": TORUS_MODEL, "t_grid": [0.2], "resolution": 6},
      "gram_diagnostics.json"),
-], ids=["verify-report", "spectrum-eigenpairs", "defect-scan-csv", "perturb-log",
-        "gram-diagnostics"])
+], ids=["verify-timings", "verify-report", "spectrum-eigenpairs", "defect-scan-csv",
+        "perturb-log", "gram-diagnostics"])
 def test_full_disk_while_writing_an_output_exits_3(tmp_path, capsys, command, payload, target):
-    """A full disk while the first output's temp file `.<name>.tmp` is
-    written: the run exits 3 with one line, not a traceback, that names the
-    output, and leaves neither the output nor its temp file."""
+    """A full disk while an output's temp file `.<name>.tmp` is written (the
+    command's first output, and report.json, the last): the run exits 3 with
+    one line, not a traceback, that names the output, and leaves neither the
+    output nor its temp file."""
     out = tmp_path / "o"
     final = out / target
     tmp = final.with_name(f".{final.name}.tmp")
     cfg = write_config(tmp_path, payload)
     capsys.readouterr()
-    with full_disk():
+    with full_disk(final.name):
         assert run(["--config", cfg, "--out", str(out), command]) == 3
     err = capsys.readouterr().err
     assert err.startswith("precondition failure: writing the output:"), err
@@ -728,6 +741,9 @@ def test_malformed_config_values_exit_2(tmp_path, capsys):
         "verify_override_not_object": ("verify",
                                        {"verify": {"overrides": {"circle_scale": [1]}}}),
         "verify_criteria_empty": ("verify", {"verify": {"criteria": []}}),
+        # a repeated criterion would run twice and be reported twice
+        "verify_criteria_repeated": ("verify", {"verify": {
+            "criteria": ["linear_algebra", "linear_algebra"]}}),
         # the gates, windows and sizes of the checks are constants; only four take a seed
         "verify_override_tol": ("verify", {"verify": {
             "criteria": ["circle_scale"], "overrides": {"circle_scale": {"tol": 1e-15}}}}),
